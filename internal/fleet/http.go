@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -49,15 +48,20 @@ func (fr *Front) Handler() http.Handler {
 }
 
 func (fr *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req serve.ClassifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	wr := serve.ReadClassify(w, r)
+	if wr == nil {
 		return
 	}
+	req := wr.ClassifyRequest
 	res, err := fr.f.Classify(r.Context(), req)
+	// A cached reply means no shard ever queued the image (see
+	// serve.WireRequest.Release); the 429 path below still reads it.
+	defer wr.Release(err == nil && res.Cached)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
+		case errors.Is(err, serve.ErrUnknownModel):
+			status = http.StatusNotFound
 		case errors.Is(err, serve.ErrOverloaded):
 			// Every tried shard shed. The hint is the OWNING shard's
 			// drain projection: a retry re-hashes to the same owner.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -29,10 +30,45 @@ const WorkerAddrPrefix = "FLEET_WORKER_ADDR="
 // and maps transport failures to ErrWorkerDown so the supervisor evicts
 // and respawns crashed processes.
 type ProcWorker struct {
-	cmd    *exec.Cmd
-	base   string // http://host:port
-	client *http.Client
-	down   atomic.Bool
+	cmd  *exec.Cmd // nil for a worker this side did not spawn (tests)
+	base string    // http://host:port
+	// transport is this worker's own connection pool: idle connections
+	// are not shared with (or capped by) http.DefaultTransport, and Close
+	// drops them with the child.
+	transport *http.Transport
+	client    *http.Client
+	down      atomic.Bool
+}
+
+// procIdleConns is how many idle connections a ProcWorker keeps to its
+// child: a full default admission queue (4×MaxBatch per P, 8 P) of
+// concurrent callers reuses connections instead of redialling.
+const procIdleConns = 256
+
+// procWriteBuffer holds a whole request — headers plus the frame of the
+// largest input served here (28×28, 6.3 kB) — so it leaves in one write.
+// Through the transport's default 4 kB buffer a frame took two, and the
+// child, woken by the first, read half a request and went back to sleep.
+// A larger frame still goes out correctly, in more writes.
+const procWriteBuffer = 8 << 10
+
+// newProcWorker connects to an already-listening worker at addr.
+func newProcWorker(cmd *exec.Cmd, addr string) *ProcWorker {
+	tr := &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: procIdleConns,
+		WriteBufferSize:     procWriteBuffer,
+		// A loopback redial costs ≈100 µs and an idle connection ≈16 kB of
+		// buffers on each side, so a burst's surplus connections go after
+		// 10 s, not http.DefaultTransport's 90 s.
+		IdleConnTimeout: 10 * time.Second,
+	}
+	return &ProcWorker{
+		cmd:       cmd,
+		base:      "http://" + addr,
+		transport: tr,
+		client:    &http.Client{Transport: tr, Timeout: 2 * time.Minute},
+	}
 }
 
 // SpawnProcWorker starts bin with args, waits (up to timeout) for the
@@ -75,11 +111,7 @@ func SpawnProcWorker(bin string, args []string, timeout time.Duration) (*ProcWor
 		_ = cmd.Wait()
 		return nil, fmt.Errorf("fleet: worker did not announce %s within %v", WorkerAddrPrefix, timeout)
 	}
-	w := &ProcWorker{
-		cmd:    cmd,
-		base:   "http://" + addr,
-		client: &http.Client{Timeout: 2 * time.Minute},
-	}
+	w := newProcWorker(cmd, addr)
 	deadline := time.Now().Add(timeout)
 	for {
 		if w.Healthy() {
@@ -100,15 +132,14 @@ func (w *ProcWorker) Addr() string { return strings.TrimPrefix(w.base, "http://"
 func (w *ProcWorker) Pid() int { return w.cmd.Process.Pid }
 
 func (w *ProcWorker) Classify(ctx context.Context, req serve.ClassifyRequest) (serve.ClassifyResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return serve.ClassifyResult{}, err
-	}
+	// The frame is not pooled: the transport may still be reading it
+	// after Do returns.
+	body := serve.AppendFrame(nil, req)
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/classify", bytes.NewReader(body))
 	if err != nil {
 		return serve.ClassifyResult{}, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", serve.FrameContentType)
 	resp, err := w.client.Do(hreq)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -131,6 +162,11 @@ func (w *ProcWorker) Classify(ctx context.Context, req serve.ClassifyRequest) (s
 	case http.StatusServiceUnavailable:
 		w.down.Store(true)
 		return serve.ClassifyResult{}, fmt.Errorf("%w: worker returned 503", ErrWorkerDown)
+	case http.StatusNotFound:
+		// Keep the worker's unknown-model verdict across the wire, as
+		// Unregister does, so the front answers 404 like one server.
+		return serve.ClassifyResult{}, fmt.Errorf("fleet: worker returned %s: %s: %w",
+			resp.Status, readErr(resp.Body), serve.ErrUnknownModel)
 	default:
 		return serve.ClassifyResult{}, fmt.Errorf("fleet: worker returned %s: %s",
 			resp.Status, readErr(resp.Body))
@@ -238,7 +274,8 @@ func (w *ProcWorker) Healthy() bool {
 // Close terminates the child: SIGTERM for a graceful drain, SIGKILL
 // after 10s. Idempotent-ish: a dead child just returns its wait status.
 func (w *ProcWorker) Close() error {
-	if w.cmd.Process == nil {
+	w.transport.CloseIdleConnections()
+	if w.cmd == nil || w.cmd.Process == nil {
 		return nil
 	}
 	_ = w.cmd.Process.Signal(syscall.SIGTERM)

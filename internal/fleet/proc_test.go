@@ -35,11 +35,12 @@ func runFakeWorkerProcess() {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		var req serve.ClassifyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		// The real worker's codec: ProcWorker sends the binary frame.
+		req := serve.ReadClassify(w, r)
+		if req == nil {
 			return
 		}
+		defer req.Release(false)
 		if req.Model == "shed" {
 			w.Header().Set("Retry-After", "7")
 			http.Error(w, `{"error":"overloaded"}`, http.StatusTooManyRequests)

@@ -1,0 +1,391 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"burstsnn/internal/coding"
+)
+
+// decodeBytes runs data through the codec the way ReadClassify does
+// after the body read: into a pooled WireRequest's own buffers.
+func decodeBytes(data []byte, frame bool) (*WireRequest, error) {
+	wr := wirePool.Get().(*WireRequest)
+	wr.body.Reset()
+	wr.body.Write(data)
+	return wr, wr.decode(frame, nil)
+}
+
+// benchRequest is shaped like the repository benchmark's requests: a
+// 3×16×16 image of full-precision float64 pixels under a short name.
+func benchRequest() ClassifyRequest {
+	return ClassifyRequest{Model: "textures10", Image: allocImage(11, 768)}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sameRequest(t *testing.T, got, want ClassifyRequest) {
+	t.Helper()
+	if got.Model != want.Model || got.MaxSteps != want.MaxSteps || got.NoEarlyExit != want.NoEarlyExit {
+		t.Fatalf("decoded %q/%d/%v, want %q/%d/%v", got.Model, got.MaxSteps, got.NoEarlyExit,
+			want.Model, want.MaxSteps, want.NoEarlyExit)
+	}
+	if len(got.Image) != len(want.Image) {
+		t.Fatalf("decoded %d pixels, want %d", len(got.Image), len(want.Image))
+	}
+	for i := range want.Image {
+		if math.Float64bits(got.Image[i]) != math.Float64bits(want.Image[i]) {
+			t.Fatalf("pixel %d = %x, want %x", i, math.Float64bits(got.Image[i]), math.Float64bits(want.Image[i]))
+		}
+	}
+}
+
+// TestParseStrictShape pins which bodies take the fast path. Declined
+// bodies are not errors — FuzzDecodeClassify checks they still decode
+// as encoding/json decodes them — but a common shape sliding into the
+// decline column would silently give the speed back.
+func TestParseStrictShape(t *testing.T) {
+	accept := []string{
+		string(mustMarshal(t, benchRequest())),
+		`{"model":"m","image":[0,-0,1e-3,2.5E+2,0.1],"maxSteps":-0,"noEarlyExit":true}`,
+		" {\n\t\"image\" : [ 1 , 2 ] ,\r\n \"model\" : \"a b\" } \n",
+		`{"noEarlyExit":false}`,
+		`{"maxSteps":123456789012345678}`,
+	}
+	for _, body := range accept {
+		if _, _, ok := parseStrict([]byte(body), nil); !ok {
+			t.Errorf("declined %.60q", body)
+		}
+	}
+	decline := []string{
+		``, `null`, `[]`, `{}`, `{"model":"m"`, `{"model":"m",}`,
+		`{"Model":"m"}`, `{"image":[1],"image":[2]}`, `{"model":"a","model":"b"}`, `{"extra":1}`,
+		`{"model":"a\nb"}`, "{\"model\":\"a\x01\"}", `{"model":"é"}`, `{"model":null}`, `{"mod\u0065l":"m"}`,
+		`{"image":null}`, `{"image":[]}`, `{"image":[[1]]}`, `{"image":[1,]}`, `{"image":[1 2]}`,
+		`{"image":[01]}`, `{"image":[1.]}`, `{"image":[.5]}`, `{"image":[+1]}`, `{"image":[1e]}`,
+		`{"image":[1e999]}`, `{"image":[NaN]}`, `{"image":[0x1p-2]}`, `{"image":[1_0]}`, `{"image":["1"]}`,
+		`{"maxSteps":1.0}`, `{"maxSteps":1e2}`, `{"maxSteps":1234567890123456789}`, `{"maxSteps":"1"}`,
+		`{"noEarlyExit":1}`, `{"noEarlyExit":True}`, `{"noEarlyExit":truex}`,
+		`{"model":"m"} x`, `{"model":"m"}{"model":"n"}`,
+	}
+	for _, body := range decline {
+		if _, _, ok := parseStrict([]byte(body), nil); ok {
+			t.Errorf("accepted %q", body)
+		}
+	}
+}
+
+// FuzzDecodeClassify is the differential check behind "the accepted set,
+// the results and the error texts are exactly encoding/json's": on every
+// input the codec and json.Decoder agree on accept/reject, on the error
+// text, and on every decoded bit.
+func FuzzDecodeClassify(f *testing.F) {
+	f.Add(mustMarshal(f, benchRequest()))
+	f.Add([]byte(`{"model":"m","image":[0,-0,1e-3],"maxSteps":7,"noEarlyExit":true}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want ClassifyRequest
+		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		got, gotErr := decodeBytes(data, false)
+		defer got.Release(true)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("encoding/json: %v; codec: %v", wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("encoding/json: %v; codec: %v", wantErr, gotErr)
+			}
+			return
+		}
+		sameRequest(t, got.ClassifyRequest, want)
+	})
+}
+
+// FuzzDecodeFrame: the frame decoder never panics, never holds more
+// pixel memory than the body has bytes for, accepts only canonical
+// frames (re-encoding an accepted frame reproduces it), rejects
+// non-finite pixels, and round-trips every encodable request bit-exactly.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add(AppendFrame(nil, benchRequest()), "textures10", int64(0), false)
+	f.Add(AppendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{math.Copysign(0, -1), 5e-324}, MaxSteps: -3, NoEarlyExit: true}),
+		"\xffm", int64(math.MinInt64), true)
+	f.Fuzz(func(t *testing.T, data []byte, model string, maxSteps int64, noEarlyExit bool) {
+		wr := &WireRequest{body: *bytes.NewBuffer(data)}
+		if err := wr.decodeFrame(); err != nil {
+			if cap(wr.pixels)*8 > len(data) {
+				t.Fatalf("rejected %d-byte frame left a %d-pixel buffer", len(data), cap(wr.pixels))
+			}
+		} else {
+			if cap(wr.Image)*8 > len(data) {
+				t.Fatalf("%d-byte frame decoded into a %d-pixel buffer", len(data), cap(wr.Image))
+			}
+			if again := AppendFrame(nil, wr.ClassifyRequest); !bytes.Equal(again, data) {
+				t.Fatalf("accepted a non-canonical frame: re-encodes to %x, was %x", again, data)
+			}
+		}
+
+		// The same bytes, read as pixels, through encode → decode.
+		req := ClassifyRequest{Model: model, MaxSteps: int(maxSteps), NoEarlyExit: noEarlyExit}
+		finite := true
+		for ; len(data) >= 8; data = data[8:] {
+			p := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			finite = finite && !math.IsNaN(p) && !math.IsInf(p, 0)
+			req.Image = append(req.Image, p)
+		}
+		got, err := decodeBytes(AppendFrame(nil, req), true)
+		defer got.Release(true)
+		if !finite {
+			if err == nil {
+				t.Fatal("a frame with a non-finite pixel was accepted")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		req.Model = strings.ToValidUTF8(model, "\uFFFD")
+		sameRequest(t, got.ClassifyRequest, req)
+	})
+}
+
+// TestFrameRejections names every way a frame is refused.
+func TestFrameRejections(t *testing.T) {
+	good := AppendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{0.5, 1}})
+	patch := func(off int, b ...byte) []byte {
+		out := append([]byte(nil), good...)
+		copy(out[off:], b)
+		return out
+	}
+	le := func(f float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
+	cases := map[string][]byte{
+		"shorter than the":  good[:frameHeaderLen-1],
+		"bad magic":         patch(0, 'X'),
+		"unsupported":       patch(4, 2),
+		"unknown flag bits": patch(5, 0x82),
+		"implies":           good[:len(good)-1],
+		"header (model 1 bytes, 3 pixels) implies": patch(10, 3),
+		"not valid UTF-8":                          patch(frameHeaderLen, 0xff),
+		"pixel 1 is not finite":                    patch(len(good)-8, le(math.NaN())...),
+		"pixel 0 is not finite":                    patch(len(good)-16, le(math.Inf(1))...),
+	}
+	for want, frame := range cases {
+		wr, err := decodeBytes(frame, true)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: got error %v", want, err)
+		}
+		wr.Release(true)
+	}
+	if wr, err := decodeBytes(append(good, 0), true); err == nil {
+		t.Error("a frame with a trailing byte was accepted")
+	} else {
+		wr.Release(true)
+	}
+}
+
+func postBody(ctx context.Context, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body)).WithContext(ctx)
+	req.Header.Set("Content-Type", contentType)
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+func decodeResult(t *testing.T, rec *httptest.ResponseRecorder) ClassifyResult {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var res ClassifyResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestFrameMatchesJSON: the same request as a frame and as JSON gets the
+// same answer from POST /v1/classify, and both see one response-cache
+// key (the pixels arrive bit-identical either way).
+func TestFrameMatchesJSON(t *testing.T) {
+	s := testServer(t, Config{MaxDelay: -1})
+	_, set := testModel(t)
+	h, ctx := s.Handler(), context.Background()
+	req := ClassifyRequest{Model: "digits", Image: set.Test[3].Image, MaxSteps: 40, NoEarlyExit: true}
+	viaJSON := decodeResult(t, postBody(ctx, h, "application/json", mustMarshal(t, req)))
+	viaFrame := decodeResult(t, postBody(ctx, h, FrameContentType, AppendFrame(nil, req)))
+	if viaJSON.Steps != 40 || viaJSON.Cached || viaFrame.Cached {
+		t.Fatalf("first two sightings: json %+v, frame %+v", viaJSON, viaFrame)
+	}
+	third := decodeResult(t, postBody(ctx, h, FrameContentType, AppendFrame(nil, req)))
+	if !third.Cached {
+		t.Error("third sighting missed the response cache: the JSON and frame requests did not share a key")
+	}
+	for _, got := range []ClassifyResult{viaFrame, third} {
+		if got.Prediction != viaJSON.Prediction || got.Steps != viaJSON.Steps || got.Spikes != viaJSON.Spikes ||
+			got.Margin != viaJSON.Margin {
+			t.Errorf("frame answer %+v, JSON answer %+v", got, viaJSON)
+		}
+	}
+}
+
+// TestOversizeBodyIs413: one byte over the 8 MiB cap is "too large", not
+// "malformed", as JSON and as a frame; a malformed body at the cap is
+// still a 400.
+func TestOversizeBodyIs413(t *testing.T) {
+	s := testServer(t, Config{})
+	h, ctx := s.Handler(), context.Background()
+	over := bytes.Repeat([]byte(" "), maxRequestBytes+1)
+	for _, ct := range []string{"application/json", FrameContentType} {
+		if rec := postBody(ctx, h, ct, over); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, %d bytes: status %d, want 413", ct, len(over), rec.Code)
+		}
+		if rec := postBody(ctx, h, ct, over[:maxRequestBytes]); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s, %d bytes: status %d, want 400", ct, maxRequestBytes, rec.Code)
+		}
+	}
+}
+
+// TestAbandonedRequestKeepsItsPixels is the buffer-ownership rule under
+// the race detector: a request whose context is canceled while its batch
+// is still executing has returned to its handler, but the batch goes on
+// to simulate the pixel slice it was handed. The handler must not have
+// recycled that slice — the requests served meanwhile decode into pooled
+// buffers — so the outcome the batch records must be the one the
+// original pixels produce.
+func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
+	s := testServer(t, Config{MaxBatch: 1, MaxDelay: -1})
+	_, set := testModel(t)
+	h, ctx := s.Handler(), context.Background()
+	bodyX := mustMarshal(t, ClassifyRequest{Model: "digits", Image: set.Test[0].Image})
+	bodyY := mustMarshal(t, ClassifyRequest{Model: "digits", Image: set.Test[1].Image})
+	post := func(ctx context.Context, body []byte) *httptest.ResponseRecorder {
+		return postBody(ctx, h, "application/json", body)
+	}
+
+	// The slow batch: once armed, the next batch parks after it has
+	// dropped canceled requests and before it simulates.
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.mu.Lock()
+	b := s.entries["digits"].batcher
+	s.mu.Unlock()
+	b.injectFault = func() error {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+
+	want := decodeResult(t, post(ctx, bodyX)) // X's first sighting
+	for i := 0; i < 3; i++ {                  // Y: seen, promoted, hit
+		if res := decodeResult(t, post(ctx, bodyY)); res.Cached != (i == 2) {
+			t.Fatalf("Y sighting %d: cached=%v", i+1, res.Cached)
+		}
+	}
+
+	// X again, abandoned mid-batch.
+	armed.Store(true)
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-entered:
+			cancel()
+		case <-cctx.Done():
+		}
+	}()
+	if rec := post(cctx, bodyX); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("abandoned request: status %d, want 503", rec.Code)
+	}
+	// Requests whose buffers are recycled: cache hits and failed decodes
+	// (Y's body cut short has already written every pixel). Half before
+	// the batch resumes, half while it simulates.
+	hammer := func() {
+		for i := 0; i < 50; i++ {
+			if res := decodeResult(t, post(ctx, bodyY)); !res.Cached {
+				t.Fatal("Y missed the response cache")
+			}
+			if rec := post(ctx, bodyY[:len(bodyY)-2]); rec.Code != http.StatusBadRequest {
+				t.Fatalf("truncated body: status %d", rec.Code)
+			}
+		}
+	}
+	hammer()
+	close(release)
+	hammer()
+
+	// Shutdown waits for the batch; its outcome was X's second sighting,
+	// so the cache now holds it, verified against X's pixels.
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Registry().Get("digits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := set.Test[0].Image
+	out, ok := b.cache.Lookup(coding.HashImage(x), x, m.Config().Exit)
+	if !ok {
+		t.Fatal("the abandoned request's outcome is not cached under its own pixels")
+	}
+	if out.Prediction != want.Prediction || out.Steps != want.Steps || out.TotalSpikes() != want.Spikes {
+		t.Errorf("abandoned request recorded %+v, its pixels produce %+v", out, want)
+	}
+}
+
+// BenchmarkDecodeClassify is the codec rung by itself: one
+// benchmark-shaped body through encoding/json as the handlers used to
+// call it, and through the codec.
+func BenchmarkDecodeClassify(b *testing.B) {
+	body := mustMarshal(b, benchRequest())
+	b.Run("std", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var req ClassifyRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			wr, err := decodeBytes(body, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wr.Release(true)
+		}
+	})
+}
+
+// BenchmarkFrameRoundTrip is the front→worker hop's codec cost: encode
+// as ProcWorker.Classify does, decode as the worker's handler does.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	req := benchRequest()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(AppendFrame(nil, req))))
+	for b.Loop() {
+		wr, err := decodeBytes(AppendFrame(nil, req), true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wr.Release(true)
+	}
+}

@@ -685,13 +685,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	wr := ReadClassify(w, r)
+	if wr == nil {
 		return
 	}
+	req := wr.ClassifyRequest
 	res, err := s.Classify(r.Context(), req)
+	wr.Release(err == nil && res.Cached)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
