@@ -84,7 +84,7 @@ func main() {
 		minSteps = flag.Int("minsteps", 16, "earliest step at which early exit is allowed")
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
-		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "microbatch max delay")
+		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window; negative dispatches on queue drain")
 		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), static (fixed ≥6-request rule on packed tiers), on, or off")
 		kernel   = flag.String("kernel", serve.BatchKernelF32, "lockstep compute plane: f32 (float32 kernels, tolerance contract), f64 (bit-identical to sequential), or a forced float32 dispatch tier — f32-purego, f32-sse, f32-avx2 (fails if the machine cannot run it)")
 		occXover = flag.Float64("occupancy-crossover", 0, "adaptive scheduler: estimated batch occupancy at which lockstep dispatch pays (0 = measured default)")
@@ -527,6 +527,12 @@ func scrapeTelemetry(client *http.Client, base, traceOut string) error {
 		fmt.Printf("%-9s: mean %8.3fms  p50 %8.3fms  p99 %8.3fms  (n=%d)\n",
 			stage, st.Mean, st.P50, st.P99, st.Count)
 	}
+
+	// What waiting for company earned: a lone closed-loop client should
+	// read as fruitless waits and a window at its floor.
+	fw := snap.FormWaits
+	fmt.Printf("forming  : window %.3fms now; partial batches: %d joined, %d fruitless\n",
+		snap.FormWindowMs, fw.Joined, fw.Fruitless)
 
 	// Steering decision trace: how the scheduling plane routed the load's
 	// multi-request batches and why, so a steering regression (a plane

@@ -608,15 +608,24 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		t.Errorf("merged requests = %d, want %d", ms.Counters.Requests, n)
 	}
 	var perShard int64
+	var waits serve.FormWaits
 	for s := 0; s < 2; s++ {
 		st, err := f.Worker(s).Stats()
 		if err != nil {
 			t.Fatalf("shard %d stats: %v", s, err)
 		}
-		perShard += st.Models["digits"].Counters.Requests
+		c := st.Models["digits"].Counters
+		perShard += c.Requests
+		waits.Joined += c.FormWaits.Joined
+		waits.Fruitless += c.FormWaits.Fruitless
 	}
 	if perShard != n {
 		t.Errorf("per-shard requests sum = %d, want %d", perShard, n)
+	}
+	// Sixteen lone requests each left as a partial batch after a timed
+	// wait; the merge adds the shards' forming counters.
+	if got := ms.Counters.FormWaits; got != waits || got.Joined+got.Fruitless != n {
+		t.Errorf("merged forming waits = %+v, want the shards' sum %+v covering %d batches", got, waits, n)
 	}
 	total, ok := ms.Stages["total"]
 	if !ok {
@@ -653,6 +662,8 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		"burstsnn_fleet_dispatched_total",
 		"burstsnn_fleet_requests_total",
 		"burstsnn_fleet_stage_duration_seconds",
+		`burstsnn_fleet_form_waits_total{model="digits",outcome="fruitless"}`,
+		`burstsnn_fleet_form_window_seconds{model="digits",shard="0"}`,
 		`shard="0"`,
 		`shard="1"`,
 	} {

@@ -38,6 +38,7 @@ type FleetModelStats struct {
 type ShardModelGauges struct {
 	QueueDepth    int     `json:"queueDepth"`
 	QueuePressure float64 `json:"queuePressure"`
+	FormWindowMs  float64 `json:"formWindowMs"`
 	PoolSize      int     `json:"poolSize"`
 	PoolInFlight  int     `json:"poolInFlight"`
 	RetryAfterSec float64 `json:"retryAfterSec"`
@@ -179,9 +180,11 @@ func histStats(h obs.HistSnapshot, scale float64) serve.StageStats {
 }
 
 // mergeCounters adds src's additive counters (and sums the live gauges)
-// into dst. Rates and means are recomputed request-weighted; the
-// identity fields (kernel, scheduler) adopt the first shard's value —
-// every shard registers the same models the same way.
+// into dst. Rates and means are recomputed request-weighted; the forming
+// window, which does not add, reports the widest shard's (each shard's
+// own is under PerShard); the identity fields (kernel, scheduler) adopt
+// the first shard's value — every shard registers the same models the
+// same way.
 func mergeCounters(dst *serve.Snapshot, src serve.Snapshot) {
 	prevReq, addReq := dst.Requests, src.Requests
 	dst.MeanSteps = weightedMean(dst.MeanSteps, prevReq, src.MeanSteps, addReq)
@@ -210,6 +213,9 @@ func mergeCounters(dst *serve.Snapshot, src serve.Snapshot) {
 		}
 	}
 	dst.LockstepFallbacks += src.LockstepFallbacks
+	dst.FormWaits.Joined += src.FormWaits.Joined
+	dst.FormWaits.Fruitless += src.FormWaits.Fruitless
+	dst.FormWindowMs = max(dst.FormWindowMs, src.FormWindowMs)
 	dst.ExitHistoryHits += src.ExitHistoryHits
 	dst.ExitHistoryMisses += src.ExitHistoryMisses
 	dst.DedupedRequests += src.DedupedRequests
@@ -316,6 +322,16 @@ func writePromScrapes(w io.Writer, uptime float64, scrapes []shardScrape) error 
 	modelCounter("burstsnn_fleet_batches_total",
 		"Fleet-wide executed lockstep microbatches.",
 		func(s serve.Snapshot) float64 { return float64(s.Batches) })
+	pw.Header("burstsnn_fleet_form_waits_total",
+		"Fleet-wide partial batches by how they left the forming stage (joined, fruitless; see burstsnn_form_waits_total).",
+		"counter")
+	for _, name := range names {
+		snap.Models[name].Counters.FormWaits.Each(func(outcome string, n int64) {
+			pw.Metric("burstsnn_fleet_form_waits_total", []obs.Label{
+				{Name: "model", Value: name}, {Name: "outcome", Value: outcome},
+			}, float64(n))
+		})
+	}
 	modelCounter("burstsnn_fleet_model_evictions_total",
 		"Fleet-wide model evict cycles (pool released, conversion archived).",
 		func(s serve.Snapshot) float64 { return float64(s.Evictions) })
@@ -345,6 +361,9 @@ func writePromScrapes(w io.Writer, uptime float64, scrapes []shardScrape) error 
 	shardGauge("burstsnn_fleet_queue_pressure",
 		"Shard queue-fill EWMA (the autoscaler's control signal).",
 		func(g ShardModelGauges) float64 { return g.QueuePressure })
+	shardGauge("burstsnn_fleet_form_window_seconds",
+		"Shard's live batch-forming window (a sixteenth of the configured max delay up to all of it).",
+		func(g ShardModelGauges) float64 { return g.FormWindowMs / 1e3 })
 	shardGauge("burstsnn_fleet_pool_size",
 		"Shard replica-pool width (moves under autoscaling).",
 		func(g ShardModelGauges) float64 { return float64(g.PoolSize) })

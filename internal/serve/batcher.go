@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"burstsnn/internal/coding"
@@ -30,10 +31,12 @@ var ErrOverloaded = errors.New("serve: overloaded")
 const drainEWMAWeight = 0.25
 
 // Batcher is the microbatching request queue in front of a replica pool.
-// Requests are grouped into batches of up to MaxBatch, waiting at most
-// MaxDelay after the first request before dispatch; each batch checks out
-// one replica and hands the execution decision to the scheduling plane
-// (see sched.go): multi-request batches run lockstep through the
+// Requests are grouped into batches of up to MaxBatch. A partial batch
+// waits for company inside an adaptive forming window whose upper bound
+// is MaxDelay and which shrinks to a sixteenth of it while waiting
+// gathers nobody (see form.go). Each batch checks out one replica and hands the
+// execution decision to the scheduling plane (see sched.go):
+// multi-request batches run lockstep through the
 // replica's batch simulator — amortizing scatter-table walks, weight
 // loads, and threshold computation across lanes — or back to back on the
 // sequential engine, per the Scheduler's verdict. Networks that cannot
@@ -88,6 +91,13 @@ type Batcher struct {
 	pressure   float64
 	pressureAt time.Time
 
+	// formWindowNs is the dispatcher's live forming window (a gauge: the
+	// dispatcher stores, scrapes load). replied is the sequence number of
+	// the newest batch that has started replying — the dispatcher's
+	// near-miss test reads it (see form.go).
+	formWindowNs atomic.Int64
+	replied      atomic.Uint64
+
 	fallbackOnce sync.Once // one log line for a replica that cannot batch
 
 	// closeCtx is canceled by Close: replica checkouts for batches that
@@ -110,7 +120,9 @@ type BatcherConfig struct {
 	Fair     *FairSlot          // cross-model fair slots (see FairDispatcher); nil disables
 	F32      bool               // lockstep compute plane (see Config.BatchKernel)
 	MaxBatch int                // lanes per microbatch; <= 0 defaults to 1
-	MaxDelay time.Duration      // batch-forming window; <= 0 dispatches on queue drain
+	// MaxDelay is the upper bound of the adaptive forming window (see
+	// formWindow); <= 0 dispatches on queue drain.
+	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; <= 0 defaults to 4× MaxBatch.
 	// Submits beyond it shed with ErrOverloaded.
 	QueueDepth int
@@ -179,6 +191,8 @@ func NewBatcher(pool *Pool, cfg BatcherConfig) *Batcher {
 		closeCancel:   closeCancel,
 		done:          make(chan struct{}),
 	}
+	win := newFormWindow(b.maxDelay) // the gauge starts where the dispatcher's window does
+	b.formWindowNs.Store(int64(win.next()))
 	go b.dispatch()
 	return b
 }
@@ -283,6 +297,10 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 // admission queue right now (a live gauge for /metrics; the queue's
 // bound is the shedding limit, see BatcherConfig.QueueDepth).
 func (b *Batcher) QueueDepth() int { return len(b.queue) }
+
+// FormWindow reports how long the next partial batch would wait for
+// company: between MaxDelay/16 and MaxDelay, as the dispatcher last set it.
+func (b *Batcher) FormWindow() time.Duration { return time.Duration(b.formWindowNs.Load()) }
 
 // DegradeState reports the degraded-mode state machine's mode and
 // smoothed queue-pressure signal ("off" when no controller is attached).
@@ -488,103 +506,6 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 	return false
 }
 
-// dispatch collects batches until the queue is closed and drained. The
-// slots channel bounds concurrently executing batches to the pool size:
-// without it the dispatcher would eagerly drain the queue into a pile
-// of goroutines serialized on replica checkout, and the queue bound —
-// the overload signal — would never engage.
-func (b *Batcher) dispatch() {
-	var batches sync.WaitGroup
-	defer func() {
-		batches.Wait()
-		close(b.done)
-	}()
-	// Slots are sized to the pool's ceiling, not its current width:
-	// replica checkout still serializes execution at the live Size, and
-	// sizing to Max lets an autoscaler grow the pool without restarting
-	// the dispatcher. With a fixed pool (Max == Size, the non-fleet
-	// default) this is the old bound exactly.
-	slotCap := 1
-	if b.pool != nil {
-		slotCap = b.pool.Max()
-	}
-	slots := make(chan struct{}, slotCap)
-	for i := 0; i < slotCap; i++ {
-		slots <- struct{}{}
-	}
-	for first := range b.queue {
-		if b.shedAtDispatch(first) {
-			continue
-		}
-		formStart := time.Now()
-		batch := append(make([]*batchRequest, 0, b.maxBatch), first)
-		if b.maxDelay > 0 {
-			timer := time.NewTimer(b.maxDelay)
-		collect:
-			for len(batch) < b.maxBatch {
-				select {
-				case req, ok := <-b.queue:
-					if !ok {
-						break collect
-					}
-					if b.shedAtDispatch(req) {
-						continue
-					}
-					batch = append(batch, req)
-				case <-timer.C:
-					break collect
-				case <-b.closeCtx.Done():
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < b.maxBatch {
-				select {
-				case req, ok := <-b.queue:
-					if !ok {
-						break drain
-					}
-					if b.shedAtDispatch(req) {
-						continue
-					}
-					batch = append(batch, req)
-				default:
-					break drain
-				}
-			}
-		}
-		gotSlot := false
-		select {
-		case <-slots:
-			gotSlot = true
-		case <-b.closeCtx.Done():
-			// Closing while waiting to execute: take a free slot if one
-			// exists, otherwise this batch counts as queued and fails.
-			select {
-			case <-slots:
-				gotSlot = true
-			default:
-			}
-		}
-		if !gotSlot {
-			for _, req := range batch {
-				b.forward(req)
-			}
-			continue
-		}
-		batches.Add(1)
-		go func(reqs []*batchRequest, form time.Duration) {
-			defer func() {
-				slots <- struct{}{}
-				batches.Done()
-			}()
-			b.run(reqs, form)
-		}(batch, time.Since(formStart))
-	}
-}
-
 // run executes one batch on a single checked-out replica. Checkout uses
 // closeCtx — never a request context, since a canceled request must not
 // fail its batchmates — so a batch that has not yet obtained a replica
@@ -607,7 +528,7 @@ func (b *Batcher) dispatch() {
 // occupancy back to it. Scheduling only reorders microbatch membership
 // — on the default float32 plane both paths produce the outcomes pinned
 // by the tolerance contract; on the float64 plane they are bit-identical.
-func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
+func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
 			// Closed before a slot was granted: same disposition as a
@@ -737,7 +658,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 						saved += batchSteps - outs[i].Steps
 						laneSteps += outs[i].Steps
 						b.observeOutcome(req, chunkPreds[i], outs[i])
-						deliver(req, batchResult{out: outs[i], stages: times}, dups, execStart)
+						b.deliver(seq, req, batchResult{out: outs[i], stages: times}, dups, execStart)
 					}
 					b.sched.ObserveOccupancy(len(chunk), batchSteps, laneSteps)
 					if b.metrics != nil {
@@ -765,7 +686,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 		if out.Steps > maxSteps {
 			maxSteps = out.Steps
 		}
-		deliver(req, batchResult{out: out, stages: times}, dups, execStart)
+		b.deliver(seq, req, batchResult{out: out, stages: times}, dups, execStart)
 	}
 	if b.sched != nil && seqLanes > 1 {
 		b.sched.ObserveOccupancy(seqLanes, maxSteps, sumSteps)
@@ -820,8 +741,10 @@ next:
 // deliver sends one result to its request and every duplicate riding it.
 // Each recipient's queue span is its own (enqueue → batch execution
 // start); duplicates share the representative's engine spans and are
-// marked deduped.
-func deliver(req *batchRequest, res batchResult, dups map[*batchRequest][]*batchRequest, execStart time.Time) {
+// marked deduped. Batch seq counts as replied from its first delivery on
+// (see markReplied).
+func (b *Batcher) deliver(seq uint64, req *batchRequest, res batchResult, dups map[*batchRequest][]*batchRequest, execStart time.Time) {
+	b.markReplied(seq)
 	res.stages.Queue = execStart.Sub(req.enqueued)
 	req.done <- res
 	for _, d := range dups[req] {

@@ -86,34 +86,44 @@ func TestReplicasShareWeightsNotState(t *testing.T) {
 	}
 }
 
-// TestBatcherMaxDelay verifies the flush conditions: a lone request waits
-// out MaxDelay before dispatch, while a full batch dispatches without
-// waiting for the delay to expire.
+// TestBatcherMaxDelay verifies the flush conditions: MaxDelay bounds an
+// adaptive window, so the first lone request waits it out, lone requests
+// after four fruitless waits wait only its floor, and a full batch never
+// waits. Waits are read off the returned Form span and the forming
+// counters, not off the wall clock.
 func TestBatcherMaxDelay(t *testing.T) {
 	pool, image := testPool(t, 1)
 	policy := ExitPolicy{MaxSteps: 16}
 
-	// A lone request must still complete — the MaxDelay timer flushes the
-	// partial batch. Generous upper bound to stay robust on loaded CI.
 	const delay = 50 * time.Millisecond
-	b := NewBatcher(pool, BatcherConfig{MaxBatch: 8, MaxDelay: delay})
-	began := time.Now()
-	if _, err := b.Submit(context.Background(), image, policy); err != nil {
-		t.Fatalf("Submit: %v", err)
+	metrics := NewMetrics()
+	b := NewBatcher(pool, BatcherConfig{Metrics: metrics, MaxBatch: 8, MaxDelay: delay})
+	var form time.Duration
+	for i := 1; i <= 10; i++ {
+		_, st, _, err := b.SubmitTraced(context.Background(), image, policy)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if form = st.Form; i == 1 && form < delay {
+			t.Errorf("first lone request formed in %v, before the %v max-delay flush", form, delay)
+		}
 	}
-	elapsed := time.Since(began)
-	if elapsed < delay {
-		t.Errorf("lone request completed in %v, before the %v max-delay flush", elapsed, delay)
+	if form > delay/2 {
+		t.Errorf("tenth lone request formed in %v, want well under the %v window", form, delay)
 	}
-	if elapsed > delay+2*time.Second {
-		t.Errorf("lone request took %v, max-delay flush appears broken", elapsed)
+	if got, want := metrics.Snapshot().FormWaits, (FormWaits{Fruitless: 10}); got != want {
+		t.Errorf("forming waits over ten lone requests = %+v, want %+v", got, want)
+	}
+	if got, want := b.FormWindow(), delay/formWindowFloor; got != want {
+		t.Errorf("FormWindow after lone traffic = %v, want the floor %v", got, want)
 	}
 	b.Close()
 
 	// A full batch must not wait for the delay: 8 requests with a huge
-	// MaxDelay complete as soon as the batch fills.
-	b = NewBatcher(pool, BatcherConfig{MaxBatch: 8, MaxDelay: time.Hour})
-	began = time.Now()
+	// MaxDelay complete as soon as the batch fills (the test would hang
+	// otherwise), and the wait they cut short never counts as fruitless.
+	metrics = NewMetrics()
+	b = NewBatcher(pool, BatcherConfig{Metrics: metrics, MaxBatch: 8, MaxDelay: time.Hour})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -125,8 +135,11 @@ func TestBatcherMaxDelay(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if elapsed := time.Since(began); elapsed > 30*time.Second {
-		t.Errorf("full batch took %v, full-batch flush appears broken", elapsed)
+	if got := metrics.Snapshot().FormWaits; got.Fruitless != 0 {
+		t.Errorf("forming waits of one full batch = %+v, want none fruitless", got)
+	}
+	if got := b.FormWindow(); got != time.Hour {
+		t.Errorf("FormWindow after a full batch = %v, want the whole %v", got, time.Hour)
 	}
 	b.Close()
 }

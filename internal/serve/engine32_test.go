@@ -325,6 +325,7 @@ func TestBatcherRunsF32Lockstep(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	b.Close() // a batch is counted after its replies go out; wait for that
 	if s := metrics.Snapshot(); s.Batches < 1 {
 		t.Errorf("no f32 lockstep batches recorded: %+v", s)
 	}

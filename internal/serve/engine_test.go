@@ -181,6 +181,7 @@ func TestBatcherRunsLockstepBatches(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	b.Close() // a batch is counted after its replies go out; wait for that
 	s := metrics.Snapshot()
 	if s.Batches < 1 {
 		t.Errorf("no lockstep batches recorded: %+v", s)
@@ -217,6 +218,7 @@ func TestBatcherClampsLaneCap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	b.Close() // a batch is counted after its replies go out; wait for that
 	if s := metrics.Snapshot(); s.Batches < 1 {
 		t.Errorf("MaxBatch beyond the lane cap disabled lockstep batching: %+v", s)
 	}

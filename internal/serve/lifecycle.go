@@ -394,6 +394,7 @@ func (s *Server) fillSnapshot(row statRow) Snapshot {
 	snap.DegradeMode = "off"
 	if row.batcher != nil {
 		snap.QueueDepth = row.batcher.QueueDepth()
+		snap.FormWindowMs = float64(row.batcher.FormWindow()) / float64(time.Millisecond)
 		snap.DegradeMode, snap.QueuePressure = row.batcher.DegradeState()
 	}
 	if row.pool != nil {

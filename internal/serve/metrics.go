@@ -108,6 +108,10 @@ type Metrics struct {
 	batches         atomic.Int64
 	batchLanes      atomic.Int64
 	batchStepsSaved atomic.Int64
+	// Forming-window accounting (see form.go): partial batches whose timed
+	// wait gained a joiner, or gained nobody.
+	formJoined    atomic.Int64
+	formFruitless atomic.Int64
 	// deduped counts requests answered by fanning out a batchmate's
 	// outcome instead of simulating (identical image and policy).
 	deduped atomic.Int64
@@ -231,6 +235,16 @@ func (m *Metrics) ObserveBatch(lanes, stepsSaved int) {
 	m.occupancy.Observe(float64(lanes))
 }
 
+// ObserveFormWait records one partial batch's timed wait for company and
+// whether anyone joined during it.
+func (m *Metrics) ObserveFormWait(joined bool) {
+	if joined {
+		m.formJoined.Add(1)
+	} else {
+		m.formFruitless.Add(1)
+	}
+}
+
 // ObserveDeduped records n requests served by duplicate fan-out.
 func (m *Metrics) ObserveDeduped(n int) {
 	m.deduped.Add(int64(n))
@@ -323,6 +337,21 @@ type StageStats struct {
 	P99   float64 `json:"p99"`
 }
 
+// FormWaits counts how partial batches left the forming stage: after a
+// timed wait that a request joined, or after one that gained nobody.
+// Batches that were full before any wait, and every batch of a drain-only
+// batcher, count nowhere.
+type FormWaits struct {
+	Joined    int64 `json:"joined"`
+	Fruitless int64 `json:"fruitless"`
+}
+
+// Each calls fn with every counter under its exposition label value.
+func (f FormWaits) Each(fn func(outcome string, n int64)) {
+	fn("joined", f.Joined)
+	fn("fruitless", f.Fruitless)
+}
+
 // Snapshot is a point-in-time metrics view, JSON-shaped for /metrics.
 type Snapshot struct {
 	Requests int64 `json:"requests"`
@@ -364,6 +393,11 @@ type Snapshot struct {
 	MeanBatchOccupancy float64    `json:"meanBatchOccupancy"`
 	Occupancy          StageStats `json:"batchOccupancy"`
 	BatchStepsSaved    int64      `json:"batchStepsSaved"`
+	// FormWaits is what waiting for company earned (see FormWaits), and
+	// FormWindowMs the live forming window — between MaxDelay/16 and
+	// MaxDelay, filled by the server at scrape time.
+	FormWaits    FormWaits `json:"formWaits"`
+	FormWindowMs float64   `json:"formWindowMs"`
 	// BatchKernel is the lockstep compute plane the model's batcher picked
 	// at build time: "f64", or the float32 tier actually running: "f32" (pure Go), "f32-sse", or "f32-avx2".
 	BatchKernel string `json:"batchKernel,omitempty"`
@@ -492,6 +526,10 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.Occupancy = stageStats(m.occupancy, 1) // unit: lanes, not ms
 	s.BatchStepsSaved = m.batchStepsSaved.Load()
+	s.FormWaits = FormWaits{
+		Joined:    m.formJoined.Load(),
+		Fruitless: m.formFruitless.Load(),
+	}
 	s.DedupedRequests = m.deduped.Load()
 	s.BatchKernel = m.BatchKernel()
 	s.Scheduler = m.Scheduler()

@@ -141,6 +141,17 @@ func (s *Server) writeProm(w io.Writer) error {
 		}
 	}
 
+	pw.Header("burstsnn_form_waits_total",
+		"Partial batches by how their timed wait for company ended: joined (it gained a request), fruitless (it gained nobody).",
+		"counter")
+	for _, r := range rows {
+		r.snap.FormWaits.Each(func(outcome string, n int64) {
+			pw.Metric("burstsnn_form_waits_total", []obs.Label{
+				{Name: "model", Value: r.name}, {Name: "outcome", Value: outcome},
+			}, float64(n))
+		})
+	}
+
 	counter("burstsnn_exit_prediction_hits_total",
 		"Exit-history lookups that produced a verified exit-step prediction.",
 		func(s Snapshot) float64 { return float64(s.ExitHistoryHits) })
@@ -168,6 +179,9 @@ func (s *Server) writeProm(w io.Writer) error {
 
 	gauge("burstsnn_queue_depth", "Requests waiting in the model's admission queue right now.",
 		func(s Snapshot) float64 { return float64(s.QueueDepth) })
+	gauge("burstsnn_form_window_seconds",
+		"Live batch-forming window: how long the next partial batch waits for company, between a sixteenth of the configured max delay and all of it.",
+		func(s Snapshot) float64 { return s.FormWindowMs / 1e3 })
 	gauge("burstsnn_pool_in_flight", "Replicas checked out right now.",
 		func(s Snapshot) float64 { return float64(s.PoolInFlight) })
 	gauge("burstsnn_pool_size", "Replica pool bound.",

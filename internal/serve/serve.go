@@ -53,8 +53,12 @@ type Config struct {
 	Addr string
 	// MaxBatch is the microbatch size limit (default 8).
 	MaxBatch int
-	// MaxDelay is how long a batch waits for company after its first
-	// request (default 2ms). Negative dispatches immediately.
+	// MaxDelay is the upper bound of the adaptive forming window: the
+	// longest a partial batch waits for company (default 2ms). The live
+	// window shrinks to a sixteenth of it while waiting gathers nobody and
+	// comes back on evidence that it pays (internal/README.md "Batch
+	// forming").
+	// Negative dispatches on queue drain.
 	MaxDelay time.Duration
 	// QueueDepth bounds each model's admission queue; Submits beyond it
 	// are shed with ErrOverloaded (HTTP 429 + Retry-After) rather than

@@ -115,13 +115,17 @@ func TestPoolResizeUnderLoad(t *testing.T) {
 }
 
 // TestBatcherPressure pins the always-on queue-pressure EWMA: zero on an
-// idle batcher, rising once submissions find the queue occupied.
+// idle batcher, rising once submissions find the queue occupied. The lone
+// replica is held on a gate, not for an injected wall time, so the queue
+// is provably occupied when the last submit samples it however slowly
+// this test's goroutines get scheduled.
 func TestBatcherPressure(t *testing.T) {
 	pool, image := testPool(t, 1)
+	gate := make(chan struct{})
 	b := NewBatcher(pool, BatcherConfig{
-		MaxBatch:      1,
-		QueueDepth:    4,
-		InjectLatency: 20 * time.Millisecond,
+		MaxBatch:    1,
+		QueueDepth:  4,
+		InjectFault: func() error { <-gate; return nil },
 	})
 	defer b.Close()
 	if got := b.Pressure(); got != 0 {
@@ -129,17 +133,25 @@ func TestBatcherPressure(t *testing.T) {
 	}
 	policy := ExitPolicy{MaxSteps: 8}
 	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
+	defer wg.Wait()
+	defer close(gate)
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = b.Submit(context.Background(), image, policy)
 		}()
 	}
-	wg.Wait()
-	if got := b.Pressure(); got <= 0 {
-		t.Fatalf("Pressure after saturating submits = %v, want > 0", got)
-	}
+	// One request holds the replica at the gate; of the next two the
+	// dispatcher can hold one (a formed batch waiting for the slot), so
+	// the other stays queued.
+	submit()
+	waitFor(t, func() bool { return pool.InFlight() == 1 })
+	submit()
+	submit()
+	waitFor(t, func() bool { return b.QueueDepth() >= 1 })
+	submit()
+	waitFor(t, func() bool { return b.Pressure() > 0 })
 }
 
 // TestConfigQueueDepthDefault pins the GOMAXPROCS-scaled admission-queue
