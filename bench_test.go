@@ -351,8 +351,8 @@ func BenchmarkHotpathBatchStep(b *testing.B) {
 	dense, denseIn := benchkit.HotpathDenseBatch(B)
 	cases := []struct {
 		name  string
-		layer snn.BatchLayer
-		in    *coding.BatchEvents
+		layer snn.BatchLayer32
+		in    *coding.BatchEvents32
 	}{
 		{"conv", conv, convIn},
 		{"dense", dense, denseIn},
@@ -370,15 +370,13 @@ func BenchmarkHotpathBatchStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedThroughput measures the lockstep batch simulators
+// BenchmarkBatchedThroughput measures the lockstep batch simulator
 // against back-to-back sequential classification on the conv-bearing
 // micro model: the same 8 images, the same early-exit policy, one
-// replica. Per-lane results agree across all paths (bit-identical for
-// the float64 plane, the tolerance contract for the float32 kernels —
-// the equivalence suites pin both), so the images/sec ratio is pure
+// replica. Per-lane results agree across all paths (the tolerance
+// contract the equivalence suites pin), so the images/sec ratio is pure
 // amortization: shared scatter-table walks, weight-row loads, and
-// threshold computation across the batch, plus SIMD lane packing on the
-// float32 plane.
+// threshold computation across the batch, plus SIMD lane packing.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	net, set := microModel(b)
 	conv, err := burstsnn.Convert(net, set.Train, burstsnn.DefaultConvertOptions(burstsnn.Phase, burstsnn.Burst))
@@ -403,28 +401,17 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(B*b.N)/b.Elapsed().Seconds(), "images/sec")
 	})
-	// The float64 plane, then the float32 plane once per available kernel
-	// dispatch tier (forced for the sub-benchmark's duration) — one
-	// process, so tier-vs-tier ratios are not polluted by run-to-run
-	// machine noise. These sub-benchmarks are the LockstepBatch flip
-	// evidence: the default goes on only where lockstep beats sequential.
-	bn64, err := snn.NewLockstep(conv.Net, B, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("lockstep-"+bn64.Kernel(), func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serve.ClassifyBatch(bn64, images, policies)
-		}
-		b.ReportMetric(float64(B*b.N)/b.Elapsed().Seconds(), "images/sec")
-	})
+	// Once per available kernel dispatch tier (forced for the
+	// sub-benchmark's duration) — one process, so tier-vs-tier ratios are
+	// not polluted by run-to-run machine noise. These sub-benchmarks are
+	// the LockstepBatch flip evidence: the default goes on only where
+	// lockstep beats sequential.
 	defer kernels.ForceLevel("")
 	for _, lv := range kernels.Available() {
 		if err := kernels.ForceLevel(lv); err != nil {
 			b.Fatal(err)
 		}
-		bn32, err := snn.NewLockstep(conv.Net, B, true)
+		bn32, err := snn.NewBatchNetwork32(conv.Net, B)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -276,42 +276,28 @@ func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 // step budget.
 func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(steps) }
 
-// BatchSNN is the float64 lockstep batch simulator: up to B images
-// stepped through one set of weights and scatter tables at once,
-// bit-identical per lane to the sequential simulator. The float32 plane
-// (BatchSNN32) trades bit-identity for the kernel-backed tolerance
-// contract; Lockstep is the plane-independent face the serving batcher
-// drives.
-type (
-	BatchSNN   = snn.BatchNetwork
-	BatchSNN32 = snn.BatchNetwork32
-	Lockstep   = snn.Lockstep
-)
-
-// BatchKernel values for ServeConfig.BatchKernel: the float32 kernel
-// plane (serving default) and the bit-exact float64 plane.
-const (
-	BatchKernelF32 = serve.BatchKernelF32
-	BatchKernelF64 = serve.BatchKernelF64
-)
+// BatchSNN32 is the lockstep batch simulator: up to B images stepped
+// through one set of float32 weights and scatter tables at once over the
+// kernel dispatch ladder. Per lane it matches the sequential simulator
+// under the tolerance contract (identical predictions, spike counts, and
+// early-exit steps on the equivalence corpus; readout within float32
+// accumulation tolerance).
+type BatchSNN32 = snn.BatchNetwork32
 
 // LockstepBatch values for ServeConfig.LockstepBatch: auto steers each
 // microbatch with an occupancy feedback controller when the float32
 // kernels dispatch to a packed tier (sse/avx2 — the only regime where
-// lockstep beats the sequential engine); static keeps the fixed
-// ≥6-request rule; on/off force the choice. See
-// ServeConfig.OccupancyCrossover and ServeConfig.ExitHistorySize for
-// the adaptive plane's knobs.
+// lockstep beats the sequential engine); on/off force the choice. See
+// ServeConfig.ExitHistorySize for the adaptive plane's knob.
 const (
-	LockstepAuto   = serve.LockstepAuto
-	LockstepStatic = serve.LockstepStatic
-	LockstepOn     = serve.LockstepOn
-	LockstepOff    = serve.LockstepOff
+	LockstepAuto = serve.LockstepAuto
+	LockstepOn   = serve.LockstepOn
+	LockstepOff  = serve.LockstepOff
 )
 
 // DefaultOccupancyCrossover is the measured occupancy at which lockstep
 // execution breaks even with the sequential engine — the adaptive
-// scheduler's default threshold (ServeConfig.OccupancyCrossover).
+// scheduler's threshold.
 const DefaultOccupancyCrossover = serve.DefaultOccupancyCrossover
 
 // ErrServerOverloaded is returned when the admission plane sheds a
@@ -341,26 +327,17 @@ func KernelLevel() string                 { return kernels.ActiveLevel() }
 func ForceKernelLevel(level string) error { return kernels.ForceLevel(level) }
 func KernelLevels() []string              { return kernels.Available() }
 
-// NewBatchSNN builds a B-lane float64 lockstep simulator over a
-// converted network (weights and precomputed tables are shared, state is
-// fresh).
-func NewBatchSNN(net *SNN, b int) (*BatchSNN, error) { return snn.NewBatchNetwork(net, b) }
-
-// NewLockstepSNN builds the B-lane lockstep simulator for the requested
-// compute plane: the float32 kernel plane when f32 is true (identical
-// predictions and early-exit outcomes, readout within accumulation
-// tolerance), the bit-exact float64 plane otherwise.
-func NewLockstepSNN(net *SNN, b int, f32 bool) (Lockstep, error) {
-	return snn.NewLockstep(net, b, f32)
-}
+// NewLockstepSNN builds a B-lane lockstep simulator over a converted
+// network (float32 weight copies and precomputed tables are shared,
+// state is fresh).
+func NewLockstepSNN(net *SNN, b int) (*BatchSNN32, error) { return snn.NewBatchNetwork32(net, b) }
 
 // ClassifyBatch runs a batch of images lockstep under per-lane exit
 // policies, returning per-image outcomes plus the batch's lockstep step
-// count. On the float64 plane outcomes are bit-identical to sequential
-// classification; on the float32 plane they carry the tolerance contract
-// (identical predictions, spike counts, and early-exit steps on the
-// equivalence corpus).
-func ClassifyBatch(bn Lockstep, images [][]float64, policies []ExitPolicy) ([]ServeOutcome, int) {
+// count. Outcomes match sequential classification under the tolerance
+// contract (identical predictions, spike counts, and early-exit steps on
+// the equivalence corpus).
+func ClassifyBatch(bn *BatchSNN32, images [][]float64, policies []ExitPolicy) ([]ServeOutcome, int) {
 	return serve.ClassifyBatch(bn, images, policies)
 }
 

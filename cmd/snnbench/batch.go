@@ -18,39 +18,35 @@ import (
 )
 
 // The batch benchmark mode (-batch FILE) measures the lockstep batch
-// simulators against back-to-back sequential classification on the
-// conv-bearing hot-path model, across a batch-size sweep, across compute
-// planes, and across kernel dispatch tiers, and writes a machine-readable
-// artifact so the perf trajectory captures batching — not just
-// single-image latency.
+// simulator against back-to-back sequential classification on the
+// conv-bearing hot-path model, across a batch-size sweep and across
+// kernel dispatch tiers, and writes a machine-readable artifact so the
+// perf trajectory captures batching — not just single-image latency.
 //
-// Each point is one (B, kernel, level) triple: kernel "f64" is the
-// scalar float64 lockstep plane (level empty), and the float32 plane is
-// measured once per dispatch tier this machine can run ("f32",
-// "f32-sse", "f32-avx2" — forced via kernels.ForceLevel for the point's
-// duration), so one artifact carries the whole ladder. The sequential
-// baseline is repeated on every B so a single point is self-contained
-// run-over-run. The -batch-prev gate compares like-for-like tiers only:
+// Each point is one (B, kernel, level) triple, measured once per
+// dispatch tier this machine can run ("f32", "f32-sse", "f32-avx2" —
+// forced via kernels.ForceLevel for the point's duration), so one
+// artifact carries the whole ladder. The sequential baseline is repeated
+// on every B so a single point is self-contained run-over-run. The
+// -batch-prev gate compares like-for-like tiers only:
 // a point is gated against a previous point with the same triple, and
 // tiers absent from either artifact (a runner without AVX2, say) are
 // skipped, not failed.
 
 type batchPoint struct {
 	B int `json:"b"`
-	// Kernel is the resolved lockstep variant measured: "f64", or the
-	// float32 plane's dispatch tier name ("f32", "f32-sse", "f32-avx2" —
-	// see internal/kernels.Kind).
+	// Kernel is the dispatch tier name measured ("f32", "f32-sse",
+	// "f32-avx2" — see internal/kernels.Kind).
 	Kernel string `json:"kernel"`
-	// Level is the kernel dispatch tier for float32 points ("purego",
-	// "sse", "avx2"); empty for the scalar f64 plane.
+	// Level is the kernel dispatch tier ("purego", "sse", "avx2").
 	Level string `json:"level,omitempty"`
 	// SeqImagesPerSec is the back-to-back baseline (one replica classifies
 	// the batch's images sequentially on the float64 fast path);
 	// LockstepImagesPerSec runs the same images through ClassifyBatch on
 	// the same weights under this point's kernel. Predictions and step
-	// counts agree across all variants (bit-identical for f64 and across
-	// tiers, the tolerance contract for f32 vs f64), so the ratio is pure
-	// execution efficiency.
+	// counts agree across all variants (bit-identical across tiers, the
+	// tolerance contract against the sequential engine), so the ratio is
+	// pure execution efficiency.
 	SeqImagesPerSec      float64 `json:"seqImagesPerSec"`
 	LockstepImagesPerSec float64 `json:"lockstepImagesPerSec"`
 	Speedup              float64 `json:"speedup"`
@@ -151,33 +147,20 @@ func runBatchBench(outPath string) error {
 		})
 		seqRate := float64(B) * float64(seq.N) / seq.T.Seconds()
 
-		// One f64 point, then one f32 point per available dispatch tier.
-		type variant struct {
-			f32   bool
-			level string
-		}
-		variants := []variant{{f32: false}}
-		for _, lv := range kernels.Available() {
-			variants = append(variants, variant{f32: true, level: lv})
-		}
-		for _, vr := range variants {
-			if err := kernels.ForceLevel(vr.level); err != nil {
+		// One point per available dispatch tier.
+		for _, level := range kernels.Available() {
+			if err := kernels.ForceLevel(level); err != nil {
 				return err
 			}
-			bn, err := snn.NewLockstep(conv.Net, B, vr.f32)
+			bn, err := snn.NewBatchNetwork32(conv.Net, B)
 			if err != nil {
 				return err
 			}
-			pt := batchPoint{B: B, Kernel: bn.Kernel(), SeqImagesPerSec: seqRate}
-			if vr.f32 {
-				pt.Level = vr.level
-			}
+			pt := batchPoint{B: B, Kernel: bn.Kernel(), Level: level, SeqImagesPerSec: seqRate}
 
 			// Occupancy + step accounting from one instrumented run.
 			var cols, laneEvents int
-			if err := setProbes(bn, func(c, e int) { cols += c; laneEvents += e }); err != nil {
-				return err
-			}
+			setProbes(bn, func(c, e int) { cols += c; laneEvents += e })
 			outs, batchSteps := serve.ClassifyBatch(bn, images, policies)
 			pt.BatchSteps = batchSteps
 			for i, o := range outs {
@@ -193,9 +176,7 @@ func runBatchBench(outPath string) error {
 			if cols > 0 {
 				pt.MeanOccupancy = float64(laneEvents) / float64(cols)
 			}
-			if err := setProbes(bn, nil); err != nil {
-				return err
-			}
+			setProbes(bn, nil)
 
 			lock := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -281,7 +262,7 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 		}
 	}
 
-	bn, err := snn.NewLockstep(net, laneCap, true)
+	bn, err := snn.NewBatchNetwork32(net, laneCap)
 	if err != nil {
 		return nil, err
 	}
@@ -295,11 +276,9 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 	// run executes one forming (a lane order) in laneCap chunks with
 	// occupancy probes attached, returning mean column occupancy and the
 	// summed lockstep steps.
-	run := func(order []int) (float64, int, error) {
+	run := func(order []int) (float64, int) {
 		var cols, laneEvents, stepsSum int
-		if err := setProbes(bn, func(c, e int) { cols += c; laneEvents += e }); err != nil {
-			return 0, 0, err
-		}
+		setProbes(bn, func(c, e int) { cols += c; laneEvents += e })
 		defer setProbes(bn, nil)
 		for at := 0; at < len(order); at += laneCap {
 			chunk := order[at:min(at+laneCap, len(order))]
@@ -319,21 +298,17 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 			}
 		}
 		if cols == 0 {
-			return 0, stepsSum, nil
+			return 0, stepsSum
 		}
-		return float64(laneEvents) / float64(cols), stepsSum, nil
+		return float64(laneEvents) / float64(cols), stepsSum
 	}
 
 	fifo := make([]int, requests)
 	for i := range fifo {
 		fifo[i] = i
 	}
-	if res.FIFOMeanOccupancy, res.FIFOBatchSteps, err = run(fifo); err != nil {
-		return nil, err
-	}
-	if res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps, err = run(serve.OrderByPredictedExit(preds)); err != nil {
-		return nil, err
-	}
+	res.FIFOMeanOccupancy, res.FIFOBatchSteps = run(fifo)
+	res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps = run(serve.OrderByPredictedExit(preds))
 	fmt.Fprintf(os.Stderr, "batch: staggered %s occupancy FIFO %.2f (%d steps) -> exit-aware %.2f (%d steps), %d/%d lanes predicted\n",
 		res.Kernel, res.FIFOMeanOccupancy, res.FIFOBatchSteps,
 		res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps, predicted, requests)
@@ -345,7 +320,7 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 // point's lockstep throughput regressed by more than tolerance
 // (fractional). Comparison is strictly like-for-like: points pair on the
 // (B, kernel, level) triple, so an f32-avx2 point is never judged
-// against an f32-sse or f64 measurement, and a tier present in only one
+// against an f32-sse measurement, and a tier present in only one
 // artifact (different runner capabilities, or a pre-dispatch artifact)
 // is skipped with a note rather than failed. A schema change skips the
 // whole comparison (first run after a format bump records a baseline).
@@ -404,29 +379,13 @@ func compareBatch(prevPath, newPath string, tolerance float64) error {
 }
 
 // setProbes attaches (or, with a nil count, detaches) an event-column
-// observer on every stage of a lockstep simulator, whichever compute
-// plane it is. An unrecognized plane is an error so a future variant
-// fails loudly here instead of silently reporting zero occupancy.
-func setProbes(bn snn.Lockstep, count func(cols, laneEvents int)) error {
-	switch n := bn.(type) {
-	case *snn.BatchNetwork:
-		var p snn.BatchProbe
-		if count != nil {
-			p = func(_ int, ev *coding.BatchEvents) { count(ev.Cols(), ev.LaneEvents()) }
-		}
-		for li := -1; li < len(n.Layers); li++ {
-			n.AttachProbe(li, p)
-		}
-	case *snn.BatchNetwork32:
-		var p snn.BatchProbe32
-		if count != nil {
-			p = func(_ int, ev *coding.BatchEvents32) { count(ev.Cols(), ev.LaneEvents()) }
-		}
-		for li := -1; li < len(n.Layers); li++ {
-			n.AttachProbe(li, p)
-		}
-	default:
-		return fmt.Errorf("batch: unknown lockstep plane %T", bn)
+// observer on every stage of a lockstep simulator.
+func setProbes(bn *snn.BatchNetwork32, count func(cols, laneEvents int)) {
+	var p snn.BatchProbe32
+	if count != nil {
+		p = func(_ int, ev *coding.BatchEvents32) { count(ev.Cols(), ev.LaneEvents()) }
 	}
-	return nil
+	for li := -1; li < len(bn.Layers); li++ {
+		bn.AttachProbe(li, p)
+	}
 }

@@ -85,7 +85,7 @@ func (o fleetOptions) fleetConfig() fleet.Config {
 // every flag the operator set explicitly is forwarded verbatim, except
 // the fleet/front-only flags, so each shard serves the same models
 // under the same serving configuration.
-func workerArgs(explicit map[string]bool) []string {
+func workerArgs() []string {
 	skip := map[string]bool{
 		"fleet": true, "fleet-workers": true, "fleet-fallback-hops": true,
 		"fleet-autoscale": true, "worker": true, "addr": true,
@@ -98,14 +98,13 @@ func workerArgs(explicit map[string]bool) []string {
 			args = append(args, fmt.Sprintf("-%s=%s", f.Name, f.Value.String()))
 		}
 	})
-	_ = explicit
 	return args
 }
 
 // runFleetFront is `snnserve -fleet N`: the consistent-hash front tier
 // over N shard workers — in-process pools or supervised child
 // processes — serving the fleet API on opts.addr.
-func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Server, error), explicit map[string]bool) error {
+func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Server, error)) error {
 	var factory fleet.WorkerFactory
 	switch opts.backend {
 	case "inproc":
@@ -121,7 +120,7 @@ func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Se
 		if err != nil {
 			return err
 		}
-		args := workerArgs(explicit)
+		args := workerArgs()
 		factory = func(shard int) (fleet.Worker, error) {
 			// Generous timeout: the child trains or loads its models
 			// before it announces.
@@ -176,7 +175,7 @@ func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Se
 //     /metrics/prom validates as Prometheus 0.0.4 text with per-shard
 //     labeled families.
 //   - Shutdown returns the process to its goroutine baseline.
-func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel, lockstep string, shards int, logger *slog.Logger) error {
+func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, shards int, logger *slog.Logger) error {
 	fmt.Println("== snnserve fleet selftest ==")
 	baseline := runtime.NumGoroutine()
 
@@ -197,7 +196,6 @@ func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel
 			MaxBatch:       4,
 			MaxDelay:       2 * time.Millisecond,
 			LockstepBatch:  lockstep,
-			BatchKernel:    batchKernel,
 			RequestTimeout: 60 * time.Second,
 			Logger:         logger,
 		})

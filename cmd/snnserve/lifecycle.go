@@ -36,7 +36,7 @@ import (
 //
 // After each phase the server shuts down; the goroutine count must
 // return to its pre-test baseline at the end.
-func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel, lockstep string, logger *slog.Logger) error {
+func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger) error {
 	fmt.Println("== snnserve lifecycle selftest ==")
 	baseline := runtime.NumGoroutine()
 
@@ -61,13 +61,13 @@ func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKe
 		Epochs: 6, BatchSize: 32, Seed: 9,
 	})
 
-	if err := lifecyclePhaseSwap(hybrid, exit, batchKernel, lockstep, logger, set, netV1, netV2); err != nil {
+	if err := lifecyclePhaseSwap(hybrid, exit, lockstep, logger, set, netV1, netV2); err != nil {
 		return fmt.Errorf("phase A (hot swap): %w", err)
 	}
-	if err := lifecyclePhaseEvict(hybrid, exit, batchKernel, lockstep, logger, set, netV1); err != nil {
+	if err := lifecyclePhaseEvict(hybrid, exit, lockstep, logger, set, netV1); err != nil {
 		return fmt.Errorf("phase B (resident bound): %w", err)
 	}
-	if err := lifecyclePhaseFair(hybrid, exit, batchKernel, lockstep, logger, set, netV1); err != nil {
+	if err := lifecyclePhaseFair(hybrid, exit, lockstep, logger, set, netV1); err != nil {
 		return fmt.Errorf("phase C (fairness): %w", err)
 	}
 
@@ -104,13 +104,12 @@ func lifecycleServer(srv *burstsnn.Server) (string, func(), error) {
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel, lockstep string, logger *slog.Logger, set *burstsnn.Set, netV1, netV2 *burstsnn.DNN) error {
+func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, netV1, netV2 *burstsnn.DNN) error {
 	srv := burstsnn.NewServer(burstsnn.ServeConfig{
 		MaxBatch:       4,
 		MaxDelay:       2 * time.Millisecond,
 		QueueDepth:     64,
 		LockstepBatch:  lockstep,
-		BatchKernel:    batchKernel,
 		RequestTimeout: 30 * time.Second,
 		InjectLatency:  5 * time.Millisecond,
 		Logger:         logger,
@@ -225,12 +224,11 @@ func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 	return nil
 }
 
-func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
+func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
 	srv := burstsnn.NewServer(burstsnn.ServeConfig{
 		MaxBatch:          4,
 		MaxDelay:          2 * time.Millisecond,
 		LockstepBatch:     lockstep,
-		BatchKernel:       batchKernel,
 		RequestTimeout:    30 * time.Second,
 		ResponseCacheSize: -1, // every request must simulate — cache hits would mask a bad warm
 		MaxResidentModels: 2,
@@ -335,7 +333,7 @@ func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKer
 	return nil
 }
 
-func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKernel, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
+func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
 	// Two execution slots across three models with injected per-batch
 	// latency: without fair scheduling, the saturated model's backlog
 	// would monopolize the slots and starve the cold models.
@@ -344,7 +342,6 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 		MaxDelay:          2 * time.Millisecond,
 		QueueDepth:        64,
 		LockstepBatch:     lockstep,
-		BatchKernel:       batchKernel,
 		RequestTimeout:    30 * time.Second,
 		ResponseCacheSize: -1,
 		InjectLatency:     10 * time.Millisecond,
@@ -366,7 +363,10 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 	defer shutdown()
 	client := &http.Client{Timeout: 60 * time.Second}
 
-	const probes = 24
+	// 100 probes per side, so the nearest-rank p99 is the 99th sample and
+	// one scheduler hiccup cannot decide the phase.
+	const probes = 100
+	// probeModel returns the model's probe latencies in seconds, ascending.
 	probeModel := func(model string, salt float64) ([]float64, error) {
 		lat := make([]float64, 0, probes)
 		for i := 0; i < probes; i++ {
@@ -381,6 +381,7 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 			}
 			lat = append(lat, time.Since(t0).Seconds())
 		}
+		sort.Float64s(lat)
 		return lat, nil
 	}
 
@@ -437,7 +438,7 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 		name             string
 		unloaded, loaded []float64
 	}{{"cold1", unloaded1, loaded1}, {"cold2", unloaded2, loaded2}} {
-		pu, pl := p99(c.unloaded), p99(c.loaded)
+		pu, pl := serve.Percentile(c.unloaded, 99), serve.Percentile(c.loaded, 99)
 		fmt.Printf("phase C %-6s   : p99 unloaded %.1fms, loaded %.1fms\n", c.name, pu*1e3, pl*1e3)
 		if pl > 2*pu+jitterFloor {
 			return fmt.Errorf("%s p99 %.1fms under load exceeds 2× unloaded p99 %.1fms (+%.0fms floor) — fair isolation failed",
@@ -464,17 +465,6 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, batchKern
 		return err
 	}
 	return nil
-}
-
-// p99 returns the 99th-percentile (nearest-rank) of the samples.
-func p99(samples []float64) float64 {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	idx := (99*len(s) + 99) / 100
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return s[idx-1]
 }
 
 // validatePromPage scrapes /metrics/prom and runs the strict exposition

@@ -85,9 +85,7 @@ func main() {
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
 		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window; negative dispatches on queue drain")
-		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), static (fixed ≥6-request rule on packed tiers), on, or off")
-		kernel   = flag.String("kernel", serve.BatchKernelF32, "lockstep compute plane: f32 (float32 kernels, tolerance contract), f64 (bit-identical to sequential), or a forced float32 dispatch tier — f32-purego, f32-sse, f32-avx2 (fails if the machine cannot run it)")
-		occXover = flag.Float64("occupancy-crossover", 0, "adaptive scheduler: estimated batch occupancy at which lockstep dispatch pays (0 = measured default)")
+		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), on, or off")
 		exitHist = flag.Int("exit-history", 0, "exit-aware batch forming: per-model (image-hash → exit-step) history entries (0 = default, negative disables)")
 		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
 		tiny     = flag.Bool("tiny", false, "use the reduced test-scale model recipes")
@@ -128,16 +126,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snnserve: %v\n", err)
 		os.Exit(1)
 	}
-
-	// -kernel f32-<tier> forces the kernel dispatch tier process-wide
-	// before any model registers, so /metrics reports what actually runs.
-	batchKernel := *kernel
-	if lv, ok := strings.CutPrefix(*kernel, "f32-"); ok {
-		if err := kernels.ForceLevel(lv); err != nil {
-			fail(err)
-		}
-		batchKernel = serve.BatchKernelF32
+	// snnserve takes no positional arguments, and -lockstep is
+	// boolean-style: `-lockstep off` would parse as -lockstep (= on) plus
+	// a stray "off" that ends flag parsing. Reject it instead.
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q (-lockstep takes its mode as -lockstep=auto|on|off)", flag.Arg(0)))
 	}
+
 	inScheme, err := burstsnn.ParseScheme(*input)
 	if err != nil {
 		fail(err)
@@ -169,14 +164,14 @@ func main() {
 	}
 
 	if *selftestLife {
-		if err := runLifecycleSelftest(hybrid, exit, batchKernel, string(*lockstep), logger); err != nil {
+		if err := runLifecycleSelftest(hybrid, exit, string(*lockstep), logger); err != nil {
 			fail(err)
 		}
 		return
 	}
 
 	if *selftestOverload {
-		if err := runOverloadSelftest(hybrid, exit, batchKernel, string(*lockstep), logger); err != nil {
+		if err := runOverloadSelftest(hybrid, exit, string(*lockstep), logger); err != nil {
 			fail(err)
 		}
 		return
@@ -187,7 +182,7 @@ func main() {
 		if shards < 2 {
 			shards = 2
 		}
-		if err := runFleetSelftest(hybrid, exit, batchKernel, string(*lockstep), shards, logger); err != nil {
+		if err := runFleetSelftest(hybrid, exit, string(*lockstep), shards, logger); err != nil {
 			fail(err)
 		}
 		return
@@ -206,17 +201,15 @@ func main() {
 			exit.MinSteps = 32
 		}
 		cfg := burstsnn.ServeConfig{
-			MaxBatch:           *maxBatch,
-			MaxDelay:           *maxDelay,
-			LockstepBatch:      string(*lockstep),
-			OccupancyCrossover: *occXover,
-			ExitHistorySize:    *exitHist,
-			BatchKernel:        batchKernel,
-			RequestTimeout:     *reqTimeout,
-			ResponseCacheSize:  *respCache,
-			ResponseCacheTTL:   *respCacheTTL,
-			Degrade:            *degrade,
-			Logger:             logger,
+			MaxBatch:          *maxBatch,
+			MaxDelay:          *maxDelay,
+			LockstepBatch:     string(*lockstep),
+			ExitHistorySize:   *exitHist,
+			RequestTimeout:    *reqTimeout,
+			ResponseCacheSize: *respCache,
+			ResponseCacheTTL:  *respCacheTTL,
+			Degrade:           *degrade,
+			Logger:            logger,
 		}
 		if err := runSelftest(hybrid, exit, cfg, *steps, *replicas, *requests, *workers, *traceOut); err != nil {
 			fail(err)
@@ -232,10 +225,8 @@ func main() {
 	}
 	lab := experiments.NewLab(settings)
 
-	if batchKernel != serve.BatchKernelF64 {
-		fmt.Fprintf(os.Stderr, "float32 kernels: %s (dispatch tier %s, detected %s)\n",
-			kernels.Kind(), kernels.ActiveLevel(), kernels.DetectedLevel())
-	}
+	fmt.Fprintf(os.Stderr, "float32 kernels: %s (dispatch tier %s, detected %s)\n",
+		kernels.Kind(), kernels.ActiveLevel(), kernels.DetectedLevel())
 
 	// buildServer constructs one fully-registered server — the single
 	// server below, a fleet shard's in-process worker, or the -worker
@@ -247,9 +238,7 @@ func main() {
 			MaxDelay:           *maxDelay,
 			QueueDepth:         *queueDepth,
 			LockstepBatch:      string(*lockstep),
-			OccupancyCrossover: *occXover,
 			ExitHistorySize:    *exitHist,
-			BatchKernel:        batchKernel,
 			RequestTimeout:     *reqTimeout,
 			ResponseCacheSize:  *respCache,
 			ResponseCacheTTL:   *respCacheTTL,
@@ -311,7 +300,7 @@ func main() {
 			hops:      *fleetHops,
 			autoscale: *fleetScale,
 			addr:      *addr,
-		}, buildServer, explicit); err != nil {
+		}, buildServer); err != nil {
 			fail(err)
 		}
 		return
@@ -634,7 +623,7 @@ func getJSON(client *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// lockstepMode is the -lockstep flag value: auto/static/on/off, with
+// lockstepMode is the -lockstep flag value: auto/on/off, with
 // the boolean spellings of the flag's PR-4 ancestry still accepted —
 // IsBoolFlag makes a bare `-lockstep` parse as "true" (= on), exactly
 // like the flag.Bool it used to be.
@@ -652,14 +641,14 @@ func (m *lockstepMode) IsBoolFlag() bool { return true }
 
 func (m *lockstepMode) Set(s string) error {
 	switch s {
-	case serve.LockstepAuto, serve.LockstepStatic, serve.LockstepOn, serve.LockstepOff:
+	case serve.LockstepAuto, serve.LockstepOn, serve.LockstepOff:
 		*m = lockstepMode(s)
 	case "true":
 		*m = serve.LockstepOn
 	case "false":
 		*m = serve.LockstepOff
 	default:
-		return fmt.Errorf("want auto, static, on, or off, got %q", s)
+		return fmt.Errorf("want auto, on, or off, got %q", s)
 	}
 	return nil
 }

@@ -82,12 +82,12 @@ const HotpathBatchB = 8
 // with the per-lane payload perturbation making a perLane fraction of
 // columns non-uniform (the mid-burst case). The stream exercises every
 // scatter specialization: single-lane, partial, and full-uniform columns.
-func BatchEventStream(n, b int, frac float64, seed uint64) *coding.BatchEvents {
+func BatchEventStream(n, b int, frac float64, seed uint64) *coding.BatchEvents32 {
 	r := mathx.NewRNG(seed)
-	ev := &coding.BatchEvents{}
+	ev := &coding.BatchEvents32{}
 	ev.Grow(n, n*b)
 	for i := 0; i < n; i++ {
-		pay := 0.25 * float64(1+r.Intn(3))
+		pay := 0.25 * float32(1+r.Intn(3))
 		for s := 0; s < b; s++ {
 			if r.Bernoulli(frac) {
 				p := pay
@@ -105,15 +105,15 @@ func BatchEventStream(n, b int, frac float64, seed uint64) *coding.BatchEvents {
 // HotpathConvBatch builds the B-lane batched variant of the canonical
 // conv layer and a 40%-per-lane-density column stream (the occupancy a
 // phase-coded input presents).
-func HotpathConvBatch(b int) (snn.BatchLayer, *coding.BatchEvents) {
+func HotpathConvBatch(b int) (snn.BatchLayer32, *coding.BatchEvents32) {
 	g := HotpathConvGeom
 	layer, _ := HotpathConv()
-	return layer.NewBatch(b), BatchEventStream(g.InC*g.InH*g.InW, b, 0.4, 8)
+	return layer.NewBatch32(b), BatchEventStream(g.InC*g.InH*g.InW, b, 0.4, 8)
 }
 
 // HotpathDenseBatch builds the B-lane batched variant of the canonical
 // dense layer and its column stream.
-func HotpathDenseBatch(b int) (snn.BatchLayer, *coding.BatchEvents) {
+func HotpathDenseBatch(b int) (snn.BatchLayer32, *coding.BatchEvents32) {
 	layer, _ := HotpathDense()
-	return layer.NewBatch(b), BatchEventStream(HotpathDenseIn, b, 0.4, 9)
+	return layer.NewBatch32(b), BatchEventStream(HotpathDenseIn, b, 0.4, 9)
 }

@@ -6,110 +6,6 @@ import (
 	"burstsnn/internal/mathx"
 )
 
-// BatchEvents is the column-form event stream of the batched lockstep
-// simulator: one presentation of B images advances through the network
-// together, and the spikes of one time step are grouped by neuron index
-// into columns. Column c is
-//
-//	Index[c]                      — the neuron that spiked,
-//	Lane[Start[c]:Start[c+1]]     — the batch lanes in which it spiked
-//	                                (ascending slot order), and
-//	Payload[Start[c]:Start[c+1]]  — the per-lane spike payloads.
-//
-// Columns are ordered by ascending neuron index, so projecting a single
-// lane out of a BatchEvents stream yields exactly the (index-ordered)
-// event list the sequential simulator emits for that lane's image. That
-// projection property is what lets the batched path stay bit-identical
-// per lane: a downstream layer walking columns in order applies each
-// lane's contributions in the same order the sequential path would.
-//
-// The point of the representation is amortization: a layer consuming a
-// column resolves the scatter-table taps and loads the weight rows for
-// Index[c] once, then applies them to every lane in the column.
-type BatchEvents struct {
-	Index   []int32
-	Start   []int32 // len(Index)+1; Start[0] == 0
-	Lane    []int32
-	Payload []float64
-}
-
-// Grow pre-sizes the buffers for up to cols columns and laneEvents total
-// lane entries, so steady-state appends never allocate.
-func (e *BatchEvents) Grow(cols, laneEvents int) {
-	if cap(e.Index) < cols {
-		e.Index = make([]int32, 0, cols)
-	}
-	if cap(e.Start) < cols+1 {
-		e.Start = make([]int32, 1, cols+1)
-	}
-	if cap(e.Lane) < laneEvents {
-		e.Lane = make([]int32, 0, laneEvents)
-	}
-	if cap(e.Payload) < laneEvents {
-		e.Payload = make([]float64, 0, laneEvents)
-	}
-	e.Reset()
-}
-
-// Reset empties the stream, keeping capacity.
-func (e *BatchEvents) Reset() {
-	e.Index = e.Index[:0]
-	if cap(e.Start) == 0 {
-		e.Start = append(e.Start, 0)
-	}
-	e.Start = e.Start[:1]
-	e.Start[0] = 0
-	e.Lane = e.Lane[:0]
-	e.Payload = e.Payload[:0]
-}
-
-// Cols returns the number of columns.
-func (e *BatchEvents) Cols() int { return len(e.Index) }
-
-// LaneEvents returns the total number of (lane, payload) entries — the
-// batch's spike count for the step.
-func (e *BatchEvents) LaneEvents() int { return len(e.Lane) }
-
-// Column returns column c's neuron index, lanes, and payloads.
-func (e *BatchEvents) Column(c int) (index int32, lanes []int32, payloads []float64) {
-	s, t := e.Start[c], e.Start[c+1]
-	return e.Index[c], e.Lane[s:t], e.Payload[s:t]
-}
-
-// Add stages one lane entry for the column being built. Lanes must be
-// staged in ascending slot order.
-func (e *BatchEvents) Add(lane int32, payload float64) {
-	e.Lane = append(e.Lane, lane)
-	e.Payload = append(e.Payload, payload)
-}
-
-// Commit closes the column under construction: if any lane entries were
-// staged since the previous Commit, a column with the given neuron index
-// is recorded. Indices must be committed in ascending order.
-func (e *BatchEvents) Commit(index int32) {
-	if int(e.Start[len(e.Start)-1]) == len(e.Lane) {
-		return
-	}
-	e.Index = append(e.Index, index)
-	e.Start = append(e.Start, int32(len(e.Lane)))
-}
-
-// AppendLane projects one lane's events out of the stream, appending them
-// to dst in column (that is, neuron-index) order — the sequential event
-// list for that lane.
-func (e *BatchEvents) AppendLane(lane int32, dst []Event) []Event {
-	for c := range e.Index {
-		s, t := e.Start[c], e.Start[c+1]
-		for k := s; k < t; k++ {
-			if e.Lane[k] == lane {
-				dst = append(dst, Event{Index: int(e.Index[c]), Payload: e.Payload[k]})
-				break
-			}
-		}
-	}
-	return dst
-}
-
 // BatchEncoder is the batched counterpart of InputEncoder: it holds up to
 // B images (one per lane slot) and emits their per-step events as a
 // single column stream. Slots [0, lanes) are active; the batched network
@@ -128,12 +24,8 @@ type BatchEncoder interface {
 	// SetLane loads an image into a lane slot, equivalent to Reset on a
 	// sequential encoder.
 	SetLane(lane int, image []float64)
-	// Step appends the events of time t for slots [0, lanes) into out
-	// (which is Reset first).
-	Step(t int, lanes int, out *BatchEvents)
-	// Step32 is Step for the float32 compute plane: identical event
-	// timing, payloads emitted as float32. A BatchEncoder instance is
-	// owned by exactly one simulator, which calls one of the two.
+	// Step32 appends the events of time t for slots [0, lanes) into out
+	// (which is Reset first), payloads emitted as float32.
 	Step32(t int, lanes int, out *BatchEvents32)
 	// Retire copies slot src's encoder state over slot dst (lane
 	// compaction after an early exit).
@@ -184,19 +76,6 @@ func (e *batchRealEncoder) SetLane(lane int, image []float64) {
 	}
 }
 
-func (e *batchRealEncoder) Step(_ int, lanes int, out *BatchEvents) {
-	out.Reset()
-	for i := 0; i < e.size; i++ {
-		row := e.px[i*e.b : i*e.b+lanes]
-		for s, v := range row {
-			if v != 0 {
-				out.Add(int32(s), v)
-			}
-		}
-		out.Commit(int32(i))
-	}
-}
-
 func (e *batchRealEncoder) Retire(dst, src int) {
 	for i := 0; i < e.size; i++ {
 		e.px[i*e.b+dst] = e.px[i*e.b+src]
@@ -234,25 +113,6 @@ func (e *batchRateEncoder) SetLane(lane int, image []float64) {
 		e.px[i*e.b+lane] = v
 	}
 	e.rngs[lane].Reseed(imageHash(image) ^ e.seed)
-}
-
-func (e *batchRateEncoder) Step(_ int, lanes int, out *BatchEvents) {
-	out.Reset()
-	for i := 0; i < e.size; i++ {
-		row := e.px[i*e.b : i*e.b+lanes]
-		for s, v := range row {
-			if v <= 0 {
-				continue
-			}
-			if v > 1 {
-				v = 1
-			}
-			if e.rngs[s].Bernoulli(v) {
-				out.Add(int32(s), 1)
-			}
-		}
-		out.Commit(int32(i))
-	}
 }
 
 func (e *batchRateEncoder) Retire(dst, src int) {
@@ -297,21 +157,6 @@ func (e *batchPhaseEncoder) SetLane(lane int, image []float64) {
 	}
 }
 
-func (e *batchPhaseEncoder) Step(t int, lanes int, out *BatchEvents) {
-	out.Reset()
-	shift := uint(e.period - 1 - t%e.period)
-	payload := Pi(t, e.period)
-	for i := 0; i < e.size; i++ {
-		row := e.bits[i*e.b : i*e.b+lanes]
-		for s, bv := range row {
-			if bv>>shift&1 == 1 {
-				out.Add(int32(s), payload)
-			}
-		}
-		out.Commit(int32(i))
-	}
-}
-
 func (e *batchPhaseEncoder) Retire(dst, src int) {
 	for i := 0; i < e.size; i++ {
 		e.bits[i*e.b+dst] = e.bits[i*e.b+src]
@@ -350,21 +195,6 @@ func (e *batchTTFSEncoder) SetLane(lane int, image []float64) {
 	q := quantizedPhases(image, e.period, e.quant, e.scratch)
 	for i, p := range q {
 		e.phase[i*e.b+lane] = p
-	}
-}
-
-func (e *batchTTFSEncoder) Step(t int, lanes int, out *BatchEvents) {
-	out.Reset()
-	want := uint64(t%e.period) + 1
-	payload := Pi(t, e.period)
-	for i := 0; i < e.size; i++ {
-		row := e.phase[i*e.b : i*e.b+lanes]
-		for s, p := range row {
-			if p == want {
-				out.Add(int32(s), payload)
-			}
-		}
-		out.Commit(int32(i))
 	}
 }
 

@@ -6,11 +6,26 @@ import (
 	"burstsnn/internal/kernels"
 )
 
-// BatchEvents32 is the float32 counterpart of BatchEvents: the column-form
-// event stream the float32 compute plane's lockstep simulator consumes.
-// Structure and ordering invariants are identical — columns ascend by
-// neuron index, lanes ascend by slot within a column — only the payloads
-// are float32.
+// BatchEvents32 is the column-form event stream of the batched lockstep
+// simulator: one presentation of B images advances through the network
+// together, and the spikes of one time step are grouped by neuron index
+// into columns. Column c is
+//
+//	Index[c]                      — the neuron that spiked,
+//	Lane[Start[c]:Start[c+1]]     — the batch lanes in which it spiked
+//	                                (ascending slot order), and
+//	Payload[Start[c]:Start[c+1]]  — the per-lane spike payloads.
+//
+// Columns are ordered by ascending neuron index, so projecting a single
+// lane out of the stream yields exactly the (index-ordered) event list
+// the sequential simulator emits for that lane's image: a downstream
+// layer walking columns in order applies each lane's contributions in
+// the same order the sequential path would, whichever other lanes are
+// present.
+//
+// The point of the representation is amortization: a layer consuming a
+// column resolves the scatter-table taps and loads the weight rows for
+// Index[c] once, then applies them to every lane in the column.
 //
 // Payload rounding note: the spike payloads of every physical coding
 // scheme (rate's unit payload, phase/TTFS's Π(t) = 2^-(1+t mod k), and
@@ -115,10 +130,10 @@ func (e *BatchEvents32) AppendLane(lane int32, dst []Event) []Event {
 	return dst
 }
 
-// Step32 implementations for the batched encoders: identical event
-// timing to Step (same pixels spike at the same steps in the same
-// lanes), payloads emitted as float32. Phase/TTFS round the per-step
-// Π(t) once; the real encoder rounds each pixel value at emission.
+// Step32 implementations for the batched encoders: the same pixels spike
+// at the same steps as in the sequential encoders, payloads emitted as
+// float32. Phase/TTFS round the per-step Π(t) once; the real encoder
+// rounds each pixel value at emission.
 //
 // The phase and TTFS sweeps are vectorized: their per-step payload is
 // uniform across lanes, so a pixel row reduces to one lane bitmask

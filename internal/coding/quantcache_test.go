@@ -134,13 +134,14 @@ func TestQuantCacheBatchLanes(t *testing.T) {
 		t.Errorf("hits/misses = %d/%d, want %d/2", hits, misses, b-2)
 	}
 
-	// The batched stream must match the sequential encoder lane by lane.
+	// The batched stream must match the sequential encoder lane by lane
+	// (exactly: phase payloads are powers of two, lossless in float32).
 	seq.Reset(img)
-	var cols BatchEvents
+	var cols BatchEvents32
 	cols.Grow(size, size*b)
 	for s := 0; s < cfg.Period; s++ {
 		want := seq.Step(s)
-		batch.Step(s, b, &cols)
+		batch.Step32(s, b, &cols)
 		for lane := int32(0); lane < b; lane++ {
 			if got := cols.AppendLane(lane, nil); !eventsEqual(got, want) {
 				t.Fatalf("step %d lane %d: batched events diverge", s, lane)

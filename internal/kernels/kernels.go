@@ -39,10 +39,6 @@ package kernels
 // or KERNELS_LEVEL override is reflected here and in /metrics.
 func Kind() string { return kindName() }
 
-// KindF64 names the float64 scalar batch path in artifacts and metrics,
-// alongside the Kind() values of this package's float32 kernels.
-const KindF64 = "f64"
-
 // AxpyBlock scatters one weighted tap into a lane-striped block:
 //
 //	dst[i*b : i*b+lanes] += row[i] * p   for every i in range(len(row))

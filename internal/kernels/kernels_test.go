@@ -86,9 +86,6 @@ func TestKindNames(t *testing.T) {
 	if k := Kind(); k != "f32" && k != "f32-sse" && k != "f32-avx2" {
 		t.Fatalf("Kind() = %q, want f32, f32-sse, or f32-avx2", k)
 	}
-	if KindF64 != "f64" {
-		t.Fatalf("KindF64 = %q", KindF64)
-	}
 }
 
 func TestAxpyBlockFuzz(t *testing.T) { forEachLevel(t, testAxpyBlockFuzz) }

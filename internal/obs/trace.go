@@ -24,8 +24,9 @@ type Trace struct {
 	EncodeMs   float64 `json:"encodeMs"`
 	SimulateMs float64 `json:"simulateMs"`
 	ReadoutMs  float64 `json:"readoutMs"`
-	// Kernel names the lockstep compute plane that simulated the request
-	// ("f64", "f32", "f32-sse", "f32-avx2"); empty on the sequential path.
+	// Kernel names the kernel dispatch tier of the lockstep simulator that
+	// ran the request ("f32", "f32-sse", "f32-avx2"); empty on the
+	// sequential path.
 	Kernel string `json:"kernel,omitempty"`
 	// Lockstep/Lanes describe the execution shape: how the request was
 	// simulated and how many batchmates shared the simulate span.

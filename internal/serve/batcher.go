@@ -62,7 +62,6 @@ type Batcher struct {
 	cache    *ResponseCache     // cross-batch response cache; nil disables
 	degrade  *DegradeController // degraded-mode state machine; nil disables
 	fair     *FairSlot          // cross-model fair execution slots; nil disables
-	f32      bool               // lockstep compute plane, fixed at construction
 	maxBatch int
 	maxDelay time.Duration
 
@@ -118,7 +117,6 @@ type BatcherConfig struct {
 	Cache    *ResponseCache     // cross-batch response cache; nil disables
 	Degrade  *DegradeController // degraded-mode controller; nil disables
 	Fair     *FairSlot          // cross-model fair slots (see FairDispatcher); nil disables
-	F32      bool               // lockstep compute plane (see Config.BatchKernel)
 	MaxBatch int                // lanes per microbatch; <= 0 defaults to 1
 	// MaxDelay is the upper bound of the adaptive forming window (see
 	// formWindow); <= 0 dispatches on queue drain.
@@ -181,7 +179,6 @@ func NewBatcher(pool *Pool, cfg BatcherConfig) *Batcher {
 		cache:         cfg.Cache,
 		degrade:       cfg.Degrade,
 		fair:          cfg.Fair,
-		f32:           cfg.F32,
 		maxBatch:      maxBatch,
 		maxDelay:      cfg.MaxDelay,
 		injectLatency: cfg.InjectLatency,
@@ -526,8 +523,7 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 // lockstep chunk; the Scheduler then picks lockstep or sequential
 // execution per its policy, and both execution paths report measured
 // occupancy back to it. Scheduling only reorders microbatch membership
-// — on the default float32 plane both paths produce the outcomes pinned
-// by the tolerance contract; on the float64 plane they are bit-identical.
+// — both paths produce the outcomes pinned by the tolerance contract.
 func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
@@ -625,7 +621,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 			if laneCap > snn.MaxBatchLanes {
 				laneCap = snn.MaxBatchLanes
 			}
-			bn, err := rep.Batch(laneCap, b.f32)
+			bn, err := rep.Batch(laneCap, true)
 			if err != nil {
 				// The steering plane asked for lockstep but the replica
 				// cannot batch (encoder or network shape): degrading to

@@ -121,28 +121,27 @@ func ClassifyStaged(net *snn.Network, image []float64, p ExitPolicy) (Outcome, o
 	return o, times
 }
 
-// ClassifyBatch presents a batch of images lockstep through a
-// snn.Lockstep simulator under per-lane exit policies and returns one
-// Outcome per image, plus the number of lockstep steps the batch ran
-// (the slowest lane's step count — used for the steps-saved gauge).
+// ClassifyBatch presents a batch of images lockstep through the batch
+// simulator under per-lane exit policies and returns one Outcome per
+// image, plus the number of lockstep steps the batch ran (the slowest
+// lane's step count — used for the steps-saved gauge).
 //
-// On the float64 plane (snn.BatchNetwork) every outcome is bit-identical
-// to Classify(net, images[i], policies[i]) on the sequential simulator
-// the batch network was built from: the lockstep state is per-lane
-// disjoint, the early-exit test below mirrors Classify's step for step,
-// and a lane that exits is retired from the batch immediately (physical
-// compaction), exactly as the sequential engine stops simulating. On the
-// float32 plane (snn.BatchNetwork32) the same argument gives the
-// tolerance contract instead: identical predictions, spike counts, and
-// early-exit steps on the equivalence corpus, margins within float32
-// accumulation tolerance (see internal/README.md). The caller owns bn
-// for the duration of the call, like Classify.
+// Every outcome matches Classify(net, images[i], policies[i]) on the
+// sequential simulator the batch network was built from under the
+// float32 tolerance contract: the lockstep state is per-lane disjoint,
+// the early-exit test below mirrors Classify's step for step, and a lane
+// that exits is retired from the batch immediately (physical
+// compaction), exactly as the sequential engine stops simulating — so
+// predictions, spike counts, and early-exit steps are identical on the
+// equivalence corpus, margins within float32 accumulation tolerance (see
+// internal/README.md). The caller owns bn for the duration of the call,
+// like Classify.
 //
 // Unlike Classify (zero-alloc in steady state), ClassifyBatch allocates
 // its per-batch bookkeeping (outcomes, trackers, score scratch) — a
 // handful of allocations per dispatched batch, not per request, which is
 // in line with the batcher's own per-request queueing allocations.
-func ClassifyBatch(bn snn.Lockstep, images [][]float64, policies []ExitPolicy) ([]Outcome, int) {
+func ClassifyBatch(bn *snn.BatchNetwork32, images [][]float64, policies []ExitPolicy) ([]Outcome, int) {
 	outs, steps, _ := ClassifyBatchStaged(bn, images, policies)
 	return outs, steps
 }
@@ -153,7 +152,7 @@ func ClassifyBatch(bn snn.Lockstep, images [][]float64, policies []ExitPolicy) (
 // margin extractions. The spans are batch-level — every lane shared
 // them — so the returned StageTimes carries Lanes = len(images) and
 // Lockstep = true for per-request attribution.
-func ClassifyBatchStaged(bn snn.Lockstep, images [][]float64, policies []ExitPolicy) ([]Outcome, int, obs.StageTimes) {
+func ClassifyBatchStaged(bn *snn.BatchNetwork32, images [][]float64, policies []ExitPolicy) ([]Outcome, int, obs.StageTimes) {
 	n := len(images)
 	if n == 0 {
 		return nil, 0, obs.StageTimes{}

@@ -185,10 +185,10 @@ func TestClassifyBatch32CrossTier(t *testing.T) {
 // TestMetricsReportsDispatchTier pins the observability half of the
 // dispatch ladder: /metrics must name the tier the model's kernels
 // actually run on — for every forceable tier, the registered model's
-// batchKernel snapshot equals kernels.Kind() at registration time, and
-// the f64 plane stays "f64" regardless of tier.
+// batchKernel snapshot equals kernels.Kind() at registration time.
 func TestMetricsReportsDispatchTier(t *testing.T) {
 	defer kernels.ForceLevel("")
+	net, set := testModel(t)
 	wantKind := map[string]string{
 		kernels.LevelPurego: "f32",
 		kernels.LevelSSE:    "f32-sse",
@@ -198,25 +198,30 @@ func TestMetricsReportsDispatchTier(t *testing.T) {
 		if err := kernels.ForceLevel(lv); err != nil {
 			t.Fatal(err)
 		}
-		m := NewMetrics()
-		m.SetBatchKernel(resolvedKernel(BatchKernelF32))
-		if got := m.Snapshot().BatchKernel; got != wantKind[lv] || got != kernels.Kind() {
+		s := New(Config{})
+		m, err := s.Register(ModelConfig{
+			Name:        "digits",
+			Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
+			Steps:       testSteps,
+			Replicas:    1,
+			NormSamples: 16,
+		}, net, set.Train)
+		if err != nil {
+			t.Fatalf("tier %s: %v", lv, err)
+		}
+		if got := m.Metrics().Snapshot().BatchKernel; got != wantKind[lv] || got != kernels.Kind() {
 			t.Fatalf("tier %s: batchKernel = %q, want %q (= kernels.Kind() %q)",
 				lv, got, wantKind[lv], kernels.Kind())
 		}
-		m.SetBatchKernel(resolvedKernel(BatchKernelF64))
-		if got := m.Snapshot().BatchKernel; got != "f64" {
-			t.Fatalf("tier %s: f64 plane batchKernel = %q", lv, got)
-		}
+		_ = s.Shutdown(context.Background())
 	}
 }
 
 // TestLockstepAutoResolution pins the scheduler-resolution rule: the
 // auto default installs the adaptive occupancy controller exactly when
 // the float32 kernels dispatch to a packed tier (sse or avx2 — the only
-// regime where lockstep can beat the sequential engine), static keeps
-// the fixed ≥6-request rule on packed tiers, and explicit on/off always
-// win with the forced static thresholds.
+// regime where lockstep can beat the sequential engine), and explicit
+// on/off always win with the forced static thresholds.
 func TestLockstepAutoResolution(t *testing.T) {
 	defer kernels.ForceLevel("")
 	net, set := testModel(t)
@@ -225,7 +230,7 @@ func TestLockstepAutoResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		packed := lv != kernels.LevelPurego
-		for _, mode := range []string{LockstepAuto, LockstepStatic, LockstepOn, LockstepOff} {
+		for _, mode := range []string{LockstepAuto, LockstepOn, LockstepOff} {
 			s := New(Config{LockstepBatch: mode})
 			if _, err := s.Register(ModelConfig{
 				Name:        "digits",
@@ -246,11 +251,8 @@ func TestLockstepAutoResolution(t *testing.T) {
 				}
 			default:
 				want := 0
-				switch {
-				case mode == LockstepOn:
+				if mode == LockstepOn {
 					want = 2
-				case mode == LockstepStatic && packed:
-					want = autoLockstepMinLanes
 				}
 				st, ok := sched.(*StaticSched)
 				if !ok {
@@ -275,8 +277,8 @@ func TestLockstepAutoResolution(t *testing.T) {
 }
 
 // TestBatcherRunsF32Lockstep pins the serving integration of the float32
-// plane: a batcher built on the f32 kernel (the server default) executes
-// microbatches through BatchNetwork32 and every request receives the
+// plane: a batcher executes microbatches through BatchNetwork32 and
+// every request receives the
 // outcome the sequential engine produces (the corpus part of the
 // tolerance contract), with the batch gauges advancing.
 func TestBatcherRunsF32Lockstep(t *testing.T) {
@@ -304,7 +306,7 @@ func TestBatcherRunsF32Lockstep(t *testing.T) {
 	}()
 
 	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), F32: true, MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
+		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
 	})
 	defer b.Close()
 	var wg sync.WaitGroup
@@ -391,7 +393,7 @@ func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 						t.Errorf("submit %d: %v", i, err)
 						return
 					}
-					if out != s.want {
+					if !sameOutcome(out, s.want) {
 						t.Errorf("request %d: got %+v, want %+v", i, out, s.want)
 					}
 				}(i, s)

@@ -29,6 +29,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"burstsnn/internal/kernels"
 )
 
 // entry pairs a resident model with its request queue. The pair is
@@ -192,7 +194,7 @@ func (s *Server) installModelAt(m *Model, c collaborators, epoch uint64, guard b
 	// archive's) metrics here, so the batcher below observes into the
 	// accumulator the model will actually expose.
 	s.reg.Install(m)
-	m.Metrics().SetBatchKernel(resolvedKernel(s.cfg.BatchKernel))
+	m.Metrics().SetBatchKernel(kernels.Kind())
 	m.Metrics().SetScheduler(c.sched.Name())
 	m.Metrics().AttachExitHistory(c.history)
 	m.Metrics().AttachResponseCache(c.cache)
@@ -205,7 +207,6 @@ func (s *Server) installModelAt(m *Model, c collaborators, epoch uint64, guard b
 			Cache:         c.cache,
 			Degrade:       c.degrade,
 			Fair:          fair,
-			F32:           c.f32,
 			MaxBatch:      s.cfg.MaxBatch,
 			MaxDelay:      s.cfg.MaxDelay,
 			QueueDepth:    s.cfg.QueueDepth,

@@ -115,8 +115,8 @@ type Metrics struct {
 	// deduped counts requests answered by fanning out a batchmate's
 	// outcome instead of simulating (identical image and policy).
 	deduped atomic.Int64
-	// kernel names the lockstep compute plane the model's batcher picked
-	// at build time (kernels.KindF64 or the float32 kernels.Kind()).
+	// kernel names the kernel dispatch tier the model's lockstep
+	// simulator runs on, recorded at install time (kernels.Kind()).
 	kernel atomic.Pointer[string]
 
 	// quant is the model's encoder quantization cache, if any; Snapshot
@@ -398,8 +398,8 @@ type Snapshot struct {
 	// MaxDelay, filled by the server at scrape time.
 	FormWaits    FormWaits `json:"formWaits"`
 	FormWindowMs float64   `json:"formWindowMs"`
-	// BatchKernel is the lockstep compute plane the model's batcher picked
-	// at build time: "f64", or the float32 tier actually running: "f32" (pure Go), "f32-sse", or "f32-avx2".
+	// BatchKernel is the kernel dispatch tier the model's lockstep
+	// simulator runs on: "f32" (pure Go), "f32-sse", or "f32-avx2".
 	BatchKernel string `json:"batchKernel,omitempty"`
 	// Scheduler names the steering policy resolved at Register time
 	// ("adaptive(crossover=2)", "static(min=6)", "sequential").

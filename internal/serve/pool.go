@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,40 +11,42 @@ import (
 
 // Replica is one checkout unit of a Pool: a weight-sharing sequential
 // simulator plus, built lazily on first use, its batched lockstep variant
-// (which shares the same weights — or their float32 copies — and scatter
-// tables again). A request — or a whole microbatch — holds the Replica
+// (which shares the float32 copies of the same weights, and the scatter
+// tables). A request — or a whole microbatch — holds the Replica
 // exclusively, so neither simulator needs internal locking.
 type Replica struct {
 	// Net is the sequential simulator (single-image path).
 	Net *snn.Network
 
-	batch    snn.Lockstep
-	batchF32 bool
+	batch    *snn.BatchNetwork32
 	batchErr error
 }
 
-// Batch returns the replica's lockstep simulator with at least b lanes on
-// the requested compute plane (f32 selects the float32 kernel plane),
-// constructing — or widening — it on first use. The batcher passes the
-// same plane for the replica's whole lifetime (the kernel variant is
-// picked once at server build time), so in practice a replica only ever
-// materializes one simulator. The error is sticky: a network whose
-// encoder cannot batch (e.g. a stream-stateful Poisson encoder) fails
-// once and the batcher falls back to sequential execution without
-// re-probing.
-func (r *Replica) Batch(b int, f32 bool) (snn.Lockstep, error) {
-	if r.batch != nil && r.batchF32 == f32 && r.batch.B() >= b {
+// Batch returns the replica's lockstep simulator with at least b lanes,
+// constructing — or widening — it on first use. The error is sticky: a
+// network whose encoder cannot batch (e.g. a stream-stateful Poisson
+// encoder) fails once and the batcher falls back to sequential execution
+// without re-probing.
+//
+// f32 is vestigial: it selected between the float32 and float64 lockstep
+// planes until the float64 one was removed, and stays only because the
+// repository benchmark calls Batch(b, true). false is an error.
+func (r *Replica) Batch(b int, f32 bool) (*snn.BatchNetwork32, error) {
+	if !f32 {
+		return nil, errors.New("serve: the float64 lockstep plane was removed; Batch takes f32 = true")
+	}
+	if r.batch != nil && r.batch.B() >= b {
 		return r.batch, nil
 	}
 	if r.batchErr != nil {
 		return nil, r.batchErr
 	}
-	bn, err := snn.NewLockstep(r.Net, b, f32)
+	bn, err := snn.NewBatchNetwork32(r.Net, b)
 	if err != nil {
 		r.batchErr = err
 		return nil, err
 	}
-	r.batch, r.batchF32 = bn, f32
+	r.batch = bn
 	return bn, nil
 }
 

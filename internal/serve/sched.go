@@ -28,7 +28,7 @@ import (
 // "occupancy-low" is seeing exits erode its batches.
 const (
 	// ReasonDisabled: the policy never dispatches lockstep (LockstepOff,
-	// an unpacked tier, or the f64 plane under auto/static).
+	// or LockstepAuto on the purego tier).
 	ReasonDisabled = "disabled"
 	// ReasonBelowMin: fewer live requests than the static threshold.
 	ReasonBelowMin = "below-min"
@@ -84,9 +84,8 @@ type Scheduler interface {
 // live requests run lockstep, smaller ones run sequentially. min <= 0
 // never dispatches lockstep (the LockstepOff policy); min 1 is
 // normalized to 2 (a single request has nothing to lockstep with).
-// This is exactly the scheduling serving shipped through PR 5, kept as
-// one implementation behind the plane interface (LockstepBatch:
-// "static", and the cold-start fallback inside AdaptiveSched).
+// It backs LockstepOn / LockstepOff, LockstepAuto on the purego tier,
+// and the cold-start fallback inside AdaptiveSched.
 type StaticSched struct {
 	min int
 }
@@ -130,7 +129,7 @@ func (s *StaticSched) Name() string {
 // dispatch tiers: BENCH_batch.json brackets the crossover between the
 // B=4 point (occupancy ≈1.6, lockstep ~0.7–0.8× sequential) and the B=8
 // point (occupancy ≈2.4, ~1.4–2.0×), so the default takes the midpoint
-// of the bracket. Config.OccupancyCrossover overrides it per server.
+// of the bracket.
 const DefaultOccupancyCrossover = 2.0
 
 // Adaptive controller tuning: the EWMA weight for new occupancy

@@ -72,44 +72,29 @@ type Config struct {
 	// scatter-table walks, SIMD lane kernels), or back to back on the
 	// replica. See internal/README.md "The scheduling plane".
 	//
-	//   - LockstepAuto (the default): with the float32 plane on a packed
-	//     dispatch tier (sse or avx2), an occupancy feedback controller
+	//   - LockstepAuto (the default): on a packed kernel dispatch tier
+	//     (sse or avx2), an occupancy feedback controller
 	//     (AdaptiveSched) steers each microbatch from measured lane
 	//     occupancy — lockstep exactly when the batch's estimated
-	//     occupancy clears OccupancyCrossover, the measured break-even
-	//     point (see BENCH_batch.json and internal/README.md "When
-	//     lockstep pays"). Until the controller has measured enough
-	//     batches it falls back to the static ≥6-request rule. On the
-	//     purego tier, or the f64 plane, auto is always sequential.
-	//   - LockstepStatic: the pre-measurement policy — a fixed
-	//     ≥6-request rule on packed f32 tiers, sequential otherwise
-	//     (what LockstepAuto meant before the adaptive controller).
+	//     occupancy clears DefaultOccupancyCrossover, the measured
+	//     break-even point (see BENCH_batch.json and internal/README.md
+	//     "When lockstep pays"). Until the controller has measured
+	//     enough batches it falls back to a fixed ≥6-request rule. On
+	//     the purego tier auto is always sequential.
 	//   - LockstepOn / LockstepOff: force the choice for every
 	//     multi-request batch either way.
 	//
 	// Resolved once per model at Register time (after any
-	// kernels.ForceLevel / KERNELS_LEVEL override has been applied).
+	// kernels.ForceLevel / KERNELS_LEVEL override has been applied);
+	// /metrics reports the kernel dispatch tier the model's lockstep
+	// simulator runs on as batchKernel ("f32", "f32-sse", or
+	// "f32-avx2"; see internal/kernels).
 	LockstepBatch string
-	// OccupancyCrossover overrides the occupancy at which the adaptive
-	// scheduler (LockstepAuto) switches a microbatch to lockstep
-	// execution. 0 uses DefaultOccupancyCrossover, the measured
-	// break-even on the packed tiers.
-	OccupancyCrossover float64
 	// ExitHistorySize bounds the per-model (image-hash → observed exit
 	// step) history behind exit-aware batch forming: 0 uses
 	// DefaultExitHistoryEntries, negative disables the history entirely
 	// (no exit predictions, FIFO batch forming).
 	ExitHistorySize int
-	// BatchKernel selects the lockstep simulator's compute plane:
-	// BatchKernelF32 (the default — float32 state over the
-	// internal/kernels block primitives, tolerance contract) or
-	// BatchKernelF64 (scalar float64, bit-identical to the sequential
-	// path). Picked once at registration; /metrics reports the resolved
-	// variant per model — for the float32 plane that is the kernel
-	// dispatch tier actually running ("f32", "f32-sse", or "f32-avx2";
-	// see internal/kernels and KERNELS_LEVEL). See internal/README.md
-	// "The float32 compute plane" for the contract each plane offers.
-	BatchKernel string
 	// RequestTimeout bounds one classification end to end (default 30s).
 	// The resulting deadline also drives admission: a request whose
 	// remaining deadline is below the projected queue wait is shed
@@ -179,27 +164,19 @@ type Config struct {
 	EnablePprof bool
 }
 
-// BatchKernel values for Config: the float32 kernel plane (default) and
-// the bit-exact float64 plane.
-const (
-	BatchKernelF32 = "f32"
-	BatchKernelF64 = "f64"
-)
-
 // LockstepBatch values for Config.
 const (
-	LockstepAuto   = "auto"
-	LockstepStatic = "static"
-	LockstepOn     = "on"
-	LockstepOff    = "off"
+	LockstepAuto = "auto"
+	LockstepOn   = "on"
+	LockstepOff  = "off"
 )
 
-// autoLockstepMinLanes is the batch size from which the static rule
-// (LockstepStatic, and LockstepAuto's cold-start fallback) routes a
-// microbatch through the lockstep simulator: the measured crossover on
-// the packed tiers lies between the B=4 (lockstep ~0.7–0.8× of
-// sequential) and B=8 (~1.4–2.0×) benchmark points, so the rule takes
-// the midpoint and leaves smaller batches on the sequential path.
+// autoLockstepMinLanes is the batch size from which LockstepAuto's
+// cold-start fallback routes a microbatch through the lockstep
+// simulator: the measured crossover on the packed tiers lies between the
+// B=4 (lockstep ~0.7–0.8× of sequential) and B=8 (~1.4–2.0×) benchmark
+// points, so the rule takes the midpoint and leaves smaller batches on
+// the sequential path.
 const autoLockstepMinLanes = 6
 
 func (c Config) withDefaults() Config {
@@ -218,9 +195,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.BatchKernel == "" {
-		c.BatchKernel = BatchKernelF32
-	}
 	if c.LockstepBatch == "" {
 		c.LockstepBatch = LockstepAuto
 	}
@@ -231,18 +205,6 @@ func (c Config) withDefaults() Config {
 		c.SlowTraceThreshold = 250 * time.Millisecond
 	}
 	return c
-}
-
-// resolvedKernel maps a Config.BatchKernel value to the concrete variant
-// name reported in /metrics and BENCH_batch.json: the float32 plane
-// resolves to the kernel dispatch tier active right now (kernels.Kind
-// tracks ForceLevel/KERNELS_LEVEL), so /metrics names the tier the
-// model's kernels actually run on.
-func resolvedKernel(k string) string {
-	if k == BatchKernelF64 {
-		return kernels.KindF64
-	}
-	return kernels.Kind()
 }
 
 // ClassifyRequest is the POST /v1/classify body.
@@ -379,57 +341,35 @@ type collaborators struct {
 	history *ExitHistory
 	cache   *ResponseCache
 	degrade *DegradeController
-	f32     bool
 }
 
-// buildCollaborators resolves the kernel plane and scheduling policy
-// from the server config. The batch kernel variant is picked here, once
-// per install: every replica of the model will build (at most) one
-// lockstep simulator on the configured plane, and /metrics reports the
-// resolved variant as batchKernel.
+// buildCollaborators resolves the scheduling policy from the server
+// config, once per install.
 func (s *Server) buildCollaborators() (collaborators, error) {
-	switch s.cfg.BatchKernel {
-	case BatchKernelF32, BatchKernelF64:
-	default:
-		return collaborators{}, fmt.Errorf("serve: unknown batch kernel %q (want %q or %q)",
-			s.cfg.BatchKernel, BatchKernelF32, BatchKernelF64)
-	}
-	f32 := s.cfg.BatchKernel != BatchKernelF64
-	// packed: the regime where lockstep can beat the sequential engine at
-	// all — the float32 plane on a SIMD dispatch tier (the resolved tier
-	// at this moment; ForceLevel/KERNELS_LEVEL overrides apply at
-	// startup). Outside it, auto and static never dispatch lockstep.
-	packed := f32 && kernels.ActiveLevel() != kernels.LevelPurego
 	var sched Scheduler
 	switch s.cfg.LockstepBatch {
 	case LockstepOn:
 		sched = NewStaticSched(2)
 	case LockstepOff:
 		sched = NewStaticSched(0)
-	case LockstepStatic:
-		// The pre-measurement rule: a fixed request-count threshold in
-		// the winning bracket of BENCH_batch.json, sequential off the
-		// packed tiers.
-		if packed {
-			sched = NewStaticSched(autoLockstepMinLanes)
-		} else {
-			sched = NewStaticSched(0)
-		}
 	case LockstepAuto:
-		// Measurement-driven: the occupancy feedback controller steers
-		// each microbatch from the measured occupancy of recent batches
-		// (and per-lane exit predictions), with the static rule as its
-		// cold-start fallback.
-		if packed {
-			sched = NewAdaptiveSched(s.cfg.OccupancyCrossover, autoLockstepMinLanes)
+		// Lockstep can beat the sequential engine only on a SIMD
+		// dispatch tier (the resolved tier at this moment;
+		// ForceLevel/KERNELS_LEVEL overrides apply at startup). There the
+		// occupancy feedback controller steers each microbatch from the
+		// measured occupancy of recent batches (and per-lane exit
+		// predictions), with the fixed ≥6-request rule as its cold-start
+		// fallback; on the purego tier auto never dispatches lockstep.
+		if kernels.ActiveLevel() != kernels.LevelPurego {
+			sched = NewAdaptiveSched(DefaultOccupancyCrossover, autoLockstepMinLanes)
 		} else {
 			sched = NewStaticSched(0)
 		}
 	default:
-		return collaborators{}, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, %q, or %q)",
-			s.cfg.LockstepBatch, LockstepAuto, LockstepStatic, LockstepOn, LockstepOff)
+		return collaborators{}, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",
+			s.cfg.LockstepBatch, LockstepAuto, LockstepOn, LockstepOff)
 	}
-	c := collaborators{sched: sched, f32: f32}
+	c := collaborators{sched: sched}
 	if s.cfg.ExitHistorySize >= 0 {
 		c.history = NewExitHistory(s.cfg.ExitHistorySize)
 	}

@@ -1,1069 +1,30 @@
 package snn
 
-import (
-	"fmt"
-
-	"burstsnn/internal/coding"
-	"burstsnn/internal/kernels"
-)
-
-// Batched lockstep simulation: a BatchNetwork steps up to B images
-// through one set of weights and scatter tables at once. All neuron state
-// is B-striped — lane-major within a neuron, so neuron i's lane s lives
-// at state[i*B+s] — and the event stream between layers is column-form
-// (coding.BatchEvents): the spikes of one step grouped by neuron index,
-// with the lanes in which that neuron spiked attached to the column.
+// Batched lockstep simulation: a BatchNetwork32 (batch32.go) steps up to
+// B images through one set of weights and scatter tables at once. All
+// neuron state is B-striped — lane-major within a neuron — and the event
+// stream between layers is column-form (coding.BatchEvents32): the spikes
+// of one step grouped by neuron index, with the lanes in which that
+// neuron spiked attached to the column.
 //
 // The payoff is amortization, not parallelism: a layer consuming a column
 // resolves the scatter-table taps and loads each weight row once, then
-// applies it to every lane in the column; when the column covers every
-// active lane with a uniform payload (the common case under phase/TTFS
-// input, whose per-step payload Π(t) is lane-invariant), the innermost
-// loop degenerates to a contiguous add with the weight·payload product
-// hoisted.
+// applies it to every lane in the column as one packed float32 stripe.
 //
-// Correctness is defined per lane: every lane must produce bit-identical
-// spike trains, predictions, and early-exit steps to a sequential
-// Network presented with the same image. That holds because (a) all
-// per-lane state is disjoint, (b) columns are ordered by neuron index —
-// the same order every sequential layer emits in (SpikingMaxPool emits in
-// ascending window order for exactly this reason) — so each lane's
-// contributions accumulate in the sequential order, and (c) each striped
-// arithmetic path mirrors its sequential counterpart operation for
-// operation.
-//
-// Lanes are retired by physical compaction: when an image finishes
-// (early exit), the last active slot's state is copied over the finished
-// slot and the active count shrinks, so the scatter and fire loops always
-// run over the dense slot prefix [0, nActive) and a batch never pays
-// full-batch cost for its slowest image.
+// Correctness is defined per lane against a sequential Network presented
+// with the same image: identical predictions, spike counts and early-exit
+// steps, readout potentials within float32 accumulation tolerance (the
+// numerics contract in batch32.go). The layout, ordering and retirement
+// invariants that make a lane's trajectory independent of its batchmates
+// are stated on the code that implements them: batchPopulation32
+// (striping, conv storage permutation), emitMasked (column order) and
+// BatchNetwork32.Retire (lane compaction).
 
-// Lockstep is the plane-independent face of a lockstep batch simulator:
-// what the serving engine needs to drive a batch — load images, step,
-// read per-slot predictions and potentials, retire lanes — without
-// caring whether the state underneath is float64 (BatchNetwork,
-// bit-identical to the sequential path) or float32 (BatchNetwork32,
-// kernel-backed, tolerance contract). NewLockstep picks the plane.
-type Lockstep interface {
-	// B returns the lane capacity.
-	B() int
-	// NumActive returns the number of live lanes.
-	NumActive() int
-	// LaneID returns the caller lane id occupying slot s.
-	LaneID(s int) int
-	// Reset loads a new batch of images (len in [1, B]).
-	Reset(images [][]float64)
-	// Retire removes slot s by physical compaction.
-	Retire(s int)
-	// Step advances every active lane by one time step.
-	Step(t int) BatchStepStats
-	// CountsInputSpikes mirrors coding.InputEncoder.CountsAsSpikes.
-	CountsInputSpikes() bool
-	// Classes returns the readout width.
-	Classes() int
-	// Predicted returns slot s's current readout argmax.
-	Predicted(slot int) int
-	// PredictedAll fills dst (len ≥ NumActive()) with every active
-	// slot's readout argmax in one lane-major sweep and returns the
-	// filled prefix; dst[s] == Predicted(s) for every slot. The batched
-	// form is what the early-exit engine polls every step: sweeping
-	// class rows beats NumActive() strided per-slot walks once the
-	// scatter loops vectorize.
-	PredictedAll(dst []int) []int
-	// PotentialsInto copies slot s's class scores into dst (len ≥
-	// Classes()) and returns the filled prefix.
-	PotentialsInto(slot int, dst []float64) []float64
-	// Kernel names the simulator's compute plane for metrics and
-	// artifacts: kernels.KindF64 or the float32 kernels.Kind().
-	Kernel() string
-}
-
-// NewLockstep builds the B-lane lockstep simulator for the requested
-// compute plane: the float32 kernel plane when f32 is true (the serving
-// default), the bit-exact float64 plane otherwise.
-func NewLockstep(net *Network, b int, f32 bool) (Lockstep, error) {
-	if f32 {
-		return NewBatchNetwork32(net, b)
-	}
-	return NewBatchNetwork(net, b)
-}
-
-// BatchLayer is one spiking stage of a batched network. Slots
-// [0, lanes) are active; the returned stream is owned by the layer and
-// reused across calls.
-type BatchLayer interface {
-	// Name identifies the layer kind.
-	Name() string
-	// NumNeurons returns the per-lane population size (0 for stateless
-	// gates), matching the sequential layer.
-	NumNeurons() int
-	// Step consumes the batch's presynaptic columns of time t and returns
-	// the layer's own columns.
-	Step(t int, biasScale float64, lanes int, in *coding.BatchEvents) *coding.BatchEvents
-	// Reset clears the neuron state of every lane.
-	Reset()
-	// Retire copies slot src's state over slot dst (lane compaction).
-	Retire(dst, src int)
-}
-
-// BatchableLayer is a Layer that can stamp out a B-lane batched variant
-// sharing its weights and precomputed tables. Every layer the converter
-// builds implements it.
-type BatchableLayer interface {
-	Layer
-	// NewBatch returns a batched variant with b lanes and fresh state.
-	NewBatch(b int) BatchLayer
-}
-
-// batchPopulation is the B-striped integrate-and-fire state of one
-// batched layer: the lane-major counterpart of population, with the same
-// fused bias→leak→burst→threshold pass per (neuron, lane).
-//
-// Neuron i's lane stripe normally lives at cell i (offset i*b). A layer
-// may instead install a storage permutation (perm) mapping neuron order
-// to cell order — BatchConv stores its population base-major so that one
-// scatter tap's destinations are a single contiguous OutC×B block — and
-// fire then walks cells through the permutation so the emitted columns
-// stay in ascending neuron order regardless of layout.
-type batchPopulation struct {
-	cfg       coding.Config
-	b         int
-	vmem      []float64
-	g         []float64
-	firedPrev []bool
-
-	// Permuted layout (installed by setPerm; conv only). The firing pass
-	// then runs in two stages: a storage-order sweep over the state
-	// arrays (contiguous, prefetch-friendly) that records each cell's
-	// fired lanes in mask (and, for burst, the per-lane payloads in pay),
-	// and a neuron-order emission pass that only gathers spiking cells.
-	perm     []int32   // neuron -> storage cell; nil = identity
-	biasPerm []float64 // bias in storage order (nil when perm is nil or bias-free)
-	mask     []uint64  // per cell: fired-lane bits; zero outside fire
-	pay      []float64 // per (cell, lane): staged payloads (burst schemes)
-}
-
-func newBatchPopulation(n, b int, cfg coding.Config) *batchPopulation {
-	p := &batchPopulation{
-		cfg:       cfg,
-		b:         b,
-		vmem:      make([]float64, n*b),
-		g:         make([]float64, n*b),
-		firedPrev: make([]bool, n*b),
-	}
-	p.resetState()
-	return p
-}
-
-// setPerm installs a storage permutation (neuron i lives at cell perm[i])
-// and the layer bias re-indexed to storage order. Lane masks require
-// b <= 64 (NewBatchNetwork enforces this).
-func (p *batchPopulation) setPerm(perm []int32, bias []float64) {
-	n := len(p.vmem) / p.b
-	p.perm = perm
-	p.mask = make([]uint64, n)
-	if p.cfg.UsesBurstState() {
-		p.pay = make([]float64, n*p.b)
-	}
-	if bias != nil {
-		p.biasPerm = make([]float64, n)
-		for i, cell := range perm {
-			p.biasPerm[cell] = bias[i]
-		}
-	}
-}
-
-func (p *batchPopulation) resetState() {
-	for i := range p.vmem {
-		p.vmem[i] = 0
-		p.g[i] = 1
-		p.firedPrev[i] = false
-	}
-}
-
-func (p *batchPopulation) retire(dst, src int) {
-	for base := 0; base < len(p.vmem); base += p.b {
-		p.vmem[base+dst] = p.vmem[base+src]
-		p.g[base+dst] = p.g[base+src]
-		p.firedPrev[base+dst] = p.firedPrev[base+src]
-	}
-}
-
-// fire runs the threshold test for every (neuron, active lane) pair at
-// time t and appends the emitted columns to out. Each arithmetic path
-// mirrors population.fire exactly — same operations in the same order per
-// lane — so a lane's membrane trajectory is bit-identical to the
-// sequential simulator's.
-func (p *batchPopulation) fire(t, lanes int, bias []float64, biasScale float64, out *coding.BatchEvents) {
-	out.Reset()
-	if p.perm == nil {
-		p.fireDirect(t, lanes, bias, biasScale, out)
-		return
-	}
-	p.fireMasked(t, lanes, biasScale, out)
-}
-
-// fireDirect is the identity-layout firing pass: neuron i's lanes are the
-// contiguous stripe at i*b, swept once in neuron order.
-func (p *batchPopulation) fireDirect(t, lanes int, bias []float64, biasScale float64, out *coding.BatchEvents) {
-	n := len(p.vmem) / p.b
-	useBurst := p.cfg.UsesBurstState()
-	leak := p.cfg.Leak
-	b := p.b
-	if !useBurst && leak == 0 {
-		// Pure-IF, scheme-constant threshold (rate/phase/TTFS).
-		th := p.cfg.Threshold(t, 1)
-		for i := 0; i < n; i++ {
-			vrow := p.vmem[i*b : i*b+lanes]
-			if bias == nil {
-				for s, v := range vrow {
-					if v >= th {
-						vrow[s] = v - th
-						out.Add(int32(s), th)
-					}
-				}
-			} else {
-				bv := bias[i] * biasScale
-				for s, v := range vrow {
-					v += bv
-					if v >= th {
-						v -= th
-						out.Add(int32(s), th)
-					}
-					vrow[s] = v
-				}
-			}
-			out.Commit(int32(i))
-		}
-		return
-	}
-	if useBurst && leak == 0 {
-		// Pure-IF burst (the paper's configuration), Eq. 8/9 inlined.
-		beta, vth := p.cfg.Beta, p.cfg.VTh
-		for i := 0; i < n; i++ {
-			vrow := p.vmem[i*b : i*b+lanes]
-			grow := p.g[i*b : i*b+lanes]
-			frow := p.firedPrev[i*b : i*b+lanes]
-			var bv float64
-			if bias != nil {
-				bv = bias[i] * biasScale
-			}
-			for s, v := range vrow {
-				if bias != nil {
-					v += bv
-				}
-				g := 1.0
-				if frow[s] {
-					g = beta * grow[s]
-				}
-				grow[s] = g
-				th := g * vth
-				if v >= th {
-					v -= th
-					frow[s] = true
-					out.Add(int32(s), th)
-				} else {
-					frow[s] = false
-				}
-				vrow[s] = v
-			}
-			out.Commit(int32(i))
-		}
-		return
-	}
-	keep := 1 - leak
-	var thConst float64
-	if !useBurst {
-		thConst = p.cfg.Threshold(t, 1)
-	}
-	for i := 0; i < n; i++ {
-		base := i * b
-		for s := 0; s < lanes; s++ {
-			v := p.vmem[base+s]
-			if bias != nil {
-				v += bias[i] * biasScale
-			}
-			if leak > 0 {
-				v *= keep
-			}
-			th := thConst
-			if useBurst {
-				g := coding.NextG(p.g[base+s], p.firedPrev[base+s], p.cfg.Beta)
-				p.g[base+s] = g
-				th = g * p.cfg.VTh
-			}
-			if v >= th {
-				v -= th
-				p.firedPrev[base+s] = true
-				out.Add(int32(s), th)
-			} else {
-				p.firedPrev[base+s] = false
-			}
-			p.vmem[base+s] = v
-		}
-		out.Commit(int32(i))
-	}
-}
-
-// fireMasked is the permuted-layout firing pass (base-major conv): stage
-// one sweeps the state arrays in storage order — contiguous, so the
-// threshold pass streams instead of hopping through the permutation —
-// recording each cell's fired lanes in mask (and burst payloads in pay);
-// stage two walks neurons in emission order and gathers only the spiking
-// cells into columns. The per-(neuron, lane) arithmetic and the emitted
-// columns are identical to fireDirect's.
-func (p *batchPopulation) fireMasked(t, lanes int, biasScale float64, out *coding.BatchEvents) {
-	n := len(p.vmem) / p.b
-	useBurst := p.cfg.UsesBurstState()
-	leak := p.cfg.Leak
-	b := p.b
-	bias := p.biasPerm
-	mask := p.mask
-	switch {
-	case !useBurst && leak == 0:
-		th := p.cfg.Threshold(t, 1)
-		for c := 0; c < n; c++ {
-			vrow := p.vmem[c*b : c*b+lanes]
-			var m uint64
-			if bias == nil {
-				for s, v := range vrow {
-					if v >= th {
-						vrow[s] = v - th
-						m |= 1 << uint(s)
-					}
-				}
-			} else {
-				bv := bias[c] * biasScale
-				for s, v := range vrow {
-					v += bv
-					if v >= th {
-						v -= th
-						m |= 1 << uint(s)
-					}
-					vrow[s] = v
-				}
-			}
-			if m != 0 {
-				mask[c] = m
-			}
-		}
-		// Constant threshold: every payload is th, no staging needed.
-		for i, cell := range p.perm {
-			m := mask[cell]
-			if m == 0 {
-				continue
-			}
-			mask[cell] = 0
-			for s := 0; s < lanes; s++ {
-				if m>>uint(s)&1 == 1 {
-					out.Add(int32(s), th)
-				}
-			}
-			out.Commit(int32(i))
-		}
-	case useBurst && leak == 0:
-		beta, vth := p.cfg.Beta, p.cfg.VTh
-		pay := p.pay
-		for c := 0; c < n; c++ {
-			vrow := p.vmem[c*b : c*b+lanes]
-			grow := p.g[c*b : c*b+lanes]
-			frow := p.firedPrev[c*b : c*b+lanes]
-			var bv float64
-			if bias != nil {
-				bv = bias[c] * biasScale
-			}
-			var m uint64
-			for s, v := range vrow {
-				if bias != nil {
-					v += bv
-				}
-				g := 1.0
-				if frow[s] {
-					g = beta * grow[s]
-				}
-				grow[s] = g
-				th := g * vth
-				if v >= th {
-					v -= th
-					frow[s] = true
-					m |= 1 << uint(s)
-					pay[c*b+s] = th
-				} else {
-					frow[s] = false
-				}
-				vrow[s] = v
-			}
-			if m != 0 {
-				mask[c] = m
-			}
-		}
-		p.emitMasked(lanes, out)
-	default:
-		keep := 1 - leak
-		var thConst float64
-		if !useBurst {
-			thConst = p.cfg.Threshold(t, 1)
-		}
-		pay := p.pay
-		for c := 0; c < n; c++ {
-			base := c * b
-			var m uint64
-			for s := 0; s < lanes; s++ {
-				v := p.vmem[base+s]
-				if bias != nil {
-					v += bias[c] * biasScale
-				}
-				if leak > 0 {
-					v *= keep
-				}
-				th := thConst
-				if useBurst {
-					g := coding.NextG(p.g[base+s], p.firedPrev[base+s], p.cfg.Beta)
-					p.g[base+s] = g
-					th = g * p.cfg.VTh
-				}
-				if v >= th {
-					v -= th
-					p.firedPrev[base+s] = true
-					m |= 1 << uint(s)
-					if pay != nil {
-						pay[base+s] = th
-					}
-				} else {
-					p.firedPrev[base+s] = false
-				}
-				p.vmem[base+s] = v
-			}
-			if m != 0 {
-				mask[c] = m
-			}
-		}
-		if pay != nil {
-			p.emitMasked(lanes, out)
-		} else {
-			for i, cell := range p.perm {
-				m := mask[cell]
-				if m == 0 {
-					continue
-				}
-				mask[cell] = 0
-				for s := 0; s < lanes; s++ {
-					if m>>uint(s)&1 == 1 {
-						out.Add(int32(s), thConst)
-					}
-				}
-				out.Commit(int32(i))
-			}
-		}
-	}
-}
-
-// emitMasked drains mask/pay into neuron-ordered columns.
-func (p *batchPopulation) emitMasked(lanes int, out *coding.BatchEvents) {
-	b := p.b
-	mask := p.mask
-	pay := p.pay
-	for i, cell := range p.perm {
-		m := mask[cell]
-		if m == 0 {
-			continue
-		}
-		mask[cell] = 0
-		base := int(cell) * b
-		for s := 0; s < lanes; s++ {
-			if m>>uint(s)&1 == 1 {
-				out.Add(int32(s), pay[base+s])
-			}
-		}
-		out.Commit(int32(i))
-	}
-}
-
-// uniformPayload reports whether every payload in a column is the same
-// value — true for all non-burst columns (their per-step threshold is
-// lane-invariant), which unlocks the hoisted-product scatter path.
-func uniformPayload(p []float64) bool {
-	p0 := p[0]
-	for _, v := range p[1:] {
-		if v != p0 {
-			return false
-		}
-	}
-	return true
-}
-
-// scatterRowColumn applies one weight row to one event column of a
-// lane-striped accumulator laid out dst[o*b+lane] (the dense and readout
-// layers' layout). Rows are long, so every specialization keeps the
-// weights outermost: each row streams through the cache exactly once per
-// column, however many lanes consume it. A lane's accumulation order
-// (ascending output index) matches the sequential path's, so the scatter
-// is bit-identical per lane.
-func scatterRowColumn(dst, row []float64, b, lanes int, colLanes []int32, pays []float64) {
-	p := pays[0]
-	vb := 0
-	switch {
-	case len(colLanes) == 1:
-		vb = int(colLanes[0])
-		for _, w := range row {
-			dst[vb] += w * p
-			vb += b
-		}
-	case len(colLanes) == lanes && uniformPayload(pays):
-		// Full uniform column: one weight·payload product serves every
-		// lane, and the lane stripe is contiguous.
-		for _, w := range row {
-			wp := w * p
-			stripe := dst[vb : vb+lanes]
-			for k := range stripe {
-				stripe[k] += wp
-			}
-			vb += b
-		}
-	case uniformPayload(pays):
-		for _, w := range row {
-			wp := w * p
-			for _, lane := range colLanes {
-				dst[vb+int(lane)] += wp
-			}
-			vb += b
-		}
-	default:
-		for _, w := range row {
-			for k, lane := range colLanes {
-				dst[vb+int(lane)] += w * pays[k]
-			}
-			vb += b
-		}
-	}
-}
-
-// BatchDense is the B-lane variant of SpikingDense, sharing its weights.
-type BatchDense struct {
-	src *SpikingDense
-	pop *batchPopulation
-	out coding.BatchEvents
-}
-
-// NewBatch implements BatchableLayer.
-func (l *SpikingDense) NewBatch(b int) BatchLayer {
-	d := &BatchDense{src: l, pop: newBatchPopulation(l.Out, b, l.pop.cfg)}
-	d.out.Grow(l.Out, l.Out*b)
-	return d
-}
-
-// Name implements BatchLayer.
-func (l *BatchDense) Name() string { return "sdense" }
-
-// NumNeurons implements BatchLayer.
-func (l *BatchDense) NumNeurons() int { return l.src.Out }
-
-// Reset implements BatchLayer.
-func (l *BatchDense) Reset() { l.pop.resetState() }
-
-// Retire implements BatchLayer.
-func (l *BatchDense) Retire(dst, src int) { l.pop.retire(dst, src) }
-
-// Step implements BatchLayer: one weight-row load per column serves every
-// lane the input spiked in (see scatterRowColumn).
-func (l *BatchDense) Step(t int, biasScale float64, lanes int, in *coding.BatchEvents) *coding.BatchEvents {
-	vmem := l.pop.vmem
-	b := l.pop.b
-	outN := l.src.Out
-	for c := range in.Index {
-		s, e := in.Start[c], in.Start[c+1]
-		row := l.src.WT[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
-		scatterRowColumn(vmem, row, b, lanes, in.Lane[s:e], in.Payload[s:e])
-	}
-	l.pop.fire(t, lanes, l.src.Bias, biasScale, &l.out)
-	return &l.out
-}
-
-// BatchConv is the B-lane variant of SpikingConv, sharing its re-laid-out
-// kernel and the precomputed scatter table.
-//
-// Unlike the sequential layer (CHW membrane order, so one tap's OutC
-// destinations are OutH·OutW apart), the batched population is stored
-// base-major: neuron (oc, base) lives at cell base·OutC+oc. One scatter
-// tap's destinations are then a single contiguous OutC×B block that zips
-// with the contiguous weight row — the layout that makes the batched
-// scatter stream instead of stride. The population's perm table maps
-// neuron order back onto this layout for the firing pass, so emitted
-// columns remain in ascending (CHW) neuron order.
-type BatchConv struct {
-	src *SpikingConv
-	pop *batchPopulation
-	out coding.BatchEvents
-}
-
-// NewBatch implements BatchableLayer.
-func (l *SpikingConv) NewBatch(b int) BatchLayer {
-	n := len(l.pop.vmem)
-	c := &BatchConv{src: l, pop: newBatchPopulation(n, b, l.pop.cfg)}
-	outC, outHW := l.Geom.OutC, l.outHW
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i%outHW*outC + i/outHW)
-	}
-	c.pop.setPerm(perm, l.bias)
-	c.out.Grow(n, n*b)
-	return c
-}
-
-// Name implements BatchLayer.
-func (l *BatchConv) Name() string { return "sconv" }
-
-// NumNeurons implements BatchLayer.
-func (l *BatchConv) NumNeurons() int { return len(l.src.pop.vmem) }
-
-// Reset implements BatchLayer.
-func (l *BatchConv) Reset() { l.pop.resetState() }
-
-// Retire implements BatchLayer.
-func (l *BatchConv) Retire(dst, src int) { l.pop.retire(dst, src) }
-
-// Step implements BatchLayer: per column, the scatter-table walk and
-// every kernel-row load happen once, amortized over the column's lanes,
-// and each tap updates one contiguous OutC×B membrane block (the
-// base-major layout). A lane's own accumulation order (column → tap →
-// output channel) matches the sequential path exactly, so the scatter
-// stays bit-identical per lane.
-func (l *BatchConv) Step(t int, biasScale float64, lanes int, in *coding.BatchEvents) *coding.BatchEvents {
-	vmem := l.pop.vmem
-	b := l.pop.b
-	outC := l.src.Geom.OutC
-	outCb := outC * b
-	for c := range in.Index {
-		idx := int(in.Index[c])
-		s, e := in.Start[c], in.Start[c+1]
-		colLanes := in.Lane[s:e]
-		pays := in.Payload[s:e]
-		p := pays[0]
-		fullUniform := len(colLanes) == lanes && uniformPayload(pays)
-		for _, tp := range l.src.taps[l.src.tapStart[idx]:l.src.tapStart[idx+1]] {
-			row := l.src.WScatter[tp.WOff : int(tp.WOff)+outC]
-			block := vmem[int(tp.Base)*outCb : int(tp.Base+1)*outCb]
-			if fullUniform {
-				// Every active lane, one payload: hoist the weight·payload
-				// product into a contiguous per-lane add.
-				k := 0
-				for _, w := range row {
-					wp := w * p
-					dst := block[k : k+lanes]
-					for j := range dst {
-						dst[j] += wp
-					}
-					k += b
-				}
-			} else {
-				// Partial column: per lane, a long weight-major walk with
-				// the sequential loop's control cost per madd; the walks
-				// revisit the same L1-resident block, so the tap's cache
-				// lines are loaded once and reused lane over lane.
-				for j, lane := range colLanes {
-					pj := pays[j]
-					vb := int(lane)
-					for _, w := range row {
-						block[vb] += w * pj
-						vb += b
-					}
-				}
-			}
-		}
-	}
-	l.pop.fire(t, lanes, l.src.bias, biasScale, &l.out)
-	return &l.out
-}
-
-// BatchAvgPool is the B-lane variant of SpikingAvgPool, sharing its
-// input→output index table.
-type BatchAvgPool struct {
-	src *SpikingAvgPool
-	pop *batchPopulation
-	out coding.BatchEvents
-}
-
-// NewBatch implements BatchableLayer.
-func (l *SpikingAvgPool) NewBatch(b int) BatchLayer {
-	n := len(l.pop.vmem)
-	p := &BatchAvgPool{src: l, pop: newBatchPopulation(n, b, l.pop.cfg)}
-	p.out.Grow(n, n*b)
-	return p
-}
-
-// Name implements BatchLayer.
-func (l *BatchAvgPool) Name() string { return "savgpool" }
-
-// NumNeurons implements BatchLayer.
-func (l *BatchAvgPool) NumNeurons() int { return len(l.src.pop.vmem) }
-
-// Reset implements BatchLayer.
-func (l *BatchAvgPool) Reset() { l.pop.resetState() }
-
-// Retire implements BatchLayer.
-func (l *BatchAvgPool) Retire(dst, src int) { l.pop.retire(dst, src) }
-
-// Step implements BatchLayer.
-func (l *BatchAvgPool) Step(t int, _ float64, lanes int, in *coding.BatchEvents) *coding.BatchEvents {
-	vmem := l.pop.vmem
-	b := l.pop.b
-	inv := l.src.inv
-	for c := range in.Index {
-		s, e := in.Start[c], in.Start[c+1]
-		vb := int(l.src.outIdx[in.Index[c]]) * b
-		for k := s; k < e; k++ {
-			vmem[vb+int(in.Lane[k])] += in.Payload[k] * inv
-		}
-	}
-	l.pop.fire(t, lanes, nil, 0, &l.out)
-	return &l.out
-}
-
-// BatchMaxPool is the B-lane variant of the max-pooling gate: cumulative
-// payloads and spike stamps are lane-striped, the window geometry tables
-// are shared, and the winner rule runs per (window, lane).
-type BatchMaxPool struct {
-	src *SpikingMaxPool
-	b   int
-
-	cum     []float64 // cum[i*b+lane]
-	lastPay []float64
-	seen    []int
-	stamp   int
-
-	winStamp []int // per window, touched by ANY lane this step
-	touched  []int32
-	out      coding.BatchEvents
-}
-
-// NewBatch implements BatchableLayer.
-func (l *SpikingMaxPool) NewBatch(b int) BatchLayer {
-	nIn := l.C * l.H * l.W
-	nWin := len(l.winStart) - 1
-	m := &BatchMaxPool{
-		src: l, b: b,
-		cum:      make([]float64, nIn*b),
-		lastPay:  make([]float64, nIn*b),
-		seen:     make([]int, nIn*b),
-		winStamp: make([]int, nWin),
-		touched:  make([]int32, 0, nWin),
-	}
-	m.out.Grow(nWin, nWin*b)
-	return m
-}
-
-// Name implements BatchLayer.
-func (l *BatchMaxPool) Name() string { return "smaxpool" }
-
-// NumNeurons implements BatchLayer.
-func (l *BatchMaxPool) NumNeurons() int { return 0 }
-
-// Reset implements BatchLayer.
-func (l *BatchMaxPool) Reset() {
-	for i := range l.cum {
-		l.cum[i] = 0
-	}
-}
-
-// Retire implements BatchLayer.
-func (l *BatchMaxPool) Retire(dst, src int) {
-	for base := 0; base < len(l.cum); base += l.b {
-		l.cum[base+dst] = l.cum[base+src]
-		l.lastPay[base+dst] = l.lastPay[base+src]
-		l.seen[base+dst] = l.seen[base+src]
-	}
-}
-
-// winnerLane applies the sequential winner rule within one lane: the
-// lowest-indexed member at the lane's cumulative maximum that spiked this
-// step, or -1 when every maximal member is silent.
-func (l *BatchMaxPool) winnerLane(members []int32, s int) int {
-	b := l.b
-	best := l.cum[int(members[0])*b+s]
-	for _, idx := range members[1:] {
-		if c := l.cum[int(idx)*b+s]; c > best {
-			best = c
-		}
-	}
-	for _, idx := range members {
-		if l.cum[int(idx)*b+s] == best && l.seen[int(idx)*b+s] == l.stamp {
-			return int(idx)
-		}
-	}
-	return -1
-}
-
-// Step implements BatchLayer: accumulate the batch's events, then emit
-// each touched window's per-lane winners in ascending window order —
-// matching the sequential gate's emission order lane by lane.
-func (l *BatchMaxPool) Step(t int, _ float64, lanes int, in *coding.BatchEvents) *coding.BatchEvents {
-	l.stamp++
-	l.touched = l.touched[:0]
-	b := l.b
-	for c := range in.Index {
-		idx := int(in.Index[c])
-		s, e := in.Start[c], in.Start[c+1]
-		base := idx * b
-		for k := s; k < e; k++ {
-			lane := int(in.Lane[k])
-			l.cum[base+lane] += in.Payload[k]
-			l.seen[base+lane] = l.stamp
-			l.lastPay[base+lane] = in.Payload[k]
-		}
-		if w := l.src.winOf[idx]; l.winStamp[w] != l.stamp {
-			l.winStamp[w] = l.stamp
-			l.touched = insertSorted(l.touched, w)
-		}
-	}
-	l.out.Reset()
-	for _, w := range l.touched {
-		members := l.src.winMembers[l.src.winStart[w]:l.src.winStart[w+1]]
-		for s := 0; s < lanes; s++ {
-			if win := l.winnerLane(members, s); win >= 0 {
-				l.out.Add(int32(s), l.lastPay[win*b+s])
-			}
-		}
-		l.out.Commit(w)
-	}
-	return &l.out
-}
-
-// BatchOutput is the B-lane readout: per-lane accumulated class scores
-// over shared weights, never firing.
-type BatchOutput struct {
-	src  *OutputLayer
-	b    int
-	pot  []float64 // pot[o*b+lane]
-	amax []float64 // PredictedAll running-max scratch, one slot per lane
-}
-
-// NewBatch returns the batched readout.
-func (l *OutputLayer) NewBatch(b int) *BatchOutput {
-	return &BatchOutput{src: l, b: b, pot: make([]float64, l.Out*b), amax: make([]float64, b)}
-}
-
-// Reset clears every lane's accumulators.
-func (l *BatchOutput) Reset() {
-	for i := range l.pot {
-		l.pot[i] = 0
-	}
-}
-
-// Retire copies slot src's scores over slot dst.
-func (l *BatchOutput) Retire(dst, src int) {
-	for base := 0; base < len(l.pot); base += l.b {
-		l.pot[base+dst] = l.pot[base+src]
-	}
-}
-
-// Step integrates the batch's columns plus the rate-matched bias current,
-// in the sequential readout's events-then-bias order (scatter shape
-// shared with BatchDense via scatterRowColumn).
-func (l *BatchOutput) Step(biasScale float64, lanes int, in *coding.BatchEvents) {
-	pot := l.pot
-	b := l.b
-	outN := l.src.Out
-	for c := range in.Index {
-		s, e := in.Start[c], in.Start[c+1]
-		row := l.src.WT[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
-		scatterRowColumn(pot, row, b, lanes, in.Lane[s:e], in.Payload[s:e])
-	}
-	for o, bv := range l.src.Bias {
-		x := bv * biasScale
-		dst := pot[o*b : o*b+lanes]
-		for k := range dst {
-			dst[k] += x
-		}
-	}
-}
-
-// Classes returns the readout width.
-func (l *BatchOutput) Classes() int { return l.src.Out }
-
-// Predicted returns slot s's current argmax, with the same first-wins tie
-// rule as mathx.ArgMax on the sequential readout.
-func (l *BatchOutput) Predicted(s int) int {
-	best := 0
-	bestV := l.pot[s]
-	for o := 1; o < l.src.Out; o++ {
-		if v := l.pot[o*l.b+s]; v > bestV {
-			best, bestV = o, v
-		}
-	}
-	return best
-}
-
-// PredictedAll fills dst[:lanes] with every active slot's argmax in one
-// lane-major sweep over the class rows (contiguous reads instead of
-// lanes strided walks), with the same first-wins tie rule as Predicted.
-func (l *BatchOutput) PredictedAll(lanes int, dst []int) []int {
-	dst = dst[:lanes]
-	best := l.amax[:lanes]
-	copy(best, l.pot[:lanes])
-	for s := range dst {
-		dst[s] = 0
-	}
-	for o := 1; o < l.src.Out; o++ {
-		row := l.pot[o*l.b : o*l.b+lanes]
-		for s, v := range row {
-			if v > best[s] {
-				best[s] = v
-				dst[s] = o
-			}
-		}
-	}
-	return dst
-}
-
-// PotentialsInto copies slot s's class scores into dst (len ≥ classes)
-// and returns the filled prefix.
-func (l *BatchOutput) PotentialsInto(s int, dst []float64) []float64 {
-	dst = dst[:l.src.Out]
-	for o := range dst {
-		dst[o] = l.pot[o*l.b+s]
-	}
-	return dst
-}
-
-// BatchProbe observes the batch columns a stage emitted at time t.
-type BatchProbe func(t int, events *coding.BatchEvents)
-
-// BatchNetwork is the lockstep batch simulator built over an existing
-// Network: same weights and scatter tables, B-striped state.
-type BatchNetwork struct {
-	Encoder coding.BatchEncoder
-	Layers  []BatchLayer
-	Output  *BatchOutput
-
-	b       int
-	nActive int
-	laneIDs []int // slot -> caller's lane id (stable across compaction)
-
-	encOut   coding.BatchEvents
-	inCount  []int
-	hidCount []int
-	probes   map[int]BatchProbe
-}
-
-// MaxBatchLanes is the lane-capacity ceiling of a BatchNetwork: the
-// permuted-layout firing pass tracks fired lanes in a uint64 bitmask per
-// cell. Callers batching more requests than this run them in chunks (the
-// serving Batcher does).
+// MaxBatchLanes is the lane-capacity ceiling of a BatchNetwork32: the
+// firing pass tracks fired lanes in a uint64 bitmask per cell. Callers
+// batching more requests than this run them in chunks (the serving
+// Batcher does).
 const MaxBatchLanes = 64
-
-// NewBatchNetwork builds a B-lane batched simulator from net, sharing its
-// weights and precomputed tables. It fails if the encoder or a layer does
-// not support batching (all standard converter output does).
-func NewBatchNetwork(net *Network, b int) (*BatchNetwork, error) {
-	if b < 1 || b > MaxBatchLanes {
-		return nil, fmt.Errorf("snn: batch size must be in [1,%d], got %d", MaxBatchLanes, b)
-	}
-	enc, ok := net.Encoder.(coding.BatchableEncoder)
-	if !ok {
-		return nil, fmt.Errorf("snn: encoder %T does not support batching", net.Encoder)
-	}
-	bn := &BatchNetwork{
-		Encoder: enc.NewBatch(b),
-		Layers:  make([]BatchLayer, len(net.Layers)),
-		Output:  net.Output.NewBatch(b),
-		b:       b,
-		laneIDs: make([]int, b),
-		inCount: make([]int, b),
-
-		hidCount: make([]int, b),
-	}
-	for i, l := range net.Layers {
-		bl, ok := l.(BatchableLayer)
-		if !ok {
-			return nil, fmt.Errorf("snn: layer %d (%s) does not support batching", i, l.Name())
-		}
-		bn.Layers[i] = bl.NewBatch(b)
-	}
-	size := bn.Encoder.Size()
-	bn.encOut.Grow(size, size*b)
-	return bn, nil
-}
-
-// B returns the lane capacity.
-func (bn *BatchNetwork) B() int { return bn.b }
-
-// NumActive returns the number of live lanes.
-func (bn *BatchNetwork) NumActive() int { return bn.nActive }
-
-// LaneID returns the caller lane id occupying slot s (lane ids are the
-// positions in the Reset images slice and survive compaction).
-func (bn *BatchNetwork) LaneID(s int) int { return bn.laneIDs[s] }
-
-// CountsInputSpikes implements Lockstep.
-func (bn *BatchNetwork) CountsInputSpikes() bool { return bn.Encoder.CountsAsSpikes() }
-
-// Classes implements Lockstep.
-func (bn *BatchNetwork) Classes() int { return bn.Output.Classes() }
-
-// Predicted implements Lockstep.
-func (bn *BatchNetwork) Predicted(slot int) int { return bn.Output.Predicted(slot) }
-
-// PredictedAll implements Lockstep.
-func (bn *BatchNetwork) PredictedAll(dst []int) []int {
-	return bn.Output.PredictedAll(bn.nActive, dst)
-}
-
-// PotentialsInto implements Lockstep.
-func (bn *BatchNetwork) PotentialsInto(slot int, dst []float64) []float64 {
-	return bn.Output.PotentialsInto(slot, dst)
-}
-
-// Kernel implements Lockstep: the float64 scalar plane.
-func (bn *BatchNetwork) Kernel() string { return kernels.KindF64 }
-
-// AttachProbe registers a batch-column observer for a layer index; -1
-// observes the encoder (test hook, mirroring Network.AttachProbe).
-func (bn *BatchNetwork) AttachProbe(layer int, p BatchProbe) {
-	if layer < -1 || layer >= len(bn.Layers) {
-		panic(fmt.Sprintf("snn: batch probe index %d out of range", layer))
-	}
-	if bn.probes == nil {
-		bn.probes = map[int]BatchProbe{}
-	}
-	bn.probes[layer] = p
-}
-
-// Reset loads a new batch of images into lanes 0..len(images)-1 and
-// clears all neuron state. len(images) must be in [1, B].
-func (bn *BatchNetwork) Reset(images [][]float64) {
-	if len(images) == 0 || len(images) > bn.b {
-		panic(fmt.Sprintf("snn: batch of %d images exceeds [1,%d]", len(images), bn.b))
-	}
-	bn.nActive = len(images)
-	for s, img := range images {
-		bn.Encoder.SetLane(s, img)
-		bn.laneIDs[s] = s
-	}
-	for _, l := range bn.Layers {
-		l.Reset()
-	}
-	bn.Output.Reset()
-}
-
-// Retire removes slot s from the batch: the last active slot's state is
-// copied over it (physical compaction) and the active count shrinks. The
-// remaining lanes are unaffected — their state is disjoint and the slot
-// move is a pure relabeling.
-func (bn *BatchNetwork) Retire(s int) {
-	if s < 0 || s >= bn.nActive {
-		panic(fmt.Sprintf("snn: retire slot %d out of active range [0,%d)", s, bn.nActive))
-	}
-	last := bn.nActive - 1
-	if s != last {
-		bn.Encoder.Retire(s, last)
-		for _, l := range bn.Layers {
-			l.Retire(s, last)
-		}
-		bn.Output.Retire(s, last)
-		bn.laneIDs[s] = bn.laneIDs[last]
-	}
-	bn.nActive--
-}
 
 // BatchStepStats reports one lockstep step; the slices are indexed by
 // slot, valid until the next Step, and must not be mutated.
@@ -1071,38 +32,4 @@ type BatchStepStats struct {
 	// InputEvents and HiddenSpikes count the step's events per slot.
 	InputEvents  []int
 	HiddenSpikes []int
-}
-
-func countLanes(counts []int, ev *coding.BatchEvents) {
-	for _, lane := range ev.Lane {
-		counts[lane]++
-	}
-}
-
-// Step advances every active lane by one time step.
-func (bn *BatchNetwork) Step(t int) BatchStepStats {
-	lanes := bn.nActive
-	bn.Encoder.Step(t, lanes, &bn.encOut)
-	if p := bn.probes[-1]; p != nil {
-		p(t, &bn.encOut)
-	}
-	biasScale := bn.Encoder.BiasScale(t)
-	for s := 0; s < lanes; s++ {
-		bn.inCount[s] = 0
-		bn.hidCount[s] = 0
-	}
-	countLanes(bn.inCount, &bn.encOut)
-	ev := &bn.encOut
-	for li, l := range bn.Layers {
-		ev = l.Step(t, biasScale, lanes, ev)
-		if p := bn.probes[li]; p != nil {
-			p(t, ev)
-		}
-		countLanes(bn.hidCount, ev)
-	}
-	bn.Output.Step(biasScale, lanes, ev)
-	return BatchStepStats{
-		InputEvents:  bn.inCount[:lanes],
-		HiddenSpikes: bn.hidCount[:lanes],
-	}
 }

@@ -8,13 +8,8 @@ import (
 	"burstsnn/internal/kernels"
 )
 
-// The float32 compute plane: BatchNetwork32 is the lockstep batch
-// simulator re-based on float32 state and the internal/kernels block
-// primitives. Layout and ordering invariants are exactly the float64
-// plane's (B-striped lane-major state, base-major conv storage, ascending
-// column emission, physical lane retirement) — only the element type and
-// the inner loops change, so the structure of this file deliberately
-// mirrors batch.go.
+// BatchNetwork32 is the lockstep batch simulator (overview in batch.go):
+// float32 state over the internal/kernels block primitives.
 //
 // Numerics contract (see internal/README.md "The float32 compute
 // plane"): weights and biases are rounded to float32 once at conversion
@@ -30,13 +25,21 @@ import (
 // present, and every specialization computes the same rounded float32
 // operations per lane.
 
-// BatchLayer32 is one spiking stage of a float32 batched network,
-// mirroring BatchLayer over float32 columns.
+// BatchLayer32 is one spiking stage of a batched network. Slots
+// [0, lanes) are active; the returned stream is owned by the layer and
+// reused across calls.
 type BatchLayer32 interface {
+	// Name identifies the layer kind.
 	Name() string
+	// NumNeurons returns the per-lane population size (0 for stateless
+	// gates), matching the sequential layer.
 	NumNeurons() int
+	// Step consumes the batch's presynaptic columns of time t and returns
+	// the layer's own columns.
 	Step(t int, biasScale float64, lanes int, in *coding.BatchEvents32) *coding.BatchEvents32
+	// Reset clears the neuron state of every lane.
 	Reset()
+	// Retire copies slot src's state over slot dst (lane compaction).
 	Retire(dst, src int)
 }
 
@@ -49,12 +52,23 @@ type BatchableLayer32 interface {
 	NewBatch32(b int) BatchLayer32
 }
 
-// batchPopulation32 is the float32 counterpart of batchPopulation: the
-// B-striped integrate-and-fire state with the same fused
-// bias→leak→burst→threshold pass, its leak-free paths delegated to the
-// fused kernels.FireRow* primitives. The previous-step fired flags are
-// stored as full mask words (zero / all-ones) — the blend representation
-// the packed burst kernel consumes.
+// batchPopulation32 is the B-striped integrate-and-fire state of one
+// batched layer: the lane-major counterpart of population (neuron i's
+// lane s lives at state[i*b+s], so a neuron's lanes are one contiguous
+// stripe), with the same fused bias→leak→burst→threshold pass per
+// (neuron, lane), its leak-free paths delegated to the fused
+// kernels.FireRow* primitives. Per-lane state is disjoint, so a lane's
+// trajectory never depends on which other lanes are present. The
+// previous-step fired flags are stored as full mask words (zero /
+// all-ones) — the blend representation the packed burst kernel consumes.
+//
+// A layer may install a storage permutation (perm) mapping neuron order
+// to cell order — BatchConv32 stores its population base-major so that
+// one scatter tap's destinations are a single contiguous OutC×B block.
+// The firing pass then sweeps the state arrays in storage order
+// (contiguous) recording each cell's fired lanes in mask, and a
+// neuron-order emission pass gathers only the spiking cells, so the
+// emitted columns stay in ascending neuron order regardless of layout.
 type batchPopulation32 struct {
 	cfg   coding.Config
 	b     int
@@ -115,8 +129,8 @@ func (p *batchPopulation32) retire(dst, src int) {
 
 // fire runs the threshold test for every (neuron, active lane) pair at
 // time t. The leak-free non-burst sweeps are the kernels' fused
-// compare+subtract+bitmask rows; burst and leaky paths mirror the float64
-// plane's loops in float32 arithmetic.
+// compare+subtract+bitmask rows and the leak-free burst sweep is
+// kernels.FireRowsBurst; the leaky paths are scalar float32 loops.
 func (p *batchPopulation32) fire(t, lanes int, bias []float32, biasScale float64, out *coding.BatchEvents32) {
 	out.Reset()
 	if p.perm == nil {
@@ -313,13 +327,16 @@ func (p *batchPopulation32) fireMasked(t, lanes int, biasScale float64, out *cod
 	}
 }
 
-// emitMasked drains mask/pay into neuron-ordered columns. The emission
-// order is a permutation of storage order, so the per-neuron mask read
-// is a random access over the whole mask array; the occ summary (one
-// bit per cell, L1-resident) answers "did this cell fire at all" first,
-// and the mask word is only touched for cells that did. Retired lanes'
-// bits (the fused burst kernel records full-stripe masks) are stripped
-// by keepBits.
+// emitMasked drains mask/pay into columns in ascending neuron order — the
+// order every sequential layer emits in (SpikingMaxPool emits in
+// ascending window order for exactly this reason) — so each lane's
+// contributions reach the next layer in the sequential order (see
+// coding.BatchEvents32). The emission order is a permutation of storage
+// order, so the per-neuron mask read is a random access over the whole
+// mask array; the occ summary (one bit per cell, L1-resident) answers
+// "did this cell fire at all" first, and the mask word is only touched
+// for cells that did. Retired lanes' bits (the fused burst kernel records
+// full-stripe masks) are stripped by keepBits.
 func (p *batchPopulation32) emitMasked(lanes int, out *coding.BatchEvents32) {
 	b := p.b
 	mask := p.mask
@@ -374,8 +391,8 @@ func densify(pv []float32, colLanes []int32, pays []float32) {
 }
 
 // scatterRowColumn32 applies one float32 weight row to one event column
-// of a lane-striped accumulator laid out dst[o*b+lane] — the float32 twin
-// of scatterRowColumn. A full uniform column is a single AxpyBlock; any
+// of a lane-striped accumulator laid out dst[o*b+lane] (the dense and
+// readout layers' layout). A full uniform column is a single AxpyBlock; any
 // other multi-lane column is densified into the pv scratch (len ≥ lanes)
 // and runs as one AxpyBlockVec, so even per-lane burst payloads scatter
 // as packed stripes. A spiking lane receives the same rounded
@@ -436,10 +453,17 @@ func (l *BatchDense32) Step(t int, biasScale float64, lanes int, in *coding.Batc
 	return &l.out
 }
 
-// BatchConv32 is the float32 B-lane variant of SpikingConv: base-major
-// population storage (one scatter tap = one contiguous OutC×B float32
-// block, fed straight to kernels.AxpyBlock) over the shared scatter table
-// and WScatter32 kernel copy.
+// BatchConv32 is the float32 B-lane variant of SpikingConv, sharing its
+// scatter table and WScatter32 kernel copy.
+//
+// Unlike the sequential layer (CHW membrane order, so one tap's OutC
+// destinations are OutH·OutW apart), the batched population is stored
+// base-major: neuron (oc, base) lives at cell base·OutC+oc. One scatter
+// tap's destinations are then a single contiguous OutC×B float32 block
+// that zips with the contiguous weight row, fed straight to the kernels.
+// The population's perm table maps neuron order back onto this layout
+// for the firing pass, so emitted columns remain in ascending (CHW)
+// neuron order.
 type BatchConv32 struct {
 	src *SpikingConv
 	pop *batchPopulation32
@@ -553,7 +577,10 @@ func (l *BatchAvgPool32) Step(t int, _ float64, lanes int, in *coding.BatchEvent
 	return &l.out
 }
 
-// BatchMaxPool32 is the float32 B-lane variant of the max-pooling gate.
+// BatchMaxPool32 is the float32 B-lane variant of the max-pooling gate:
+// cumulative payloads and spike stamps are lane-striped, the window
+// geometry tables are shared, and the winner rule runs per (window,
+// lane).
 type BatchMaxPool32 struct {
 	src *SpikingMaxPool
 	b   int
@@ -606,8 +633,9 @@ func (l *BatchMaxPool32) Retire(dst, src int) {
 	}
 }
 
-// winnerLane applies the winner rule within one lane over float32
-// cumulative payloads.
+// winnerLane applies the sequential winner rule within one lane: the
+// lowest-indexed member at the lane's cumulative maximum that spiked this
+// step, or -1 when every maximal member is silent.
 func (l *BatchMaxPool32) winnerLane(members []int32, s int) int {
 	b := l.b
 	best := l.cum[int(members[0])*b+s]
@@ -624,7 +652,9 @@ func (l *BatchMaxPool32) winnerLane(members []int32, s int) int {
 	return -1
 }
 
-// Step implements BatchLayer32.
+// Step implements BatchLayer32: accumulate the batch's events, then emit
+// each touched window's per-lane winners in ascending window order —
+// matching the sequential gate's emission order lane by lane.
 func (l *BatchMaxPool32) Step(t int, _ float64, lanes int, in *coding.BatchEvents32) *coding.BatchEvents32 {
 	l.stamp++
 	l.touched = l.touched[:0]
@@ -693,7 +723,7 @@ func (l *BatchOutput32) Retire(dst, src int) {
 }
 
 // Step integrates the batch's columns plus the rate-matched bias current
-// in float32 (events then bias, like the float64 readout).
+// in float32 (events then bias, like the sequential readout).
 func (l *BatchOutput32) Step(biasScale float64, lanes int, in *coding.BatchEvents32) {
 	pot := l.pot
 	b := l.b
@@ -779,9 +809,9 @@ type BatchNetwork32 struct {
 }
 
 // NewBatchNetwork32 builds a float32 B-lane lockstep simulator from net,
-// sharing its float32 weight copies and precomputed tables. Like
-// NewBatchNetwork it fails if the encoder or a layer does not support
-// batching.
+// sharing its float32 weight copies and precomputed tables. It fails if
+// the encoder or a layer does not support batching (all standard
+// converter output does).
 func NewBatchNetwork32(net *Network, b int) (*BatchNetwork32, error) {
 	if b < 1 || b > MaxBatchLanes {
 		return nil, fmt.Errorf("snn: batch size must be in [1,%d], got %d", MaxBatchLanes, b)
@@ -817,29 +847,35 @@ func (bn *BatchNetwork32) B() int { return bn.b }
 // NumActive returns the number of live lanes.
 func (bn *BatchNetwork32) NumActive() int { return bn.nActive }
 
-// LaneID returns the caller lane id occupying slot s.
+// LaneID returns the caller lane id occupying slot s (lane ids are the
+// positions in the Reset images slice and survive compaction).
 func (bn *BatchNetwork32) LaneID(s int) int { return bn.laneIDs[s] }
 
-// CountsInputSpikes implements Lockstep.
+// CountsInputSpikes mirrors coding.InputEncoder.CountsAsSpikes.
 func (bn *BatchNetwork32) CountsInputSpikes() bool { return bn.Encoder.CountsAsSpikes() }
 
-// Classes implements Lockstep.
+// Classes returns the readout width.
 func (bn *BatchNetwork32) Classes() int { return bn.Output.Classes() }
 
-// Predicted implements Lockstep.
+// Predicted returns slot s's current readout argmax.
 func (bn *BatchNetwork32) Predicted(slot int) int { return bn.Output.Predicted(slot) }
 
-// PredictedAll implements Lockstep.
+// PredictedAll fills dst (len ≥ NumActive()) with every active slot's
+// readout argmax in one lane-major sweep and returns the filled prefix;
+// dst[s] == Predicted(s) for every slot. The batched form is what the
+// early-exit engine polls every step.
 func (bn *BatchNetwork32) PredictedAll(dst []int) []int {
 	return bn.Output.PredictedAll(bn.nActive, dst)
 }
 
-// PotentialsInto implements Lockstep.
+// PotentialsInto copies slot s's class scores into dst (len ≥
+// Classes()) and returns the filled prefix.
 func (bn *BatchNetwork32) PotentialsInto(slot int, dst []float64) []float64 {
 	return bn.Output.PotentialsInto(slot, dst)
 }
 
-// Kernel implements Lockstep: the linked-in float32 kernel variant.
+// Kernel names the kernel dispatch tier the simulator runs on, for
+// metrics and artifacts.
 func (bn *BatchNetwork32) Kernel() string { return kernels.Kind() }
 
 // AttachProbe registers a float32 batch-column observer for a layer
@@ -871,8 +907,12 @@ func (bn *BatchNetwork32) Reset(images [][]float64) {
 	bn.Output.Reset()
 }
 
-// Retire removes slot s from the batch by physical compaction, exactly
-// like BatchNetwork.Retire.
+// Retire removes slot s from the batch by physical compaction: the last
+// active slot's state is copied over it and the active count shrinks, so
+// the scatter and fire loops always run over the dense slot prefix
+// [0, nActive) and a batch never pays full-batch cost for its slowest
+// image. The remaining lanes are unaffected — their state is disjoint
+// and the slot move is a pure relabeling.
 func (bn *BatchNetwork32) Retire(s int) {
 	if s < 0 || s >= bn.nActive {
 		panic(fmt.Sprintf("snn: retire slot %d out of active range [0,%d)", s, bn.nActive))

@@ -26,7 +26,8 @@ const potTolerance = 1e-3
 // readout potentials within potTolerance of B independent float64
 // sequential runs. Payload values may differ only by float32 rounding.
 //
-// This is deliberately NOT the float64 plane's bit-identity test: the
+// This is deliberately NOT a bit-identity test (batch lanes are
+// bit-identical only to 1-lane runs: TestBatchMatchesSequential): the
 // contract is empirical over this fixed corpus (deterministic weights,
 // images, and steps), which is exactly the guarantee serving relies on —
 // see internal/README.md "The float32 compute plane".
@@ -153,9 +154,10 @@ func TestBatch32MatchesSequential(t *testing.T) {
 }
 
 // TestBatch32LaneRetirementFuzz drives the float32 plane's physical lane
-// compaction under random staggered retirements, mirroring the float64
-// fuzz: surviving lanes must keep identical spike counts and predictions
-// to their float64 sequential runs, and potentials within tolerance.
+// compaction under random staggered retirements (lanes drop out at
+// random steps, as early exits do): surviving lanes must keep identical
+// spike counts and predictions to their float64 sequential runs, and
+// potentials within tolerance.
 func TestBatch32LaneRetirementFuzz(t *testing.T) {
 	hybrids := []struct {
 		in, hid coding.Scheme

@@ -7,17 +7,16 @@ import (
 	"burstsnn/internal/mathx"
 )
 
-// laneEvents projects one lane out of a batch column stream into a
-// sequential event list.
-func laneEvents(ev *coding.BatchEvents, lane int32) []coding.Event {
-	return ev.AppendLane(lane, nil)
-}
-
-// TestBatchMatchesSequential is the tentpole safety net of the batched
-// lockstep simulator: for every input-hidden hybrid and B ∈ {1, 3, 8},
-// a batch of B distinct images must produce — per lane — bit-identical
-// per-layer spike trains, per-step predictions, per-lane spike counts,
-// and readout potentials to B independent sequential fast-path runs.
+// TestBatchMatchesSequential pins what batching may never change: for
+// every input-hidden hybrid and B ∈ {1, 3, 8}, each lane of a batch of B
+// distinct images must produce bit-identical per-layer spike trains
+// (payloads included), per-step predictions, spike counts, and float32
+// readout potentials to the same image presented alone, one image at a
+// time, on a 1-lane simulator. A lane's trajectory depends only on its
+// own image — never on its batchmates or the column shapes they induce —
+// which is what lets serving cache, dedupe and compare lockstep outcomes
+// byte for byte. (Agreement with the float64 sequential Network is the
+// tolerance contract in TestBatch32MatchesSequential.)
 func TestBatchMatchesSequential(t *testing.T) {
 	inputs := []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS}
 	leaky := func(s coding.Scheme) coding.Config {
@@ -44,41 +43,42 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Run(name+"/B="+string(rune('0'+B)), func(t *testing.T) {
 					inCfg := coding.DefaultConfig(in)
 					proto := buildEquivNetwork(t, inCfg, hid.cfg, 0xBA7C0+uint64(in)*64+uint64(hi)*8+uint64(B))
-					batch, err := NewBatchNetwork(proto, B)
+					batch, err := NewBatchNetwork32(proto, B)
 					if err != nil {
-						t.Fatalf("NewBatchNetwork: %v", err)
+						t.Fatalf("NewBatchNetwork32: %v", err)
 					}
 
-					// One independent sequential replica per lane, with
+					// One independent 1-lane simulator per lane, with
 					// distinct images.
 					nL := len(proto.Layers)
-					seqs := make([]*Network, B)
+					solos := make([]*BatchNetwork32, B)
 					images := make([][]float64, B)
-					seqEv := make([][][]coding.Event, B) // [lane][layer+1]
+					soloEv := make([][]*coding.BatchEvents32, B) // [lane][layer+1]
 					for lane := 0; lane < B; lane++ {
-						seqs[lane], err = proto.Clone()
+						solos[lane], err = NewBatchNetwork32(proto, 1)
 						if err != nil {
-							t.Fatalf("clone: %v", err)
+							t.Fatalf("NewBatchNetwork32(1): %v", err)
 						}
 						images[lane] = equivImage(0x1A9E+uint64(lane)*131, proto.Encoder.Size())
-						seqEv[lane] = make([][]coding.Event, nL+1)
+						soloEv[lane] = make([]*coding.BatchEvents32, nL+1)
 						for li := -1; li < nL; li++ {
 							lane, li := lane, li
-							seqs[lane].AttachProbe(li, func(_ int, events []coding.Event) {
-								seqEv[lane][li+1] = append(seqEv[lane][li+1][:0], events...)
+							solos[lane].AttachProbe(li, func(_ int, ev *coding.BatchEvents32) {
+								soloEv[lane][li+1] = ev
 							})
 						}
 					}
-					batchEv := make([]*coding.BatchEvents, nL+1)
+					batchEv := make([]*coding.BatchEvents32, nL+1)
 					for li := -1; li < nL; li++ {
 						li := li
-						batch.AttachProbe(li, func(_ int, ev *coding.BatchEvents) {
+						batch.AttachProbe(li, func(_ int, ev *coding.BatchEvents32) {
 							batchEv[li+1] = ev
 						})
 					}
 
 					// Two presentations, to prove batch Reset carries no
 					// state across batches.
+					pot, alone := make([]float64, 4), make([]float64, 4)
 					for img := 0; img < 2; img++ {
 						if img == 1 {
 							for lane := range images {
@@ -87,39 +87,40 @@ func TestBatchMatchesSequential(t *testing.T) {
 						}
 						batch.Reset(images)
 						for lane := 0; lane < B; lane++ {
-							seqs[lane].Reset(images[lane])
+							solos[lane].Reset(images[lane : lane+1])
 						}
 						for s := 0; s < steps; s++ {
 							st := batch.Step(s)
 							for lane := 0; lane < B; lane++ {
-								sst := seqs[lane].Step(s)
-								if st.InputEvents[lane] != sst.InputEvents || st.HiddenSpikes[lane] != sst.HiddenSpikes {
-									t.Fatalf("img %d step %d lane %d: counts batch %d/%d seq %d/%d",
+								sst := solos[lane].Step(s)
+								if st.InputEvents[lane] != sst.InputEvents[0] || st.HiddenSpikes[lane] != sst.HiddenSpikes[0] {
+									t.Fatalf("img %d step %d lane %d: counts batch %d/%d alone %d/%d",
 										img, s, lane, st.InputEvents[lane], st.HiddenSpikes[lane],
-										sst.InputEvents, sst.HiddenSpikes)
+										sst.InputEvents[0], sst.HiddenSpikes[0])
 								}
-								if p := batch.Output.Predicted(lane); p != sst.Predicted {
-									t.Fatalf("img %d step %d lane %d: predicted %d, seq %d", img, s, lane, p, sst.Predicted)
+								if p, w := batch.Predicted(lane), solos[lane].Predicted(0); p != w {
+									t.Fatalf("img %d step %d lane %d: predicted %d, alone %d", img, s, lane, p, w)
 								}
 								for li := 0; li <= nL; li++ {
-									got := laneEvents(batchEv[li], int32(lane))
-									want := seqEv[lane][li]
+									got := batchEv[li].AppendLane(int32(lane), nil)
+									want := soloEv[lane][li].AppendLane(0, nil)
 									if len(got) != len(want) {
 										t.Fatalf("img %d step %d lane %d layer %d: %d vs %d events",
 											img, s, lane, li-1, len(got), len(want))
 									}
 									for k := range want {
 										if got[k] != want[k] {
-											t.Fatalf("img %d step %d lane %d layer %d event %d: batch %+v seq %+v",
+											t.Fatalf("img %d step %d lane %d layer %d event %d: batch %+v alone %+v",
 												img, s, lane, li-1, k, got[k], want[k])
 										}
 									}
 								}
-								pot := batch.Output.PotentialsInto(lane, make([]float64, 4))
-								for o, v := range seqs[lane].Output.Potentials() {
-									if pot[o] != v {
-										t.Fatalf("img %d step %d lane %d: readout %d batch %v seq %v",
-											img, s, lane, o, pot[o], v)
+								pot = batch.PotentialsInto(lane, pot)
+								alone = solos[lane].PotentialsInto(0, alone)
+								for o := range alone {
+									if pot[o] != alone[o] {
+										t.Fatalf("img %d step %d lane %d: readout %d batch %v alone %v",
+											img, s, lane, o, pot[o], alone[o])
 									}
 								}
 							}
@@ -131,91 +132,17 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchLaneRetirementFuzz drives the physical lane compaction under
-// random staggered retirements: lanes drop out at random steps (as early
-// exits do) and every surviving lane must keep producing bit-identical
-// spike counts, predictions, and potentials to its sequential run. Runs
-// several rounds per hybrid to also cover batch reuse after Reset.
-func TestBatchLaneRetirementFuzz(t *testing.T) {
-	r := mathx.NewRNG(0x5AFE)
-	hybrids := []struct {
-		in, hid coding.Scheme
-	}{
-		{coding.Phase, coding.Burst},
-		{coding.Rate, coding.Rate},
-		{coding.Real, coding.Phase},
-		{coding.TTFS, coding.Burst},
-	}
-	const B, steps, rounds = 8, 24, 4
-	for _, h := range hybrids {
-		t.Run(h.in.String()+"-"+h.hid.String(), func(t *testing.T) {
-			proto := buildEquivNetwork(t, coding.DefaultConfig(h.in), coding.DefaultConfig(h.hid), 0xF022)
-			batch, err := NewBatchNetwork(proto, B)
-			if err != nil {
-				t.Fatalf("NewBatchNetwork: %v", err)
-			}
-			seqs := make([]*Network, B)
-			for lane := range seqs {
-				if seqs[lane], err = proto.Clone(); err != nil {
-					t.Fatalf("clone: %v", err)
-				}
-			}
-			scores := make([]float64, 4)
-			for round := 0; round < rounds; round++ {
-				n := 2 + r.Intn(B-1) // batch sizes 2..B
-				images := make([][]float64, n)
-				for lane := range images {
-					images[lane] = equivImage(uint64(round)*100+uint64(lane), proto.Encoder.Size())
-					seqs[lane].Reset(images[lane])
-				}
-				batch.Reset(images)
-				alive := make(map[int]bool, n)
-				for lane := 0; lane < n; lane++ {
-					alive[lane] = true
-				}
-				for s := 0; s < steps && batch.NumActive() > 0; s++ {
-					st := batch.Step(s)
-					for slot := 0; slot < batch.NumActive(); slot++ {
-						lane := batch.LaneID(slot)
-						sst := seqs[lane].Step(s)
-						if st.InputEvents[slot] != sst.InputEvents || st.HiddenSpikes[slot] != sst.HiddenSpikes {
-							t.Fatalf("round %d step %d lane %d (slot %d): counts batch %d/%d seq %d/%d",
-								round, s, lane, slot, st.InputEvents[slot], st.HiddenSpikes[slot],
-								sst.InputEvents, sst.HiddenSpikes)
-						}
-						if p := batch.Output.Predicted(slot); p != sst.Predicted {
-							t.Fatalf("round %d step %d lane %d: predicted %d, seq %d", round, s, lane, p, sst.Predicted)
-						}
-						pot := batch.Output.PotentialsInto(slot, scores)
-						for o, v := range seqs[lane].Output.Potentials() {
-							if pot[o] != v {
-								t.Fatalf("round %d step %d lane %d: readout %d batch %v seq %v", round, s, lane, o, pot[o], v)
-							}
-						}
-					}
-					// Random staggered retirement, sometimes several per step.
-					for batch.NumActive() > 0 && r.Bernoulli(0.15) {
-						slot := r.Intn(batch.NumActive())
-						delete(alive, batch.LaneID(slot))
-						batch.Retire(slot)
-					}
-				}
-				if len(alive) != batch.NumActive() {
-					t.Fatalf("round %d: %d lanes alive, batch reports %d", round, len(alive), batch.NumActive())
-				}
-			}
-		})
-	}
-}
-
 // TestBatchNetworkRejectsUnbatchable pins the construction errors.
 func TestBatchNetworkRejectsUnbatchable(t *testing.T) {
 	proto := buildEquivNetwork(t, coding.DefaultConfig(coding.Phase), coding.DefaultConfig(coding.Burst), 7)
-	if _, err := NewBatchNetwork(proto, 0); err == nil {
+	if _, err := NewBatchNetwork32(proto, 0); err == nil {
 		t.Error("B=0 should fail")
 	}
+	if _, err := NewBatchNetwork32(proto, MaxBatchLanes+1); err == nil {
+		t.Errorf("B=%d should fail", MaxBatchLanes+1)
+	}
 	proto.Encoder = &coding.PoissonEncoder{SizeN: proto.Encoder.Size(), RNG: mathx.NewRNG(1)}
-	if _, err := NewBatchNetwork(proto, 4); err == nil {
+	if _, err := NewBatchNetwork32(proto, 4); err == nil {
 		t.Error("stream-stateful encoder should not be batchable")
 	}
 }
