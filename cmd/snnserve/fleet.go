@@ -280,7 +280,7 @@ func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep st
 		if !ok {
 			return fmt.Errorf("phase A: no gauges for owner shard %d", owner)
 		}
-		if g.CacheHits == 0 {
+		if g.ResponseCacheHits == 0 {
 			return fmt.Errorf("phase A: owner shard %d has zero cache hits for its hot image", owner)
 		}
 	}

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -579,11 +582,15 @@ func TestFleetAutoscale(t *testing.T) {
 
 // TestFleetMetricsMergeAndProm sends mixed traffic through a real
 // 2-shard fleet and checks the merged snapshot adds up (per-shard
-// requests sum to the fleet total; merged stage histograms carry every
-// observation) and the Prometheus exposition parses clean.
+// requests sum to the fleet total; merged histograms carry every
+// observation and fill every digest; each shard's gauges are its own)
+// and the Prometheus exposition parses clean with the families the page
+// has always had.
 func TestFleetMetricsMergeAndProm(t *testing.T) {
 	f, err := New(Config{Shards: 2, HealthInterval: -1},
-		inprocFactory(t, serve.Config{ResponseCacheSize: 64}))
+		// No response cache: the burst below must reach the batcher on an
+		// image's third sighting, where a cache would answer it.
+		inprocFactory(t, serve.Config{ResponseCacheSize: -1, LockstepBatch: serve.LockstepOn}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -592,12 +599,15 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 
 	_, set := testModel(t)
 	ctx := context.Background()
+	classify := func(i int) {
+		t.Helper()
+		if _, err := f.Classify(ctx, serve.ClassifyRequest{Model: "digits", Image: set.Test[i].Image}); err != nil {
+			t.Errorf("Classify(%d): %v", i, err)
+		}
+	}
 	const n = 16
 	for i := 0; i < n; i++ {
-		img := set.Test[i%len(set.Test)].Image
-		if _, err := f.Classify(ctx, serve.ClassifyRequest{Model: "digits", Image: img}); err != nil {
-			t.Fatalf("Classify(%d): %v", i, err)
-		}
+		classify(i)
 	}
 	snap := f.Snapshot()
 	ms, ok := snap.Models["digits"]
@@ -609,6 +619,7 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	}
 	var perShard int64
 	var waits serve.FormWaits
+	var windows [2]float64 // each shard's own live forming window, ms
 	for s := 0; s < 2; s++ {
 		st, err := f.Worker(s).Stats()
 		if err != nil {
@@ -618,6 +629,15 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		perShard += c.Requests
 		waits.Joined += c.FormWaits.Joined
 		waits.Fruitless += c.FormWaits.Fruitless
+		// Lone requests halve a shard's window from the 2 ms MaxDelay toward
+		// its floor, a sixteenth; the fleet must report each shard's own.
+		windows[s] = c.FormWindowMs
+		if c.FormWindowMs < 0.125 || c.FormWindowMs > 2 {
+			t.Errorf("shard %d forming window = %v ms, want within [0.125, 2]", s, c.FormWindowMs)
+		}
+		if got := ms.PerShard[strconv.Itoa(s)].FormWindowMs; got != c.FormWindowMs {
+			t.Errorf("perShard[%d].formWindowMs = %v, want the shard's own %v", s, got, c.FormWindowMs)
+		}
 	}
 	if perShard != n {
 		t.Errorf("per-shard requests sum = %d, want %d", perShard, n)
@@ -631,8 +651,8 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	if !ok {
 		t.Fatal("merged stages missing 'total'")
 	}
-	if total.Count == 0 {
-		t.Error("merged total stage carries no observations")
+	if total.Count != n || ms.Counters.P50Ms != total.P50 {
+		t.Errorf("merged total stage = %+v, summary p50 %v; want %d observations and the same estimate", total, ms.Counters.P50Ms, n)
 	}
 	if len(ms.PerShard) != 2 {
 		t.Errorf("per-shard gauges = %d entries, want 2", len(ms.PerShard))
@@ -642,33 +662,107 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	// fleet families present.
 	srv := httptest.NewServer(front.Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics/prom")
-	if err != nil {
-		t.Fatalf("GET /metrics/prom: %v", err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/metrics/prom")
+		if err != nil {
+			t.Fatalf("GET /metrics/prom: %v", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if samples, err := obs.ValidatePromText(bytes.NewReader(body)); err != nil || samples == 0 {
+			t.Fatalf("prom exposition: %d samples, err %v", samples, err)
+		}
+		return string(body)
 	}
-	defer resp.Body.Close()
-	var buf strings.Builder
-	tee := io.TeeReader(resp.Body, &buf)
-	samples, err := obs.ValidatePromText(tee)
-	if err != nil {
-		t.Fatalf("prom exposition invalid: %v", err)
-	}
-	if samples == 0 {
-		t.Fatal("prom exposition empty")
-	}
-	text := buf.String()
-	for _, family := range []string{
+	text := scrape()
+	for _, want := range []string{
 		"burstsnn_fleet_shards",
 		"burstsnn_fleet_dispatched_total",
-		"burstsnn_fleet_requests_total",
-		"burstsnn_fleet_stage_duration_seconds",
+		`burstsnn_fleet_requests_total{model="digits"} 16`,
+		`burstsnn_fleet_errors_total{model="digits",kind="shed"} 0`,
+		`burstsnn_fleet_stage_duration_seconds_count{model="digits",stage="total"} 16`,
 		`burstsnn_fleet_form_waits_total{model="digits",outcome="fruitless"}`,
-		`burstsnn_fleet_form_window_seconds{model="digits",shard="0"}`,
-		`shard="0"`,
-		`shard="1"`,
+		`burstsnn_fleet_form_window_seconds{model="digits",shard="0"} ` + strconv.FormatFloat(windows[0]/1e3, 'g', -1, 64) + "\n",
+		`burstsnn_fleet_form_window_seconds{model="digits",shard="1"} ` + strconv.FormatFloat(windows[1]/1e3, 'g', -1, 64) + "\n",
+		`burstsnn_fleet_retry_after_seconds{model="digits",shard="1"}`,
+		`burstsnn_fleet_batch_kernel_info{model="digits",kernel="`,
 	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("prom exposition missing %q", family)
+		if !strings.Contains(text, want) {
+			t.Errorf("prom exposition missing %q", want)
+		}
+	}
+
+	// Every family the page had before the metric table drove it must
+	// still be there with its type and labels (testdata/… lists them, with
+	// the two deliberate edits), and every per-model family of a single
+	// server must be there under the fleet prefix.
+	have := map[string]bool{}
+	for _, fam := range obs.PromFamilies(text) {
+		have[fam] = true
+	}
+	requireFamilies := func(path string, rewrite func(string) string) {
+		t.Helper()
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+			if line = rewrite(line); line != "" && !strings.HasPrefix(line, "#") && !have[line] {
+				t.Errorf("fleet page lacks family %q (from %s)", line, path)
+			}
+		}
+	}
+	requireFamilies("testdata/prom_families.golden", func(l string) string { return l })
+	requireFamilies("../serve/testdata/prom_families.golden", func(l string) string {
+		name, rest, _ := strings.Cut(l, " ")
+		if !strings.Contains(rest, "model") {
+			return "" // server-wide families, and sched_decisions before any decision
+		}
+		if strings.HasPrefix(rest, "gauge model") && !strings.Contains(name, "_info") {
+			rest = strings.Replace(rest, "gauge model", "gauge model,shard", 1)
+		}
+		return strings.Replace(name, "burstsnn_", "burstsnn_fleet_", 1) + " " + rest
+	})
+
+	// A burst of repeated images gives the shards lockstep batches and
+	// scored exit predictions; the fleet's digests of both must fill from
+	// the merged buckets. Each round first shows eight fresh images twice,
+	// one at a time (the exit history stores an entry on the second
+	// sighting), then all eight at once.
+	for round := 0; round < 4; round++ {
+		first := n + 8*round
+		for i := first; i < first+16; i++ {
+			classify(first + i%8)
+		}
+		var wg sync.WaitGroup
+		for i := first; i < first+8; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); classify(i) }()
+		}
+		wg.Wait()
+		if c := f.Snapshot().Models["digits"].Counters; c.Occupancy.Count > 0 && c.ExitPredictionError.Count > 0 {
+			break
+		}
+	}
+	ms = f.Snapshot().Models["digits"]
+	if occ := ms.Counters.Occupancy; occ.Count == 0 || occ.Count != uint64(ms.Counters.Batches) || occ.Mean < 2 || ms.Occupancy != occ {
+		t.Errorf("merged batchOccupancy = %+v (batches %d, top-level %+v), want every lockstep batch digested", occ, ms.Counters.Batches, ms.Occupancy)
+	}
+	if pe := ms.Counters.ExitPredictionError; pe.Count == 0 {
+		t.Errorf("merged exitPredictionError = %+v, want the shards' scored predictions", pe)
+	}
+	text = scrape()
+	for _, want := range []string{
+		`burstsnn_fleet_batch_occupancy_count{model="digits"} ` + strconv.FormatUint(ms.Counters.Occupancy.Count, 10),
+		`burstsnn_fleet_exit_prediction_error_steps_count{model="digits"} ` + strconv.FormatUint(ms.Counters.ExitPredictionError.Count, 10),
+		`burstsnn_fleet_sched_decisions_total{model="digits",reason="static-min"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("prom exposition after the burst missing %q", want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func NewHistogram(bounds []float64) *Histogram {
 // durationBounds spans 1µs..~67s at two buckets per octave (√2 growth,
 // ±41% worst-case bucket resolution): 53 bounds + overflow. Shared by
 // every duration histogram so stage histograms merge across models and
-// stripes.
+// shards.
 var durationBounds = func() []float64 {
 	b := make([]float64, 53)
 	for i := range b {
@@ -116,12 +116,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Mean returns Sum/Count (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if n := h.count.Load(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
+func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
 
 // Merge adds o's buckets into h. The histograms must share a bucket
 // layout (identical bounds — trivially true for histograms built from
@@ -151,47 +146,9 @@ func (h *Histogram) Merge(o *Histogram) error {
 	}
 }
 
-// Quantile estimates the p-th percentile (p in [0,100]) by nearest rank
-// over the buckets with linear interpolation inside the located bucket.
-// The estimate lands inside the bucket holding the exact nearest-rank
-// value, so its error is bounded by that bucket's width. Returns 0 when
-// empty; the overflow bucket reports the highest finite bound.
-func (h *Histogram) Quantile(p float64) float64 {
-	// Total from the buckets themselves, so rank and cumulative counts
-	// are consistent even while concurrent Observes run.
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p / 100 * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.bounds) { // overflow bucket: no finite upper bound
-			return h.bounds[len(h.bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		frac := (float64(rank-cum) - 0.5) / float64(c)
-		return lower + frac*(h.bounds[i]-lower)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
+// Quantile is Snapshot().Quantile(p): the one estimator, over a copy of
+// the buckets taken while concurrent Observes run.
+func (h *Histogram) Quantile(p float64) float64 { return h.Snapshot().Quantile(p) }
 
 // HistSnapshot is a point-in-time bucket view for exposition: per-bucket
 // (non-cumulative) counts aligned with Bounds, plus the implicit +Inf
@@ -243,10 +200,15 @@ func (s HistSnapshot) Mean() float64 {
 	return 0
 }
 
-// Quantile estimates the p-th percentile over the snapshot's buckets
-// with Histogram.Quantile's exact method (nearest rank, linear
-// interpolation inside the located bucket), so merged per-shard
-// snapshots report the same estimates a single merged Histogram would.
+// Quantile estimates the p-th percentile (p in [0,100]) by nearest rank
+// over the buckets with linear interpolation inside the located bucket.
+// The estimate lands inside the bucket holding the exact nearest-rank
+// value, so its error is bounded by that bucket's width, and merged
+// per-shard snapshots report what one histogram fed every observation
+// would. The total is taken from the buckets themselves, so rank and
+// cumulative counts agree even for a snapshot cut during Observes.
+// Returns 0 when empty; the overflow bucket reports the highest finite
+// bound.
 func (s HistSnapshot) Quantile(p float64) float64 {
 	var total uint64
 	for _, c := range s.Counts {

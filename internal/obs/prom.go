@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -205,19 +207,63 @@ func validateSample(text string, typed map[string]string) error {
 			return fmt.Errorf("sample %q: bad timestamp %q", text, fields[1])
 		}
 	}
-	family := name
-	for _, suffix := range []string{"_bucket", "_sum", "_count", "_total"} {
-		if base := strings.TrimSuffix(name, suffix); base != name {
-			if _, ok := typed[base]; ok {
-				family = base
-				break
-			}
-		}
-	}
-	if _, ok := typed[family]; !ok {
+	if _, ok := typed[familyOf(name, typed)]; !ok {
 		return fmt.Errorf("sample %q has no preceding # TYPE", text)
 	}
 	return nil
+}
+
+// familyOf maps a sample name to its typed family: itself, or the base
+// of a _bucket/_sum/_count/_total series when only the base has a # TYPE.
+func familyOf[T any](name string, typed map[string]T) string {
+	for _, suffix := range []string{"_bucket", "_sum", "_count", "_total"} {
+		if base := strings.TrimSuffix(name, suffix); base != name {
+			if _, ok := typed[base]; ok {
+				return base
+			}
+		}
+	}
+	return name
+}
+
+var sampleLabelName = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\.)*"`)
+
+// PromFamilies reduces an exposition that passes ValidatePromText to the
+// shape dashboards depend on: one "name type label,names" line per
+// family in page order (label names in first-seen order, le left out).
+// The golden tests of both pages compare it.
+func PromFamilies(text string) []string {
+	type family struct {
+		head   string
+		labels []string
+	}
+	var order []*family
+	typed := map[string]*family{}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			typed[f[2]] = &family{head: f[2] + " " + f[3]}
+			order = append(order, typed[f[2]])
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		fam := typed[familyOf(line[:strings.IndexAny(line, "{ ")], typed)]
+		open, end := strings.IndexByte(line, '{'), strings.LastIndexByte(line, '}')
+		if fam == nil || open < 0 {
+			continue
+		}
+		for _, m := range sampleLabelName.FindAllStringSubmatch(line[open:end+1], -1) {
+			if m[1] != "le" && !slices.Contains(fam.labels, m[1]) {
+				fam.labels = append(fam.labels, m[1])
+			}
+		}
+	}
+	out := make([]string, len(order))
+	for i, f := range order {
+		out[i] = strings.TrimSpace(f.head + " " + strings.Join(f.labels, ","))
+	}
+	return out
 }
 
 // validateLabels parses a {name="value",...} block starting at s[0]=='{'

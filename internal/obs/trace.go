@@ -69,9 +69,9 @@ func (t *Trace) SetTimes(st StageTimes, total time.Duration) {
 	t.Lanes = st.Lanes
 }
 
-// ringStripes shards Add the way serve.Metrics stripes Observe: requests
-// land round-robin on independently locked stripes so concurrent adds
-// almost never contend. Must be a power of two.
+// ringStripes shards Add: requests land round-robin on independently
+// locked stripes so concurrent adds almost never contend. Must be a power
+// of two.
 const ringStripes = 8
 
 type ringStripe struct {

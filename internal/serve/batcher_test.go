@@ -203,12 +203,14 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
+	var sorted []float64
 	for i := 1; i <= 100; i++ {
 		m.Observe(Outcome{
 			Prediction: 1, Steps: 10, HiddenSpikes: 50, EarlyExit: i%2 == 0,
 		}, time.Duration(i)*time.Millisecond)
+		sorted = append(sorted, float64(i))
 	}
-	m.ObserveError()
+	m.ObserveSimError()
 	s := m.Snapshot()
 	if s.Requests != 100 || s.Errors != 1 {
 		t.Errorf("requests/errors = %d/%d", s.Requests, s.Errors)
@@ -219,11 +221,13 @@ func TestMetricsSnapshot(t *testing.T) {
 	if s.EarlyExitRate != 0.5 {
 		t.Errorf("early-exit rate = %v, want 0.5", s.EarlyExitRate)
 	}
-	if math.Abs(s.P50Ms-50) > 1 || math.Abs(s.P99Ms-99) > 1 {
-		t.Errorf("p50/p99 = %v/%v, want ≈50/99", s.P50Ms, s.P99Ms)
+	// The percentiles are the total stage's estimates: each inside the √2
+	// bucket holding the exact nearest-rank sample.
+	for _, c := range []struct{ p, got float64 }{{50, s.P50Ms}, {90, s.P90Ms}, {99, s.P99Ms}} {
+		assertInBucketOf(t, c.p, c.got, Percentile(sorted, c.p))
 	}
-	if s.P50Ms > s.P90Ms || s.P90Ms > s.P99Ms {
-		t.Errorf("percentiles not monotone: %v/%v/%v", s.P50Ms, s.P90Ms, s.P99Ms)
+	if total := s.Stages["total"]; total.Count != 100 || math.Abs(total.Mean-50.5) > 1e-9 || total.P50 != s.P50Ms {
+		t.Errorf("total stage = %+v, want 100 observations, mean 50.5 ms, p50 %v", total, s.P50Ms)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,44 +10,23 @@ import (
 	"burstsnn/internal/obs"
 )
 
-// metricsWindow bounds the latency reservoir: percentiles are computed
-// over (approximately) the most recent metricsWindow requests, split
-// evenly across the stripes.
-const metricsWindow = 4096
-
-// metricsStripes is the default Observe shard count. Observes are spread
-// round-robin over independently locked stripes, so concurrent requests
-// almost never contend on the same mutex; Snapshot merges the stripes
-// outside any lock. Must be a power of two (the stripe pick is a mask).
-const metricsStripes = 8
-
-// metricsStripe is one locked shard of the accumulator. The trailing pad
-// keeps hot stripes on separate cache lines so round-robin Observes don't
-// false-share.
-type metricsStripe struct {
-	mu         sync.Mutex
-	requests   int64
-	earlyExits int64
-	stepsSum   int64
-	spikesSum  int64
-	latencies  []float64 // ring buffer, milliseconds
-	next       int
-	_          [56]byte // rounds the struct to 128 bytes (2 cache lines)
-}
-
 // Metrics accumulates serving statistics for one model (or globally).
 // All methods are safe for concurrent use.
 type Metrics struct {
-	stripes []metricsStripe
-	tick    atomic.Uint64
-	window  int // per-stripe reservoir bound
+	// Served-request sums. Observe adds requests first and Snapshot reads
+	// it last, so a concurrent scrape never sees more early exits than
+	// requests.
+	requests   atomic.Int64
+	earlyExits atomic.Int64
+	stepsSum   atomic.Int64
+	spikesSum  atomic.Int64
 
 	// stage are the fixed-bucket log-scale duration histograms, one per
-	// obs.Stage (queue, form, encode, simulate, readout, total). Unlike
-	// the reservoir percentiles above — which forget everything past the
-	// window — histogram tails compose over the model's whole lifetime,
-	// merge across models, and scrape as plain counters (Prometheus
-	// exposition reads them directly).
+	// obs.Stage (queue, form, encode, simulate, readout, total): the one
+	// latency summary. Their tails compose over the model's whole
+	// lifetime, merge across models and shards, and scrape as plain
+	// counters (Prometheus exposition reads them directly); the snapshot's
+	// P50Ms/P90Ms/P99Ms are the total stage's estimates.
 	stage [obs.NumStages]*obs.Histogram
 	// occupancy histograms executed lockstep batches by lane count, so
 	// the batcher's occupancy signal is a distribution, not just the
@@ -124,30 +102,17 @@ type Metrics struct {
 	quant atomic.Pointer[coding.QuantCache]
 }
 
-// NewMetrics returns an empty accumulator with the default stripe count.
-func NewMetrics() *Metrics { return newMetricsStriped(metricsStripes) }
-
-// newMetricsStriped builds an accumulator with n stripes (a power of
-// two). Exposed internally so the contention benchmark can compare a
-// single-stripe reservoir against the striped default.
-func newMetricsStriped(n int) *Metrics {
-	w := metricsWindow / n
-	if w < 1 {
-		w = 1
+// NewMetrics returns an empty accumulator.
+func NewMetrics() *Metrics {
+	m := &Metrics{
+		occupancy:    obs.NewOccupancyHistogram(),
+		exitPredErr:  obs.NewStepErrorHistogram(),
+		schedReasons: map[string]int64{},
 	}
-	m := &Metrics{stripes: make([]metricsStripe, n), window: w}
 	for s := range m.stage {
 		m.stage[s] = obs.NewDurationHistogram()
 	}
-	m.occupancy = obs.NewOccupancyHistogram()
-	m.exitPredErr = obs.NewStepErrorHistogram()
-	m.schedReasons = map[string]int64{}
 	return m
-}
-
-// stripe picks the next shard round-robin.
-func (m *Metrics) stripe() *metricsStripe {
-	return &m.stripes[m.tick.Add(1)&uint64(len(m.stripes)-1)]
 }
 
 // ObserveAdmissionError records a request refused or timed out before it
@@ -175,55 +140,30 @@ func (m *Metrics) ObserveEviction() { m.evictions.Add(1) }
 // demand.
 func (m *Metrics) ObserveWarm() { m.warms.Add(1) }
 
-// ObserveError records a failed request of unspecified origin; it counts
-// as a simulation-side error. Prefer the split observers.
-func (m *Metrics) ObserveError() { m.ObserveSimError() }
-
-// Observe records one served classification.
+// Observe records one served classification and its end-to-end span.
+// Lock-free and allocation-free: four counter adds and one histogram
+// observation.
 func (m *Metrics) Observe(o Outcome, latency time.Duration) {
-	s := m.stripe()
-	s.mu.Lock()
-	s.requests++
+	m.requests.Add(1)
 	if o.EarlyExit {
-		s.earlyExits++
+		m.earlyExits.Add(1)
 	}
-	s.stepsSum += int64(o.Steps)
-	s.spikesSum += int64(o.TotalSpikes())
-	ms := float64(latency) / float64(time.Millisecond)
-	if len(s.latencies) < m.window {
-		s.latencies = append(s.latencies, ms)
-	} else {
-		s.latencies[s.next] = ms
-		s.next = (s.next + 1) % m.window
-	}
-	s.mu.Unlock()
+	m.stepsSum.Add(int64(o.Steps))
+	m.spikesSum.Add(int64(o.TotalSpikes()))
+	m.stage[obs.StageTotal].ObserveDuration(latency)
 }
 
-// ObserveStages records one request's stage breakdown into the per-stage
-// histograms. Allocation-free and lock-free (a handful of atomic adds);
-// BenchmarkObserveStages pins the cost.
-func (m *Metrics) ObserveStages(st obs.StageTimes, total time.Duration) {
+// ObserveStages records the pipeline spans of a request that executed.
+// Requests that never entered the pipeline (response-cache hits) skip it,
+// so the per-stage histograms stay pure measurements of executed work.
+// Allocation-free and lock-free; BenchmarkObserveStages pins the cost.
+func (m *Metrics) ObserveStages(st obs.StageTimes) {
 	m.stage[obs.StageQueue].ObserveDuration(st.Queue)
 	m.stage[obs.StageForm].ObserveDuration(st.Form)
 	m.stage[obs.StageEncode].ObserveDuration(st.Encode)
 	m.stage[obs.StageSimulate].ObserveDuration(st.Simulate)
 	m.stage[obs.StageReadout].ObserveDuration(st.Readout)
-	m.stage[obs.StageTotal].ObserveDuration(total)
 }
-
-// ObserveTotalOnly records just the end-to-end span, for requests that
-// never entered the pipeline (response-cache hits): the per-stage
-// histograms stay pure measurements of executed work.
-func (m *Metrics) ObserveTotalOnly(total time.Duration) {
-	m.stage[obs.StageTotal].ObserveDuration(total)
-}
-
-// StageHistogram returns the model's histogram for one stage (Prometheus
-// exposition reads the buckets directly).
-func (m *Metrics) StageHistogram(s obs.Stage) *obs.Histogram { return m.stage[s] }
-
-// OccupancyHistogram returns the batch lane-occupancy histogram.
-func (m *Metrics) OccupancyHistogram() *obs.Histogram { return m.occupancy }
 
 // ObserveBatch records one executed microbatch: how many lanes it
 // carried and how many lockstep steps per-lane early-exit retirement
@@ -277,10 +217,6 @@ func (m *Metrics) ObserveExitPrediction(predicted, actual int) {
 	m.exitPredErr.Observe(float64(err))
 }
 
-// ExitPredictionHistogram returns the predicted-vs-actual exit-step
-// error histogram (Prometheus exposition reads the buckets directly).
-func (m *Metrics) ExitPredictionHistogram() *obs.Histogram { return m.exitPredErr }
-
 // SetScheduler records the steering policy name for the snapshot
 // (idempotent; survives model re-registration like the kernel variant).
 func (m *Metrics) SetScheduler(name string) { m.scheduler.Store(&name) }
@@ -324,11 +260,13 @@ func (m *Metrics) AttachQuantCache(c *coding.QuantCache) { m.quant.Store(c) }
 func (m *Metrics) AttachResponseCache(c *ResponseCache) { m.respCache.Store(c) }
 
 // StageStats is the JSON summary of one histogram: observation count
-// plus histogram-estimated mean and percentiles — in milliseconds for
-// the stage map, in lanes for the occupancy distribution. The estimates
-// interpolate inside √2-wide log buckets, so they carry bucket-resolution
-// error — unlike the reservoir percentiles (P50Ms…) they never forget
-// old tails and they merge across scrapes.
+// plus mean and percentile estimates over the model's lifetime — in
+// milliseconds for the stage map, in lanes for the occupancy
+// distribution, in steps for the exit-prediction error. The estimates
+// interpolate inside the bucket holding the exact nearest-rank value
+// (√2-wide for durations), so they carry bucket-resolution error, never
+// forget old tails, and merge across shards (Snapshot.Derive over merged
+// buckets).
 type StageStats struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -344,12 +282,6 @@ type StageStats struct {
 type FormWaits struct {
 	Joined    int64 `json:"joined"`
 	Fruitless int64 `json:"fruitless"`
-}
-
-// Each calls fn with every counter under its exposition label value.
-func (f FormWaits) Each(fn func(outcome string, n int64)) {
-	fn("joined", f.Joined)
-	fn("fruitless", f.Fruitless)
 }
 
 // Snapshot is a point-in-time metrics view, JSON-shaped for /metrics.
@@ -375,8 +307,9 @@ type Snapshot struct {
 	// MeanSpikes is the mean total spikes per request — the serving form
 	// of the paper's efficiency metric.
 	MeanSpikes float64 `json:"meanSpikes"`
-	// P50/P90/P99 are wall-clock latency percentiles in milliseconds over
-	// the recent-request window.
+	// P50/P90/P99 are wall-clock latency percentiles in milliseconds:
+	// Stages["total"]'s lifetime, bucket-resolution estimates under the
+	// summary keys (a fleet front reports the merged buckets' the same way).
 	P50Ms float64 `json:"p50Ms"`
 	P90Ms float64 `json:"p90Ms"`
 	P99Ms float64 `json:"p99Ms"`
@@ -467,11 +400,12 @@ type Snapshot struct {
 	FairWaiting int     `json:"fairWaiting,omitempty"`
 }
 
-// stageStats summarizes one histogram; scale converts the stored unit
-// to the exposed one (1e3 for seconds → milliseconds, 1 for lanes).
-func stageStats(h *obs.Histogram, scale float64) StageStats {
+// digest summarizes one histogram's buckets; scale converts the stored
+// unit to the exposed one (1e3 for seconds → milliseconds, 1 for lanes
+// and steps).
+func digest(h obs.HistSnapshot, scale float64) StageStats {
 	return StageStats{
-		Count: h.Count(),
+		Count: h.Count,
 		Mean:  h.Mean() * scale,
 		P50:   h.Quantile(50) * scale,
 		P90:   h.Quantile(90) * scale,
@@ -479,52 +413,40 @@ func stageStats(h *obs.Histogram, scale float64) StageStats {
 	}
 }
 
-// Snapshot computes the current view. Each stripe is locked only for its
-// scalar reads and reservoir copy; the O(n log n) sort over the merged
-// reservoirs runs outside every lock, so a /metrics scrape never stalls
-// concurrent Observe calls.
+// Hists copies the model's raw histogram buckets.
+func (m *Metrics) Hists() ModelHists {
+	h := ModelHists{
+		Stages:              make(map[string]obs.HistSnapshot, obs.NumStages),
+		Occupancy:           m.occupancy.Snapshot(),
+		ExitPredictionError: m.exitPredErr.Snapshot(),
+	}
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		h.Stages[st.String()] = m.stage[st].Snapshot()
+	}
+	return h
+}
+
+// Snapshot computes the current view without taking a lock a request
+// path holds: counters are atomic loads, the digests read bucket copies.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
-	sorted := make([]float64, 0, metricsWindow)
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		s.Requests += st.requests
-		s.EarlyExits += st.earlyExits
-		s.MeanSteps += float64(st.stepsSum)
-		s.MeanSpikes += float64(st.spikesSum)
-		sorted = append(sorted, st.latencies...)
-		st.mu.Unlock()
+	s.EarlyExits = m.earlyExits.Load()
+	steps, spikes := m.stepsSum.Load(), m.spikesSum.Load()
+	s.Requests = m.requests.Load() // last: see the field comment
+	if s.Requests > 0 {
+		s.MeanSteps = float64(steps) / float64(s.Requests)
+		s.MeanSpikes = float64(spikes) / float64(s.Requests)
 	}
 	s.AdmissionErrors = m.errAdmission.Load()
 	s.SheddedRequests = m.errShed.Load()
 	s.SimulationErrors = m.errSim.Load()
-	s.Errors = s.AdmissionErrors + s.SheddedRequests + s.SimulationErrors
 	s.DegradedRequests = m.degraded.Load()
 	s.Evictions = m.evictions.Load()
 	s.Warms = m.warms.Load()
-	if s.Requests > 0 {
-		s.EarlyExitRate = float64(s.EarlyExits) / float64(s.Requests)
-		s.MeanSteps /= float64(s.Requests)
-		s.MeanSpikes /= float64(s.Requests)
-	} else {
-		s.MeanSteps, s.MeanSpikes = 0, 0
-	}
-	if len(sorted) > 0 {
-		sort.Float64s(sorted)
-		s.P50Ms = Percentile(sorted, 50)
-		s.P90Ms = Percentile(sorted, 90)
-		s.P99Ms = Percentile(sorted, 99)
-	}
-	s.Stages = make(map[string]StageStats, obs.NumStages)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		s.Stages[st.String()] = stageStats(m.stage[st], 1e3) // seconds → ms
-	}
 	s.Batches = m.batches.Load()
 	if s.Batches > 0 {
 		s.MeanBatchOccupancy = float64(m.batchLanes.Load()) / float64(s.Batches)
 	}
-	s.Occupancy = stageStats(m.occupancy, 1) // unit: lanes, not ms
 	s.BatchStepsSaved = m.batchStepsSaved.Load()
 	s.FormWaits = FormWaits{
 		Joined:    m.formJoined.Load(),
@@ -544,7 +466,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.schedMu.Unlock()
 	s.LockstepFallbacks = m.lockstepFallbacks.Load()
-	s.ExitPredictionError = stageStats(m.exitPredErr, 1) // unit: steps, not ms
 	if h := m.exitHist.Load(); h != nil {
 		s.ExitHistoryHits, s.ExitHistoryMisses = h.Stats()
 	}
@@ -554,6 +475,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	if c := m.respCache.Load(); c != nil {
 		s.ResponseCacheHits, s.ResponseCacheMisses = c.Stats()
 	}
+	s.Derive(m.Hists())
 	return s
 }
 

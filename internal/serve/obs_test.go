@@ -186,6 +186,10 @@ func TestErrorSplitCounters(t *testing.T) {
 func TestMetricsStagesAndGauges(t *testing.T) {
 	s := testServer(t, Config{})
 	classifySome(t, s, 4)
+	// A batch replies before it returns its replica, so the pool goes idle
+	// a moment after the last Classify returns (milliseconds, under -race
+	// on a busy host).
+	waitFor(t, func() bool { return s.snapshotModels()["digits"].PoolInFlight == 0 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")

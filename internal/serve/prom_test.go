@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"burstsnn/internal/obs"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/prom_families.golden from the live page")
 
 // TestPromExposition is the golden gate for the Prometheus surface: it
 // drives real traffic, scrapes both routes, runs every line through the
@@ -78,6 +82,23 @@ func TestPromExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+
+	// The page's shape — family names, types, label names, order — is what
+	// dashboards sit on; it changes only with `go test -update`.
+	const golden = "testdata/prom_families.golden"
+	shape := strings.Join(obs.PromFamilies(body), "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(shape), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shape != string(want) {
+		t.Errorf("family shape differs from %s (rerun with -update if intended):\n got:\n%s\nwant:\n%s", golden, shape, want)
 	}
 
 	// Histogram buckets must be cumulative (monotonically non-decreasing)

@@ -494,13 +494,11 @@ func (s *Server) Classify(ctx context.Context, req ClassifyRequest) (ClassifyRes
 		m.Metrics().ObserveDegraded()
 	}
 	m.Metrics().Observe(out, latency)
-	if flags.Cached {
-		// A cache hit never entered the pipeline: record only the
-		// end-to-end span so the per-stage histograms stay pure
+	if !flags.Cached {
+		// A cache hit never entered the pipeline: only Observe's
+		// end-to-end span, so the per-stage histograms stay pure
 		// measurements of executed work.
-		m.Metrics().ObserveTotalOnly(latency)
-	} else {
-		m.Metrics().ObserveStages(stages, latency)
+		m.Metrics().ObserveStages(stages)
 	}
 	s.record(rid, req.Model, began, latency, stages, out, flags, m, nil)
 	return ClassifyResult{

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"burstsnn/internal/obs"
 )
 
 // ShardStats is the wire view a fleet front tier scrapes from one shard
 // (GET /metrics/shard, or Server.ShardStats in process): the digested
-// counters plus the RAW stage/occupancy histogram buckets, so the front
+// counters plus the RAW histogram buckets (ModelHists), so the front
 // tier can merge shards with obs.HistSnapshot.Merge and report fleet
 // quantiles at full bucket resolution — digested percentiles don't merge,
 // buckets do.
@@ -26,10 +24,9 @@ type ModelShardStats struct {
 	// hits, live gauges) — everything additive across shards plus the
 	// per-shard gauges the fleet reports under a shard label.
 	Counters Snapshot `json:"counters"`
-	// Stages carries the raw per-stage duration buckets (seconds) keyed
-	// by obs.Stage name; Occupancy the lockstep lane-occupancy buckets.
-	Stages    map[string]obs.HistSnapshot `json:"stages"`
-	Occupancy obs.HistSnapshot            `json:"occupancy"`
+	// ModelHists are the raw stage, occupancy and exit-prediction-error
+	// buckets behind the snapshot's digests.
+	ModelHists
 	// Pressure is the shard's smoothed queue-fill signal (the autoscaler
 	// input); RetryAfterSec the shard's own drain-time projection, which
 	// the front tier must surface verbatim on 429s for this shard.
@@ -49,14 +46,7 @@ func (s *Server) ShardStats() ShardStats {
 		Models:    map[string]ModelShardStats{},
 	}
 	for _, row := range s.statRows() {
-		ms := ModelShardStats{
-			Counters:  s.fillSnapshot(row),
-			Stages:    make(map[string]obs.HistSnapshot, obs.NumStages),
-			Occupancy: row.met.OccupancyHistogram().Snapshot(),
-		}
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			ms.Stages[st.String()] = row.met.StageHistogram(st).Snapshot()
-		}
+		ms := ModelShardStats{Counters: s.fillSnapshot(row), ModelHists: row.met.Hists()}
 		if row.batcher != nil {
 			ms.Pressure = row.batcher.Pressure()
 			ms.RetryAfterSec = row.batcher.RetryAfter().Seconds()
