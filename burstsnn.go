@@ -308,8 +308,9 @@ var ErrServerOverloaded = serve.ErrOverloaded
 
 // Overload-plane defaults (see ServeConfig.ResponseCacheSize /
 // ResponseCacheTTL / Degrade): the cross-batch response cache's bound
-// and TTL, and the degraded-mode controller's queue-pressure hysteresis
-// thresholds.
+// and TTL (one of three views over a model's pixel-verified memo, which
+// share one pixel copy per remembered image), and the degraded-mode
+// controller's queue-pressure hysteresis thresholds.
 const (
 	DefaultResponseCacheEntries = serve.DefaultResponseCacheEntries
 	DefaultResponseCacheTTL     = serve.DefaultResponseCacheTTL

@@ -245,7 +245,7 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 	// Sequential reference outcomes double as the exit-history warmup
 	// (two sightings per key: entries store on the second, like the
 	// serving batcher would after two classifications of the same image).
-	history := serve.NewExitHistory(0)
+	history := serve.NewExitHistory(0, coding.NewInterner(requests))
 	want := make([]serve.Outcome, requests)
 	for i := range images {
 		want[i] = serve.Classify(net, images[i], policies[i])

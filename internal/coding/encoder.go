@@ -153,7 +153,7 @@ func (e *rateEncoder) Reset(image []float64) {
 // trains), the quantization-cache key, and the serving batcher's
 // duplicate-request key. It is fast, not collision-resistant — callers
 // that act on a match must verify pixel equality with SameImage (as
-// QuantCache and the batcher dedupe do).
+// Memo and the batcher dedupe do).
 func HashImage(image []float64) uint64 { return imageHash(image) }
 
 // SameImage reports whether two images have identical pixel bit
@@ -222,55 +222,27 @@ func quantizeBits(dst []uint64, image []float64, period int) {
 	}
 }
 
-// quantizedBits returns the image's quantized bit patterns, consulting
-// cache when non-nil. On a hit the returned slice aliases the immutable
-// cache entry (no per-pixel work, no copy); on a miss or with no cache it
-// is quantized into scratch, and on a miss a copy is stored. Callers must
-// treat the result as read-only.
+// quantizedBits returns the image's quantized bit patterns, through
+// cache when non-nil (see QuantCache.quantized for the aliasing contract).
 func quantizedBits(image []float64, period int, cache *QuantCache, scratch []uint64) []uint64 {
-	if cache == nil {
-		quantizeBits(scratch, image, period)
-		return scratch
-	}
-	k := quantKey{hash: imageHash(image), scheme: Phase, size: len(image), period: period}
-	q, ok, promote := cache.lookup(k, image)
-	if ok {
-		return q
-	}
-	quantizeBits(scratch, image, period)
-	if promote {
-		cache.store(k, image, append([]uint64(nil), scratch...))
-	}
-	return scratch
+	return cache.quantized(Phase, image, period, scratch, func() { quantizeBits(scratch, image, period) })
 }
 
 // quantizedPhases returns the image's TTFS firing phases packed as
 // phase+1 (0 = silent), with the same cache/scratch contract as
 // quantizedBits.
 func quantizedPhases(image []float64, period int, cache *QuantCache, scratch []uint64) []uint64 {
-	var k quantKey
-	promote := false
-	if cache != nil {
-		k = quantKey{hash: imageHash(image), scheme: TTFS, size: len(image), period: period}
-		var q []uint64
-		var ok bool
-		if q, ok, promote = cache.lookup(k, image); ok {
-			return q
+	return cache.quantized(TTFS, image, period, scratch, func() {
+		quantizeBits(scratch, image, period)
+		for i, q := range scratch {
+			if q == 0 {
+				continue
+			}
+			// Most significant set bit determines the firing phase.
+			msb := bits.Len64(q) - 1
+			scratch[i] = uint64(period-1-msb) + 1
 		}
-	}
-	quantizeBits(scratch, image, period)
-	for i, q := range scratch {
-		if q == 0 {
-			continue
-		}
-		// Most significant set bit determines the firing phase.
-		msb := bits.Len64(q) - 1
-		scratch[i] = uint64(period-1-msb) + 1
-	}
-	if promote {
-		cache.store(k, image, append([]uint64(nil), scratch...))
-	}
-	return scratch
+	})
 }
 
 // phaseBiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k)

@@ -1,45 +1,19 @@
 package coding
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // QuantCache memoizes the per-image quantization work of the periodic
-// input encoders (phase and TTFS), keyed by a hash of the image contents.
-// The phase/TTFS Reset path re-derives the per-pixel bit pattern (or
-// first-spike phase) with a clamp, a round, and — for TTFS — an MSB scan
-// on every presentation; for serving workloads that see repeated images
-// (retries, replayed traffic, batch lanes sharing an input) the cache
-// turns that into a single map lookup.
+// input encoders (phase and TTFS). The phase/TTFS Reset path re-derives
+// the per-pixel bit pattern (or first-spike phase) with a clamp, a round,
+// and — for TTFS — an MSB scan on every presentation; for serving
+// workloads that see repeated images (retries, replayed traffic, batch
+// lanes sharing an input) the cache turns that into a single map lookup.
 //
-// Entries are immutable after Store: encoders may alias a cached slice
-// directly instead of copying it, which is what makes a hit allocation-
-// free. The cache is safe for concurrent use and shared by every replica
-// of a served model (clones inherit the pointer).
+// It is a typed view over the pixel-verified Memo (see memo.go for the
+// discipline). Entries are immutable after Store: encoders alias a
+// cached slice directly instead of copying it, which is what makes a hit
+// allocation-free. Shared by every replica of a served model (clones
+// inherit the pointer).
 type QuantCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[quantKey]quantEntry
-	// seen records keys missed exactly once. An entry (with its image and
-	// quantization copies) is only stored on a key's second sighting, so
-	// unique-image traffic — the common serving case — pays one hash and
-	// two map probes per Reset but never allocates; only traffic that
-	// actually repeats images graduates into the cache.
-	seen map[quantKey]struct{}
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// quantEntry keeps the source image alongside the quantization so a hit
-// can verify pixel equality: the 64-bit content hash is not
-// collision-resistant, and the serving layer feeds the cache arbitrary
-// client images — a crafted collision must degrade to a miss, never
-// serve another image's quantization.
-type quantEntry struct {
-	image []float64
-	q     []uint64
+	*Memo[quantKey, []uint64]
 }
 
 // quantKey identifies one quantization result. The scheme is part of the
@@ -53,76 +27,40 @@ type quantKey struct {
 	period int
 }
 
-// DefaultQuantCacheEntries bounds a model's quantization cache: at MNIST
-// scale (784 pixels ≈ 6.3 KB per entry) the default costs at most ~13 MB.
+// DefaultQuantCacheEntries bounds a model's quantization cache. The
+// model's memory bound is stated once, for all three views, on
+// serve's internerEntries.
 const DefaultQuantCacheEntries = 2048
 
 // NewQuantCache returns a cache bounded to maxEntries (<= 0 uses
-// DefaultQuantCacheEntries). When full, an arbitrary entry is evicted per
-// insert — the workloads this serves are dominated by a small hot set, so
-// approximate eviction is enough.
-func NewQuantCache(maxEntries int) *QuantCache {
+// DefaultQuantCacheEntries) verifying against px's pixel copies.
+func NewQuantCache(maxEntries int, px *Interner) *QuantCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultQuantCacheEntries
 	}
-	return &QuantCache{
-		max:     maxEntries,
-		entries: map[quantKey]quantEntry{},
-		seen:    map[quantKey]struct{}{},
-	}
+	return &QuantCache{NewMemo[quantKey, []uint64](maxEntries, 0, px)}
 }
 
-// Stats returns the lifetime hit/miss counters (serving metrics surface
-// them as encoderCacheHits/encoderCacheMisses).
-func (c *QuantCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// lookup returns the cached quantization for image, counting a hit or
-// miss. A key match with different pixel contents (hash collision)
-// counts as a miss. promote reports whether the key has now been missed
-// more than once, i.e. the caller should store the freshly computed
-// quantization. The returned slice must not be mutated.
-func (c *QuantCache) lookup(k quantKey, image []float64) (q []uint64, ok, promote bool) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if !ok {
-		if _, promote = c.seen[k]; !promote {
-			if len(c.seen) >= c.max {
-				for old := range c.seen {
-					delete(c.seen, old)
-					break
-				}
-			}
-			c.seen[k] = struct{}{}
-		}
+// quantized returns the scheme's quantization of image: the cache's
+// immutable entry on a hit (no per-pixel work, no copy), else quantize's
+// result in scratch — of which a copy is stored once the image has been
+// sighted twice. A nil cache quantizes in place. Callers must treat the
+// result as read-only.
+func (c *QuantCache) quantized(scheme Scheme, image []float64, period int, scratch []uint64, quantize func()) []uint64 {
+	if c == nil {
+		quantize()
+		return scratch
 	}
-	c.mu.Unlock()
-	if ok && !SameImage(e.image, image) {
-		ok = false
-		promote = true // colliding or changed entry: re-store
-	}
+	k := quantKey{hash: imageHash(image), scheme: scheme, size: len(image), period: period}
+	q, ok, promote := c.Sight(k, image)
 	if ok {
-		c.hits.Add(1)
-		return e.q, true, false
+		return q
 	}
-	c.misses.Add(1)
-	return nil, false, promote
-}
-
-// store inserts a quantization result for image. q must not be mutated
-// afterwards; the image is copied.
-func (c *QuantCache) store(k quantKey, image []float64, q []uint64) {
-	e := quantEntry{image: append([]float64(nil), image...), q: q}
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		for old := range c.entries {
-			delete(c.entries, old)
-			break
-		}
+	quantize()
+	if promote {
+		c.Store(k, image, append([]uint64(nil), scratch...))
 	}
-	c.entries[k] = e
-	c.mu.Unlock()
+	return scratch
 }
 
 // QuantCached is implemented by encoders whose Reset work can be memoized

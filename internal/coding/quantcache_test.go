@@ -44,7 +44,7 @@ func TestQuantCacheEncoderEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := NewQuantCache(0)
+			cache := NewQuantCache(0, NewInterner(8))
 			cached.(QuantCached).SetQuantCache(cache)
 
 			images := [][]float64{
@@ -67,7 +67,7 @@ func TestQuantCacheEncoderEquivalence(t *testing.T) {
 			// Entries are stored on a key's second miss (so unique-image
 			// traffic never populates the cache): resets 1-3 miss, the
 			// third stores, the fourth hits.
-			hits, misses := cache.Stats()
+			hits, misses := cache.count.Load()
 			if hits != 1 || misses != 3 {
 				t.Errorf("hits/misses = %d/%d, want 1/3", hits, misses)
 			}
@@ -75,7 +75,7 @@ func TestQuantCacheEncoderEquivalence(t *testing.T) {
 			// Clones share the cache: a clone resetting a stored image hits.
 			clone := cached.(CloneableEncoder).Clone()
 			clone.Reset(images[0])
-			if h, _ := cache.Stats(); h != 2 {
+			if h, _ := cache.count.Load(); h != 2 {
 				t.Errorf("clone reset did not hit the shared cache (hits=%d)", h)
 			}
 		})
@@ -88,22 +88,22 @@ func TestQuantCacheEncoderEquivalence(t *testing.T) {
 // collision-resistant) must count as a miss and never serve the other
 // image's quantization.
 func TestQuantCacheCollisionDegradesToMiss(t *testing.T) {
-	c := NewQuantCache(0)
+	c := NewQuantCache(0, NewInterner(8))
 	imgA := randomImage(1, 16)
 	imgB := randomImage(2, 16)
 	k := quantKey{hash: 42, scheme: Phase, size: 16, period: 8}
 	qA := make([]uint64, 16)
 	quantizeBits(qA, imgA, 8)
-	c.store(k, imgA, qA)
-	if _, ok, promote := c.lookup(k, imgB); ok {
+	c.Store(k, imgA, qA)
+	if _, ok, promote := c.Sight(k, imgB); ok {
 		t.Fatal("colliding key with different pixels served the cached quantization")
 	} else if !promote {
 		t.Fatal("collision miss should ask the caller to re-store")
 	}
-	if q, ok, _ := c.lookup(k, imgA); !ok || &q[0] != &qA[0] {
+	if q, ok, _ := c.Sight(k, imgA); !ok || &q[0] != &qA[0] {
 		t.Fatal("matching pixels should hit the stored entry")
 	}
-	hits, misses := c.Stats()
+	hits, misses := c.count.Load()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
 	}
@@ -119,7 +119,7 @@ func TestQuantCacheBatchLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewQuantCache(0)
+	cache := NewQuantCache(0, NewInterner(8))
 	seq.(QuantCached).SetQuantCache(cache)
 	batch := seq.(BatchableEncoder).NewBatch(b)
 
@@ -129,7 +129,7 @@ func TestQuantCacheBatchLanes(t *testing.T) {
 	}
 	// Lane 0 misses (first sighting), lane 1 misses and stores (second
 	// sighting), the remaining lanes hit.
-	hits, misses := cache.Stats()
+	hits, misses := cache.count.Load()
 	if misses != 2 || hits != b-2 {
 		t.Errorf("hits/misses = %d/%d, want %d/2", hits, misses, b-2)
 	}

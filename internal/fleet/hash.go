@@ -5,10 +5,10 @@
 // health, autoscales per-shard replica pools from queue pressure, and
 // merges per-shard telemetry into fleet-wide /metrics and /metrics/prom.
 //
-// Routing keys on coding.HashImage — the same content hash the
-// QuantCache, ExitHistory, and ResponseCache all key on — so a shard
-// owns a stable slice of the image space and every replay of an image
-// lands where its cache entries live. When the owner sheds (429), a
+// Routing keys on coding.HashImage — the same content hash a shard's
+// pixel-verified memo (coding.Memo: quant cache, exit history, response
+// cache) keys on — so a shard owns a stable slice of the image space and
+// every replay of an image lands where its entries live. When the owner sheds (429), a
 // bounded-load fallback offers the request to the next shards on the
 // ring before giving up, trading one cold cache miss for availability.
 package fleet

@@ -512,7 +512,7 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 // once and fanned out: the simulator is deterministic, so a duplicate's
 // outcome is exactly its representative's. Matching goes through the
 // image content hash with a pixel-equality check on hit (like
-// coding.QuantCache), so a hash collision degrades to a non-duplicate,
+// coding.Memo), so a hash collision degrades to a non-duplicate,
 // never to another image's result. Retry/replay-heavy traffic thus pays
 // for one simulation per distinct image per microbatch; the deduped
 // count is surfaced as dedupedRequests in /metrics.

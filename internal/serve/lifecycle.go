@@ -17,9 +17,10 @@
 // two registrations' state; every transition out of resident drains the
 // queue (graceful execute on evict/unregister, handoff re-submit on hot
 // swap), so lifecycle transitions cost clients latency, never errors;
-// eviction releases the replica pool but archives the conversion and
-// metrics, so warming is a pool rebuild (no re-convert) and counters are
-// continuous across the cycle.
+// eviction releases the replica pool and the image memory (interner and
+// memo views) but archives the conversion and metrics, so warming is a
+// pool rebuild (no re-convert) and every counter is continuous across
+// the cycle.
 package serve
 
 import (
@@ -140,7 +141,7 @@ func (s *Server) runWarm(name string, op *warmOp, epoch uint64) {
 // dropped instead of clobbering the newer state, and (nil, nil) sends
 // the resolve loop back to re-observe.
 func (s *Server) warm(name string, epoch uint64) (*entry, error) {
-	c, err := s.buildCollaborators()
+	sched, err := s.buildScheduler()
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +149,7 @@ func (s *Server) warm(name string, epoch uint64) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.installModelAt(m, c, epoch, true)
+	e, err := s.installModelAt(m, sched, epoch, true)
 	if errors.Is(err, errStaleWarm) {
 		return nil, nil
 	}
@@ -160,12 +161,12 @@ func (s *Server) warm(name string, epoch uint64) (*entry, error) {
 }
 
 // installModel makes a prepared (or restored) model resident. The
-// registry install, metric attachments, batcher creation, and entry swap
+// registry install, counter binding, batcher creation, and entry swap
 // all happen under one critical section — the atomic (model, batcher)
 // swap that closes the stale-weights window. The displaced batcher, if
 // any, hands its queued requests to the new one outside the lock.
-func (s *Server) installModel(m *Model, c collaborators) (*entry, error) {
-	return s.installModelAt(m, c, 0, false)
+func (s *Server) installModel(m *Model, sched Scheduler) (*entry, error) {
+	return s.installModelAt(m, sched, 0, false)
 }
 
 // installModelAt is installModel with an optional lifecycle-epoch guard:
@@ -173,7 +174,7 @@ func (s *Server) installModel(m *Model, c collaborators) (*entry, error) {
 // epoch still equals epoch — i.e. no other install or removal has
 // touched the name since the caller sampled it. Every successful install
 // advances the epoch, so in-flight guarded installs for the name abort.
-func (s *Server) installModelAt(m *Model, c collaborators, epoch uint64, guard bool) (*entry, error) {
+func (s *Server) installModelAt(m *Model, sched Scheduler, epoch uint64, guard bool) (*entry, error) {
 	name := m.Config().Name
 	var fair *FairSlot
 	if s.fair != nil {
@@ -194,25 +195,32 @@ func (s *Server) installModelAt(m *Model, c collaborators, epoch uint64, guard b
 	// archive's) metrics here, so the batcher below observes into the
 	// accumulator the model will actually expose.
 	s.reg.Install(m)
-	m.Metrics().SetBatchKernel(kernels.Kind())
-	m.Metrics().SetScheduler(c.sched.Name())
-	m.Metrics().AttachExitHistory(c.history)
-	m.Metrics().AttachResponseCache(c.cache)
-	e := &entry{
-		model: m,
-		batcher: NewBatcher(m.Pool(), BatcherConfig{
-			Metrics:       m.Metrics(),
-			Sched:         c.sched,
-			History:       c.history,
-			Cache:         c.cache,
-			Degrade:       c.degrade,
-			Fair:          fair,
-			MaxBatch:      s.cfg.MaxBatch,
-			MaxDelay:      s.cfg.MaxDelay,
-			QueueDepth:    s.cfg.QueueDepth,
-			InjectLatency: s.cfg.InjectLatency,
-		}),
+	met := m.Metrics()
+	met.SetBatchKernel(kernels.Kind())
+	met.SetScheduler(sched.Name())
+	bc := BatcherConfig{
+		Metrics:       met,
+		Sched:         sched,
+		Fair:          fair,
+		MaxBatch:      s.cfg.MaxBatch,
+		MaxDelay:      s.cfg.MaxDelay,
+		QueueDepth:    s.cfg.QueueDepth,
+		InjectLatency: s.cfg.InjectLatency,
 	}
+	// The other two views over the model's interner, counting into the
+	// accumulator the model just adopted.
+	if s.cfg.ExitHistorySize >= 0 {
+		bc.History = NewExitHistory(s.cfg.ExitHistorySize, m.px)
+		bc.History.CountInto(&met.exitHistory)
+	}
+	if s.cfg.ResponseCacheSize >= 0 {
+		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, s.cfg.ResponseCacheTTL, m.px)
+		bc.Cache.CountInto(&met.responseCache)
+	}
+	if s.cfg.Degrade {
+		bc.Degrade = NewDegradeController(0, 0)
+	}
+	e := &entry{model: m, batcher: NewBatcher(m.Pool(), bc)}
 	e.touch()
 	s.entries[name] = e
 	s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -318,6 +319,143 @@ func TestEvictWarmRoundTrip(t *testing.T) {
 	}
 }
 
+// cacheCounters is the six memo-view counters of a snapshot, in one
+// comparable value.
+type cacheCounters struct {
+	respHits, respMisses, exitHits, exitMisses, encHits, encMisses int64
+}
+
+func cacheCountersOf(s Snapshot) cacheCounters {
+	return cacheCounters{
+		s.ResponseCacheHits, s.ResponseCacheMisses,
+		s.ExitHistoryHits, s.ExitHistoryMisses,
+		s.EncoderCacheHits, s.EncoderCacheMisses,
+	}
+}
+
+// TestCacheCountersContinuousAcrossCycles: the six cache counters are
+// Prometheus counters and live in the retained accumulator, so neither
+// an evict/warm cycle nor a re-register may run them backwards — the
+// fresh views count on from where the released ones stopped, and the
+// evicted row keeps reporting the archived values in between. (Views
+// owning their counters would restart all six at every install.)
+func TestCacheCountersContinuousAcrossCycles(t *testing.T) {
+	net, set := testModel(t)
+	s := New(Config{}) // response cache on
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	// A small hot set, each round's requests in flight together so
+	// multi-lane batches form and the exit history is consulted too.
+	hot := probeImages(6)
+	for round := 0; round < 4; round++ {
+		var wg sync.WaitGroup
+		for _, img := range hot {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: img}); err != nil {
+					t.Errorf("round %d: %v", round, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	before := cacheCountersOf(mustSnapshot(t, s))
+	if before.respHits != 12 || before.respMisses != 12 || before.encMisses == 0 {
+		t.Fatalf("after four rounds of six hot images: %+v, want 12 response hits, 12 misses, some encoder misses", before)
+	}
+
+	if err := s.Evict("digits"); err != nil {
+		t.Fatalf("Evict: %v", err)
+	}
+	if row := s.snapshotModels()["digits"]; row.State != StateEvicted || cacheCountersOf(row) != before {
+		t.Fatalf("evicted row reports %+v (state %q), want the archived %+v", cacheCountersOf(row), row.State, before)
+	}
+	classifyOne := func(i int) {
+		t.Helper()
+		if _, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: noiseImage(i)}); err != nil {
+			t.Fatalf("classify: %v", err)
+		}
+	}
+	classifyOne(1) // warms the model back in: one response-cache miss
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("re-Register: %v", err)
+	}
+	classifyOne(2) // on the re-registered model: one more
+	after := cacheCountersOf(mustSnapshot(t, s))
+	if after.respHits < before.respHits || after.exitHits < before.exitHits || after.exitMisses < before.exitMisses ||
+		after.encHits < before.encHits || after.encMisses < before.encMisses {
+		t.Errorf("a cache counter ran backwards across evict/warm + re-register: %+v → %+v", before, after)
+	}
+	if after.respMisses != before.respMisses+2 {
+		t.Errorf("responseCacheMisses %d → %d, want exactly the two post-cycle misses more", before.respMisses, after.respMisses)
+	}
+}
+
+// TestEvictReleasesImageMemory: eviction must release the model's image
+// memory — interner, views, quantizations — with its replica pool;
+// nothing the archive retains (conversion, metrics) may reach it, or
+// the heap stays where the traffic left it.
+func TestEvictReleasesImageMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap accounting, not concurrency: CI's race ×20 repeat (-short) gains nothing from it")
+	}
+	net, set := testModel(t)
+	s := New(Config{})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	hot := make([][]float64, 1000)
+	for i := range hot {
+		hot[i] = noiseImage(i)
+	}
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	classify := func(img []float64) ClassifyResult {
+		t.Helper()
+		res, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: img})
+		if err != nil {
+			t.Fatalf("classify: %v", err)
+		}
+		res.LatencyMs, res.RequestID, res.Cached = 0, "", false
+		return res
+	}
+	baseline := heap()
+	var want ClassifyResult
+	for round := 0; round < 4; round++ {
+		for _, img := range hot {
+			want = classify(img)
+		}
+	}
+	loaded := heap()
+	t.Logf("heap MB: baseline %.1f loaded %.1f", baseline, loaded)
+	if snap := mustSnapshot(t, s); snap.ResponseCacheHits != 2000 {
+		t.Fatalf("responseCacheHits = %d after four rounds of 1000 hot images, want 2000", snap.ResponseCacheHits)
+	}
+	// One pixel copy and one quantization per hot image (≈13 MB); a
+	// private pixel copy per view would make it ≈26 MB.
+	if grew := loaded - baseline; grew < 8 || grew > 18 {
+		t.Errorf("1000 hot images grew the heap by %.1f MB, want ≈13 (one shared pixel copy + one quantization each)", grew)
+	}
+	if err := s.Evict("digits"); err != nil {
+		t.Fatalf("Evict: %v", err)
+	}
+	if evicted := heap(); evicted > baseline+2 {
+		t.Errorf("heap %.1f MB before traffic, %.1f MB loaded, %.1f MB after Evict: eviction kept the image memory alive", baseline, loaded, evicted)
+	}
+	if got := classify(hot[len(hot)-1]); got != want {
+		t.Errorf("after the warm: %+v, want the pre-eviction %+v", got, want)
+	}
+}
+
 // TestResidentBoundLRU: with MaxResidentModels=2, three registered
 // models all keep serving — at most two resident at a time, the third
 // transparently warming in on demand.
@@ -539,9 +677,9 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 	s.mu.Lock()
 	epoch := s.epochs["digits"]
 	s.mu.Unlock()
-	c, err := s.buildCollaborators()
+	sched, err := s.buildScheduler()
 	if err != nil {
-		t.Fatalf("buildCollaborators: %v", err)
+		t.Fatalf("buildScheduler: %v", err)
 	}
 	restored, err := s.reg.Restore("digits")
 	if err != nil {
@@ -554,7 +692,7 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 	}
 
 	// The warm's install must now abort, not resurrect v1.
-	if _, err := s.installModelAt(restored, c, epoch, true); !errors.Is(err, errStaleWarm) {
+	if _, err := s.installModelAt(restored, sched, epoch, true); !errors.Is(err, errStaleWarm) {
 		t.Fatalf("guarded install after concurrent register: err = %v, want errStaleWarm", err)
 	}
 	for _, i := range diff {

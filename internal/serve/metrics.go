@@ -51,9 +51,6 @@ type Metrics struct {
 	// scheduler names the steering policy the model's batcher runs
 	// (Scheduler.Name()).
 	scheduler atomic.Pointer[string]
-	// exitHist is the model's exit-step history, if any; Snapshot
-	// surfaces its predict hit/miss counters.
-	exitHist atomic.Pointer[ExitHistory]
 
 	// Error accounting is split by where the failure happened:
 	// errAdmission counts requests the server refused before simulation
@@ -76,10 +73,6 @@ type Metrics struct {
 	evictions atomic.Int64
 	warms     atomic.Int64
 
-	// respCache is the model's cross-batch response cache, if any;
-	// Snapshot surfaces its hit/miss counters.
-	respCache atomic.Pointer[ResponseCache]
-
 	// Batch execution gauges (see Batcher): how full microbatches run and
 	// how many lockstep steps lane retirement avoided versus running every
 	// lane to the batch's slowest exit.
@@ -97,9 +90,12 @@ type Metrics struct {
 	// simulator runs on, recorded at install time (kernels.Kind()).
 	kernel atomic.Pointer[string]
 
-	// quant is the model's encoder quantization cache, if any; Snapshot
-	// surfaces its hit/miss counters.
-	quant atomic.Pointer[coding.QuantCache]
+	// Read counters of the model's three pixel-verified views. Every
+	// install builds fresh views that count into these (Memo.CountInto),
+	// so the numbers are continuous across re-registration and evict/warm
+	// while the accumulator holds no view: an evicted model's images are
+	// garbage.
+	encoderCache, exitHistory, responseCache coding.HitMiss
 }
 
 // NewMetrics returns an empty accumulator.
@@ -230,14 +226,8 @@ func (m *Metrics) Scheduler() string {
 	return ""
 }
 
-// AttachExitHistory points the snapshot's exit-prediction counters at
-// the model's exit history (nil detaches; survives re-registration
-// because the server re-attaches the fresh history).
-func (m *Metrics) AttachExitHistory(h *ExitHistory) { m.exitHist.Store(h) }
-
 // SetBatchKernel records the resolved lockstep kernel variant for the
-// snapshot (idempotent; survives model re-registration like the quant
-// cache attachment).
+// snapshot (idempotent; survives model re-registration).
 func (m *Metrics) SetBatchKernel(kind string) { m.kernel.Store(&kind) }
 
 // BatchKernel returns the recorded lockstep kernel variant ("" before
@@ -248,16 +238,6 @@ func (m *Metrics) BatchKernel() string {
 	}
 	return ""
 }
-
-// AttachQuantCache points the snapshot's encoder-cache counters at the
-// model's quantization cache (idempotent; survives model re-registration
-// because the registry re-attaches the fresh cache).
-func (m *Metrics) AttachQuantCache(c *coding.QuantCache) { m.quant.Store(c) }
-
-// AttachResponseCache points the snapshot's response-cache counters at
-// the model's cross-batch response cache (nil detaches; survives
-// re-registration because the server re-attaches the fresh cache).
-func (m *Metrics) AttachResponseCache(c *ResponseCache) { m.respCache.Store(c) }
 
 // StageStats is the JSON summary of one histogram: observation count
 // plus mean and percentile estimates over the model's lifetime — in
@@ -466,15 +446,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.schedMu.Unlock()
 	s.LockstepFallbacks = m.lockstepFallbacks.Load()
-	if h := m.exitHist.Load(); h != nil {
-		s.ExitHistoryHits, s.ExitHistoryMisses = h.Stats()
-	}
-	if q := m.quant.Load(); q != nil {
-		s.EncoderCacheHits, s.EncoderCacheMisses = q.Stats()
-	}
-	if c := m.respCache.Load(); c != nil {
-		s.ResponseCacheHits, s.ResponseCacheMisses = c.Stats()
-	}
+	s.ExitHistoryHits, s.ExitHistoryMisses = m.exitHistory.Load()
+	s.EncoderCacheHits, s.EncoderCacheMisses = m.encoderCache.Load()
+	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.Load()
 	s.Derive(m.Hists())
 	return s
 }

@@ -79,16 +79,15 @@ func DefaultExitPolicy(steps int) ExitPolicy {
 	return p
 }
 
-// Model is one registered, converted, replicated model.
+// Model is one registered, converted, replicated model: the part that
+// survives eviction (archived) plus what eviction releases.
 type Model struct {
-	cfg     ModelConfig
-	conv    *convert.Result
-	pool    *Pool
-	metrics *Metrics
-	quant   *coding.QuantCache
-	inSize  int
-	classes int
-	neurons int
+	archived
+	pool *Pool
+	// px is the pixel interner under the model's three memo views: quant
+	// (in the pool's encoders) and the batcher's history and cache.
+	px    *coding.Interner
+	quant *coding.QuantCache
 }
 
 // Config returns the registration config (defaults applied).
@@ -123,28 +122,22 @@ type Info struct {
 
 // Info returns the model's description.
 func (m *Model) Info() Info {
-	return Info{
-		Name:      m.cfg.Name,
-		Notation:  m.cfg.Hybrid.Notation(),
-		InputSize: m.inSize,
-		Classes:   m.classes,
-		Neurons:   m.neurons,
-		Steps:     m.cfg.Steps,
-		Replicas:  m.pool.Size(),
-		Exit:      m.cfg.Exit,
-		State:     StateResident,
-	}
+	info := m.archived.info()
+	info.Replicas, info.State = m.pool.Size(), StateResident
+	return info
 }
 
 // archived is an evicted model's retained shadow: the cached conversion
 // (so warming skips the expensive convert/normalize pass and rebuilds
 // only the replica pool), the config it was registered under, and the
 // metrics accumulator (so counters survive an evict/warm cycle exactly
-// like they survive a re-register).
+// like they survive a re-register). Nothing here reaches a memo view or
+// the interner: eviction releases the model's image memory with its
+// pool. A resident Model embeds it, so the archive is by construction
+// the model minus what eviction releases.
 type archived struct {
 	cfg     ModelConfig
 	conv    *convert.Result
-	quant   *coding.QuantCache
 	metrics *Metrics
 	inSize  int
 	classes int
@@ -225,38 +218,47 @@ func (r *Registry) Prepare(cfg ModelConfig, net *dnn.Network, normSamples []data
 	return r.build(cfg, conv)
 }
 
-// build assembles a Model around a conversion result: quant cache wired
-// into the proto encoder, replica pool, fresh metrics. Shared by Prepare
-// (fresh conversion) and Restore (archived conversion).
+// build assembles a Model around a conversion result: interner, quant
+// cache wired into the pool's proto encoder, replica pool, fresh metrics.
+// Shared by Prepare (fresh conversion) and Restore (archived conversion).
 func (r *Registry) build(cfg ModelConfig, conv *convert.Result) (*Model, error) {
 	// One quantization cache per registered model, attached to the proto
 	// encoder before the pool clones it so every replica (sequential and
 	// batched) shares it. Schemes without Reset-time quantization (real,
-	// rate) simply don't implement QuantCached.
-	quant := coding.NewQuantCache(0)
-	if qc, ok := conv.Net.Encoder.(coding.QuantCached); ok {
+	// rate) simply don't implement QuantCached. The proto is the pool's
+	// own shallow copy with its own encoder: the conversion is what the
+	// archive retains, so it must never point at the cache.
+	px := coding.NewInterner(internerEntries)
+	quant := coding.NewQuantCache(0, px)
+	proto := *conv.Net
+	if enc, ok := proto.Encoder.(coding.CloneableEncoder); ok {
+		proto.Encoder = enc.Clone()
+	}
+	if qc, ok := proto.Encoder.(coding.QuantCached); ok {
 		qc.SetQuantCache(quant)
 	}
-	pool, err := NewPoolMax(conv.Net, cfg.Replicas, cfg.MaxReplicas)
+	pool, err := NewPoolMax(&proto, cfg.Replicas, cfg.MaxReplicas)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
 	}
 	return &Model{
-		cfg:     cfg,
-		conv:    conv,
-		pool:    pool,
-		metrics: NewMetrics(),
-		quant:   quant,
-		inSize:  conv.Net.Encoder.Size(),
-		classes: conv.Net.Output.NumNeurons(),
-		neurons: conv.Net.NumNeurons(),
+		archived: archived{
+			cfg:     cfg,
+			conv:    conv,
+			metrics: NewMetrics(),
+			inSize:  conv.Net.Encoder.Size(),
+			classes: conv.Net.Output.NumNeurons(),
+			neurons: conv.Net.NumNeurons(),
+		},
+		pool: pool, px: px, quant: quant,
 	}, nil
 }
 
 // Install makes a prepared model resident. If a model of the same name
 // is resident (or archived from an eviction), the new model adopts its
-// metrics accumulator so history is continuous; any archive entry is
-// consumed. Returns the prior resident model (nil if none).
+// metrics accumulator — into which its quant cache then counts — so
+// history is continuous; any archive entry is consumed. Returns the
+// prior resident model (nil if none).
 func (r *Registry) Install(m *Model) *Model {
 	r.mu.Lock()
 	old := r.models[m.cfg.Name]
@@ -265,7 +267,7 @@ func (r *Registry) Install(m *Model) *Model {
 	} else if a, ok := r.archive[m.cfg.Name]; ok {
 		m.metrics = a.metrics
 	}
-	m.metrics.AttachQuantCache(m.quant)
+	m.quant.CountInto(&m.metrics.encoderCache)
 	delete(r.archive, m.cfg.Name)
 	r.models[m.cfg.Name] = m
 	r.mu.Unlock()
@@ -314,15 +316,8 @@ func (r *Registry) Unregister(name string, archive bool) (*Model, error) {
 		return m, nil
 	}
 	if resident {
-		r.archive[name] = &archived{
-			cfg:     m.cfg,
-			conv:    m.conv,
-			quant:   m.quant,
-			metrics: m.metrics,
-			inSize:  m.inSize,
-			classes: m.classes,
-			neurons: m.neurons,
-		}
+		a := m.archived
+		r.archive[name] = &a
 	}
 	return m, nil
 }

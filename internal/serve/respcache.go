@@ -1,18 +1,13 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"burstsnn/internal/coding"
 )
 
-// DefaultResponseCacheEntries bounds a model's response cache. Each
-// entry keeps the source image for collision verification plus one
-// Outcome (~6.4 KB at MNIST scale), so the default costs at most ~26 MB
-// per model — the same order as the exit history and quant cache it
-// sits beside.
+// DefaultResponseCacheEntries bounds a model's response cache (the
+// model's memory bound is stated once, on internerEntries).
 const DefaultResponseCacheEntries = 4096
 
 // DefaultResponseCacheTTL bounds how long a cached Outcome may be
@@ -22,6 +17,18 @@ const DefaultResponseCacheEntries = 4096
 // promotion set from accumulating cold keys.
 const DefaultResponseCacheTTL = time.Minute
 
+// internerEntries bounds a model's pixel interner to its largest view:
+// whatever one view can hold, the interner can hand to the other two.
+// Per-model memory at MNIST scale (784 pixels ≈ 6.3 KB a copy): a
+// replayed image costs one pixel copy, its quantization (as much again,
+// up to DefaultQuantCacheEntries of them) and ≈100 B of exit step and
+// Outcome, so a hot set filling every view takes ≈26 MB of pixels +
+// ≈13 MB of quantizations. The worst case is adversarial — every view
+// full of images the other two never promoted, the interner full of
+// images no view kept: (2048 + 2048 + 4096 + 4096) copies ≈ 77 MB, plus
+// the ≈13 MB of quantizations.
+const internerEntries = max(coding.DefaultQuantCacheEntries, DefaultExitHistoryEntries, DefaultResponseCacheEntries)
+
 // ResponseCache is the cross-batch (image-hash, policy) → Outcome cache
 // in front of the batcher: replay-heavy traffic is answered without
 // holding a queue slot or checking out a replica. It generalizes the
@@ -29,130 +36,40 @@ const DefaultResponseCacheTTL = time.Minute
 // in the same dispatch window) across dispatch windows, bounded by a
 // TTL.
 //
-// The discipline is coding.QuantCache's / ExitHistory's, exactly: keys
-// go through coding.HashImage, every hit verifies pixel equality
-// against the stored image (a hash collision degrades to a miss, never
-// to another image's outcome), and an entry — with its verification
-// image copy — is only stored on a key's second sighting inside one
-// TTL window, so unique-image traffic never allocates entries. The
-// outcome is policy-dependent, so the policy is part of the key. When
-// full, an arbitrary entry is evicted per insert (the workloads this
-// serves are dominated by a small hot set). Safe for concurrent use.
+// It is a typed view over coding.Memo (pixel-verified reads — a
+// collision degrades to a miss, never to another image's outcome — and
+// promotion on the second sighting inside one TTL window). The outcome
+// is policy-dependent, so the policy is part of the key. Safe for
+// concurrent use.
 type ResponseCache struct {
-	mu      sync.Mutex
-	max     int
-	ttl     time.Duration
-	now     func() time.Time // injectable clock for deterministic TTL tests
-	entries map[exitKey]respEntry
-	seen    map[exitKey]time.Time // first-sighting times (promotion gate)
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type respEntry struct {
-	image   []float64
-	out     Outcome
-	expires time.Time
+	*coding.Memo[exitKey, Outcome]
 }
 
 // NewResponseCache returns a cache bounded to maxEntries (<= 0 uses
 // DefaultResponseCacheEntries) whose entries expire ttl after their
-// last Record (<= 0 uses DefaultResponseCacheTTL).
-func NewResponseCache(maxEntries int, ttl time.Duration) *ResponseCache {
+// last Record (<= 0 uses DefaultResponseCacheTTL), verifying against
+// px's pixel copies.
+func NewResponseCache(maxEntries int, ttl time.Duration, px *coding.Interner) *ResponseCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultResponseCacheEntries
 	}
 	if ttl <= 0 {
 		ttl = DefaultResponseCacheTTL
 	}
-	return &ResponseCache{
-		max:     maxEntries,
-		ttl:     ttl,
-		now:     time.Now,
-		entries: map[exitKey]respEntry{},
-		seen:    map[exitKey]time.Time{},
-	}
-}
-
-// Stats returns the lifetime lookup hit/miss counters (surfaced as
-// responseCacheHits/responseCacheMisses in /metrics).
-func (c *ResponseCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Len reports how many promoted entries the cache holds right now.
-func (c *ResponseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return &ResponseCache{coding.NewMemo[exitKey, Outcome](maxEntries, ttl, px)}
 }
 
 // Lookup returns the cached Outcome for (image, policy) if an unexpired,
 // pixel-verified entry exists. hash must be coding.HashImage(image) —
 // the batcher hashes each request once at submit and reuses it here,
-// in dedupe, and in the exit history. An expired entry is dropped; a
-// key match with different pixel contents counts as a miss.
+// in dedupe, and in the exit history.
 func (c *ResponseCache) Lookup(hash uint64, image []float64, p ExitPolicy) (Outcome, bool) {
-	k := exitKey{hash: hash, policy: p}
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if ok && c.now().After(e.expires) {
-		delete(c.entries, k)
-		ok = false
-	}
-	c.mu.Unlock()
-	if ok && coding.SameImage(e.image, image) {
-		c.hits.Add(1)
-		return e.out, true
-	}
-	c.misses.Add(1)
-	return Outcome{}, false
+	return c.Get(exitKey{hash: hash, policy: p}, image)
 }
 
-// Record notes one classified (image, policy) → Outcome. The first
-// sighting of a key inside a TTL window only marks it seen; the second
-// stores the entry (copying the image for collision verification);
-// later sightings refresh the outcome and TTL in place. A colliding
-// key (same hash, different pixels) replaces the stored entry,
-// mirroring QuantCache's re-store.
+// Record notes one classified (image, policy) → Outcome: stored on the
+// key's second sighting inside a TTL window, refreshed (outcome and
+// TTL) in place afterwards.
 func (c *ResponseCache) Record(hash uint64, image []float64, p ExitPolicy, out Outcome) {
-	k := exitKey{hash: hash, policy: p}
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
-		if coding.SameImage(e.image, image) {
-			e.out, e.expires = out, now.Add(c.ttl)
-			c.entries[k] = e
-			return
-		}
-		// Collision (or changed pixels under the same hash): replace.
-		c.entries[k] = respEntry{
-			image: append([]float64(nil), image...), out: out, expires: now.Add(c.ttl),
-		}
-		return
-	}
-	if first, ok := c.seen[k]; !ok || now.Sub(first) > c.ttl {
-		// First sighting (or the previous one aged past the TTL — a key
-		// must be hot within one window to earn an entry).
-		if len(c.seen) >= c.max {
-			for old := range c.seen {
-				delete(c.seen, old)
-				break
-			}
-		}
-		c.seen[k] = now
-		return
-	}
-	delete(c.seen, k)
-	if len(c.entries) >= c.max {
-		for old := range c.entries {
-			delete(c.entries, old)
-			break
-		}
-	}
-	c.entries[k] = respEntry{
-		image: append([]float64(nil), image...), out: out, expires: now.Add(c.ttl),
-	}
+	c.Memo.Record(exitKey{hash: hash, policy: p}, image, out)
 }

@@ -29,8 +29,8 @@ func (f *fakeClock) advance(d time.Duration) {
 
 func cacheWithClock(max int, ttl time.Duration) (*ResponseCache, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	c := NewResponseCache(max, ttl)
-	c.now = clk.now
+	c := NewResponseCache(max, ttl, coding.NewInterner(max))
+	c.Now = clk.now
 	return c, clk
 }
 
@@ -50,6 +50,8 @@ func respImage(seed int) []float64 {
 // only then does Lookup hit — with the exact recorded Outcome.
 func TestResponseCacheTwoSightingPromotion(t *testing.T) {
 	c, _ := cacheWithClock(8, time.Minute)
+	var count coding.HitMiss
+	c.CountInto(&count)
 	img := respImage(1)
 	h := coding.HashImage(img)
 	p := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
@@ -77,8 +79,8 @@ func TestResponseCacheTwoSightingPromotion(t *testing.T) {
 	if _, ok := c.Lookup(h, img, ExitPolicy{MaxSteps: 32}); ok {
 		t.Fatal("hit across a different exit policy")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 3 {
-		t.Errorf("Stats = %d hits / %d misses, want 1/3", hits, misses)
+	if hits, misses := count.Load(); hits != 1 || misses != 3 {
+		t.Errorf("counted %d hits / %d misses, want 1/3", hits, misses)
 	}
 }
 
@@ -156,9 +158,10 @@ func TestResponseCacheTTL(t *testing.T) {
 	}
 }
 
-// TestResponseCacheBound caps both maps: promoted entries and the
-// seen set each evict to stay at max, so the cache's footprint is
-// bounded no matter the traffic.
+// TestResponseCacheBound caps the promoted entries at max and stores
+// nothing for single sightings (the pending set's own bound is pinned by
+// coding's TestMemoDiscipline), so the cache's footprint is bounded no
+// matter the traffic.
 func TestResponseCacheBound(t *testing.T) {
 	const max = 4
 	c, _ := cacheWithClock(max, time.Minute)
@@ -172,18 +175,10 @@ func TestResponseCacheBound(t *testing.T) {
 			t.Fatalf("entries grew past the bound: %d > %d", c.Len(), max)
 		}
 	}
-	// Seen set: unique-image traffic (single sightings) must not grow it
-	// past the bound either.
 	c2, _ := cacheWithClock(max, time.Minute)
 	for i := 0; i < 3*max; i++ {
 		img := respImage(100 + i)
 		c2.Record(coding.HashImage(img), img, p, Outcome{})
-	}
-	c2.mu.Lock()
-	seen := len(c2.seen)
-	c2.mu.Unlock()
-	if seen > max {
-		t.Fatalf("seen set grew past the bound: %d > %d", seen, max)
 	}
 	if c2.Len() != 0 {
 		t.Fatalf("single sightings allocated %d entries, want 0", c2.Len())
@@ -195,6 +190,8 @@ func TestResponseCacheBound(t *testing.T) {
 // a final consistency check on the hot entry.
 func TestResponseCacheConcurrent(t *testing.T) {
 	c, _ := cacheWithClock(64, time.Minute)
+	var count coding.HitMiss
+	c.CountInto(&count)
 	hot := respImage(1)
 	hotHash := coding.HashImage(hot)
 	p := ExitPolicy{MaxSteps: 48}
@@ -219,7 +216,7 @@ func TestResponseCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if hits, _ := c.Stats(); hits == 0 {
+	if hits, _ := count.Load(); hits == 0 {
 		t.Error("no hits recorded under concurrency")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"burstsnn/internal/coding"
 )
@@ -264,10 +263,8 @@ func OrderByPredictedExit(preds []int) []int {
 	return order
 }
 
-// DefaultExitHistoryEntries bounds a model's exit history: each entry
-// keeps the source image for collision verification (~6.3 KB at MNIST
-// scale), so the default costs at most ~13 MB per model — the same
-// bound and reasoning as coding.DefaultQuantCacheEntries.
+// DefaultExitHistoryEntries bounds a model's exit history (the model's
+// memory bound is stated once, on internerEntries).
 const DefaultExitHistoryEntries = 2048
 
 // ExitHistory is the tiny bounded (image hash → observed exit step)
@@ -275,22 +272,13 @@ const DefaultExitHistoryEntries = 2048
 // classified request's exit step and consults the history when forming
 // the next batch, so lanes predicted to retire together share a chunk.
 //
-// The discipline is coding.QuantCache's, exactly: keys go through
-// coding.HashImage, every hit verifies pixel equality against the
-// stored image (a hash collision degrades to "no prediction", never to
-// another image's exit step), and an entry — with its verification
-// image copy — is only stored on a key's second sighting, so
-// unique-image traffic never allocates history entries. The observed
-// step count is policy-dependent (budget, stability window), so the
-// policy is part of the key. Safe for concurrent use.
+// It is a typed view over coding.Memo (pixel-verified reads, two-sighting
+// promotion, bounded arbitrary eviction — a collision degrades to "no
+// prediction", never to another image's exit step). The observed step
+// count is policy-dependent (budget, stability window), so the policy is
+// part of the key. Safe for concurrent use.
 type ExitHistory struct {
-	mu      sync.Mutex
-	max     int
-	entries map[exitKey]exitEntry
-	seen    map[exitKey]struct{}
-
-	hits   atomic.Int64
-	misses atomic.Int64
+	*coding.Memo[exitKey, int]
 }
 
 type exitKey struct {
@@ -298,86 +286,27 @@ type exitKey struct {
 	policy ExitPolicy
 }
 
-type exitEntry struct {
-	image []float64
-	steps int
-}
-
 // NewExitHistory returns a history bounded to maxEntries (<= 0 uses
-// DefaultExitHistoryEntries). When full, an arbitrary entry is evicted
-// per insert, like the quant cache: the workloads this serves are
-// dominated by a small hot set.
-func NewExitHistory(maxEntries int) *ExitHistory {
+// DefaultExitHistoryEntries) verifying against px's pixel copies.
+func NewExitHistory(maxEntries int, px *coding.Interner) *ExitHistory {
 	if maxEntries <= 0 {
 		maxEntries = DefaultExitHistoryEntries
 	}
-	return &ExitHistory{
-		max:     maxEntries,
-		entries: map[exitKey]exitEntry{},
-		seen:    map[exitKey]struct{}{},
-	}
-}
-
-// Stats returns the lifetime predict hit/miss counters (surfaced as
-// exitHistoryHits/exitHistoryMisses in /metrics).
-func (h *ExitHistory) Stats() (hits, misses int64) {
-	return h.hits.Load(), h.misses.Load()
+	return &ExitHistory{coding.NewMemo[exitKey, int](maxEntries, 0, px)}
 }
 
 // Predict returns the exit step observed the last time this exact
 // (image, policy) pair was classified. hash must be
 // coding.HashImage(image) — the batcher hashes each request once at
-// submit and reuses it here and in dedupe. A key match with different
-// pixel contents counts as a miss.
+// submit and reuses it here and in dedupe.
 func (h *ExitHistory) Predict(hash uint64, image []float64, p ExitPolicy) (int, bool) {
-	h.mu.Lock()
-	e, ok := h.entries[exitKey{hash: hash, policy: p}]
-	h.mu.Unlock()
-	if ok && coding.SameImage(e.image, image) {
-		h.hits.Add(1)
-		return e.steps, true
-	}
-	h.misses.Add(1)
-	return 0, false
+	return h.Get(exitKey{hash: hash, policy: p}, image)
 }
 
-// Record notes one observed exit step for (image, policy). The first
-// sighting of a key only marks it seen; the second stores the entry
-// (copying the image for collision verification); later sightings
-// update the step count in place. A colliding key (same hash, different
-// pixels) replaces the stored entry, mirroring QuantCache's re-store.
+// Record notes one observed exit step for (image, policy): stored on
+// the key's second sighting, updated in place afterwards.
 func (h *ExitHistory) Record(hash uint64, image []float64, p ExitPolicy, steps int) {
-	if steps <= 0 {
-		return
+	if steps > 0 {
+		h.Memo.Record(exitKey{hash: hash, policy: p}, image, steps)
 	}
-	k := exitKey{hash: hash, policy: p}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.entries[k]; ok {
-		if coding.SameImage(e.image, image) {
-			e.steps = steps
-			h.entries[k] = e
-			return
-		}
-		// Collision (or changed pixels under the same hash): replace.
-		h.entries[k] = exitEntry{image: append([]float64(nil), image...), steps: steps}
-		return
-	}
-	if _, ok := h.seen[k]; !ok {
-		if len(h.seen) >= h.max {
-			for old := range h.seen {
-				delete(h.seen, old)
-				break
-			}
-		}
-		h.seen[k] = struct{}{}
-		return
-	}
-	if len(h.entries) >= h.max {
-		for old := range h.entries {
-			delete(h.entries, old)
-			break
-		}
-	}
-	h.entries[k] = exitEntry{image: append([]float64(nil), image...), steps: steps}
 }

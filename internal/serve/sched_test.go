@@ -141,13 +141,15 @@ func TestOrderByPredictedExit(t *testing.T) {
 }
 
 func TestExitHistoryDiscipline(t *testing.T) {
-	h := NewExitHistory(4)
+	h := NewExitHistory(4, coding.NewInterner(4))
+	var count coding.HitMiss
+	h.CountInto(&count)
 	img := []float64{0.1, 0.2, 0.3}
 	p := ExitPolicy{MaxSteps: 96, MinSteps: 8, StableWindow: 6}
 	hash := coding.HashImage(img)
 
 	// First sighting only marks the key seen — unique traffic must not
-	// allocate entries (the QuantCache promotion discipline).
+	// allocate entries (the coding.Memo promotion discipline).
 	h.Record(hash, img, p, 40)
 	if steps, ok := h.Predict(hash, img, p); ok {
 		t.Fatalf("prediction after one sighting: %d; entries must need two sightings", steps)
@@ -179,14 +181,14 @@ func TestExitHistoryDiscipline(t *testing.T) {
 		t.Fatalf("collision produced a prediction (%d steps)", steps)
 	}
 
-	// Stats counted the traffic above: hits and misses both nonzero.
-	if hits, misses := h.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("Stats() = %d hits, %d misses; want both nonzero", hits, misses)
+	// The traffic above was counted: hits and misses both nonzero.
+	if hits, misses := count.Load(); hits == 0 || misses == 0 {
+		t.Fatalf("counted %d hits, %d misses; want both nonzero", hits, misses)
 	}
 }
 
 func TestExitHistoryBounded(t *testing.T) {
-	h := NewExitHistory(8)
+	h := NewExitHistory(8, coding.NewInterner(8))
 	img := func(i int) []float64 { return []float64{float64(i), 1, 2} }
 	p := ExitPolicy{MaxSteps: 96}
 	for i := 0; i < 100; i++ {
@@ -194,12 +196,9 @@ func TestExitHistoryBounded(t *testing.T) {
 		hash := coding.HashImage(im)
 		h.Record(hash, im, p, 10+i)
 		h.Record(hash, im, p, 10+i)
-	}
-	h.mu.Lock()
-	entries, seen := len(h.entries), len(h.seen)
-	h.mu.Unlock()
-	if entries > 8 || seen > 8 {
-		t.Fatalf("history grew past its bound: %d entries, %d seen (max 8)", entries, seen)
+		if h.Len() > 8 {
+			t.Fatalf("history grew past its bound: %d entries (max 8)", h.Len())
+		}
 	}
 }
 
@@ -237,8 +236,9 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 		}
 	}()
 
-	history := NewExitHistory(0)
-	metrics.AttachExitHistory(history)
+	px := coding.NewInterner(internerEntries)
+	history := NewExitHistory(0, px)
+	history.CountInto(&metrics.exitHistory)
 	// fallbackMin 2 so even cold-start batches dispatch lockstep.
 	sched := NewAdaptiveSched(0, 2)
 	b := NewBatcher(pool, BatcherConfig{
@@ -288,8 +288,8 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 	// pipeline (sighting, then promotion); the third is a cache hit and
 	// must still report the exact sequential outcome — with no pipeline
 	// spans, since it never queued or simulated.
-	cache := NewResponseCache(0, time.Hour)
-	metrics.AttachResponseCache(cache)
+	cache := NewResponseCache(0, time.Hour, px)
+	cache.CountInto(&metrics.responseCache)
 	b.cache = cache
 	for replay := 0; replay < 2; replay++ {
 		out, err := b.Submit(context.Background(), images[0], policies[0])
@@ -310,7 +310,7 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 	if stages.Simulate != 0 || stages.Queue != 0 {
 		t.Errorf("cache hit reported pipeline spans %+v, want none", stages)
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
+	if hits := metrics.Snapshot().ResponseCacheHits; hits == 0 {
 		t.Error("response cache recorded no hits after promotion replay")
 	}
 }

@@ -332,26 +332,17 @@ func (s *Server) Traces() *obs.Ring { return s.traces }
 // Registry exposes the model registry (for listing or direct pool use).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// collaborators is a registration's per-model pipeline state built from
-// the server config: scheduling policy, exit history, response cache,
-// and degrade controller. A fresh set is built for every install —
-// initial registration, hot swap, and evict/warm restore alike.
-type collaborators struct {
-	sched   Scheduler
-	history *ExitHistory
-	cache   *ResponseCache
-	degrade *DegradeController
-}
-
-// buildCollaborators resolves the scheduling policy from the server
-// config, once per install.
-func (s *Server) buildCollaborators() (collaborators, error) {
-	var sched Scheduler
+// buildScheduler resolves the scheduling policy from the server config,
+// once per install — initial registration, hot swap and evict/warm
+// restore alike — and ahead of the conversion, so a bad mode fails
+// before the expensive part. The rest of a registration's pipeline
+// state is built by the install itself (installModelAt).
+func (s *Server) buildScheduler() (Scheduler, error) {
 	switch s.cfg.LockstepBatch {
 	case LockstepOn:
-		sched = NewStaticSched(2)
+		return NewStaticSched(2), nil
 	case LockstepOff:
-		sched = NewStaticSched(0)
+		return NewStaticSched(0), nil
 	case LockstepAuto:
 		// Lockstep can beat the sequential engine only on a SIMD
 		// dispatch tier (the resolved tier at this moment;
@@ -361,25 +352,12 @@ func (s *Server) buildCollaborators() (collaborators, error) {
 		// predictions), with the fixed ≥6-request rule as its cold-start
 		// fallback; on the purego tier auto never dispatches lockstep.
 		if kernels.ActiveLevel() != kernels.LevelPurego {
-			sched = NewAdaptiveSched(DefaultOccupancyCrossover, autoLockstepMinLanes)
-		} else {
-			sched = NewStaticSched(0)
+			return NewAdaptiveSched(DefaultOccupancyCrossover, autoLockstepMinLanes), nil
 		}
-	default:
-		return collaborators{}, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",
-			s.cfg.LockstepBatch, LockstepAuto, LockstepOn, LockstepOff)
+		return NewStaticSched(0), nil
 	}
-	c := collaborators{sched: sched}
-	if s.cfg.ExitHistorySize >= 0 {
-		c.history = NewExitHistory(s.cfg.ExitHistorySize)
-	}
-	if s.cfg.ResponseCacheSize >= 0 {
-		c.cache = NewResponseCache(s.cfg.ResponseCacheSize, s.cfg.ResponseCacheTTL)
-	}
-	if s.cfg.Degrade {
-		c.degrade = NewDegradeController(0, 0)
-	}
-	return c, nil
+	return nil, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",
+		s.cfg.LockstepBatch, LockstepAuto, LockstepOn, LockstepOff)
 }
 
 // Register converts a model and makes it resident with a live request
@@ -391,7 +369,7 @@ func (s *Server) buildCollaborators() (collaborators, error) {
 // Config.MaxResidentModels, the least-recently-used other model is
 // evicted.
 func (s *Server) Register(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
-	c, err := s.buildCollaborators()
+	sched, err := s.buildScheduler()
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +377,7 @@ func (s *Server) Register(cfg ModelConfig, net *dnn.Network, normSamples []datas
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.installModel(m, c)
+	e, err := s.installModel(m, sched)
 	if err != nil {
 		return nil, err
 	}
