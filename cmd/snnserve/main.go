@@ -84,7 +84,7 @@ func main() {
 		minSteps = flag.Int("minsteps", 16, "earliest step at which early exit is allowed")
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
-		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window; negative dispatches on queue drain")
+		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window, which decays to zero for traffic that waiting does not gather; negative dispatches on queue drain")
 		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), on, or off")
 		exitHist = flag.Int("exit-history", 0, "exit-aware batch forming: per-model (image-hash → exit-step) history entries (0 = default, negative disables)")
 		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
@@ -518,10 +518,10 @@ func scrapeTelemetry(client *http.Client, base, traceOut string) error {
 	}
 
 	// What waiting for company earned: a lone closed-loop client should
-	// read as fruitless waits and a window at its floor.
+	// read as a few fruitless waits, then skipped ones and a zero window.
 	fw := snap.FormWaits
-	fmt.Printf("forming  : window %.3fms now; partial batches: %d joined, %d fruitless\n",
-		snap.FormWindowMs, fw.Joined, fw.Fruitless)
+	fmt.Printf("forming  : window %.3fms now; partial batches: %d joined, %d fruitless, %d skipped\n",
+		snap.FormWindowMs, fw.Joined, fw.Fruitless, fw.Skipped)
 
 	// Steering decision trace: how the scheduling plane routed the load's
 	// multi-request batches and why, so a steering regression (a plane

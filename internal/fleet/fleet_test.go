@@ -629,11 +629,12 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		perShard += c.Requests
 		waits.Joined += c.FormWaits.Joined
 		waits.Fruitless += c.FormWaits.Fruitless
-		// Lone requests halve a shard's window from the 2 ms MaxDelay toward
-		// its floor, a sixteenth; the fleet must report each shard's own.
+		waits.Skipped += c.FormWaits.Skipped
+		// Lone requests halve a shard's window from the 2 ms MaxDelay to
+		// zero; the fleet must report each shard's own.
 		windows[s] = c.FormWindowMs
-		if c.FormWindowMs < 0.125 || c.FormWindowMs > 2 {
-			t.Errorf("shard %d forming window = %v ms, want within [0.125, 2]", s, c.FormWindowMs)
+		if c.FormWindowMs < 0 || c.FormWindowMs > 2 {
+			t.Errorf("shard %d forming window = %v ms, want within [0, 2]", s, c.FormWindowMs)
 		}
 		if got := ms.PerShard[strconv.Itoa(s)].FormWindowMs; got != c.FormWindowMs {
 			t.Errorf("perShard[%d].formWindowMs = %v, want the shard's own %v", s, got, c.FormWindowMs)
@@ -642,9 +643,10 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	if perShard != n {
 		t.Errorf("per-shard requests sum = %d, want %d", perShard, n)
 	}
-	// Sixteen lone requests each left as a partial batch after a timed
-	// wait; the merge adds the shards' forming counters.
-	if got := ms.Counters.FormWaits; got != waits || got.Joined+got.Fruitless != n {
+	// Sixteen lone requests each left as a partial batch, after a timed
+	// wait or — once their shard's window was zero — without one; the
+	// merge adds the shards' forming counters.
+	if got := ms.Counters.FormWaits; got != waits || got.Joined+got.Fruitless+got.Skipped != n {
 		t.Errorf("merged forming waits = %+v, want the shards' sum %+v covering %d batches", got, waits, n)
 	}
 	total, ok := ms.Stages["total"]
@@ -686,6 +688,7 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		`burstsnn_fleet_errors_total{model="digits",kind="shed"} 0`,
 		`burstsnn_fleet_stage_duration_seconds_count{model="digits",stage="total"} 16`,
 		`burstsnn_fleet_form_waits_total{model="digits",outcome="fruitless"}`,
+		`burstsnn_fleet_form_waits_total{model="digits",outcome="skipped"}`,
 		`burstsnn_fleet_form_window_seconds{model="digits",shard="0"} ` + strconv.FormatFloat(windows[0]/1e3, 'g', -1, 64) + "\n",
 		`burstsnn_fleet_form_window_seconds{model="digits",shard="1"} ` + strconv.FormatFloat(windows[1]/1e3, 'g', -1, 64) + "\n",
 		`burstsnn_fleet_retry_after_seconds{model="digits",shard="1"}`,

@@ -32,9 +32,9 @@ const drainEWMAWeight = 0.25
 
 // Batcher is the microbatching request queue in front of a replica pool.
 // Requests are grouped into batches of up to MaxBatch. A partial batch
-// waits for company inside an adaptive forming window whose upper bound
-// is MaxDelay and which shrinks to a sixteenth of it while waiting
-// gathers nobody (see form.go). Each batch checks out one replica and hands the
+// waits for company inside an adaptive forming window: MaxDelay is its
+// upper bound, and it decays to zero for traffic that waiting does not
+// gather (see form.go). Each batch checks out one replica and hands the
 // execution decision to the scheduling plane (see sched.go):
 // multi-request batches run lockstep through the
 // replica's batch simulator — amortizing scatter-table walks, weight
@@ -119,7 +119,8 @@ type BatcherConfig struct {
 	Fair     *FairSlot          // cross-model fair slots (see FairDispatcher); nil disables
 	MaxBatch int                // lanes per microbatch; <= 0 defaults to 1
 	// MaxDelay is the upper bound of the adaptive forming window (see
-	// formWindow); <= 0 dispatches on queue drain.
+	// formWindow), which decays to zero for traffic that waiting does not
+	// gather; <= 0 dispatches on queue drain.
 	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; <= 0 defaults to 4× MaxBatch.
 	// Submits beyond it shed with ErrOverloaded.
@@ -296,7 +297,8 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 func (b *Batcher) QueueDepth() int { return len(b.queue) }
 
 // FormWindow reports how long the next partial batch would wait for
-// company: between MaxDelay/16 and MaxDelay, as the dispatcher last set it.
+// company, as the dispatcher last set it: MaxDelay is the upper bound; it
+// decays to zero for traffic that waiting does not gather.
 func (b *Batcher) FormWindow() time.Duration { return time.Duration(b.formWindowNs.Load()) }
 
 // DegradeState reports the degraded-mode state machine's mode and

@@ -114,10 +114,11 @@ var modelFamilies = []family{
 	{Name: "sched_decisions_total", Kind: counter, Label: "reason", Series: one(func(s *Snapshot) any { return &s.SchedReasons }, mergeSum),
 		Help: "Steering decisions by reason (see internal/serve sched.go)."},
 	{Name: "form_waits_total", Kind: counter, Label: "outcome",
-		Help: "Partial batches by how their timed wait for company ended: joined (it gained a request), fruitless (it gained nobody).",
+		Help: "Partial batches by how their wait for company ended: joined (the timed wait gained a request), fruitless (it gained nobody), skipped (the window was zero and no timer was armed).",
 		Series: []series{
 			{Value: "joined", Field: func(s *Snapshot) any { return &s.FormWaits.Joined }},
 			{Value: "fruitless", Field: func(s *Snapshot) any { return &s.FormWaits.Fruitless }},
+			{Value: "skipped", Field: func(s *Snapshot) any { return &s.FormWaits.Skipped }},
 		}},
 	{Name: "exit_prediction_hits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.ExitHistoryHits }, mergeSum),
 		Help: "Exit-history lookups that produced a verified exit-step prediction."},
@@ -142,7 +143,7 @@ var modelFamilies = []family{
 		Help: "Requests waiting in the model's admission queue right now."},
 	// Windows do not add: the merge reports the widest shard's.
 	{Name: "form_window_seconds", Kind: gauge, Series: []series{{Field: func(s *Snapshot) any { return &s.FormWindowMs }, Merge: mergeMax, Per: 1e3}},
-		Help: "Live batch-forming window: how long the next partial batch waits for company, between a sixteenth of the configured max delay and all of it."},
+		Help: "Live batch-forming window: how long the next partial batch waits for company, from the configured max delay down to zero for traffic that waiting does not gather."},
 	{Name: "pool_in_flight", Kind: gauge, Series: one(func(s *Snapshot) any { return &s.PoolInFlight }, mergeSum),
 		Help: "Replicas checked out right now."},
 	{Name: "pool_size", Kind: gauge, Series: one(func(s *Snapshot) any { return &s.PoolSize }, mergeSum),

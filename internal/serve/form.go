@@ -6,12 +6,14 @@ import (
 	"time"
 )
 
-// formWindowFloor is where the forming window stops shrinking: it never
-// falls below MaxDelay/formWindowFloor. The floor is the standing probe —
-// a joiner during it is the direct evidence that brings the window back —
-// and it keeps a lone closed-loop caller from turning the serving loop
-// CPU-bound: with no wait at all throughput tracks the host's
-// single-thread speed run by run (see internal/README.md "Batch forming").
+// formWindowFloor is the cut-off below which the forming window is zero:
+// a window that fruitless waits would halve to MaxDelay/formWindowFloor or
+// less is not armed at all. A timer that short is a fiction — the runtime
+// parks an idle P in epoll_wait with a whole-millisecond timeout, so the
+// 125 µs a sixteenth of the default MaxDelay asks for costs a lone request
+// about 1.1 ms — and a zero window needs no timer to come back: a near
+// miss restores it, and a batch blocked on an execution slot collects
+// without one (see internal/README.md "Batch forming").
 const formWindowFloor = 16
 
 // formWindow is how long a partial batch waits for company, adapted from
@@ -41,13 +43,18 @@ func (w *formWindow) next() time.Duration { return w.cur }
 
 // waited records how a timed wait of next() ended. A joiner restores the
 // full window (that includes a wait cut short because the batch filled);
-// a fruitless wait halves it, down to max/formWindowFloor.
+// a fruitless wait halves it, and a window that would fall to
+// max/formWindowFloor or below becomes zero: no further wait is armed
+// until a near miss restores it.
 func (w *formWindow) waited(joined bool) {
 	if joined {
 		w.cur = w.max
 		return
 	}
-	w.cur = max(w.cur/2, w.max/formWindowFloor)
+	w.cur /= 2
+	if w.cur <= w.max/formWindowFloor {
+		w.cur = 0
+	}
 }
 
 // nearMiss records a request that arrived within max of a partial batch's
@@ -66,9 +73,10 @@ func (w *formWindow) nearMiss() { w.cur = w.max }
 // once so callers that are already runnable can enqueue (the channel
 // hand-off wakes the dispatcher ahead of them), and takes what that
 // brought. Still short of full, it waits for company only as long as the
-// formWindow says — a sixteenth of MaxDelay once waiting has stopped
-// gathering anything. And while every execution slot is busy it keeps
-// collecting: waiting for a replica is forming time that costs nothing.
+// formWindow says — not at all once waiting has stopped gathering
+// anything: a zero window arms no timer and the batch leaves at once. And
+// while every execution slot is busy it keeps collecting: waiting for a
+// replica is forming time that costs nothing.
 func (b *Batcher) dispatch() {
 	var batches sync.WaitGroup
 	defer func() {
@@ -149,33 +157,42 @@ func (b *Batcher) dispatch() {
 			batch = drain(batch)
 		}
 		if short() {
-			had := len(batch)
-			if timer == nil {
-				timer = time.NewTimer(win.next())
-			} else {
-				timer.Reset(win.next())
-			}
-		collect:
-			for len(batch) < b.maxBatch {
-				select {
-				case req, ok := <-queue:
-					if !ok {
-						queue = nil
+			// With the window at zero the batch leaves at once: no timer is
+			// armed, and a wait that did not happen is neither joined nor
+			// fruitless, so the window stays where it is.
+			outcome := FormSkipped
+			if wait := win.next(); wait > 0 {
+				had := len(batch)
+				if timer == nil {
+					timer = time.NewTimer(wait)
+				} else {
+					timer.Reset(wait)
+				}
+			collect:
+				for len(batch) < b.maxBatch {
+					select {
+					case req, ok := <-queue:
+						if !ok {
+							queue = nil
+							break collect
+						}
+						batch = admit(batch, req)
+					case <-timer.C:
+						break collect
+					case <-b.closeCtx.Done():
 						break collect
 					}
-					batch = admit(batch, req)
-				case <-timer.C:
-					break collect
-				case <-b.closeCtx.Done():
-					break collect
 				}
+				timer.Stop() // go.mod is past go1.23: no stale tick survives Stop
+				outcome = FormFruitless
+				if len(batch) > had {
+					outcome = FormJoined
+				}
+				win.waited(outcome == FormJoined)
+				b.formWindowNs.Store(int64(win.next()))
 			}
-			timer.Stop() // go.mod is past go1.23: no stale tick survives Stop
-			joined := len(batch) > had
-			win.waited(joined)
-			b.formWindowNs.Store(int64(win.next()))
 			if b.metrics != nil {
-				b.metrics.ObserveFormWait(joined)
+				b.metrics.ObserveFormWait(outcome)
 			}
 		}
 

@@ -3,11 +3,16 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
+
+// formHalvings is how many fruitless waits take a full window to zero:
+// the halvings it takes to reach MaxDelay/formWindowFloor.
+var formHalvings = bits.Len(formWindowFloor - 1)
 
 // TestFormWindow drives the forming-window rule without a clock: each
 // case is a sequence of dispatcher events and the window expected after
@@ -27,10 +32,12 @@ func TestFormWindow(t *testing.T) {
 		want   []time.Duration // window after each event
 	}{
 		{
-			name:   "lone traffic reaches the floor in four fruitless waits and stays",
+			// The full/16 rung itself is never a wait: the fourth fruitless
+			// wait (of full/8) takes the window straight to zero.
+			name:   "lone traffic reaches zero in four fruitless waits and stays",
 			max:    full,
 			events: []event{fruitless, fruitless, fruitless, fruitless, fruitless, fruitless},
-			want:   []time.Duration{full / 2, full / 4, full / 8, full / 16, full / 16, full / 16},
+			want:   []time.Duration{full / 2, full / 4, full / 8, 0, 0, 0},
 		},
 		{
 			name:   "one joiner restores the full window",
@@ -39,10 +46,16 @@ func TestFormWindow(t *testing.T) {
 			want:   []time.Duration{full / 2, full / 4, full, full / 2},
 		},
 		{
-			name:   "a near miss restores it from the floor",
+			name:   "a joiner restores it from zero",
 			max:    full,
-			events: []event{fruitless, fruitless, fruitless, fruitless, fruitless, nearMiss},
-			want:   []time.Duration{full / 2, full / 4, full / 8, full / 16, full / 16, full},
+			events: []event{fruitless, fruitless, fruitless, fruitless, joined},
+			want:   []time.Duration{full / 2, full / 4, full / 8, 0, full},
+		},
+		{
+			name:   "a near miss restores it from zero",
+			max:    full,
+			events: []event{fruitless, fruitless, fruitless, fruitless, fruitless, nearMiss, fruitless},
+			want:   []time.Duration{full / 2, full / 4, full / 8, 0, 0, full, full / 2},
 		},
 		{
 			// A batch that fills reports a joiner (its wait was cut short)
@@ -97,12 +110,11 @@ func TestFormWindow(t *testing.T) {
 // TestBatcherFormConverges is the forming contract for k < MaxBatch
 // closed-loop callers: the dispatcher's yield gathers a round's k requests
 // into one batch, and once waiting has stopped gathering anyone that
-// batch waits only the floor. A round counts as converged when its only
-// forming event is one fruitless wait with the window at its floor; a
-// caller the scheduler delayed breaks the pattern (a joiner or a near
-// miss brings the window back), so the test asks for a run of converged
-// rounds somewhere in a bounded number of them rather than from a fixed
-// round on.
+// batch does not wait at all. A round counts as converged when its only
+// forming event is one skipped wait with the window at zero; a caller the
+// scheduler delayed breaks the pattern (a near miss brings the window
+// back), so the test asks for a run of converged rounds somewhere in a
+// bounded number of them rather than from a fixed round on.
 //
 // It runs on one P, where "submitted together" is exact: the callers are
 // runnable on the dispatcher's own P when it yields. Across several Ps
@@ -140,53 +152,63 @@ func TestBatcherFormConverges(t *testing.T) {
 				}
 				wg.Wait()
 				after := metrics.Snapshot().FormWaits
-				if after.Fruitless == before.Fruitless+1 && after.Joined == before.Joined &&
-					b.FormWindow() == delay/formWindowFloor {
+				before.Skipped++
+				if after == before && b.FormWindow() == 0 {
 					run++
 				} else {
 					run = 0
 				}
 			}
 			if run < wantRun {
-				t.Fatalf("no %d consecutive rounds of one full-%d batch at the floor window in %d rounds: %+v",
+				t.Fatalf("no %d consecutive rounds of one full-%d batch at a zero window in %d rounds: %+v",
 					wantRun, k, maxRounds, metrics.Snapshot().FormWaits)
 			}
 		})
 	}
 }
 
-// TestBatcherFormNearMiss: with the window shrunk to its floor by lone
-// traffic, a second caller that arrives while the first one's partial
-// batch is still executing is a near miss and brings the whole window back.
-func TestBatcherFormNearMiss(t *testing.T) {
+// formPolicy is the exit policy of the gated forming tests' requests.
+var formPolicy = ExitPolicy{MaxSteps: 8}
+
+// zeroWindowBatcher returns a batcher over a one-replica pool whose
+// forming window lone requests (of the returned image) have already taken
+// to zero, and the channel that arms its gate: a gate sent on arm holds
+// the next batch on its replica, before it replies to anyone, until the
+// gate is closed.
+func zeroWindowBatcher(t *testing.T, cfg BatcherConfig) (*Batcher, chan<- chan struct{}, []float64) {
+	t.Helper()
 	pool, image := testPool(t, 1)
-	// Long enough to outlast the gap between the first caller's dispatch
-	// and the second one's submit on a loaded machine, short enough to
-	// halve to the floor in well under a second.
-	const delay, floor = 200 * time.Millisecond, 200 * time.Millisecond / formWindowFloor
-	// A gate sent on arm holds the next batch on its replica until closed.
 	arm := make(chan chan struct{}, 1)
-	b := NewBatcher(pool, BatcherConfig{
-		MaxBatch: 8, MaxDelay: delay,
-		InjectFault: func() error {
-			select {
-			case gate := <-arm:
-				<-gate
-			default:
-			}
-			return nil
-		},
-	})
-	defer b.Close()
-	policy := ExitPolicy{MaxSteps: 8}
-	for i := 0; b.FormWindow() > floor; i++ {
-		if i == 5 {
+	cfg.InjectFault = func() error {
+		select {
+		case gate := <-arm:
+			<-gate
+		default:
+		}
+		return nil
+	}
+	b := NewBatcher(pool, cfg)
+	for i := 0; b.FormWindow() > 0; i++ {
+		if i > formHalvings {
 			t.Fatalf("window still %v after %d lone requests", b.FormWindow(), i)
 		}
-		if _, err := b.Submit(context.Background(), image, policy); err != nil {
+		if _, err := b.Submit(context.Background(), image, formPolicy); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
+	return b, arm, image
+}
+
+// TestBatcherFormNearMiss: with the window shrunk to zero by lone
+// traffic, a second caller that arrives while the first one's partial
+// batch is still executing is a near miss and brings the whole window back.
+func TestBatcherFormNearMiss(t *testing.T) {
+	// Long enough to outlast the gap between the first caller's dispatch
+	// and the second one's submit on a loaded machine, short enough to
+	// halve to zero in well under a second.
+	const delay = 200 * time.Millisecond
+	b, arm, image := zeroWindowBatcher(t, BatcherConfig{MaxBatch: 8, MaxDelay: delay})
+	defer b.Close()
 
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
@@ -198,21 +220,107 @@ func TestBatcherFormNearMiss(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// The second caller may be cut off by Close below.
-			_, _ = b.Submit(context.Background(), image, policy)
+			_, _ = b.Submit(context.Background(), image, formPolicy)
 		}()
 	}
 	submit()
 	// The hook taking the gate is the proof that this batch — not the
 	// previous one, still returning its replica — is the one executing.
 	waitFor(t, func() bool { return len(arm) == 0 })
-	if got := b.FormWindow(); got != floor {
-		t.Fatalf("window = %v while the lone batch executes, want the %v floor", got, floor)
+	if got := b.FormWindow(); got != 0 {
+		t.Fatalf("window = %v while the lone batch executes, want 0", got)
 	}
 	submit()
 	waitFor(t, func() bool { return b.FormWindow() == delay })
 	release()
 	b.Close() // ends the second caller's restored wait
 	wg.Wait()
+}
+
+// TestBatcherFormRecoversFromZero: a zero window is not a trap. Two
+// callers that fall out of step re-open it on their first overlap (the
+// second one's batch waits the whole MaxDelay), and once they are in step
+// again — one two-lane batch per round, gathered by the yield — it takes
+// formHalvings fruitless waits to give the window up again. One P, for the
+// reason TestBatcherFormConverges gives; a round the scheduler disturbs
+// anyway restarts the count from wherever it left the window.
+func TestBatcherFormRecoversFromZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const delay = 200 * time.Millisecond // see TestBatcherFormNearMiss
+	metrics := NewMetrics()
+	b, arm, image := zeroWindowBatcher(t, BatcherConfig{Metrics: metrics, MaxBatch: 8, MaxDelay: delay})
+	defer b.Close()
+	other := append([]float64(nil), image...)
+	other[0] = 0.5 // distinct, so the pair never dedupes
+
+	// Out of step: the second caller arrives while the first one's lone
+	// batch is held on its replica.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before the deferred Close, which waits for the batch
+	arm <- gate
+	var wg sync.WaitGroup
+	var secondForm time.Duration
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := b.Submit(context.Background(), image, formPolicy); err != nil {
+			t.Errorf("Submit: %v", err)
+		}
+	}()
+	waitFor(t, func() bool { return len(arm) == 0 })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, st, _, err := b.SubmitTraced(context.Background(), other, formPolicy)
+		if err != nil {
+			t.Errorf("Submit: %v", err)
+		}
+		secondForm = st.Form
+	}()
+	waitFor(t, func() bool { return b.FormWindow() == delay })
+	release()
+	wg.Wait()
+	if secondForm < delay {
+		t.Errorf("the second caller's batch formed in %v, want the restored %v window waited out", secondForm, delay)
+	}
+	// The held batch skipped its wait; the second one's was fruitless.
+	want := FormWaits{Fruitless: int64(formHalvings) + 1, Skipped: 1}
+	if got := metrics.Snapshot().FormWaits; got != want {
+		t.Fatalf("forming waits after the overlap = %+v, want %+v", got, want)
+	}
+
+	// In step again. fruitless counts the fruitless waits since the window
+	// was last whole; the second caller's own wait was the first.
+	const maxRounds = 2000
+	fruitless := 1
+	for round := 0; b.FormWindow() > 0; round++ {
+		if round == maxRounds {
+			t.Fatalf("window still %v after %d synchronized rounds: %+v", b.FormWindow(), round, metrics.Snapshot().FormWaits)
+		}
+		before := metrics.Snapshot().FormWaits
+		for _, img := range [][]float64{image, other} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := b.Submit(context.Background(), img, formPolicy); err != nil {
+					t.Errorf("Submit: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+		before.Fruitless++
+		if metrics.Snapshot().FormWaits == before {
+			fruitless++
+		} else if win := b.FormWindow(); win > 0 {
+			// A straggler joined or was a near miss: count from the window
+			// that left behind.
+			fruitless = bits.Len(uint(delay/win)) - 1
+		}
+	}
+	if fruitless != formHalvings {
+		t.Errorf("window reached zero after %d fruitless waits in step, want %d", fruitless, formHalvings)
+	}
 }
 
 // TestBatcherGracefulCloseSkipsWindow: a request still queued when

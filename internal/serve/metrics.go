@@ -79,10 +79,9 @@ type Metrics struct {
 	batches         atomic.Int64
 	batchLanes      atomic.Int64
 	batchStepsSaved atomic.Int64
-	// Forming-window accounting (see form.go): partial batches whose timed
-	// wait gained a joiner, or gained nobody.
-	formJoined    atomic.Int64
-	formFruitless atomic.Int64
+	// Forming-window accounting (see form.go): partial batches by
+	// FormOutcome.
+	formWaits [formOutcomes]atomic.Int64
 	// deduped counts requests answered by fanning out a batchmate's
 	// outcome instead of simulating (identical image and policy).
 	deduped atomic.Int64
@@ -171,14 +170,20 @@ func (m *Metrics) ObserveBatch(lanes, stepsSaved int) {
 	m.occupancy.Observe(float64(lanes))
 }
 
-// ObserveFormWait records one partial batch's timed wait for company and
-// whether anyone joined during it.
-func (m *Metrics) ObserveFormWait(joined bool) {
-	if joined {
-		m.formJoined.Add(1)
-	} else {
-		m.formFruitless.Add(1)
-	}
+// FormOutcome is how a batch that was still short after the dispatcher's
+// yield left the forming stage.
+type FormOutcome int
+
+const (
+	FormJoined    FormOutcome = iota // a request joined during the timed wait
+	FormFruitless                    // the timed wait gained nobody
+	FormSkipped                      // the window was zero: no timer was armed
+	formOutcomes
+)
+
+// ObserveFormWait records how one short batch left the forming stage.
+func (m *Metrics) ObserveFormWait(outcome FormOutcome) {
+	m.formWaits[outcome].Add(1)
 }
 
 // ObserveDeduped records n requests served by duplicate fan-out.
@@ -256,12 +261,15 @@ type StageStats struct {
 }
 
 // FormWaits counts how partial batches left the forming stage: after a
-// timed wait that a request joined, or after one that gained nobody.
-// Batches that were full before any wait, and every batch of a drain-only
-// batcher, count nowhere.
+// timed wait that a request joined, after one that gained nobody, or with
+// no wait at all because the window was zero. Joined + Fruitless + Skipped
+// is the number of adaptive batches that were still short after the
+// dispatcher's yield; batches that were full before any wait, and every
+// batch of a drain-only batcher, count nowhere.
 type FormWaits struct {
 	Joined    int64 `json:"joined"`
 	Fruitless int64 `json:"fruitless"`
+	Skipped   int64 `json:"skipped"`
 }
 
 // Snapshot is a point-in-time metrics view, JSON-shaped for /metrics.
@@ -307,8 +315,9 @@ type Snapshot struct {
 	Occupancy          StageStats `json:"batchOccupancy"`
 	BatchStepsSaved    int64      `json:"batchStepsSaved"`
 	// FormWaits is what waiting for company earned (see FormWaits), and
-	// FormWindowMs the live forming window — between MaxDelay/16 and
-	// MaxDelay, filled by the server at scrape time.
+	// FormWindowMs the live forming window — MaxDelay at most, zero for
+	// traffic that waiting does not gather — filled by the server at
+	// scrape time.
 	FormWaits    FormWaits `json:"formWaits"`
 	FormWindowMs float64   `json:"formWindowMs"`
 	// BatchKernel is the kernel dispatch tier the model's lockstep
@@ -429,8 +438,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.BatchStepsSaved = m.batchStepsSaved.Load()
 	s.FormWaits = FormWaits{
-		Joined:    m.formJoined.Load(),
-		Fruitless: m.formFruitless.Load(),
+		Joined:    m.formWaits[FormJoined].Load(),
+		Fruitless: m.formWaits[FormFruitless].Load(),
+		Skipped:   m.formWaits[FormSkipped].Load(),
 	}
 	s.DedupedRequests = m.deduped.Load()
 	s.BatchKernel = m.BatchKernel()

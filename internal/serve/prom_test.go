@@ -63,12 +63,13 @@ func TestPromExposition(t *testing.T) {
 		`burstsnn_degraded_requests_total{model="digits"} 0`,
 		`burstsnn_queue_pressure{model="digits"} 0`,
 		`burstsnn_degraded_mode{model="digits"} 0`,
-		// Five lone requests are five fruitless waits: four halvings take
-		// the forming window from the 2 ms MaxDelay to its floor, a
-		// sixteenth, and the fifth leaves it there.
+		// Five lone requests: four fruitless waits take the forming
+		// window from the 2 ms MaxDelay to zero, and the fifth skips its
+		// wait.
 		`burstsnn_form_waits_total{model="digits",outcome="joined"} 0`,
-		`burstsnn_form_waits_total{model="digits",outcome="fruitless"} 5`,
-		`burstsnn_form_window_seconds{model="digits"} 0.000125`,
+		`burstsnn_form_waits_total{model="digits",outcome="fruitless"} 4`,
+		`burstsnn_form_waits_total{model="digits",outcome="skipped"} 1`,
+		`burstsnn_form_window_seconds{model="digits"} 0` + "\n",
 		`burstsnn_stage_duration_seconds_count{model="digits",stage="simulate"} 5`,
 		`burstsnn_pool_size{model="digits"} 4`,
 		`burstsnn_queue_depth{model="digits"} 0`,

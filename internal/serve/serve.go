@@ -55,7 +55,7 @@ type Config struct {
 	MaxBatch int
 	// MaxDelay is the upper bound of the adaptive forming window: the
 	// longest a partial batch waits for company (default 2ms). The live
-	// window shrinks to a sixteenth of it while waiting gathers nobody and
+	// window decays to zero for traffic that waiting does not gather and
 	// comes back on evidence that it pays (internal/README.md "Batch
 	// forming").
 	// Negative dispatches on queue drain.
