@@ -261,16 +261,14 @@ func BenchmarkSNNStep(b *testing.B) {
 
 // BenchmarkHotpathConvStep isolates SpikingConv.Step: table-driven
 // scatter + fused bias/fire versus per-event div/mod arithmetic with a
-// full-population bias sweep.
+// full-population bias sweep. The fast path runs once per available
+// kernel dispatch tier (fast/purego, fast/sse, fast/avx2 side by side);
+// the reference path has no kernels and runs once.
 func BenchmarkHotpathConvStep(b *testing.B) {
 	layer, in := benchkit.HotpathConv()
-	for _, path := range []string{"fast", "ref"} {
-		b.Run(path, func(b *testing.B) {
+	run := func(name string, step func(int, float64, []coding.Event) []coding.Event) {
+		b.Run(name, func(b *testing.B) {
 			layer.Reset()
-			step := layer.Step
-			if path == "ref" {
-				step = layer.StepSlow
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -278,6 +276,14 @@ func BenchmarkHotpathConvStep(b *testing.B) {
 			}
 		})
 	}
+	defer kernels.ForceLevel("")
+	for _, lv := range kernels.Available() {
+		if err := kernels.ForceLevel(lv); err != nil {
+			b.Fatal(err)
+		}
+		run("fast/"+lv, layer.Step)
+	}
+	run("ref", layer.StepSlow)
 }
 
 // BenchmarkHotpathDenseStep isolates SpikingDense.Step: direct membrane

@@ -183,6 +183,17 @@ func convScatterVecAVX2(vmem, wsc *float32, taps *ConvTap, ntaps, outC int, pv *
 //go:noescape
 func fireRowsBurstAVX2(v, gs, pay *float32, fired *uint32, masks, occ *uint64, n int, bias *float32, bsc, beta, vth float32)
 
+// AVX2 float64 kernels (kernels64_avx2_amd64.s).
+
+//go:noescape
+func convScatter64AVX2(vmem, wsc *float64, taps *ConvTap, ntaps, outC int, p float64)
+
+//go:noescape
+func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
+
+//go:noescape
+func fireCellsBurst64AVX2(v, h, pay *float64, mask *uint64, n int, bias *float64, period int, bsc, beta, vth float64)
+
 func axpyBlock(dst, row []float32, p float32, b, lanes int) {
 	switch activeLevel() {
 	case levelAVX2:
@@ -365,4 +376,45 @@ func laneMaskEq(row []uint64, want uint64) uint64 {
 		return m | laneMaskEqScalar(row, want, n)
 	}
 	return laneMaskEqScalar(row, want, 0)
+}
+
+// The float64 primitives have one packed form (avx2, 4 cells per op);
+// the sse tier runs the generic loops. A packed sweep needs whole 4-cell
+// groups inside one bias period, so odd channel counts stay generic and
+// a population's sub-group tail finishes in the scalar loop.
+
+func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
+	if activeLevel() == levelAVX2 && outC&3 == 0 {
+		convScatter64AVX2(&vmem[0], &wsc[0], &taps[0], len(taps), outC, p)
+		return
+	}
+	convScatter64Generic(vmem, wsc, taps, outC, p)
+}
+
+// packed64 returns how many leading cells of an n-cell fire sweep the
+// avx2 form takes, and the bias pointer it reads.
+func packed64(n int, bias []float64) (int, *float64) {
+	if activeLevel() != levelAVX2 || len(bias)&3 != 0 || n < 4 {
+		return 0, nil
+	}
+	if bias == nil {
+		return n &^ 3, nil
+	}
+	return n &^ 3, &bias[0]
+}
+
+func fireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
+	n4, bp := packed64(len(v), bias)
+	if n4 > 0 {
+		fireCells64AVX2(&v[0], &mask[0], n4, bp, len(bias), bsc, th)
+	}
+	fireCells64Scalar(v, mask, n4, bias, bsc, th)
+}
+
+func fireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, beta, vth float64) {
+	n4, bp := packed64(len(v), bias)
+	if n4 > 0 {
+		fireCellsBurst64AVX2(&v[0], &h[0], &pay[0], &mask[0], n4, bp, len(bias), bsc, beta, vth)
+	}
+	fireCellsBurst64Scalar(v, h, pay, mask, n4, bias, bsc, beta, vth)
 }

@@ -73,3 +73,15 @@ func laneMaskBit(row []uint64, shift uint) uint64 {
 func laneMaskEq(row []uint64, want uint64) uint64 {
 	return laneMaskEqScalar(row, want, 0)
 }
+
+func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
+	convScatter64Generic(vmem, wsc, taps, outC, p)
+}
+
+func fireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
+	fireCells64Scalar(v, mask, 0, bias, bsc, th)
+}
+
+func fireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, beta, vth float64) {
+	fireCellsBurst64Scalar(v, h, pay, mask, 0, bias, bsc, beta, vth)
+}

@@ -93,6 +93,7 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 
 	type result struct {
 		f32  []float32
+		f64  []float64
 		u32  []uint32
 		mask uint64
 	}
@@ -102,6 +103,14 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 		v := make([]float32, n)
 		for i := range v {
 			v[i] = src[i%len(src)]
+		}
+		return v
+	}
+	// f64Like is randLike for the float64 primitives' inputs.
+	f64Like := func(src []float32, n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(src[i%len(src)])
 		}
 		return v
 	}
@@ -220,6 +229,35 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 				}
 				return result{f32: append(append(append([]float32(nil), v...), gs...), pay...), u32: fs, mask: sum}
 			}},
+			{"convscatter64", func() result {
+				outC := fuzzOutCs[lanes%len(fuzzOutCs)]
+				taps := make([]ConvTap, n%4)
+				for i := range taps {
+					taps[i] = ConvTap{WOff: int32(i%2) * int32(outC), Base: int32(i)}
+				}
+				vm := f64Like(buf, off+3*outC)
+				ConvScatter64(vm[off:], f64Like(pv, off+2*outC)[off:], taps, outC, float64(p))
+				return result{f64: vm}
+			}},
+			{"firecells64", func() result {
+				outC := fuzzOutCs[lanes%len(fuzzOutCs)]
+				nc := outC*n + b // ends mid-period for most shapes
+				v := f64Like(vrow, off+nc)
+				gs := f64Like(g, off+nc)
+				pay := make([]float64, off+nc)
+				bias64 := f64Like(pv, off+outC)[off:]
+				if n&1 == 0 {
+					bias64 = nil
+				}
+				masks := make([]uint64, 2*((nc+63)/64))
+				FireCells64(v[off:], masks, bias64, float64(p), float64(th))
+				FireCellsBurst64(v[off:], gs[off:], pay[off:], masks[len(masks)/2:], bias64, float64(p), 2, float64(th))
+				var sum uint64
+				for _, m := range masks {
+					sum = sum*1099511628211 ^ m
+				}
+				return result{f64: append(append(v, gs...), pay...), mask: sum}
+			}},
 		}
 		for _, c := range cases {
 			var ref result
@@ -240,6 +278,12 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 					if math.Float32bits(got.f32[i]) != math.Float32bits(ref.f32[i]) {
 						t.Fatalf("round %d %s (off=%d b=%d lanes=%d n=%d): tier %s f32[%d] = %v, %s %v",
 							round, c.name, off, b, lanes, n, lv, i, got.f32[i], levels[0], ref.f32[i])
+					}
+				}
+				for i := range ref.f64 {
+					if math.Float64bits(got.f64[i]) != math.Float64bits(ref.f64[i]) {
+						t.Fatalf("round %d %s (off=%d b=%d lanes=%d n=%d): tier %s f64[%d] = %v, %s %v",
+							round, c.name, off, b, lanes, n, lv, i, got.f64[i], levels[0], ref.f64[i])
 					}
 				}
 				for i := range ref.u32 {

@@ -1,9 +1,14 @@
-// Package kernels is the float32 compute plane's block-primitive layer:
-// the handful of inner loops the batched lockstep simulator spends its
-// time in, shaped for SIMD. The batch path stores neuron state B-striped
-// (lane-major) and the conv population base-major, so one scatter tap —
-// one weight row applied to one event column — updates a contiguous
-// OutC×B float32 block. These primitives consume exactly that shape.
+// Package kernels is the simulators' block-primitive layer: the handful
+// of inner loops they spend their time in, shaped for SIMD. Most of it
+// serves the float32 compute plane: the batched lockstep simulator
+// stores neuron state B-striped (lane-major) and the conv population
+// base-major, so one scatter tap — one weight row applied to one event
+// column — updates a contiguous OutC×B float32 block, and the float32
+// primitives consume exactly that shape. The sequential float64
+// simulator's conv scatter and fire sweeps live here too (kernels64.go):
+// the same base-major layout at B = 1, the same ladder, and a stronger
+// contract — bit-identity with the scalar engine they replaced, not
+// only with each other.
 //
 // Three dispatch tiers share one contract (see level.go for the
 // runtime-selection machinery):
@@ -29,7 +34,9 @@
 //
 // Kind reports which tier kernel calls currently execute on ("f32" pure
 // Go, "f32-sse", "f32-avx2"); serving surfaces it in /metrics so an
-// operator can see which kernels a replica actually ran.
+// operator can see which kernels a replica actually ran. The names are
+// the float32 plane's; the float64 primitives follow the same tier
+// (packed on avx2, the generic loops on purego and sse).
 package kernels
 
 // Kind identifies the kernel implementation behind the float32 plane

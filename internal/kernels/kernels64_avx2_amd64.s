@@ -1,0 +1,174 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2 float64 kernels: the sequential simulator's conv scatter and fire
+// sweeps, 4 cells per 256-bit op.
+//
+// Numerics contract: every cell receives exactly the operations of the
+// generic Go loops in kernels64.go — one rounded multiply and one add
+// (VMULPD + VADDPD, never FMA), an ordered compare, a masked subtract —
+// so the float64 trajectory is bit-identical on every tier.
+
+// func convScatter64AVX2(vmem, wsc *float64, taps *ConvTap, ntaps, outC int, p float64)
+// for each tap: vmem[Base*outC + i] += wsc[WOff+i] * p, i in [0,outC);
+// ntaps >= 1 and outC a positive multiple of 4.
+TEXT ·convScatter64AVX2(SB), NOSPLIT, $0-48
+	MOVQ         vmem+0(FP), DI
+	MOVQ         wsc+8(FP), SI
+	MOVQ         taps+16(FP), R10
+	MOVQ         ntaps+24(FP), CX
+	MOVQ         outC+32(FP), R9
+	VBROADCASTSD p+40(FP), Y5
+	SHLQ         $3, R9           // block bytes per base: outC * 8
+
+staploop:
+	MOVLQSX 0(R10), BX            // tap.WOff
+	MOVLQSX 4(R10), DX            // tap.Base
+	LEAQ    (SI)(BX*8), BX        // kernel row
+	IMULQ   R9, DX
+	ADDQ    DI, DX                // destination block
+	XORQ    R11, R11              // byte offset into both
+
+scell:
+	VMULPD  (BX)(R11*1), Y5, Y0   // w * p, rounded once
+	VADDPD  (DX)(R11*1), Y0, Y0
+	VMOVUPD Y0, (DX)(R11*1)
+	ADDQ    $32, R11
+	CMPQ    R11, R9
+	JLT     scell
+	ADDQ    $8, R10
+	DECQ    CX
+	JNZ     staploop
+	VZEROUPPER
+	RET
+
+// func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
+// The constant-threshold fire sweep over n cells (a multiple of 4):
+// v += bias[c mod period]*bsc (bias nil: no add; period a multiple of
+// 4), then th <= v (predicate 2, LE, ordered — NaN never fires, like the
+// scalar >=) resets by subtraction and sets the cell's mask bit.
+TEXT ·fireCells64AVX2(SB), NOSPLIT, $0-56
+	MOVQ         v+0(FP), DI
+	MOVQ         mask+8(FP), R13
+	MOVQ         n+16(FP), R11
+	MOVQ         bias+24(FP), R14
+	MOVQ         period+32(FP), R9
+	VBROADCASTSD bsc+40(FP), Y11
+	VBROADCASTSD th+48(FP), Y0
+	LEAQ         (R14)(R9*8), R9  // bias end
+	MOVQ         R14, R12         // bias cursor
+	XORQ         AX, AX           // mask word accumulator
+	XORQ         CX, CX           // bit position
+
+floop:
+	TESTQ   R11, R11
+	JZ      fdone
+	VMOVUPD (DI), Y1
+	TESTQ   R14, R14
+	JZ      fnobias
+	VMULPD  (R12), Y11, Y2        // bias * bsc, rounded once
+	VADDPD  Y2, Y1, Y1
+	ADDQ    $32, R12
+	CMPQ    R12, R9
+	CMOVQEQ R14, R12              // wrap at the period
+
+fnobias:
+	VCMPPD    $2, Y1, Y0, Y2      // Y2 = (th <= v) ? ^0 : 0
+	VANDPD    Y0, Y2, Y3          // th where fired, else +0
+	VSUBPD    Y3, Y1, Y1
+	VMOVUPD   Y1, (DI)
+	VMOVMSKPD Y2, DX
+	SHLQ      CX, DX
+	ORQ       DX, AX
+	ADDQ      $32, DI
+	ADDQ      $4, CX
+	SUBQ      $4, R11
+	CMPQ      CX, $64
+	JLT       floop
+	MOVQ      AX, (R13)           // mask word complete
+	ADDQ      $8, R13
+	XORQ      AX, AX
+	XORQ      CX, CX
+	JMP       floop
+
+fdone:
+	TESTQ CX, CX
+	JZ    fend
+	MOVQ  AX, (R13)               // flush the partial word
+
+fend:
+	VZEROUPPER
+	RET
+
+// func fireCellsBurst64AVX2(v, h, pay *float64, mask *uint64, n int, bias *float64, period int, bsc, beta, vth float64)
+// The burst fire sweep (Eq. 8/9) over n cells (a multiple of 4) on the
+// folded state h: g = h; th = g*vth; pay = th; fired = th <= v;
+// h = fired ? beta*g : 1 (a sign-mask blend, exact because the compare
+// result is all-ones or zero); v -= fired ? th : +0.
+TEXT ·fireCellsBurst64AVX2(SB), NOSPLIT, $0-80
+	MOVQ         v+0(FP), DI
+	MOVQ         h+8(FP), SI
+	MOVQ         pay+16(FP), R10
+	MOVQ         mask+24(FP), R13
+	MOVQ         n+32(FP), R11
+	MOVQ         bias+40(FP), R14
+	MOVQ         period+48(FP), R9
+	VBROADCASTSD bsc+56(FP), Y11
+	VBROADCASTSD beta+64(FP), Y13
+	VBROADCASTSD vth+72(FP), Y14
+	MOVQ         $0x3FF0000000000000, DX // 1.0
+	VMOVQ        DX, X15
+	VBROADCASTSD X15, Y15
+	LEAQ         (R14)(R9*8), R9  // bias end
+	MOVQ         R14, R12         // bias cursor
+	XORQ         AX, AX           // mask word accumulator
+	XORQ         CX, CX           // bit position
+
+bloop:
+	TESTQ   R11, R11
+	JZ      bdone
+	VMOVUPD (DI), Y1
+	TESTQ   R14, R14
+	JZ      bnobias
+	VMULPD  (R12), Y11, Y2        // bias * bsc, rounded once
+	VADDPD  Y2, Y1, Y1
+	ADDQ    $32, R12
+	CMPQ    R12, R9
+	CMOVQEQ R14, R12              // wrap at the period
+
+bnobias:
+	VMOVUPD   (SI), Y2            // g
+	VMULPD    Y14, Y2, Y3         // th = g * vth
+	VMOVUPD   Y3, (R10)           // pay = th (unconditional)
+	VCMPPD    $2, Y1, Y3, Y4      // fired = th <= v
+	VMULPD    Y2, Y13, Y2         // beta * g
+	VBLENDVPD Y4, Y2, Y15, Y2     // h = fired ? beta*g : 1
+	VMOVUPD   Y2, (SI)
+	VANDPD    Y4, Y3, Y3          // th where fired, else +0
+	VSUBPD    Y3, Y1, Y1
+	VMOVUPD   Y1, (DI)
+	VMOVMSKPD Y4, DX
+	SHLQ      CX, DX
+	ORQ       DX, AX
+	ADDQ      $32, DI
+	ADDQ      $32, SI
+	ADDQ      $32, R10
+	ADDQ      $4, CX
+	SUBQ      $4, R11
+	CMPQ      CX, $64
+	JLT       bloop
+	MOVQ      AX, (R13)           // mask word complete
+	ADDQ      $8, R13
+	XORQ      AX, AX
+	XORQ      CX, CX
+	JMP       bloop
+
+bdone:
+	TESTQ CX, CX
+	JZ    bend
+	MOVQ  AX, (R13)               // flush the partial word
+
+bend:
+	VZEROUPPER
+	RET

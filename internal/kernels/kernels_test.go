@@ -530,6 +530,10 @@ func TestEmptyInputs(t *testing.T) {
 	if LaneMaskBit(nil, 5) != 0 || LaneMaskEq(nil, 1) != 0 {
 		t.Fatal("empty lane sweeps must return empty masks")
 	}
+	ConvScatter64(nil, nil, nil, 4, 1)
+	ConvScatter64([]float64{1}, []float64{1}, []ConvTap{{}}, 0, 1)
+	FireCells64(nil, nil, nil, 1, 1)
+	FireCellsBurst64(nil, nil, nil, nil, nil, 1, 2, 1)
 }
 
 func BenchmarkAxpyBlock(b *testing.B) {
@@ -553,5 +557,199 @@ func BenchmarkFireRow(b *testing.B) {
 			v[j] = float32(j) * 0.3
 		}
 		FireRow(v, 1)
+	}
+}
+
+// The float64 primitives' references spell the pre-ladder engine's
+// arithmetic out cell by cell, and the fuzzers compare bits — the f64
+// contract is bit-identity with that arithmetic on every tier, not a
+// tolerance.
+
+func randF64s(r *mathx.RNG, n int, scale float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.Norm(0, scale)
+	}
+	return v
+}
+
+func sameBits64(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// fuzzOutCs are the channel counts the f64 fuzzers draw from: packed
+// (4, 8, 12, 16) and generic-only (1, 3, 5) widths.
+var fuzzOutCs = []int{1, 3, 4, 5, 8, 12, 16}
+
+func refConvScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
+	for _, tp := range taps {
+		for i := 0; i < outC; i++ {
+			wp := wsc[int(tp.WOff)+i] * p
+			vmem[int(tp.Base)*outC+i] += wp
+		}
+	}
+}
+
+func TestConvScatter64Fuzz(t *testing.T) { forEachLevel(t, testConvScatter64Fuzz) }
+
+func testConvScatter64Fuzz(t *testing.T) {
+	r := mathx.NewRNG(0xC064)
+	for round := 0; round < 600; round++ {
+		outC := fuzzOutCs[r.Intn(len(fuzzOutCs))]
+		nBases := 1 + r.Intn(9)
+		wscLen := outC * (1 + r.Intn(9))
+		wsc := randF64s(r, wscLen, 0.5)
+		// An event's taps address distinct bases; the empty list is
+		// drawn too (an input pixel no kernel window covers).
+		taps := make([]ConvTap, 0, nBases)
+		for _, base := range r.Perm(nBases)[:r.Intn(nBases+1)] {
+			taps = append(taps, ConvTap{
+				WOff: int32(r.Intn(wscLen/outC) * outC),
+				Base: int32(base),
+			})
+		}
+		p := r.Norm(0, 1)
+		switch r.Intn(5) {
+		case 0:
+			p = 0
+		case 1:
+			p = -p * p
+		}
+		vmem := randF64s(r, nBases*outC, 1)
+		want := append([]float64(nil), vmem...)
+		refConvScatter64(want, wsc, taps, outC, p)
+		ConvScatter64(vmem, wsc, taps, outC, p)
+		if i := sameBits64(vmem, want); i >= 0 {
+			t.Fatalf("round %d (outC=%d taps=%d p=%v): vmem[%d] = %v, want %v",
+				round, outC, len(taps), p, i, vmem[i], want[i])
+		}
+	}
+}
+
+// fireCase64 is one random fire-sweep input: n cells whose bias has
+// period outC (nil for a bias-free population).
+type fireCase64 struct {
+	v, h, bias     []float64
+	bsc, beta, vth float64
+}
+
+func randFireCase64(r *mathx.RNG) fireCase64 {
+	outC := fuzzOutCs[r.Intn(len(fuzzOutCs))]
+	// n crosses mask words; a third of the cases end mid-period, so the
+	// packed form hands a biased sub-group tail to the scalar loop.
+	n := outC * (1 + r.Intn(40))
+	if r.Intn(3) == 0 {
+		n += r.Intn(outC)
+	}
+	if r.Bernoulli(0.2) {
+		outC = n // a dense layer: one bias per cell, any tail length
+	}
+	c := fireCase64{
+		v:    randF64s(r, n, 0.25),
+		h:    make([]float64, n),
+		bsc:  r.Norm(1, 0.2),
+		beta: []float64{2, 1.5, 3}[r.Intn(3)],
+		vth:  0.125,
+	}
+	for i := range c.h {
+		c.h[i] = math.Pow(c.beta, float64(r.Intn(4)))
+	}
+	if r.Bernoulli(0.7) {
+		c.bias = randF64s(r, outC, 0.05)
+	}
+	return c
+}
+
+func checkMask(t *testing.T, round int, got []uint64, fired []bool) {
+	t.Helper()
+	want := make([]uint64, len(got))
+	for c, f := range fired {
+		if f {
+			want[c>>6] |= 1 << (uint(c) & 63)
+		}
+	}
+	for w := range want {
+		if got[w] != want[w] {
+			t.Fatalf("round %d (n=%d): mask[%d] %064b, want %064b", round, len(fired), w, got[w], want[w])
+		}
+	}
+}
+
+func TestFireCells64Fuzz(t *testing.T) { forEachLevel(t, testFireCells64Fuzz) }
+
+func testFireCells64Fuzz(t *testing.T) {
+	r := mathx.NewRNG(0xF164)
+	for round := 0; round < 400; round++ {
+		c := randFireCase64(r)
+		n := len(c.v)
+		fired := make([]bool, n)
+
+		// Constant threshold: the pre-ladder rate/phase/TTFS loop.
+		th := 0.125 * math.Pow(2, float64(r.Intn(4)))
+		want := append([]float64(nil), c.v...)
+		for i := range want {
+			x := want[i]
+			if c.bias != nil {
+				x += c.bias[i%len(c.bias)] * c.bsc
+			}
+			if fired[i] = x >= th; fired[i] {
+				x -= th
+			}
+			want[i] = x
+		}
+		v := append([]float64(nil), c.v...)
+		mask := make([]uint64, (n+63)/64)
+		for i := range mask {
+			mask[i] = ^uint64(0) // every covered word must be rewritten
+		}
+		FireCells64(v, mask, c.bias, c.bsc, th)
+		if i := sameBits64(v, want); i >= 0 {
+			t.Fatalf("round %d (n=%d period=%d): v[%d] = %v, want %v", round, n, len(c.bias), i, v[i], want[i])
+		}
+		checkMask(t, round, mask, fired)
+
+		// Burst: the pre-ladder Eq. 8/9 loop, unfolded (g, firedPrev)
+		// state mapped onto the folded h the kernel keeps.
+		wantV := append([]float64(nil), c.v...)
+		wantH := append([]float64(nil), c.h...)
+		wantP := make([]float64, n)
+		for i := range wantV {
+			x := wantV[i]
+			if c.bias != nil {
+				x += c.bias[i%len(c.bias)] * c.bsc
+			}
+			g := wantH[i]
+			bth := g * c.vth
+			wantP[i] = bth
+			if fired[i] = x >= bth; fired[i] {
+				x -= bth
+				wantH[i] = c.beta * g
+			} else {
+				wantH[i] = 1
+			}
+			wantV[i] = x
+		}
+		v = append(v[:0], c.v...)
+		h := append([]float64(nil), c.h...)
+		pay := make([]float64, n)
+		for i := range mask {
+			mask[i] = ^uint64(0)
+		}
+		FireCellsBurst64(v, h, pay, mask, c.bias, c.bsc, c.beta, c.vth)
+		if i := sameBits64(v, wantV); i >= 0 {
+			t.Fatalf("round %d burst (n=%d period=%d): v[%d] = %v, want %v", round, n, len(c.bias), i, v[i], wantV[i])
+		}
+		if i := sameBits64(h, wantH); i >= 0 {
+			t.Fatalf("round %d burst (n=%d): h[%d] = %v, want %v", round, n, i, h[i], wantH[i])
+		}
+		if i := sameBits64(pay, wantP); i >= 0 {
+			t.Fatalf("round %d burst (n=%d): pay[%d] = %v, want %v", round, n, i, pay[i], wantP[i])
+		}
+		checkMask(t, round, mask, fired)
 	}
 }

@@ -24,6 +24,10 @@ import "os"
 // snn.TestBatch32CrossTierConformance over the full hybrid corpus) pin
 // that contract on every commit.
 //
+// The sequential float64 engine's primitives (kernels64.go) ride the
+// same ladder with one packed form: avx2 runs it, purego and sse run the
+// generic loops, and all three are bit-identical to the scalar engine.
+//
 // The active tier can be overridden — per process via the KERNELS_LEVEL
 // environment variable, or programmatically via ForceLevel — so any tier
 // can be exercised on any machine that supports it (CI runs the whole

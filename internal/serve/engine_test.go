@@ -12,36 +12,12 @@ import (
 	"burstsnn/internal/snn"
 )
 
-// allocNet builds a conv-bearing network (conv → maxpool → avgpool →
-// dense → output) directly from random weights — no training — so the
+// allocNet builds a conv-bearing burst network (conv → maxpool → avgpool
+// → dense → output) directly from random weights — no training — so the
 // hot-path tests run in milliseconds.
 func allocNet(t testing.TB, input coding.Scheme, seed uint64) *snn.Network {
 	t.Helper()
-	r := mathx.NewRNG(seed)
-	randn := func(n int, std float64) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.Norm(0, std)
-		}
-		return v
-	}
-	g := snn.ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 4, K: 3, Stride: 1, Pad: 1}
-	hidden := coding.DefaultConfig(coding.Burst)
-	enc, err := coding.NewInputEncoder(coding.DefaultConfig(input), g.InC*g.InH*g.InW, seed)
-	if err != nil {
-		t.Fatalf("encoder: %v", err)
-	}
-	denseIn := g.OutC * g.OutH() / 4 * g.OutW() / 4
-	return &snn.Network{
-		Encoder: enc,
-		Layers: []snn.Layer{
-			snn.NewSpikingConv(randn(g.OutC*g.InC*g.K*g.K, 0.35), randn(g.OutC, 0.05), g, hidden),
-			snn.NewSpikingMaxPool(g.OutC, g.OutH(), g.OutW(), 2),
-			snn.NewSpikingAvgPool(g.OutC, g.OutH()/2, g.OutW()/2, 2, hidden),
-			snn.NewSpikingDense(randn(denseIn*12, 0.4), randn(12, 0.05), denseIn, 12, hidden),
-		},
-		Output: snn.NewOutputLayer(randn(12*4, 0.5), randn(4, 0.05), 12, 4),
-	}
+	return goldenNet{outC: 4, stride: 1, gate: true}.build(t, input, coding.Burst, seed)
 }
 
 func allocImage(seed uint64, n int) []float64 {

@@ -321,7 +321,10 @@ type Snapshot struct {
 	FormWaits    FormWaits `json:"formWaits"`
 	FormWindowMs float64   `json:"formWindowMs"`
 	// BatchKernel is the kernel dispatch tier the model's lockstep
-	// simulator runs on: "f32" (pure Go), "f32-sse", or "f32-avx2".
+	// simulator runs on: "f32" (pure Go), "f32-sse", or "f32-avx2". The
+	// sequential float64 engine dispatches on the same tier (packed on
+	// avx2, the generic loops otherwise) with bit-identical outcomes on
+	// all of them, so it has no field of its own.
 	BatchKernel string `json:"batchKernel,omitempty"`
 	// Scheduler names the steering policy resolved at Register time
 	// ("adaptive(crossover=2)", "static(min=6)", "sequential").

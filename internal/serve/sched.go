@@ -129,6 +129,14 @@ func (s *StaticSched) Name() string {
 // B=4 point (occupancy ≈1.6, lockstep ~0.7–0.8× sequential) and the B=8
 // point (occupancy ≈2.4, ~1.4–2.0×), so the default takes the midpoint
 // of the bracket.
+//
+// Measured after PR 26, constant not yet moved: the sequential engine
+// got ≈2.1–2.4× faster on that benchmark and the lockstep plane did not,
+// so the same two points now read ~0.30–0.34× (B=4) and ~0.67–0.86×
+// (B=8, sse–avx2) — lockstep loses at every measured width on distinct
+// images and the break-even lies above occupancy ≈2.4. The value and the
+// routing that uses it are PR 25's; re-deciding them is ROADMAP item 2
+// (internal/README.md, "When lockstep pays").
 const DefaultOccupancyCrossover = 2.0
 
 // Adaptive controller tuning: the EWMA weight for new occupancy

@@ -20,8 +20,14 @@ type CloneableLayer interface {
 	CloneLayer() Layer
 }
 
+// clone returns a population with fresh state that shares the immutable
+// layout tables.
 func (p *population) clone() *population {
-	return newPopulation(len(p.vmem), p.cfg)
+	c := newPopulation(len(p.vmem), p.cfg)
+	if p.perm != nil {
+		c.setLayout(p.perm, p.neuronOf)
+	}
+	return c
 }
 
 // CloneLayer implements CloneableLayer.

@@ -123,10 +123,12 @@ func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.K)/g.Stride + 1 }
 // convTap is one precomputed scatter destination of an input pixel: the
 // offset of the kernel row in WScatter (the tap's (ic,kh,kw) block, OutC
 // contiguous weights) and the output spatial base oy*OutW+ox it feeds.
-// Output channel oc's neuron is oc*OutH*OutW+base. Two int32s keep the
+// The base addresses a contiguous block of OutC cells — its OutC output
+// channels — in the base-major population (cells base*OutC+oc); output
+// channel oc's neuron index stays oc*OutH*OutW+base. Two int32s keep the
 // table at 8 bytes per tap; it is immutable after construction and shared
 // by every clone. The type lives in internal/kernels (kernels.ConvTap)
-// so the float32 plane's fused scatter can walk the table directly.
+// so both planes' fused scatters walk the table directly.
 type convTap = kernels.ConvTap
 
 // SpikingConv is a 2-D convolution spiking layer. An input event at
@@ -138,6 +140,14 @@ type convTap = kernels.ConvTap
 // table (taps/tapStart): Step looks up an event's destinations by input
 // index instead of re-deriving them with div/mod arithmetic and bounds
 // branches per event, which dominated the hot path's cost.
+//
+// The population is stored base-major — neuron oc*OutH*OutW+base lives in
+// cell base*OutC+oc, the float32 plane's layout — so the OutC
+// destinations of one tap are one contiguous run that lines up with the
+// tap's weight row, and a whole event is one kernels.ConvScatter64 call.
+// Neuron indices, and the order events are emitted in, are CHW as
+// before (population.emit). StepSlow keeps the CHW storage it was
+// written for; the two never share a presentation (Network.Ref).
 type SpikingConv struct {
 	Geom ConvGeom
 	// WScatter is the re-laid-out kernel: index ((ic*K+kh)*K+kw)*OutC+oc.
@@ -153,7 +163,7 @@ type SpikingConv struct {
 	outHW    int
 
 	pop    *population
-	bias   []float64 // pre-expanded per-neuron bias
+	bias   []float64 // pre-expanded per-neuron (CHW) bias: StepSlow's
 	bias32 []float32 // float32 copy of bias
 }
 
@@ -184,11 +194,15 @@ func NewSpikingConv(w []float64, bias []float64, geom ConvGeom, cfg coding.Confi
 		pop:   newPopulation(n, cfg),
 		bias:  make([]float64, n),
 	}
+	perm, neuronOf := make([]int32, n), make([]int32, n)
 	for oc := 0; oc < outC; oc++ {
 		for i := 0; i < l.outHW; i++ {
 			l.bias[oc*l.outHW+i] = bias[oc]
+			perm[oc*l.outHW+i] = int32(i*outC + oc)
+			neuronOf[i*outC+oc] = int32(oc*l.outHW + i)
 		}
 	}
+	l.pop.setLayout(perm, neuronOf)
 	l.WScatter32 = f32s(ws)
 	l.bias32 = f32s(l.bias)
 	// Precompute the scatter table: for every input pixel, the (weight
@@ -242,25 +256,20 @@ func (l *SpikingConv) NumNeurons() int { return len(l.pop.vmem) }
 func (l *SpikingConv) Reset() { l.pop.resetState() }
 
 // Step implements Layer: table-driven event scatter (no div/mod or
-// stride/pad branching per event) with the per-neuron bias folded into
-// the firing pass.
+// stride/pad branching per event), one fused kernel call per event, with
+// the per-channel bias folded into the firing pass.
 func (l *SpikingConv) Step(t int, biasScale float64, in []coding.Event) []coding.Event {
 	vmem := l.pop.vmem
 	outC := l.Geom.OutC
-	outHW := l.outHW
 	for _, ev := range in {
-		p := ev.Payload
-		for _, tp := range l.taps[l.tapStart[ev.Index]:l.tapStart[ev.Index+1]] {
-			row := l.WScatter[tp.WOff : int(tp.WOff)+outC]
-			idx := int(tp.Base)
-			for _, w := range row {
-				vmem[idx] += w * p
-				idx += outHW
-			}
-		}
+		kernels.ConvScatter64(vmem, l.WScatter, l.taps[l.tapStart[ev.Index]:l.tapStart[ev.Index+1]], outC, ev.Payload)
 	}
-	return l.pop.fire(t, l.bias, biasScale)
+	return l.pop.fire(t, l.Bias, biasScale)
 }
+
+// Potential returns neuron i's (CHW index) membrane potential on the
+// fast path's base-major storage (test hook).
+func (l *SpikingConv) Potential(i int) float64 { return l.pop.vmem[l.pop.perm[i]] }
 
 // StepSlow implements RefLayer: the pre-optimization version with a full
 // bias sweep up front and per-event stride/pad address arithmetic.

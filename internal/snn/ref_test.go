@@ -14,9 +14,27 @@ import (
 // milliseconds.
 var equivGeom = ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 4, K: 3, Stride: 1, Pad: 1}
 
+// moreEquivGeoms are the conv geometries the fast-vs-reference corpus
+// runs besides equivGeom (whose four channels are a packed width on the
+// avx2 tier): three output channels (no packed form: the generic scatter
+// and fire loops on every tier) and a stride-2 conv (ragged tap lists, a
+// 4×4 output map).
+var moreEquivGeoms = []struct {
+	name string
+	geom ConvGeom
+}{
+	{"c3", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 3, K: 3, Stride: 1, Pad: 1}},
+	{"c8s2", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 8, K: 3, Stride: 2, Pad: 1}},
+}
+
 // buildEquivNetwork assembles conv → maxpool → avgpool → dense → output
-// with deterministic pseudo-random weights under the given hybrid.
+// on equivGeom with deterministic pseudo-random weights under the given
+// hybrid.
 func buildEquivNetwork(t *testing.T, input, hidden coding.Config, seed uint64) *Network {
+	return buildEquivNetworkGeom(t, equivGeom, input, hidden, seed)
+}
+
+func buildEquivNetworkGeom(t *testing.T, g ConvGeom, input, hidden coding.Config, seed uint64) *Network {
 	t.Helper()
 	r := mathx.NewRNG(seed)
 	randn := func(n int, std float64) []float64 {
@@ -26,7 +44,6 @@ func buildEquivNetwork(t *testing.T, input, hidden coding.Config, seed uint64) *
 		}
 		return v
 	}
-	g := equivGeom
 	enc, err := coding.NewInputEncoder(input, g.InC*g.InH*g.InW, seed)
 	if err != nil {
 		t.Fatalf("encoder: %v", err)
@@ -54,12 +71,20 @@ func equivImage(seed uint64, n int) []float64 {
 }
 
 // TestFastPathMatchesReference is the tentpole safety net: for every
-// input-hidden hybrid, the optimized path (scatter tables, fused bias,
-// single-pass fire) and the reference path (StepSlow: per-event div/mod,
-// z-buffer, separate sweeps) must emit bit-identical spike trains at
-// every layer of every step, the same per-step predictions, and the same
-// spike counts.
+// input-hidden hybrid on every conv geometry, the optimized path (scatter
+// tables, base-major conv storage, fused bias, one storage-order fire
+// sweep on the active kernel tier, CHW emission) and the reference path
+// (StepSlow: per-event div/mod, CHW storage, z-buffer, separate sweeps)
+// must emit bit-identical spike trains at every layer of every step, the
+// same per-step predictions, and the same spike counts.
 func TestFastPathMatchesReference(t *testing.T) {
+	testFastPathMatchesReference(t, equivGeom) // subtests named by hybrid alone
+	for _, eg := range moreEquivGeoms {
+		t.Run(eg.name, func(t *testing.T) { testFastPathMatchesReference(t, eg.geom) })
+	}
+}
+
+func testFastPathMatchesReference(t *testing.T, geom ConvGeom) {
 	inputs := []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS}
 	leaky := func(s coding.Scheme) coding.Config {
 		cfg := coding.DefaultConfig(s)
@@ -85,7 +110,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			name := in.String() + "-" + hid.name
 			t.Run(name, func(t *testing.T) {
 				inCfg, hidCfg := coding.DefaultConfig(in), hid.cfg
-				fast := buildEquivNetwork(t, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
+				fast := buildEquivNetworkGeom(t, geom, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
 				ref, err := fast.Clone()
 				if err != nil {
 					t.Fatalf("clone: %v", err)
@@ -260,8 +285,8 @@ func TestConvScatterTableFuzz(t *testing.T) {
 			KH: g.K, KW: g.K, Stride: g.Stride, Pad: g.Pad,
 		})
 		for i, want := range dense.Data {
-			if math.Abs(l.pop.vmem[i]-want) > 1e-9 {
-				t.Fatalf("geom %+v neuron %d: scatter %v, dense %v", g, i, l.pop.vmem[i], want)
+			if math.Abs(l.Potential(i)-want) > 1e-9 {
+				t.Fatalf("geom %+v neuron %d: scatter %v, dense %v", g, i, l.Potential(i), want)
 			}
 		}
 	}

@@ -13,20 +13,49 @@ package snn
 
 import (
 	"fmt"
+	"math/bits"
 
 	"burstsnn/internal/coding"
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 )
 
 // population holds the integrate-and-fire state for one layer's neurons:
-// membrane potentials, burst state g, and the previous-step firing flags
-// that drive the burst function (Eq. 8).
+// membrane potentials, burst state, and the fired bitmap the firing pass
+// hands to emission.
+//
+// State is kept in storage order, one cell per neuron. Most layers store
+// neuron i in cell i; a conv layer stores its population base-major
+// (perm, see SpikingConv) so that one scatter tap is one contiguous
+// update. Events always leave in ascending neuron order whatever the
+// storage order — every downstream accumulation depends on it.
+//
+// g has two readings, fixed by which firing pass owns the population for
+// a presentation (Network.Ref does not change between Resets). The
+// pure-IF burst fast path keeps it folded: g[c] is the burst function
+// the cell will use at its next step, h = fired ? β·g : 1, so the pass
+// needs no firedPrev read and no second unpredictable branch; the same
+// product β·g is formed, one step earlier, so every threshold is
+// bit-identical. fireSlow and the leaky path keep Eq. 8 as written:
+// g[c] is g(t−1) and firedPrev[c] says whether it is multiplied. Both
+// readings reset to the same state (g = 1, firedPrev = false).
 type population struct {
 	cfg       coding.Config
 	vmem      []float64
 	g         []float64
 	firedPrev []bool
-	buf       []coding.Event
+	// pay[c] is cell c's threshold at the current step — the payload of
+	// its spike if it fired. Burst populations only: every other scheme's
+	// threshold is one value per step.
+	pay []float64
+	// mask is the current step's fired bitmap in storage order.
+	mask []uint64
+	// perm[i] is neuron i's cell and neuronOf its inverse; both nil for
+	// the identity layout. Immutable, shared by clones. nmask is the
+	// neuron-order bitmap emission transposes mask into.
+	perm, neuronOf []int32
+	nmask          []uint64
+	buf            []coding.Event
 }
 
 func newPopulation(n int, cfg coding.Config) *population {
@@ -35,13 +64,23 @@ func newPopulation(n int, cfg coding.Config) *population {
 		vmem:      make([]float64, n),
 		g:         make([]float64, n),
 		firedPrev: make([]bool, n),
+		mask:      make([]uint64, (n+63)/64),
 		// A neuron fires at most once per step, so n is the event-buffer
 		// high-watermark; pre-sizing keeps the steady-state hot path
 		// allocation-free (see internal/README.md).
 		buf: make([]coding.Event, 0, n),
 	}
+	if cfg.UsesBurstState() {
+		p.pay = make([]float64, n)
+	}
 	p.resetState()
 	return p
+}
+
+// setLayout installs a non-identity neuron→cell permutation.
+func (p *population) setLayout(perm, neuronOf []int32) {
+	p.perm, p.neuronOf = perm, neuronOf
+	p.nmask = make([]uint64, len(p.mask))
 }
 
 func (p *population) resetState() {
@@ -54,110 +93,122 @@ func (p *population) resetState() {
 
 // fire runs the threshold test for every neuron at time t after the
 // layer's synaptic events have been scattered into vmem, and returns the
-// emitted events. A neuron fires at most once per time step.
+// emitted events in ascending neuron order. A neuron fires at most once
+// per time step.
 //
-// This is the fused hot path: the layer's constant bias current
-// (bias[i]·biasScale; bias may be nil for bias-free layers), the leaky-IF
-// decay, the burst update, and the reset-by-subtraction threshold test all
-// happen in one pass over the population instead of one full sweep each.
-// For non-burst schemes the threshold does not depend on per-neuron state,
-// so it is computed once per step — this hoists the math.Pow inside the
-// phase oscillation Π(t) out of the per-neuron loop.
+// This is the fused hot path: the layer's constant bias current, the
+// leaky-IF decay, the burst update, and the reset-by-subtraction
+// threshold test all happen in one sweep over the cells, in storage
+// order. bias is the per-channel current in storage order with period
+// len(bias) — cell c receives bias[c mod len(bias)]·biasScale — so a
+// base-major conv passes its OutC channel biases and a dense layer its
+// per-neuron ones; nil for bias-free layers. The pure-IF sweeps are the
+// kernels.FireCells64 pair (packed on the avx2 tier, today's scalar loop
+// elsewhere; bit-identical either way). For non-burst schemes the
+// threshold does not depend on per-neuron state, so it is computed once
+// per step — this hoists the math.Pow inside the phase oscillation Π(t)
+// out of the per-neuron loop.
 func (p *population) fire(t int, bias []float64, biasScale float64) []coding.Event {
-	p.buf = p.buf[:0]
 	useBurst := p.cfg.UsesBurstState()
 	leak := p.cfg.Leak
 	vmem := p.vmem
-	if !useBurst && leak == 0 {
-		// Pure-IF, scheme-constant threshold (rate/phase/TTFS): no
-		// per-neuron state beyond the membrane, so the loop is branch-
-		// minimal. firedPrev is only read by the burst update and is left
-		// untouched here.
-		th := p.cfg.Threshold(t, 1)
-		if bias == nil {
-			for i, v := range vmem {
-				if v >= th {
-					vmem[i] = v - th
-					p.buf = append(p.buf, coding.Event{Index: i, Payload: th})
+	var th float64 // the step's threshold and payload (non-burst schemes)
+	if !useBurst {
+		th = p.cfg.Threshold(t, 1)
+	}
+	switch {
+	case leak != 0:
+		keep := 1 - leak
+		var w uint64
+		bi := 0
+		for c, v := range vmem {
+			if bias != nil {
+				v += bias[bi] * biasScale
+				if bi++; bi == len(bias) {
+					bi = 0
 				}
 			}
-			return p.buf
-		}
-		bias = bias[:len(vmem)]
-		for i, v := range vmem {
-			v += bias[i] * biasScale
-			if v >= th {
+			if leak > 0 {
+				// Leaky-IF extension: V(t) = (1-ℓ)(V(t-1)+z(t)).
+				v *= keep
+			}
+			cth := th
+			if useBurst {
+				// Eq. 8: g(t) depends on whether the neuron fired at t-1;
+				// Eq. 9: V_th(t) = g(t)·v_th.
+				g := coding.NextG(p.g[c], p.firedPrev[c], p.cfg.Beta)
+				p.g[c] = g
+				cth = g * p.cfg.VTh
+				p.pay[c] = cth
+			}
+			if v >= cth {
 				// Eq. 4 (reset-by-subtraction): the membrane keeps the
 				// residual, and the spike carries exactly the subtracted
 				// amount (Eq. 5 payload).
-				v -= th
-				p.buf = append(p.buf, coding.Event{Index: i, Payload: th})
-			}
-			vmem[i] = v
-		}
-		return p.buf
-	}
-	if useBurst && leak == 0 {
-		// Pure-IF burst (the paper's configuration): hoist the burst
-		// constants and state slices; Eq. 8/9 inlined.
-		beta, vth := p.cfg.Beta, p.cfg.VTh
-		gs := p.g[:len(vmem)]
-		fp := p.firedPrev[:len(vmem)]
-		if bias != nil {
-			bias = bias[:len(vmem)]
-		}
-		for i, v := range vmem {
-			if bias != nil {
-				v += bias[i] * biasScale
-			}
-			g := 1.0
-			if fp[i] {
-				g = beta * gs[i]
-			}
-			gs[i] = g
-			th := g * vth
-			if v >= th {
-				v -= th
-				fp[i] = true
-				p.buf = append(p.buf, coding.Event{Index: i, Payload: th})
+				v -= cth
+				p.firedPrev[c] = true
+				w |= 1 << (uint(c) & 63)
 			} else {
-				fp[i] = false
+				p.firedPrev[c] = false
 			}
-			vmem[i] = v
+			vmem[c] = v
+			if c&63 == 63 {
+				p.mask[c>>6] = w
+				w = 0
+			}
 		}
-		return p.buf
+		if len(vmem)&63 != 0 {
+			p.mask[len(vmem)>>6] = w
+		}
+	case useBurst:
+		kernels.FireCellsBurst64(vmem, p.g, p.pay, p.mask, bias, biasScale, p.cfg.Beta, p.cfg.VTh)
+	default:
+		kernels.FireCells64(vmem, p.mask, bias, biasScale, th)
 	}
-	keep := 1 - leak
-	var thConst float64
-	if !useBurst {
-		thConst = p.cfg.Threshold(t, 1)
+	return p.emit(th)
+}
+
+// emit turns the storage-order fired bitmap into the step's events, in
+// ascending neuron order, at a cost proportional to the spikes (plus one
+// word per 64 cells). A permuted population first transposes its bitmap
+// into neuron order; walking that bitmap's set bits is then the
+// ascending sweep, and the payload is read back through perm.
+func (p *population) emit(th float64) []coding.Event {
+	mask, perm, pays := p.mask, p.perm, p.pay
+	if perm != nil {
+		nm := p.nmask
+		for wi, w := range mask {
+			for ; w != 0; w &= w - 1 {
+				n := p.neuronOf[wi<<6|bits.TrailingZeros64(w)]
+				nm[n>>6] |= 1 << (uint(n) & 63)
+			}
+		}
+		mask = nm
 	}
-	for i := range vmem {
-		v := vmem[i]
-		if bias != nil {
-			v += bias[i] * biasScale
+	buf := p.buf[:cap(p.buf)]
+	k := 0
+	for wi, w := range mask {
+		if w == 0 {
+			continue
 		}
-		if leak > 0 {
-			// Leaky-IF extension: V(t) = (1-ℓ)(V(t-1)+z(t)).
-			v *= keep
+		if perm != nil {
+			mask[wi] = 0 // nmask is scratch: leave it clear for the next step
 		}
-		th := thConst
-		if useBurst {
-			// Eq. 8: g(t) depends on whether the neuron fired at t-1;
-			// Eq. 9: V_th(t) = g(t)·v_th.
-			g := coding.NextG(p.g[i], p.firedPrev[i], p.cfg.Beta)
-			p.g[i] = g
-			th = g * p.cfg.VTh
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			pay := th
+			if pays != nil {
+				c := i
+				if perm != nil {
+					c = int(perm[i])
+				}
+				pay = pays[c]
+			}
+			buf[k] = coding.Event{Index: i, Payload: pay}
+			k++
 		}
-		if v >= th {
-			v -= th
-			p.firedPrev[i] = true
-			p.buf = append(p.buf, coding.Event{Index: i, Payload: th})
-		} else {
-			p.firedPrev[i] = false
-		}
-		vmem[i] = v
 	}
+	p.buf = buf[:k]
 	return p.buf
 }
 
@@ -234,6 +285,10 @@ type Network struct {
 	// Ref switches every layer to its reference (slow) Step
 	// implementation — the equivalence-testing and benchmarking baseline.
 	// Layers that do not implement RefLayer make Step panic under Ref.
+	// The flag is fixed for a presentation: set it before Reset, not
+	// between Steps. The two paths keep a conv neuron in different cells
+	// and read the burst state differently (see population), so state one
+	// wrote means nothing to the other; Reset is where they agree.
 	Ref bool
 
 	probes map[int]Probe // layer index -> probe; -1 probes the encoder

@@ -237,8 +237,8 @@ func TestSpikingConvMatchesDenseConv(t *testing.T) {
 		}
 	}
 	for i, want := range ref {
-		if math.Abs(l.pop.vmem[i]-want) > 1e-9 {
-			t.Fatalf("conv scatter diverges at %d: got %v want %v", i, l.pop.vmem[i], want)
+		if math.Abs(l.Potential(i)-want) > 1e-9 {
+			t.Fatalf("conv scatter diverges at %d: got %v want %v", i, l.Potential(i), want)
 		}
 	}
 }
