@@ -284,21 +284,15 @@ func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(st
 // accumulation tolerance).
 type BatchSNN32 = snn.BatchNetwork32
 
-// LockstepBatch values for ServeConfig.LockstepBatch: auto steers each
-// microbatch with an occupancy feedback controller when the float32
-// kernels dispatch to a packed tier (sse/avx2 — the only regime where
-// lockstep beats the sequential engine); on/off force the choice. See
-// ServeConfig.ExitHistorySize for the adaptive plane's knob.
+// LockstepBatch values for ServeConfig.LockstepBatch: auto and off run
+// every microbatch back to back on the sequential engine (the faster
+// one on distinct images); on forces multi-request batches through the
+// float32 lockstep plane.
 const (
 	LockstepAuto = serve.LockstepAuto
 	LockstepOn   = serve.LockstepOn
 	LockstepOff  = serve.LockstepOff
 )
-
-// DefaultOccupancyCrossover is the measured occupancy at which lockstep
-// execution breaks even with the sequential engine — the adaptive
-// scheduler's threshold.
-const DefaultOccupancyCrossover = serve.DefaultOccupancyCrossover
 
 // ErrServerOverloaded is returned when the admission plane sheds a
 // request instead of queueing it (full queue, or projected queue wait

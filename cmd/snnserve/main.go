@@ -85,7 +85,7 @@ func main() {
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
 		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window, which decays to zero for traffic that waiting does not gather; negative dispatches on queue drain")
-		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), on, or off")
+		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "how multi-request microbatches execute: auto = sequential (back to back on the faster event-driven engine); on = force the f32 lockstep plane, for near-duplicate batches and conformance; off = sequential")
 		exitHist = flag.Int("exit-history", 0, "exit-aware batch forming: per-model (image-hash → exit-step) history entries (0 = default, negative disables)")
 		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
 		tiny     = flag.Bool("tiny", false, "use the reduced test-scale model recipes")
@@ -478,7 +478,7 @@ func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.Ser
 	if meanSteps >= float64(steps) {
 		return fmt.Errorf("mean steps %.1f did not beat the %d-step budget", meanSteps, steps)
 	}
-	if err := scrapeTelemetry(client, base, traceOut); err != nil {
+	if err := scrapeTelemetry(client, base, traceOut, cfg.LockstepBatch == serve.LockstepOn); err != nil {
 		return fmt.Errorf("telemetry scrape: %w", err)
 	}
 	fmt.Println("selftest PASS")
@@ -491,8 +491,9 @@ func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.Ser
 // stage breakdown), /metrics/prom must pass the strict exposition
 // validator, and /v1/trace must hold at least one trace with a measured
 // simulate span. traceOut, when set, receives the raw trace page (CI
-// uploads it as an artifact).
-func scrapeTelemetry(client *http.Client, base, traceOut string) error {
+// uploads it as an artifact). lockstepOn says whether the server was
+// started with -lockstep=on, the only mode that may reach the plane.
+func scrapeTelemetry(client *http.Client, base, traceOut string, lockstepOn bool) error {
 	// JSON metrics: the per-stage histograms must have observed the load.
 	var metrics struct {
 		Models map[string]serve.Snapshot `json:"models"`
@@ -541,6 +542,12 @@ func scrapeTelemetry(client *http.Client, base, traceOut string) error {
 	}
 	if snap.LockstepFallbacks > 0 {
 		fmt.Printf("lockstep fallbacks: %d (replica could not batch)\n", snap.LockstepFallbacks)
+	}
+	// The route is the flag's, on every dispatch tier: only -lockstep=on
+	// reaches the plane, and under it concurrent load must reach it.
+	if lockstepOn != (snap.SchedLockstepBatches > 0) {
+		return fmt.Errorf("scheduler %q dispatched %d lockstep batches (%d sequential)",
+			snap.Scheduler, snap.SchedLockstepBatches, snap.SchedSequentialBatches)
 	}
 	if hits, misses := snap.ExitHistoryHits, snap.ExitHistoryMisses; hits+misses > 0 {
 		fmt.Printf("exit history  : %d predicted, %d unpredicted", hits, misses)

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -339,4 +340,68 @@ func TestEncoderResetSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	enc.Reset([]float64{1})
+}
+
+// TestPhaseTTFSStepMatchesReference pins the branch-free input sweep
+// against the append loop it replaced: same events — index, payload
+// bits, order — for every step of two periods. The all-ones image drives
+// the write cursor to the end of the buffer (every pixel spikes at every
+// phase under phase coding; all at phase 0 under TTFS), the all-zero
+// image keeps it at zero, and a cached encoder sweeps a shared
+// quantization it must not write.
+func TestPhaseTTFSStepMatchesReference(t *testing.T) {
+	const size = 97
+	ones, zeros := make([]float64, size), make([]float64, size)
+	for i := range ones {
+		ones[i] = 1
+	}
+	images := [][]float64{randomImage(3, size), randomImage(4, size), ones, zeros, randomImage(3, size), randomImage(3, size)}
+	for _, scheme := range []Scheme{Phase, TTFS} {
+		for _, period := range []int{4, 8} {
+			cfg := DefaultConfig(scheme)
+			cfg.Period = period
+			plain, err := NewInputEncoder(cfg, size, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, _ := NewInputEncoder(cfg, size, 1)
+			cached.(QuantCached).SetQuantCache(NewQuantCache(0, NewInterner(8)))
+			q := make([]uint64, size)
+			for n, img := range images {
+				quantizeBits(q, img, period)
+				plain.Reset(img)
+				cached.Reset(img) // the repeated image ends as a cache hit
+				for step := 0; step < 2*period; step++ {
+					var want []Event
+					phase := step % period
+					for i, b := range q {
+						spikes := b>>uint(period-1-phase)&1 == 1
+						if scheme == TTFS {
+							spikes = b != 0 && period-bits.Len64(b) == phase
+						}
+						if spikes {
+							want = append(want, Event{Index: i, Payload: Pi(step, period)})
+						}
+					}
+					for name, enc := range map[string]InputEncoder{"plain": plain, "cached": cached} {
+						got := enc.Step(step)
+						if len(got) != len(want) {
+							t.Fatalf("%v period %d image %d step %d (%s): %d events, want %d",
+								scheme, period, n, step, name, len(got), len(want))
+						}
+						for i := range want {
+							if got[i].Index != want[i].Index || math.Float64bits(got[i].Payload) != math.Float64bits(want[i].Payload) {
+								t.Fatalf("%v period %d image %d step %d (%s): event %d = %+v, want %+v",
+									scheme, period, n, step, name, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+			plain.Reset(ones)
+			if allocs := testing.AllocsPerRun(20, func() { plain.Step(0) }); allocs != 0 {
+				t.Errorf("%v period %d: Step allocates %v times", scheme, period, allocs)
+			}
+		}
+	}
 }

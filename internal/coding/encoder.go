@@ -5,15 +5,15 @@ import (
 	"math"
 	"math/bits"
 
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 )
 
 // Event is one spike: the flat index of the neuron that fired and the
 // payload it transmits (see the package comment for payload semantics).
-type Event struct {
-	Index   int
-	Payload float64
-}
+// The type lives in internal/kernels so the per-step scatter kernel
+// walks a layer's event list without a copy.
+type Event = kernels.Event
 
 // InputEncoder turns a static input vector into a deterministic event
 // stream, one call per simulation time step.
@@ -274,7 +274,7 @@ func newPhaseEncoder(size, period int) *phaseEncoder {
 		size: size, period: period,
 		bits:    scratch,
 		scratch: scratch,
-		buf:     make([]Event, 0, size),
+		buf:     make([]Event, size),
 	}
 }
 
@@ -288,18 +288,24 @@ func (e *phaseEncoder) Reset(image []float64) {
 	e.bits = quantizedBits(image, e.period, e.quant, e.scratch)
 }
 
+// Step sweeps the pixels without a branch on the pixel's bit — close to
+// a coin flip on natural images, which a predictor cannot learn: every
+// pixel writes its event at the cursor and only a spiking one advances
+// it. The cursor never passes the pixel index, so the write stays
+// inside the size-long buffer even when every pixel spikes.
 func (e *phaseEncoder) Step(t int) []Event {
-	e.buf = e.buf[:0]
+	buf := e.buf
 	phase := t % e.period
-	// Bit (period-1-phase) of the quantized value, MSB transmitted first.
-	shift := uint(e.period - 1 - phase)
+	// Bit (period-1-phase) of the quantized value, MSB transmitted first
+	// (the mask is a no-op that spares the loop an oversized-shift guard).
+	shift := uint(e.period-1-phase) & 63
 	payload := Pi(t, e.period)
+	n := 0
 	for i, b := range e.bits {
-		if b>>shift&1 == 1 {
-			e.buf = append(e.buf, Event{Index: i, Payload: payload})
-		}
+		buf[n] = Event{Index: i, Payload: payload}
+		n += int(b >> shift & 1)
 	}
-	return e.buf
+	return buf[:n]
 }
 
 func (e *phaseEncoder) CountsAsSpikes() bool { return true }
@@ -344,7 +350,7 @@ func newTTFSEncoder(size, period int) *ttfsEncoder {
 		size: size, period: period,
 		phase:   scratch,
 		scratch: scratch,
-		buf:     make([]Event, 0, size),
+		buf:     make([]Event, size),
 	}
 }
 
@@ -358,16 +364,19 @@ func (e *ttfsEncoder) Reset(image []float64) {
 	e.phase = quantizedPhases(image, e.period, e.quant, e.scratch)
 }
 
+// Step is branch-free on the pixel's phase, like phaseEncoder.Step.
 func (e *ttfsEncoder) Step(t int) []Event {
-	e.buf = e.buf[:0]
+	buf := e.buf
 	want := uint64(t%e.period) + 1
 	payload := Pi(t, e.period)
+	n := 0
 	for i, p := range e.phase {
-		if p == want {
-			e.buf = append(e.buf, Event{Index: i, Payload: payload})
-		}
+		buf[n] = Event{Index: i, Payload: payload}
+		// 1 when p == want: p^want is zero only then, and x-1 borrows
+		// into bit 63 only from zero (phases are far below 2^63).
+		n += int(((p ^ want) - 1) >> 63)
 	}
-	return e.buf
+	return buf[:n]
 }
 
 func (e *ttfsEncoder) CountsAsSpikes() bool { return true }

@@ -186,7 +186,7 @@ func fireRowsBurstAVX2(v, gs, pay *float32, fired *uint32, masks, occ *uint64, n
 // AVX2 float64 kernels (kernels64_avx2_amd64.s).
 
 //go:noescape
-func convScatter64AVX2(vmem, wsc *float64, taps *ConvTap, ntaps, outC int, p float64)
+func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
 
 //go:noescape
 func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
@@ -383,9 +383,21 @@ func laneMaskEq(row []uint64, want uint64) uint64 {
 // groups inside one bias period, so odd channel counts stay generic and
 // a population's sub-group tail finishes in the scalar loop.
 
+func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+	if activeLevel() == levelAVX2 && outC&3 == 0 && len(taps) > 0 {
+		convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
+		return
+	}
+	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
+}
+
+// convScatter64 is the per-step kernel's one-event case: the tap list is
+// the whole of a one-row table.
 func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	if activeLevel() == levelAVX2 && outC&3 == 0 {
-		convScatter64AVX2(&vmem[0], &wsc[0], &taps[0], len(taps), outC, p)
+		span := [2]int32{0, int32(len(taps))}
+		ev := Event{Payload: p}
+		convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &span[0], &ev, 1, outC)
 		return
 	}
 	convScatter64Generic(vmem, wsc, taps, outC, p)

@@ -74,6 +74,10 @@ func laneMaskEq(row []uint64, want uint64) uint64 {
 	return laneMaskEqScalar(row, want, 0)
 }
 
+func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
+}
+
 func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	convScatter64Generic(vmem, wsc, taps, outC, p)
 }

@@ -239,6 +239,25 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 				ConvScatter64(vm[off:], f64Like(pv, off+2*outC)[off:], taps, outC, float64(p))
 				return result{f64: vm}
 			}},
+			{"convscatterevents64", func() result {
+				outC := fuzzOutCs[lanes%len(fuzzOutCs)]
+				taps := make([]ConvTap, n%4)
+				for i := range taps {
+					taps[i] = ConvTap{WOff: int32(i%2) * int32(outC), Base: int32(i)}
+				}
+				// Input 0 owns every tap but the last, input 1 the last, input 2 none.
+				tapStart := []int32{0, int32(len(taps)), int32(len(taps)), int32(len(taps))}
+				if len(taps) > 0 {
+					tapStart[1]--
+				}
+				events := make([]Event, b%5)
+				for i := range events {
+					events[i] = Event{Index: (i + lanes) % 3, Payload: float64(pv[i])}
+				}
+				vm := f64Like(buf, off+3*outC)
+				ConvScatterEvents64(vm[off:], f64Like(pv, off+2*outC)[off:], taps, tapStart, events, outC)
+				return result{f64: vm}
+			}},
 			{"firecells64", func() result {
 				outC := fuzzOutCs[lanes%len(fuzzOutCs)]
 				nc := outC*n + b // ends mid-period for most shapes

@@ -24,7 +24,8 @@ import "math"
 // runs the generic loop, with identical results.
 
 // ConvScatter64 applies one input event of payload p to a base-major
-// conv accumulator, walking the event's whole tap list in one call:
+// conv accumulator, walking the event's whole tap list — the one-event
+// case of ConvScatterEvents64, which the simulator calls once per step:
 //
 //	for each tap t:
 //	  vmem[t.Base·outC + i] += wsc[t.WOff+i] * p   for i in [0,outC)
@@ -38,6 +39,36 @@ func ConvScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 		return
 	}
 	convScatter64(vmem, wsc, taps, outC, p)
+}
+
+// Event is one spike: the flat index of the neuron that fired and the
+// payload it transmits. It is defined here, below every package that
+// produces or consumes spikes, so a kernel can walk a step's event list
+// as it stands (coding.Event is this type).
+type Event struct {
+	Index   int
+	Payload float64
+}
+
+// ConvScatterEvents64 applies one step's whole event list to a
+// base-major conv accumulator in one call — ConvScatter64 over
+// taps[tapStart[ev.Index]:tapStart[ev.Index+1]] with payload ev.Payload
+// for each event in order, so every destination receives the same
+// rounded products in the same order as the per-event loop. tapStart is
+// the layer's scatter-table index (one entry per input neuron plus the
+// end); an event whose Index lies outside it panics before anything is
+// written. vmem and wsc must cover every tap's block and row.
+func ConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+	if len(events) == 0 || outC <= 0 {
+		return
+	}
+	inputs := uint(max(len(tapStart)-1, 0))
+	for i := range events {
+		if uint(events[i].Index) >= inputs {
+			panic("kernels: ConvScatterEvents64: event index outside the scatter table")
+		}
+	}
+	convScatterEvents64(vmem, wsc, taps, tapStart, events, outC)
 }
 
 // FireCells64 is the scheme-constant-threshold fire sweep (rate, phase,
@@ -80,6 +111,12 @@ func FireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, b
 	_ = pay[len(v)-1]
 	_ = mask[(len(v)-1)>>6]
 	fireCellsBurst64(v, h, pay, mask, bias, bsc, beta, vth)
+}
+
+func convScatterEvents64Generic(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+	for _, ev := range events {
+		convScatter64Generic(vmem, wsc, taps[tapStart[ev.Index]:tapStart[ev.Index+1]], outC, ev.Payload)
+	}
 }
 
 func convScatter64Generic(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {

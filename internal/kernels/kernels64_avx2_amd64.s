@@ -2,44 +2,130 @@
 
 #include "textflag.h"
 
-// AVX2 float64 kernels: the sequential simulator's conv scatter and fire
-// sweeps, 4 cells per 256-bit op.
+// AVX2 float64 kernels: the sequential simulator's per-step conv scatter
+// and fire sweeps, 4 cells per 256-bit op.
 //
 // Numerics contract: every cell receives exactly the operations of the
 // generic Go loops in kernels64.go — one rounded multiply and one add
 // (VMULPD + VADDPD, never FMA), an ordered compare, a masked subtract —
 // so the float64 trajectory is bit-identical on every tier.
 
-// func convScatter64AVX2(vmem, wsc *float64, taps *ConvTap, ntaps, outC int, p float64)
-// for each tap: vmem[Base*outC + i] += wsc[WOff+i] * p, i in [0,outC);
-// ntaps >= 1 and outC a positive multiple of 4.
-TEXT ·convScatter64AVX2(SB), NOSPLIT, $0-48
-	MOVQ         vmem+0(FP), DI
-	MOVQ         wsc+8(FP), SI
-	MOVQ         taps+16(FP), R10
-	MOVQ         ntaps+24(FP), CX
-	MOVQ         outC+32(FP), R9
-	VBROADCASTSD p+40(FP), Y5
-	SHLQ         $3, R9           // block bytes per base: outC * 8
+// EVENT_TAPS loads the event at R12: Payload broadcast into Y5, the
+// cursor over taps[tapStart[Index]:tapStart[Index+1]] in R11 and its
+// length in CX; an event with no taps jumps to next.
+#define EVENT_TAPS(next) \
+	MOVQ         0(R12), AX      \
+	VBROADCASTSD 8(R12), Y5      \
+	MOVLQSX      0(R8)(AX*4), BX \
+	MOVLQSX      4(R8)(AX*4), CX \
+	SUBQ         BX, CX          \
+	JLE          next            \
+	LEAQ         (R10)(BX*8), R11
 
-staploop:
-	MOVLQSX 0(R10), BX            // tap.WOff
-	MOVLQSX 4(R10), DX            // tap.Base
-	LEAQ    (SI)(BX*8), BX        // kernel row
+// func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+// for each event, for each tap of taps[tapStart[Index]:tapStart[Index+1]]:
+// vmem[Base*outC + i] += wsc[WOff+i] * Payload, i in [0,outC); nev >= 1
+// and outC a positive multiple of 4. outC 8 and 16 run unrolled bodies
+// (2 and 4 independent multiply/add/store chains per tap); any other
+// width runs the counted loop. Same operations per cell either way.
+TEXT ·convScatterEvents64AVX2(SB), NOSPLIT, $0-56
+	MOVQ vmem+0(FP), DI
+	MOVQ wsc+8(FP), SI
+	MOVQ taps+16(FP), R10
+	MOVQ tapStart+24(FP), R8
+	MOVQ events+32(FP), R12
+	MOVQ nev+40(FP), R13
+	MOVQ outC+48(FP), R9
+	CMPQ R9, $8
+	JEQ  ev8
+	CMPQ R9, $16
+	JEQ  ev16
+	SHLQ $3, R9                    // block bytes per base: outC * 8
+
+evn:
+	EVENT_TAPS(nextn)
+
+tapn:
+	MOVLQSX 0(R11), BX             // tap.WOff
+	MOVLQSX 4(R11), DX             // tap.Base
+	LEAQ    (SI)(BX*8), BX         // kernel row
 	IMULQ   R9, DX
-	ADDQ    DI, DX                // destination block
-	XORQ    R11, R11              // byte offset into both
+	ADDQ    DI, DX                 // destination block
+	XORQ    AX, AX                 // byte offset into both
 
-scell:
-	VMULPD  (BX)(R11*1), Y5, Y0   // w * p, rounded once
-	VADDPD  (DX)(R11*1), Y0, Y0
-	VMOVUPD Y0, (DX)(R11*1)
-	ADDQ    $32, R11
-	CMPQ    R11, R9
-	JLT     scell
-	ADDQ    $8, R10
+celln:
+	VMULPD  (BX)(AX*1), Y5, Y0     // w * p, rounded once
+	VADDPD  (DX)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DX)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     celln
+	ADDQ    $8, R11
 	DECQ    CX
-	JNZ     staploop
+	JNZ     tapn
+
+nextn:
+	ADDQ $16, R12
+	DECQ R13
+	JNZ  evn
+	VZEROUPPER
+	RET
+
+ev8:
+	EVENT_TAPS(next8)
+
+tap8:
+	MOVLQSX 0(R11), BX
+	MOVLQSX 4(R11), DX
+	LEAQ    (SI)(BX*8), BX
+	SHLQ    $6, DX                 // Base * 8 cells * 8 bytes
+	ADDQ    DI, DX
+	VMULPD  0(BX), Y5, Y0
+	VMULPD  32(BX), Y5, Y1
+	VADDPD  0(DX), Y0, Y0
+	VADDPD  32(DX), Y1, Y1
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    $8, R11
+	DECQ    CX
+	JNZ     tap8
+
+next8:
+	ADDQ $16, R12
+	DECQ R13
+	JNZ  ev8
+	VZEROUPPER
+	RET
+
+ev16:
+	EVENT_TAPS(next16)
+
+tap16:
+	MOVLQSX 0(R11), BX
+	MOVLQSX 4(R11), DX
+	LEAQ    (SI)(BX*8), BX
+	SHLQ    $7, DX                 // Base * 16 cells * 8 bytes
+	ADDQ    DI, DX
+	VMULPD  0(BX), Y5, Y0
+	VMULPD  32(BX), Y5, Y1
+	VMULPD  64(BX), Y5, Y2
+	VMULPD  96(BX), Y5, Y3
+	VADDPD  0(DX), Y0, Y0
+	VADDPD  32(DX), Y1, Y1
+	VADDPD  64(DX), Y2, Y2
+	VADDPD  96(DX), Y3, Y3
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	ADDQ    $8, R11
+	DECQ    CX
+	JNZ     tap16
+
+next16:
+	ADDQ $16, R12
+	DECQ R13
+	JNZ  ev16
 	VZEROUPPER
 	RET
 

@@ -532,6 +532,9 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	ConvScatter64(nil, nil, nil, 4, 1)
 	ConvScatter64([]float64{1}, []float64{1}, []ConvTap{{}}, 0, 1)
+	ConvScatterEvents64(nil, nil, nil, nil, nil, 4)
+	ConvScatterEvents64([]float64{1}, []float64{1}, []ConvTap{{}}, []int32{0, 1}, []Event{{}}, 0)
+	ConvScatterEvents64([]float64{1}, []float64{1}, nil, []int32{0, 0}, []Event{{}}, 4) // an event with no taps
 	FireCells64(nil, nil, nil, 1, 1)
 	FireCellsBurst64(nil, nil, nil, nil, nil, 1, 2, 1)
 }
@@ -627,6 +630,95 @@ func testConvScatter64Fuzz(t *testing.T) {
 		if i := sameBits64(vmem, want); i >= 0 {
 			t.Fatalf("round %d (outC=%d taps=%d p=%v): vmem[%d] = %v, want %v",
 				round, outC, len(taps), p, i, vmem[i], want[i])
+		}
+	}
+}
+
+// refConvScatterEvents64 is the per-step scatter as the scalar
+// reference applied event by event.
+func refConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+	for _, ev := range events {
+		refConvScatter64(vmem, wsc, taps[tapStart[ev.Index]:tapStart[ev.Index+1]], outC, ev.Payload)
+	}
+}
+
+func TestConvScatterEvents64Fuzz(t *testing.T) { forEachLevel(t, testConvScatterEvents64Fuzz) }
+
+func testConvScatterEvents64Fuzz(t *testing.T) {
+	r := mathx.NewRNG(0xE764)
+	for round := 0; round < 600; round++ {
+		// 32 joins the shared widths: with 12, a multiple of 4 that has
+		// no unrolled body and runs the packed counted loop.
+		outC := 32
+		if i := r.Intn(len(fuzzOutCs) + 1); i < len(fuzzOutCs) {
+			outC = fuzzOutCs[i]
+		}
+		nBases, nIn := 1+r.Intn(9), 1+r.Intn(12)
+		wscLen := outC * (1 + r.Intn(9))
+		wsc := randF64s(r, wscLen, 0.5)
+		// A scatter table over nIn inputs: each input's taps address
+		// distinct bases, and some inputs have none (a stride-2 geometry
+		// leaves pixels no kernel window covers).
+		var taps []ConvTap
+		tapStart := make([]int32, nIn+1)
+		for in := 0; in < nIn; in++ {
+			if !r.Bernoulli(0.25) {
+				for _, base := range r.Perm(nBases)[:r.Intn(nBases+1)] {
+					taps = append(taps, ConvTap{
+						WOff: int32(r.Intn(wscLen/outC) * outC),
+						Base: int32(base),
+					})
+				}
+			}
+			tapStart[in+1] = int32(len(taps))
+		}
+		// Events repeat indices (nothing in the kernel may assume they do
+		// not); the empty list is drawn too.
+		events := make([]Event, r.Intn(20))
+		for i := range events {
+			p := r.Norm(0, 1)
+			switch r.Intn(5) {
+			case 0:
+				p = 0
+			case 1:
+				p = -p * p
+			}
+			events[i] = Event{Index: r.Intn(nIn), Payload: p}
+		}
+		vmem := randF64s(r, nBases*outC, 1)
+		want := append([]float64(nil), vmem...)
+		refConvScatterEvents64(want, wsc, taps, tapStart, events, outC)
+		perEvent := append([]float64(nil), vmem...)
+		for _, ev := range events {
+			ConvScatter64(perEvent, wsc, taps[tapStart[ev.Index]:tapStart[ev.Index+1]], outC, ev.Payload)
+		}
+		ConvScatterEvents64(vmem, wsc, taps, tapStart, events, outC)
+		if i := sameBits64(vmem, want); i >= 0 {
+			t.Fatalf("round %d (outC=%d events=%d): vmem[%d] = %v, reference %v",
+				round, outC, len(events), i, vmem[i], want[i])
+		}
+		if i := sameBits64(vmem, perEvent); i >= 0 {
+			t.Fatalf("round %d (outC=%d events=%d): vmem[%d] = %v, per-event ConvScatter64 %v",
+				round, outC, len(events), i, vmem[i], perEvent[i])
+		}
+
+		// An event outside the table panics and leaves vmem as it was,
+		// however many good events precede it.
+		if len(events) > 0 {
+			bad := append([]Event(nil), events...)
+			bad[len(bad)-1].Index = []int{nIn, -1, nIn + 7}[round%3]
+			before := append([]float64(nil), vmem...)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("round %d: event index %d outside %d inputs did not panic", round, bad[len(bad)-1].Index, nIn)
+					}
+				}()
+				ConvScatterEvents64(vmem, wsc, taps, tapStart, bad, outC)
+			}()
+			if i := sameBits64(vmem, before); i >= 0 {
+				t.Fatalf("round %d: rejected event list wrote vmem[%d]", round, i)
+			}
 		}
 	}
 }

@@ -68,10 +68,11 @@ func (s Stage) String() string {
 // StageTimes is one request's stage breakdown as measured by the serving
 // pipeline. The engine fills Encode/Simulate/Readout; the batcher adds
 // Queue/Form and the execution shape (Lanes, Lockstep); the server
-// derives Total from its own clock. Queue includes the formation window
-// and replica-checkout wait, so Form ⊂ Queue and the spans are not
-// disjoint — they answer "where did the time go" per stage, not "sum to
-// total".
+// derives Total from its own clock. Queue includes the formation window,
+// the replica-checkout wait and, for a request run back to back with its
+// batchmates, the simulations ahead of its own, so Form ⊂ Queue and the
+// spans are not disjoint — they answer "where did the time go" per
+// stage, not "sum to total".
 //
 // For a lockstep microbatch the Encode/Simulate/Readout spans are the
 // batch's (the lanes share one simulation); Lanes reports how many

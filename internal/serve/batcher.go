@@ -25,24 +25,21 @@ var ErrClosed = errors.New("serve: batcher closed")
 var ErrOverloaded = errors.New("serve: overloaded")
 
 // drainEWMAWeight smooths the measured per-request drain time that
-// backs projected-wait shedding and Retry-After hints (same weight as
-// the scheduler's occupancy filter — both smooth bursty per-batch
-// samples).
+// backs projected-wait shedding and Retry-After hints, and the queue
+// pressure filter (both fold bursty per-batch samples).
 const drainEWMAWeight = 0.25
 
 // Batcher is the microbatching request queue in front of a replica pool.
 // Requests are grouped into batches of up to MaxBatch. A partial batch
 // waits for company inside an adaptive forming window: MaxDelay is its
 // upper bound, and it decays to zero for traffic that waiting does not
-// gather (see form.go). Each batch checks out one replica and hands the
-// execution decision to the scheduling plane (see sched.go):
-// multi-request batches run lockstep through the
-// replica's batch simulator — amortizing scatter-table walks, weight
-// loads, and threshold computation across lanes — or back to back on the
-// sequential engine, per the Scheduler's verdict. Networks that cannot
-// batch (and single-request dispatches) always run sequentially; both
-// paths produce outcomes pinned by the same bit-identity/tolerance
-// contracts, so scheduling is outcome-invariant.
+// gather (see form.go). Each batch checks out one replica and runs its
+// requests back to back on the sequential engine, shortest predicted job
+// first; under LockstepOn (see sched.go) multi-request batches run
+// lockstep through the replica's batch simulator instead. Networks that
+// cannot batch (and single-request dispatches) always run sequentially;
+// both paths produce outcomes pinned by the same bit-identity/tolerance
+// contracts, so the choice is outcome-invariant.
 //
 // In front of the queue sits the overload plane: an optional cross-batch
 // response cache answers replayed (image, policy) pairs without a queue
@@ -57,7 +54,7 @@ const drainEWMAWeight = 0.25
 type Batcher struct {
 	pool     *Pool
 	metrics  *Metrics           // batch-occupancy/steps-saved/steering gauges; may be nil
-	sched    Scheduler          // lockstep-vs-sequential policy; nil = never lockstep
+	sched    *StaticSched       // lockstep-vs-sequential rule; nil = never lockstep
 	history  *ExitHistory       // exit-aware forming memory; nil disables forming/prediction
 	cache    *ResponseCache     // cross-batch response cache; nil disables
 	degrade  *DegradeController // degraded-mode state machine; nil disables
@@ -112,7 +109,7 @@ type Batcher struct {
 // the zero value is a plain 1-request-at-a-time batcher.
 type BatcherConfig struct {
 	Metrics  *Metrics           // batch/steering gauges; nil disables
-	Sched    Scheduler          // lockstep-vs-sequential policy; nil never lockstep
+	Sched    *StaticSched       // lockstep-vs-sequential rule; nil never lockstep
 	History  *ExitHistory       // exit-step memory; nil disables exit-aware forming
 	Cache    *ResponseCache     // cross-batch response cache; nil disables
 	Degrade  *DegradeController // degraded-mode controller; nil disables
@@ -521,11 +518,11 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 //
 // The surviving unique requests go through the scheduling plane: the
 // exit history (when attached) predicts each lane's exit step and the
-// batch is re-ordered so lanes predicted to retire together share a
-// lockstep chunk; the Scheduler then picks lockstep or sequential
-// execution per its policy, and both execution paths report measured
-// occupancy back to it. Scheduling only reorders microbatch membership
-// — both paths produce the outcomes pinned by the tolerance contract.
+// batch is re-ordered by predicted exit — shortest job first on the
+// sequential route, lanes that retire together sharing a chunk on the
+// lockstep one — and the static rule picks the route. Scheduling only
+// reorders microbatch membership — both paths produce the outcomes
+// pinned by the tolerance contract.
 func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
@@ -553,9 +550,10 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 		return
 	}
 	defer b.pool.Put(rep)
-	// Queue wait ends here: the batch holds a replica and starts
-	// executing. Each request's queue span (enqueue → execStart) covers
-	// the channel wait, the formation window, and the checkout wait.
+	// The batch holds a replica and starts executing. A lockstep lane's
+	// queue span ends here (enqueue → execStart: the channel wait, the
+	// formation window and the checkout wait); a sequential lane's runs on
+	// to its own simulation start, behind its batchmates.
 	execStart := time.Now()
 	defer func() { b.observeDrain(time.Since(execStart), len(reqs)) }()
 	if b.injectLatency > 0 {
@@ -582,10 +580,9 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 		live, dups = b.dedupe(live)
 	}
 	// Exit-aware forming: predict each lane's exit step from history and
-	// order lanes by predicted exit (unpredicted last), so lockstep
-	// chunks group lanes that retire together. preds stays aligned with
-	// live through the reorder and the chunking below (all zeros — no
-	// predictions — when no history is attached).
+	// order lanes by predicted exit (unpredicted last). preds stays
+	// aligned with live through the reorder and the chunking below (all
+	// zeros — no predictions — when no history is attached).
 	var preds []int
 	if len(live) > 1 {
 		preds = make([]int, len(live))
@@ -610,8 +607,9 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 			copy(preds, sortedPreds)
 		}
 	}
+	waited := false // a simulation has run since the batch-start context check
 	if b.sched != nil && len(live) > 1 {
-		dec := b.sched.Decide(len(live), preds)
+		dec := b.sched.Decide(len(live))
 		if b.metrics != nil {
 			b.metrics.ObserveSchedDecision(dec)
 		}
@@ -650,15 +648,14 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 						policies[i] = req.policy
 					}
 					outs, batchSteps, times := ClassifyBatchStaged(bn, images, policies)
+					waited = true
 					times.Form = form
-					saved, laneSteps := 0, 0
+					saved := 0
 					for i, req := range chunk {
 						saved += batchSteps - outs[i].Steps
-						laneSteps += outs[i].Steps
 						b.observeOutcome(req, chunkPreds[i], outs[i])
 						b.deliver(seq, req, batchResult{out: outs[i], stages: times}, dups, execStart)
 					}
-					b.sched.ObserveOccupancy(len(chunk), batchSteps, laneSteps)
 					if b.metrics != nil {
 						b.metrics.ObserveBatch(len(chunk), saved)
 					}
@@ -666,13 +663,22 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 			}
 		}
 	}
-	// Sequential path: the scheduler declined lockstep (or a lone lane
-	// remained after chunking). A multi-lane sequential group still
-	// reports the occupancy its lockstep batch *would* have had (summed
-	// steps over max steps), so the adaptive controller keeps measuring
-	// the workload without dispatching exploratory lockstep batches.
-	maxSteps, sumSteps, seqLanes := 0, 0, len(live)
+	// Sequential path (the default route, and a lone lane left over after
+	// lockstep chunking). Lane i waits out i simulations, so its queue
+	// span ends at its own start, and a lane whose caller gave up during
+	// that wait is answered as the batch-start check answers it, without
+	// a simulation — unless duplicates ride it, which still need the
+	// outcome. The first lane of a batch that has simulated nothing yet
+	// starts where that check left it.
 	for i, req := range live {
+		if waited && len(dups[req]) == 0 {
+			if err := req.ctx.Err(); err != nil {
+				req.done <- batchResult{err: err}
+				continue
+			}
+		}
+		waited = true
+		start := time.Now()
 		out, times := ClassifyStaged(rep.Net, req.image, req.policy)
 		times.Form = form
 		pred := 0
@@ -680,14 +686,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 			pred = preds[i]
 		}
 		b.observeOutcome(req, pred, out)
-		sumSteps += out.Steps
-		if out.Steps > maxSteps {
-			maxSteps = out.Steps
-		}
-		b.deliver(seq, req, batchResult{out: out, stages: times}, dups, execStart)
-	}
-	if b.sched != nil && seqLanes > 1 {
-		b.sched.ObserveOccupancy(seqLanes, maxSteps, sumSteps)
+		b.deliver(seq, req, batchResult{out: out, stages: times}, dups, start)
 	}
 }
 
@@ -737,17 +736,17 @@ next:
 }
 
 // deliver sends one result to its request and every duplicate riding it.
-// Each recipient's queue span is its own (enqueue → batch execution
-// start); duplicates share the representative's engine spans and are
-// marked deduped. Batch seq counts as replied from its first delivery on
-// (see markReplied).
-func (b *Batcher) deliver(seq uint64, req *batchRequest, res batchResult, dups map[*batchRequest][]*batchRequest, execStart time.Time) {
+// Each recipient's queue span is its own (enqueue → simStart, when the
+// simulation that answers it began); duplicates share the
+// representative's engine spans and are marked deduped. Batch seq counts
+// as replied from its first delivery on (see markReplied).
+func (b *Batcher) deliver(seq uint64, req *batchRequest, res batchResult, dups map[*batchRequest][]*batchRequest, simStart time.Time) {
 	b.markReplied(seq)
-	res.stages.Queue = execStart.Sub(req.enqueued)
+	res.stages.Queue = simStart.Sub(req.enqueued)
 	req.done <- res
 	for _, d := range dups[req] {
 		r := res
-		r.stages.Queue = execStart.Sub(d.enqueued)
+		r.stages.Queue = simStart.Sub(d.enqueued)
 		r.deduped = true
 		d.done <- r
 	}

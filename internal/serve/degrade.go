@@ -6,8 +6,8 @@ import "sync"
 // fill fraction (depth / capacity) sampled at every submit; the enter
 // and exit thresholds are deliberately far apart so the mode doesn't
 // flap at the boundary (classic hysteresis), and the EWMA weight
-// matches AdaptiveSched's occupancy filter — both are smoothing the
-// same kind of bursty per-event signal.
+// matches the batcher's drain and pressure filters (drainEWMAWeight) —
+// all smooth the same kind of bursty per-event signal.
 const (
 	DefaultDegradeEnterPressure = 0.75
 	DefaultDegradeExitPressure  = 0.25

@@ -218,10 +218,9 @@ func TestMetricsReportsDispatchTier(t *testing.T) {
 }
 
 // TestLockstepAutoResolution pins the scheduler-resolution rule: the
-// auto default installs the adaptive occupancy controller exactly when
-// the float32 kernels dispatch to a packed tier (sse or avx2 — the only
-// regime where lockstep can beat the sequential engine), and explicit
-// on/off always win with the forced static thresholds.
+// auto default never dispatches lockstep, on any dispatch tier (the
+// sequential engine is the faster one at every measured batch width),
+// and explicit on/off resolve to the forced static thresholds.
 func TestLockstepAutoResolution(t *testing.T) {
 	defer kernels.ForceLevel("")
 	net, set := testModel(t)
@@ -229,8 +228,7 @@ func TestLockstepAutoResolution(t *testing.T) {
 		if err := kernels.ForceLevel(lv); err != nil {
 			t.Fatal(err)
 		}
-		packed := lv != kernels.LevelPurego
-		for _, mode := range []string{LockstepAuto, LockstepOn, LockstepOff} {
+		for mode, want := range map[string]int{LockstepAuto: 0, LockstepOn: 2, LockstepOff: 0} {
 			s := New(Config{LockstepBatch: mode})
 			if _, err := s.Register(ModelConfig{
 				Name:        "digits",
@@ -244,23 +242,8 @@ func TestLockstepAutoResolution(t *testing.T) {
 			s.mu.Lock()
 			sched := s.entries["digits"].batcher.sched
 			s.mu.Unlock()
-			switch {
-			case mode == LockstepAuto && packed:
-				if _, ok := sched.(*AdaptiveSched); !ok {
-					t.Fatalf("tier %s mode %s: scheduler = %T, want *AdaptiveSched", lv, mode, sched)
-				}
-			default:
-				want := 0
-				if mode == LockstepOn {
-					want = 2
-				}
-				st, ok := sched.(*StaticSched)
-				if !ok {
-					t.Fatalf("tier %s mode %s: scheduler = %T, want *StaticSched", lv, mode, sched)
-				}
-				if st.Min() != want {
-					t.Fatalf("tier %s mode %s: static min = %v, want %v", lv, mode, st.Min(), want)
-				}
+			if sched.Min() != want {
+				t.Fatalf("tier %s mode %s: static min = %v, want %v", lv, mode, sched.Min(), want)
 			}
 			_ = s.Shutdown(context.Background())
 		}
@@ -363,7 +346,7 @@ func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 				wantB = Classify(rep.Net, image, policyB)
 			}()
 
-			var sched Scheduler
+			var sched *StaticSched
 			if lockstepMin > 0 {
 				sched = NewStaticSched(lockstepMin)
 			}

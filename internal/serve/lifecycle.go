@@ -165,7 +165,7 @@ func (s *Server) warm(name string, epoch uint64) (*entry, error) {
 // all happen under one critical section — the atomic (model, batcher)
 // swap that closes the stale-weights window. The displaced batcher, if
 // any, hands its queued requests to the new one outside the lock.
-func (s *Server) installModel(m *Model, sched Scheduler) (*entry, error) {
+func (s *Server) installModel(m *Model, sched *StaticSched) (*entry, error) {
 	return s.installModelAt(m, sched, 0, false)
 }
 
@@ -174,7 +174,7 @@ func (s *Server) installModel(m *Model, sched Scheduler) (*entry, error) {
 // epoch still equals epoch — i.e. no other install or removal has
 // touched the name since the caller sampled it. Every successful install
 // advances the epoch, so in-flight guarded installs for the name abort.
-func (s *Server) installModelAt(m *Model, sched Scheduler, epoch uint64, guard bool) (*entry, error) {
+func (s *Server) installModelAt(m *Model, sched *StaticSched, epoch uint64, guard bool) (*entry, error) {
 	name := m.Config().Name
 	var fair *FairSlot
 	if s.fair != nil {

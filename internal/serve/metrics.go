@@ -29,9 +29,7 @@ type Metrics struct {
 	// P50Ms/P90Ms/P99Ms are the total stage's estimates.
 	stage [obs.NumStages]*obs.Histogram
 	// occupancy histograms executed lockstep batches by lane count, so
-	// the batcher's occupancy signal is a distribution, not just the
-	// mean (the occupancy-adaptive scheduler steers on the same signal,
-	// fed per-batch through Scheduler.ObserveOccupancy).
+	// the plane's occupancy is a distribution, not just the mean.
 	occupancy *obs.Histogram
 	// exitPredErr histograms |predicted − actual| exit steps for lanes
 	// the exit history carried a prediction for (the le=0 bucket counts
@@ -49,7 +47,7 @@ type Metrics struct {
 	// the replica could not batch (see Batcher.run's fallback).
 	lockstepFallbacks atomic.Int64
 	// scheduler names the steering policy the model's batcher runs
-	// (Scheduler.Name()).
+	// (StaticSched.Name()).
 	scheduler atomic.Pointer[string]
 
 	// Error accounting is split by where the failure happened:
@@ -327,7 +325,7 @@ type Snapshot struct {
 	// all of them, so it has no field of its own.
 	BatchKernel string `json:"batchKernel,omitempty"`
 	// Scheduler names the steering policy resolved at Register time
-	// ("adaptive(crossover=2)", "static(min=6)", "sequential").
+	// ("sequential", or "static(min=2)" under LockstepOn).
 	Scheduler string `json:"scheduler,omitempty"`
 	// SchedLockstepBatches/SchedSequentialBatches count the scheduling
 	// plane's verdicts for multi-request batches, and SchedReasons breaks

@@ -29,89 +29,10 @@ func TestStaticSchedRule(t *testing.T) {
 		{1, 2, true, ReasonStaticMin},
 	}
 	for _, c := range cases {
-		d := NewStaticSched(c.min).Decide(c.lanes, nil)
+		d := NewStaticSched(c.min).Decide(c.lanes)
 		if d.Lockstep != c.want || d.Reason != c.reason {
 			t.Errorf("StaticSched(min=%d).Decide(%d) = %+v, want lockstep=%v reason=%q",
 				c.min, c.lanes, d, c.want, c.reason)
-		}
-	}
-}
-
-// TestAdaptiveSchedFlipsOnOccupancy is the acceptance check for
-// measurement-driven steering: the same candidate batch flips between
-// lockstep and sequential purely on the measured occupancy stream —
-// no request-count rule involved once the controller is warm.
-func TestAdaptiveSchedFlipsOnOccupancy(t *testing.T) {
-	// High-occupancy stream: every lane stays live to the end
-	// (laneStepsSum = lanes × batchSteps → occupancy fraction 1), so an
-	// 8-lane candidate estimates occupancy 8 ≫ crossover.
-	high := NewAdaptiveSched(0, autoLockstepMinLanes)
-	for i := 0; i < adaptiveWarmup; i++ {
-		high.ObserveOccupancy(8, 100, 800)
-	}
-	if d := high.Decide(3, nil); !d.Lockstep || d.Reason != ReasonOccHigh {
-		// 3 lanes — below the old static ≥6 rule — must still go lockstep
-		// when measured occupancy says it pays.
-		t.Fatalf("high-occupancy stream, 3 lanes: %+v, want lockstep/occupancy-high", d)
-	}
-
-	// Low-occupancy stream: lanes retire almost immediately (fraction
-	// 0.2), so even a full 8-lane batch estimates 1.6 < 2.0 and stays
-	// sequential — the static rule would have said lockstep.
-	low := NewAdaptiveSched(0, autoLockstepMinLanes)
-	for i := 0; i < adaptiveWarmup; i++ {
-		low.ObserveOccupancy(8, 100, 160)
-	}
-	d := low.Decide(8, nil)
-	if d.Lockstep || d.Reason != ReasonOccLow {
-		t.Fatalf("low-occupancy stream, 8 lanes: %+v, want sequential/occupancy-low", d)
-	}
-	if d.EstOccupancy < 1.5 || d.EstOccupancy > 1.7 {
-		t.Fatalf("estimated occupancy %.3f, want ≈1.6 (8 lanes × 0.2 fraction)", d.EstOccupancy)
-	}
-
-	// The EWMA tracks a workload shift: the low-occupancy controller fed
-	// a sustained high-occupancy stream flips back to lockstep.
-	for i := 0; i < 20; i++ {
-		low.ObserveOccupancy(8, 100, 800)
-	}
-	if d := low.Decide(8, nil); !d.Lockstep {
-		t.Fatalf("after occupancy recovered: %+v, want lockstep", d)
-	}
-}
-
-func TestAdaptiveSchedColdStart(t *testing.T) {
-	a := NewAdaptiveSched(0, autoLockstepMinLanes)
-	// No measurements and unpredicted lanes: the static fallback rule
-	// decides, labelled cold-start either way.
-	if d := a.Decide(8, nil); !d.Lockstep || d.Reason != ReasonColdStart {
-		t.Fatalf("cold 8 lanes: %+v, want lockstep/cold-start (static ≥%d rule)", d, autoLockstepMinLanes)
-	}
-	if d := a.Decide(3, nil); d.Lockstep || d.Reason != ReasonColdStart {
-		t.Fatalf("cold 3 lanes: %+v, want sequential/cold-start", d)
-	}
-	// A fully predicted batch needs no measurements: sum/max of the
-	// predicted exits is the batch's occupancy.
-	if d := a.Decide(3, []int{90, 100, 95}); !d.Lockstep || d.Reason != ReasonOccHigh {
-		t.Fatalf("cold fully-predicted batch (occ 2.85): %+v, want lockstep/occupancy-high", d)
-	}
-	if d := a.Decide(3, []int{8, 10, 100}); d.Lockstep || d.Reason != ReasonOccLow {
-		t.Fatalf("cold fully-predicted spread batch (occ 1.18): %+v, want sequential/occupancy-low", d)
-	}
-}
-
-func TestAdaptiveSchedCrossoverKnob(t *testing.T) {
-	// The same measured stream lands on opposite sides of two crossovers.
-	for _, c := range []struct {
-		crossover float64
-		want      bool
-	}{{1.2, true}, {3.0, false}} {
-		a := NewAdaptiveSched(c.crossover, autoLockstepMinLanes)
-		for i := 0; i < adaptiveWarmup; i++ {
-			a.ObserveOccupancy(8, 100, 200) // fraction 0.25 → 8 lanes ≈ 2.0
-		}
-		if d := a.Decide(8, nil); d.Lockstep != c.want {
-			t.Errorf("crossover %.1f: %+v, want lockstep=%v", c.crossover, d, c.want)
 		}
 	}
 }
@@ -203,15 +124,15 @@ func TestExitHistoryBounded(t *testing.T) {
 }
 
 // TestAdaptiveBatcherOutcomeInvariance is the outcome-invariance
-// acceptance check at the batcher level: with the adaptive scheduler
-// and exit-aware forming live, staggered-exit traffic (mixed early-exit
-// and full-budget policies, so the history reorders lanes and the
-// controller's estimate moves) still produces the sequential engine's
-// outcomes (sameOutcome: the lockstep plane's tolerance contract) —
-// scheduling only changes who shares a microbatch.
+// acceptance check at the batcher level, under each -lockstep mode as
+// the server resolves it: with exit-aware forming live, staggered-exit
+// traffic (mixed early-exit and full-budget policies, so the history
+// reorders lanes) still produces the sequential engine's outcomes —
+// byte for byte on the sequential route (auto, off), within the lockstep
+// plane's tolerance contract (sameOutcome) under on. Scheduling only
+// changes who shares a microbatch and in what order.
 func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 	pool, image := testPool(t, 1)
-	metrics := NewMetrics()
 	images := make([][]float64, 8)
 	policies := make([]ExitPolicy, 8)
 	for i := range images {
@@ -236,82 +157,93 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 		}
 	}()
 
-	px := coding.NewInterner(internerEntries)
-	history := NewExitHistory(0, px)
-	history.CountInto(&metrics.exitHistory)
-	// fallbackMin 2 so even cold-start batches dispatch lockstep.
-	sched := NewAdaptiveSched(0, 2)
-	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: sched, History: history,
-		MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
-	})
-	defer b.Close()
+	for _, mode := range []string{LockstepAuto, LockstepOn, LockstepOff} {
+		t.Run(mode, func(t *testing.T) {
+			sched, err := New(Config{LockstepBatch: mode}).buildScheduler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(got, want Outcome) bool { return got == want }
+			if mode == LockstepOn {
+				same = sameOutcome
+			}
+			metrics := NewMetrics()
+			px := coding.NewInterner(internerEntries)
+			history := NewExitHistory(0, px)
+			history.CountInto(&metrics.exitHistory)
+			b := NewBatcher(pool, BatcherConfig{
+				Metrics: metrics, Sched: sched, History: history,
+				MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
+			})
+			defer b.Close()
 
-	// Several rounds: round 1 runs cold (no predictions), later rounds
-	// hit the warmed history and re-order lanes by predicted exit.
-	for round := 0; round < 4; round++ {
-		var wg sync.WaitGroup
-		for i := range images {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out, err := b.Submit(context.Background(), images[i], policies[i])
+			// Several rounds: round 1 runs cold (no predictions), later rounds
+			// hit the warmed history and re-order lanes by predicted exit.
+			for round := 0; round < 4; round++ {
+				var wg sync.WaitGroup
+				for i := range images {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						out, err := b.Submit(context.Background(), images[i], policies[i])
+						if err != nil {
+							t.Errorf("round %d request %d: %v", round, i, err)
+							return
+						}
+						if !same(out, want[i]) {
+							t.Errorf("round %d request %d: scheduled %+v, sequential %+v",
+								round, i, out, want[i])
+						}
+					}(i)
+				}
+				wg.Wait()
+			}
+
+			s := metrics.Snapshot()
+			if s.SchedLockstepBatches+s.SchedSequentialBatches == 0 {
+				t.Fatal("no steering decisions recorded")
+			}
+			if lockstep := s.SchedLockstepBatches > 0; lockstep != (mode == LockstepOn) {
+				t.Errorf("%d lockstep dispatches under -lockstep=%s: %+v", s.SchedLockstepBatches, mode, s)
+			}
+			if s.ExitHistoryHits == 0 {
+				t.Errorf("exit history never produced a prediction across warm rounds: %+v", s)
+			}
+			if s.ExitPredictionError.Count == 0 {
+				t.Errorf("no exit predictions were scored: %+v", s)
+			}
+
+			// Invariance across the response cache: attach it to the warmed
+			// batcher and replay one request. The first two replays run the full
+			// pipeline (sighting, then promotion); the third is a cache hit and
+			// must still report the outcome the pipeline produced — with no
+			// pipeline spans, since it never queued or simulated.
+			cache := NewResponseCache(0, time.Hour, px)
+			cache.CountInto(&metrics.responseCache)
+			b.cache = cache
+			for replay := 0; replay < 2; replay++ {
+				out, err := b.Submit(context.Background(), images[0], policies[0])
 				if err != nil {
-					t.Errorf("round %d request %d: %v", round, i, err)
-					return
+					t.Fatalf("replay %d: %v", replay, err)
 				}
-				if !sameOutcome(out, want[i]) {
-					t.Errorf("round %d request %d: adaptive-scheduled %+v, sequential %+v",
-						round, i, out, want[i])
+				if out != want[0] {
+					t.Errorf("replay %d: outcome %+v, sequential %+v", replay, out, want[0])
 				}
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	s := metrics.Snapshot()
-	if s.SchedLockstepBatches+s.SchedSequentialBatches == 0 {
-		t.Fatal("no steering decisions recorded")
-	}
-	if s.ExitHistoryHits == 0 {
-		t.Errorf("exit history never produced a prediction across warm rounds: %+v", s)
-	}
-	if s.ExitPredictionError.Count == 0 {
-		t.Errorf("no exit predictions were scored: %+v", s)
-	}
-	if samples, _ := sched.Stats(); samples == 0 {
-		t.Error("adaptive controller measured no batches")
-	}
-
-	// Invariance across the response cache: attach it to the warmed
-	// batcher and replay one request. The first two replays run the full
-	// pipeline (sighting, then promotion); the third is a cache hit and
-	// must still report the exact sequential outcome — with no pipeline
-	// spans, since it never queued or simulated.
-	cache := NewResponseCache(0, time.Hour, px)
-	cache.CountInto(&metrics.responseCache)
-	b.cache = cache
-	for replay := 0; replay < 2; replay++ {
-		out, err := b.Submit(context.Background(), images[0], policies[0])
-		if err != nil {
-			t.Fatalf("replay %d: %v", replay, err)
-		}
-		if out != want[0] {
-			t.Errorf("replay %d: outcome %+v, sequential %+v", replay, out, want[0])
-		}
-	}
-	out, stages, flags, err := b.SubmitTraced(context.Background(), images[0], policies[0])
-	if err != nil || !flags.Cached {
-		t.Fatalf("replay after promotion: err=%v cached=%v, want cached hit", err, flags.Cached)
-	}
-	if out != want[0] {
-		t.Errorf("cached outcome %+v differs from fresh classification %+v", out, want[0])
-	}
-	if stages.Simulate != 0 || stages.Queue != 0 {
-		t.Errorf("cache hit reported pipeline spans %+v, want none", stages)
-	}
-	if hits := metrics.Snapshot().ResponseCacheHits; hits == 0 {
-		t.Error("response cache recorded no hits after promotion replay")
+			}
+			out, stages, flags, err := b.SubmitTraced(context.Background(), images[0], policies[0])
+			if err != nil || !flags.Cached {
+				t.Fatalf("replay after promotion: err=%v cached=%v, want cached hit", err, flags.Cached)
+			}
+			if out != want[0] {
+				t.Errorf("cached outcome %+v differs from fresh classification %+v", out, want[0])
+			}
+			if stages.Simulate != 0 || stages.Queue != 0 {
+				t.Errorf("cache hit reported pipeline spans %+v, want none", stages)
+			}
+			if hits := metrics.Snapshot().ResponseCacheHits; hits == 0 {
+				t.Error("response cache recorded no hits after promotion replay")
+			}
+		})
 	}
 }
 
@@ -463,6 +395,120 @@ func TestDispatchShedsOnClose(t *testing.T) {
 		default:
 			t.Fatalf("request %d was never resolved at dispatch", i)
 		}
+	}
+}
+
+// sequentialBatch builds an unstarted batcher over a one-replica pool
+// and lanes distinct requests for it, enqueued now, so a test can call
+// run on the batch synchronously and read every lane's result after.
+func sequentialBatch(t *testing.T, lanes int) (*Batcher, func() []*batchRequest) {
+	t.Helper()
+	pool, image := testPool(t, 1)
+	b := unstartedBatcher(lanes)
+	b.pool = pool
+	return b, func() []*batchRequest {
+		reqs := make([]*batchRequest, lanes)
+		now := time.Now()
+		for i := range reqs {
+			img := append([]float64(nil), image...)
+			img[i*5] = float64(i+1) / 9
+			reqs[i] = &batchRequest{
+				ctx: context.Background(), image: img, hash: coding.HashImage(img),
+				policy: ExitPolicy{MaxSteps: 48}, enqueued: now, done: make(chan batchResult, 1),
+			}
+		}
+		return reqs
+	}
+}
+
+// TestSequentialBatchQueueSpanCoversBatchmates pins where a sequential
+// lane's wait behind its batchmates is accounted: lane i waits out i
+// simulations, and that wait belongs to its queue span — so every lane's
+// stage sum (queue + encode + simulate + readout; form lies inside
+// queue) accounts for its total. A lane's total ends when its result is
+// delivered, somewhere between the end of its own spans and the start of
+// the next lane's simulation (the end of run for the last lane), so the
+// latter bounds it from above without a second goroutine's wake-up
+// latency in the measurement.
+func TestSequentialBatchQueueSpanCoversBatchmates(t *testing.T) {
+	b, batch := sequentialBatch(t, 8)
+	reqs := batch()
+	b.run(reqs, 0, 1)
+	returned := time.Now()
+	results := make([]batchResult, len(reqs))
+	for i, req := range reqs {
+		results[i] = <-req.done
+		if results[i].err != nil {
+			t.Fatalf("lane %d: %v", i, results[i].err)
+		}
+	}
+	for i, req := range reqs {
+		st := results[i].stages
+		sum := st.Queue + st.Encode + st.Simulate + st.Readout
+		total := returned.Sub(req.enqueued)
+		if i+1 < len(reqs) {
+			total = results[i+1].stages.Queue // next lane's start; all lanes share one enqueue time
+		}
+		if sum > total || float64(sum) < 0.95*float64(total) {
+			t.Errorf("lane %d: stage sum %v (queue %v) against a total of at most %v; want within 5%%",
+				i, sum, st.Queue, total)
+		}
+	}
+}
+
+// TestSequentialBatchSkipsCanceledLane: a lane whose caller gives up
+// while its batchmates simulate (here: right after the batch-start
+// check, through the fault hook) gets its context error and no
+// simulation, and the rest of the batch is unaffected. The exit history
+// is the witness that nothing was simulated: it learns an image on its
+// second recorded outcome, so after two identical batches it predicts
+// every lane but the cancelled one. A cancelled lane that duplicates
+// ride still simulates — they need the outcome.
+func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
+	const lanes, dead = 8, 5
+	b, batch := sequentialBatch(t, lanes)
+	runBatch := func(reqs []*batchRequest) []batchResult {
+		b.run(reqs, 0, 1)
+		results := make([]batchResult, len(reqs))
+		for i, req := range reqs {
+			results[i] = <-req.done
+		}
+		return results
+	}
+	want := runBatch(batch())
+
+	b.history = NewExitHistory(0, coding.NewInterner(16))
+	for round := 0; round < 2; round++ {
+		reqs := batch()
+		ctx, cancel := context.WithCancel(context.Background())
+		reqs[dead].ctx = ctx
+		b.injectFault = func() error { cancel(); return nil }
+		for i, res := range runBatch(reqs) {
+			switch {
+			case i == dead && !errors.Is(res.err, context.Canceled):
+				t.Fatalf("round %d: cancelled lane got %+v, %v; want context.Canceled", round, res.out, res.err)
+			case i != dead && (res.err != nil || res.out != want[i].out):
+				t.Fatalf("round %d lane %d: %+v, %v; uncancelled batch gave %+v", round, i, res.out, res.err, want[i].out)
+			}
+		}
+	}
+	for i, req := range batch() {
+		if _, ok := b.history.Predict(req.hash, req.image, req.policy); ok != (i != dead) {
+			t.Errorf("lane %d: exit history prediction = %v after two batches; the cancelled lane alone must be unknown", i, ok)
+		}
+	}
+
+	// The cancelled lane's twin arrives in the same batch: the
+	// representative is dead, the rider is not, and it gets the outcome.
+	reqs := batch()
+	ctx, cancel := context.WithCancel(context.Background())
+	reqs[dead].ctx = ctx
+	b.injectFault = func() error { cancel(); return nil }
+	twin := *reqs[dead]
+	twin.ctx, twin.done = context.Background(), make(chan batchResult, 1)
+	results := runBatch(append(reqs, &twin))
+	if res := results[lanes]; res.err != nil || !res.deduped || res.out != want[dead].out {
+		t.Fatalf("duplicate of a cancelled lane: %+v deduped=%v, %v; want %+v", res.out, res.deduped, res.err, want[dead].out)
 	}
 }
 

@@ -67,28 +67,20 @@ type Config struct {
 	// wide machine is not throttled by a 1-core queue bound. The old
 	// fixed bound is reachable explicitly (snnserve -queue-depth).
 	QueueDepth int
-	// LockstepBatch selects the scheduling policy for multi-request
-	// microbatches: lockstep through the batch simulator (amortized
-	// scatter-table walks, SIMD lane kernels), or back to back on the
-	// replica. See internal/README.md "The scheduling plane".
+	// LockstepBatch selects how multi-request microbatches execute. See
+	// internal/README.md "The scheduling plane".
 	//
-	//   - LockstepAuto (the default): on a packed kernel dispatch tier
-	//     (sse or avx2), an occupancy feedback controller
-	//     (AdaptiveSched) steers each microbatch from measured lane
-	//     occupancy — lockstep exactly when the batch's estimated
-	//     occupancy clears DefaultOccupancyCrossover, the measured
-	//     break-even point (see BENCH_batch.json and internal/README.md
-	//     "When lockstep pays"). Until the controller has measured
-	//     enough batches it falls back to a fixed ≥6-request rule. On
-	//     the purego tier auto is always sequential.
-	//   - LockstepOn / LockstepOff: force the choice for every
-	//     multi-request batch either way.
+	//   - LockstepAuto (the default) and LockstepOff: back to back on the
+	//     replica's sequential engine, which is faster than the lockstep
+	//     plane at every measured batch width on distinct images
+	//     (internal/README.md "When lockstep pays").
+	//   - LockstepOn: force every multi-request batch through the float32
+	//     lockstep batch simulator — for near-duplicate batches, and what
+	//     keeps the plane's conformance suites and benchmarks running.
 	//
-	// Resolved once per model at Register time (after any
-	// kernels.ForceLevel / KERNELS_LEVEL override has been applied);
-	// /metrics reports the kernel dispatch tier the model's lockstep
-	// simulator runs on as batchKernel ("f32", "f32-sse", or
-	// "f32-avx2"; see internal/kernels).
+	// Resolved once per model at Register time; /metrics reports the
+	// kernel dispatch tier the model's lockstep simulator runs on as
+	// batchKernel ("f32", "f32-sse", or "f32-avx2"; see internal/kernels).
 	LockstepBatch string
 	// ExitHistorySize bounds the per-model (image-hash → observed exit
 	// step) history behind exit-aware batch forming: 0 uses
@@ -170,14 +162,6 @@ const (
 	LockstepOn   = "on"
 	LockstepOff  = "off"
 )
-
-// autoLockstepMinLanes is the batch size from which LockstepAuto's
-// cold-start fallback routes a microbatch through the lockstep
-// simulator: the measured crossover on the packed tiers lies between the
-// B=4 (lockstep ~0.7–0.8× of sequential) and B=8 (~1.4–2.0×) benchmark
-// points, so the rule takes the midpoint and leaves smaller batches on
-// the sequential path.
-const autoLockstepMinLanes = 6
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -337,23 +321,11 @@ func (s *Server) Registry() *Registry { return s.reg }
 // restore alike — and ahead of the conversion, so a bad mode fails
 // before the expensive part. The rest of a registration's pipeline
 // state is built by the install itself (installModelAt).
-func (s *Server) buildScheduler() (Scheduler, error) {
+func (s *Server) buildScheduler() (*StaticSched, error) {
 	switch s.cfg.LockstepBatch {
 	case LockstepOn:
 		return NewStaticSched(2), nil
-	case LockstepOff:
-		return NewStaticSched(0), nil
-	case LockstepAuto:
-		// Lockstep can beat the sequential engine only on a SIMD
-		// dispatch tier (the resolved tier at this moment;
-		// ForceLevel/KERNELS_LEVEL overrides apply at startup). There the
-		// occupancy feedback controller steers each microbatch from the
-		// measured occupancy of recent batches (and per-lane exit
-		// predictions), with the fixed ≥6-request rule as its cold-start
-		// fallback; on the purego tier auto never dispatches lockstep.
-		if kernels.ActiveLevel() != kernels.LevelPurego {
-			return NewAdaptiveSched(DefaultOccupancyCrossover, autoLockstepMinLanes), nil
-		}
+	case LockstepAuto, LockstepOff:
 		return NewStaticSched(0), nil
 	}
 	return nil, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",

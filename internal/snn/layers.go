@@ -144,7 +144,8 @@ type convTap = kernels.ConvTap
 // The population is stored base-major — neuron oc*OutH*OutW+base lives in
 // cell base*OutC+oc, the float32 plane's layout — so the OutC
 // destinations of one tap are one contiguous run that lines up with the
-// tap's weight row, and a whole event is one kernels.ConvScatter64 call.
+// tap's weight row, and a whole step's events are one
+// kernels.ConvScatterEvents64 call.
 // Neuron indices, and the order events are emitted in, are CHW as
 // before (population.emit). StepSlow keeps the CHW storage it was
 // written for; the two never share a presentation (Network.Ref).
@@ -256,14 +257,10 @@ func (l *SpikingConv) NumNeurons() int { return len(l.pop.vmem) }
 func (l *SpikingConv) Reset() { l.pop.resetState() }
 
 // Step implements Layer: table-driven event scatter (no div/mod or
-// stride/pad branching per event), one fused kernel call per event, with
-// the per-channel bias folded into the firing pass.
+// stride/pad branching per event), one fused kernel call for the step's
+// whole event list, with the per-channel bias folded into the firing pass.
 func (l *SpikingConv) Step(t int, biasScale float64, in []coding.Event) []coding.Event {
-	vmem := l.pop.vmem
-	outC := l.Geom.OutC
-	for _, ev := range in {
-		kernels.ConvScatter64(vmem, l.WScatter, l.taps[l.tapStart[ev.Index]:l.tapStart[ev.Index+1]], outC, ev.Payload)
-	}
+	kernels.ConvScatterEvents64(l.pop.vmem, l.WScatter, l.taps, l.tapStart, in, l.Geom.OutC)
 	return l.pop.fire(t, l.Bias, biasScale)
 }
 

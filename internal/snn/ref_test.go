@@ -17,14 +17,15 @@ var equivGeom = ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 4, K: 3, Stride: 1, Pad: 
 // moreEquivGeoms are the conv geometries the fast-vs-reference corpus
 // runs besides equivGeom (whose four channels are a packed width on the
 // avx2 tier): three output channels (no packed form: the generic scatter
-// and fire loops on every tier) and a stride-2 conv (ragged tap lists, a
-// 4×4 output map).
+// and fire loops on every tier), a stride-2 conv (ragged tap lists, a
+// 4×4 output map) and sixteen channels (the widest unrolled scatter body).
 var moreEquivGeoms = []struct {
 	name string
 	geom ConvGeom
 }{
 	{"c3", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 3, K: 3, Stride: 1, Pad: 1}},
 	{"c8s2", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 8, K: 3, Stride: 2, Pad: 1}},
+	{"c16", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 16, K: 3, Stride: 1, Pad: 1}},
 }
 
 // buildEquivNetwork assembles conv → maxpool → avgpool → dense → output
@@ -77,6 +78,13 @@ func equivImage(seed uint64, n int) []float64 {
 // (StepSlow: per-event div/mod, CHW storage, z-buffer, separate sweeps)
 // must emit bit-identical spike trains at every layer of every step, the
 // same per-step predictions, and the same spike counts.
+//
+// Which body of the per-step scatter kernel (kernels.ConvScatterEvents64)
+// each geometry runs on the avx2 tier: equivGeom's OutC 4 the packed
+// counted loop, c3/… the generic Go loop (every tier), c8s2/… the
+// unrolled OutC 8 body over ragged stride-2 tap lists, c16/… the unrolled
+// OutC 16 body. serve.TestOutcomesMatchParentGolden's OutC 3/4/8/16 nets
+// drive the same four against the pre-ladder engine's outcomes.
 func TestFastPathMatchesReference(t *testing.T) {
 	testFastPathMatchesReference(t, equivGeom) // subtests named by hybrid alone
 	for _, eg := range moreEquivGeoms {
