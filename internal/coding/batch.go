@@ -83,10 +83,10 @@ func (e *batchRealEncoder) Retire(dst, src int) {
 }
 
 // batchRateEncoder is the batched Bernoulli rate encoder. Each lane owns
-// an RNG reseeded from its image hash exactly like the sequential
-// encoder, and Step consumes each lane's draws in pixel order, so every
-// lane's train is bit-identical to the train the sequential encoder
-// produces for the same image.
+// an RNG reseeded from fnv1aImage of its image exactly like the
+// sequential encoder, and Step consumes each lane's draws in pixel
+// order, so every lane's train is bit-identical to the train the
+// sequential encoder produces for the same image.
 type batchRateEncoder struct {
 	size, b int
 	seed    uint64
@@ -112,7 +112,7 @@ func (e *batchRateEncoder) SetLane(lane int, image []float64) {
 	for i, v := range image {
 		e.px[i*e.b+lane] = v
 	}
-	e.rngs[lane].Reseed(imageHash(image) ^ e.seed)
+	e.rngs[lane].Reseed(fnv1aImage(image) ^ e.seed)
 }
 
 func (e *batchRateEncoder) Retire(dst, src int) {

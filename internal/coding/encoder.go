@@ -124,9 +124,9 @@ func (e *realEncoder) NewBatch(b int) BatchEncoder { return newBatchRealEncoder(
 // rate input converges slowly.
 //
 // The stream is reproducible without being order-dependent: the RNG is
-// reseeded at every Reset from a hash of the image contents, so the same
-// image always produces the same train regardless of evaluation order or
-// worker partitioning.
+// reseeded at every Reset from fnv1aImage of the image contents, so the
+// same image always produces the same train regardless of evaluation
+// order or worker partitioning.
 type rateEncoder struct {
 	size int
 	seed uint64
@@ -145,16 +145,61 @@ func (e *rateEncoder) Reset(image []float64) {
 		panic(fmt.Sprintf("coding: rate encoder got %d pixels, want %d", len(image), e.size))
 	}
 	e.image = image
-	e.rng.Reseed(imageHash(image) ^ e.seed)
+	e.rng.Reseed(fnv1aImage(image) ^ e.seed)
 }
 
-// HashImage is FNV-1a over the pixel bit patterns: the content hash the
-// rate encoder reseeds from (so identical images always produce identical
-// trains), the quantization-cache key, and the serving batcher's
-// duplicate-request key. It is fast, not collision-resistant — callers
-// that act on a match must verify pixel equality with SameImage (as
-// Memo and the batcher dedupe do).
-func HashImage(image []float64) uint64 { return imageHash(image) }
+// fnv1aImage is byte-at-a-time FNV-1a over the pixel bit patterns: the
+// rate encoders' reseed, so identical images always produce identical
+// trains. It is not HashImage and must not become it — every rate-coded
+// spike train (Tables 1 and 2's rate rows) is drawn from this value.
+func fnv1aImage(image []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range image {
+		bits := math.Float64bits(v)
+		for shift := 0; shift < 64; shift += 8 {
+			h ^= bits >> shift & 0xff
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
+// HashImage is the content key of an image: the quantization-cache and
+// interner key, the serving batcher's duplicate-request, exit-history and
+// response-cache key, and the fleet's routing key. It reads each pixel's
+// bit pattern as one word into four independent xor-rotate-multiply
+// lanes, folds the lanes and the length, and finalizes through
+// mathx.SplitMix64. Every step is a bijection of the changed word, so
+// images differing in one pixel never collide. It is fast, not
+// collision-resistant — callers that act on a match must verify pixel
+// equality with SameImage (as Memo and the batcher dedupe do).
+func HashImage(image []float64) uint64 {
+	h := uint64(len(image))
+	// The lanes start at the first hexadecimal digits of π.
+	h0, h1 := uint64(0x243f6a8885a308d3), uint64(0x13198a2e03707344)
+	h2, h3 := uint64(0xa4093822299f31d0), uint64(0x082efa98ec4e6c89)
+	w := image
+	for ; len(w) >= 4; w = w[4:] {
+		h0 = hashRound(h0, math.Float64bits(w[0]))
+		h1 = hashRound(h1, math.Float64bits(w[1]))
+		h2 = hashRound(h2, math.Float64bits(w[2]))
+		h3 = hashRound(h3, math.Float64bits(w[3]))
+	}
+	for _, v := range w {
+		h0 = hashRound(h0, math.Float64bits(v))
+	}
+	for _, lane := range [...]uint64{h0, h1, h2, h3} {
+		h = hashRound(h, lane)
+	}
+	return mathx.SplitMix64(h)
+}
+
+// hashRound folds one word into a HashImage lane: a bijection of the word
+// for a fixed lane and of the lane for a fixed word.
+func hashRound(lane, word uint64) uint64 {
+	// xxHash64's first prime: odd, so the multiply is invertible.
+	return bits.RotateLeft64(lane^word, 31) * 0x9e3779b185ebca87
+}
 
 // SameImage reports whether two images have identical pixel bit
 // patterns — the HashImage view of the pixels, so NaN payloads cannot
@@ -171,18 +216,6 @@ func SameImage(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-func imageHash(image []float64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range image {
-		bits := math.Float64bits(v)
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= bits >> shift & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
 }
 
 func (e *rateEncoder) Step(int) []Event {

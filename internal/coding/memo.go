@@ -11,10 +11,12 @@ import (
 // serve.ExitHistory (image, policy → exit step) and serve.ResponseCache
 // (image, policy → Outcome) — under one discipline:
 //
-//   - keys carry HashImage, which is fast, not collision-resistant, and
-//     fed arbitrary client pixels: every read verifies SameImage against
-//     the stored pixels, so a collision degrades to a miss, never to
-//     another image's answer;
+//   - keys carry HashImage, a word-at-a-time content hash (four
+//     xor-rotate-multiply lanes finalized by SplitMix64, ≈0.4 µs for a
+//     768-pixel image), which is fast, not collision-resistant, and fed
+//     arbitrary client pixels: every read verifies SameImage against the
+//     stored pixels, so a collision degrades to a miss, never to another
+//     image's answer;
 //   - a key earns an entry on its second sighting (inside one TTL when
 //     the view has one), so unique-image traffic — the common serving
 //     case — pays map probes but never allocates;
@@ -60,7 +62,7 @@ func NewInterner(max int) *Interner {
 // the only pixel copy the memo plane makes. A colliding image takes the
 // slot over; views verifying against the displaced copy keep it alive.
 func (in *Interner) intern(image []float64) []float64 {
-	hash := imageHash(image)
+	hash := HashImage(image)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	p, ok := in.px[hash]

@@ -51,7 +51,7 @@ func (c *QuantCache) quantized(scheme Scheme, image []float64, period int, scrat
 		quantize()
 		return scratch
 	}
-	k := quantKey{hash: imageHash(image), scheme: scheme, size: len(image), period: period}
+	k := quantKey{hash: HashImage(image), scheme: scheme, size: len(image), period: period}
 	q, ok, promote := c.Sight(k, image)
 	if ok {
 		return q

@@ -7,16 +7,21 @@
 //
 // Routing keys on coding.HashImage — the same content hash a shard's
 // pixel-verified memo (coding.Memo: quant cache, exit history, response
-// cache) keys on — so a shard owns a stable slice of the image space and
-// every replay of an image lands where its entries live. When the owner sheds (429), a
-// bounded-load fallback offers the request to the next shards on the
-// ring before giving up, trading one cold cache miss for availability.
+// cache) keys on, and which ends in the same SplitMix64 finalizer as the
+// ring's points — so a shard owns a stable slice of the image space and
+// every replay of an image lands where its entries live. When the owner
+// sheds (429), a bounded-load fallback offers the request to the next
+// shards on the ring before giving up, trading one cold cache miss for
+// availability.
 package fleet
 
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+
+	"burstsnn/internal/mathx"
 )
 
 // DefaultVNodes is the virtual-node count per shard on the hash ring.
@@ -26,8 +31,8 @@ import (
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring over shard indices 0..n-1. Points are
-// deterministic (FNV-1a of "shard-<i>/<v>", finalized through a
-// splitmix64 mix — raw FNV of short sequential labels clusters badly,
+// deterministic (FNV-1a of "shard-<i>/<v>", finalized through
+// mathx.SplitMix64 — raw FNV of short sequential labels clusters badly,
 // up to 2× arc-share skew at 64 vnodes), so every front tier built
 // over the same shard count routes identically — there is no seed and no
 // runtime randomness.
@@ -45,16 +50,6 @@ type ringPoint struct {
 	shard int
 }
 
-// splitmix64 is the standard 64-bit finalizer (Steele et al.'s SplitMix
-// mixer): full-avalanche bit diffusion over the weakly-mixed FNV sums of
-// short vnode labels.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewRing builds a ring over shards shards with vnodes points each
 // (vnodes <= 0 uses DefaultVNodes).
 func NewRing(shards, vnodes int) (*Ring, error) {
@@ -69,7 +64,7 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 		for v := 0; v < vnodes; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "shard-%d/%d", s, v)
-			r.points = append(r.points, ringPoint{hash: splitmix64(h.Sum64()), shard: s})
+			r.points = append(r.points, ringPoint{hash: mathx.SplitMix64(h.Sum64()), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -108,12 +103,10 @@ func (r *Ring) Sequence(key uint64, n int) []int {
 		n = 1
 	}
 	seq := make([]int, 0, n)
-	seen := make(map[int]bool, n)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	for probed := 0; probed < len(r.points) && len(seq) < n; probed++ {
-		p := r.points[(i+probed)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
+		// A linear scan: seq holds at most one entry per shard.
+		if p := r.points[(i+probed)%len(r.points)]; !slices.Contains(seq, p.shard) {
 			seq = append(seq, p.shard)
 		}
 	}

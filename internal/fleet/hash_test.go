@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"math/bits"
 	"testing"
+
+	"burstsnn/internal/coding"
+	"burstsnn/internal/dataset"
 )
 
 // lcg yields the deterministic key stream the distribution tests share.
@@ -78,6 +82,41 @@ func TestRingStability(t *testing.T) {
 	}
 	if want := 1.0 / 9; frac > 0.25 {
 		t.Errorf("grow 8->9 moved %.1f%% of keys, want ~%.1f%% (<25%%)", frac*100, want*100)
+	}
+}
+
+// TestRingBalanceImageKeys is TestRingBalance's bound on the keys the
+// front really routes: coding.HashImage of 20k texture images (2,000
+// test images, each as drawn and stamped nine times the way the
+// repository benchmark's unique traffic stamps pixel 0), for every shard
+// count from 2 to 8.
+func TestRingBalanceImageKeys(t *testing.T) {
+	cfg := dataset.DefaultTexturesConfig()
+	cfg.TrainPerClass, cfg.TestPerClass = 0, 200
+	var keys []uint64
+	for _, s := range dataset.SynthTextures(cfg).Test {
+		img := s.Image
+		keys = append(keys, coding.HashImage(img))
+		for k := uint32(1); k < 10; k++ {
+			img[0] = float64(bits.Reverse32(k)) / (1 << 32)
+			keys = append(keys, coding.HashImage(img))
+		}
+	}
+	for shards := 2; shards <= 8; shards++ {
+		r, err := NewRing(shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]float64, shards)
+		for _, k := range keys {
+			counts[r.Owner(k)]++
+		}
+		mean := float64(len(keys)) / float64(shards)
+		for s, c := range counts {
+			if c < mean*0.65 || c > mean*1.35 {
+				t.Errorf("%d shards: shard %d owns %v image keys, outside [%v, %v]", shards, s, c, mean*0.65, mean*1.35)
+			}
+		}
 	}
 }
 

@@ -28,10 +28,21 @@ func NewRNG(seed uint64) *RNG {
 // on the serving hot path.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
 
+// splitmixGamma is splitmix64's state increment (2^64 / φ, odd).
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next raw 64-bit value of the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += splitmixGamma
+	return mix64(r.state)
+}
+
+// SplitMix64 is the standard 64-bit finalizer (Steele et al.'s SplitMix
+// step, the first value of NewRNG(z)'s stream): a bijection with full
+// avalanche, for turning weakly mixed sums into uniform keys.
+func SplitMix64(z uint64) uint64 { return mix64(z + splitmixGamma) }
+
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -156,12 +157,12 @@ const (
 // "maxSteps", "noEarlyExit" (exact case, each at most once, at least
 // one), with an escape-free ASCII model string, a non-empty array of
 // numbers in JSON's number grammar, a plain integer, and true/false.
-// Pixels are converted with strconv.ParseFloat — the call encoding/json
-// makes — so they are bit-identical. Anything else (unknown, duplicate
-// or case-variant key, escape, non-ASCII, null, nesting, range error,
-// trailing non-whitespace) is declined, never rejected: ok=false means
-// "ask encoding/json". Pixels are appended to px, which is returned
-// either way so its capacity is kept.
+// Pixels are converted by scanFloat to exactly the bits that
+// strconv.ParseFloat — the call encoding/json makes — returns. Anything
+// else (unknown, duplicate or case-variant key, escape, non-ASCII, null,
+// nesting, range error, trailing non-whitespace) is declined, never
+// rejected: ok=false means "ask encoding/json". Pixels are appended to
+// px, which is returned either way so its capacity is kept.
 func parseStrict(b []byte, px []float64) (ClassifyRequest, []float64, bool) {
 	var req ClassifyRequest
 	i := skipSpace(b, 0)
@@ -273,27 +274,163 @@ func scanIntPart(b []byte, i int) (int, bool) {
 	return scanDigits(b, i)
 }
 
-// scanNumber skips one number in JSON's grammar at b[i]. The caller
-// checks the byte after it, which is what rejects "01" and "1.5.2".
-func scanNumber(b []byte, i int) (end int, ok bool) {
-	if i, ok = scanIntPart(b, i); !ok {
-		return i, false
+// scanFloat reads one number in JSON's grammar at b[start] and converts it
+// to the float64 strconv.ParseFloat returns for the same bytes, bit for
+// bit, in one pass. The caller checks the byte after it, which is what
+// rejects "01" and "1.5.2". ok is false where the grammar fails or
+// ParseFloat reports an error (out of range).
+//
+// While it checks the grammar it collects up to 19 significant digits
+// into m and the decimal exponent into e10, so the number is m·10^e10,
+// and then converts in whichever exact domain holds it:
+//   - m = 0: ±0;
+//   - m ≤ 2^53 and |e10| ≤ 22: float64(m) and 10^|e10| are both exact
+//     float64s, so one IEEE multiply or divide rounds the exact value
+//     once, correctly (Clinger's fast path);
+//   - e10 in [-19, -1]: m / 10^-e10 by 128-bit integer division, rounded
+//     to 53 bits half-to-even with the remainder as the sticky bit.
+//
+// Anything else — a 20th significant digit, an exponent literal of 10000
+// or more, another exponent — goes to ParseFloat itself.
+func scanFloat(b []byte, start int) (f float64, end int, ok bool) {
+	i := start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	nd, e10 := 0, 0 // significant digits in m; decimal exponent
+	slow := false   // the exact domains cannot hold it: leave it to ParseFloat
+	// Integer part: "0", or a non-zero digit and more.
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		first := i
+		if i, m, nd, slow = scanMantissa(b, i, m, nd); i == first {
+			return 0, i, false
+		}
 	}
 	if i < len(b) && b[i] == '.' {
-		if i, ok = scanDigits(b, i+1); !ok {
-			return i, false
+		i++
+		first := i
+		for ; nd == 0 && i < len(b) && b[i] == '0'; i++ {
+			e10-- // a leading zero of the fraction
 		}
+		had, long := nd, false
+		if i, m, nd, long = scanMantissa(b, i, m, nd); i == first {
+			return 0, i, false
+		}
+		e10, slow = e10-(nd-had), slow || long
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if i, ok = scanDigits(b, i); !ok {
-			return i, false
+		first, x := i, 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			// ParseFloat stops growing its exponent at 10000 but counts
+			// the fraction's leading zeros exactly, so past that point
+			// only its own arithmetic gives its answer.
+			if x < 10000 {
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == first {
+			return 0, i, false
+		}
+		slow = slow || x >= 10000
+		if eneg {
+			x = -x
+		}
+		e10 += x
+	}
+	if !slow {
+		if f, ok = exactFloat(m, e10); ok {
+			if neg {
+				f = -f
+			}
+			return f, i, true
 		}
 	}
-	return i, true
+	// The string aliases the body only for the duration of the call:
+	// ParseFloat keeps no reference to its argument (its errors clone it),
+	// and nothing writes the body meanwhile.
+	f, err := strconv.ParseFloat(unsafe.String(&b[start], i-start), 64)
+	return f, i, err == nil
+}
+
+// scanMantissa appends the run of digits at b[i] to the nd-digit m until
+// m holds 19; long reports a digit past that, which is skipped. m's first
+// digit must be non-zero (or m empty and b[i] not '0'), so nd counts
+// significant digits.
+func scanMantissa(b []byte, i int, m uint64, nd int) (end int, _ uint64, _ int, long bool) {
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		if nd < 19 {
+			m, nd = m*10+uint64(b[i]-'0'), nd+1
+		} else {
+			long = true
+		}
+	}
+	return i, m, nd, long
+}
+
+// exactFloat returns m·10^e10 correctly rounded, when it lies in one of
+// scanFloat's three exact domains.
+func exactFloat(m uint64, e10 int) (float64, bool) {
+	switch {
+	case m == 0:
+		return 0, true
+	case m <= 1<<53 && -22 <= e10 && e10 <= 22:
+		if e10 < 0 {
+			return float64(m) / float64pow10[-e10], true
+		}
+		return float64(m) * float64pow10[e10], true
+	case -19 <= e10 && e10 < 0:
+		return divPow10(m, -e10), true
+	}
+	return 0, false
+}
+
+// float64pow10[k] is 10^k, exact in float64 up to k = 22.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// uint64pow10[k] is 10^k; 10^19 is the last that fits.
+var uint64pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// divPow10 returns m / 10^k correctly rounded, for 0 < m < 2^64 and
+// 1 ≤ k ≤ 19. It shifts m left by s so that the 128-bit quotient by 10^k
+// has 63 or 64 bits (with m·2^s below 2^(63+len(10^k)), the high word is
+// below 10^k, as Div64 requires), keeps the top 53 and rounds half to
+// even on the dropped bits plus the remainder. The result lies in
+// [1e-19, 1e18), so it is always a normal float64.
+func divPow10(m uint64, k int) float64 {
+	d := uint64pow10[k]
+	s := uint(63 + bits.Len64(d) - bits.Len64(m)) // 3 ≤ s ≤ 126
+	var hi, lo uint64
+	if s < 64 {
+		hi, lo = m>>(64-s), m<<s
+	} else {
+		hi = m << (s - 64)
+	}
+	q, r := bits.Div64(hi, lo, d) // m/10^k = (q + r/d)·2^-s
+	drop := uint(bits.Len64(q) - 53)
+	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		if mant++; mant == 1<<53 {
+			mant, drop = mant>>1, drop+1
+		}
+	}
+	// mant·2^(drop-s), mant in [2^52, 2^53): the biased exponent is
+	// 1023 + 52 + drop - s.
+	return math.Float64frombits(uint64(1023+52+int(drop)-int(s))<<52 | mant&(1<<52-1))
 }
 
 // scanInt reads a plain JSON integer of at most 18 digits (so it cannot
@@ -318,15 +455,8 @@ func scanPixels(b []byte, i int, px []float64) (_ []float64, end int, ok bool) {
 	}
 	for {
 		i = skipSpace(b, i+1)
-		j, ok := scanNumber(b, i)
+		f, j, ok := scanFloat(b, i)
 		if !ok {
-			return px, i, false
-		}
-		// The string aliases the body only for the duration of the call:
-		// ParseFloat keeps no reference to its argument (its errors clone
-		// it), and nothing writes the body meanwhile.
-		f, err := strconv.ParseFloat(unsafe.String(&b[i], j-i), 64)
-		if err != nil {
 			return px, i, false
 		}
 		px = append(px, f)

@@ -6,13 +6,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"burstsnn/internal/coding"
+	"burstsnn/internal/dataset"
+	"burstsnn/internal/mathx"
 )
 
 // decodeBytes runs data through the codec the way ReadClassify does
@@ -24,10 +28,20 @@ func decodeBytes(data []byte, frame bool) (*WireRequest, error) {
 	return wr, wr.decode(frame, nil)
 }
 
-// benchRequest is shaped like the repository benchmark's requests: a
-// 3×16×16 image of full-precision float64 pixels under a short name.
+// benchRequest is the parser's hard case: 768 uniform random pixels, nine
+// in ten printed with 16–17 significant digits (a 14.8 kB body).
 func benchRequest() ClassifyRequest {
 	return ClassifyRequest{Model: "textures10", Image: allocImage(11, 768)}
+}
+
+// texturesRequest is shaped like the repository benchmark's requests: one
+// dataset.SynthTextures test image (3×16×16, a 13.6 kB body; the
+// benchmark's average 13.8 kB). Over 3,000 such images, 57 % of pixels
+// take scanFloat's Clinger path, 37 % its division and 6 % are zero.
+func texturesRequest() ClassifyRequest {
+	cfg := dataset.DefaultTexturesConfig()
+	cfg.TrainPerClass, cfg.TestPerClass = 0, 1
+	return ClassifyRequest{Model: "textures10", Image: dataset.SynthTextures(cfg).Test[3].Image}
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -113,6 +127,172 @@ func FuzzDecodeClassify(f *testing.F) {
 		}
 		sameRequest(t, got.ClassifyRequest, want)
 	})
+}
+
+// scanNumber skips one number in JSON's grammar at b[i] — the grammar
+// written out plainly, as the oracle scanFloat's accept set is held to.
+func scanNumber(b []byte, i int) (end int, ok bool) {
+	if i, ok = scanIntPart(b, i); !ok {
+		return i, false
+	}
+	if i < len(b) && b[i] == '.' {
+		if i, ok = scanDigits(b, i+1); !ok {
+			return i, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i, ok = scanDigits(b, i); !ok {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// checkScanFloat compares scanFloat at b[0] against scanNumber +
+// strconv.ParseFloat: the same accept/decline, and on accept the same
+// end and the same bits.
+func checkScanFloat(t *testing.T, b []byte) {
+	t.Helper()
+	end, ok := scanNumber(b, 0)
+	var want float64
+	if ok {
+		var err error
+		want, err = strconv.ParseFloat(string(b[:end]), 64)
+		ok = err == nil
+	}
+	f, gotEnd, gotOK := scanFloat(b, 0)
+	switch {
+	case gotOK != ok:
+		t.Fatalf("%q: scanFloat ok=%v, grammar+ParseFloat ok=%v", b, gotOK, ok)
+	case ok && (gotEnd != end || math.Float64bits(f) != math.Float64bits(want)):
+		t.Fatalf("%q: scanFloat %v (%#x) ending at %d, ParseFloat %v (%#x) ending at %d",
+			b, f, math.Float64bits(f), gotEnd, want, math.Float64bits(want), end)
+	}
+}
+
+// scanFloatEdges are the inputs where an exact fast path goes wrong
+// first: each domain's boundary, the 19/20-digit split, signed zeros,
+// exponent spellings, round-half-to-even ties, and ParseFloat's exponent
+// saturation (its literal stops growing at 10000 while the fraction's
+// leading zeros count exactly, so these read 1e8, 1e9, 0 and 0).
+var scanFloatEdges = []string{
+	"0." + strings.Repeat("0", 9_990) + "1e9999",
+	"0." + strings.Repeat("0", 9_990) + "1e10000",
+	"0." + strings.Repeat("0", 99_999) + "1e100005",
+	"0." + strings.Repeat("0", 999_999) + "1e10000000000",
+	"0", "-0", "0e5", "-0.0e-5", "0.000", "1", "-1", "0.1", "0.3", "100", "1e0", "1E-0", "0.5e1",
+	"9007199254740992", "9007199254740993", "9007199254740994", "9007199254740995",
+	"900719925474099.3", "0.9007199254740993", "18014398509481985e-1",
+	"9999999999999999999e-19", "0.9999999999999999999", "0.99999999999999999999",
+	"1234567890123456789", "12345678901234567890", "123456789012345678.9", "1.234567890123456789e-5",
+	"1e-19", "1e-20", "1e-22", "1e-23", "1e22", "1e23", "1E+2", "1e+22", "123.456e-3",
+	"0.000000123", "0.00000000000000000001234", "0.0000000000000000000000000001",
+	"4503599627370496.5", "4503599627370497.5", "-4503599627370496.5", "4503599627370496.49999999",
+	"0.30196078431372547", "0.7372549019607844", "0.49999999999999994", "0.5000000000000001",
+	"2.2250738585072011e-308", "2.2250738585072014e-308", "5e-324", "2e-324", "1e-400", "-1e-400",
+	"1.7976931348623157e308", "1.7976931348623159e308", "1e400", "-1e400", "1e9999999999999",
+	"01", "-", "+1", ".5", "1.", "1e", "1e+", "1e-", "-.5", "0x10", "1.5.2", "1e5e5", "", " 1",
+}
+
+// TestScanFloatMatchesParseFloat: on the edge table and on a million
+// generated numbers, scanFloat returns ParseFloat's bits and scanNumber's
+// end.
+func TestScanFloatMatchesParseFloat(t *testing.T) {
+	for _, s := range scanFloatEdges {
+		checkScanFloat(t, []byte(s))
+	}
+	r := mathx.NewRNG(29)
+	var buf []byte
+	for n := 0; n < 1<<20; n++ {
+		buf = buf[:0]
+		switch n % 5 {
+		case 0: // shortest form of arbitrary bits, every exponent
+			f := math.Float64frombits(r.Uint64())
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				continue
+			}
+			buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
+		case 1: // shortest form of a pixel-like value at a random scale
+			f := r.Float64() * math.Pow10(r.Intn(51)-25)
+			buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
+		case 2: // fixed form, 15–21 digits: both sides of the 19-digit split
+			buf = strconv.AppendFloat(buf, r.Float64()*math.Pow10(r.Intn(4)), 'f', 15+r.Intn(7), 64)
+		case 3: // a random digit string of up to 21 digits
+			buf = appendDigitString(buf, r)
+		default: // a halfway case between two floats, or one unit beside it
+			buf = appendHalfway(buf, r)
+		}
+		checkScanFloat(t, buf)
+	}
+}
+
+// appendDigitString appends a random JSON number of up to 21 digits:
+// optional sign, integer part, fraction and exponent.
+func appendDigitString(buf []byte, r *mathx.RNG) []byte {
+	if r.Intn(2) == 0 {
+		buf = append(buf, '-')
+	}
+	digits := func(n int, lead bool) {
+		for k := 0; k < n; k++ {
+			d := byte(r.Intn(10))
+			if k == 0 && lead && d == 0 {
+				d = 1
+			}
+			buf = append(buf, '0'+d)
+		}
+	}
+	total := 1 + r.Intn(21)
+	intLen := r.Intn(total + 1)
+	if intLen == 0 {
+		buf = append(buf, '0')
+	} else {
+		digits(intLen, true)
+	}
+	if frac := total - intLen; frac > 0 {
+		buf = append(buf, '.')
+		digits(frac, false)
+	}
+	if r.Intn(3) == 0 {
+		buf = append(buf, "eE"[r.Intn(2)])
+		if s := r.Intn(3); s < 2 {
+			buf = append(buf, "+-"[s])
+		}
+		buf = strconv.AppendInt(buf, int64(r.Intn(30)), 10)
+	}
+	return buf
+}
+
+// appendHalfway appends, exactly, (2M+1)·2^-p for a 53-bit M: the midpoint
+// of M·2^(1-p) and (M+1)·2^(1-p), which must round to the even one. It
+// prints with p decimals and 17–20 significant digits; two times in
+// three the last digit is nudged one unit either way, breaking the tie.
+func appendHalfway(buf []byte, r *mathx.RNG) []byte {
+	h := new(big.Int).SetUint64((1<<52|r.Uint64()>>12)<<1 | 1)
+	p := 1 + r.Intn(4)
+	h.Mul(h, new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(p)), nil))
+	switch r.Intn(3) {
+	case 0:
+		h.Add(h, big.NewInt(1))
+	case 1:
+		h.Sub(h, big.NewInt(1))
+	}
+	s := h.String()
+	buf = append(buf, s[:len(s)-p]...)
+	buf = append(buf, '.')
+	return append(buf, s[len(s)-p:]...)
+}
+
+// FuzzScanFloat holds scanFloat to the grammar oracle and ParseFloat on
+// arbitrary bytes.
+func FuzzScanFloat(f *testing.F) {
+	for _, s := range scanFloatEdges {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkScanFloat)
 }
 
 // FuzzDecodeFrame: the frame decoder never panics, never holds more
@@ -347,32 +527,37 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeClassify is the codec rung by itself: one
-// benchmark-shaped body through encoding/json as the handlers used to
-// call it, and through the codec.
+// BenchmarkDecodeClassify is the codec rung by itself: the random-pixel
+// body and the benchmark-shaped textures body, each through encoding/json
+// as the handlers used to call it and through the codec.
 func BenchmarkDecodeClassify(b *testing.B) {
-	body := mustMarshal(b, benchRequest())
-	b.Run("std", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for b.Loop() {
-			var req ClassifyRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				b.Fatal(err)
+	for _, body := range []struct {
+		name string
+		req  ClassifyRequest
+	}{{"random", benchRequest()}, {"textures", texturesRequest()}} {
+		data := mustMarshal(b, body.req)
+		b.Run(body.name+"/std", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				var req ClassifyRequest
+				if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for b.Loop() {
-			wr, err := decodeBytes(body, false)
-			if err != nil {
-				b.Fatal(err)
+		})
+		b.Run(body.name+"/fast", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				wr, err := decodeBytes(data, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wr.Release(true)
 			}
-			wr.Release(true)
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFrameRoundTrip is the front→worker hop's codec cost: encode
