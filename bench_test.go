@@ -257,7 +257,7 @@ func BenchmarkSNNStep(b *testing.B) {
 // --- Hot-path per-layer micro-benchmarks (fast vs reference path) ---
 //
 // Workloads come from internal/benchkit so `go test -bench Hotpath` and
-// the `snnbench -hotpath` artifact always measure the same thing.
+// the benchmark ladder's snn.*_step_ns rungs time the same layers.
 
 // BenchmarkHotpathConvStep isolates SpikingConv.Step: table-driven
 // scatter + fused bias/fire versus per-event div/mod arithmetic with a
@@ -428,25 +428,6 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 			}
 			b.ReportMetric(float64(B*b.N)/b.Elapsed().Seconds(), "images/sec")
 		})
-	}
-}
-
-// BenchmarkAsyncDelivery measures the asynchronous execution mode
-// against the synchronous simulator on the same converted network.
-func BenchmarkAsyncDelivery(b *testing.B) {
-	net, set := microModel(b)
-	conv, err := burstsnn.Convert(net, set.Train, burstsnn.DefaultConvertOptions(burstsnn.Real, burstsnn.Burst))
-	if err != nil {
-		b.Fatal(err)
-	}
-	async, err := burstsnn.WithDelays(conv.Net, 2, 1, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := set.Test[0].Image
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		async.Run(img, 64)
 	}
 }
 

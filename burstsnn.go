@@ -185,9 +185,6 @@ type (
 	ConvertResult = convert.Result
 	// SNN is the event-driven spiking network.
 	SNN = snn.Network
-	// DelayedSNN executes the same layers with per-edge axonal delays
-	// (asynchronous-fabric model); delay 0 equals the synchronous SNN.
-	DelayedSNN = snn.DelayedNetwork
 	// SingleNeuron is a standalone IF neuron with full coding dynamics.
 	SingleNeuron = snn.SingleNeuron
 )
@@ -227,13 +224,6 @@ func DefaultConvertOptions(input, hidden Scheme) ConvertOptions {
 
 // NewSingleNeuron creates a standalone IF neuron under a hidden coding.
 func NewSingleNeuron(cfg CodingConfig) *SingleNeuron { return snn.NewSingleNeuron(cfg) }
-
-// WithDelays wraps a converted network in the asynchronous execution
-// mode: every inter-layer edge gets the uniform delay (in time steps)
-// plus deterministic per-neuron jitter in [0, jitter].
-func WithDelays(net *SNN, uniformDelay, jitter int, seed uint64) (*DelayedSNN, error) {
-	return snn.FromNetwork(net, uniformDelay, jitter, seed)
-}
 
 // Serving types: the online inference layer (see internal/serve and
 // cmd/snnserve).

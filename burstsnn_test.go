@@ -126,42 +126,3 @@ func TestPublicAPISingleNeuronAndAnalysis(t *testing.T) {
 		t.Fatalf("density %v", d)
 	}
 }
-
-// TestAsyncDeliveryPreservesAccuracy runs a converted model under the
-// asynchronous execution mode: with realistic axonal delays the network
-// must reach the same decisions, just later.
-func TestAsyncDeliveryPreservesAccuracy(t *testing.T) {
-	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
-		TrainPerClass: 50, TestPerClass: 6, Noise: 0.04, Seed: 3,
-	})
-	net, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{48}, 10), burstsnn.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	burstsnn.Train(net, set, burstsnn.NewAdam(0.01), burstsnn.TrainConfig{
-		Epochs: 12, BatchSize: 32, Seed: 5,
-	})
-
-	conv, err := burstsnn.Convert(net, set.Train,
-		burstsnn.DefaultConvertOptions(burstsnn.Real, burstsnn.Burst))
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := burstsnn.WithDelays(conv.Net, 2, 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const T = 80
-	syncCorrect, asyncCorrect := 0, 0
-	for _, s := range set.Test[:20] {
-		if conv.Net.Run(s.Image, T).FinalPrediction() == s.Label {
-			syncCorrect++
-		}
-		if async.Run(s.Image, T).FinalPrediction() == s.Label {
-			asyncCorrect++
-		}
-	}
-	if asyncCorrect < syncCorrect-2 {
-		t.Fatalf("async accuracy %d/20 far below sync %d/20", asyncCorrect, syncCorrect)
-	}
-}

@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"burstsnn/internal/coding"
 	"burstsnn/internal/convert"
 	"burstsnn/internal/dataset"
+	"burstsnn/internal/dnn"
 	"burstsnn/internal/kernels"
+	"burstsnn/internal/mathx"
 	"burstsnn/internal/serve"
 	"burstsnn/internal/snn"
 )
@@ -27,11 +28,7 @@ import (
 // dispatch tier this machine can run ("f32", "f32-sse", "f32-avx2" —
 // forced via kernels.ForceLevel for the point's duration), so one
 // artifact carries the whole ladder. The sequential baseline is repeated
-// on every B so a single point is self-contained run-over-run. The
-// -batch-prev gate compares like-for-like tiers only:
-// a point is gated against a previous point with the same triple, and
-// tiers absent from either artifact (a runner without AVX2, say) are
-// skipped, not failed.
+// on every B so a single point is self-contained run-over-run.
 
 type batchPoint struct {
 	B int `json:"b"`
@@ -75,8 +72,7 @@ type batchArtifact struct {
 	Levels        []string     `json:"levels"`
 	Points        []batchPoint `json:"points"`
 	// Staggered records the exit-aware batch-forming measurement on the
-	// mixed early/late-exit workload (additive field; points above are
-	// unchanged, so the like-for-like gate keeps covering them).
+	// mixed early/late-exit workload.
 	Staggered *staggeredResult `json:"staggered,omitempty"`
 }
 
@@ -107,6 +103,20 @@ type staggeredResult struct {
 	ExitAwareMeanOccupancy float64 `json:"exitAwareMeanOccupancy"`
 	FIFOBatchSteps         int     `json:"fifoBatchSteps"`
 	ExitAwareBatchSteps    int     `json:"exitAwareBatchSteps"`
+}
+
+// hotpathModel trains the small conv-bearing LeNetMini used by the
+// end-to-end benches (same recipe as the bench_test micro model).
+func hotpathModel() (*dnn.Network, *dataset.Set, error) {
+	cfg := dataset.DefaultTexturesConfig()
+	cfg.TrainPerClass, cfg.TestPerClass = 40, 8
+	set := dataset.SynthTextures(cfg)
+	net, err := dnn.Build(dnn.LeNetMini(3, 16, 16, 10), mathx.NewRNG(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	dnn.Train(net, set, dnn.NewAdam(0.005), dnn.TrainConfig{Epochs: 3, BatchSize: 32, Seed: 2})
+	return net, set, nil
 }
 
 func runBatchBench(outPath string) error {
@@ -313,69 +323,6 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 		res.Kernel, res.FIFOMeanOccupancy, res.FIFOBatchSteps,
 		res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps, predicted, requests)
 	return res, nil
-}
-
-// compareBatch is the batched-throughput regression gate: it reads a
-// previous BENCH_batch.json and the one just written and fails when a
-// point's lockstep throughput regressed by more than tolerance
-// (fractional). Comparison is strictly like-for-like: points pair on the
-// (B, kernel, level) triple, so an f32-avx2 point is never judged
-// against an f32-sse measurement, and a tier present in only one
-// artifact (different runner capabilities, or a pre-dispatch artifact)
-// is skipped with a note rather than failed. A schema change skips the
-// whole comparison (first run after a format bump records a baseline).
-func compareBatch(prevPath, newPath string, tolerance float64) error {
-	load := func(path string) (*batchArtifact, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var art batchArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &art, nil
-	}
-	prev, err := load(prevPath)
-	if err != nil {
-		return err
-	}
-	cur, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	if prev.Schema != cur.Schema {
-		fmt.Fprintf(os.Stderr, "batch: schema changed (%s -> %s), skipping comparison\n", prev.Schema, cur.Schema)
-		return nil
-	}
-	key := func(p batchPoint) string { return fmt.Sprintf("B=%d/%s/%s", p.B, p.Kernel, p.Level) }
-	prevPts := map[string]batchPoint{}
-	for _, p := range prev.Points {
-		prevPts[key(p)] = p
-	}
-	var failures []string
-	for _, c := range cur.Points {
-		p, ok := prevPts[key(c)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "batch:  %-18s no like-for-like previous point, skipping\n", key(c))
-			continue
-		}
-		if p.LockstepImagesPerSec <= 0 {
-			continue
-		}
-		ratio := c.LockstepImagesPerSec/p.LockstepImagesPerSec - 1
-		mark := " "
-		if -ratio > tolerance {
-			mark = "!"
-			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f img/s (%+.1f%%)",
-				key(c), p.LockstepImagesPerSec, c.LockstepImagesPerSec, ratio*100))
-		}
-		fmt.Fprintf(os.Stderr, "batch:%s %-18s %+.1f%% lockstep img/s vs previous\n", mark, key(c), ratio*100)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("batched-throughput regression beyond %.0f%%:\n  %s", tolerance*100, strings.Join(failures, "\n  "))
-	}
-	return nil
 }
 
 // setProbes attaches (or, with a nil count, detaches) an event-column

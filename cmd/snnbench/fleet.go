@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +35,7 @@ import (
 //
 // Bench shards run with the response cache disabled and one replica
 // each, so every request simulates and added shards add compute, not
-// cache capacity; the -fleet-prev gate compares like-for-like shard
-// counts only.
+// cache capacity.
 
 type fleetPoint struct {
 	Shards int `json:"shards"`
@@ -245,60 +243,4 @@ func measureFleetPoint(net *dnn.Network, set *dataset.Set, images [][]float64,
 		pt.P99Ms = latencies[min(n-1, n*99/100)]
 	}
 	return pt, nil
-}
-
-// compareFleet is the fleet-saturation regression gate: like-for-like
-// shard counts only, judged on saturation throughput. A schema change
-// skips the comparison (baseline re-record).
-func compareFleet(prevPath, newPath string, tolerance float64) error {
-	load := func(path string) (*fleetArtifact, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var art fleetArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &art, nil
-	}
-	prev, err := load(prevPath)
-	if err != nil {
-		return err
-	}
-	cur, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	if prev.Schema != cur.Schema {
-		fmt.Fprintf(os.Stderr, "fleet: schema changed (%s -> %s), skipping comparison\n", prev.Schema, cur.Schema)
-		return nil
-	}
-	prevPts := map[int]fleetPoint{}
-	for _, p := range prev.Points {
-		prevPts[p.Shards] = p
-	}
-	var failures []string
-	for _, c := range cur.Points {
-		p, ok := prevPts[c.Shards]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fleet:  shards=%-2d no like-for-like previous point, skipping\n", c.Shards)
-			continue
-		}
-		if p.ImagesPerSec <= 0 {
-			continue
-		}
-		ratio := c.ImagesPerSec/p.ImagesPerSec - 1
-		mark := " "
-		if -ratio > tolerance {
-			mark = "!"
-			failures = append(failures, fmt.Sprintf("shards=%d: %.0f -> %.0f img/s (%+.1f%%)",
-				c.Shards, p.ImagesPerSec, c.ImagesPerSec, ratio*100))
-		}
-		fmt.Fprintf(os.Stderr, "fleet:%s shards=%-2d %+.1f%% img/s vs previous\n", mark, c.Shards, ratio*100)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("fleet-saturation regression beyond %.0f%%:\n  %s", tolerance*100, strings.Join(failures, "\n  "))
-	}
-	return nil
 }

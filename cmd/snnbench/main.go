@@ -1,5 +1,5 @@
-// Command snnbench regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index).
+// Command snnbench regenerates the paper's tables and figures (the
+// exhibits live in internal/experiments).
 //
 // Usage:
 //
@@ -7,11 +7,14 @@
 //	snnbench -run table1,fig4         # a subset
 //	snnbench -run table2 -steps 384   # scale the budget up
 //
-// The hot-path mode skips the exhibits and instead benchmarks the
-// simulator/serving fast paths against the retained reference paths,
-// writing a machine-readable perf-trajectory artifact:
+// Two ungated artifact modes skip the exhibits and write JSON instead:
+// -batch (lockstep vs sequential per batch width and dispatch tier, plus
+// FIFO vs exit-ordered occupancy) and -fleet (the shard-count sweep).
+// Perf claims are made with `go run ./benchmark`, not with these.
 //
-//	snnbench -hotpath BENCH_hotpath.json
+//	snnbench -batch BENCH_batch.json
+//	snnbench -fleet BENCH_fleet.json
+//	snnbench -probe-level avx2        # exit 0 iff the tier runs here
 package main
 
 import (
@@ -26,51 +29,25 @@ import (
 
 func main() {
 	var (
-		run       = flag.String("run", "all", "comma-separated list: fig1,fig2,table1,fig3,fig4,table2,fig5,chip,ablations or all")
-		steps     = flag.Int("steps", 192, "simulation time steps per image")
-		images    = flag.Int("images", 40, "test images per configuration")
-		psteps    = flag.Int("pattern-steps", 128, "steps per image for spike-pattern recordings")
-		pimgs     = flag.Int("pattern-images", 3, "images per spike-pattern recording")
-		dir       = flag.String("dir", "", "model cache directory (default: system temp)")
-		tiny      = flag.Bool("tiny", false, "use the reduced test-scale recipes")
-		out       = flag.String("o", "", "also write the report to this file")
-		csvDir    = flag.String("csv", "", "also export per-exhibit CSV files into this directory")
-		hotpath   = flag.String("hotpath", "", "run the hot-path benchmarks and write the JSON artifact to this path (skips the exhibits)")
-		hotPrev   = flag.String("hotpath-prev", "", "previous BENCH_hotpath.json to gate against after -hotpath (exit nonzero on regression)")
-		hotTol    = flag.Float64("hotpath-tolerance", 0.20, "allowed fractional ns/op regression vs -hotpath-prev")
-		batchOut  = flag.String("batch", "", "run the batched-throughput sweep (every kernel dispatch tier this machine supports) and write the JSON artifact to this path (skips the exhibits)")
-		batchPrev = flag.String("batch-prev", "", "previous BENCH_batch.json to gate against after -batch (like-for-like tiers only; exit nonzero on regression)")
-		batchTol  = flag.Float64("batch-tolerance", 0.25, "allowed fractional lockstep img/s regression vs -batch-prev")
-		fleetOut  = flag.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
-		fleetPrev = flag.String("fleet-prev", "", "previous BENCH_fleet.json to gate against after -fleet (like-for-like shard counts only; exit nonzero on regression)")
-		fleetTol  = flag.Float64("fleet-tolerance", 0.30, "allowed fractional saturation img/s regression vs -fleet-prev")
-		probe     = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, sse, avx2) is available on this machine and build, else 1 (CI capability gating)")
+		run      = flag.String("run", "all", "comma-separated list: fig1,fig2,table1,fig3,fig4,table2,fig5,chip,ablations or all")
+		steps    = flag.Int("steps", 192, "simulation time steps per image")
+		images   = flag.Int("images", 40, "test images per configuration")
+		psteps   = flag.Int("pattern-steps", 128, "steps per image for spike-pattern recordings")
+		pimgs    = flag.Int("pattern-images", 3, "images per spike-pattern recording")
+		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
+		tiny     = flag.Bool("tiny", false, "use the reduced test-scale recipes")
+		out      = flag.String("o", "", "also write the report to this file")
+		csvDir   = flag.String("csv", "", "also export per-exhibit CSV files into this directory")
+		batchOut = flag.String("batch", "", "run the batched-throughput sweep (every kernel dispatch tier this machine supports) and write the JSON artifact to this path (skips the exhibits)")
+		fleetOut = flag.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
+		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, sse, avx2) is available on this machine and build, else 1 (CI capability gating)")
 	)
 	flag.Parse()
 
 	if *probe != "" {
-		avail := kernels.Available()
-		for _, lv := range avail {
-			if lv == *probe {
-				fmt.Printf("level %s available (ladder: %s, detected %s)\n",
-					*probe, strings.Join(avail, " "), kernels.DetectedLevel())
-				return
-			}
-		}
-		fmt.Fprintf(os.Stderr, "snnbench: level %q unavailable (ladder: %s)\n", *probe, strings.Join(avail, " "))
-		os.Exit(1)
-	}
-
-	if *hotpath != "" {
-		if err := runHotpath(*hotpath); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: hotpath: %v\n", err)
+		if err := probeLevel(*probe); err != nil {
+			fmt.Fprintf(os.Stderr, "snnbench: %v\n", err)
 			os.Exit(1)
-		}
-		if *hotPrev != "" {
-			if err := compareHotpath(*hotPrev, *hotpath, *hotTol); err != nil {
-				fmt.Fprintf(os.Stderr, "snnbench: hotpath gate: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -79,24 +56,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "snnbench: batch: %v\n", err)
 			os.Exit(1)
 		}
-		if *batchPrev != "" {
-			if err := compareBatch(*batchPrev, *batchOut, *batchTol); err != nil {
-				fmt.Fprintf(os.Stderr, "snnbench: batch gate: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		return
 	}
 	if *fleetOut != "" {
 		if err := runFleetBench(*fleetOut); err != nil {
 			fmt.Fprintf(os.Stderr, "snnbench: fleet: %v\n", err)
 			os.Exit(1)
-		}
-		if *fleetPrev != "" {
-			if err := compareFleet(*fleetPrev, *fleetOut, *fleetTol); err != nil {
-				fmt.Fprintf(os.Stderr, "snnbench: fleet gate: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -257,4 +222,19 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
+}
+
+// probeLevel reports whether the named kernel dispatch tier runs on this
+// machine and build: nil (after printing the ladder) if it does, an error
+// naming the ladder if not. CI gates its per-tier jobs on it.
+func probeLevel(name string) error {
+	avail := kernels.Available()
+	for _, lv := range avail {
+		if lv == name {
+			fmt.Printf("level %s available (ladder: %s, detected %s)\n",
+				name, strings.Join(avail, " "), kernels.DetectedLevel())
+			return nil
+		}
+	}
+	return fmt.Errorf("level %q unavailable (ladder: %s)", name, strings.Join(avail, " "))
 }

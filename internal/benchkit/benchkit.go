@@ -1,8 +1,8 @@
 // Package benchkit defines the canonical synthetic workloads for the
 // simulator hot-path benchmarks. Both the go-test benchmark suite
-// (bench_test.go) and the snnbench -hotpath artifact mode build their
-// layers and event streams here, so the perf trajectory recorded in CI
-// always measures exactly the workload the test benchmarks measure.
+// (bench_test.go) and the repository benchmark's per-layer ladder
+// (benchmark/ladder.go) build their layers and event streams here, so a
+// ladder rung always times exactly the workload its test benchmark does.
 package benchkit
 
 import (

@@ -94,11 +94,7 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 			}
 			serve.MergeSnapshot(&fm.Counters, ms.Counters)
 			fm.hists.Merge(ms.ModelHists)
-			g := ShardModelGauges{Snapshot: ms.Counters, RetryAfterSec: ms.RetryAfterSec}
-			// Under a shard label, queue pressure is the always-on signal the
-			// autoscaler steers by, not the degrade controller's (0 without one).
-			g.QueuePressure = ms.Pressure
-			fm.PerShard[strconv.Itoa(s)] = g
+			fm.PerShard[strconv.Itoa(s)] = ShardModelGauges{Snapshot: ms.Counters, RetryAfterSec: ms.RetryAfterSec}
 			snap.Models[name] = fm
 		}
 	}

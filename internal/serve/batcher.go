@@ -79,10 +79,10 @@ type Batcher struct {
 	drainSamples int
 
 	// pressure is an always-on EWMA of queue fill (len/cap in [0,1])
-	// sampled at every admission — the same signal the degrade controller
-	// filters, but available even when no controller is attached. The
-	// fleet tier's pool autoscaler reads it per shard. pressureAt is the
-	// filter's last-fold time, driving idle decay (see decayPressure).
+	// sampled at every admission. The degrade controller's hysteresis runs
+	// on it, and the fleet tier's pool autoscaler reads it per shard.
+	// pressureAt is the filter's last-fold time, driving idle decay (see
+	// decayPressureLocked).
 	pressureMu sync.Mutex
 	pressure   float64
 	pressureAt time.Time
@@ -228,11 +228,11 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 	b.sending.Add(1)
 	b.mu.Unlock()
 
-	b.observePressure()
+	pressure := b.observePressure()
 	if b.degrade != nil {
 		// Pressure is sampled at every admission — including ones that end
 		// as cache hits or sheds — so the controller sees recovery too.
-		b.degrade.Observe(len(b.queue), cap(b.queue))
+		b.degrade.Observe(pressure)
 		if b.degrade.Degraded() {
 			p = b.degrade.Tighten(p)
 			flags.Degraded = true
@@ -298,13 +298,15 @@ func (b *Batcher) QueueDepth() int { return len(b.queue) }
 // decays to zero for traffic that waiting does not gather.
 func (b *Batcher) FormWindow() time.Duration { return time.Duration(b.formWindowNs.Load()) }
 
-// DegradeState reports the degraded-mode state machine's mode and
-// smoothed queue-pressure signal ("off" when no controller is attached).
+// DegradeState reports the degraded-mode state machine's mode ("off"
+// when no controller is attached) and the queue pressure it steers by
+// (Pressure, in every mode).
 func (b *Batcher) DegradeState() (mode string, pressure float64) {
-	if b.degrade == nil {
-		return "off", 0
+	mode = "off"
+	if b.degrade != nil {
+		mode = b.degrade.Mode()
 	}
-	return b.degrade.State()
+	return mode, b.Pressure()
 }
 
 // pressureIdleTick is the synthetic observation period for the pressure
@@ -315,15 +317,17 @@ func (b *Batcher) DegradeState() (mode string, pressure float64) {
 const pressureIdleTick = 100 * time.Millisecond
 
 // observePressure folds the instantaneous queue fill into the always-on
-// pressure EWMA (same smoothing weight as the drain filter).
-func (b *Batcher) observePressure() {
+// pressure EWMA (same smoothing weight as the drain filter) and returns
+// the new value.
+func (b *Batcher) observePressure() float64 {
 	fill := float64(len(b.queue)) / float64(cap(b.queue))
 	now := time.Now()
 	b.pressureMu.Lock()
+	defer b.pressureMu.Unlock()
 	b.decayPressureLocked(now)
 	b.pressure += drainEWMAWeight * (fill - b.pressure)
 	b.pressureAt = now
-	b.pressureMu.Unlock()
+	return b.pressure
 }
 
 // decayPressureLocked applies one zero-fill fold per pressureIdleTick
@@ -339,9 +343,8 @@ func (b *Batcher) decayPressureLocked(now time.Time) {
 	}
 }
 
-// Pressure reports the smoothed queue-fill fraction in [0,1]. Unlike
-// DegradeState's signal it needs no controller attached; it is the fleet
-// autoscaler's per-shard control input.
+// Pressure reports the smoothed queue-fill fraction in [0,1]: the degrade
+// controller's input and the fleet autoscaler's per-shard control input.
 func (b *Batcher) Pressure() float64 {
 	b.pressureMu.Lock()
 	defer b.pressureMu.Unlock()

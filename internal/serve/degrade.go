@@ -2,74 +2,40 @@ package serve
 
 import "sync"
 
-// Degraded-mode defaults. Pressure is the EWMA'd admission-queue
-// fill fraction (depth / capacity) sampled at every submit; the enter
-// and exit thresholds are deliberately far apart so the mode doesn't
-// flap at the boundary (classic hysteresis), and the EWMA weight
-// matches the batcher's drain and pressure filters (drainEWMAWeight) —
-// all smooth the same kind of bursty per-event signal.
+// Degraded-mode thresholds on the batcher's smoothed queue pressure
+// (Batcher.Pressure): they are deliberately far apart so the mode
+// doesn't flap at the boundary (classic hysteresis).
 const (
 	DefaultDegradeEnterPressure = 0.75
 	DefaultDegradeExitPressure  = 0.25
-
-	degradeEWMAWeight = 0.25
 )
 
 // DegradeController decides when serving should trade answer quality
-// for queue headroom. It watches admission-queue pressure and flips a
-// two-state machine (normal ⇄ degraded) with hysteresis: enter when
-// the smoothed fill fraction reaches the enter threshold, leave only
-// once it has fallen back below the exit threshold. While degraded,
-// the batcher runs every admitted request under Tighten(policy) — a
-// halved simulation budget — so each queued request drains in roughly
-// half the steps and pressure self-corrects. Safe for concurrent use.
+// for queue headroom. It flips a two-state machine (normal ⇄ degraded)
+// with hysteresis over the batcher's queue-pressure EWMA: enter when
+// pressure reaches the enter threshold, leave only once it has fallen
+// back to the exit threshold. While degraded, the batcher runs every
+// admitted request under Tighten(policy) — a halved simulation budget —
+// so each queued request drains in roughly half the steps and pressure
+// self-corrects. Safe for concurrent use.
 type DegradeController struct {
-	enter float64
-	exit  float64
-
 	mu       sync.Mutex
-	pressure float64
-	samples  int
 	degraded bool
 	enters   int64
 }
 
-// NewDegradeController returns a controller with the given hysteresis
-// thresholds; values <= 0 use the defaults, and an exit threshold at or
-// above enter is clamped to half of enter so the hysteresis band never
-// collapses.
-func NewDegradeController(enter, exit float64) *DegradeController {
-	if enter <= 0 {
-		enter = DefaultDegradeEnterPressure
-	}
-	if exit <= 0 || exit >= enter {
-		exit = enter / 2
-		if DefaultDegradeExitPressure < exit {
-			exit = DefaultDegradeExitPressure
-		}
-	}
-	return &DegradeController{enter: enter, exit: exit}
-}
+// NewDegradeController returns a controller in normal mode.
+func NewDegradeController() *DegradeController { return &DegradeController{} }
 
-// Observe feeds one queue-depth sample (taken at admission time) into
-// the pressure EWMA and advances the state machine.
-func (d *DegradeController) Observe(depth, capacity int) {
-	if capacity <= 0 {
-		return
-	}
-	sample := float64(depth) / float64(capacity)
+// Observe advances the state machine on one pressure reading (taken at
+// admission time).
+func (d *DegradeController) Observe(pressure float64) {
 	d.mu.Lock()
-	if d.samples == 0 {
-		d.pressure = sample
-	} else {
-		d.pressure += degradeEWMAWeight * (sample - d.pressure)
-	}
-	d.samples++
 	if d.degraded {
-		if d.pressure <= d.exit {
+		if pressure <= DefaultDegradeExitPressure {
 			d.degraded = false
 		}
-	} else if d.pressure >= d.enter {
+	} else if pressure >= DefaultDegradeEnterPressure {
 		d.degraded = true
 		d.enters++
 	}
@@ -83,16 +49,13 @@ func (d *DegradeController) Degraded() bool {
 	return d.degraded
 }
 
-// State returns the current mode name ("normal" or "degraded") and the
-// smoothed queue-pressure signal, for /metrics and /healthz.
-func (d *DegradeController) State() (mode string, pressure float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	mode = "normal"
-	if d.degraded {
-		mode = "degraded"
+// Mode returns the current mode name ("normal" or "degraded"), for
+// /metrics and /healthz.
+func (d *DegradeController) Mode() string {
+	if d.Degraded() {
+		return "degraded"
 	}
-	return mode, d.pressure
+	return "normal"
 }
 
 // Enters returns how many times the controller has entered degraded

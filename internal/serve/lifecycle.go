@@ -218,7 +218,7 @@ func (s *Server) installModelAt(m *Model, sched *StaticSched, epoch uint64, guar
 		bc.Cache.CountInto(&met.responseCache)
 	}
 	if s.cfg.Degrade {
-		bc.Degrade = NewDegradeController(0, 0)
+		bc.Degrade = NewDegradeController()
 	}
 	e := &entry{model: m, batcher: NewBatcher(m.Pool(), bc)}
 	e.touch()

@@ -512,45 +512,78 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	}
 }
 
+// admitAt holds b's queue at depth queued (placeholder requests) and runs
+// n admissions through SubmitTraced with a cancelled context: each folds
+// the queue fill into the batcher's pressure EWMA and steps the degrade
+// controller, then returns before enqueueing.
+func admitAt(b *Batcher, queued, n int) {
+	for len(b.queue) > queued {
+		<-b.queue
+	}
+	for len(b.queue) < queued {
+		b.queue <- &batchRequest{done: make(chan batchResult, 1)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < n; i++ {
+		b.SubmitTraced(ctx, []float64{0.5}, ExitPolicy{MaxSteps: 8})
+	}
+}
+
 // TestDegradeControllerHysteresis pins the degraded-mode state machine
-// deterministically: EWMA'd pressure enters at the high threshold, holds
-// through the hysteresis band, and exits only below the low threshold.
+// on the batcher's pressure EWMA: a full queue enters at the high
+// threshold (after five admissions, not on the first), a half-full one
+// holds through the hysteresis band, and an empty one exits.
 func TestDegradeControllerHysteresis(t *testing.T) {
-	d := NewDegradeController(0, 0)
+	b := unstartedBatcher(4)
+	d := NewDegradeController()
+	b.degrade = d
 	if d.Degraded() {
 		t.Fatal("controller born degraded")
 	}
-	// Saturated queue: pressure EWMA climbs to 1.0 and crosses enter.
-	for i := 0; i < 10; i++ {
-		d.Observe(8, 8)
+	// Full queue: pressure climbs 1 - 0.75^n, crossing 0.75 at n = 5.
+	admitAt(b, 4, 4)
+	if d.Degraded() {
+		t.Fatalf("degraded after 4 full-queue admissions (pressure %.3f)", b.Pressure())
 	}
+	admitAt(b, 4, 1)
+	if mode, p := b.DegradeState(); mode != "degraded" || p < DefaultDegradeEnterPressure {
+		t.Fatalf("DegradeState() = %q/%.2f, want degraded at >= %.2f", mode, p, DefaultDegradeEnterPressure)
+	}
+	// Half-full queue: pressure settles at 0.5, inside the band.
+	admitAt(b, 2, 20)
 	if !d.Degraded() {
-		t.Fatal("controller not degraded after sustained full-queue pressure")
-	}
-	if mode, p := d.State(); mode != "degraded" || p < DefaultDegradeEnterPressure {
-		t.Fatalf("State() = %q/%.2f, want degraded at >= %.2f", mode, p, DefaultDegradeEnterPressure)
-	}
-	// Mid-band pressure (0.5): inside the hysteresis band, stays degraded.
-	for i := 0; i < 20; i++ {
-		d.Observe(4, 8)
-	}
-	if !d.Degraded() {
-		t.Fatal("controller left degraded mode inside the hysteresis band")
+		t.Fatalf("left degraded mode inside the hysteresis band (pressure %.3f)", b.Pressure())
 	}
 	// Empty queue: pressure decays below exit and the mode relaxes.
-	for i := 0; i < 20; i++ {
-		d.Observe(0, 8)
-	}
-	if d.Degraded() {
-		t.Fatal("controller still degraded after sustained recovery")
+	admitAt(b, 0, 20)
+	if mode, _ := b.DegradeState(); mode != "normal" {
+		t.Fatalf("mode %q after sustained recovery (pressure %.3f), want normal", mode, b.Pressure())
 	}
 	if d.Enters() != 1 {
 		t.Fatalf("Enters() = %d, want exactly 1 transition", d.Enters())
 	}
 }
 
+// TestDegradeStateReportsBatcherPressure pins one queue-pressure number:
+// DegradeState's pressure is Pressure(), with or without a controller.
+func TestDegradeStateReportsBatcherPressure(t *testing.T) {
+	for _, d := range []*DegradeController{nil, NewDegradeController()} {
+		b := unstartedBatcher(4)
+		b.degrade = d
+		admitAt(b, 3, 6)
+		b.pressureMu.Lock()
+		b.pressureAt = time.Time{} // no idle decay between the two reads
+		b.pressureMu.Unlock()
+		mode, got := b.DegradeState()
+		if want := b.Pressure(); got != want || got == 0 {
+			t.Errorf("mode %q: DegradeState pressure %v, Pressure() %v; want equal and nonzero", mode, got, want)
+		}
+	}
+}
+
 func TestDegradeTightenPolicy(t *testing.T) {
-	d := NewDegradeController(0, 0)
+	d := NewDegradeController()
 	cases := []struct{ in, want ExitPolicy }{
 		{ExitPolicy{MaxSteps: 96, MinSteps: 16, StableWindow: 12, Margin: 0.1},
 			ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6, Margin: 0.1}},
@@ -578,11 +611,10 @@ func TestDegradeTightenPolicy(t *testing.T) {
 // under the tightened policy and flags them Degraded.
 func TestSubmitDegradedPolicy(t *testing.T) {
 	b := unstartedBatcher(4)
-	d := NewDegradeController(0, 0)
-	for i := 0; i < 10; i++ {
-		d.Observe(8, 8) // force degraded before the batcher observes
-	}
+	d := NewDegradeController()
 	b.degrade = d
+	admitAt(b, 4, 5) // full queue: pressure crosses the enter threshold
+	admitAt(b, 0, 0) // drain; the next admission's pressure stays in the band
 	p := ExitPolicy{MaxSteps: 96, MinSteps: 16, StableWindow: 12}
 
 	flagsCh := make(chan SubmitFlags, 1)
