@@ -25,8 +25,10 @@ import (
 
 // runFleetWorker is `snnserve -worker`: one fleet shard as its own
 // process. It serves the normal API on workerAddr (an ephemeral port by
-// default), announces the bound address on stdout for the spawning
-// front tier, and drains on SIGTERM — the supervisor's graceful kill.
+// default) — the front upgrades GET /v1/stream there to its classify
+// stream — announces the bound address on stdout for the spawning front
+// tier, and drains on SIGTERM, the supervisor's graceful kill: every
+// frame already read from a stream is answered before it exits.
 func runFleetWorker(buildServer func(quiet bool) (*burstsnn.Server, error), workerAddr string) error {
 	srv, err := buildServer(false)
 	if err != nil {

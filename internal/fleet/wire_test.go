@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,19 +18,24 @@ import (
 )
 
 // stubProcWorker serves h on a loopback socket and returns a ProcWorker
-// speaking to it — the HTTP worker wire without a child process.
+// speaking to it — the worker wire without a child process.
 func stubProcWorker(t *testing.T, h http.Handler) *ProcWorker {
 	t.Helper()
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return newProcWorker(nil, strings.TrimPrefix(ts.URL, "http://"))
+	w := newProcWorker(nil, strings.TrimPrefix(ts.URL, "http://"))
+	if err := w.openStream(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() })
+	return w
 }
 
 // TestClassifyStatusParity sends each kind of bad request to one
 // serve.Server and to a fleet front — over in-process shards and over
-// the HTTP worker wire — and requires the three to answer with the same
-// status: a client cannot tell a fleet from a single server by its
-// error codes.
+// the classify stream to worker servers — and requires the three to
+// answer with the same status: a client cannot tell a fleet from a
+// single server by its error codes.
 func TestClassifyStatusParity(t *testing.T) {
 	single := newShardServer(t, serve.Config{})
 	t.Cleanup(func() { _ = single.Shutdown(context.Background()) })
@@ -48,7 +54,7 @@ func TestClassifyStatusParity(t *testing.T) {
 	}{
 		{"server", single.Handler()},
 		{"front/inproc", front(inprocFactory(t, serve.Config{}))},
-		{"front/http-worker", front(func(int) (Worker, error) {
+		{"front/stream-worker", front(func(int) (Worker, error) {
 			srv := newShardServer(t, serve.Config{})
 			t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
 			return stubProcWorker(t, srv.Handler()), nil
@@ -63,28 +69,23 @@ func TestClassifyStatusParity(t *testing.T) {
 		return b
 	}
 	img := testImage(3)
-	goodFrame := serve.AppendFrame(nil, serve.ClassifyRequest{Model: "digits", Image: img})
-	const jsonType = "application/json"
 	cases := []struct {
-		name, contentType string
-		body              []byte
-		want              int
+		name string
+		body []byte
+		want int
 	}{
-		{"ok", jsonType, marshal(serve.ClassifyRequest{Model: "digits", Image: img}), 200},
-		{"ok frame", serve.FrameContentType, goodFrame, 200},
-		{"unknown model", jsonType, marshal(serve.ClassifyRequest{Model: "nope", Image: img}), 404},
-		{"wrong pixel count", jsonType, marshal(serve.ClassifyRequest{Model: "digits", Image: img[:10]}), 400},
-		{"maxSteps out of range", jsonType, marshal(serve.ClassifyRequest{Model: "digits", Image: img, MaxSteps: testSteps + 1}), 400},
-		{"malformed JSON", jsonType, []byte(`{"model":"digits","image":[0.5,`), 400},
-		{"malformed frame", serve.FrameContentType, goodFrame[:len(goodFrame)-3], 400},
-		{"oversize body", jsonType, bytes.Repeat([]byte(" "), 8<<20+1), 413},
-		{"oversize frame", serve.FrameContentType, make([]byte, 8<<20+1), 413},
+		{"ok", marshal(serve.ClassifyRequest{Model: "digits", Image: img}), 200},
+		{"unknown model", marshal(serve.ClassifyRequest{Model: "nope", Image: img}), 404},
+		{"wrong pixel count", marshal(serve.ClassifyRequest{Model: "digits", Image: img[:10]}), 400},
+		{"maxSteps out of range", marshal(serve.ClassifyRequest{Model: "digits", Image: img, MaxSteps: testSteps + 1}), 400},
+		{"malformed JSON", []byte(`{"model":"digits","image":[0.5,`), 400},
+		{"oversize body", bytes.Repeat([]byte(" "), 8<<20+1), 413},
 	}
 	for _, c := range cases {
 		for _, target := range targets {
 			rec := httptest.NewRecorder()
 			req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(c.body))
-			req.Header.Set("Content-Type", c.contentType)
+			req.Header.Set("Content-Type", "application/json")
 			target.h.ServeHTTP(rec, req)
 			if rec.Code != c.want {
 				t.Errorf("%s to %s: status %d, want %d (%s)", c.name, target.name, rec.Code, c.want,
@@ -94,81 +95,99 @@ func TestClassifyStatusParity(t *testing.T) {
 	}
 }
 
-// TestProcWorkerConnectionReuse: a ProcWorker's own transport keeps as
-// many idle connections as it has had concurrent callers, so repeated
-// rounds of N concurrent calls dial N times in total — not N−2 more
-// every round, as under http.DefaultTransport's two idle connections
-// per host — and Close drops them.
-func TestProcWorkerConnectionReuse(t *testing.T) {
-	const callers, rounds = 16, 5
-	var (
-		mu      sync.Mutex
-		gate    = make(chan struct{})
-		arrived = make(chan struct{}, callers)
-		dialed  atomic.Int64
-		closed  = make(chan struct{}, rounds*callers) // room for a dial per call, the failure case
-	)
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req := serve.ReadClassify(w, r)
-		if req == nil {
-			return
+// TestProcRepliesExact: for the same requests a fleet over process
+// workers answers the same ClassifyResult as a fleet over in-process
+// ones — every field but latencyMs and requestId, margin bit for bit —
+// including the cached replays.
+func TestProcRepliesExact(t *testing.T) {
+	fleetOver := func(factory WorkerFactory) *Fleet {
+		f, err := New(Config{Shards: 2, HealthInterval: -1}, factory)
+		if err != nil {
+			t.Fatalf("New: %v", err)
 		}
-		defer req.Release(false)
-		// Hold every request of a round open at once, so the round needs
-		// one connection per caller.
-		mu.Lock()
-		g := gate
-		mu.Unlock()
-		arrived <- struct{}{}
-		<-g
-		_ = json.NewEncoder(w).Encode(serve.ClassifyResult{Model: req.Model, Steps: len(req.Image)})
-	}))
+		t.Cleanup(func() { _ = f.Close() })
+		return f
+	}
+	inproc := fleetOver(inprocFactory(t, serve.Config{}))
+	proc := fleetOver(func(int) (Worker, error) {
+		return stubProcWorker(t, newShardServer(t, serve.Config{}).Handler()), nil
+	})
+	_, set := testModel(t)
+	ctx := context.Background()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 6; i++ {
+			req := serve.ClassifyRequest{Model: "digits", Image: set.Test[i].Image, NoEarlyExit: i == 5}
+			want, err := inproc.Classify(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := proc.Classify(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Margin) != math.Float64bits(want.Margin) {
+				t.Errorf("round %d image %d: margin %x, in process %x", round, i,
+					math.Float64bits(got.Margin), math.Float64bits(want.Margin))
+			}
+			got.LatencyMs, got.RequestID = want.LatencyMs, want.RequestID
+			if got != want {
+				t.Errorf("round %d image %d: %+v, in process %+v", round, i, got, want)
+			}
+		}
+	}
+}
+
+// TestProcWorkerOneConnection: a ProcWorker carries every classify on
+// its one stream however many callers it has at once — sixteen calls held
+// in flight together, then rounds of sixteen more, open one connection.
+func TestProcWorkerOneConnection(t *testing.T) {
+	const callers = 16
+	fake := newFakeClassifier()
+	var dialed atomic.Int64
+	ts := httptest.NewUnstartedServer(serve.NewStreamServer(fake))
 	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		switch state {
-		case http.StateNew:
+		if state == http.StateNew {
 			dialed.Add(1)
-		case http.StateClosed:
-			closed <- struct{}{}
 		}
 	}
 	ts.Start()
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	w := newProcWorker(nil, strings.TrimPrefix(ts.URL, "http://"))
+	if err := w.openStream(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 
-	for round := 0; round < rounds; round++ {
+	errs := holdCalls(w, callers)
+	deadline := time.Now().Add(10 * time.Second)
+	for fake.held.Load() < callers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls reached the worker", fake.held.Load(), callers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(fake.terminating)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("held call: %v", err)
+		}
+	}
+	for round := 0; round < 5; round++ {
 		var wg sync.WaitGroup
 		for c := 0; c < callers; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				res, err := w.Classify(context.Background(), serve.ClassifyRequest{Model: "digits", Image: testImage(c)})
-				if err != nil || res.Steps != 28*28 {
+				if err != nil || res.Prediction != 28*28%10 {
 					t.Errorf("Classify: %+v, %v", res, err)
 				}
 			}()
 		}
-		for c := 0; c < callers; c++ {
-			<-arrived
-		}
-		mu.Lock()
-		close(gate)
-		gate = make(chan struct{})
-		mu.Unlock()
 		wg.Wait()
 	}
-	if n := dialed.Load(); n > callers {
-		t.Errorf("%d rounds of %d concurrent calls opened %d connections, want at most %d", rounds, callers, n, callers)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close dropped the idle pool: the server sees every connection end.
-	for n := dialed.Load(); n > 0; n-- {
-		select {
-		case <-closed:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d connections still open after Close", n, dialed.Load())
-		}
+	if n := dialed.Load(); n != 1 {
+		t.Errorf("%d calls from %d concurrent callers opened %d connections, want 1", 6*callers, callers, n)
 	}
 }
 
@@ -183,28 +202,24 @@ func (c writeCounter) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestProcWorkerSendsOneWritePerFrame pins the transport's write buffer:
-// headers and frame leave in a single write, so the worker is never
-// woken for half a request.
-func TestProcWorkerSendsOneWritePerFrame(t *testing.T) {
-	w := stubProcWorker(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		req := serve.ReadClassify(rw, r)
-		if req == nil {
-			return
-		}
-		defer req.Release(false)
-		_ = json.NewEncoder(rw).Encode(serve.ClassifyResult{Model: req.Model, Steps: len(req.Image)})
-	}))
-	var writes atomic.Int64
-	dial := w.transport.DialContext
-	w.transport.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := dial(ctx, network, addr)
-		return writeCounter{c, &writes}, err
+// TestProcWorkerOneWritePerFrame: each request leaves in a single write,
+// so the worker is never woken for half a frame.
+func TestProcWorkerOneWritePerFrame(t *testing.T) {
+	ts := httptest.NewServer(serve.NewStreamServer(newFakeClassifier()))
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	conn, br, err := serve.DialStream(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var writes atomic.Int64
+	w := newProcWorker(nil, addr)
+	w.attach(writeCounter{conn, &writes}, br)
+	defer w.Close()
 	const calls = 20
 	for i := 0; i < calls; i++ {
 		res, err := w.Classify(context.Background(), serve.ClassifyRequest{Model: "digits", Image: testImage(i)})
-		if err != nil || res.Steps != 28*28 {
+		if err != nil || res.Prediction != 28*28%10 {
 			t.Fatalf("Classify: %+v, %v", res, err)
 		}
 	}

@@ -20,9 +20,9 @@ var ErrWorkerDown = errors.New("fleet: worker down")
 
 // Worker is one shard's serving backend. The two implementations —
 // InprocWorker (a serve.Server in this process) and ProcWorker (an
-// `snnserve -worker` child process spoken to over HTTP) — satisfy the
-// same contract, so the front tier, supervisor, and autoscaler never
-// care where a shard runs.
+// `snnserve -worker` child process spoken to over a classify stream and
+// HTTP) — satisfy the same contract, so the front tier, supervisor, and
+// autoscaler never care where a shard runs.
 type Worker interface {
 	// Classify serves one request. Overload sheds surface as
 	// serve.ErrOverloaded (the front tier may fall back to the next

@@ -18,16 +18,13 @@ import (
 	"unsafe"
 )
 
-// The request codec: every hop that carries a ClassifyRequest — client
-// to server, client to fleet front, front to worker process — reads it
-// through ReadClassify. See internal/README.md "Request codec".
+// The request codec: a client's JSON body — to a server or to a fleet
+// front — is read through ReadClassify; a front's binary frame to its
+// worker process arrives on the classify stream (stream.go) and is
+// decoded by decodeFrame. See internal/README.md "Request codec".
 
-// maxRequestBytes caps a POST /v1/classify body, JSON or frame.
+// maxRequestBytes caps a POST /v1/classify body and a stream frame.
 const maxRequestBytes = 8 << 20
-
-// FrameContentType marks a POST /v1/classify body as the binary frame
-// AppendFrame writes instead of JSON. The reply is JSON either way.
-const FrameContentType = "application/x-burstsnn-classify-frame"
 
 // Buffers past these capacities are dropped on Release instead of
 // pooled, so one huge request cannot pin megabytes behind the pool.
@@ -36,10 +33,10 @@ const (
 	maxPooledPixels = 32 << 10
 )
 
-// WireRequest is one decoded POST /v1/classify body plus the pooled
-// buffers it was decoded into. On the strict-JSON and frame paths Image
-// aliases a pooled slice, which is why Release must be told whether the
-// image ever left the handler.
+// WireRequest is one decoded POST /v1/classify body or stream frame plus
+// the pooled buffers it was decoded into. On the strict-JSON and frame
+// paths Image aliases a pooled slice, which is why Release must be told
+// whether the image ever left the handler.
 type WireRequest struct {
 	ClassifyRequest
 	body   bytes.Buffer // the raw request; nothing references it after decode
@@ -52,15 +49,15 @@ type WireRequest struct {
 
 var wirePool = sync.Pool{New: func() any { return new(WireRequest) }}
 
-// ReadClassify reads and decodes a POST /v1/classify body: the binary
-// frame under FrameContentType, JSON otherwise. On failure it has
-// already answered — 413 for a body over the 8 MiB cap, 400 for anything
-// else — and returns nil. The caller must Release the result.
+// ReadClassify reads and decodes a POST /v1/classify JSON body. On
+// failure it has already answered — 413 for a body over the 8 MiB cap,
+// 400 for anything else — and returns nil. The caller must Release the
+// result.
 func ReadClassify(w http.ResponseWriter, r *http.Request) *WireRequest {
 	wr := wirePool.Get().(*WireRequest)
 	wr.body.Reset()
 	_, readErr := wr.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := wr.decode(r.Header.Get("Content-Type") == FrameContentType, readErr); err != nil {
+	if err := wr.decode(readErr); err != nil {
 		wr.Release(true)
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -92,18 +89,12 @@ func (wr *WireRequest) Release(recycleImage bool) {
 	wirePool.Put(wr)
 }
 
-// decode fills the embedded ClassifyRequest from wr.body. readErr is the
-// error that ended the body read, if any. JSON goes through the strict
-// decoder first; whatever it declines is handed, byte for byte and with
-// the same terminal read error, to encoding/json, so the accepted set,
-// the decoded values and the error texts are encoding/json's.
-func (wr *WireRequest) decode(frame bool, readErr error) error {
-	if frame {
-		if readErr != nil {
-			return readErr
-		}
-		return wr.decodeFrame()
-	}
+// decode fills the embedded ClassifyRequest from the JSON in wr.body.
+// readErr is the error that ended the body read, if any. The strict
+// decoder goes first; whatever it declines is handed, byte for byte and
+// with the same terminal read error, to encoding/json, so the accepted
+// set, the decoded values and the error texts are encoding/json's.
+func (wr *WireRequest) decode(readErr error) error {
 	if readErr == nil && wr.decodeStrict() {
 		return nil
 	}
@@ -473,7 +464,8 @@ func scanPixels(b []byte, i int, px []float64) (_ []float64, end int, ok bool) {
 	}
 }
 
-// The binary frame, all integers little-endian:
+// The binary frame a fleet front sends its worker on the classify
+// stream, all integers little-endian:
 //
 //	0   4  magic "BSNF"
 //	4   1  version (1)
@@ -485,7 +477,7 @@ func scanPixels(b []byte, i int, px []float64) (_ []float64, end int, ok bool) {
 //	…  8N  pixels, IEEE-754 binary64 bit patterns
 //
 // float64, not float32, so the routing hash, the caches and the outcome
-// are byte-identical to what the JSON hop produced.
+// are byte-identical to a single server's for the same JSON body.
 const (
 	frameMagic       = "BSNF"
 	frameVersion     = 1
@@ -493,8 +485,8 @@ const (
 	frameHeaderLen   = 22
 )
 
-// AppendFrame appends req as one binary frame to dst.
-func AppendFrame(dst []byte, req ClassifyRequest) []byte {
+// appendFrame appends req as one binary frame to dst.
+func appendFrame(dst []byte, req ClassifyRequest) []byte {
 	// What json.Marshal does to a string that is not UTF-8.
 	model := strings.ToValidUTF8(req.Model, "\uFFFD")
 	var flags byte
@@ -514,12 +506,11 @@ func AppendFrame(dst []byte, req ClassifyRequest) []byte {
 	return dst
 }
 
-// decodeFrame decodes wr.body as one frame. It admits exactly what the
-// JSON body can carry: the length must match the header to the byte
-// (so nothing is allocated beyond what the body holds), flag bits must
-// be known, the model name valid UTF-8 and every pixel finite.
-func (wr *WireRequest) decodeFrame() error {
-	b := wr.body.Bytes()
+// decodeFrame decodes b as one frame. It admits exactly what the JSON
+// body can carry: the length must match the header to the byte (so
+// nothing is allocated beyond what b holds), flag bits must be known,
+// the model name valid UTF-8 and every pixel finite.
+func (wr *WireRequest) decodeFrame(b []byte) error {
 	if len(b) < frameHeaderLen {
 		return fmt.Errorf("frame: %d bytes is shorter than the %d-byte header", len(b), frameHeaderLen)
 	}

@@ -19,13 +19,20 @@ import (
 	"burstsnn/internal/mathx"
 )
 
-// decodeBytes runs data through the codec the way ReadClassify does
-// after the body read: into a pooled WireRequest's own buffers.
-func decodeBytes(data []byte, frame bool) (*WireRequest, error) {
+// decodeBytes runs a JSON body through the codec the way ReadClassify
+// does after the body read: into a pooled WireRequest's own buffers.
+func decodeBytes(data []byte) (*WireRequest, error) {
 	wr := wirePool.Get().(*WireRequest)
 	wr.body.Reset()
 	wr.body.Write(data)
-	return wr, wr.decode(frame, nil)
+	return wr, wr.decode(nil)
+}
+
+// decodeFrameBytes decodes one frame into a pooled WireRequest, as the
+// classify stream does.
+func decodeFrameBytes(data []byte) (*WireRequest, error) {
+	wr := wirePool.Get().(*WireRequest)
+	return wr, wr.decodeFrame(data)
 }
 
 // benchRequest is the parser's hard case: 768 uniform random pixels, nine
@@ -114,7 +121,7 @@ func FuzzDecodeClassify(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want ClassifyRequest
 		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
-		got, gotErr := decodeBytes(data, false)
+		got, gotErr := decodeBytes(data)
 		defer got.Release(true)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("encoding/json: %v; codec: %v", wantErr, gotErr)
@@ -300,12 +307,12 @@ func FuzzScanFloat(f *testing.F) {
 // frames (re-encoding an accepted frame reproduces it), rejects
 // non-finite pixels, and round-trips every encodable request bit-exactly.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, benchRequest()), "textures10", int64(0), false)
-	f.Add(AppendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{math.Copysign(0, -1), 5e-324}, MaxSteps: -3, NoEarlyExit: true}),
+	f.Add(appendFrame(nil, benchRequest()), "textures10", int64(0), false)
+	f.Add(appendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{math.Copysign(0, -1), 5e-324}, MaxSteps: -3, NoEarlyExit: true}),
 		"\xffm", int64(math.MinInt64), true)
 	f.Fuzz(func(t *testing.T, data []byte, model string, maxSteps int64, noEarlyExit bool) {
-		wr := &WireRequest{body: *bytes.NewBuffer(data)}
-		if err := wr.decodeFrame(); err != nil {
+		wr := &WireRequest{}
+		if err := wr.decodeFrame(data); err != nil {
 			if cap(wr.pixels)*8 > len(data) {
 				t.Fatalf("rejected %d-byte frame left a %d-pixel buffer", len(data), cap(wr.pixels))
 			}
@@ -313,7 +320,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if cap(wr.Image)*8 > len(data) {
 				t.Fatalf("%d-byte frame decoded into a %d-pixel buffer", len(data), cap(wr.Image))
 			}
-			if again := AppendFrame(nil, wr.ClassifyRequest); !bytes.Equal(again, data) {
+			if again := appendFrame(nil, wr.ClassifyRequest); !bytes.Equal(again, data) {
 				t.Fatalf("accepted a non-canonical frame: re-encodes to %x, was %x", again, data)
 			}
 		}
@@ -326,7 +333,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			finite = finite && !math.IsNaN(p) && !math.IsInf(p, 0)
 			req.Image = append(req.Image, p)
 		}
-		got, err := decodeBytes(AppendFrame(nil, req), true)
+		got, err := decodeFrameBytes(appendFrame(nil, req))
 		defer got.Release(true)
 		if !finite {
 			if err == nil {
@@ -344,7 +351,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // TestFrameRejections names every way a frame is refused.
 func TestFrameRejections(t *testing.T) {
-	good := AppendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{0.5, 1}})
+	good := appendFrame(nil, ClassifyRequest{Model: "m", Image: []float64{0.5, 1}})
 	patch := func(off int, b ...byte) []byte {
 		out := append([]byte(nil), good...)
 		copy(out[off:], b)
@@ -363,13 +370,13 @@ func TestFrameRejections(t *testing.T) {
 		"pixel 0 is not finite":                    patch(len(good)-16, le(math.Inf(1))...),
 	}
 	for want, frame := range cases {
-		wr, err := decodeBytes(frame, true)
+		wr, err := decodeFrameBytes(frame)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%q: got error %v", want, err)
 		}
 		wr.Release(true)
 	}
-	if wr, err := decodeBytes(append(good, 0), true); err == nil {
+	if wr, err := decodeFrameBytes(append(good, 0)); err == nil {
 		t.Error("a frame with a trailing byte was accepted")
 	} else {
 		wr.Release(true)
@@ -396,45 +403,63 @@ func decodeResult(t *testing.T, rec *httptest.ResponseRecorder) ClassifyResult {
 	return res
 }
 
-// TestFrameMatchesJSON: the same request as a frame and as JSON gets the
-// same answer from POST /v1/classify, and both see one response-cache
-// key (the pixels arrive bit-identical either way).
+// TestFrameMatchesJSON: the same request as a frame on the classify
+// stream and as JSON on POST /v1/classify gets the same answer, bit for
+// bit but for the latency and the request id, and both see one
+// response-cache key (the pixels arrive bit-identical either way).
 func TestFrameMatchesJSON(t *testing.T) {
 	s := testServer(t, Config{MaxDelay: -1})
 	_, set := testModel(t)
 	h, ctx := s.Handler(), context.Background()
+	st := openStream(t, h)
 	req := ClassifyRequest{Model: "digits", Image: set.Test[3].Image, MaxSteps: 40, NoEarlyExit: true}
 	viaJSON := decodeResult(t, postBody(ctx, h, "application/json", mustMarshal(t, req)))
-	viaFrame := decodeResult(t, postBody(ctx, h, FrameContentType, AppendFrame(nil, req)))
-	if viaJSON.Steps != 40 || viaJSON.Cached || viaFrame.Cached {
+	viaFrame := st.call(t, AppendStreamRequest(nil, 7, req))
+	if viaJSON.Steps != 40 || viaJSON.Cached || viaFrame.Status != http.StatusOK || viaFrame.ID != 7 ||
+		viaFrame.Result.Cached {
 		t.Fatalf("first two sightings: json %+v, frame %+v", viaJSON, viaFrame)
 	}
-	third := decodeResult(t, postBody(ctx, h, FrameContentType, AppendFrame(nil, req)))
-	if !third.Cached {
+	third := st.call(t, AppendStreamRequest(nil, 8, req))
+	if !third.Result.Cached {
 		t.Error("third sighting missed the response cache: the JSON and frame requests did not share a key")
 	}
-	for _, got := range []ClassifyResult{viaFrame, third} {
-		if got.Prediction != viaJSON.Prediction || got.Steps != viaJSON.Steps || got.Spikes != viaJSON.Spikes ||
-			got.Margin != viaJSON.Margin {
-			t.Errorf("frame answer %+v, JSON answer %+v", got, viaJSON)
+	for _, got := range []ClassifyResult{viaFrame.Result, third.Result} {
+		got.LatencyMs, got.RequestID, got.Cached = viaJSON.LatencyMs, viaJSON.RequestID, viaJSON.Cached
+		if resultBits(got) != resultBits(viaJSON) {
+			t.Errorf("frame answer %s, JSON answer %s", resultBits(got), resultBits(viaJSON))
 		}
 	}
 }
 
 // TestOversizeBodyIs413: one byte over the 8 MiB cap is "too large", not
-// "malformed", as JSON and as a frame; a malformed body at the cap is
-// still a 400.
+// "malformed", as a JSON body and as a stream frame; a malformed body at
+// the cap is still a 400. The stream skips the oversize frame unread and
+// goes on serving.
 func TestOversizeBodyIs413(t *testing.T) {
 	s := testServer(t, Config{})
 	h, ctx := s.Handler(), context.Background()
 	over := bytes.Repeat([]byte(" "), maxRequestBytes+1)
-	for _, ct := range []string{"application/json", FrameContentType} {
-		if rec := postBody(ctx, h, ct, over); rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s, %d bytes: status %d, want 413", ct, len(over), rec.Code)
+	if rec := postBody(ctx, h, "application/json", over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("JSON, %d bytes: status %d, want 413", len(over), rec.Code)
+	}
+	if rec := postBody(ctx, h, "application/json", over[:maxRequestBytes]); rec.Code != http.StatusBadRequest {
+		t.Errorf("JSON, %d bytes: status %d, want 400", maxRequestBytes, rec.Code)
+	}
+
+	st := openStream(t, h)
+	for id, c := range []struct {
+		frame []byte
+		want  int
+	}{{over, http.StatusRequestEntityTooLarge}, {over[:maxRequestBytes], http.StatusBadRequest}} {
+		envelope := binary.LittleEndian.AppendUint32(nil, uint32(8+len(c.frame)))
+		envelope = binary.LittleEndian.AppendUint64(envelope, uint64(id))
+		if rep := st.call(t, append(envelope, c.frame...)); rep.ID != uint64(id) || rep.Status != c.want {
+			t.Errorf("frame of %d bytes: reply %d for request %d, want %d", len(c.frame), rep.Status, rep.ID, c.want)
 		}
-		if rec := postBody(ctx, h, ct, over[:maxRequestBytes]); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s, %d bytes: status %d, want 400", ct, maxRequestBytes, rec.Code)
-		}
+	}
+	_, set := testModel(t)
+	if rep := st.call(t, AppendStreamRequest(nil, 1, ClassifyRequest{Model: "digits", Image: set.Test[0].Image})); rep.Status != http.StatusOK {
+		t.Errorf("after the refused frames: status %d (%s), want 200", rep.Status, rep.Err)
 	}
 }
 
@@ -550,7 +575,7 @@ func BenchmarkDecodeClassify(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for b.Loop() {
-				wr, err := decodeBytes(data, false)
+				wr, err := decodeBytes(data)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -560,14 +585,14 @@ func BenchmarkDecodeClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameRoundTrip is the front→worker hop's codec cost: encode
-// as ProcWorker.Classify does, decode as the worker's handler does.
+// BenchmarkFrameRoundTrip is the front→worker hop's frame codec cost:
+// encode as ProcWorker.Classify does, decode as the worker's stream does.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	req := benchRequest()
 	b.ReportAllocs()
-	b.SetBytes(int64(len(AppendFrame(nil, req))))
+	b.SetBytes(int64(len(appendFrame(nil, req))))
 	for b.Loop() {
-		wr, err := decodeBytes(AppendFrame(nil, req), true)
+		wr, err := decodeFrameBytes(appendFrame(nil, req))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,7 +17,8 @@
 //   - Server: the HTTP JSON API (POST /v1/classify, GET /v1/models,
 //     GET /v1/trace, /healthz, /metrics — JSON and Prometheus text via
 //     /metrics/prom) with per-model metrics, per-request stage tracing
-//     (internal/obs), and graceful shutdown.
+//     (internal/obs), and graceful shutdown; GET /v1/stream upgrades to
+//     the binary classify stream a fleet front speaks to its workers.
 //
 // Everything is deterministic: the same image and policy produce the same
 // prediction and step count on any replica, regardless of pool contention
@@ -256,6 +257,8 @@ type Server struct {
 	// fair is the cross-model weighted-fair slot dispatcher (nil unless
 	// enabled; see Config.FairSlots).
 	fair *FairDispatcher
+	// stream serves GET /v1/stream, the fleet front's classify stream.
+	stream *StreamServer
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -287,6 +290,7 @@ func New(cfg Config) *Server {
 		warming: map[string]*warmOp{},
 		epochs:  map[string]uint64{},
 	}
+	s.stream = NewStreamServer(s)
 	if cfg.FairSlots > 0 || (cfg.FairSlots == 0 && len(cfg.ModelWeights) > 0) {
 		capacity := cfg.FairSlots
 		if capacity <= 0 {
@@ -566,6 +570,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /metrics/shard", s.handleShardStats)
 	mux.HandleFunc("POST /v1/pool", s.handlePoolResize)
+	mux.Handle("GET "+StreamPath, s.stream)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -585,27 +590,38 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	res, err := s.Classify(r.Context(), req)
 	wr.Release(err == nil && res.Cached)
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			// Shed at admission: tell the client when the queue should
-			// have drained enough to try again.
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(req.Model)))
-		case errors.Is(err, ErrClosed), context.Cause(r.Context()) != nil:
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			// The server-side RequestTimeout expired (overload), not a
-			// malformed request.
-			status = http.StatusGatewayTimeout
-		}
-		if !s.reg.Known(req.Model) {
-			status = http.StatusNotFound
+		status, retryAfter := s.ClassifyStatus(r.Context(), req.Model, err)
+		if status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		}
 		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// ClassifyStatus is the HTTP status of a failed Classify for model —
+// what POST /v1/classify answers and what a classify stream's reply
+// carries — and, for a 429, the Retry-After seconds. ctx is the
+// request's: once it is done the client has gone.
+func (s *Server) ClassifyStatus(ctx context.Context, model string, err error) (status, retryAfter int) {
+	status = http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		// Shed at admission: tell the client when the queue should have
+		// drained enough to try again.
+		status, retryAfter = http.StatusTooManyRequests, s.retryAfterSeconds(model)
+	case errors.Is(err, ErrClosed), context.Cause(ctx) != nil:
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		// The server-side RequestTimeout expired (overload), not a
+		// malformed request.
+		status = http.StatusGatewayTimeout
+	}
+	if !s.reg.Known(model) {
+		status = http.StatusNotFound
+	}
+	return status, retryAfter
 }
 
 // RetryAfter is the model queue's projected drain time (the Retry-After
@@ -813,7 +829,8 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown gracefully stops the server: the HTTP listener stops accepting,
-// in-flight requests finish (bounded by ctx), the idle evictor stops,
+// in-flight requests finish (bounded by ctx), every classify stream
+// answers the frames it has read and closes, the idle evictor stops,
 // then every model queue drains. Safe to call without a running HTTP
 // server.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -837,6 +854,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	if srv != nil {
 		err = srv.Shutdown(ctx)
+	}
+	// The streams' in-flight frames still need the batchers.
+	if serr := s.stream.Shutdown(ctx); err == nil {
+		err = serr
 	}
 	for _, b := range batchers {
 		b.Close()
