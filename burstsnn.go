@@ -303,8 +303,10 @@ const (
 )
 
 // Kernel dispatch-tier controls, re-exported from internal/kernels: the
-// float32 plane's block primitives are selected at runtime by CPUID
-// (purego → sse → avx2); KernelLevel reports the active tier,
+// simulators' block primitives are selected at runtime by CPUID
+// (purego → sse → avx2 → avx512; avx512 packs only the sequential
+// engine's float64 conv and dense scatter and runs every other kernel
+// in its avx2 form); KernelLevel reports the active tier,
 // ForceKernelLevel pins it ("" resets to the startup level), and
 // KernelLevels lists the tiers this machine can run. All tiers are
 // bit-identical; forcing is for benchmarking and conformance testing.

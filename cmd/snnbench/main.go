@@ -40,7 +40,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also export per-exhibit CSV files into this directory")
 		batchOut = flag.String("batch", "", "run the batched-throughput sweep (every kernel dispatch tier this machine supports) and write the JSON artifact to this path (skips the exhibits)")
 		fleetOut = flag.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
-		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, sse, avx2) is available on this machine and build, else 1 (CI capability gating)")
+		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, sse, avx2, avx512) is available on this machine and build, else 1 (CI capability gating)")
 	)
 	flag.Parse()
 

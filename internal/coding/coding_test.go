@@ -367,11 +367,11 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			cached, _ := NewInputEncoder(cfg, size, 1)
 			cached.(QuantCached).SetQuantCache(NewQuantCache(0, NewInterner(8)))
 			q := make([]uint64, size)
-			for n, img := range images {
-				quantizeBits(q, img, period)
-				plain.Reset(img)
-				cached.Reset(img) // the repeated image ends as a cache hit
-				for step := 0; step < 2*period; step++ {
+			// check steps both encoders at each of steps and compares with
+			// a fresh append-loop sweep of q.
+			check := func(n int, steps ...int) {
+				t.Helper()
+				for _, step := range steps {
 					var want []Event
 					phase := step % period
 					for i, b := range q {
@@ -397,6 +397,36 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+			for n, img := range images {
+				quantizeBits(q, img, period)
+				plain.Reset(img)
+				cached.Reset(img) // the repeated image ends as a cache hit
+				for step := 0; step < 2*period; step++ {
+					check(n, step)
+				}
+			}
+			// The phase encoder replays a period's lists after building
+			// them once per Reset. Steps called out of order after a Reset
+			// (t = 9 before t = 1) must still each see their own phase.
+			for n, img := range images {
+				quantizeBits(q, img, period)
+				plain.Reset(img)
+				cached.Reset(img)
+				check(n, 9, 1, 2*period+1, 0, period, 3*period-1, period-1)
+			}
+			// A Reset to a new image whose first call lands past the first
+			// period must sweep the new image, not replay the old one's
+			// list for that phase.
+			for n := 1; n < len(images); n++ {
+				quantizeBits(q, images[n-1], period)
+				plain.Reset(images[n-1])
+				cached.Reset(images[n-1])
+				check(n-1, 0, 1, 2, 3)
+				quantizeBits(q, images[n], period)
+				plain.Reset(images[n])
+				cached.Reset(images[n])
+				check(n, period+2, 2, 3, 2*period+1)
 			}
 			plain.Reset(ones)
 			if allocs := testing.AllocsPerRun(20, func() { plain.Step(0) }); allocs != 0 {

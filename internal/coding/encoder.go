@@ -298,17 +298,25 @@ type phaseEncoder struct {
 	bits    []uint64
 	scratch []uint64
 	quant   *QuantCache
-	buf     []Event
+	// Both Π(t) and the bit a step sends repeat with the period, so step
+	// t emits exactly step t−k's events. replay[j·size:] holds phase j's
+	// list, built by the first Step at that phase since Reset, and
+	// replayLen[j] its length (-1 until built).
+	replay    []Event
+	replayLen []int
 }
 
 func newPhaseEncoder(size, period int) *phaseEncoder {
 	scratch := make([]uint64, size)
-	return &phaseEncoder{
+	e := &phaseEncoder{
 		size: size, period: period,
-		bits:    scratch,
-		scratch: scratch,
-		buf:     make([]Event, size),
+		bits:      scratch,
+		scratch:   scratch,
+		replay:    make([]Event, period*size),
+		replayLen: make([]int, period),
 	}
+	e.forget()
+	return e
 }
 
 // SetQuantCache implements QuantCached.
@@ -319,16 +327,30 @@ func (e *phaseEncoder) Reset(image []float64) {
 		panic(fmt.Sprintf("coding: phase encoder got %d pixels, want %d", len(image), e.size))
 	}
 	e.bits = quantizedBits(image, e.period, e.quant, e.scratch)
+	e.forget()
 }
 
-// Step sweeps the pixels without a branch on the pixel's bit — close to
-// a coin flip on natural images, which a predictor cannot learn: every
-// pixel writes its event at the cursor and only a spiking one advances
-// it. The cursor never passes the pixel index, so the write stays
-// inside the size-long buffer even when every pixel spikes.
+// forget marks every phase's list unbuilt.
+func (e *phaseEncoder) forget() {
+	for j := range e.replayLen {
+		e.replayLen[j] = -1
+	}
+}
+
+// Step returns the phase's list, building it on the first call at that
+// phase since Reset. The build sweeps the pixels without a branch on the
+// pixel's bit — close to a coin flip on natural images, which a
+// predictor cannot learn: every pixel writes its event at the cursor and
+// only a spiking one advances it. The cursor never passes the pixel
+// index, so the write stays inside the phase's size-long region even
+// when every pixel spikes.
 func (e *phaseEncoder) Step(t int) []Event {
-	buf := e.buf
 	phase := t % e.period
+	lo, hi := phase*e.size, (phase+1)*e.size
+	buf := e.replay[lo:hi:hi]
+	if n := e.replayLen[phase]; n >= 0 {
+		return buf[:n]
+	}
 	// Bit (period-1-phase) of the quantized value, MSB transmitted first
 	// (the mask is a no-op that spares the loop an oversized-shift guard).
 	shift := uint(e.period-1-phase) & 63
@@ -338,6 +360,7 @@ func (e *phaseEncoder) Step(t int) []Event {
 		buf[n] = Event{Index: i, Payload: payload}
 		n += int(b >> shift & 1)
 	}
+	e.replayLen[phase] = n
 	return buf[:n]
 }
 

@@ -7,14 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// The amd64 build carries three dispatch tiers (see level.go):
+// The amd64 build carries four dispatch tiers (see level.go):
 //
 //   - purego: the generic Go loops, shared with the purego build;
 //   - sse: baseline-SSE assembly (kernels_amd64.s) — MOVUPS, ADDPS,
 //     MULSS, SHUFPS, CMPPS, MOVMSKPS — which every amd64 CPU guarantees;
-//   - avx2: AVX2 assembly (kernels_avx2_amd64.s) — VEX-encoded 8-lane
-//     packed single precision, gated on CPUID (AVX2 + OSXSAVE with
-//     YMM state enabled in XCR0).
+//   - avx2: AVX2 assembly (kernels_avx2_amd64.s, kernels64_amd64.s) —
+//     VEX-encoded 8-lane packed single precision and 4-cell float64,
+//     gated on CPUID (AVX2 + OSXSAVE with YMM state enabled in XCR0);
+//   - avx512: the float64 conv scatter on ZMM registers
+//     (kernels64_amd64.s), gated on AVX512F with opmask and ZMM state
+//     enabled in XCR0. Every other kernel runs its avx2 form there, so
+//     the avx2 checks below read "at least avx2".
 //
 // The tier is detected once at startup (hand-rolled CPUID — no
 // dependencies) and stored in an atomic so ForceLevel is safe against
@@ -28,9 +32,10 @@ const (
 	levelPurego level = iota
 	levelSSE
 	levelAVX2
+	levelAVX512
 )
 
-var levelNames = [...]string{LevelPurego, LevelSSE, LevelAVX2}
+var levelNames = [...]string{LevelPurego, LevelSSE, LevelAVX2, LevelAVX512}
 
 var (
 	detected = detectLevel()
@@ -54,7 +59,9 @@ func xgetbv0() (eax, edx uint32)
 // bit (leaf 7 EBX[5]) plus AVX and OSXSAVE (leaf 1 ECX[28], ECX[27])
 // with the OS actually enabling XMM+YMM state in XCR0 (bits 1 and 2) —
 // without the XCR0 check a kernel or VM that masks YMM state would
-// fault on the first VMOVUPS. Baseline SSE needs no detection.
+// fault on the first VMOVUPS. AVX512 additionally requires AVX512F
+// (leaf 7 EBX[16]) and XCR0 bits 5–7 (opmask, upper halves of ZMM0–15,
+// ZMM16–31). Baseline SSE needs no detection.
 func detectLevel() level {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -65,18 +72,26 @@ func detectLevel() level {
 	if c1&osxsave == 0 || c1&avx == 0 {
 		return levelSSE
 	}
-	if xcr0, _ := xgetbv0(); xcr0&0x6 != 0x6 {
+	xcr0, _ := xgetbv0()
+	if xcr0&0x6 != 0x6 {
 		return levelSSE
 	}
 	_, b7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
+	const avx2, avx512f = 1 << 5, 1 << 16
 	if b7&avx2 == 0 {
 		return levelSSE
 	}
-	return levelAVX2
+	if b7&avx512f == 0 || xcr0&0xe6 != 0xe6 {
+		return levelAVX2
+	}
+	return levelAVX512
 }
 
 func activeLevel() level { return level(active.Load()) }
+
+// f32Level is the tier the float32 plane dispatches on: it has no avx512
+// forms, so that tier runs the avx2 ones.
+func f32Level() level { return min(activeLevel(), levelAVX2) }
 
 func activeLevelName() string   { return levelNames[activeLevel()] }
 func detectedLevelName() string { return levelNames[detected] }
@@ -96,8 +111,7 @@ func forceLevel(name string) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("kernels: unknown dispatch level %q (want %q, %q, or %q)",
-				name, LevelPurego, LevelSSE, LevelAVX2)
+			return fmt.Errorf("kernels: unknown dispatch level %q (want one of %q)", name, levelNames)
 		}
 		if lv > detected {
 			return fmt.Errorf("kernels: dispatch level %q is not supported on this machine (detected %q)",
@@ -109,7 +123,7 @@ func forceLevel(name string) error {
 }
 
 func kindName() string {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		return "f32-avx2"
 	case levelSSE:
@@ -183,10 +197,13 @@ func convScatterVecAVX2(vmem, wsc *float32, taps *ConvTap, ntaps, outC int, pv *
 //go:noescape
 func fireRowsBurstAVX2(v, gs, pay *float32, fired *uint32, masks, occ *uint64, n int, bias *float32, bsc, beta, vth float32)
 
-// AVX2 float64 kernels (kernels64_avx2_amd64.s).
+// AVX2 and AVX512 float64 kernels (kernels64_amd64.s).
 
 //go:noescape
 func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+
+//go:noescape
+func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
 
 //go:noescape
 func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
@@ -195,7 +212,7 @@ func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int,
 func fireCellsBurst64AVX2(v, h, pay *float64, mask *uint64, n int, bias *float64, period int, bsc, beta, vth float64)
 
 func axpyBlock(dst, row []float32, p float32, b, lanes int) {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		axpyBlockAVX2(&dst[0], &row[0], len(row), p, b, lanes)
 	case levelSSE:
@@ -206,7 +223,7 @@ func axpyBlock(dst, row []float32, p float32, b, lanes int) {
 }
 
 func axpyBlockVec(dst, row, pv []float32, b, lanes int) {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		axpyBlockVecAVX2(&dst[0], &row[0], &pv[0], len(row), b, lanes)
 	case levelSSE:
@@ -217,7 +234,7 @@ func axpyBlockVec(dst, row, pv []float32, b, lanes int) {
 }
 
 func scaleAdd(dst []float32, x float32) {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		scaleAddAVX2(&dst[0], len(dst), x)
 	case levelSSE:
@@ -228,7 +245,7 @@ func scaleAdd(dst []float32, x float32) {
 }
 
 func fireRow(v []float32, th float32) uint64 {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		return fireRowAVX2(&v[0], len(v), th)
 	case levelSSE:
@@ -239,7 +256,7 @@ func fireRow(v []float32, th float32) uint64 {
 }
 
 func fireRowBias(v []float32, bias, th float32) uint64 {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		return fireRowBiasAVX2(&v[0], len(v), bias, th)
 	case levelSSE:
@@ -250,7 +267,7 @@ func fireRowBias(v []float32, bias, th float32) uint64 {
 }
 
 func fireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		// Packed 8-lane groups, then 4-lane SSE on the next full group
 		// (its mask bits shifted into place), then the scalar tail.
@@ -282,7 +299,7 @@ func convScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float
 	// registers across the whole tap walk); other widths take the
 	// generic walk.
 	if b == 8 {
-		switch activeLevel() {
+		switch f32Level() {
 		case levelAVX2:
 			convScatterVecAVX2(&vmem[0], &wsc[0], &taps[0], len(taps), outC, &pv[0])
 			return
@@ -311,7 +328,7 @@ func fireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, 
 		if bias != nil {
 			bp = &bias[0]
 		}
-		switch activeLevel() {
+		switch f32Level() {
 		case levelAVX2:
 			fireRowsBurstAVX2(&v[0], &g[0], &pay[0], &fired[0], &masks[0], &occ[0], n, bp, bsc, beta, vth)
 			return
@@ -333,7 +350,7 @@ func fireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, 
 }
 
 func selectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
-	switch activeLevel() {
+	switch f32Level() {
 	case levelAVX2:
 		n := lanes &^ 3
 		if n > 0 {
@@ -352,7 +369,7 @@ func selectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
 }
 
 func laneMaskBit(row []uint64, shift uint) uint64 {
-	if activeLevel() == levelAVX2 {
+	if activeLevel() >= levelAVX2 {
 		n := len(row) &^ 3
 		var m uint64
 		if n > 0 {
@@ -367,7 +384,7 @@ func laneMaskBit(row []uint64, shift uint) uint64 {
 }
 
 func laneMaskEq(row []uint64, want uint64) uint64 {
-	if activeLevel() == levelAVX2 {
+	if activeLevel() >= levelAVX2 {
 		n := len(row) &^ 3
 		var m uint64
 		if n > 0 {
@@ -378,15 +395,24 @@ func laneMaskEq(row []uint64, want uint64) uint64 {
 	return laneMaskEqScalar(row, want, 0)
 }
 
-// The float64 primitives have one packed form (avx2, 4 cells per op);
-// the sse tier runs the generic loops. A packed sweep needs whole 4-cell
-// groups inside one bias period, so odd channel counts stay generic and
-// a population's sub-group tail finishes in the scalar loop.
+// The float64 primitives' packed forms: avx2 packs all three 4 cells per
+// op, avx512 packs the conv scatter 8 cells per op and runs the avx2
+// fire sweeps; the sse tier runs the generic loops. A packed scatter
+// needs the channel count to be a multiple of its width (an avx512 call
+// at OutC 4 or 12 takes the avx2 form), and a packed sweep needs whole
+// 4-cell groups inside one bias period, so odd channel counts stay
+// generic and a population's sub-group tail finishes in the scalar loop.
 
 func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
-	if activeLevel() == levelAVX2 && outC&3 == 0 && len(taps) > 0 {
-		convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
-		return
+	if len(taps) > 0 {
+		switch lv := activeLevel(); {
+		case lv >= levelAVX512 && outC&7 == 0:
+			convScatterEvents64AVX512(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
+			return
+		case lv >= levelAVX2 && outC&3 == 0:
+			convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
+			return
+		}
 	}
 	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }
@@ -394,19 +420,15 @@ func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, 
 // convScatter64 is the per-step kernel's one-event case: the tap list is
 // the whole of a one-row table.
 func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
-	if activeLevel() == levelAVX2 && outC&3 == 0 {
-		span := [2]int32{0, int32(len(taps))}
-		ev := Event{Payload: p}
-		convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &span[0], &ev, 1, outC)
-		return
-	}
-	convScatter64Generic(vmem, wsc, taps, outC, p)
+	span := [2]int32{0, int32(len(taps))}
+	ev := [1]Event{{Payload: p}}
+	convScatterEvents64(vmem, wsc, taps, span[:], ev[:], outC)
 }
 
 // packed64 returns how many leading cells of an n-cell fire sweep the
 // avx2 form takes, and the bias pointer it reads.
 func packed64(n int, bias []float64) (int, *float64) {
-	if activeLevel() != levelAVX2 || len(bias)&3 != 0 || n < 4 {
+	if activeLevel() < levelAVX2 || len(bias)&3 != 0 || n < 4 {
 		return 0, nil
 	}
 	if bias == nil {

@@ -21,11 +21,11 @@ func forceLevel(name string) error {
 	switch name {
 	case "", LevelPurego:
 		return nil
-	case LevelSSE, LevelAVX2:
+	case LevelSSE, LevelAVX2, LevelAVX512:
 		return fmt.Errorf("kernels: dispatch level %q is not supported on this build (pure Go only)", name)
 	}
-	return fmt.Errorf("kernels: unknown dispatch level %q (want %q, %q, or %q)",
-		name, LevelPurego, LevelSSE, LevelAVX2)
+	return fmt.Errorf("kernels: unknown dispatch level %q (want one of %q)",
+		name, []string{LevelPurego, LevelSSE, LevelAVX2, LevelAVX512})
 }
 
 func kindName() string { return "f32" }

@@ -14,10 +14,12 @@ import (
 func TestForceLevelRoundTrip(t *testing.T) {
 	start := ActiveLevel() // startup level: detected, or the env override
 	defer ForceLevel("")
+	// The float32 plane has no avx512 forms: that tier runs the avx2 ones.
 	kinds := map[string]string{
 		LevelPurego: "f32",
 		LevelSSE:    "f32-sse",
 		LevelAVX2:   "f32-avx2",
+		LevelAVX512: "f32-avx2",
 	}
 	for _, lv := range Available() {
 		if err := ForceLevel(lv); err != nil {
@@ -40,7 +42,7 @@ func TestForceLevelRoundTrip(t *testing.T) {
 
 func TestForceLevelInvalid(t *testing.T) {
 	before := ActiveLevel()
-	for _, bad := range []string{"sse3", "AVX2", "f32", "avx512", "f32-sse"} {
+	for _, bad := range []string{"sse3", "AVX2", "f32", "avx512f", "AVX512", "f32-sse"} {
 		if err := ForceLevel(bad); err == nil {
 			t.Fatalf("ForceLevel(%q) accepted", bad)
 		}
@@ -51,13 +53,13 @@ func TestForceLevelInvalid(t *testing.T) {
 }
 
 func TestLevelLadderMonotone(t *testing.T) {
-	ladder := []string{LevelPurego, LevelSSE, LevelAVX2}
+	ladder := []string{LevelPurego, LevelSSE, LevelAVX2, LevelAVX512}
 	avail := Available()
 	if len(avail) == 0 || len(avail) > len(ladder) {
 		t.Fatalf("Available() = %v", avail)
 	}
 	// Available must be a prefix of the ladder ending at DetectedLevel:
-	// avx2 implies sse implies purego.
+	// avx512 implies avx2 implies sse implies purego.
 	for i, lv := range avail {
 		if lv != ladder[i] {
 			t.Fatalf("Available()[%d] = %q, want ladder prefix %v", i, lv, ladder[:len(avail)])

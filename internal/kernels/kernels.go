@@ -10,16 +10,18 @@
 // contract — bit-identity with the scalar engine they replaced, not
 // only with each other.
 //
-// Three dispatch tiers share one contract (see level.go for the
+// Four dispatch tiers share one contract (see level.go for the
 // runtime-selection machinery):
 //
 //   - purego: unrolled scalar float32 loops the compiler schedules well
 //     (the whole story on the `purego` build and every non-amd64
 //     platform);
 //   - sse: 4-lane packed single precision using only baseline SSE
-//     instructions, so it runs on every amd64 CPU; and
+//     instructions, so it runs on every amd64 CPU;
 //   - avx2: 8-lane VEX-encoded packed single precision — one full B=8
-//     lane stripe per instruction — selected by CPUID at startup.
+//     lane stripe per instruction — selected by CPUID at startup; and
+//   - avx512: the float64 conv scatter on ZMM registers, every other
+//     kernel in its avx2 form.
 //
 // The tiers are semantically identical, not merely close: every
 // primitive performs the same float32 operations on the same elements —
@@ -32,18 +34,18 @@
 // primitive to a naive scalar reference at random shapes under every
 // available tier.
 //
-// Kind reports which tier kernel calls currently execute on ("f32" pure
-// Go, "f32-sse", "f32-avx2"); serving surfaces it in /metrics so an
-// operator can see which kernels a replica actually ran. The names are
-// the float32 plane's; the float64 primitives follow the same tier
-// (packed on avx2, the generic loops on purego and sse).
+// Kind reports which float32 kernels the lockstep plane runs ("f32" pure
+// Go, "f32-sse", "f32-avx2"), the name a lockstep model's batchKernel
+// records. The tier itself — the one the default sequential engine runs
+// on, and the one /metrics reports — is ActiveLevel.
 package kernels
 
 // Kind identifies the kernel implementation behind the float32 plane
 // right now: "f32" for the pure-Go loops (the purego build, or the
 // purego tier forced on the assembly build), "f32-sse" or "f32-avx2"
-// for the amd64 assembly tiers. It tracks ActiveLevel, so a ForceLevel
-// or KERNELS_LEVEL override is reflected here and in /metrics.
+// for the amd64 assembly tiers (the avx512 tier runs the avx2 forms). It
+// tracks ActiveLevel, so a ForceLevel or KERNELS_LEVEL override is
+// reflected here.
 func Kind() string { return kindName() }
 
 // AxpyBlock scatters one weighted tap into a lane-striped block:

@@ -14,14 +14,27 @@ import "math"
 // operations of the pure-Go loops below — which are the pre-ladder
 // engine's arithmetic verbatim (one rounded multiply, one add; compare;
 // subtract) — so a simulation is bit-identical not only across tiers but
-// to the engine before it had tiers. The avx2 forms use separate VMULPD
-// and VADDPD, never FMA. The sse tier dispatches the generic loops: a
-// 2-lane packed form was not written.
+// to the engine before it had tiers. The packed forms use separate VMULPD
+// and VADDPD, never FMA.
 //
-// The packed forms need 4-cell groups that never straddle a bias period,
+// What each tier packs:
+//
+//   - avx2: the conv scatter and both fire sweeps, 4 cells per op;
+//   - avx512: the conv scatter, 8 cells per ZMM op, with unrolled bodies
+//     for OutC 8 and 16; the fire sweeps run their avx2 forms, because
+//     an 8-cell burst sweep (k-mask compare and blend) measured no gain
+//     over them;
+//   - sse: nothing. A 2-cell form would serve only a tier no benchmark
+//     host runs, so it would be unmeasured code; sse runs the generic
+//     loops.
+//
+// The packed forms need cell groups that never straddle a bias period,
 // so they take populations whose channel count (the bias period) is a
-// multiple of 4; everything else — OutC 3, a 10-wide dense layer's tail —
-// runs the generic loop, with identical results.
+// multiple of the group: 4 on avx2, 8 for the avx512 scatter, which
+// hands OutC 4 or 12 to the avx2 form. Everything else — OutC 3, a
+// 10-wide dense layer — runs the generic loop, with identical results.
+// A dense layer scatters through the same kernel with a table of one
+// tap per input (its weight row, base 0), so OutC is its width.
 
 // ConvScatter64 applies one input event of payload p to a base-major
 // conv accumulator, walking the event's whole tap list — the one-event

@@ -2,25 +2,60 @@
 
 #include "textflag.h"
 
-// AVX2 float64 kernels: the sequential simulator's per-step conv scatter
-// and fire sweeps, 4 cells per 256-bit op.
+// Float64 kernels: the sequential simulator's per-step conv scatter and
+// fire sweeps, 4 cells per 256-bit op (avx2 tier), and the conv scatter
+// again at 8 cells per 512-bit op (avx512 tier).
 //
 // Numerics contract: every cell receives exactly the operations of the
 // generic Go loops in kernels64.go — one rounded multiply and one add
 // (VMULPD + VADDPD, never FMA), an ordered compare, a masked subtract —
 // so the float64 trajectory is bit-identical on every tier.
 
-// EVENT_TAPS loads the event at R12: Payload broadcast into Y5, the
-// cursor over taps[tapStart[Index]:tapStart[Index+1]] in R11 and its
-// length in CX; an event with no taps jumps to next.
-#define EVENT_TAPS(next) \
+// EVENT_TAPS loads the event at R12: Payload broadcast into pay (Y5 or
+// Z5), the cursor over taps[tapStart[Index]:tapStart[Index+1]] in R11 and
+// its length in CX; an event with no taps jumps to next.
+#define EVENT_TAPS(next, pay) \
 	MOVQ         0(R12), AX      \
-	VBROADCASTSD 8(R12), Y5      \
+	VBROADCASTSD 8(R12), pay     \
 	MOVLQSX      0(R8)(AX*4), BX \
 	MOVLQSX      4(R8)(AX*4), CX \
 	SUBQ         BX, CX          \
 	JLE          next            \
 	LEAQ         (R10)(BX*8), R11
+
+// SCATTER_ARGS loads the scatter kernels' shared arguments.
+#define SCATTER_ARGS \
+	MOVQ vmem+0(FP), DI      \
+	MOVQ wsc+8(FP), SI       \
+	MOVQ taps+16(FP), R10    \
+	MOVQ tapStart+24(FP), R8 \
+	MOVQ events+32(FP), R12  \
+	MOVQ nev+40(FP), R13     \
+	MOVQ outC+48(FP), R9
+
+// TAP_BLOCK loads the tap at R11: its kernel row into BX and the start of
+// its destination block, Base << shift bytes past vmem, into DX.
+#define TAP_BLOCK(shift) \
+	MOVLQSX 0(R11), BX     \
+	MOVLQSX 4(R11), DX     \
+	LEAQ    (SI)(BX*8), BX \
+	SHLQ    $shift, DX     \
+	ADDQ    DI, DX
+
+// NEXT_TAP advances to the event's next tap, looping to tap.
+#define NEXT_TAP(tap) \
+	ADDQ $8, R11 \
+	DECQ CX      \
+	JNZ  tap
+
+// NEXT_EVENT advances to the next event, looping to ev, and returns after
+// the last.
+#define NEXT_EVENT(ev) \
+	ADDQ       $16, R12 \
+	DECQ       R13      \
+	JNZ        ev       \
+	VZEROUPPER          \
+	RET
 
 // func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
 // for each event, for each tap of taps[tapStart[Index]:tapStart[Index+1]]:
@@ -29,13 +64,7 @@
 // (2 and 4 independent multiply/add/store chains per tap); any other
 // width runs the counted loop. Same operations per cell either way.
 TEXT ·convScatterEvents64AVX2(SB), NOSPLIT, $0-56
-	MOVQ vmem+0(FP), DI
-	MOVQ wsc+8(FP), SI
-	MOVQ taps+16(FP), R10
-	MOVQ tapStart+24(FP), R8
-	MOVQ events+32(FP), R12
-	MOVQ nev+40(FP), R13
-	MOVQ outC+48(FP), R9
+	SCATTER_ARGS
 	CMPQ R9, $8
 	JEQ  ev8
 	CMPQ R9, $16
@@ -43,7 +72,7 @@ TEXT ·convScatterEvents64AVX2(SB), NOSPLIT, $0-56
 	SHLQ $3, R9                    // block bytes per base: outC * 8
 
 evn:
-	EVENT_TAPS(nextn)
+	EVENT_TAPS(nextn, Y5)
 
 tapn:
 	MOVLQSX 0(R11), BX             // tap.WOff
@@ -60,52 +89,32 @@ celln:
 	ADDQ    $32, AX
 	CMPQ    AX, R9
 	JLT     celln
-	ADDQ    $8, R11
-	DECQ    CX
-	JNZ     tapn
+	NEXT_TAP(tapn)
 
 nextn:
-	ADDQ $16, R12
-	DECQ R13
-	JNZ  evn
-	VZEROUPPER
-	RET
+	NEXT_EVENT(evn)
 
 ev8:
-	EVENT_TAPS(next8)
+	EVENT_TAPS(next8, Y5)
 
 tap8:
-	MOVLQSX 0(R11), BX
-	MOVLQSX 4(R11), DX
-	LEAQ    (SI)(BX*8), BX
-	SHLQ    $6, DX                 // Base * 8 cells * 8 bytes
-	ADDQ    DI, DX
+	TAP_BLOCK(6)                   // Base * 8 cells * 8 bytes
 	VMULPD  0(BX), Y5, Y0
 	VMULPD  32(BX), Y5, Y1
 	VADDPD  0(DX), Y0, Y0
 	VADDPD  32(DX), Y1, Y1
 	VMOVUPD Y0, 0(DX)
 	VMOVUPD Y1, 32(DX)
-	ADDQ    $8, R11
-	DECQ    CX
-	JNZ     tap8
+	NEXT_TAP(tap8)
 
 next8:
-	ADDQ $16, R12
-	DECQ R13
-	JNZ  ev8
-	VZEROUPPER
-	RET
+	NEXT_EVENT(ev8)
 
 ev16:
-	EVENT_TAPS(next16)
+	EVENT_TAPS(next16, Y5)
 
 tap16:
-	MOVLQSX 0(R11), BX
-	MOVLQSX 4(R11), DX
-	LEAQ    (SI)(BX*8), BX
-	SHLQ    $7, DX                 // Base * 16 cells * 8 bytes
-	ADDQ    DI, DX
+	TAP_BLOCK(7)                   // Base * 16 cells * 8 bytes
 	VMULPD  0(BX), Y5, Y0
 	VMULPD  32(BX), Y5, Y1
 	VMULPD  64(BX), Y5, Y2
@@ -118,16 +127,75 @@ tap16:
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
-	ADDQ    $8, R11
-	DECQ    CX
-	JNZ     tap16
+	NEXT_TAP(tap16)
 
 next16:
-	ADDQ $16, R12
-	DECQ R13
-	JNZ  ev16
-	VZEROUPPER
-	RET
+	NEXT_EVENT(ev16)
+
+// func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+// convScatterEvents64AVX2 on 8-cell ZMM registers: nev >= 1 and outC a
+// positive multiple of 8. outC 8 is one multiply/add/store per tap and
+// outC 16 two independent chains; any other width runs the counted loop.
+// Separate VMULPD and VADDPD, as on avx2: never FMA.
+TEXT ·convScatterEvents64AVX512(SB), NOSPLIT, $0-56
+	SCATTER_ARGS
+	CMPQ R9, $8
+	JEQ  zev8
+	CMPQ R9, $16
+	JEQ  zev16
+	SHLQ $3, R9                    // block bytes per base: outC * 8
+
+zevn:
+	EVENT_TAPS(znextn, Z5)
+
+ztapn:
+	MOVLQSX 0(R11), BX
+	MOVLQSX 4(R11), DX
+	LEAQ    (SI)(BX*8), BX
+	IMULQ   R9, DX
+	ADDQ    DI, DX
+	XORQ    AX, AX
+
+zcelln:
+	VMULPD  (BX)(AX*1), Z5, Z0
+	VADDPD  (DX)(AX*1), Z0, Z0
+	VMOVUPD Z0, (DX)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, R9
+	JLT     zcelln
+	NEXT_TAP(ztapn)
+
+znextn:
+	NEXT_EVENT(zevn)
+
+zev8:
+	EVENT_TAPS(znext8, Z5)
+
+ztap8:
+	TAP_BLOCK(6)
+	VMULPD  0(BX), Z5, Z0
+	VADDPD  0(DX), Z0, Z0
+	VMOVUPD Z0, 0(DX)
+	NEXT_TAP(ztap8)
+
+znext8:
+	NEXT_EVENT(zev8)
+
+zev16:
+	EVENT_TAPS(znext16, Z5)
+
+ztap16:
+	TAP_BLOCK(7)
+	VMULPD  0(BX), Z5, Z0
+	VMULPD  64(BX), Z5, Z1
+	VADDPD  0(DX), Z0, Z0
+	VADDPD  64(DX), Z1, Z1
+	VMOVUPD Z0, 0(DX)
+	VMOVUPD Z1, 64(DX)
+	NEXT_TAP(ztap16)
+
+znext16:
+	NEXT_EVENT(zev16)
 
 // func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
 // The constant-threshold fire sweep over n cells (a multiple of 4):

@@ -13,7 +13,7 @@ import (
 // fuzz tests drive the exported kernels against them at random shapes,
 // requiring bit-exact float32 agreement, and forEachLevel repeats every
 // fuzz under every dispatch tier this machine can run (purego, sse,
-// avx2), so each tier is pinned to the same scalar reference — and
+// avx2, avx512), so each tier is pinned to the same scalar reference — and
 // therefore to every other tier — on every commit. CI additionally runs
 // the package under the purego build and under forced KERNELS_LEVEL
 // tiers.
@@ -645,32 +645,43 @@ func refConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int3
 func TestConvScatterEvents64Fuzz(t *testing.T) { forEachLevel(t, testConvScatterEvents64Fuzz) }
 
 func testConvScatterEvents64Fuzz(t *testing.T) {
+	// 24, 32 and 64 join the shared widths: multiples of 8 with no
+	// unrolled body, which run the packed counted loop on avx2 and avx512
+	// (12 runs it on avx2 and is too narrow for avx512's form).
+	widths := append([]int{24, 32, 64}, fuzzOutCs...)
 	r := mathx.NewRNG(0xE764)
 	for round := 0; round < 600; round++ {
-		// 32 joins the shared widths: with 12, a multiple of 4 that has
-		// no unrolled body and runs the packed counted loop.
-		outC := 32
-		if i := r.Intn(len(fuzzOutCs) + 1); i < len(fuzzOutCs) {
-			outC = fuzzOutCs[i]
-		}
+		outC := widths[r.Intn(len(widths))]
 		nBases, nIn := 1+r.Intn(9), 1+r.Intn(12)
-		wscLen := outC * (1 + r.Intn(9))
-		wsc := randF64s(r, wscLen, 0.5)
-		// A scatter table over nIn inputs: each input's taps address
-		// distinct bases, and some inputs have none (a stride-2 geometry
-		// leaves pixels no kernel window covers).
 		var taps []ConvTap
+		var wsc []float64
 		tapStart := make([]int32, nIn+1)
-		for in := 0; in < nIn; in++ {
-			if !r.Bernoulli(0.25) {
-				for _, base := range r.Perm(nBases)[:r.Intn(nBases+1)] {
-					taps = append(taps, ConvTap{
-						WOff: int32(r.Intn(wscLen/outC) * outC),
-						Base: int32(base),
-					})
-				}
+		if r.Bernoulli(0.25) {
+			// A dense layer's table: one tap per input, its own weight row,
+			// every input feeding the single base.
+			nBases = 1
+			wsc = randF64s(r, nIn*outC, 0.5)
+			for in := 0; in < nIn; in++ {
+				taps = append(taps, ConvTap{WOff: int32(in * outC)})
+				tapStart[in+1] = int32(in + 1)
 			}
-			tapStart[in+1] = int32(len(taps))
+		} else {
+			wscLen := outC * (1 + r.Intn(9))
+			wsc = randF64s(r, wscLen, 0.5)
+			// A scatter table over nIn inputs: each input's taps address
+			// distinct bases, and some inputs have none (a stride-2
+			// geometry leaves pixels no kernel window covers).
+			for in := 0; in < nIn; in++ {
+				if !r.Bernoulli(0.25) {
+					for _, base := range r.Perm(nBases)[:r.Intn(nBases+1)] {
+						taps = append(taps, ConvTap{
+							WOff: int32(r.Intn(wscLen/outC) * outC),
+							Base: int32(base),
+						})
+					}
+				}
+				tapStart[in+1] = int32(len(taps))
+			}
 		}
 		// Events repeat indices (nothing in the kernel may assume they do
 		// not); the empty list is drawn too.

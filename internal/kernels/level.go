@@ -14,6 +14,9 @@ import "os"
 //	avx2    — 8-lane AVX2 packed kernels (one full B=8 stripe per
 //	          packed multiply-add; CPUID-gated: AVX2 + OS-enabled
 //	          YMM state)
+//	avx512  — one packed form, the float64 conv scatter on 8-cell ZMM
+//	          registers; every other kernel runs its avx2 form here
+//	          (CPUID-gated: AVX512F + OS-enabled opmask and ZMM state)
 //
 // All tiers are semantically identical, not merely close: every element
 // receives exactly the same rounded float32 operations whichever tier
@@ -25,8 +28,12 @@ import "os"
 // that contract on every commit.
 //
 // The sequential float64 engine's primitives (kernels64.go) ride the
-// same ladder with one packed form: avx2 runs it, purego and sse run the
-// generic loops, and all three are bit-identical to the scalar engine.
+// same ladder: avx2 packs the conv scatter and both fire sweeps, avx512
+// packs the conv scatter 8 cells wide and runs the avx2 fire sweeps,
+// purego and sse run the generic loops, and every tier is bit-identical
+// to the scalar engine. sse has no packed float64 form on purpose: two
+// cells per op would be written for a tier no benchmark host runs, so it
+// would be unmeasured code.
 //
 // The active tier can be overridden — per process via the KERNELS_LEVEL
 // environment variable, or programmatically via ForceLevel — so any tier
@@ -40,10 +47,11 @@ const (
 	LevelPurego = "purego"
 	LevelSSE    = "sse"
 	LevelAVX2   = "avx2"
+	LevelAVX512 = "avx512"
 )
 
 // ActiveLevel returns the dispatch tier kernel calls currently execute
-// on: LevelPurego, LevelSSE, or LevelAVX2.
+// on: LevelPurego, LevelSSE, LevelAVX2 or LevelAVX512.
 func ActiveLevel() string { return activeLevelName() }
 
 // DetectedLevel returns the widest tier this machine supports (the tier
@@ -53,7 +61,7 @@ func DetectedLevel() string { return detectedLevelName() }
 
 // Available returns the runnable tiers on this machine and build,
 // narrowest first. It is always a prefix of the full ladder
-// {purego, sse, avx2} ending at DetectedLevel: a CPU that can run a
+// {purego, sse, avx2, avx512} ending at DetectedLevel: a CPU that can run a
 // tier can run every narrower one.
 func Available() []string { return availableLevels() }
 

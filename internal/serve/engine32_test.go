@@ -193,6 +193,7 @@ func TestMetricsReportsDispatchTier(t *testing.T) {
 		kernels.LevelPurego: "f32",
 		kernels.LevelSSE:    "f32-sse",
 		kernels.LevelAVX2:   "f32-avx2",
+		kernels.LevelAVX512: "f32-avx2", // the f32 plane has no avx512 forms
 	}
 	for _, lv := range kernels.Available() {
 		if err := kernels.ForceLevel(lv); err != nil {

@@ -42,7 +42,7 @@ func (s *Server) writeProm(w io.Writer) error {
 		"Kernel dispatch tier: active is the tier running now (after KERNELS_LEVEL/ForceLevel overrides), detected is the CPUID probe result; value is always 1.",
 		"gauge")
 	pw.Metric("burstsnn_kernel_dispatch_info", []obs.Label{
-		{Name: "active", Value: kernels.Kind()},
+		{Name: "active", Value: kernels.ActiveLevel()},
 		{Name: "detected", Value: kernels.DetectedLevel()},
 	}, 1)
 

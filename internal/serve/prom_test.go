@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/obs"
 )
 
@@ -126,5 +129,48 @@ func TestPromExposition(t *testing.T) {
 	}
 	if last != 5 {
 		t.Errorf("+Inf bucket = %d, want 5 requests", last)
+	}
+}
+
+// TestKernelDispatchReportsLevel pins the vocabulary of the dispatch
+// tier on the prom page and /healthz: active is a level name, like
+// detected beside it, so a forced tier reads back as itself ("sse", not
+// the float32 plane's "f32-sse").
+func TestKernelDispatchReportsLevel(t *testing.T) {
+	if err := kernels.ForceLevel(kernels.LevelSSE); err != nil {
+		t.Skipf("sse tier unavailable: %v", err)
+	}
+	defer kernels.ForceLevel("")
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	want := `burstsnn_kernel_dispatch_info{active="sse",detected="` + kernels.DetectedLevel() + `"} 1`
+	if prom := string(get("/metrics/prom")); !strings.Contains(prom, want) {
+		t.Errorf("/metrics/prom lacks %q", want)
+	}
+	var page struct {
+		Kernels map[string]string `json:"kernels"`
+	}
+	if err := json.Unmarshal(get("/healthz"), &page); err != nil {
+		t.Fatal(err)
+	}
+	if got := page.Kernels["active"]; got != kernels.LevelSSE {
+		t.Errorf(`/healthz kernels.active = %q, want "sse"`, got)
+	}
+	if got := page.Kernels["detected"]; got != kernels.DetectedLevel() {
+		t.Errorf("/healthz kernels.detected = %q, want %q", got, kernels.DetectedLevel())
 	}
 }

@@ -748,7 +748,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			// active is the tier actually dispatching (after any
 			// KERNELS_LEVEL / ForceLevel override); detected is what CPUID
 			// probing found — a mismatch means an override is in effect.
-			"active":   kernels.Kind(),
+			"active":   kernels.ActiveLevel(),
 			"detected": kernels.DetectedLevel(),
 		},
 	})

@@ -20,21 +20,20 @@ type CloneableLayer interface {
 	CloneLayer() Layer
 }
 
-// clone returns a population with fresh state that shares the immutable
-// layout tables.
+// clone returns a population with fresh state and the same layout.
 func (p *population) clone() *population {
 	c := newPopulation(len(p.vmem), p.cfg)
-	if p.perm != nil {
-		c.setLayout(p.perm, p.neuronOf)
-	}
+	c.setChannels(p.outC, p.hw)
 	return c
 }
 
-// CloneLayer implements CloneableLayer.
+// CloneLayer implements CloneableLayer. The one-tap-per-input scatter
+// table is immutable, so clones share it like the weights.
 func (l *SpikingDense) CloneLayer() Layer {
 	return &SpikingDense{
 		In: l.In, Out: l.Out, WT: l.WT, Bias: l.Bias,
 		WT32: l.WT32, Bias32: l.Bias32,
+		taps: l.taps, tapStart: l.tapStart,
 		pop: l.pop.clone(),
 		z:   make([]float64, l.Out),
 	}

@@ -33,6 +33,13 @@ type SpikingDense struct {
 	WT32   []float32
 	Bias32 []float32
 
+	// taps[i] = {WOff: i·Out, Base: 0} is input i's one scatter tap (its
+	// WT row into the whole population) and tapStart[i] = i, so a step's
+	// events are one kernels.ConvScatterEvents64 call with OutC = Out.
+	// Immutable, shared by clones.
+	taps     []convTap
+	tapStart []int32
+
 	pop *population
 	z   []float64 // reference-path scratch (StepSlow only)
 }
@@ -48,12 +55,19 @@ func NewSpikingDense(w []float64, bias []float64, in, out int, cfg coding.Config
 			wt[i*out+o] = w[o*in+i]
 		}
 	}
-	return &SpikingDense{
+	l := &SpikingDense{
 		In: in, Out: out, WT: wt, Bias: append([]float64(nil), bias...),
 		WT32: f32s(wt), Bias32: f32s(bias),
-		pop: newPopulation(out, cfg),
-		z:   make([]float64, out),
+		taps:     make([]convTap, in),
+		tapStart: make([]int32, in+1),
+		pop:      newPopulation(out, cfg),
+		z:        make([]float64, out),
 	}
+	for i := range l.taps {
+		l.taps[i].WOff = int32(i * out)
+		l.tapStart[i+1] = int32(i + 1)
+	}
+	return l
 }
 
 // Name implements Layer.
@@ -66,19 +80,14 @@ func (l *SpikingDense) NumNeurons() int { return l.Out }
 func (l *SpikingDense) Reset() { l.pop.resetState() }
 
 // Step implements Layer. Events scatter straight into the membrane
-// accumulators and the bias current (scaled to the input encoder's
-// information rate, see coding.InputEncoder.BiasScale) is folded into the
-// population's firing pass, so the whole step is one sweep over the
-// events plus one sweep over the neurons.
+// accumulators — one scatter-kernel call over the one-tap table, each
+// cell one rounded product and one add per event, in event order — and
+// the bias current (scaled to the input encoder's information rate, see
+// coding.InputEncoder.BiasScale) is folded into the population's firing
+// pass, so the whole step is one sweep over the events plus one sweep
+// over the neurons.
 func (l *SpikingDense) Step(t int, biasScale float64, in []coding.Event) []coding.Event {
-	vmem := l.pop.vmem
-	for _, ev := range in {
-		row := l.WT[ev.Index*l.Out : (ev.Index+1)*l.Out]
-		p := ev.Payload
-		for o, w := range row {
-			vmem[o] += w * p
-		}
-	}
+	kernels.ConvScatterEvents64(l.pop.vmem, l.WT, l.taps, l.tapStart, in, l.Out)
 	return l.pop.fire(t, l.Bias, biasScale)
 }
 
@@ -195,15 +204,12 @@ func NewSpikingConv(w []float64, bias []float64, geom ConvGeom, cfg coding.Confi
 		pop:   newPopulation(n, cfg),
 		bias:  make([]float64, n),
 	}
-	perm, neuronOf := make([]int32, n), make([]int32, n)
 	for oc := 0; oc < outC; oc++ {
 		for i := 0; i < l.outHW; i++ {
 			l.bias[oc*l.outHW+i] = bias[oc]
-			perm[oc*l.outHW+i] = int32(i*outC + oc)
-			neuronOf[i*outC+oc] = int32(oc*l.outHW + i)
 		}
 	}
-	l.pop.setLayout(perm, neuronOf)
+	l.pop.setChannels(outC, l.outHW)
 	l.WScatter32 = f32s(ws)
 	l.bias32 = f32s(l.bias)
 	// Precompute the scatter table: for every input pixel, the (weight
@@ -266,7 +272,9 @@ func (l *SpikingConv) Step(t int, biasScale float64, in []coding.Event) []coding
 
 // Potential returns neuron i's (CHW index) membrane potential on the
 // fast path's base-major storage (test hook).
-func (l *SpikingConv) Potential(i int) float64 { return l.pop.vmem[l.pop.perm[i]] }
+func (l *SpikingConv) Potential(i int) float64 {
+	return l.pop.vmem[i%l.outHW*l.Geom.OutC+i/l.outHW]
+}
 
 // StepSlow implements RefLayer: the pre-optimization version with a full
 // bias sweep up front and per-event stride/pad address arithmetic.

@@ -14,28 +14,34 @@ import (
 // milliseconds.
 var equivGeom = ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 4, K: 3, Stride: 1, Pad: 1}
 
+// equivDense is equivGeom's hidden dense width.
+const equivDense = 12
+
 // moreEquivGeoms are the conv geometries the fast-vs-reference corpus
 // runs besides equivGeom (whose four channels are a packed width on the
 // avx2 tier): three output channels (no packed form: the generic scatter
 // and fire loops on every tier), a stride-2 conv (ragged tap lists, a
 // 4×4 output map) and sixteen channels (the widest unrolled scatter body).
+// Each also sets its hidden dense layer's width, which is that layer's
+// scatter OutC.
 var moreEquivGeoms = []struct {
-	name string
-	geom ConvGeom
+	name  string
+	geom  ConvGeom
+	dense int
 }{
-	{"c3", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 3, K: 3, Stride: 1, Pad: 1}},
-	{"c8s2", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 8, K: 3, Stride: 2, Pad: 1}},
-	{"c16", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 16, K: 3, Stride: 1, Pad: 1}},
+	{"c3", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 3, K: 3, Stride: 1, Pad: 1}, 10},
+	{"c8s2", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 8, K: 3, Stride: 2, Pad: 1}, 8},
+	{"c16", ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 16, K: 3, Stride: 1, Pad: 1}, 24},
 }
 
 // buildEquivNetwork assembles conv → maxpool → avgpool → dense → output
 // on equivGeom with deterministic pseudo-random weights under the given
 // hybrid.
 func buildEquivNetwork(t *testing.T, input, hidden coding.Config, seed uint64) *Network {
-	return buildEquivNetworkGeom(t, equivGeom, input, hidden, seed)
+	return buildEquivNetworkGeom(t, equivGeom, equivDense, input, hidden, seed)
 }
 
-func buildEquivNetworkGeom(t *testing.T, g ConvGeom, input, hidden coding.Config, seed uint64) *Network {
+func buildEquivNetworkGeom(t *testing.T, g ConvGeom, denseOut int, input, hidden coding.Config, seed uint64) *Network {
 	t.Helper()
 	r := mathx.NewRNG(seed)
 	randn := func(n int, std float64) []float64 {
@@ -53,8 +59,8 @@ func buildEquivNetworkGeom(t *testing.T, g ConvGeom, input, hidden coding.Config
 	maxp := NewSpikingMaxPool(g.OutC, g.OutH(), g.OutW(), 2)
 	avgp := NewSpikingAvgPool(g.OutC, g.OutH()/2, g.OutW()/2, 2, hidden)
 	denseIn := g.OutC * g.OutH() / 4 * g.OutW() / 4
-	dense := NewSpikingDense(randn(denseIn*12, 0.4), randn(12, 0.05), denseIn, 12, hidden)
-	out := NewOutputLayer(randn(12*4, 0.5), randn(4, 0.05), 12, 4)
+	dense := NewSpikingDense(randn(denseIn*denseOut, 0.4), randn(denseOut, 0.05), denseIn, denseOut, hidden)
+	out := NewOutputLayer(randn(denseOut*4, 0.5), randn(4, 0.05), denseOut, 4)
 	return &Network{
 		Encoder: enc,
 		Layers:  []Layer{conv, maxp, avgp, dense},
@@ -80,19 +86,23 @@ func equivImage(seed uint64, n int) []float64 {
 // same per-step predictions, and the same spike counts.
 //
 // Which body of the per-step scatter kernel (kernels.ConvScatterEvents64)
-// each geometry runs on the avx2 tier: equivGeom's OutC 4 the packed
-// counted loop, c3/… the generic Go loop (every tier), c8s2/… the
-// unrolled OutC 8 body over ragged stride-2 tap lists, c16/… the unrolled
-// OutC 16 body. serve.TestOutcomesMatchParentGolden's OutC 3/4/8/16 nets
-// drive the same four against the pre-ladder engine's outcomes.
+// each conv runs on the avx2 tier: equivGeom's OutC 4 the packed counted
+// loop, c3/… the generic Go loop (every tier), c8s2/… the unrolled OutC 8
+// body over ragged stride-2 tap lists, c16/… the unrolled OutC 16 body;
+// on avx512 the OutC 8 and 16 bodies are its own and OutC 4 falls back to
+// avx2's. The hidden dense layers run the same kernel at their widths:
+// 12 (avx2's counted loop on both packed tiers: not a multiple of 8), 10
+// (generic everywhere), 8 (the unrolled body) and 24 (the counted loop
+// of both). serve.TestOutcomesMatchParentGolden's OutC 3/4/8/16 nets
+// drive the conv bodies against the pre-ladder engine's outcomes.
 func TestFastPathMatchesReference(t *testing.T) {
-	testFastPathMatchesReference(t, equivGeom) // subtests named by hybrid alone
+	testFastPathMatchesReference(t, equivGeom, equivDense) // subtests named by hybrid alone
 	for _, eg := range moreEquivGeoms {
-		t.Run(eg.name, func(t *testing.T) { testFastPathMatchesReference(t, eg.geom) })
+		t.Run(eg.name, func(t *testing.T) { testFastPathMatchesReference(t, eg.geom, eg.dense) })
 	}
 }
 
-func testFastPathMatchesReference(t *testing.T, geom ConvGeom) {
+func testFastPathMatchesReference(t *testing.T, geom ConvGeom, denseOut int) {
 	inputs := []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS}
 	leaky := func(s coding.Scheme) coding.Config {
 		cfg := coding.DefaultConfig(s)
@@ -118,7 +128,7 @@ func testFastPathMatchesReference(t *testing.T, geom ConvGeom) {
 			name := in.String() + "-" + hid.name
 			t.Run(name, func(t *testing.T) {
 				inCfg, hidCfg := coding.DefaultConfig(in), hid.cfg
-				fast := buildEquivNetworkGeom(t, geom, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
+				fast := buildEquivNetworkGeom(t, geom, denseOut, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
 				ref, err := fast.Clone()
 				if err != nil {
 					t.Fatalf("clone: %v", err)

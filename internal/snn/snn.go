@@ -26,9 +26,10 @@ import (
 //
 // State is kept in storage order, one cell per neuron. Most layers store
 // neuron i in cell i; a conv layer stores its population base-major
-// (perm, see SpikingConv) so that one scatter tap is one contiguous
-// update. Events always leave in ascending neuron order whatever the
-// storage order — every downstream accumulation depends on it.
+// (setChannels, see SpikingConv) so that one scatter tap is one
+// contiguous update. Events always leave in ascending neuron order
+// whatever the storage order — every downstream accumulation depends on
+// it.
 //
 // g has two readings, fixed by which firing pass owns the population for
 // a presentation (Network.Ref does not change between Resets). The
@@ -50,12 +51,14 @@ type population struct {
 	pay []float64
 	// mask is the current step's fired bitmap in storage order.
 	mask []uint64
-	// perm[i] is neuron i's cell and neuronOf its inverse; both nil for
-	// the identity layout. Immutable, shared by clones. nmask is the
-	// neuron-order bitmap emission transposes mask into.
-	perm, neuronOf []int32
-	nmask          []uint64
-	buf            []coding.Event
+	// A base-major conv population stores neuron oc·hw + base in cell
+	// base·outC + oc; outC is 0 for the identity layout. recip is
+	// ⌈2^64/outC⌉, which turns a cell into its base with one multiply,
+	// and runEnd[oc] is channel oc's write cursor in buf during emission.
+	outC, hw int
+	recip    uint64
+	runEnd   []int
+	buf      []coding.Event
 }
 
 func newPopulation(n int, cfg coding.Config) *population {
@@ -77,10 +80,15 @@ func newPopulation(n int, cfg coding.Config) *population {
 	return p
 }
 
-// setLayout installs a non-identity neuron→cell permutation.
-func (p *population) setLayout(perm, neuronOf []int32) {
-	p.perm, p.neuronOf = perm, neuronOf
-	p.nmask = make([]uint64, len(p.mask))
+// setChannels installs the base-major layout of outC channels of hw
+// neurons each. One channel is the identity layout.
+func (p *population) setChannels(outC, hw int) {
+	if outC < 2 {
+		return
+	}
+	p.outC, p.hw = outC, hw
+	p.recip = ^uint64(0)/uint64(outC) + 1
+	p.runEnd = make([]int, outC)
 }
 
 func (p *population) resetState() {
@@ -170,43 +178,58 @@ func (p *population) fire(t int, bias []float64, biasScale float64) []coding.Eve
 
 // emit turns the storage-order fired bitmap into the step's events, in
 // ascending neuron order, at a cost proportional to the spikes (plus one
-// word per 64 cells). A permuted population first transposes its bitmap
-// into neuron order; walking that bitmap's set bits is then the
-// ascending sweep, and the payload is read back through perm.
+// word per 64 cells): one walk over the bitmap's set bits.
+//
+// In a base-major population storage order is not neuron order, but
+// within one channel it is, so the walk drops each spike at the end of
+// its channel's run — channel oc's run starts at oc·hw in buf, room for
+// every neuron it has — and closing the gaps between the runs (at most
+// outC−1 copies) leaves the events in ascending neuron order.
 func (p *population) emit(th float64) []coding.Event {
-	mask, perm, pays := p.mask, p.perm, p.pay
-	if perm != nil {
-		nm := p.nmask
-		for wi, w := range mask {
-			for ; w != 0; w &= w - 1 {
-				n := p.neuronOf[wi<<6|bits.TrailingZeros64(w)]
-				nm[n>>6] |= 1 << (uint(n) & 63)
-			}
-		}
-		mask = nm
+	if p.runEnd != nil {
+		return p.emitRuns(th)
 	}
-	buf := p.buf[:cap(p.buf)]
+	buf, pays := p.buf[:cap(p.buf)], p.pay
 	k := 0
-	for wi, w := range mask {
-		if w == 0 {
-			continue
-		}
-		if perm != nil {
-			mask[wi] = 0 // nmask is scratch: leave it clear for the next step
-		}
+	for wi, w := range p.mask {
 		for ; w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
+			c := wi<<6 | bits.TrailingZeros64(w)
 			pay := th
 			if pays != nil {
-				c := i
-				if perm != nil {
-					c = int(perm[i])
-				}
 				pay = pays[c]
 			}
-			buf[k] = coding.Event{Index: i, Payload: pay}
+			buf[k] = coding.Event{Index: c, Payload: pay}
 			k++
 		}
+	}
+	p.buf = buf[:k]
+	return p.buf
+}
+
+// emitRuns is emit's channel-run walk for a base-major population.
+func (p *population) emitRuns(th float64) []coding.Event {
+	buf, pays := p.buf[:cap(p.buf)], p.pay
+	outC, hw, recip, end := p.outC, p.hw, p.recip, p.runEnd
+	for oc := range end {
+		end[oc] = oc * hw
+	}
+	for wi, w := range p.mask {
+		for ; w != 0; w &= w - 1 {
+			c := wi<<6 | bits.TrailingZeros64(w)
+			pay := th
+			if pays != nil {
+				pay = pays[c]
+			}
+			base, _ := bits.Mul64(recip, uint64(c)) // c / outC
+			oc := c - int(base)*outC
+			i := end[oc]
+			buf[i] = coding.Event{Index: oc*hw + int(base), Payload: pay}
+			end[oc] = i + 1
+		}
+	}
+	k := end[0]
+	for oc := 1; oc < outC; oc++ {
+		k += copy(buf[k:], buf[oc*hw:end[oc]])
 	}
 	p.buf = buf[:k]
 	return p.buf
