@@ -409,9 +409,9 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 	})
 	// Once per available kernel dispatch tier (forced for the
 	// sub-benchmark's duration) — one process, so tier-vs-tier ratios are
-	// not polluted by run-to-run machine noise. These sub-benchmarks are
-	// the LockstepBatch flip evidence: the default goes on only where
-	// lockstep beats sequential.
+	// not polluted by run-to-run machine noise. Served batches run on the
+	// sequential engine; these sub-benchmarks keep the evidence for that
+	// choice current (internal/README.md "When lockstep pays").
 	defer kernels.ForceLevel("")
 	for _, lv := range kernels.Available() {
 		if err := kernels.ForceLevel(lv); err != nil {

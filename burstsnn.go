@@ -274,16 +274,6 @@ func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(st
 // accumulation tolerance).
 type BatchSNN32 = snn.BatchNetwork32
 
-// LockstepBatch values for ServeConfig.LockstepBatch: auto and off run
-// every microbatch back to back on the sequential engine (the faster
-// one on distinct images); on forces multi-request batches through the
-// float32 lockstep plane.
-const (
-	LockstepAuto = serve.LockstepAuto
-	LockstepOn   = serve.LockstepOn
-	LockstepOff  = serve.LockstepOff
-)
-
 // ErrServerOverloaded is returned when the admission plane sheds a
 // request instead of queueing it (full queue, or projected queue wait
 // past the request deadline); the HTTP layer maps it to 429 with a
@@ -292,7 +282,7 @@ var ErrServerOverloaded = serve.ErrOverloaded
 
 // Overload-plane defaults (see ServeConfig.ResponseCacheSize /
 // ResponseCacheTTL / Degrade): the cross-batch response cache's bound
-// and TTL (one of three views over a model's pixel-verified memo, which
+// and TTL (one of two views over a model's pixel-verified memo, which
 // share one pixel copy per remembered image), and the degraded-mode
 // controller's queue-pressure hysteresis thresholds.
 const (

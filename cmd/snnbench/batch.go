@@ -71,38 +71,6 @@ type batchArtifact struct {
 	DetectedLevel string       `json:"detectedLevel"`
 	Levels        []string     `json:"levels"`
 	Points        []batchPoint `json:"points"`
-	// Staggered records the exit-aware batch-forming measurement on the
-	// mixed early/late-exit workload.
-	Staggered *staggeredResult `json:"staggered,omitempty"`
-}
-
-// staggeredResult measures what exit-aware batch forming buys on a
-// staggered-exit workload: the same requests — half aggressive
-// early-exit policies, half full-budget, interleaved in arrival order —
-// are chunked FIFO and then re-ordered by the exit history's predicted
-// exit steps (serve.OrderByPredictedExit), and each forming runs through
-// the lockstep simulator with occupancy probes attached. Grouping lanes
-// that retire together keeps columns full, so ExitAwareMeanOccupancy >
-// FIFOMeanOccupancy is the number the scheduling plane's forming rule
-// stands on.
-type staggeredResult struct {
-	// Requests is the workload size and LaneCap the lockstep chunk bound
-	// (requests/laneCap chunks per forming).
-	Requests int `json:"requests"`
-	LaneCap  int `json:"laneCap"`
-	// PredictedLanes counts lanes the warmed exit history predicted (out
-	// of Requests; the rest formed in arrival order).
-	PredictedLanes int `json:"predictedLanes"`
-	// Kernel is the lockstep variant measured (the ambient dispatch tier).
-	Kernel string `json:"kernel"`
-	// FIFO/ExitAware mean event-column occupancy (lanes per scatter
-	// column) and summed lockstep steps across the chunks of each
-	// forming. Fewer steps at higher occupancy = the same work in fuller
-	// columns.
-	FIFOMeanOccupancy      float64 `json:"fifoMeanOccupancy"`
-	ExitAwareMeanOccupancy float64 `json:"exitAwareMeanOccupancy"`
-	FIFOBatchSteps         int     `json:"fifoBatchSteps"`
-	ExitAwareBatchSteps    int     `json:"exitAwareBatchSteps"`
 }
 
 // hotpathModel trains the small conv-bearing LeNetMini used by the
@@ -205,11 +173,6 @@ func runBatchBench(outPath string) error {
 			return err
 		}
 	}
-	stag, err := runStaggeredBench(conv.Net, set)
-	if err != nil {
-		return err
-	}
-	art.Staggered = stag
 	data, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return err
@@ -220,109 +183,6 @@ func runBatchBench(outPath string) error {
 	}
 	fmt.Fprintf(os.Stderr, "batch: artifact written to %s\n", outPath)
 	return nil
-}
-
-// runStaggeredBench measures FIFO vs exit-aware batch forming on a
-// staggered-exit workload: 16 distinct images, alternating an aggressive
-// early-exit policy with a full-budget one, chunked through an
-// 8-lane lockstep simulator. FIFO forming takes arrival order (every
-// chunk mixes early and late lanes, so retirements drain each chunk's
-// columns); exit-aware forming re-orders by the warmed exit history's
-// predictions (serve.OrderByPredictedExit — the batcher's rule), which
-// groups lanes that retire together. Occupancy probes measure what the
-// scatter columns actually saw either way, and outcomes are checked
-// against the sequential engine so the comparison never trades
-// correctness for occupancy.
-func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, error) {
-	const (
-		requests = 16
-		laneCap  = 8
-		budget   = 96
-	)
-	early := serve.ExitPolicy{MaxSteps: budget, MinSteps: 8, StableWindow: 6}
-	late := serve.ExitPolicy{MaxSteps: budget}
-	images := make([][]float64, requests)
-	policies := make([]serve.ExitPolicy, requests)
-	for i := range images {
-		images[i] = set.Test[i%len(set.Test)].Image
-		if i%2 == 0 {
-			policies[i] = early
-		} else {
-			policies[i] = late
-		}
-	}
-
-	// Sequential reference outcomes double as the exit-history warmup
-	// (two sightings per key: entries store on the second, like the
-	// serving batcher would after two classifications of the same image).
-	history := serve.NewExitHistory(0, coding.NewInterner(requests))
-	want := make([]serve.Outcome, requests)
-	for i := range images {
-		want[i] = serve.Classify(net, images[i], policies[i])
-		hash := coding.HashImage(images[i])
-		history.Record(hash, images[i], policies[i], want[i].Steps)
-		history.Record(hash, images[i], policies[i], want[i].Steps)
-	}
-	preds := make([]int, requests)
-	predicted := 0
-	for i := range images {
-		if steps, ok := history.Predict(coding.HashImage(images[i]), images[i], policies[i]); ok {
-			preds[i] = steps
-			predicted++
-		}
-	}
-
-	bn, err := snn.NewBatchNetwork32(net, laneCap)
-	if err != nil {
-		return nil, err
-	}
-	res := &staggeredResult{
-		Requests:       requests,
-		LaneCap:        laneCap,
-		PredictedLanes: predicted,
-		Kernel:         bn.Kernel(),
-	}
-
-	// run executes one forming (a lane order) in laneCap chunks with
-	// occupancy probes attached, returning mean column occupancy and the
-	// summed lockstep steps.
-	run := func(order []int) (float64, int) {
-		var cols, laneEvents, stepsSum int
-		setProbes(bn, func(c, e int) { cols += c; laneEvents += e })
-		defer setProbes(bn, nil)
-		for at := 0; at < len(order); at += laneCap {
-			chunk := order[at:min(at+laneCap, len(order))]
-			imgs := make([][]float64, len(chunk))
-			pols := make([]serve.ExitPolicy, len(chunk))
-			for i, idx := range chunk {
-				imgs[i] = images[idx]
-				pols[i] = policies[idx]
-			}
-			outs, batchSteps := serve.ClassifyBatch(bn, imgs, pols)
-			stepsSum += batchSteps
-			for i, idx := range chunk {
-				if outs[i].Prediction != want[idx].Prediction || outs[i].Steps != want[idx].Steps {
-					fmt.Fprintf(os.Stderr, "batch: WARNING: staggered lane %d diverged from sequential (pred %d/%d steps %d/%d)\n",
-						idx, outs[i].Prediction, want[idx].Prediction, outs[i].Steps, want[idx].Steps)
-				}
-			}
-		}
-		if cols == 0 {
-			return 0, stepsSum
-		}
-		return float64(laneEvents) / float64(cols), stepsSum
-	}
-
-	fifo := make([]int, requests)
-	for i := range fifo {
-		fifo[i] = i
-	}
-	res.FIFOMeanOccupancy, res.FIFOBatchSteps = run(fifo)
-	res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps = run(serve.OrderByPredictedExit(preds))
-	fmt.Fprintf(os.Stderr, "batch: staggered %s occupancy FIFO %.2f (%d steps) -> exit-aware %.2f (%d steps), %d/%d lanes predicted\n",
-		res.Kernel, res.FIFOMeanOccupancy, res.FIFOBatchSteps,
-		res.ExitAwareMeanOccupancy, res.ExitAwareBatchSteps, predicted, requests)
-	return res, nil
 }
 
 // setProbes attaches (or, with a nil count, detaches) an event-column

@@ -8,8 +8,8 @@
 //	snnbench -run table2 -steps 384   # scale the budget up
 //
 // Two ungated artifact modes skip the exhibits and write JSON instead:
-// -batch (lockstep vs sequential per batch width and dispatch tier, plus
-// FIFO vs exit-ordered occupancy) and -fleet (the shard-count sweep).
+// -batch (lockstep vs sequential per batch width and dispatch tier) and
+// -fleet (the shard-count sweep).
 // Perf claims are made with `go run ./benchmark`, not with these.
 //
 //	snnbench -batch BENCH_batch.json

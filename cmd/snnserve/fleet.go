@@ -177,7 +177,7 @@ func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Se
 //     /metrics/prom validates as Prometheus 0.0.4 text with per-shard
 //     labeled families.
 //   - Shutdown returns the process to its goroutine baseline.
-func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, shards int, logger *slog.Logger) error {
+func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, shards int, logger *slog.Logger) error {
 	fmt.Println("== snnserve fleet selftest ==")
 	baseline := runtime.NumGoroutine()
 
@@ -197,7 +197,6 @@ func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep st
 		srv := burstsnn.NewServer(burstsnn.ServeConfig{
 			MaxBatch:       4,
 			MaxDelay:       2 * time.Millisecond,
-			LockstepBatch:  lockstep,
 			RequestTimeout: 60 * time.Second,
 			Logger:         logger,
 		})

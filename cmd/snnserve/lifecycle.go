@@ -36,7 +36,7 @@ import (
 //
 // After each phase the server shuts down; the goroutine count must
 // return to its pre-test baseline at the end.
-func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger) error {
+func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *slog.Logger) error {
 	fmt.Println("== snnserve lifecycle selftest ==")
 	baseline := runtime.NumGoroutine()
 
@@ -61,13 +61,13 @@ func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockste
 		Epochs: 6, BatchSize: 32, Seed: 9,
 	})
 
-	if err := lifecyclePhaseSwap(hybrid, exit, lockstep, logger, set, netV1, netV2); err != nil {
+	if err := lifecyclePhaseSwap(hybrid, exit, logger, set, netV1, netV2); err != nil {
 		return fmt.Errorf("phase A (hot swap): %w", err)
 	}
-	if err := lifecyclePhaseEvict(hybrid, exit, lockstep, logger, set, netV1); err != nil {
+	if err := lifecyclePhaseEvict(hybrid, exit, logger, set, netV1); err != nil {
 		return fmt.Errorf("phase B (resident bound): %w", err)
 	}
-	if err := lifecyclePhaseFair(hybrid, exit, lockstep, logger, set, netV1); err != nil {
+	if err := lifecyclePhaseFair(hybrid, exit, logger, set, netV1); err != nil {
 		return fmt.Errorf("phase C (fairness): %w", err)
 	}
 
@@ -104,12 +104,11 @@ func lifecycleServer(srv *burstsnn.Server) (string, func(), error) {
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, netV1, netV2 *burstsnn.DNN) error {
+func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *slog.Logger, set *burstsnn.Set, netV1, netV2 *burstsnn.DNN) error {
 	srv := burstsnn.NewServer(burstsnn.ServeConfig{
 		MaxBatch:       4,
 		MaxDelay:       2 * time.Millisecond,
 		QueueDepth:     64,
-		LockstepBatch:  lockstep,
 		RequestTimeout: 30 * time.Second,
 		InjectLatency:  5 * time.Millisecond,
 		Logger:         logger,
@@ -224,11 +223,10 @@ func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep 
 	return nil
 }
 
-func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
+func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
 	srv := burstsnn.NewServer(burstsnn.ServeConfig{
 		MaxBatch:          4,
 		MaxDelay:          2 * time.Millisecond,
-		LockstepBatch:     lockstep,
 		RequestTimeout:    30 * time.Second,
 		ResponseCacheSize: -1, // every request must simulate — cache hits would mask a bad warm
 		MaxResidentModels: 2,
@@ -333,7 +331,7 @@ func lifecyclePhaseEvict(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep
 	return nil
 }
 
-func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
+func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *slog.Logger, set *burstsnn.Set, net *burstsnn.DNN) error {
 	// Two execution slots across three models with injected per-batch
 	// latency: without fair scheduling, the saturated model's backlog
 	// would monopolize the slots and starve the cold models.
@@ -341,7 +339,6 @@ func lifecyclePhaseFair(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep 
 		MaxBatch:          4,
 		MaxDelay:          2 * time.Millisecond,
 		QueueDepth:        64,
-		LockstepBatch:     lockstep,
 		RequestTimeout:    30 * time.Second,
 		ResponseCacheSize: -1,
 		InjectLatency:     10 * time.Millisecond,

@@ -85,8 +85,6 @@ func main() {
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
 		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window, which decays to zero for traffic that waiting does not gather; negative dispatches on queue drain")
-		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "how multi-request microbatches execute: auto = sequential (back to back on the faster event-driven engine); on = force the f32 lockstep plane, for near-duplicate batches and conformance; off = sequential")
-		exitHist = flag.Int("exit-history", 0, "exit-aware batch forming: per-model (image-hash → exit-step) history entries (0 = default, negative disables)")
 		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
 		tiny     = flag.Bool("tiny", false, "use the reduced test-scale model recipes")
 
@@ -126,11 +124,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snnserve: %v\n", err)
 		os.Exit(1)
 	}
-	// snnserve takes no positional arguments, and -lockstep is
-	// boolean-style: `-lockstep off` would parse as -lockstep (= on) plus
-	// a stray "off" that ends flag parsing. Reject it instead.
+	// snnserve takes no positional arguments: a stray word ends flag
+	// parsing and would silently drop every flag after it.
 	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q (-lockstep takes its mode as -lockstep=auto|on|off)", flag.Arg(0)))
+		fail(fmt.Errorf("unexpected argument %q (snnserve takes flags only)", flag.Arg(0)))
 	}
 
 	inScheme, err := burstsnn.ParseScheme(*input)
@@ -164,14 +161,14 @@ func main() {
 	}
 
 	if *selftestLife {
-		if err := runLifecycleSelftest(hybrid, exit, string(*lockstep), logger); err != nil {
+		if err := runLifecycleSelftest(hybrid, exit, logger); err != nil {
 			fail(err)
 		}
 		return
 	}
 
 	if *selftestOverload {
-		if err := runOverloadSelftest(hybrid, exit, string(*lockstep), logger); err != nil {
+		if err := runOverloadSelftest(hybrid, exit, logger); err != nil {
 			fail(err)
 		}
 		return
@@ -182,7 +179,7 @@ func main() {
 		if shards < 2 {
 			shards = 2
 		}
-		if err := runFleetSelftest(hybrid, exit, string(*lockstep), shards, logger); err != nil {
+		if err := runFleetSelftest(hybrid, exit, shards, logger); err != nil {
 			fail(err)
 		}
 		return
@@ -203,8 +200,6 @@ func main() {
 		cfg := burstsnn.ServeConfig{
 			MaxBatch:          *maxBatch,
 			MaxDelay:          *maxDelay,
-			LockstepBatch:     string(*lockstep),
-			ExitHistorySize:   *exitHist,
 			RequestTimeout:    *reqTimeout,
 			ResponseCacheSize: *respCache,
 			ResponseCacheTTL:  *respCacheTTL,
@@ -225,8 +220,7 @@ func main() {
 	}
 	lab := experiments.NewLab(settings)
 
-	fmt.Fprintf(os.Stderr, "float32 kernels: %s (dispatch tier %s, detected %s)\n",
-		kernels.Kind(), kernels.ActiveLevel(), kernels.DetectedLevel())
+	fmt.Fprintf(os.Stderr, "kernels: %s (detected %s)\n", kernels.ActiveLevel(), kernels.DetectedLevel())
 
 	// buildServer constructs one fully-registered server — the single
 	// server below, a fleet shard's in-process worker, or the -worker
@@ -237,8 +231,6 @@ func main() {
 			MaxBatch:           *maxBatch,
 			MaxDelay:           *maxDelay,
 			QueueDepth:         *queueDepth,
-			LockstepBatch:      string(*lockstep),
-			ExitHistorySize:    *exitHist,
 			RequestTimeout:     *reqTimeout,
 			ResponseCacheSize:  *respCache,
 			ResponseCacheTTL:   *respCacheTTL,
@@ -478,7 +470,7 @@ func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.Ser
 	if meanSteps >= float64(steps) {
 		return fmt.Errorf("mean steps %.1f did not beat the %d-step budget", meanSteps, steps)
 	}
-	if err := scrapeTelemetry(client, base, traceOut, cfg.LockstepBatch == serve.LockstepOn); err != nil {
+	if err := scrapeTelemetry(client, base, traceOut); err != nil {
 		return fmt.Errorf("telemetry scrape: %w", err)
 	}
 	fmt.Println("selftest PASS")
@@ -491,9 +483,8 @@ func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.Ser
 // stage breakdown), /metrics/prom must pass the strict exposition
 // validator, and /v1/trace must hold at least one trace with a measured
 // simulate span. traceOut, when set, receives the raw trace page (CI
-// uploads it as an artifact). lockstepOn says whether the server was
-// started with -lockstep=on, the only mode that may reach the plane.
-func scrapeTelemetry(client *http.Client, base, traceOut string, lockstepOn bool) error {
+// uploads it as an artifact).
+func scrapeTelemetry(client *http.Client, base, traceOut string) error {
 	// JSON metrics: the per-stage histograms must have observed the load.
 	var metrics struct {
 		Models map[string]serve.Snapshot `json:"models"`
@@ -523,39 +514,6 @@ func scrapeTelemetry(client *http.Client, base, traceOut string, lockstepOn bool
 	fw := snap.FormWaits
 	fmt.Printf("forming  : window %.3fms now; partial batches: %d joined, %d fruitless, %d skipped\n",
 		snap.FormWindowMs, fw.Joined, fw.Fruitless, fw.Skipped)
-
-	// Steering decision trace: how the scheduling plane routed the load's
-	// multi-request batches and why, so a steering regression (a plane
-	// stuck sequential, a silent lockstep fallback) is diagnosable from
-	// the CI log alone.
-	fmt.Println("-- steering decisions --")
-	fmt.Printf("scheduler     : %s\n", snap.Scheduler)
-	fmt.Printf("dispatches    : %d lockstep, %d sequential (multi-request batches)\n",
-		snap.SchedLockstepBatches, snap.SchedSequentialBatches)
-	reasons := make([]string, 0, len(snap.SchedReasons))
-	for reason := range snap.SchedReasons {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
-	for _, reason := range reasons {
-		fmt.Printf("  %-15s: %d\n", reason, snap.SchedReasons[reason])
-	}
-	if snap.LockstepFallbacks > 0 {
-		fmt.Printf("lockstep fallbacks: %d (replica could not batch)\n", snap.LockstepFallbacks)
-	}
-	// The route is the flag's, on every dispatch tier: only -lockstep=on
-	// reaches the plane, and under it concurrent load must reach it.
-	if lockstepOn != (snap.SchedLockstepBatches > 0) {
-		return fmt.Errorf("scheduler %q dispatched %d lockstep batches (%d sequential)",
-			snap.Scheduler, snap.SchedLockstepBatches, snap.SchedSequentialBatches)
-	}
-	if hits, misses := snap.ExitHistoryHits, snap.ExitHistoryMisses; hits+misses > 0 {
-		fmt.Printf("exit history  : %d predicted, %d unpredicted", hits, misses)
-		if pe := snap.ExitPredictionError; pe.Count > 0 {
-			fmt.Printf("; |pred−actual| mean %.1f steps (p99 %.0f, n=%d)", pe.Mean, pe.P99, pe.Count)
-		}
-		fmt.Println()
-	}
 
 	// Prometheus exposition: both routes must parse under the strict
 	// validator (an exposition bug fails here rather than in a scraper).
@@ -628,36 +586,6 @@ func getJSON(client *http.Client, url string, v any) error {
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// lockstepMode is the -lockstep flag value: auto/on/off, with
-// the boolean spellings of the flag's PR-4 ancestry still accepted —
-// IsBoolFlag makes a bare `-lockstep` parse as "true" (= on), exactly
-// like the flag.Bool it used to be.
-type lockstepMode string
-
-func lockstepFlagVar(name, def, usage string) *lockstepMode {
-	m := lockstepMode(def)
-	flag.Var(&m, name, usage)
-	return &m
-}
-
-func (m *lockstepMode) String() string { return string(*m) }
-
-func (m *lockstepMode) IsBoolFlag() bool { return true }
-
-func (m *lockstepMode) Set(s string) error {
-	switch s {
-	case serve.LockstepAuto, serve.LockstepOn, serve.LockstepOff:
-		*m = lockstepMode(s)
-	case "true":
-		*m = serve.LockstepOn
-	case "false":
-		*m = serve.LockstepOff
-	default:
-		return fmt.Errorf("want auto, on, or off, got %q", s)
-	}
-	return nil
 }
 
 // modelWeights is the repeatable -model-weight flag: "name=w" pairs

@@ -32,7 +32,7 @@ import (
 //   - Drain: trickled requests bring queue pressure back down; the
 //     model must report mode "normal" again, and once the server shuts
 //     down the goroutine count must return to its pre-server baseline.
-func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep string, logger *slog.Logger) error {
+func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *slog.Logger) error {
 	fmt.Println("== snnserve overload selftest ==")
 	baseline := runtime.NumGoroutine()
 
@@ -55,7 +55,6 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, lockstep
 		MaxBatch:       4,
 		MaxDelay:       2 * time.Millisecond,
 		QueueDepth:     8,
-		LockstepBatch:  lockstep,
 		RequestTimeout: 20 * time.Second,
 		Degrade:        true,
 		InjectLatency:  25 * time.Millisecond,

@@ -165,7 +165,7 @@ func fnv1aImage(image []float64) uint64 {
 }
 
 // HashImage is the content key of an image: the quantization-cache and
-// interner key, the serving batcher's duplicate-request, exit-history and
+// interner key, the serving batcher's duplicate-request and
 // response-cache key, and the fleet's routing key. It reads each pixel's
 // bit pattern as one word into four independent xor-rotate-multiply
 // lanes, folds the lanes and the length, and finalizes through

@@ -7,9 +7,8 @@ import (
 )
 
 // This file is the one place the system remembers an image to avoid
-// work. Three typed views share it — QuantCache (image → quantization),
-// serve.ExitHistory (image, policy → exit step) and serve.ResponseCache
-// (image, policy → Outcome) — under one discipline:
+// work. Two typed views share it — QuantCache (image → quantization) and
+// serve.ResponseCache (image, policy → Outcome) — under one discipline:
 //
 //   - keys carry HashImage, a word-at-a-time content hash (four
 //     xor-rotate-multiply lanes finalized by SplitMix64, ≈0.4 µs for a
@@ -87,9 +86,9 @@ func evictOne[K comparable, V any](m map[K]V, max int) {
 	}
 }
 
-// Memo is the generic pixel-verified memo behind the three views: K is
-// the view's key (the image hash plus whatever else the value depends on
-// — scheme and period, or the exit policy), V its immutable value. Safe
+// Memo is the generic pixel-verified memo behind the views: K is the
+// view's key (the image hash plus whatever else the value depends on —
+// scheme and period, or the exit policy), V its immutable value. Safe
 // for concurrent use.
 type Memo[K comparable, V any] struct {
 	// Now is the clock TTL views read (time.Now; tests inject a fake one

@@ -28,8 +28,8 @@ type quantKey struct {
 }
 
 // DefaultQuantCacheEntries bounds a model's quantization cache. The
-// model's memory bound is stated once, for all three views, on
-// serve's internerEntries.
+// model's memory bound is stated once, for both views, on serve's
+// internerEntries.
 const DefaultQuantCacheEntries = 2048
 
 // NewQuantCache returns a cache bounded to maxEntries (<= 0 uses

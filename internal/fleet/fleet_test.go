@@ -587,10 +587,7 @@ func TestFleetAutoscale(t *testing.T) {
 // and the Prometheus exposition parses clean with the families the page
 // has always had.
 func TestFleetMetricsMergeAndProm(t *testing.T) {
-	f, err := New(Config{Shards: 2, HealthInterval: -1},
-		// No response cache: the burst below must reach the batcher on an
-		// image's third sighting, where a cache would answer it.
-		inprocFactory(t, serve.Config{ResponseCacheSize: -1, LockstepBatch: serve.LockstepOn}))
+	f, err := New(Config{Shards: 2, HealthInterval: -1}, inprocFactory(t, serve.Config{}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -692,7 +689,6 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 		`burstsnn_fleet_form_window_seconds{model="digits",shard="0"} ` + strconv.FormatFloat(windows[0]/1e3, 'g', -1, 64) + "\n",
 		`burstsnn_fleet_form_window_seconds{model="digits",shard="1"} ` + strconv.FormatFloat(windows[1]/1e3, 'g', -1, 64) + "\n",
 		`burstsnn_fleet_retry_after_seconds{model="digits",shard="1"}`,
-		`burstsnn_fleet_batch_kernel_info{model="digits",kernel="`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom exposition missing %q", want)
@@ -701,7 +697,7 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 
 	// Every family the page had before the metric table drove it must
 	// still be there with its type and labels (testdata/… lists them, with
-	// the two deliberate edits), and every per-model family of a single
+	// the deliberate edits it notes), and every per-model family of a single
 	// server must be there under the fleet prefix.
 	have := map[string]bool{}
 	for _, fam := range obs.PromFamilies(text) {
@@ -723,51 +719,13 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	requireFamilies("../serve/testdata/prom_families.golden", func(l string) string {
 		name, rest, _ := strings.Cut(l, " ")
 		if !strings.Contains(rest, "model") {
-			return "" // server-wide families, and sched_decisions before any decision
+			return "" // server-wide families
 		}
-		if strings.HasPrefix(rest, "gauge model") && !strings.Contains(name, "_info") {
+		if strings.HasPrefix(rest, "gauge model") {
 			rest = strings.Replace(rest, "gauge model", "gauge model,shard", 1)
 		}
 		return strings.Replace(name, "burstsnn_", "burstsnn_fleet_", 1) + " " + rest
 	})
-
-	// A burst of repeated images gives the shards lockstep batches and
-	// scored exit predictions; the fleet's digests of both must fill from
-	// the merged buckets. Each round first shows eight fresh images twice,
-	// one at a time (the exit history stores an entry on the second
-	// sighting), then all eight at once.
-	for round := 0; round < 4; round++ {
-		first := n + 8*round
-		for i := first; i < first+16; i++ {
-			classify(first + i%8)
-		}
-		var wg sync.WaitGroup
-		for i := first; i < first+8; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); classify(i) }()
-		}
-		wg.Wait()
-		if c := f.Snapshot().Models["digits"].Counters; c.Occupancy.Count > 0 && c.ExitPredictionError.Count > 0 {
-			break
-		}
-	}
-	ms = f.Snapshot().Models["digits"]
-	if occ := ms.Counters.Occupancy; occ.Count == 0 || occ.Count != uint64(ms.Counters.Batches) || occ.Mean < 2 || ms.Occupancy != occ {
-		t.Errorf("merged batchOccupancy = %+v (batches %d, top-level %+v), want every lockstep batch digested", occ, ms.Counters.Batches, ms.Occupancy)
-	}
-	if pe := ms.Counters.ExitPredictionError; pe.Count == 0 {
-		t.Errorf("merged exitPredictionError = %+v, want the shards' scored predictions", pe)
-	}
-	text = scrape()
-	for _, want := range []string{
-		`burstsnn_fleet_batch_occupancy_count{model="digits"} ` + strconv.FormatUint(ms.Counters.Occupancy.Count, 10),
-		`burstsnn_fleet_exit_prediction_error_steps_count{model="digits"} ` + strconv.FormatUint(ms.Counters.ExitPredictionError.Count, 10),
-		`burstsnn_fleet_sched_decisions_total{model="digits",reason="static-min"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prom exposition after the burst missing %q", want)
-		}
-	}
 }
 
 // TestFleetShutdownGoroutineBaseline builds a full fleet (supervision +

@@ -28,13 +28,12 @@ type ShardCounters struct {
 // recomputed from the MERGED raw histogram buckets (serve.ModelHists.Merge,
 // Snapshot.Derive) — the estimates one big histogram fed every shard's
 // observations would report, which digested per-shard percentiles cannot
-// reproduce. Stages and Occupancy repeat Counters' digests under the keys
-// they have always had.
+// reproduce. Stages repeats Counters' digests under the key it has always
+// had.
 type FleetModelStats struct {
-	Counters  serve.Snapshot              `json:"counters"`
-	Stages    map[string]serve.StageStats `json:"stages"`
-	Occupancy serve.StageStats            `json:"batchOccupancy"`
-	PerShard  map[string]ShardModelGauges `json:"perShard"`
+	Counters serve.Snapshot              `json:"counters"`
+	Stages   map[string]serve.StageStats `json:"stages"`
+	PerShard map[string]ShardModelGauges `json:"perShard"`
 
 	hists serve.ModelHists // the merged buckets, for the exposition page
 }
@@ -100,7 +99,7 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	}
 	for name, fm := range snap.Models {
 		fm.Counters.Derive(fm.hists)
-		fm.Stages, fm.Occupancy = fm.Counters.Stages, fm.Counters.Occupancy
+		fm.Stages = fm.Counters.Stages
 		snap.Models[name] = fm
 	}
 	return snap

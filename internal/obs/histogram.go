@@ -66,31 +66,6 @@ var durationBounds = func() []float64 {
 // in seconds.
 func NewDurationHistogram() *Histogram { return NewHistogram(durationBounds) }
 
-// occupancyBounds resolves every lane count exactly up to 16 (the
-// serving MaxBatch regime), then coarsens toward the 64-lane bitmask
-// cap.
-var occupancyBounds = func() []float64 {
-	b := make([]float64, 0, 20)
-	for i := 1; i <= 16; i++ {
-		b = append(b, float64(i))
-	}
-	return append(b, 24, 32, 48, 64)
-}()
-
-// NewOccupancyHistogram returns a histogram shaped for batch lane
-// occupancy: exact buckets 1..16, then 24/32/48/64 up to the lockstep
-// lane cap.
-func NewOccupancyHistogram() *Histogram { return NewHistogram(occupancyBounds) }
-
-// stepErrorBounds resolves small step errors exactly (le=0 counts exact
-// predictions) and doubles out to the serving step-budget scale.
-var stepErrorBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// NewStepErrorHistogram returns a histogram shaped for absolute
-// step-count errors (predicted-vs-actual exit steps): the le=0 bucket
-// counts exact predictions, then power-of-two bounds to 256 steps.
-func NewStepErrorHistogram() *Histogram { return NewHistogram(stepErrorBounds) }
-
 // Observe records one value. Lock-free and allocation-free.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v, len(bounds) if none

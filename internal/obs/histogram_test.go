@@ -67,7 +67,7 @@ func TestHistogramMergeExact(t *testing.T) {
 }
 
 func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	if err := NewDurationHistogram().Merge(NewOccupancyHistogram()); err == nil {
+	if err := NewDurationHistogram().Merge(NewHistogram([]float64{1, 2, 4})); err == nil {
 		t.Fatal("merging mismatched layouts succeeded")
 	}
 	if err := NewHistogram([]float64{1, 2}).Merge(NewHistogram([]float64{1, 3})); err == nil {
@@ -173,7 +173,7 @@ func TestHistSnapshotMergeWire(t *testing.T) {
 
 func TestHistSnapshotMergeMismatch(t *testing.T) {
 	a := NewDurationHistogram().Snapshot()
-	if err := a.Merge(NewOccupancyHistogram().Snapshot()); err == nil {
+	if err := a.Merge(NewHistogram([]float64{1, 2, 4}).Snapshot()); err == nil {
 		t.Fatal("merging mismatched snapshot layouts succeeded")
 	}
 	b := NewHistogram([]float64{1, 2}).Snapshot()

@@ -25,7 +25,7 @@
 //	form     — batch formation: dispatcher received the batch's first
 //	           request → dispatch (the max-delay collection window)
 //	encode   — encoder Reset (input quantization, per-image state)
-//	simulate — the lockstep/sequential step loop, excluding readout
+//	simulate — the step loop, excluding readout
 //	readout  — readout margin / potentials extraction at exit tests
 //	total    — end-to-end wall clock as observed by the server
 //
@@ -67,28 +67,17 @@ func (s Stage) String() string {
 
 // StageTimes is one request's stage breakdown as measured by the serving
 // pipeline. The engine fills Encode/Simulate/Readout; the batcher adds
-// Queue/Form and the execution shape (Lanes, Lockstep); the server
-// derives Total from its own clock. Queue includes the formation window,
-// the replica-checkout wait and, for a request run back to back with its
-// batchmates, the simulations ahead of its own, so Form ⊂ Queue and the
-// spans are not disjoint — they answer "where did the time go" per
-// stage, not "sum to total".
-//
-// For a lockstep microbatch the Encode/Simulate/Readout spans are the
-// batch's (the lanes share one simulation); Lanes reports how many
-// requests shared them, so per-request attribution divides by Lanes.
-// Duplicate-fan requests (batcher dedupe) ride their representative's
-// spans with their own Queue.
+// Queue/Form; the server derives Total from its own clock. Queue
+// includes the formation window, the replica-checkout wait and, for a
+// request run back to back with its batchmates, the simulations ahead of
+// its own, so Form ⊂ Queue and the spans are not disjoint — they answer
+// "where did the time go" per stage, not "sum to total". Duplicate-fan
+// requests (batcher dedupe) ride their representative's spans with their
+// own Queue.
 type StageTimes struct {
 	Queue    time.Duration
 	Form     time.Duration
 	Encode   time.Duration
 	Simulate time.Duration
 	Readout  time.Duration
-	// Lanes is the number of requests that shared the simulate span
-	// (1 on the sequential path).
-	Lanes int
-	// Lockstep reports whether the request ran through the lockstep
-	// batch simulator (vs the sequential engine).
-	Lockstep bool
 }

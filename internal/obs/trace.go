@@ -24,14 +24,6 @@ type Trace struct {
 	EncodeMs   float64 `json:"encodeMs"`
 	SimulateMs float64 `json:"simulateMs"`
 	ReadoutMs  float64 `json:"readoutMs"`
-	// Kernel names the kernel dispatch tier of the lockstep simulator that
-	// ran the request ("f32", "f32-sse", "f32-avx2"); empty on the
-	// sequential path.
-	Kernel string `json:"kernel,omitempty"`
-	// Lockstep/Lanes describe the execution shape: how the request was
-	// simulated and how many batchmates shared the simulate span.
-	Lockstep bool `json:"lockstep"`
-	Lanes    int  `json:"lanes"`
 	// Steps is the exit step (the early-exit engine's latency metric).
 	Steps      int  `json:"steps"`
 	EarlyExit  bool `json:"earlyExit"`
@@ -65,8 +57,6 @@ func (t *Trace) SetTimes(st StageTimes, total time.Duration) {
 	t.EncodeMs = ms(st.Encode)
 	t.SimulateMs = ms(st.Simulate)
 	t.ReadoutMs = ms(st.Readout)
-	t.Lockstep = st.Lockstep
-	t.Lanes = st.Lanes
 }
 
 // ringStripes shards Add: requests land round-robin on independently

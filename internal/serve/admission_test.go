@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,126 +10,13 @@ import (
 	"burstsnn/internal/coding"
 )
 
-func TestStaticSchedRule(t *testing.T) {
-	cases := []struct {
-		min    int
-		lanes  int
-		want   bool
-		reason string
-	}{
-		{0, 8, false, ReasonDisabled},
-		{-1, 8, false, ReasonDisabled},
-		{6, 5, false, ReasonBelowMin},
-		{6, 6, true, ReasonStaticMin},
-		{6, 8, true, ReasonStaticMin},
-		{2, 2, true, ReasonStaticMin},
-		// min 1 normalizes to 2: a single request has nothing to lockstep with.
-		{1, 1, false, ReasonBelowMin},
-		{1, 2, true, ReasonStaticMin},
-	}
-	for _, c := range cases {
-		d := NewStaticSched(c.min).Decide(c.lanes)
-		if d.Lockstep != c.want || d.Reason != c.reason {
-			t.Errorf("StaticSched(min=%d).Decide(%d) = %+v, want lockstep=%v reason=%q",
-				c.min, c.lanes, d, c.want, c.reason)
-		}
-	}
-}
-
-func TestOrderByPredictedExit(t *testing.T) {
-	cases := []struct {
-		preds []int
-		want  []int
-	}{
-		// Predicted ascending first, unpredicted (<=0) last in arrival order.
-		{[]int{0, 50, 10, 0, 30}, []int{2, 4, 1, 0, 3}},
-		{[]int{5, 4, 3}, []int{2, 1, 0}},
-		{[]int{0, 0, 0}, []int{0, 1, 2}},
-		// Stable among equal predictions.
-		{[]int{7, 7, 3, 7}, []int{2, 0, 1, 3}},
-		{nil, []int{}},
-	}
-	for _, c := range cases {
-		got := OrderByPredictedExit(c.preds)
-		if len(got) == 0 && len(c.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("OrderByPredictedExit(%v) = %v, want %v", c.preds, got, c.want)
-		}
-	}
-}
-
-func TestExitHistoryDiscipline(t *testing.T) {
-	h := NewExitHistory(4, coding.NewInterner(4))
-	var count coding.HitMiss
-	h.CountInto(&count)
-	img := []float64{0.1, 0.2, 0.3}
-	p := ExitPolicy{MaxSteps: 96, MinSteps: 8, StableWindow: 6}
-	hash := coding.HashImage(img)
-
-	// First sighting only marks the key seen — unique traffic must not
-	// allocate entries (the coding.Memo promotion discipline).
-	h.Record(hash, img, p, 40)
-	if steps, ok := h.Predict(hash, img, p); ok {
-		t.Fatalf("prediction after one sighting: %d; entries must need two sightings", steps)
-	}
-	h.Record(hash, img, p, 40)
-	steps, ok := h.Predict(hash, img, p)
-	if !ok || steps != 40 {
-		t.Fatalf("Predict after promotion = %d,%v, want 40,true", steps, ok)
-	}
-
-	// The policy is part of the key: a different exit policy observes a
-	// different step count and must not alias.
-	other := ExitPolicy{MaxSteps: 96}
-	if _, ok := h.Predict(hash, img, other); ok {
-		t.Fatal("prediction leaked across exit policies")
-	}
-
-	// Re-recording updates in place.
-	h.Record(hash, img, p, 44)
-	if steps, _ := h.Predict(hash, img, p); steps != 44 {
-		t.Fatalf("updated prediction = %d, want 44", steps)
-	}
-
-	// A hash collision (same hash, different pixels) must degrade to "no
-	// prediction", never to the other image's exit step. Predict takes
-	// the caller's hash, so the test forces the collision directly.
-	collider := []float64{9, 9, 9}
-	if steps, ok := h.Predict(hash, collider, p); ok {
-		t.Fatalf("collision produced a prediction (%d steps)", steps)
-	}
-
-	// The traffic above was counted: hits and misses both nonzero.
-	if hits, misses := count.Load(); hits == 0 || misses == 0 {
-		t.Fatalf("counted %d hits, %d misses; want both nonzero", hits, misses)
-	}
-}
-
-func TestExitHistoryBounded(t *testing.T) {
-	h := NewExitHistory(8, coding.NewInterner(8))
-	img := func(i int) []float64 { return []float64{float64(i), 1, 2} }
-	p := ExitPolicy{MaxSteps: 96}
-	for i := 0; i < 100; i++ {
-		im := img(i)
-		hash := coding.HashImage(im)
-		h.Record(hash, im, p, 10+i)
-		h.Record(hash, im, p, 10+i)
-		if h.Len() > 8 {
-			t.Fatalf("history grew past its bound: %d entries (max 8)", h.Len())
-		}
-	}
-}
-
 // TestAdaptiveBatcherOutcomeInvariance is the outcome-invariance
-// acceptance check at the batcher level, under each -lockstep mode as
-// the server resolves it: with exit-aware forming live, staggered-exit
-// traffic (mixed early-exit and full-budget policies, so the history
-// reorders lanes) still produces the sequential engine's outcomes —
-// byte for byte on the sequential route (auto, off), within the lockstep
-// plane's tolerance contract (sameOutcome) under on. Scheduling only
-// changes who shares a microbatch and in what order.
+// acceptance check at the batcher level, under each forming mode the
+// batcher has: the adaptive window (auto) and drain-only dispatch (off,
+// a zero MaxDelay). Mixed early-exit and full-budget traffic, formed into
+// microbatches over several rounds, still produces the sequential
+// engine's outcomes byte for byte, and so does the response cache that
+// learns them. Forming only changes who shares a microbatch.
 func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 	pool, image := testPool(t, 1)
 	images := make([][]float64, 8)
@@ -157,28 +43,17 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 		}
 	}()
 
-	for _, mode := range []string{LockstepAuto, LockstepOn, LockstepOff} {
-		t.Run(mode, func(t *testing.T) {
-			sched, err := New(Config{LockstepBatch: mode}).buildScheduler()
-			if err != nil {
-				t.Fatal(err)
-			}
-			same := func(got, want Outcome) bool { return got == want }
-			if mode == LockstepOn {
-				same = sameOutcome
-			}
+	for _, mode := range []struct {
+		name     string
+		maxDelay time.Duration
+	}{{"auto", 300 * time.Millisecond}, {"off", 0}} {
+		t.Run(mode.name, func(t *testing.T) {
 			metrics := NewMetrics()
-			px := coding.NewInterner(internerEntries)
-			history := NewExitHistory(0, px)
-			history.CountInto(&metrics.exitHistory)
 			b := NewBatcher(pool, BatcherConfig{
-				Metrics: metrics, Sched: sched, History: history,
-				MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
+				Metrics: metrics, MaxBatch: 8, MaxDelay: mode.maxDelay,
 			})
 			defer b.Close()
 
-			// Several rounds: round 1 runs cold (no predictions), later rounds
-			// hit the warmed history and re-order lanes by predicted exit.
 			for round := 0; round < 4; round++ {
 				var wg sync.WaitGroup
 				for i := range images {
@@ -190,8 +65,8 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 							t.Errorf("round %d request %d: %v", round, i, err)
 							return
 						}
-						if !same(out, want[i]) {
-							t.Errorf("round %d request %d: scheduled %+v, sequential %+v",
+						if out != want[i] {
+							t.Errorf("round %d request %d: batched %+v, sequential %+v",
 								round, i, out, want[i])
 						}
 					}(i)
@@ -199,26 +74,12 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 				wg.Wait()
 			}
 
-			s := metrics.Snapshot()
-			if s.SchedLockstepBatches+s.SchedSequentialBatches == 0 {
-				t.Fatal("no steering decisions recorded")
-			}
-			if lockstep := s.SchedLockstepBatches > 0; lockstep != (mode == LockstepOn) {
-				t.Errorf("%d lockstep dispatches under -lockstep=%s: %+v", s.SchedLockstepBatches, mode, s)
-			}
-			if s.ExitHistoryHits == 0 {
-				t.Errorf("exit history never produced a prediction across warm rounds: %+v", s)
-			}
-			if s.ExitPredictionError.Count == 0 {
-				t.Errorf("no exit predictions were scored: %+v", s)
-			}
-
 			// Invariance across the response cache: attach it to the warmed
 			// batcher and replay one request. The first two replays run the full
 			// pipeline (sighting, then promotion); the third is a cache hit and
 			// must still report the outcome the pipeline produced — with no
 			// pipeline spans, since it never queued or simulated.
-			cache := NewResponseCache(0, time.Hour, px)
+			cache := NewResponseCache(0, time.Hour, coding.NewInterner(internerEntries))
 			cache.CountInto(&metrics.responseCache)
 			b.cache = cache
 			for replay := 0; replay < 2; replay++ {
@@ -459,9 +320,9 @@ func TestSequentialBatchQueueSpanCoversBatchmates(t *testing.T) {
 // TestSequentialBatchSkipsCanceledLane: a lane whose caller gives up
 // while its batchmates simulate (here: right after the batch-start
 // check, through the fault hook) gets its context error and no
-// simulation, and the rest of the batch is unaffected. The exit history
-// is the witness that nothing was simulated: it learns an image on its
-// second recorded outcome, so after two identical batches it predicts
+// simulation, and the rest of the batch is unaffected. The response
+// cache is the witness that nothing was simulated: it learns an image on
+// its second recorded outcome, so after two identical batches it answers
 // every lane but the cancelled one. A cancelled lane that duplicates
 // ride still simulates — they need the outcome.
 func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
@@ -477,7 +338,7 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	}
 	want := runBatch(batch())
 
-	b.history = NewExitHistory(0, coding.NewInterner(16))
+	b.cache = NewResponseCache(0, time.Hour, coding.NewInterner(16))
 	for round := 0; round < 2; round++ {
 		reqs := batch()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -493,8 +354,8 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 		}
 	}
 	for i, req := range batch() {
-		if _, ok := b.history.Predict(req.hash, req.image, req.policy); ok != (i != dead) {
-			t.Errorf("lane %d: exit history prediction = %v after two batches; the cancelled lane alone must be unknown", i, ok)
+		if _, ok := b.cache.Lookup(req.hash, req.image, req.policy); ok != (i != dead) {
+			t.Errorf("lane %d: response cache hit = %v after two batches; the cancelled lane alone must be unknown", i, ok)
 		}
 	}
 

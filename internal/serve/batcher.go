@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"burstsnn/internal/coding"
 	"burstsnn/internal/obs"
-	"burstsnn/internal/snn"
 )
 
 // ErrClosed is returned by Submit after the batcher has been closed.
@@ -33,13 +31,10 @@ const drainEWMAWeight = 0.25
 // Requests are grouped into batches of up to MaxBatch. A partial batch
 // waits for company inside an adaptive forming window: MaxDelay is its
 // upper bound, and it decays to zero for traffic that waiting does not
-// gather (see form.go). Each batch checks out one replica and runs its
-// requests back to back on the sequential engine, shortest predicted job
-// first; under LockstepOn (see sched.go) multi-request batches run
-// lockstep through the replica's batch simulator instead. Networks that
-// cannot batch (and single-request dispatches) always run sequentially;
-// both paths produce outcomes pinned by the same bit-identity/tolerance
-// contracts, so the choice is outcome-invariant.
+// gather (see form.go). Each batch checks out one replica, collapses
+// identical requests, and runs the rest back to back on the sequential
+// engine in arrival order, so a request's outcome never depends on its
+// batchmates.
 //
 // In front of the queue sits the overload plane: an optional cross-batch
 // response cache answers replayed (image, policy) pairs without a queue
@@ -53,9 +48,7 @@ const drainEWMAWeight = 0.25
 // checkout — is where backlog accumulates and gets measured.
 type Batcher struct {
 	pool     *Pool
-	metrics  *Metrics           // batch-occupancy/steps-saved/steering gauges; may be nil
-	sched    *StaticSched       // lockstep-vs-sequential rule; nil = never lockstep
-	history  *ExitHistory       // exit-aware forming memory; nil disables forming/prediction
+	metrics  *Metrics           // forming/dedupe counters; may be nil
 	cache    *ResponseCache     // cross-batch response cache; nil disables
 	degrade  *DegradeController // degraded-mode state machine; nil disables
 	fair     *FairSlot          // cross-model fair execution slots; nil disables
@@ -94,8 +87,6 @@ type Batcher struct {
 	formWindowNs atomic.Int64
 	replied      atomic.Uint64
 
-	fallbackOnce sync.Once // one log line for a replica that cannot batch
-
 	// closeCtx is canceled by Close: replica checkouts for batches that
 	// have not started abort immediately (ErrClosed) while batches
 	// already holding a replica drain normally.
@@ -108,9 +99,7 @@ type Batcher struct {
 // BatcherConfig carries NewBatcher's optional collaborators and tuning;
 // the zero value is a plain 1-request-at-a-time batcher.
 type BatcherConfig struct {
-	Metrics  *Metrics           // batch/steering gauges; nil disables
-	Sched    *StaticSched       // lockstep-vs-sequential rule; nil never lockstep
-	History  *ExitHistory       // exit-step memory; nil disables exit-aware forming
+	Metrics  *Metrics           // forming/dedupe counters; nil disables
 	Cache    *ResponseCache     // cross-batch response cache; nil disables
 	Degrade  *DegradeController // degraded-mode controller; nil disables
 	Fair     *FairSlot          // cross-model fair slots (see FairDispatcher); nil disables
@@ -158,7 +147,7 @@ type SubmitFlags struct {
 
 // NewBatcher starts the dispatcher. See BatcherConfig for the knobs and
 // collaborators; the batcher owns none of them (the server shares
-// Metrics/History/Cache with its snapshot plane).
+// Metrics/Cache with its snapshot plane).
 func NewBatcher(pool *Pool, cfg BatcherConfig) *Batcher {
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
@@ -172,8 +161,6 @@ func NewBatcher(pool *Pool, cfg BatcherConfig) *Batcher {
 	b := &Batcher{
 		pool:          pool,
 		metrics:       cfg.Metrics,
-		sched:         cfg.Sched,
-		history:       cfg.History,
 		cache:         cfg.Cache,
 		degrade:       cfg.Degrade,
 		fair:          cfg.Fair,
@@ -239,8 +226,8 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 		}
 	}
 
-	// Hash once per request: the cache, dedupe, and exit-history lookups
-	// all key on this, so no later stage rehashes the pixels. The lookup
+	// Hash once per request: the cache lookup and record and dedupe all
+	// key on this, so no later stage rehashes the pixels. The lookup
 	// uses the (possibly tightened) effective policy — a degraded request
 	// can only be answered by a degraded-policy entry.
 	hash := coding.HashImage(image)
@@ -519,13 +506,8 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 // for one simulation per distinct image per microbatch; the deduped
 // count is surfaced as dedupedRequests in /metrics.
 //
-// The surviving unique requests go through the scheduling plane: the
-// exit history (when attached) predicts each lane's exit step and the
-// batch is re-ordered by predicted exit — shortest job first on the
-// sequential route, lanes that retire together sharing a chunk on the
-// lockstep one — and the static rule picks the route. Scheduling only
-// reorders microbatch membership — both paths produce the outcomes
-// pinned by the tolerance contract.
+// The surviving unique requests run back to back on the replica's
+// sequential engine, in arrival order.
 func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
@@ -553,10 +535,9 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 		return
 	}
 	defer b.pool.Put(rep)
-	// The batch holds a replica and starts executing. A lockstep lane's
-	// queue span ends here (enqueue → execStart: the channel wait, the
-	// formation window and the checkout wait); a sequential lane's runs on
-	// to its own simulation start, behind its batchmates.
+	// The batch holds a replica and starts executing. Each lane's queue
+	// span runs on from here to its own simulation start, behind its
+	// batchmates.
 	execStart := time.Now()
 	defer func() { b.observeDrain(time.Since(execStart), len(reqs)) }()
 	if b.injectLatency > 0 {
@@ -582,131 +563,27 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 	if len(live) > 1 {
 		live, dups = b.dedupe(live)
 	}
-	// Exit-aware forming: predict each lane's exit step from history and
-	// order lanes by predicted exit (unpredicted last). preds stays
-	// aligned with live through the reorder and the chunking below (all
-	// zeros — no predictions — when no history is attached).
-	var preds []int
-	if len(live) > 1 {
-		preds = make([]int, len(live))
-	}
-	if b.history != nil && len(live) > 1 {
-		predicted := false
-		for i, req := range live {
-			if steps, ok := b.history.Predict(req.hash, req.image, req.policy); ok {
-				preds[i] = steps
-				predicted = true
-			}
-		}
-		if predicted {
-			order := OrderByPredictedExit(preds)
-			sortedLive := make([]*batchRequest, len(live))
-			sortedPreds := make([]int, len(preds))
-			for dst, src := range order {
-				sortedLive[dst] = live[src]
-				sortedPreds[dst] = preds[src]
-			}
-			copy(live, sortedLive)
-			copy(preds, sortedPreds)
-		}
-	}
-	waited := false // a simulation has run since the batch-start context check
-	if b.sched != nil && len(live) > 1 {
-		dec := b.sched.Decide(len(live))
-		if b.metrics != nil {
-			b.metrics.ObserveSchedDecision(dec)
-		}
-		if dec.Lockstep {
-			// The lockstep simulator caps a batch at snn.MaxBatchLanes
-			// lanes; a MaxBatch configured beyond that runs in chunks
-			// rather than silently degrading to sequential execution.
-			laneCap := b.maxBatch
-			if laneCap > snn.MaxBatchLanes {
-				laneCap = snn.MaxBatchLanes
-			}
-			bn, err := rep.Batch(laneCap, true)
-			if err != nil {
-				// The steering plane asked for lockstep but the replica
-				// cannot batch (encoder or network shape): degrading to
-				// sequential silently would just look slow, so count every
-				// occurrence and say why once.
-				if b.metrics != nil {
-					b.metrics.ObserveLockstepFallback()
-				}
-				b.fallbackOnce.Do(func() {
-					slog.Warn("serve: lockstep unavailable, batches run sequentially",
-						"error", err)
-				})
-			} else {
-				for len(live) > 1 {
-					chunk, chunkPreds := live, preds
-					if len(chunk) > laneCap {
-						chunk, chunkPreds = chunk[:laneCap], chunkPreds[:laneCap]
-					}
-					live, preds = live[len(chunk):], preds[len(chunk):]
-					images := make([][]float64, len(chunk))
-					policies := make([]ExitPolicy, len(chunk))
-					for i, req := range chunk {
-						images[i] = req.image
-						policies[i] = req.policy
-					}
-					outs, batchSteps, times := ClassifyBatchStaged(bn, images, policies)
-					waited = true
-					times.Form = form
-					saved := 0
-					for i, req := range chunk {
-						saved += batchSteps - outs[i].Steps
-						b.observeOutcome(req, chunkPreds[i], outs[i])
-						b.deliver(seq, req, batchResult{out: outs[i], stages: times}, dups, execStart)
-					}
-					if b.metrics != nil {
-						b.metrics.ObserveBatch(len(chunk), saved)
-					}
-				}
-			}
-		}
-	}
-	// Sequential path (the default route, and a lone lane left over after
-	// lockstep chunking). Lane i waits out i simulations, so its queue
-	// span ends at its own start, and a lane whose caller gave up during
-	// that wait is answered as the batch-start check answers it, without
-	// a simulation — unless duplicates ride it, which still need the
-	// outcome. The first lane of a batch that has simulated nothing yet
+	// Lane i waits out i simulations, so its queue span ends at its own
+	// start, and a lane whose caller gave up during that wait is answered
+	// as the batch-start check answers it, without a simulation — unless
+	// duplicates ride it, which still need the outcome. The first lane
 	// starts where that check left it.
 	for i, req := range live {
-		if waited && len(dups[req]) == 0 {
+		if i > 0 && len(dups[req]) == 0 {
 			if err := req.ctx.Err(); err != nil {
 				req.done <- batchResult{err: err}
 				continue
 			}
 		}
-		waited = true
 		start := time.Now()
 		out, times := ClassifyStaged(rep.Net, req.image, req.policy)
 		times.Form = form
-		pred := 0
-		if preds != nil {
-			pred = preds[i]
+		if b.cache != nil {
+			// The response cache learns the outcome, so replays are
+			// answered at admission.
+			b.cache.Record(req.hash, req.image, req.policy, out)
 		}
-		b.observeOutcome(req, pred, out)
 		b.deliver(seq, req, batchResult{out: out, stages: times}, dups, start)
-	}
-}
-
-// observeOutcome feeds one classified request back into the scheduling
-// and caching planes: the exit history learns the observed exit step, a
-// lane that carried a prediction scores it against the actual step count
-// (the predicted-vs-actual error histogram in /metrics), and the
-// response cache learns the outcome so replays are served upstream.
-func (b *Batcher) observeOutcome(req *batchRequest, pred int, out Outcome) {
-	if b.history != nil {
-		b.history.Record(req.hash, req.image, req.policy, out.Steps)
-	}
-	if b.cache != nil {
-		b.cache.Record(req.hash, req.image, req.policy, out)
-	}
-	if pred > 0 && b.metrics != nil {
-		b.metrics.ObserveExitPrediction(pred, out.Steps)
 	}
 }
 

@@ -78,7 +78,7 @@ func Classify(net *snn.Network, image []float64, p ExitPolicy) Outcome {
 // — no allocations (the zero-alloc gate covers this path, which Classify
 // shares) and no effect on the outcome.
 func ClassifyStaged(net *snn.Network, image []float64, p ExitPolicy) (Outcome, obs.StageTimes) {
-	times := obs.StageTimes{Lanes: 1}
+	var times obs.StageTimes
 	begin := time.Now()
 	net.Reset(image)
 	simStart := time.Now()
@@ -121,10 +121,11 @@ func ClassifyStaged(net *snn.Network, image []float64, p ExitPolicy) (Outcome, o
 	return o, times
 }
 
-// ClassifyBatch presents a batch of images lockstep through the batch
-// simulator under per-lane exit policies and returns one Outcome per
-// image, plus the number of lockstep steps the batch ran (the slowest
-// lane's step count — used for the steps-saved gauge).
+// ClassifyBatch presents a batch of images lockstep through the float32
+// batch simulator under per-lane exit policies and returns one Outcome
+// per image, plus the number of lockstep steps the batch ran (the
+// slowest lane's step count). No served request runs it: the plane is a
+// library for the benchmark ladder and its conformance suites.
 //
 // Every outcome matches Classify(net, images[i], policies[i]) on the
 // sequential simulator the batch network was built from under the
@@ -142,30 +143,14 @@ func ClassifyStaged(net *snn.Network, image []float64, p ExitPolicy) (Outcome, o
 // handful of allocations per dispatched batch, not per request, which is
 // in line with the batcher's own per-request queueing allocations.
 func ClassifyBatch(bn *snn.BatchNetwork32, images [][]float64, policies []ExitPolicy) ([]Outcome, int) {
-	outs, steps, _ := ClassifyBatchStaged(bn, images, policies)
-	return outs, steps
-}
-
-// ClassifyBatchStaged is ClassifyBatch with the engine-side stage spans
-// measured, like ClassifyStaged: Encode is the batched encoder Reset,
-// Simulate the lockstep step loop, Readout the accumulated per-lane
-// margin extractions. The spans are batch-level — every lane shared
-// them — so the returned StageTimes carries Lanes = len(images) and
-// Lockstep = true for per-request attribution.
-func ClassifyBatchStaged(bn *snn.BatchNetwork32, images [][]float64, policies []ExitPolicy) ([]Outcome, int, obs.StageTimes) {
 	n := len(images)
 	if n == 0 {
-		return nil, 0, obs.StageTimes{}
+		return nil, 0
 	}
 	if len(policies) != n {
 		panic(fmt.Sprintf("serve: %d policies for %d images", len(policies), n))
 	}
-	times := obs.StageTimes{Lanes: n, Lockstep: true}
-	begin := time.Now()
 	bn.Reset(images)
-	simStart := time.Now()
-	times.Encode = simStart.Sub(begin)
-	var readout time.Duration
 	countInput := bn.CountsInputSpikes()
 	outs := make([]Outcome, n)
 	type tracker struct{ stable, last int }
@@ -209,9 +194,7 @@ func ClassifyBatchStaged(bn *snn.BatchNetwork32, images [][]float64, policies []
 			}
 			exit := false
 			if p.StableWindow > 0 && o.Steps >= p.MinSteps && tr.stable >= p.StableWindow {
-				mt := time.Now()
 				m := stepMargin(bn.PotentialsInto(slot, scores), o.Steps)
-				readout += time.Since(mt)
 				if p.Margin <= 0 || m >= p.Margin {
 					o.Margin = m
 					o.EarlyExit = o.Steps < p.MaxSteps
@@ -219,9 +202,7 @@ func ClassifyBatchStaged(bn *snn.BatchNetwork32, images [][]float64, policies []
 				}
 			}
 			if !exit && o.Steps >= p.MaxSteps {
-				mt := time.Now()
 				o.Margin = stepMargin(bn.PotentialsInto(slot, scores), o.Steps)
-				readout += time.Since(mt)
 				exit = true
 			}
 			if exit {
@@ -235,9 +216,7 @@ func ClassifyBatchStaged(bn *snn.BatchNetwork32, images [][]float64, policies []
 			bn.Retire(retire[i])
 		}
 	}
-	times.Simulate = time.Since(simStart) - readout
-	times.Readout = readout
-	return outs, batchSteps, times
+	return outs, batchSteps
 }
 
 // stepMargin returns (top1 − top2) / steps of the readout potentials:

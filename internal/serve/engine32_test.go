@@ -2,13 +2,14 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"burstsnn/internal/coding"
-	"burstsnn/internal/core"
 	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 	"burstsnn/internal/snn"
@@ -183,137 +184,25 @@ func TestClassifyBatch32CrossTier(t *testing.T) {
 }
 
 // TestMetricsReportsDispatchTier pins the observability half of the
-// dispatch ladder: /metrics must name the tier the model's kernels
-// actually run on — for every forceable tier, the registered model's
-// batchKernel snapshot equals kernels.Kind() at registration time.
+// dispatch ladder: the Prometheus page must name the tier the kernels
+// actually run on — for every forceable tier, kernel_dispatch_info's
+// active label is that tier, next to the CPUID probe's result.
 func TestMetricsReportsDispatchTier(t *testing.T) {
 	defer kernels.ForceLevel("")
-	net, set := testModel(t)
-	wantKind := map[string]string{
-		kernels.LevelPurego: "f32",
-		kernels.LevelSSE:    "f32-sse",
-		kernels.LevelAVX2:   "f32-avx2",
-		kernels.LevelAVX512: "f32-avx2", // the f32 plane has no avx512 forms
-	}
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
 	for _, lv := range kernels.Available() {
 		if err := kernels.ForceLevel(lv); err != nil {
 			t.Fatal(err)
 		}
-		s := New(Config{})
-		m, err := s.Register(ModelConfig{
-			Name:        "digits",
-			Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-			Steps:       testSteps,
-			Replicas:    1,
-			NormSamples: 16,
-		}, net, set.Train)
-		if err != nil {
-			t.Fatalf("tier %s: %v", lv, err)
-		}
-		if got := m.Metrics().Snapshot().BatchKernel; got != wantKind[lv] || got != kernels.Kind() {
-			t.Fatalf("tier %s: batchKernel = %q, want %q (= kernels.Kind() %q)",
-				lv, got, wantKind[lv], kernels.Kind())
-		}
-		_ = s.Shutdown(context.Background())
-	}
-}
-
-// TestLockstepAutoResolution pins the scheduler-resolution rule: the
-// auto default never dispatches lockstep, on any dispatch tier (the
-// sequential engine is the faster one at every measured batch width),
-// and explicit on/off resolve to the forced static thresholds.
-func TestLockstepAutoResolution(t *testing.T) {
-	defer kernels.ForceLevel("")
-	net, set := testModel(t)
-	for _, lv := range kernels.Available() {
-		if err := kernels.ForceLevel(lv); err != nil {
+		var page strings.Builder
+		if err := s.writeProm(&page); err != nil {
 			t.Fatal(err)
 		}
-		for mode, want := range map[string]int{LockstepAuto: 0, LockstepOn: 2, LockstepOff: 0} {
-			s := New(Config{LockstepBatch: mode})
-			if _, err := s.Register(ModelConfig{
-				Name:        "digits",
-				Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-				Steps:       testSteps,
-				Replicas:    1,
-				NormSamples: 16,
-			}, net, set.Train); err != nil {
-				t.Fatalf("tier %s mode %s: %v", lv, mode, err)
-			}
-			s.mu.Lock()
-			sched := s.entries["digits"].batcher.sched
-			s.mu.Unlock()
-			if sched.Min() != want {
-				t.Fatalf("tier %s mode %s: static min = %v, want %v", lv, mode, sched.Min(), want)
-			}
-			_ = s.Shutdown(context.Background())
+		want := fmt.Sprintf(`burstsnn_kernel_dispatch_info{active=%q,detected=%q} 1`, lv, kernels.DetectedLevel())
+		if !strings.Contains(page.String(), want) {
+			t.Fatalf("tier %s: prom page lacks %s", lv, want)
 		}
-	}
-	s := New(Config{LockstepBatch: "sometimes"})
-	if _, err := s.Register(ModelConfig{
-		Name:        "digits",
-		Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-		Steps:       testSteps,
-		NormSamples: 16,
-	}, net, set.Train); err == nil {
-		t.Fatal("invalid LockstepBatch value accepted")
-	}
-}
-
-// TestBatcherRunsF32Lockstep pins the serving integration of the float32
-// plane: a batcher executes microbatches through BatchNetwork32 and
-// every request receives the
-// outcome the sequential engine produces (the corpus part of the
-// tolerance contract), with the batch gauges advancing.
-func TestBatcherRunsF32Lockstep(t *testing.T) {
-	pool, image := testPool(t, 1)
-	metrics := NewMetrics()
-	images := make([][]float64, 4)
-	for i := range images {
-		img := append([]float64(nil), image...)
-		for j := 0; j <= i; j++ {
-			img[j*7] = float64(j+1) / 8
-		}
-		images[i] = img
-	}
-	policy := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
-	want := make([]Outcome, len(images))
-	func() {
-		rep, err := pool.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pool.Put(rep)
-		for i, img := range images {
-			want[i] = Classify(rep.Net, img, policy)
-		}
-	}()
-
-	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
-	})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := range images {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := b.Submit(context.Background(), images[i], policy)
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			if out.Prediction != want[i].Prediction || out.Steps != want[i].Steps ||
-				out.EarlyExit != want[i].EarlyExit ||
-				out.InputSpikes != want[i].InputSpikes || out.HiddenSpikes != want[i].HiddenSpikes {
-				t.Errorf("request %d: f32 batched %+v, sequential %+v", i, out, want[i])
-			}
-		}(i)
-	}
-	wg.Wait()
-	b.Close() // a batch is counted after its replies go out; wait for that
-	if s := metrics.Snapshot(); s.Batches < 1 {
-		t.Errorf("no f32 lockstep batches recorded: %+v", s)
 	}
 }
 
@@ -323,70 +212,60 @@ func TestBatcherRunsF32Lockstep(t *testing.T) {
 // unique request once, answers every duplicate with its representative's
 // outcome, and counts the fan-outs in dedupedRequests.
 func TestBatcherDedupesIdenticalRequests(t *testing.T) {
-	for _, lockstepMin := range []int{0, 2} {
-		name := "sequential"
-		if lockstepMin > 0 {
-			name = "lockstep"
-		}
-		t.Run(name, func(t *testing.T) {
-			pool, image := testPool(t, 1)
-			metrics := NewMetrics()
-			distinct := append([]float64(nil), image...)
-			distinct[3] = 0.5
-			policyA := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
-			policyB := ExitPolicy{MaxSteps: 32, MinSteps: 8, StableWindow: 6}
-			var wantSame, wantDistinct, wantB Outcome
-			func() {
-				rep, err := pool.Get(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pool.Put(rep)
-				wantSame = Classify(rep.Net, image, policyA)
-				wantDistinct = Classify(rep.Net, distinct, policyA)
-				wantB = Classify(rep.Net, image, policyB)
-			}()
+	// The batcher runs every microbatch on the sequential route.
+	t.Run("sequential", func(t *testing.T) {
+		pool, image := testPool(t, 1)
+		metrics := NewMetrics()
+		distinct := append([]float64(nil), image...)
+		distinct[3] = 0.5
+		policyA := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
+		policyB := ExitPolicy{MaxSteps: 32, MinSteps: 8, StableWindow: 6}
+		var wantSame, wantDistinct, wantB Outcome
+		func() {
+			rep, err := pool.Get(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Put(rep)
+			wantSame = Classify(rep.Net, image, policyA)
+			wantDistinct = Classify(rep.Net, distinct, policyA)
+			wantB = Classify(rep.Net, image, policyB)
+		}()
 
-			var sched *StaticSched
-			if lockstepMin > 0 {
-				sched = NewStaticSched(lockstepMin)
-			}
-			b := NewBatcher(pool, BatcherConfig{
-				Metrics: metrics, Sched: sched, MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
-			})
-			defer b.Close()
-			type sub struct {
-				image  []float64
-				policy ExitPolicy
-				want   Outcome
-			}
-			subs := []sub{
-				{image, policyA, wantSame},
-				{image, policyA, wantSame},                            // duplicate
-				{append([]float64(nil), image...), policyA, wantSame}, // duplicate (distinct backing array)
-				{distinct, policyA, wantDistinct},
-				{image, policyB, wantB}, // same image, different policy: NOT a duplicate
-			}
-			var wg sync.WaitGroup
-			for i, s := range subs {
-				wg.Add(1)
-				go func(i int, s sub) {
-					defer wg.Done()
-					out, err := b.Submit(context.Background(), s.image, s.policy)
-					if err != nil {
-						t.Errorf("submit %d: %v", i, err)
-						return
-					}
-					if !sameOutcome(out, s.want) {
-						t.Errorf("request %d: got %+v, want %+v", i, out, s.want)
-					}
-				}(i, s)
-			}
-			wg.Wait()
-			s := metrics.Snapshot()
-			if s.DedupedRequests != 2 {
-				t.Errorf("dedupedRequests = %d, want 2: %+v", s.DedupedRequests, s)
-			}
+		b := NewBatcher(pool, BatcherConfig{
+			Metrics: metrics, MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
 		})
-	}
+		defer b.Close()
+		type sub struct {
+			image  []float64
+			policy ExitPolicy
+			want   Outcome
+		}
+		subs := []sub{
+			{image, policyA, wantSame},
+			{image, policyA, wantSame},                            // duplicate
+			{append([]float64(nil), image...), policyA, wantSame}, // duplicate (distinct backing array)
+			{distinct, policyA, wantDistinct},
+			{image, policyB, wantB}, // same image, different policy: NOT a duplicate
+		}
+		var wg sync.WaitGroup
+		for i, s := range subs {
+			wg.Add(1)
+			go func(i int, s sub) {
+				defer wg.Done()
+				out, err := b.Submit(context.Background(), s.image, s.policy)
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				if out != s.want {
+					t.Errorf("request %d: got %+v, want %+v", i, out, s.want)
+				}
+			}(i, s)
+		}
+		wg.Wait()
+		if s := metrics.Snapshot(); s.DedupedRequests != 2 {
+			t.Errorf("dedupedRequests = %d, want 2: %+v", s.DedupedRequests, s)
+		}
+	})
 }

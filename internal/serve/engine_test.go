@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"burstsnn/internal/coding"
 	"burstsnn/internal/mathx"
@@ -116,99 +113,6 @@ func TestClassifyBatchMatchesSequential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatcherRunsLockstepBatches checks the serving integration: a
-// filled microbatch is executed through the lockstep simulator (visible
-// in the batch gauges) and every request still gets the outcome the
-// sequential engine would produce.
-func TestBatcherRunsLockstepBatches(t *testing.T) {
-	pool, image := testPool(t, 1)
-	metrics := NewMetrics()
-	// Distinct images: perturb a few pixels so lanes differ.
-	images := make([][]float64, 4)
-	for i := range images {
-		img := append([]float64(nil), image...)
-		for j := 0; j <= i; j++ {
-			img[j*7] = float64(j+1) / 8
-		}
-		images[i] = img
-	}
-	policy := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
-	want := make([]Outcome, len(images))
-	func() {
-		rep, err := pool.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pool.Put(rep)
-		for i, img := range images {
-			want[i] = Classify(rep.Net, img, policy)
-		}
-	}()
-
-	// Generous delay so all four submissions join one batch.
-	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
-	})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := range images {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := b.Submit(context.Background(), images[i], policy)
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			if !sameOutcome(out, want[i]) {
-				t.Errorf("request %d: batched %+v, sequential %+v", i, out, want[i])
-			}
-		}(i)
-	}
-	wg.Wait()
-	b.Close() // a batch is counted after its replies go out; wait for that
-	s := metrics.Snapshot()
-	if s.Batches < 1 {
-		t.Errorf("no lockstep batches recorded: %+v", s)
-	}
-	if s.MeanBatchOccupancy < 2 {
-		t.Errorf("mean batch occupancy %.1f, want >= 2 (requests were concurrent)", s.MeanBatchOccupancy)
-	}
-}
-
-// TestBatcherClampsLaneCap guards the MaxBatch > snn.MaxBatchLanes case:
-// the lockstep simulator caps at 64 lanes, and a larger configured batch
-// must be clamped (and chunked), not silently degraded to sequential
-// execution via a sticky construction error.
-func TestBatcherClampsLaneCap(t *testing.T) {
-	pool, image := testPool(t, 1)
-	metrics := NewMetrics()
-	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 128, MaxDelay: 300 * time.Millisecond,
-	})
-	defer b.Close()
-	policy := ExitPolicy{MaxSteps: 16}
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		// Distinct images, so the dedupe stage can't collapse the batch
-		// before it reaches the lockstep path.
-		img := append([]float64(nil), image...)
-		img[0] = float64(i+1) / 4
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := b.Submit(context.Background(), img, policy); err != nil {
-				t.Errorf("Submit: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	b.Close() // a batch is counted after its replies go out; wait for that
-	if s := metrics.Snapshot(); s.Batches < 1 {
-		t.Errorf("MaxBatch beyond the lane cap disabled lockstep batching: %+v", s)
 	}
 }
 

@@ -24,9 +24,6 @@ const (
 	// gauge families are live readings; a fleet exposes one sample per
 	// shard under "model","shard" (its JSON counters still carry the merge).
 	gauge
-	// info families expose a string field as a label on a constant 1,
-	// merged like counters; an empty string emits no sample.
-	info
 )
 
 // mergeRule says how a field folds across shards.
@@ -46,15 +43,13 @@ const (
 	mergeMean
 )
 
-// field points into a Snapshot: *int64, *int, *float64, *string or
-// *map[string]int64 (one series per key, summed key-wise).
+// field points into a Snapshot: *int64, *int, *float64 or *string.
 type field func(*Snapshot) any
 
 // series is one Snapshot field's row.
 type series struct {
 	// Value is the family's Label value for this series ("" when the
-	// family has one series, or takes the value from the field: info
-	// strings, map keys).
+	// family has one series).
 	Value string
 	Field field
 	Merge mergeRule
@@ -97,22 +92,8 @@ var modelFamilies = []family{
 		}},
 	{Name: "early_exits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EarlyExits }, mergeSum),
 		Help: "Requests that exited before their full step budget."},
-	{Name: "batches_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.Batches }, mergeSum),
-		Help: "Executed lockstep microbatches."},
-	{Name: "batch_steps_saved_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.BatchStepsSaved }, mergeSum),
-		Help: "Lockstep steps avoided by retiring early-exited lanes."},
 	{Name: "deduped_requests_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.DedupedRequests }, mergeSum),
 		Help: "Requests answered by duplicate fan-out instead of simulating."},
-	{Name: "lockstep_fallbacks_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.LockstepFallbacks }, mergeSum),
-		Help: "Batches routed lockstep that degraded to sequential because the replica could not batch."},
-	{Name: "sched_dispatch_total", Kind: counter, Label: "mode",
-		Help: "Multi-request batches by the scheduling plane's dispatch verdict.",
-		Series: []series{
-			{Value: "lockstep", Field: func(s *Snapshot) any { return &s.SchedLockstepBatches }},
-			{Value: "sequential", Field: func(s *Snapshot) any { return &s.SchedSequentialBatches }},
-		}},
-	{Name: "sched_decisions_total", Kind: counter, Label: "reason", Series: one(func(s *Snapshot) any { return &s.SchedReasons }, mergeSum),
-		Help: "Steering decisions by reason (see internal/serve sched.go)."},
 	{Name: "form_waits_total", Kind: counter, Label: "outcome",
 		Help: "Partial batches by how their wait for company ended: joined (the timed wait gained a request), fruitless (it gained nobody), skipped (the window was zero and no timer was armed).",
 		Series: []series{
@@ -120,10 +101,6 @@ var modelFamilies = []family{
 			{Value: "fruitless", Field: func(s *Snapshot) any { return &s.FormWaits.Fruitless }},
 			{Value: "skipped", Field: func(s *Snapshot) any { return &s.FormWaits.Skipped }},
 		}},
-	{Name: "exit_prediction_hits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.ExitHistoryHits }, mergeSum),
-		Help: "Exit-history lookups that produced a verified exit-step prediction."},
-	{Name: "exit_prediction_misses_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.ExitHistoryMisses }, mergeSum),
-		Help: "Exit-history lookups with no usable prediction (unseen image or hash collision)."},
 	{Name: "encoder_cache_hits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EncoderCacheHits }, mergeSum),
 		Help: "Encoder quantization-cache hits."},
 	{Name: "encoder_cache_misses_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EncoderCacheMisses }, mergeSum),
@@ -164,17 +141,11 @@ var modelFamilies = []family{
 	{Name: "fair_grants_total", Kind: counter, Fair: true, Series: one(func(s *Snapshot) any { return &s.FairGrants }, mergeSum),
 		Help: "Execution slots granted by the fair dispatcher."},
 
-	{Name: "batch_kernel_info", Kind: info, Label: "kernel", Series: one(func(s *Snapshot) any { return &s.BatchKernel }, mergeFirst),
-		Help: "Resolved lockstep compute plane per model; value is always 1."},
-	{Name: "scheduler_info", Kind: info, Label: "scheduler", Series: one(func(s *Snapshot) any { return &s.Scheduler }, mergeFirst),
-		Help: "Resolved batch-steering policy per model; value is always 1."},
-
-	// JSON-only means: the paper's two serving quantities and the mean
-	// lanes per batch, each weighted by the count it averages over.
+	// JSON-only means: the paper's two serving quantities, each weighted
+	// by the request count.
 	{Series: []series{
 		{Field: func(s *Snapshot) any { return &s.MeanSteps }, Merge: mergeMean, Weight: func(s *Snapshot) any { return &s.Requests }},
 		{Field: func(s *Snapshot) any { return &s.MeanSpikes }, Merge: mergeMean, Weight: func(s *Snapshot) any { return &s.Requests }},
-		{Field: func(s *Snapshot) any { return &s.MeanBatchOccupancy }, Merge: mergeMean, Weight: func(s *Snapshot) any { return &s.Batches }},
 	}},
 }
 
@@ -184,32 +155,18 @@ var modelFamilies = []family{
 type ModelHists struct {
 	// Stages is keyed by obs.Stage name, in seconds.
 	Stages map[string]obs.HistSnapshot `json:"stages"`
-	// Occupancy is in lanes per executed lockstep batch.
-	Occupancy obs.HistSnapshot `json:"occupancy"`
-	// ExitPredictionError is |predicted − actual| exit steps.
-	ExitPredictionError obs.HistSnapshot `json:"exitPredictionError"`
 }
 
-// histFamilies describes the histogram families once, like modelFamilies
-// does the scalar ones; get maps a family's Label values to its
-// histograms ("" for a family of one).
-var histFamilies = []struct {
-	Name, Help, Label string
-	get               func(*ModelHists) map[string]obs.HistSnapshot
-}{
-	{Name: "stage_duration_seconds", Label: "stage", get: func(h *ModelHists) map[string]obs.HistSnapshot { return h.Stages },
-		Help: "Per-request stage spans (see internal/obs for the taxonomy); a fleet's are merged across shards, bucket-exact because every shard shares the layout."},
-	{Name: "batch_occupancy", get: func(h *ModelHists) map[string]obs.HistSnapshot { return map[string]obs.HistSnapshot{"": h.Occupancy} },
-		Help: "Lane occupancy of executed lockstep microbatches."},
-	{Name: "exit_prediction_error_steps", get: func(h *ModelHists) map[string]obs.HistSnapshot {
-		return map[string]obs.HistSnapshot{"": h.ExitPredictionError}
-	},
-		Help: "Absolute predicted-vs-actual exit-step error over predicted lanes (le=0 counts exact predictions)."},
-}
+// stageFamily is the one histogram family, exposed from ModelHists.Stages
+// under a "stage" label.
+const (
+	stageFamily     = "stage_duration_seconds"
+	stageFamilyHelp = "Per-request stage spans (see internal/obs for the taxonomy); a fleet's are merged across shards, bucket-exact because every shard shares the layout."
+)
 
 // Merge folds another shard's buckets in. Layouts are shared by
 // construction (every shard builds its histograms from the same obs
-// constructors), so the per-histogram merges cannot fail.
+// constructor), so the per-histogram merges cannot fail.
 func (h *ModelHists) Merge(o ModelHists) {
 	if h.Stages == nil {
 		h.Stages = make(map[string]obs.HistSnapshot, len(o.Stages))
@@ -219,8 +176,6 @@ func (h *ModelHists) Merge(o ModelHists) {
 		_ = acc.Merge(hs)
 		h.Stages[name] = acc
 	}
-	_ = h.Occupancy.Merge(o.Occupancy)
-	_ = h.ExitPredictionError.Merge(o.ExitPredictionError)
 }
 
 // Derive fills everything in a Snapshot that is computed rather than
@@ -236,12 +191,10 @@ func (s *Snapshot) Derive(h ModelHists) {
 	}
 	s.Stages = make(map[string]StageStats, len(h.Stages))
 	for name, hs := range h.Stages {
-		s.Stages[name] = digest(hs, 1e3) // seconds → ms
+		s.Stages[name] = digest(hs)
 	}
 	total := s.Stages[obs.StageTotal.String()]
 	s.P50Ms, s.P90Ms, s.P99Ms = total.P50, total.P90, total.P99
-	s.Occupancy = digest(h.Occupancy, 1)                     // lanes
-	s.ExitPredictionError = digest(h.ExitPredictionError, 1) // steps
 }
 
 // MergeSnapshot folds src, another shard's view of the same model, into
@@ -271,13 +224,6 @@ func (sr series) merge(dst, prev, src *Snapshot) {
 		}
 	case *string:
 		*d = fold(mergeFirst, *d, *sr.Field(src).(*string))
-	case *map[string]int64:
-		for key, n := range *sr.Field(src).(*map[string]int64) {
-			if *d == nil {
-				*d = map[string]int64{}
-			}
-			(*d)[key] += n
-		}
 	}
 }
 
@@ -323,54 +269,40 @@ func (r PromRow) with(name, value string) []obs.Label {
 }
 
 // WriteModelFamilies emits the table: every named family as prefix+Name,
-// in table order, then the histogram families. Counter, info and
-// histogram families take one sample set per row of merged, gauge
-// families one per row of live — the same rows on a server; on a fleet,
-// the cross-shard merge under "model" and each shard under
-// "model","shard". Fair families are skipped unless fair.
+// in table order, then the stage histogram family. Counter and histogram
+// families take one sample set per row of merged, gauge families one per
+// row of live — the same rows on a server; on a fleet, the cross-shard
+// merge under "model" and each shard under "model","shard". Fair
+// families are skipped unless fair.
 func WriteModelFamilies(pw *obs.PromWriter, prefix string, fair bool, merged, live []PromRow) {
 	for _, f := range modelFamilies {
 		if f.Name == "" || f.Fair && !fair {
 			continue
 		}
 		name, rows, typ := prefix+f.Name, merged, "counter"
-		if f.Kind != counter {
-			typ = "gauge"
-		}
 		if f.Kind == gauge {
-			rows = live
+			rows, typ = live, "gauge"
 		}
 		pw.Header(name, f.Help, typ)
 		for _, r := range rows {
 			for _, sr := range f.Series {
-				switch p := sr.Field(r.Snap).(type) {
-				case *map[string]int64:
-					for _, key := range slices.Sorted(maps.Keys(*p)) {
-						pw.Metric(name, r.with(f.Label, key), float64((*p)[key]))
+				v := 0.0
+				if p, ok := sr.Field(r.Snap).(*string); ok {
+					if *p == sr.Is {
+						v = 1
 					}
-				case *string:
-					if f.Kind != info {
-						on := 0.0
-						if *p == sr.Is {
-							on = 1
-						}
-						pw.Metric(name, r.with(f.Label, sr.Value), on)
-					} else if *p != "" {
-						pw.Metric(name, r.with(f.Label, *p), 1)
-					}
-				default:
-					pw.Metric(name, r.with(f.Label, sr.Value), sample(p)/max(sr.Per, 1))
+				} else {
+					v = sample(sr.Field(r.Snap)) / max(sr.Per, 1)
 				}
+				pw.Metric(name, r.with(f.Label, sr.Value), v)
 			}
 		}
 	}
-	for _, hf := range histFamilies {
-		pw.Header(prefix+hf.Name, hf.Help, "histogram")
-		for _, r := range merged {
-			hists := hf.get(r.Hists)
-			for _, value := range slices.Sorted(maps.Keys(hists)) {
-				pw.Histogram(prefix+hf.Name, r.with(hf.Label, value), hists[value])
-			}
+	name := prefix + stageFamily
+	pw.Header(name, stageFamilyHelp, "histogram")
+	for _, r := range merged {
+		for _, stage := range slices.Sorted(maps.Keys(r.Hists.Stages)) {
+			pw.Histogram(name, r.with("stage", stage), r.Hists.Stages[stage])
 		}
 	}
 }

@@ -30,8 +30,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"burstsnn/internal/kernels"
 )
 
 // entry pairs a resident model with its request queue. The pair is
@@ -141,15 +139,11 @@ func (s *Server) runWarm(name string, op *warmOp, epoch uint64) {
 // dropped instead of clobbering the newer state, and (nil, nil) sends
 // the resolve loop back to re-observe.
 func (s *Server) warm(name string, epoch uint64) (*entry, error) {
-	sched, err := s.buildScheduler()
-	if err != nil {
-		return nil, err
-	}
 	m, err := s.reg.Restore(name)
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.installModelAt(m, sched, epoch, true)
+	e, err := s.installModelAt(m, epoch, true)
 	if errors.Is(err, errStaleWarm) {
 		return nil, nil
 	}
@@ -165,8 +159,8 @@ func (s *Server) warm(name string, epoch uint64) (*entry, error) {
 // all happen under one critical section — the atomic (model, batcher)
 // swap that closes the stale-weights window. The displaced batcher, if
 // any, hands its queued requests to the new one outside the lock.
-func (s *Server) installModel(m *Model, sched *StaticSched) (*entry, error) {
-	return s.installModelAt(m, sched, 0, false)
+func (s *Server) installModel(m *Model) (*entry, error) {
+	return s.installModelAt(m, 0, false)
 }
 
 // installModelAt is installModel with an optional lifecycle-epoch guard:
@@ -174,7 +168,7 @@ func (s *Server) installModel(m *Model, sched *StaticSched) (*entry, error) {
 // epoch still equals epoch — i.e. no other install or removal has
 // touched the name since the caller sampled it. Every successful install
 // advances the epoch, so in-flight guarded installs for the name abort.
-func (s *Server) installModelAt(m *Model, sched *StaticSched, epoch uint64, guard bool) (*entry, error) {
+func (s *Server) installModelAt(m *Model, epoch uint64, guard bool) (*entry, error) {
 	name := m.Config().Name
 	var fair *FairSlot
 	if s.fair != nil {
@@ -196,23 +190,16 @@ func (s *Server) installModelAt(m *Model, sched *StaticSched, epoch uint64, guar
 	// accumulator the model will actually expose.
 	s.reg.Install(m)
 	met := m.Metrics()
-	met.SetBatchKernel(kernels.Kind())
-	met.SetScheduler(sched.Name())
 	bc := BatcherConfig{
 		Metrics:       met,
-		Sched:         sched,
 		Fair:          fair,
 		MaxBatch:      s.cfg.MaxBatch,
 		MaxDelay:      s.cfg.MaxDelay,
 		QueueDepth:    s.cfg.QueueDepth,
 		InjectLatency: s.cfg.InjectLatency,
 	}
-	// The other two views over the model's interner, counting into the
+	// The other view over the model's interner, counting into the
 	// accumulator the model just adopted.
-	if s.cfg.ExitHistorySize >= 0 {
-		bc.History = NewExitHistory(s.cfg.ExitHistorySize, m.px)
-		bc.History.CountInto(&met.exitHistory)
-	}
 	if s.cfg.ResponseCacheSize >= 0 {
 		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, s.cfg.ResponseCacheTTL, m.px)
 		bc.Cache.CountInto(&met.responseCache)

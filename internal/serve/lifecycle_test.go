@@ -319,26 +319,25 @@ func TestEvictWarmRoundTrip(t *testing.T) {
 	}
 }
 
-// cacheCounters is the six memo-view counters of a snapshot, in one
+// cacheCounters is the four memo-view counters of a snapshot, in one
 // comparable value.
 type cacheCounters struct {
-	respHits, respMisses, exitHits, exitMisses, encHits, encMisses int64
+	respHits, respMisses, encHits, encMisses int64
 }
 
 func cacheCountersOf(s Snapshot) cacheCounters {
 	return cacheCounters{
 		s.ResponseCacheHits, s.ResponseCacheMisses,
-		s.ExitHistoryHits, s.ExitHistoryMisses,
 		s.EncoderCacheHits, s.EncoderCacheMisses,
 	}
 }
 
-// TestCacheCountersContinuousAcrossCycles: the six cache counters are
+// TestCacheCountersContinuousAcrossCycles: the four cache counters are
 // Prometheus counters and live in the retained accumulator, so neither
 // an evict/warm cycle nor a re-register may run them backwards — the
 // fresh views count on from where the released ones stopped, and the
 // evicted row keeps reporting the archived values in between. (Views
-// owning their counters would restart all six at every install.)
+// owning their counters would restart all four at every install.)
 func TestCacheCountersContinuousAcrossCycles(t *testing.T) {
 	net, set := testModel(t)
 	s := New(Config{}) // response cache on
@@ -347,7 +346,7 @@ func TestCacheCountersContinuousAcrossCycles(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 	// A small hot set, each round's requests in flight together so
-	// multi-lane batches form and the exit history is consulted too.
+	// multi-lane batches form.
 	hot := probeImages(6)
 	for round := 0; round < 4; round++ {
 		var wg sync.WaitGroup
@@ -385,8 +384,7 @@ func TestCacheCountersContinuousAcrossCycles(t *testing.T) {
 	}
 	classifyOne(2) // on the re-registered model: one more
 	after := cacheCountersOf(mustSnapshot(t, s))
-	if after.respHits < before.respHits || after.exitHits < before.exitHits || after.exitMisses < before.exitMisses ||
-		after.encHits < before.encHits || after.encMisses < before.encMisses {
+	if after.respHits < before.respHits || after.encHits < before.encHits || after.encMisses < before.encMisses {
 		t.Errorf("a cache counter ran backwards across evict/warm + re-register: %+v → %+v", before, after)
 	}
 	if after.respMisses != before.respMisses+2 {
@@ -677,10 +675,6 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 	s.mu.Lock()
 	epoch := s.epochs["digits"]
 	s.mu.Unlock()
-	sched, err := s.buildScheduler()
-	if err != nil {
-		t.Fatalf("buildScheduler: %v", err)
-	}
 	restored, err := s.reg.Restore("digits")
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
@@ -692,7 +686,7 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 	}
 
 	// The warm's install must now abort, not resurrect v1.
-	if _, err := s.installModelAt(restored, sched, epoch, true); !errors.Is(err, errStaleWarm) {
+	if _, err := s.installModelAt(restored, epoch, true); !errors.Is(err, errStaleWarm) {
 		t.Fatalf("guarded install after concurrent register: err = %v, want errStaleWarm", err)
 	}
 	for _, i := range diff {

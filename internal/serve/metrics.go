@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,27 +27,6 @@ type Metrics struct {
 	// counters (Prometheus exposition reads them directly); the snapshot's
 	// P50Ms/P90Ms/P99Ms are the total stage's estimates.
 	stage [obs.NumStages]*obs.Histogram
-	// occupancy histograms executed lockstep batches by lane count, so
-	// the plane's occupancy is a distribution, not just the mean.
-	occupancy *obs.Histogram
-	// exitPredErr histograms |predicted − actual| exit steps for lanes
-	// the exit history carried a prediction for (the le=0 bucket counts
-	// exact predictions) — the honesty check on exit-aware forming.
-	exitPredErr *obs.Histogram
-
-	// Steering-decision accounting (see sched.go): how many
-	// multi-request batches the scheduling plane sent lockstep vs
-	// sequential, and why (Decision.Reason counts).
-	schedLockstep   atomic.Int64
-	schedSequential atomic.Int64
-	schedMu         sync.Mutex
-	schedReasons    map[string]int64
-	// lockstepFallbacks counts batches the scheduler routed lockstep but
-	// the replica could not batch (see Batcher.run's fallback).
-	lockstepFallbacks atomic.Int64
-	// scheduler names the steering policy the model's batcher runs
-	// (StaticSched.Name()).
-	scheduler atomic.Pointer[string]
 
 	// Error accounting is split by where the failure happened:
 	// errAdmission counts requests the server refused before simulation
@@ -71,37 +49,24 @@ type Metrics struct {
 	evictions atomic.Int64
 	warms     atomic.Int64
 
-	// Batch execution gauges (see Batcher): how full microbatches run and
-	// how many lockstep steps lane retirement avoided versus running every
-	// lane to the batch's slowest exit.
-	batches         atomic.Int64
-	batchLanes      atomic.Int64
-	batchStepsSaved atomic.Int64
 	// Forming-window accounting (see form.go): partial batches by
 	// FormOutcome.
 	formWaits [formOutcomes]atomic.Int64
 	// deduped counts requests answered by fanning out a batchmate's
 	// outcome instead of simulating (identical image and policy).
 	deduped atomic.Int64
-	// kernel names the kernel dispatch tier the model's lockstep
-	// simulator runs on, recorded at install time (kernels.Kind()).
-	kernel atomic.Pointer[string]
 
-	// Read counters of the model's three pixel-verified views. Every
+	// Read counters of the model's two pixel-verified views. Every
 	// install builds fresh views that count into these (Memo.CountInto),
 	// so the numbers are continuous across re-registration and evict/warm
 	// while the accumulator holds no view: an evicted model's images are
 	// garbage.
-	encoderCache, exitHistory, responseCache coding.HitMiss
+	encoderCache, responseCache coding.HitMiss
 }
 
 // NewMetrics returns an empty accumulator.
 func NewMetrics() *Metrics {
-	m := &Metrics{
-		occupancy:    obs.NewOccupancyHistogram(),
-		exitPredErr:  obs.NewStepErrorHistogram(),
-		schedReasons: map[string]int64{},
-	}
+	m := &Metrics{}
 	for s := range m.stage {
 		m.stage[s] = obs.NewDurationHistogram()
 	}
@@ -158,16 +123,6 @@ func (m *Metrics) ObserveStages(st obs.StageTimes) {
 	m.stage[obs.StageReadout].ObserveDuration(st.Readout)
 }
 
-// ObserveBatch records one executed microbatch: how many lanes it
-// carried and how many lockstep steps per-lane early-exit retirement
-// saved versus running every lane to the batch's final step.
-func (m *Metrics) ObserveBatch(lanes, stepsSaved int) {
-	m.batches.Add(1)
-	m.batchLanes.Add(int64(lanes))
-	m.batchStepsSaved.Add(int64(stepsSaved))
-	m.occupancy.Observe(float64(lanes))
-}
-
 // FormOutcome is how a batch that was still short after the dispatcher's
 // yield left the forming stage.
 type FormOutcome int
@@ -189,67 +144,12 @@ func (m *Metrics) ObserveDeduped(n int) {
 	m.deduped.Add(int64(n))
 }
 
-// ObserveSchedDecision records one steering verdict for a multi-request
-// batch: the dispatch mode counter and the per-reason count.
-func (m *Metrics) ObserveSchedDecision(d Decision) {
-	if d.Lockstep {
-		m.schedLockstep.Add(1)
-	} else {
-		m.schedSequential.Add(1)
-	}
-	m.schedMu.Lock()
-	m.schedReasons[d.Reason]++
-	m.schedMu.Unlock()
-}
-
-// ObserveLockstepFallback records a batch the scheduler routed lockstep
-// but the replica could not batch, so it degraded to sequential.
-func (m *Metrics) ObserveLockstepFallback() { m.lockstepFallbacks.Add(1) }
-
-// ObserveExitPrediction scores one exit-history prediction against the
-// observed exit step (absolute error in steps; 0 = exact).
-func (m *Metrics) ObserveExitPrediction(predicted, actual int) {
-	err := predicted - actual
-	if err < 0 {
-		err = -err
-	}
-	m.exitPredErr.Observe(float64(err))
-}
-
-// SetScheduler records the steering policy name for the snapshot
-// (idempotent; survives model re-registration like the kernel variant).
-func (m *Metrics) SetScheduler(name string) { m.scheduler.Store(&name) }
-
-// Scheduler returns the recorded steering policy name ("" before
-// SetScheduler).
-func (m *Metrics) Scheduler() string {
-	if s := m.scheduler.Load(); s != nil {
-		return *s
-	}
-	return ""
-}
-
-// SetBatchKernel records the resolved lockstep kernel variant for the
-// snapshot (idempotent; survives model re-registration).
-func (m *Metrics) SetBatchKernel(kind string) { m.kernel.Store(&kind) }
-
-// BatchKernel returns the recorded lockstep kernel variant ("" before
-// SetBatchKernel).
-func (m *Metrics) BatchKernel() string {
-	if k := m.kernel.Load(); k != nil {
-		return *k
-	}
-	return ""
-}
-
-// StageStats is the JSON summary of one histogram: observation count
-// plus mean and percentile estimates over the model's lifetime — in
-// milliseconds for the stage map, in lanes for the occupancy
-// distribution, in steps for the exit-prediction error. The estimates
-// interpolate inside the bucket holding the exact nearest-rank value
-// (√2-wide for durations), so they carry bucket-resolution error, never
-// forget old tails, and merge across shards (Snapshot.Derive over merged
-// buckets).
+// StageStats is the JSON summary of one stage histogram: observation
+// count plus mean and percentile estimates in milliseconds over the
+// model's lifetime. The estimates interpolate inside the √2-wide bucket
+// holding the exact nearest-rank value, so they carry bucket-resolution
+// error, never forget old tails, and merge across shards
+// (Snapshot.Derive over merged buckets).
 type StageStats struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -303,46 +203,20 @@ type Snapshot struct {
 	// encode, simulate, readout, total — see internal/obs for the
 	// taxonomy) over lifetime histograms.
 	Stages map[string]StageStats `json:"stages,omitempty"`
-	// Batches counts executed lockstep microbatches (single-request
-	// dispatches run sequentially and don't count); MeanBatchOccupancy is
-	// the mean lanes per batch, and BatchStepsSaved totals the lockstep
-	// steps avoided by retiring early-exited lanes instead of stepping
-	// them to the batch's end. Occupancy is the full distribution.
-	Batches            int64      `json:"batches"`
-	MeanBatchOccupancy float64    `json:"meanBatchOccupancy"`
-	Occupancy          StageStats `json:"batchOccupancy"`
-	BatchStepsSaved    int64      `json:"batchStepsSaved"`
+	// Batches, MeanBatchOccupancy and ExitHistoryHits/Misses are retired:
+	// they counted the lockstep route and the exit-step history, which
+	// serving no longer has, and always read zero. They stay in the JSON
+	// schema only for readers that still difference them.
+	Batches            int64   `json:"batches"`
+	MeanBatchOccupancy float64 `json:"meanBatchOccupancy"`
+	ExitHistoryHits    int64   `json:"exitHistoryHits"`
+	ExitHistoryMisses  int64   `json:"exitHistoryMisses"`
 	// FormWaits is what waiting for company earned (see FormWaits), and
 	// FormWindowMs the live forming window — MaxDelay at most, zero for
 	// traffic that waiting does not gather — filled by the server at
 	// scrape time.
 	FormWaits    FormWaits `json:"formWaits"`
 	FormWindowMs float64   `json:"formWindowMs"`
-	// BatchKernel is the kernel dispatch tier the model's lockstep
-	// simulator runs on: "f32" (pure Go), "f32-sse", or "f32-avx2". The
-	// sequential float64 engine dispatches on the same tier (packed on
-	// avx2, the generic loops otherwise) with bit-identical outcomes on
-	// all of them, so it has no field of its own.
-	BatchKernel string `json:"batchKernel,omitempty"`
-	// Scheduler names the steering policy resolved at Register time
-	// ("sequential", or "static(min=2)" under LockstepOn).
-	Scheduler string `json:"scheduler,omitempty"`
-	// SchedLockstepBatches/SchedSequentialBatches count the scheduling
-	// plane's verdicts for multi-request batches, and SchedReasons breaks
-	// them down by decision reason (see sched.go's Reason* constants) —
-	// the steering decision trace.
-	SchedLockstepBatches   int64            `json:"schedLockstepBatches"`
-	SchedSequentialBatches int64            `json:"schedSequentialBatches"`
-	SchedReasons           map[string]int64 `json:"schedReasons,omitempty"`
-	// LockstepFallbacks counts batches routed lockstep that degraded to
-	// sequential because the replica could not batch.
-	LockstepFallbacks int64 `json:"lockstepFallbacks"`
-	// ExitHistoryHits/Misses are the exit-step history's predict
-	// counters, and ExitPredictionError summarizes |predicted − actual|
-	// exit steps over predicted lanes (mean/percentiles in steps).
-	ExitHistoryHits     int64      `json:"exitHistoryHits"`
-	ExitHistoryMisses   int64      `json:"exitHistoryMisses"`
-	ExitPredictionError StageStats `json:"exitPredictionError"`
 	// DedupedRequests counts requests answered by fanning out an identical
 	// (image, policy) batchmate's outcome instead of simulating.
 	DedupedRequests int64 `json:"dedupedRequests"`
@@ -390,26 +264,21 @@ type Snapshot struct {
 	FairWaiting int     `json:"fairWaiting,omitempty"`
 }
 
-// digest summarizes one histogram's buckets; scale converts the stored
-// unit to the exposed one (1e3 for seconds → milliseconds, 1 for lanes
-// and steps).
-func digest(h obs.HistSnapshot, scale float64) StageStats {
+// digest summarizes one stage histogram's buckets in milliseconds.
+func digest(h obs.HistSnapshot) StageStats {
+	const ms = 1e3 // stored in seconds
 	return StageStats{
 		Count: h.Count,
-		Mean:  h.Mean() * scale,
-		P50:   h.Quantile(50) * scale,
-		P90:   h.Quantile(90) * scale,
-		P99:   h.Quantile(99) * scale,
+		Mean:  h.Mean() * ms,
+		P50:   h.Quantile(50) * ms,
+		P90:   h.Quantile(90) * ms,
+		P99:   h.Quantile(99) * ms,
 	}
 }
 
 // Hists copies the model's raw histogram buckets.
 func (m *Metrics) Hists() ModelHists {
-	h := ModelHists{
-		Stages:              make(map[string]obs.HistSnapshot, obs.NumStages),
-		Occupancy:           m.occupancy.Snapshot(),
-		ExitPredictionError: m.exitPredErr.Snapshot(),
-	}
+	h := ModelHists{Stages: make(map[string]obs.HistSnapshot, obs.NumStages)}
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		h.Stages[st.String()] = m.stage[st].Snapshot()
 	}
@@ -433,31 +302,12 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.DegradedRequests = m.degraded.Load()
 	s.Evictions = m.evictions.Load()
 	s.Warms = m.warms.Load()
-	s.Batches = m.batches.Load()
-	if s.Batches > 0 {
-		s.MeanBatchOccupancy = float64(m.batchLanes.Load()) / float64(s.Batches)
-	}
-	s.BatchStepsSaved = m.batchStepsSaved.Load()
 	s.FormWaits = FormWaits{
 		Joined:    m.formWaits[FormJoined].Load(),
 		Fruitless: m.formWaits[FormFruitless].Load(),
 		Skipped:   m.formWaits[FormSkipped].Load(),
 	}
 	s.DedupedRequests = m.deduped.Load()
-	s.BatchKernel = m.BatchKernel()
-	s.Scheduler = m.Scheduler()
-	s.SchedLockstepBatches = m.schedLockstep.Load()
-	s.SchedSequentialBatches = m.schedSequential.Load()
-	m.schedMu.Lock()
-	if len(m.schedReasons) > 0 {
-		s.SchedReasons = make(map[string]int64, len(m.schedReasons))
-		for reason, n := range m.schedReasons {
-			s.SchedReasons[reason] = n
-		}
-	}
-	m.schedMu.Unlock()
-	s.LockstepFallbacks = m.lockstepFallbacks.Load()
-	s.ExitHistoryHits, s.ExitHistoryMisses = m.exitHistory.Load()
 	s.EncoderCacheHits, s.EncoderCacheMisses = m.encoderCache.Load()
 	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.Load()
 	s.Derive(m.Hists())

@@ -96,21 +96,27 @@ func TestSnapshotDoesNotBlockObserve(t *testing.T) {
 	assertInBucketOf(t, 99, s.P99Ms, 1.979)
 }
 
-// TestMetricsBatchGauges pins the batch-execution gauges and the
-// encoder-cache passthrough.
+// TestMetricsBatchGauges pins the batch gauges a microbatch moves — the
+// dedupe fan-out and the forming outcomes — and the encoder-cache
+// passthrough. The retired lockstep fields stay zero whatever is
+// observed: readers that still difference them see nothing move.
 func TestMetricsBatchGauges(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveBatch(4, 30) // 4 lanes, 30 lockstep steps saved by retirement
-	m.ObserveBatch(8, 50)
+	m.ObserveDeduped(2)
+	m.ObserveDeduped(3)
+	m.ObserveFormWait(FormJoined)
+	m.ObserveFormWait(FormSkipped)
+	m.ObserveFormWait(FormSkipped)
+	m.Observe(Outcome{Steps: 9}, time.Millisecond)
 	s := m.Snapshot()
-	if s.Batches != 2 {
-		t.Errorf("batches = %d, want 2", s.Batches)
+	if s.DedupedRequests != 5 {
+		t.Errorf("deduped = %d, want 5", s.DedupedRequests)
 	}
-	if s.MeanBatchOccupancy != 6 {
-		t.Errorf("mean occupancy = %v, want 6", s.MeanBatchOccupancy)
+	if want := (FormWaits{Joined: 1, Skipped: 2}); s.FormWaits != want {
+		t.Errorf("form waits = %+v, want %+v", s.FormWaits, want)
 	}
-	if s.BatchStepsSaved != 80 {
-		t.Errorf("steps saved = %d, want 80", s.BatchStepsSaved)
+	if s.Batches != 0 || s.MeanBatchOccupancy != 0 || s.ExitHistoryHits != 0 || s.ExitHistoryMisses != 0 {
+		t.Errorf("retired lockstep fields moved: %+v", s)
 	}
 	if s.EncoderCacheHits != 0 || s.EncoderCacheMisses != 0 {
 		t.Errorf("cache counters with no cache attached: %+v", s)
@@ -195,7 +201,6 @@ func BenchmarkObserveStages(b *testing.B) {
 		Encode:   50 * time.Microsecond,
 		Simulate: 3 * time.Millisecond,
 		Readout:  20 * time.Microsecond,
-		Lanes:    1,
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

@@ -12,8 +12,9 @@ import (
 // Replica is one checkout unit of a Pool: a weight-sharing sequential
 // simulator plus, built lazily on first use, its batched lockstep variant
 // (which shares the float32 copies of the same weights, and the scatter
-// tables). A request — or a whole microbatch — holds the Replica
-// exclusively, so neither simulator needs internal locking.
+// tables; no served request runs it). A request — or a whole microbatch —
+// holds the Replica exclusively, so neither simulator needs internal
+// locking.
 type Replica struct {
 	// Net is the sequential simulator (single-image path).
 	Net *snn.Network
@@ -25,8 +26,7 @@ type Replica struct {
 // Batch returns the replica's lockstep simulator with at least b lanes,
 // constructing — or widening — it on first use. The error is sticky: a
 // network whose encoder cannot batch (e.g. a stream-stateful Poisson
-// encoder) fails once and the batcher falls back to sequential execution
-// without re-probing.
+// encoder) fails once and is not re-probed.
 //
 // f32 is vestigial: it selected between the float32 and float64 lockstep
 // planes until the float64 one was removed, and stays only because the

@@ -12,8 +12,8 @@ import (
 
 // handleMetricsProm serves GET /metrics/prom (and GET /metrics?format=prom):
 // the same telemetry as the JSON page in Prometheus text exposition format
-// 0.0.4, with the stage-duration and batch-occupancy histograms emitted as
-// native histogram families rather than pre-digested percentiles.
+// 0.0.4, with the stage-duration histograms emitted as a native histogram
+// family rather than pre-digested percentiles.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.writeProm(w)

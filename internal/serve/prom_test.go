@@ -77,8 +77,6 @@ func TestPromExposition(t *testing.T) {
 		`burstsnn_pool_size{model="digits"} 4`,
 		`burstsnn_queue_depth{model="digits"} 0`,
 		`burstsnn_kernel_dispatch_info{active=`,
-		`burstsnn_batch_kernel_info{model="digits",kernel=`,
-		`burstsnn_batch_occupancy_count{model="digits"}`,
 		`burstsnn_build_info{module=`,
 		"# TYPE burstsnn_stage_duration_seconds histogram",
 		"# TYPE burstsnn_uptime_seconds gauge",

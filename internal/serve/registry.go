@@ -84,8 +84,8 @@ func DefaultExitPolicy(steps int) ExitPolicy {
 type Model struct {
 	archived
 	pool *Pool
-	// px is the pixel interner under the model's three memo views: quant
-	// (in the pool's encoders) and the batcher's history and cache.
+	// px is the pixel interner under the model's two memo views: quant
+	// (in the pool's encoders) and the batcher's response cache.
 	px    *coding.Interner
 	quant *coding.QuantCache
 }

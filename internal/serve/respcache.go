@@ -17,17 +17,17 @@ const DefaultResponseCacheEntries = 4096
 // promotion set from accumulating cold keys.
 const DefaultResponseCacheTTL = time.Minute
 
-// internerEntries bounds a model's pixel interner to its largest view:
-// whatever one view can hold, the interner can hand to the other two.
+// internerEntries bounds a model's pixel interner to its larger view:
+// whatever one view can hold, the interner can hand to the other.
 // Per-model memory at MNIST scale (784 pixels ≈ 6.3 KB a copy): a
 // replayed image costs one pixel copy, its quantization (as much again,
-// up to DefaultQuantCacheEntries of them) and ≈100 B of exit step and
-// Outcome, so a hot set filling every view takes ≈26 MB of pixels +
-// ≈13 MB of quantizations. The worst case is adversarial — every view
-// full of images the other two never promoted, the interner full of
-// images no view kept: (2048 + 2048 + 4096 + 4096) copies ≈ 77 MB, plus
-// the ≈13 MB of quantizations.
-const internerEntries = max(coding.DefaultQuantCacheEntries, DefaultExitHistoryEntries, DefaultResponseCacheEntries)
+// up to DefaultQuantCacheEntries of them) and ≈100 B of Outcome, so a
+// hot set filling both views takes ≈26 MB of pixels + ≈13 MB of
+// quantizations. The worst case is adversarial — each view full of
+// images the other never promoted, the interner full of images no view
+// kept: (2048 + 4096 + 4096) copies ≈ 64 MB, plus the ≈13 MB of
+// quantizations.
+const internerEntries = max(coding.DefaultQuantCacheEntries, DefaultResponseCacheEntries)
 
 // ResponseCache is the cross-batch (image-hash, policy) → Outcome cache
 // in front of the batcher: replay-heavy traffic is answered without
@@ -43,6 +43,11 @@ const internerEntries = max(coding.DefaultQuantCacheEntries, DefaultExitHistoryE
 // concurrent use.
 type ResponseCache struct {
 	*coding.Memo[exitKey, Outcome]
+}
+
+type exitKey struct {
+	hash   uint64
+	policy ExitPolicy
 }
 
 // NewResponseCache returns a cache bounded to maxEntries (<= 0 uses
@@ -62,7 +67,7 @@ func NewResponseCache(maxEntries int, ttl time.Duration, px *coding.Interner) *R
 // Lookup returns the cached Outcome for (image, policy) if an unexpired,
 // pixel-verified entry exists. hash must be coding.HashImage(image) —
 // the batcher hashes each request once at submit and reuses it here,
-// in dedupe, and in the exit history.
+// in dedupe, and in Record.
 func (c *ResponseCache) Lookup(hash uint64, image []float64, p ExitPolicy) (Outcome, bool) {
 	return c.Get(exitKey{hash: hash, policy: p}, image)
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,5 +220,52 @@ func TestResponseCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if hits, _ := count.Load(); hits == 0 {
 		t.Error("no hits recorded under concurrency")
+	}
+}
+
+// TestInternerBoundHolds pins the worst case stated on internerEntries:
+// a stream of more distinct images than the interner holds, each sent
+// twice so both views promote it, grows the heap by no more than the
+// comment's formula for the model's image size — a pixel copy per
+// quant-cache entry, per response-cache entry and per interner slot, plus
+// a quantization per quant-cache entry — with 25 % for map and
+// allocator overhead.
+func TestInternerBoundHolds(t *testing.T) {
+	net, set := testModel(t)
+	s := New(Config{})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	baseline := heap()
+	images := internerEntries + internerEntries/4
+	for i := 0; i < images; i++ {
+		img := append([]float64(nil), set.Test[i%len(set.Test)].Image...)
+		img[0], img[1] = float64(i%1024+1)/2048, float64(i/1024+1)/2048
+		for range 2 {
+			if _, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: img}); err != nil {
+				t.Fatalf("image %d: %v", i, err)
+			}
+		}
+	}
+	grew := heap() - baseline
+	s.mu.Lock()
+	held := s.entries["digits"].batcher.cache.Len()
+	s.mu.Unlock()
+	if held != DefaultResponseCacheEntries {
+		t.Fatalf("response cache holds %d entries after %d promoted images, want it full (%d)", held, images, DefaultResponseCacheEntries)
+	}
+	pixelCopy := int64(8 * len(set.Test[0].Image))
+	bound := (coding.DefaultQuantCacheEntries + DefaultResponseCacheEntries + internerEntries + coding.DefaultQuantCacheEntries) * pixelCopy
+	t.Logf("heap grew %.1f MB over %d images; stated worst case %.1f MB", float64(grew)/1e6, images, float64(bound)/1e6)
+	if grew > bound*5/4 {
+		t.Errorf("heap grew %.1f MB, over the stated worst case %.1f MB + 25 %%", float64(grew)/1e6, float64(bound)/1e6)
 	}
 }

@@ -68,26 +68,6 @@ type Config struct {
 	// wide machine is not throttled by a 1-core queue bound. The old
 	// fixed bound is reachable explicitly (snnserve -queue-depth).
 	QueueDepth int
-	// LockstepBatch selects how multi-request microbatches execute. See
-	// internal/README.md "The scheduling plane".
-	//
-	//   - LockstepAuto (the default) and LockstepOff: back to back on the
-	//     replica's sequential engine, which is faster than the lockstep
-	//     plane at every measured batch width on distinct images
-	//     (internal/README.md "When lockstep pays").
-	//   - LockstepOn: force every multi-request batch through the float32
-	//     lockstep batch simulator — for near-duplicate batches, and what
-	//     keeps the plane's conformance suites and benchmarks running.
-	//
-	// Resolved once per model at Register time; /metrics reports the
-	// kernel dispatch tier the model's lockstep simulator runs on as
-	// batchKernel ("f32", "f32-sse", or "f32-avx2"; see internal/kernels).
-	LockstepBatch string
-	// ExitHistorySize bounds the per-model (image-hash → observed exit
-	// step) history behind exit-aware batch forming: 0 uses
-	// DefaultExitHistoryEntries, negative disables the history entirely
-	// (no exit predictions, FIFO batch forming).
-	ExitHistorySize int
 	// RequestTimeout bounds one classification end to end (default 30s).
 	// The resulting deadline also drives admission: a request whose
 	// remaining deadline is below the projected queue wait is shed
@@ -157,13 +137,6 @@ type Config struct {
 	EnablePprof bool
 }
 
-// LockstepBatch values for Config.
-const (
-	LockstepAuto = "auto"
-	LockstepOn   = "on"
-	LockstepOff  = "off"
-)
-
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8344"
@@ -179,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.LockstepBatch == "" {
-		c.LockstepBatch = LockstepAuto
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 256
@@ -320,22 +290,6 @@ func (s *Server) Traces() *obs.Ring { return s.traces }
 // Registry exposes the model registry (for listing or direct pool use).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// buildScheduler resolves the scheduling policy from the server config,
-// once per install — initial registration, hot swap and evict/warm
-// restore alike — and ahead of the conversion, so a bad mode fails
-// before the expensive part. The rest of a registration's pipeline
-// state is built by the install itself (installModelAt).
-func (s *Server) buildScheduler() (*StaticSched, error) {
-	switch s.cfg.LockstepBatch {
-	case LockstepOn:
-		return NewStaticSched(2), nil
-	case LockstepAuto, LockstepOff:
-		return NewStaticSched(0), nil
-	}
-	return nil, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",
-		s.cfg.LockstepBatch, LockstepAuto, LockstepOn, LockstepOff)
-}
-
 // Register converts a model and makes it resident with a live request
 // queue. Re-registering a name hot-swaps it: the (model, batcher) pair
 // is replaced atomically — no request can pair the new model's weights
@@ -345,15 +299,11 @@ func (s *Server) buildScheduler() (*StaticSched, error) {
 // Config.MaxResidentModels, the least-recently-used other model is
 // evicted.
 func (s *Server) Register(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
-	sched, err := s.buildScheduler()
-	if err != nil {
-		return nil, err
-	}
 	m, err := s.reg.Prepare(cfg, net, normSamples)
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.installModel(m, sched)
+	e, err := s.installModel(m)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +391,7 @@ func (s *Server) Classify(ctx context.Context, req ClassifyRequest) (ClassifyRes
 		default:
 			m.Metrics().ObserveSimError()
 		}
-		s.record(rid, req.Model, began, latency, stages, out, flags, m, err)
+		s.record(rid, req.Model, began, latency, stages, out, flags, err)
 		return ClassifyResult{}, err
 	}
 	if flags.Degraded {
@@ -454,7 +404,7 @@ func (s *Server) Classify(ctx context.Context, req ClassifyRequest) (ClassifyRes
 		// measurements of executed work.
 		m.Metrics().ObserveStages(stages)
 	}
-	s.record(rid, req.Model, began, latency, stages, out, flags, m, nil)
+	s.record(rid, req.Model, began, latency, stages, out, flags, nil)
 	return ClassifyResult{
 		Model:        req.Model,
 		Prediction:   out.Prediction,
@@ -502,7 +452,7 @@ func isAdmissionError(err error) bool {
 // record adds the request's trace to the ring and emits the structured
 // request log line, when either is enabled.
 func (s *Server) record(rid, model string, began time.Time, latency time.Duration,
-	stages obs.StageTimes, out Outcome, flags SubmitFlags, m *Model, err error) {
+	stages obs.StageTimes, out Outcome, flags SubmitFlags, err error) {
 	if s.traces == nil && s.cfg.Logger == nil {
 		return
 	}
@@ -518,9 +468,6 @@ func (s *Server) record(rid, model string, began time.Time, latency time.Duratio
 		Degraded:   flags.Degraded,
 	}
 	tr.SetTimes(stages, latency)
-	if stages.Lockstep {
-		tr.Kernel = m.Metrics().BatchKernel()
-	}
 	if err != nil {
 		tr.Error = err.Error()
 	}
@@ -536,8 +483,6 @@ func (s *Server) record(rid, model string, began time.Time, latency time.Duratio
 			slog.Float64("simulateMs", tr.SimulateMs),
 			slog.Int("steps", out.Steps),
 			slog.Bool("earlyExit", out.EarlyExit),
-			slog.Bool("lockstep", stages.Lockstep),
-			slog.Int("lanes", stages.Lanes),
 		}
 		if flags.Deduped {
 			attrs = append(attrs, slog.Bool("deduped", true))

@@ -26,7 +26,7 @@ var (
 	testSet  *dataset.Set
 )
 
-func testModel(t *testing.T) (*dnn.Network, *dataset.Set) {
+func testModel(t testing.TB) (*dnn.Network, *dataset.Set) {
 	t.Helper()
 	testOnce.Do(func() {
 		set := dataset.SynthDigits(dataset.DigitsConfig{
@@ -107,11 +107,9 @@ func TestClassifyValidation(t *testing.T) {
 // count, and spike count no matter which replica runs it, how requests
 // are batched, or how many run concurrently.
 func TestDeterminismUnderContention(t *testing.T) {
-	// Lockstep batching on: the invariant must hold regardless of which
-	// execution path (lockstep or sequential fallback) serves a request.
 	// QueueDepth covers the full burst so overload shedding (a 429, not
 	// an invariance question) can't fail the test.
-	s := testServer(t, Config{MaxBatch: 4, LockstepBatch: LockstepOn, QueueDepth: 64})
+	s := testServer(t, Config{MaxBatch: 4, QueueDepth: 64})
 	_, set := testModel(t)
 	images := set.Test[:8]
 	ctx := context.Background()

@@ -1,11 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"burstsnn/internal/coding"
+	"burstsnn/internal/core"
 )
 
 // testPoolMax builds a resizable pool over the shared test model.
@@ -199,4 +207,51 @@ func TestServerShardStats(t *testing.T) {
 	if ms.RetryAfterSec < 1 {
 		t.Fatalf("RetryAfterSec = %v, want >= 1", ms.RetryAfterSec)
 	}
+}
+
+// FuzzPoolResize: POST /v1/pool, the one model-admin JSON body, never
+// panics and answers only 200, 400 or 404; a 200 echoes a replica count
+// the pool can actually hold, [1, Max].
+func FuzzPoolResize(f *testing.F) {
+	f.Add([]byte(`{"model":"digits","replicas":2}`))
+	f.Add([]byte(`{"model":"digits","replicas":-7}`))
+	f.Add([]byte(`{"model":"digits","replicas":9223372036854775807}`))
+	f.Add([]byte(`{"model":"nope","replicas":2}`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"model":"digits","replicas":2} {"model":"digits"}`))
+	f.Add([]byte(`{"model":"digits","replicas":2,"pad":"` + strings.Repeat("x", 1<<16) + `"}`))
+
+	net, set := testModel(f)
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	m, err := s.Register(ModelConfig{
+		Name:        "digits",
+		Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
+		Steps:       testSteps,
+		Replicas:    1,
+		MaxReplicas: 3,
+		NormSamples: 16,
+	}, net, set.Train)
+	if err != nil {
+		f.Fatalf("Register: %v", err)
+	}
+	h, poolMax := s.Handler(), m.Pool().Max()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/pool", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var reply struct{ Replicas int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatalf("200 with an unreadable reply %q: %v", rec.Body, err)
+			}
+			if reply.Replicas < 1 || reply.Replicas > poolMax {
+				t.Fatalf("200 echoes %d replicas, outside [1, %d]", reply.Replicas, poolMax)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
 }
