@@ -159,7 +159,16 @@ func Convert(net *dnn.Network, samples []dataset.Sample, opts Options) (*Result,
 				InC: l.Spec.InC, InH: l.Spec.InH, InW: l.Spec.InW,
 				OutC: l.Spec.OutC, K: l.Spec.KH, Stride: l.Spec.Stride, Pad: l.Spec.Pad,
 			}
-			out.Layers = append(out.Layers, snn.NewSpikingConv(w, b, geom, opts.Hidden))
+			conv := snn.NewSpikingConv(w, b, geom, opts.Hidden)
+			if len(out.Layers) == 0 && opts.Input.Scheme != coding.TTFS {
+				// Real, rate and phase encoders feed this conv half its
+				// pixels or more per step, dense enough for the gather to
+				// beat the scatter (UseDenseMode; a layer that does not
+				// qualify stays base-major). TTFS sends each pixel once
+				// per period, an eighth per step, where the scatter wins.
+				conv.UseDenseMode()
+			}
+			out.Layers = append(out.Layers, conv)
 			prevScale = scale
 		case *dnn.Dense:
 			if followedByReLU(layers, i) {

@@ -167,6 +167,16 @@ func TestConvertConvNetwork(t *testing.T) {
 	if len(res.Net.Layers) != 3 {
 		t.Fatalf("expected 3 spiking layers, got %d", len(res.Net.Layers))
 	}
+	// The encoder-fed conv gathers, except under TTFS input.
+	for _, in := range []coding.Scheme{coding.Phase, coding.TTFS} {
+		r, err := Convert(net, samples, DefaultOptions(in, coding.Burst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Net.Layers[0].(*snn.SpikingConv).DenseMode(), in != coding.TTFS; got != want {
+			t.Errorf("%v input: first conv dense mode = %v, want %v", in, got, want)
+		}
+	}
 	// The conversion must be runnable.
 	out := res.Net.Run(samples[0].Image, 32)
 	if out.Steps != 32 {

@@ -15,10 +15,10 @@ import (
 //   - avx2: AVX2 assembly (kernels_avx2_amd64.s, kernels64_amd64.s) —
 //     VEX-encoded 8-lane packed single precision and 4-cell float64,
 //     gated on CPUID (AVX2 + OSXSAVE with YMM state enabled in XCR0);
-//   - avx512: the float64 conv scatter on ZMM registers
-//     (kernels64_amd64.s), gated on AVX512F with opmask and ZMM state
-//     enabled in XCR0. Every other kernel runs its avx2 form there, so
-//     the avx2 checks below read "at least avx2".
+//   - avx512: the float64 conv scatter, conv gather and fire sweeps on
+//     ZMM registers (kernels64_amd64.s), gated on AVX512F with opmask and
+//     ZMM state enabled in XCR0. Every float32 kernel runs its avx2 form
+//     there, so the avx2 checks below read "at least avx2".
 //
 // The tier is detected once at startup (hand-rolled CPUID — no
 // dependencies) and stored in an atomic so ForceLevel is safe against
@@ -206,10 +206,22 @@ func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32,
 func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
 
 //go:noescape
-func fireCells64AVX2(v *float64, mask *uint64, n int, bias *float64, period int, bsc, th float64)
+func convGather64AVX2(v, plane, wsc *float64, outC, inC, k, ph, pw, cols int)
 
 //go:noescape
-func fireCellsBurst64AVX2(v, h, pay *float64, mask *uint64, n int, bias *float64, period int, bsc, beta, vth float64)
+func convGather64AVX512(v, plane, wsc *float64, outC, inC, k, ph, pw, cols int)
+
+//go:noescape
+func fireCells64AVX2(v *float64, ev *Event, n int, bias *float64, period int, bsc, th float64) int
+
+//go:noescape
+func fireCellsBurst64AVX2(v, h *float64, ev *Event, n int, bias *float64, period int, bsc, beta, vth float64) int
+
+//go:noescape
+func fireCells64AVX512(v *float64, ev *Event, n int, bias *float64, period int, bsc, th float64) int
+
+//go:noescape
+func fireCellsBurst64AVX512(v, h *float64, ev *Event, n int, bias *float64, period int, bsc, beta, vth float64) int
 
 func axpyBlock(dst, row []float32, p float32, b, lanes int) {
 	switch f32Level() {
@@ -395,13 +407,13 @@ func laneMaskEq(row []uint64, want uint64) uint64 {
 	return laneMaskEqScalar(row, want, 0)
 }
 
-// The float64 primitives' packed forms: avx2 packs all three 4 cells per
-// op, avx512 packs the conv scatter 8 cells per op and runs the avx2
-// fire sweeps; the sse tier runs the generic loops. A packed scatter
-// needs the channel count to be a multiple of its width (an avx512 call
-// at OutC 4 or 12 takes the avx2 form), and a packed sweep needs whole
-// 4-cell groups inside one bias period, so odd channel counts stay
-// generic and a population's sub-group tail finishes in the scalar loop.
+// The float64 primitives' packed forms: avx2 packs all four 4 cells per
+// op, avx512 packs them 8 cells per op; the sse tier runs the generic
+// loops. A packed scatter needs the channel count to be a multiple of its
+// width (an avx512 call at OutC 4 or 12 takes the avx2 form), a packed
+// sweep whole groups inside one bias period, and the packed gather
+// channels in fours; odd channel counts stay generic, and a population's
+// sub-group tail or a map's last columns finish in the scalar loop.
 
 func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
 	if len(taps) > 0 {
@@ -425,30 +437,69 @@ func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	convScatterEvents64(vmem, wsc, taps, span[:], ev[:], outC)
 }
 
-// packed64 returns how many leading cells of an n-cell fire sweep the
-// avx2 form takes, and the bias pointer it reads.
-func packed64(n int, bias []float64) (int, *float64) {
-	if activeLevel() < levelAVX2 || len(bias)&3 != 0 || n < 4 {
-		return 0, nil
+// convGather64 runs the packed gather over whole cell groups of every
+// row — 8 columns on avx512, 4 on avx2, channels four at a time — and the
+// generic loop over the columns past them.
+func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
+	outW := pw - k + 1
+	lv, cols := activeLevel(), 0
+	if outC&3 == 0 && lv >= levelAVX2 {
+		if lv >= levelAVX512 && outW >= 8 {
+			cols = outW &^ 7
+		} else {
+			lv, cols = levelAVX2, outW&^3
+		}
 	}
-	if bias == nil {
-		return n &^ 3, nil
+	if cols > 0 {
+		hw := (ph - k + 1) * outW
+		for oc := 0; oc < outC; oc += 4 {
+			if lv == levelAVX512 {
+				convGather64AVX512(&v[oc*hw], &plane[0], &wsc[oc], outC, inC, k, ph, pw, cols)
+			} else {
+				convGather64AVX2(&v[oc*hw], &plane[0], &wsc[oc], outC, inC, k, ph, pw, cols)
+			}
+		}
 	}
-	return n &^ 3, &bias[0]
+	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, cols)
 }
 
-func fireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
-	n4, bp := packed64(len(v), bias)
-	if n4 > 0 {
-		fireCells64AVX2(&v[0], &mask[0], n4, bp, len(bias), bsc, th)
+// packed64 returns the tier whose packed form takes the leading cells of
+// an n-cell fire sweep, how many it takes — whole 8-cell groups on
+// avx512, whole 4-cell groups on avx2 — and the bias pointer it reads.
+func packed64(n int, bias []float64) (level, int, *float64) {
+	var bp *float64
+	if bias != nil {
+		bp = &bias[0]
 	}
-	fireCells64Scalar(v, mask, n4, bias, bsc, th)
+	switch lv := activeLevel(); {
+	case lv >= levelAVX512 && len(bias)&7 == 0 && n >= 8:
+		return levelAVX512, n &^ 7, bp
+	case lv >= levelAVX2 && len(bias)&3 == 0 && n >= 4:
+		return levelAVX2, n &^ 3, bp
+	}
+	return levelPurego, 0, nil
 }
 
-func fireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, beta, vth float64) {
-	n4, bp := packed64(len(v), bias)
-	if n4 > 0 {
-		fireCellsBurst64AVX2(&v[0], &h[0], &pay[0], &mask[0], n4, bp, len(bias), bsc, beta, vth)
+func fireCells64(v []float64, ev []Event, bias []float64, bsc, th float64) int {
+	lv, n, bp := packed64(len(v), bias)
+	k := 0
+	switch lv {
+	case levelAVX512:
+		k = fireCells64AVX512(&v[0], &ev[0], n, bp, len(bias), bsc, th)
+	case levelAVX2:
+		k = fireCells64AVX2(&v[0], &ev[0], n, bp, len(bias), bsc, th)
 	}
-	fireCellsBurst64Scalar(v, h, pay, mask, n4, bias, bsc, beta, vth)
+	return fireCells64Scalar(v, ev, n, k, bias, bsc, th)
+}
+
+func fireCellsBurst64(v, h []float64, ev []Event, bias []float64, bsc, beta, vth float64) int {
+	lv, n, bp := packed64(len(v), bias)
+	k := 0
+	switch lv {
+	case levelAVX512:
+		k = fireCellsBurst64AVX512(&v[0], &h[0], &ev[0], n, bp, len(bias), bsc, beta, vth)
+	case levelAVX2:
+		k = fireCellsBurst64AVX2(&v[0], &h[0], &ev[0], n, bp, len(bias), bsc, beta, vth)
+	}
+	return fireCellsBurst64Scalar(v, h, ev, n, k, bias, bsc, beta, vth)
 }

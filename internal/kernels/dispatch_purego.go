@@ -82,10 +82,14 @@ func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	convScatter64Generic(vmem, wsc, taps, outC, p)
 }
 
-func fireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
-	fireCells64Scalar(v, mask, 0, bias, bsc, th)
+func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
+	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, 0)
 }
 
-func fireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, beta, vth float64) {
-	fireCellsBurst64Scalar(v, h, pay, mask, 0, bias, bsc, beta, vth)
+func fireCells64(v []float64, ev []Event, bias []float64, bsc, th float64) int {
+	return fireCells64Scalar(v, ev, 0, 0, bias, bsc, th)
+}
+
+func fireCellsBurst64(v, h []float64, ev []Event, bias []float64, bsc, beta, vth float64) int {
+	return fireCellsBurst64Scalar(v, h, ev, 0, 0, bias, bsc, beta, vth)
 }

@@ -265,19 +265,28 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 				nc := outC*n + b // ends mid-period for most shapes
 				v := f64Like(vrow, off+nc)
 				gs := f64Like(g, off+nc)
-				pay := make([]float64, off+nc)
 				bias64 := f64Like(pv, off+outC)[off:]
 				if n&1 == 0 {
 					bias64 = nil
 				}
-				masks := make([]uint64, 2*((nc+63)/64))
-				FireCells64(v[off:], masks, bias64, float64(p), float64(th))
-				FireCellsBurst64(v[off:], gs[off:], pay[off:], masks[len(masks)/2:], bias64, float64(p), 2, float64(th))
-				var sum uint64
-				for _, m := range masks {
-					sum = sum*1099511628211 ^ m
+				ev := make([]Event, 2*nc)
+				k := FireCells64(v[off:], ev[:nc], bias64, float64(p), float64(th))
+				kb := FireCellsBurst64(v[off:], gs[off:], ev[nc:], bias64, float64(p), 2, float64(th))
+				out := append(v, gs...)
+				for _, e := range append(ev[:k:k], ev[nc:nc+kb]...) {
+					out = append(out, float64(e.Index), e.Payload)
 				}
-				return result{f64: append(append(v, gs...), pay...), mask: sum}
+				return result{f64: out, mask: uint64(k)<<32 | uint64(kb)}
+			}},
+			{"convgather64", func() result {
+				k := 1 + 2*(lanes%3)
+				inC, outC := 1+n%3, fuzzOutCs[b%len(fuzzOutCs)]
+				ph, pw := k+n%5, k+b // outW = b+1 crosses every group boundary
+				wsc := f64Like(pv, off+inC*k*k*outC)[off:]
+				plane := f64Like(buf, off+inC*ph*pw)
+				v := f64Like(vrow, off+outC*(ph-k+1)*(pw-k+1))
+				ConvGather64(v[off:], plane[off:], wsc, inC, k, ph, pw)
+				return result{f64: v}
 			}},
 		}
 		for _, c := range cases {

@@ -2,12 +2,14 @@ package kernels
 
 import "math"
 
-// The float64 primitives: the sequential simulator's two inner loops —
-// the conv event scatter and the population fire sweep — on the same
-// dispatch ladder as the float32 plane. The sequential engine stores a
-// conv population base-major (cell = base·OutC + oc, the float32 plane's
-// layout at B = 1), so one scatter tap is one contiguous OutC-wide
-// update and a fire sweep walks cells in storage order.
+// The float64 primitives: the sequential simulator's inner loops — the
+// conv event scatter, the dense-input conv gather and the population fire
+// sweep — on the same dispatch ladder as the float32 plane. A hidden conv
+// population is stored base-major (cell = base·OutC + oc, the float32
+// plane's layout at B = 1), so one scatter tap is one contiguous
+// OutC-wide update; the conv the input encoder feeds is stored CHW and
+// gathered (ConvGather64); a fire sweep walks cells in storage order and
+// writes the step's events itself.
 //
 // Their contract is stronger than the float32 plane's cross-tier one:
 // every tier performs, per element, exactly the rounded float64
@@ -19,22 +21,27 @@ import "math"
 //
 // What each tier packs:
 //
-//   - avx2: the conv scatter and both fire sweeps, 4 cells per op;
-//   - avx512: the conv scatter, 8 cells per ZMM op, with unrolled bodies
-//     for OutC 8 and 16; the fire sweeps run their avx2 forms, because
-//     an 8-cell burst sweep (k-mask compare and blend) measured no gain
-//     over them;
+//   - avx2: the conv scatter, the conv gather and both fire sweeps, 4
+//     cells per op; a sweep writes each group's 4 events at the cursor
+//     and advances it by the fired bits;
+//   - avx512: the same four, 8 cells per ZMM op. The scatter has unrolled
+//     bodies for OutC 8 and 16. A fire sweep compresses the fired cells'
+//     indices and thresholds out of the compare mask (VPCOMPRESSQ,
+//     VCOMPRESSPD) and interleaves them into events with two VPERMI2Q, so
+//     a group of 8 cells costs two 64-byte stores and a popcount however
+//     many fire;
 //   - sse: nothing. A 2-cell form would serve only a tier no benchmark
 //     host runs, so it would be unmeasured code; sse runs the generic
 //     loops.
 //
-// The packed forms need cell groups that never straddle a bias period,
-// so they take populations whose channel count (the bias period) is a
-// multiple of the group: 4 on avx2, 8 for the avx512 scatter, which
-// hands OutC 4 or 12 to the avx2 form. Everything else — OutC 3, a
-// 10-wide dense layer — runs the generic loop, with identical results.
-// A dense layer scatters through the same kernel with a table of one
-// tap per input (its weight row, base 0), so OutC is its width.
+// The packed forms need cell groups that never straddle a bias period or
+// a channel, so they take populations whose channel count (the bias
+// period; the gather's OutC) is a multiple of the group: 4 on avx2, 8 for
+// the avx512 scatter and fire sweeps, which hand a period of 4 or 12 to
+// the avx2 form. Everything else — OutC 3, a 10-wide dense layer — runs
+// the generic loop, with identical results. A dense layer scatters
+// through the same kernel with a table of one tap per input (its weight
+// row, base 0), so OutC is its width.
 
 // ConvScatter64 applies one input event of payload p to a base-major
 // conv accumulator, walking the event's whole tap list — the one-event
@@ -84,23 +91,56 @@ func ConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, 
 	convScatterEvents64(vmem, wsc, taps, tapStart, events, outC)
 }
 
+// ConvGather64 is a stride-1 convolution run output-stationary: every
+// CHW output cell adds its whole receptive field, read from a zero-padded
+// input plane of inC channels of ph×pw values, in ascending (ic, kh, kw)
+// order —
+//
+//	for oc, oy, ox; for ic, kh, kw ascending:
+//	  v[(oc·outH+oy)·outW+ox] += wsc[((ic·k+kh)·k+kw)·outC+oc] * plane[(ic·ph+oy+kh)·pw+ox+kw]
+//
+// with outH = ph−k+1, outW = pw−k+1 and outC = len(v)/(outH·outW). wsc is
+// the scatter's weight layout, so one tap's outC weights are contiguous.
+// Ascending (ic, kh, kw) is ascending input index, the order the scatter
+// adds a step's (ascending) events in, so with a step's payloads in the
+// plane the two agree bit for bit: a silent or padded input adds w·0 =
+// ±0, which leaves every membrane but −0 unchanged, and the simulator
+// never holds a −0 membrane. That needs every weight finite (w·0 is NaN
+// for an infinite one), which the caller checks once. The geometry must
+// match the slices; a mismatch panics before anything is written.
+func ConvGather64(v, plane, wsc []float64, inC, k, ph, pw int) {
+	outH, outW := ph-k+1, pw-k+1
+	if inC <= 0 || k <= 0 || outH <= 0 || outW <= 0 || len(v)%(outH*outW) != 0 {
+		panic("kernels: ConvGather64: bad geometry")
+	}
+	outC := len(v) / (outH * outW)
+	if len(wsc) != inC*k*k*outC || len(plane) < inC*ph*pw {
+		panic("kernels: ConvGather64: weights or plane do not match the geometry")
+	}
+	if outC > 0 {
+		convGather64(v, plane, wsc, outC, inC, k, ph, pw)
+	}
+}
+
 // FireCells64 is the scheme-constant-threshold fire sweep (rate, phase,
-// TTFS hidden layers) over a population in storage order: per cell c,
+// TTFS hidden layers) over a population in storage order. Per cell c,
 //
 //	v[c] += bias[c mod len(bias)] * bsc     (skipped when bias is nil)
-//	if v[c] >= th { v[c] -= th; bit c&63 of mask[c>>6] set }
+//	if v[c] >= th { v[c] -= th; emit {c, th} }
 //
-// bias is the layer's per-channel current with period len(bias) in
-// storage order (OutC for a base-major conv, the population size for a
-// dense layer); the product is formed per cell exactly as the scalar
-// fused fire pass forms it. Every mask word covering [0, len(v)) is
-// fully rewritten. mask must hold ⌈len(v)/64⌉ words.
-func FireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
+// It returns k, the number of events: ev[:k] are the fired cells in
+// ascending storage order, each with payload th; ev[k:] may have been
+// overwritten. bias is the layer's per-channel current with period
+// len(bias) in storage order (OutC for a base-major conv, the population
+// size for a dense layer or a CHW conv); the product is formed per cell
+// exactly as the scalar fused fire pass forms it. ev must hold len(v)
+// events.
+func FireCells64(v []float64, ev []Event, bias []float64, bsc, th float64) int {
 	if len(v) == 0 {
-		return
+		return 0
 	}
-	_ = mask[(len(v)-1)>>6]
-	fireCells64(v, mask, bias, bsc, th)
+	_ = ev[len(v)-1]
+	return fireCells64(v, ev, bias, bsc, th)
 }
 
 // FireCellsBurst64 is the burst-coding fire sweep (Eq. 8/9) over a
@@ -108,22 +148,21 @@ func FireCells64(v []float64, mask []uint64, bias []float64, bsc, th float64) {
 // step uses, written back as the g the next step will use —
 //
 //	v[c] += bias[c mod len(bias)] * bsc     (skipped when bias is nil)
-//	g := h[c]; th := g·vth; pay[c] = th
-//	if v[c] >= th { v[c] -= th; h[c] = beta·g; mask bit set } else { h[c] = 1 }
+//	g := h[c]; th := g·vth
+//	if v[c] >= th { v[c] -= th; h[c] = beta·g; emit {c, th} } else { h[c] = 1 }
 //
 // which is Eq. 8's g(t) = fired(t−1) ? β·g(t−1) : 1 with the select
 // moved to the step that knows the answer; the product β·g is the same
-// one, so the trajectory is bit-identical to the unfolded form. pay
-// receives every cell's threshold; consumers read it at set mask bits.
-// h and pay must share v's length; mask as in FireCells64.
-func FireCellsBurst64(v, h, pay []float64, mask []uint64, bias []float64, bsc, beta, vth float64) {
+// one, so the trajectory is bit-identical to the unfolded form. Events
+// and the count are as in FireCells64, each carrying its cell's own
+// threshold. h must share v's length.
+func FireCellsBurst64(v, h []float64, ev []Event, bias []float64, bsc, beta, vth float64) int {
 	if len(v) == 0 {
-		return
+		return 0
 	}
 	_ = h[len(v)-1]
-	_ = pay[len(v)-1]
-	_ = mask[(len(v)-1)>>6]
-	fireCellsBurst64(v, h, pay, mask, bias, bsc, beta, vth)
+	_ = ev[len(v)-1]
+	return fireCellsBurst64(v, h, ev, bias, bsc, beta, vth)
 }
 
 func convScatterEvents64Generic(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
@@ -153,18 +192,47 @@ func convScatter64Generic(vmem, wsc []float64, taps []ConvTap, outC int, p float
 	}
 }
 
-// fireCells64Scalar sweeps cells [from, len(v)) — the pure-Go kernel
-// body (from == 0) and the tail the packed form leaves past its last
-// full 4-cell group. from is a multiple of 4; when it falls inside a
-// mask word the bits already there are kept.
-func fireCells64Scalar(v []float64, mask []uint64, from int, bias []float64, bsc, th float64) {
-	if from == len(v) {
+// convGather64Cols gathers output columns [from, outW) of every channel
+// and row — the pure-Go kernel body (from == 0) and the columns a packed
+// form leaves past its last full cell group. It walks the taps in order
+// and applies each to the whole row segment, so every cell still adds its
+// taps in ascending order while neighbouring cells' adds stay
+// independent.
+func convGather64Cols(v, plane, wsc []float64, outC, inC, k, ph, pw, from int) {
+	outH, outW := ph-k+1, pw-k+1
+	if from >= outW {
 		return
 	}
-	var w uint64
-	if from&63 != 0 {
-		w = mask[from>>6]
+	for oc := 0; oc < outC; oc++ {
+		for oy := 0; oy < outH; oy++ {
+			row := v[(oc*outH+oy)*outW+from : (oc*outH+oy+1)*outW]
+			w := oc
+			for ic := 0; ic < inC; ic++ {
+				for kh := 0; kh < k; kh++ {
+					for kw := 0; kw < k; kw++ {
+						src := plane[(ic*ph+oy+kh)*pw+from+kw:]
+						src = src[:len(row)]
+						wt := wsc[w]
+						for i := range row {
+							row[i] += wt * src[i]
+						}
+						w += outC
+					}
+				}
+			}
+		}
 	}
+}
+
+// fireCells64Scalar sweeps cells [from, len(v)) with the event cursor at
+// k and returns the cursor after them — the pure-Go kernel body (from =
+// k = 0) and the tail a packed form leaves past its last full cell group.
+// Every cell writes its event at the cursor and only a fired one advances
+// it: whether a cell fires is the one branch here a predictor cannot
+// learn (a fifth of a conv layer fires per step), so the outcome is an
+// all-ones/zero word the compiler materializes with a conditional move.
+// The cursor never passes the cell, so the write stays inside ev.
+func fireCells64Scalar(v []float64, ev []Event, from, k int, bias []float64, bsc, th float64) int {
 	bi := 0
 	if bias != nil {
 		bi = from % len(bias)
@@ -178,38 +246,23 @@ func fireCells64Scalar(v []float64, mask []uint64, from int, bias []float64, bsc
 			}
 		}
 		// Eq. 4 (reset-by-subtraction): the membrane keeps the residual;
-		// the spike carries the subtracted amount. Whether a cell fires is
-		// the one branch here a predictor cannot learn (a fifth of a conv
-		// layer fires per step), so the outcome is an all-ones/zero word
-		// the compiler materializes with a conditional move: a silent cell
-		// subtracts +0, which is exact.
+		// the spike carries the subtracted amount. A silent cell subtracts
+		// +0, which is exact.
 		var m uint64
 		if x >= th {
 			m = ^uint64(0)
 		}
 		x -= math.Float64frombits(math.Float64bits(th) & m)
-		w |= m & 1 << (uint(c) & 63)
 		v[c] = x
-		if c&63 == 63 {
-			mask[c>>6] = w
-			w = 0
-		}
+		ev[k] = Event{Index: c, Payload: th}
+		k += int(m & 1)
 	}
-	if len(v)&63 != 0 {
-		mask[len(v)>>6] = w
-	}
+	return k
 }
 
 // fireCellsBurst64Scalar is fireCells64Scalar's burst twin: the same
 // branch-free select, which also picks the next burst state.
-func fireCellsBurst64Scalar(v, h, pay []float64, mask []uint64, from int, bias []float64, bsc, beta, vth float64) {
-	if from == len(v) {
-		return
-	}
-	var w uint64
-	if from&63 != 0 {
-		w = mask[from>>6]
-	}
+func fireCellsBurst64Scalar(v, h []float64, ev []Event, from, k int, bias []float64, bsc, beta, vth float64) int {
 	bi := 0
 	if bias != nil {
 		bi = from % len(bias)
@@ -224,21 +277,15 @@ func fireCellsBurst64Scalar(v, h, pay []float64, mask []uint64, from int, bias [
 		}
 		g := h[c]
 		th := g * vth
-		pay[c] = th
 		var m uint64
 		if x >= th {
 			m = ^uint64(0)
 		}
 		x -= math.Float64frombits(math.Float64bits(th) & m)
 		h[c] = math.Float64frombits(math.Float64bits(beta*g)&m | math.Float64bits(1)&^m)
-		w |= m & 1 << (uint(c) & 63)
 		v[c] = x
-		if c&63 == 63 {
-			mask[c>>6] = w
-			w = 0
-		}
+		ev[k] = Event{Index: c, Payload: th}
+		k += int(m & 1)
 	}
-	if len(v)&63 != 0 {
-		mask[len(v)>>6] = w
-	}
+	return k
 }

@@ -535,8 +535,9 @@ func TestEmptyInputs(t *testing.T) {
 	ConvScatterEvents64(nil, nil, nil, nil, nil, 4)
 	ConvScatterEvents64([]float64{1}, []float64{1}, []ConvTap{{}}, []int32{0, 1}, []Event{{}}, 0)
 	ConvScatterEvents64([]float64{1}, []float64{1}, nil, []int32{0, 0}, []Event{{}}, 4) // an event with no taps
-	FireCells64(nil, nil, nil, 1, 1)
-	FireCellsBurst64(nil, nil, nil, nil, nil, 1, 2, 1)
+	if FireCells64(nil, nil, nil, 1, 1) != 0 || FireCellsBurst64(nil, nil, nil, nil, 1, 2, 1) != 0 {
+		t.Fatal("empty fire sweeps must emit no events")
+	}
 }
 
 func BenchmarkAxpyBlock(b *testing.B) {
@@ -765,24 +766,70 @@ func randFireCase64(r *mathx.RNG) fireCase64 {
 	if r.Bernoulli(0.7) {
 		c.bias = randF64s(r, outC, 0.05)
 	}
+	// Membranes no finite current produces: NaN never fires, +Inf always
+	// does and stays +Inf, −Inf never does.
+	for i := range c.v {
+		switch r.Intn(50) {
+		case 0:
+			c.v[i] = math.NaN()
+		case 1:
+			c.v[i] = math.Inf(1)
+		case 2:
+			c.v[i] = math.Inf(-1)
+		}
+	}
 	return c
 }
 
-func checkMask(t *testing.T, round int, got []uint64, fired []bool) {
-	t.Helper()
-	want := make([]uint64, len(got))
-	for c, f := range fired {
-		if f {
-			want[c>>6] |= 1 << (uint(c) & 63)
-		}
+// fireTies sets a sixth of v's cells to exactly their threshold, so the
+// compare's equal case fires; a biased sweep moves the membrane first, so
+// ties are planted only in bias-free cases.
+func fireTies(r *mathx.RNG, v []float64, bias []float64, th func(i int) float64) {
+	if bias != nil {
+		return
 	}
-	for w := range want {
-		if got[w] != want[w] {
-			t.Fatalf("round %d (n=%d): mask[%d] %064b, want %064b", round, len(fired), w, got[w], want[w])
+	for i := range v {
+		if r.Intn(6) == 0 {
+			v[i] = th(i)
 		}
 	}
 }
 
+// checkEvents compares a sweep's events with the fired cells' expected
+// ones, payload bits included, and checks the sweep wrote nothing past
+// len(v) — the guard slots behind ev[:n] must keep their sentinel.
+func checkEvents(t *testing.T, round int, name string, ev []Event, k, n int, want []Event) {
+	t.Helper()
+	if k != len(want) {
+		t.Fatalf("round %d %s (n=%d): %d events, want %d", round, name, n, k, len(want))
+	}
+	for i, w := range want {
+		if ev[i].Index != w.Index || math.Float64bits(ev[i].Payload) != math.Float64bits(w.Payload) {
+			t.Fatalf("round %d %s (n=%d): event %d = %+v, want %+v", round, name, n, i, ev[i], w)
+		}
+	}
+	for i := n; i < len(ev); i++ {
+		if ev[i] != fireGuard {
+			t.Fatalf("round %d %s (n=%d): the sweep wrote slot %d past the population", round, name, n, i)
+		}
+	}
+}
+
+var fireGuard = Event{Index: -7, Payload: -7}
+
+// guardedEvents returns an n-slot event buffer followed by 8 guard slots.
+func guardedEvents(n int) []Event {
+	ev := make([]Event, n+8)
+	for i := range ev {
+		ev[i] = fireGuard
+	}
+	return ev
+}
+
+// TestFireCells64Fuzz drives both fire→events sweeps against the
+// pre-ladder loops: tails past the last 8- and 4-cell group, bias
+// periods that do and do not allow a packed form, NaN and ±Inf
+// membranes, and exact threshold ties.
 func TestFireCells64Fuzz(t *testing.T) { forEachLevel(t, testFireCells64Fuzz) }
 
 func testFireCells64Fuzz(t *testing.T) {
@@ -790,37 +837,39 @@ func testFireCells64Fuzz(t *testing.T) {
 	for round := 0; round < 400; round++ {
 		c := randFireCase64(r)
 		n := len(c.v)
-		fired := make([]bool, n)
 
 		// Constant threshold: the pre-ladder rate/phase/TTFS loop.
 		th := 0.125 * math.Pow(2, float64(r.Intn(4)))
-		want := append([]float64(nil), c.v...)
+		in := append([]float64(nil), c.v...)
+		fireTies(r, in, c.bias, func(int) float64 { return th })
+		want := append([]float64(nil), in...)
+		var wantEv []Event
 		for i := range want {
 			x := want[i]
 			if c.bias != nil {
 				x += c.bias[i%len(c.bias)] * c.bsc
 			}
-			if fired[i] = x >= th; fired[i] {
+			if x >= th {
 				x -= th
+				wantEv = append(wantEv, Event{Index: i, Payload: th})
 			}
 			want[i] = x
 		}
-		v := append([]float64(nil), c.v...)
-		mask := make([]uint64, (n+63)/64)
-		for i := range mask {
-			mask[i] = ^uint64(0) // every covered word must be rewritten
-		}
-		FireCells64(v, mask, c.bias, c.bsc, th)
+		v := append([]float64(nil), in...)
+		ev := guardedEvents(n)
+		k := FireCells64(v, ev[:n], c.bias, c.bsc, th)
 		if i := sameBits64(v, want); i >= 0 {
 			t.Fatalf("round %d (n=%d period=%d): v[%d] = %v, want %v", round, n, len(c.bias), i, v[i], want[i])
 		}
-		checkMask(t, round, mask, fired)
+		checkEvents(t, round, "constant", ev, k, n, wantEv)
 
 		// Burst: the pre-ladder Eq. 8/9 loop, unfolded (g, firedPrev)
 		// state mapped onto the folded h the kernel keeps.
-		wantV := append([]float64(nil), c.v...)
+		in = append(in[:0], c.v...)
+		fireTies(r, in, c.bias, func(i int) float64 { return c.h[i] * c.vth })
+		wantV := append([]float64(nil), in...)
 		wantH := append([]float64(nil), c.h...)
-		wantP := make([]float64, n)
+		wantEv = wantEv[:0]
 		for i := range wantV {
 			x := wantV[i]
 			if c.bias != nil {
@@ -828,31 +877,90 @@ func testFireCells64Fuzz(t *testing.T) {
 			}
 			g := wantH[i]
 			bth := g * c.vth
-			wantP[i] = bth
-			if fired[i] = x >= bth; fired[i] {
+			if x >= bth {
 				x -= bth
 				wantH[i] = c.beta * g
+				wantEv = append(wantEv, Event{Index: i, Payload: bth})
 			} else {
 				wantH[i] = 1
 			}
 			wantV[i] = x
 		}
-		v = append(v[:0], c.v...)
+		v = append(v[:0], in...)
 		h := append([]float64(nil), c.h...)
-		pay := make([]float64, n)
-		for i := range mask {
-			mask[i] = ^uint64(0)
-		}
-		FireCellsBurst64(v, h, pay, mask, c.bias, c.bsc, c.beta, c.vth)
+		ev = guardedEvents(n)
+		k = FireCellsBurst64(v, h, ev[:n], c.bias, c.bsc, c.beta, c.vth)
 		if i := sameBits64(v, wantV); i >= 0 {
 			t.Fatalf("round %d burst (n=%d period=%d): v[%d] = %v, want %v", round, n, len(c.bias), i, v[i], wantV[i])
 		}
 		if i := sameBits64(h, wantH); i >= 0 {
 			t.Fatalf("round %d burst (n=%d): h[%d] = %v, want %v", round, n, i, h[i], wantH[i])
 		}
-		if i := sameBits64(pay, wantP); i >= 0 {
-			t.Fatalf("round %d burst (n=%d): pay[%d] = %v, want %v", round, n, i, pay[i], wantP[i])
+		checkEvents(t, round, "burst", ev, k, n, wantEv)
+	}
+}
+
+// refConvGather64 is ConvGather64 as its definition reads: per output
+// cell, every tap in ascending (ic, kh, kw) order, one rounded product and
+// one add each.
+func refConvGather64(v, plane, wsc []float64, inC, k, ph, pw int) {
+	outH, outW := ph-k+1, pw-k+1
+	outC := len(v) / (outH * outW)
+	for oc := 0; oc < outC; oc++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				cell := (oc*outH+oy)*outW + ox
+				for ic := 0; ic < inC; ic++ {
+					for kh := 0; kh < k; kh++ {
+						for kw := 0; kw < k; kw++ {
+							wp := wsc[((ic*k+kh)*k+kw)*outC+oc] * plane[(ic*ph+oy+kh)*pw+ox+kw]
+							v[cell] += wp
+						}
+					}
+				}
+			}
 		}
-		checkMask(t, round, mask, fired)
+	}
+}
+
+// TestConvGather64Fuzz pins the gather to its definition at kernel sizes
+// 1, 3 and 5, every padding up to K/2, output widths on both sides of
+// every packed group, and planes that, like a step's, are mostly silent
+// zeros inside a zero border.
+func TestConvGather64Fuzz(t *testing.T) { forEachLevel(t, testConvGather64Fuzz) }
+
+func testConvGather64Fuzz(t *testing.T) {
+	r := mathx.NewRNG(0x6A7E)
+	for round := 0; round < 300; round++ {
+		k := []int{1, 3, 5}[r.Intn(3)]
+		pad := r.Intn(k/2 + 1)
+		inC, outC := 1+r.Intn(3), fuzzOutCs[r.Intn(len(fuzzOutCs))]
+		inH := max(1, k-2*pad) + r.Intn(5)
+		inW := max(1, k-2*pad) + r.Intn(20)
+		ph, pw := inH+2*pad, inW+2*pad
+		wsc := randF64s(r, inC*k*k*outC, 0.5)
+		for i := range wsc {
+			if r.Intn(8) == 0 {
+				wsc[i] = 0
+			}
+		}
+		plane := make([]float64, inC*ph*pw)
+		for ic := 0; ic < inC; ic++ {
+			for iy := 0; iy < inH; iy++ {
+				for ix := 0; ix < inW; ix++ {
+					if r.Bernoulli(0.5) {
+						plane[(ic*ph+iy+pad)*pw+ix+pad] = r.Norm(0, 1)
+					}
+				}
+			}
+		}
+		v := randF64s(r, outC*(ph-k+1)*(pw-k+1), 1)
+		want := append([]float64(nil), v...)
+		refConvGather64(want, plane, wsc, inC, k, ph, pw)
+		ConvGather64(v, plane, wsc, inC, k, ph, pw)
+		if i := sameBits64(v, want); i >= 0 {
+			t.Fatalf("round %d (k=%d pad=%d inC=%d outC=%d %dx%d): v[%d] = %v, want %v",
+				round, k, pad, inC, outC, inH, inW, i, v[i], want[i])
+		}
 	}
 }

@@ -14,9 +14,10 @@ import "os"
 //	avx2    — 8-lane AVX2 packed kernels (one full B=8 stripe per
 //	          packed multiply-add; CPUID-gated: AVX2 + OS-enabled
 //	          YMM state)
-//	avx512  — one packed form, the float64 conv scatter on 8-cell ZMM
-//	          registers; every other kernel runs its avx2 form here
-//	          (CPUID-gated: AVX512F + OS-enabled opmask and ZMM state)
+//	avx512  — the float64 conv scatter, conv gather and fire sweeps on
+//	          8-cell ZMM registers; every float32 kernel runs its avx2
+//	          form here (CPUID-gated: AVX512F + OS-enabled opmask and
+//	          ZMM state)
 //
 // All tiers are semantically identical, not merely close: every element
 // receives exactly the same rounded float32 operations whichever tier
@@ -28,10 +29,10 @@ import "os"
 // that contract on every commit.
 //
 // The sequential float64 engine's primitives (kernels64.go) ride the
-// same ladder: avx2 packs the conv scatter and both fire sweeps, avx512
-// packs the conv scatter 8 cells wide and runs the avx2 fire sweeps,
-// purego and sse run the generic loops, and every tier is bit-identical
-// to the scalar engine. sse has no packed float64 form on purpose: two
+// same ladder: avx2 packs the conv scatter, the conv gather and both fire
+// sweeps 4 cells wide, avx512 packs all four 8 cells wide, purego and sse
+// run the generic loops, and every tier is bit-identical to the scalar
+// engine. sse has no packed float64 form on purpose: two
 // cells per op would be written for a tier no benchmark host runs, so it
 // would be unmeasured code.
 //

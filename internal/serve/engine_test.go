@@ -29,19 +29,22 @@ func allocImage(seed uint64, n int) []float64 {
 // TestClassifyZeroAlloc is the allocation regression gate for the
 // serving hot path: once a replica's buffers have reached their
 // high-watermark, Classify (Reset + Steps + early exit) must not
-// allocate at all, for every input encoder.
+// allocate at all, for every input encoder, with the conv in either
+// layout.
 func TestClassifyZeroAlloc(t *testing.T) {
 	for _, scheme := range []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			net := allocNet(t, scheme, 0xA110C)
-			img := allocImage(42, net.Encoder.Size())
-			policy := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
-			Classify(net, img, policy) // reach the buffer high-watermark
-			allocs := testing.AllocsPerRun(20, func() {
-				Classify(net, img, policy)
-			})
-			if allocs != 0 {
-				t.Errorf("Classify allocates %.1f objects/run in steady state, want 0", allocs)
+			for _, dense := range []bool{false, true} {
+				net := goldenNet{outC: 4, stride: 1, gate: true, dense: dense}.build(t, scheme, coding.Burst, 0xA110C)
+				img := allocImage(42, net.Encoder.Size())
+				policy := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
+				Classify(net, img, policy) // reach the buffer high-watermark
+				allocs := testing.AllocsPerRun(20, func() {
+					Classify(net, img, policy)
+				})
+				if allocs != 0 {
+					t.Errorf("dense=%v: Classify allocates %.1f objects/run in steady state, want 0", dense, allocs)
+				}
 			}
 		})
 	}

@@ -22,6 +22,7 @@ type goldenNet struct {
 	outC   int
 	stride int
 	gate   bool // spiking max-pool gate between conv and avg-pool
+	dense  bool // the conv in dense mode where it qualifies (stride 1)
 }
 
 // goldenNets covers the conv layouts the sequential engine dispatches
@@ -59,9 +60,11 @@ func (gn goldenNet) build(t testing.TB, input, hidden coding.Scheme, seed uint64
 		t.Fatalf("encoder: %v", err)
 	}
 	h, w := g.OutH(), g.OutW()
-	layers := []snn.Layer{
-		snn.NewSpikingConv(randn(g.OutC*g.InC*g.K*g.K, 0.35), randn(g.OutC, 0.05), g, hid),
+	conv := snn.NewSpikingConv(randn(g.OutC*g.InC*g.K*g.K, 0.35), randn(g.OutC, 0.05), g, hid)
+	if gn.dense {
+		conv.UseDenseMode()
 	}
+	layers := []snn.Layer{conv}
 	if gn.gate {
 		layers = append(layers, snn.NewSpikingMaxPool(g.OutC, h, w, 2))
 		h, w = h/2, w/2
@@ -78,12 +81,14 @@ func (gn goldenNet) build(t testing.TB, input, hidden coding.Scheme, seed uint64
 
 // outcomeLines classifies 16 seeded images on every golden network under
 // every input×hidden hybrid of the paper's grid and renders one line per
-// outcome. The margin is printed as its bit pattern: the golden pins the
-// readout's float64 accumulation, not a rounded view of it.
-func outcomeLines(t testing.TB) string {
+// outcome, with each stride-1 conv in dense mode when dense is set. The
+// margin is printed as its bit pattern: the golden pins the readout's
+// float64 accumulation, not a rounded view of it.
+func outcomeLines(t testing.TB, dense bool) string {
 	var sb strings.Builder
 	policy := DefaultExitPolicy(128)
 	for ni, gn := range goldenNets() {
+		gn.dense = dense
 		for _, in := range []coding.Scheme{coding.Real, coding.Rate, coding.Phase} {
 			for _, hid := range []coding.Scheme{coding.Rate, coding.Phase, coding.Burst} {
 				net := gn.build(t, in, hid, 0x60D0+uint64(ni)*16+uint64(in)*4+uint64(hid))
@@ -104,9 +109,11 @@ func outcomeLines(t testing.TB) string {
 // testdata/outcomes_parent.golden was generated at the parent commit,
 // from the CHW-layout pure-Go engine, and every dispatch tier of the
 // base-major engine must reproduce it exactly — prediction, steps to
-// exit, spike counts and the bits of the exit margin. The file changes
-// only with `go test -run OutcomesMatchParentGolden ./internal/serve
-// -update`, and a change to it is a change to the paper's numbers.
+// exit, spike counts and the bits of the exit margin — with the convs as
+// built (base-major scatter) and again in dense mode (CHW gather), which
+// must give the same bits. The file changes only with `go test -run
+// OutcomesMatchParentGolden ./internal/serve -update`, and a change to it
+// is a change to the paper's numbers.
 func TestOutcomesMatchParentGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The Go compiler may fuse v += w*p into an FMA on arm64, ppc64
@@ -115,7 +122,7 @@ func TestOutcomesMatchParentGolden(t *testing.T) {
 	}
 	const golden = "testdata/outcomes_parent.golden"
 	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(outcomeLines(t)), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(outcomeLines(t, false)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,18 +137,25 @@ func TestOutcomesMatchParentGolden(t *testing.T) {
 			if err := kernels.ForceLevel(lv); err != nil {
 				t.Fatal(err)
 			}
-			got := strings.Split(outcomeLines(t), "\n")
-			if len(got) != len(want) {
-				t.Fatalf("%d outcome lines, golden has %d", len(got), len(want))
-			}
-			diffs := 0
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
-					if diffs++; diffs == 10 {
-						t.Fatal("more differences suppressed")
+			for _, mode := range []struct {
+				name  string
+				dense bool
+			}{{"as-built", false}, {"dense", true}} {
+				t.Run(mode.name, func(t *testing.T) {
+					got := strings.Split(outcomeLines(t, mode.dense), "\n")
+					if len(got) != len(want) {
+						t.Fatalf("%d outcome lines, golden has %d", len(got), len(want))
 					}
-				}
+					diffs := 0
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
+							if diffs++; diffs == 10 {
+								t.Fatal("more differences suppressed")
+							}
+						}
+					}
+				})
 			}
 		})
 	}

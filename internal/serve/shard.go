@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -74,8 +75,14 @@ type poolResizeRequest struct {
 }
 
 func (s *Server) handlePoolResize(w http.ResponseWriter, r *http.Request) {
+	// Unmarshal, not a Decoder: one JSON value and nothing after it but
+	// whitespace, as the classify decoder requires.
 	var req poolResizeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}

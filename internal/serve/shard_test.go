@@ -211,7 +211,8 @@ func TestServerShardStats(t *testing.T) {
 
 // FuzzPoolResize: POST /v1/pool, the one model-admin JSON body, never
 // panics and answers only 200, 400 or 404; a 200 echoes a replica count
-// the pool can actually hold, [1, Max].
+// the pool can actually hold, [1, Max], and answers a body that is one
+// JSON value — trailing bytes after the object are a 400.
 func FuzzPoolResize(f *testing.F) {
 	f.Add([]byte(`{"model":"digits","replicas":2}`))
 	f.Add([]byte(`{"model":"digits","replicas":-7}`))
@@ -220,6 +221,7 @@ func FuzzPoolResize(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"model":"digits","replicas":2} {"model":"digits"}`))
 	f.Add([]byte(`{"model":"digits","replicas":2,"pad":"` + strings.Repeat("x", 1<<16) + `"}`))
+	f.Add([]byte(`{"model":"digits","replicas":2}xyz`))
 
 	net, set := testModel(f)
 	s := New(Config{})
@@ -242,6 +244,9 @@ func FuzzPoolResize(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/pool", bytes.NewReader(body)))
 		switch rec.Code {
 		case http.StatusOK:
+			if !json.Valid(body) {
+				t.Fatalf("200 for %q, which is not one JSON value", body)
+			}
 			var reply struct{ Replicas int }
 			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 				t.Fatalf("200 with an unreadable reply %q: %v", rec.Body, err)

@@ -40,15 +40,21 @@ func (l *SpikingDense) CloneLayer() Layer {
 }
 
 // CloneLayer implements CloneableLayer. The scatter table (taps/tapStart)
-// is immutable after construction, so clones share it like the weights.
+// and dense mode's plane index are immutable after construction, so
+// clones share them like the weights; the plane is per clone.
 func (l *SpikingConv) CloneLayer() Layer {
-	return &SpikingConv{
+	c := &SpikingConv{
 		Geom: l.Geom, WScatter: l.WScatter, Bias: l.Bias,
 		WScatter32: l.WScatter32,
 		taps:       l.taps, tapStart: l.tapStart, outHW: l.outHW,
 		pop:  l.pop.clone(),
 		bias: l.bias, bias32: l.bias32,
+		planeAt: l.planeAt,
 	}
+	if l.plane != nil {
+		c.plane = make([]float64, len(l.plane))
+	}
+	return c
 }
 
 // CloneLayer implements CloneableLayer (the outIdx table is shared).

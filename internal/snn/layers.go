@@ -2,6 +2,7 @@ package snn
 
 import (
 	"fmt"
+	"math"
 
 	"burstsnn/internal/coding"
 	"burstsnn/internal/kernels"
@@ -154,10 +155,11 @@ type convTap = kernels.ConvTap
 // cell base*OutC+oc, the float32 plane's layout — so the OutC
 // destinations of one tap are one contiguous run that lines up with the
 // tap's weight row, and a whole step's events are one
-// kernels.ConvScatterEvents64 call.
-// Neuron indices, and the order events are emitted in, are CHW as
-// before (population.emit). StepSlow keeps the CHW storage it was
-// written for; the two never share a presentation (Network.Ref).
+// kernels.ConvScatterEvents64 call. A conv fed dense input runs in dense
+// mode instead (UseDenseMode): CHW storage and a gather. Neuron indices,
+// and the order events are emitted in, are CHW either way
+// (population.emitRuns). StepSlow keeps the CHW storage it was written
+// for; the two never share a presentation (Network.Ref).
 type SpikingConv struct {
 	Geom ConvGeom
 	// WScatter is the re-laid-out kernel: index ((ic*K+kh)*K+kw)*OutC+oc.
@@ -173,8 +175,15 @@ type SpikingConv struct {
 	outHW    int
 
 	pop    *population
-	bias   []float64 // pre-expanded per-neuron (CHW) bias: StepSlow's
+	bias   []float64 // pre-expanded per-neuron (CHW) bias: StepSlow's and dense mode's
 	bias32 []float32 // float32 copy of bias
+
+	// Dense mode (UseDenseMode): planeAt maps input neuron i to its cell
+	// in the zero-padded input plane [InC][InH+2·Pad][InW+2·Pad]
+	// (immutable, shared by clones), and plane is this replica's plane.
+	// Both nil in base-major mode.
+	planeAt []int32
+	plane   []float64
 }
 
 // NewSpikingConv builds the layer from a row-major OutC×(InC*K*K) weight
@@ -262,17 +271,79 @@ func (l *SpikingConv) NumNeurons() int { return len(l.pop.vmem) }
 // Reset implements Layer.
 func (l *SpikingConv) Reset() { l.pop.resetState() }
 
-// Step implements Layer: table-driven event scatter (no div/mod or
-// stride/pad branching per event), one fused kernel call for the step's
-// whole event list, with the per-channel bias folded into the firing pass.
+// UseDenseMode switches the layer to dense mode and reports whether it
+// did; call it before the layer's first Step. The population is then
+// stored CHW — the identity layout, so the firing pass's events need no
+// channel reorder — and a step writes its payloads into a zero-padded
+// input plane and gathers every output cell's receptive field from it
+// (kernels.ConvGather64) instead of scattering each event. The gather
+// multiplies every tap, fired or silent, so it pays only where input is
+// dense: real, rate and phase encoders feed the first conv half its
+// pixels or more per step and the gather wins there; at TTFS's eighth it
+// loses (BenchmarkHotpathEncoderConvStep).
+//
+// Dense mode is exact: cell by cell the gather adds the scatter's
+// products in the scatter's order (ascending input index), plus w·0 = ±0
+// for each silent or padded input, which changes no membrane but −0, and
+// no membrane is ever −0 (see population). So a step's events must be
+// ascending with no index twice, as every encoder emits them. A layer
+// qualifies with stride 1, every weight finite (w·0 is NaN for an
+// infinite one) and a leak below 1/2 (a decay by 1/2 or more can round a
+// tiny negative membrane to −0); any other stays base-major.
+func (l *SpikingConv) UseDenseMode() bool {
+	g := l.Geom
+	if g.Stride != 1 || !(l.pop.cfg.Leak < 0.5) {
+		return false
+	}
+	for _, w := range l.WScatter {
+		if math.IsInf(w, 0) || math.IsNaN(w) {
+			return false
+		}
+	}
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	l.planeAt = make([]int32, g.InC*g.InH*g.InW)
+	for ic := 0; ic < g.InC; ic++ {
+		for iy := 0; iy < g.InH; iy++ {
+			for ix := 0; ix < g.InW; ix++ {
+				l.planeAt[(ic*g.InH+iy)*g.InW+ix] = int32((ic*ph+iy+g.Pad)*pw + ix + g.Pad)
+			}
+		}
+	}
+	l.plane = make([]float64, g.InC*ph*pw)
+	l.pop = newPopulation(len(l.pop.vmem), l.pop.cfg)
+	return true
+}
+
+// DenseMode reports whether UseDenseMode switched the layer.
+func (l *SpikingConv) DenseMode() bool { return l.planeAt != nil }
+
+// Step implements Layer. In base-major mode it is a table-driven event
+// scatter (no div/mod or stride/pad branching per event), one fused
+// kernel call for the step's whole event list; in dense mode the
+// payloads go into the padded plane and one gather call adds every
+// cell's receptive field. Either way the bias is folded into the firing
+// pass.
 func (l *SpikingConv) Step(t int, biasScale float64, in []coding.Event) []coding.Event {
-	kernels.ConvScatterEvents64(l.pop.vmem, l.WScatter, l.taps, l.tapStart, in, l.Geom.OutC)
-	return l.pop.fire(t, l.Bias, biasScale)
+	g := l.Geom
+	if l.planeAt == nil {
+		kernels.ConvScatterEvents64(l.pop.vmem, l.WScatter, l.taps, l.tapStart, in, g.OutC)
+		return l.pop.fire(t, l.Bias, biasScale)
+	}
+	plane, at := l.plane, l.planeAt
+	clear(plane)
+	for _, ev := range in {
+		plane[at[ev.Index]] = ev.Payload
+	}
+	kernels.ConvGather64(l.pop.vmem, plane, l.WScatter, g.InC, g.K, g.InH+2*g.Pad, g.InW+2*g.Pad)
+	return l.pop.fire(t, l.bias, biasScale)
 }
 
 // Potential returns neuron i's (CHW index) membrane potential on the
-// fast path's base-major storage (test hook).
+// fast path's storage (test hook).
 func (l *SpikingConv) Potential(i int) float64 {
+	if l.planeAt != nil {
+		return l.pop.vmem[i]
+	}
 	return l.pop.vmem[i%l.outHW*l.Geom.OutC+i/l.outHW]
 }
 

@@ -41,16 +41,20 @@ func buildEquivNetwork(t *testing.T, input, hidden coding.Config, seed uint64) *
 	return buildEquivNetworkGeom(t, equivGeom, equivDense, input, hidden, seed)
 }
 
-func buildEquivNetworkGeom(t *testing.T, g ConvGeom, denseOut int, input, hidden coding.Config, seed uint64) *Network {
-	t.Helper()
-	r := mathx.NewRNG(seed)
-	randn := func(n int, std float64) []float64 {
+// gaussians returns a draw of n N(0, std) weights from r.
+func gaussians(r *mathx.RNG) func(n int, std float64) []float64 {
+	return func(n int, std float64) []float64 {
 		v := make([]float64, n)
 		for i := range v {
 			v[i] = r.Norm(0, std)
 		}
 		return v
 	}
+}
+
+func buildEquivNetworkGeom(t *testing.T, g ConvGeom, denseOut int, input, hidden coding.Config, seed uint64) *Network {
+	t.Helper()
+	randn := gaussians(mathx.NewRNG(seed))
 	enc, err := coding.NewInputEncoder(input, g.InC*g.InH*g.InW, seed)
 	if err != nil {
 		t.Fatalf("encoder: %v", err)
@@ -65,6 +69,36 @@ func buildEquivNetworkGeom(t *testing.T, g ConvGeom, denseOut int, input, hidden
 		Encoder: enc,
 		Layers:  []Layer{conv, maxp, avgp, dense},
 		Output:  out,
+	}
+}
+
+// buildLeNetEquiv assembles the LeNetMini shape — dense-mode conv →
+// avg-pool → base-major conv → avg-pool → dense → output — so one network
+// runs the gather and the base-major scatter with channel-run emission.
+// The first conv's 12-wide output is one 8-cell group plus a 4-column tail
+// on avx512 and three 4-cell groups on avx2.
+func buildLeNetEquiv(t *testing.T, input, hidden coding.Config, seed uint64) *Network {
+	t.Helper()
+	randn := gaussians(mathx.NewRNG(seed))
+	g1 := ConvGeom{InC: 2, InH: 12, InW: 12, OutC: 8, K: 3, Stride: 1, Pad: 1}
+	g2 := ConvGeom{InC: 8, InH: 6, InW: 6, OutC: 16, K: 3, Stride: 1, Pad: 1}
+	enc, err := coding.NewInputEncoder(input, g1.InC*g1.InH*g1.InW, seed)
+	if err != nil {
+		t.Fatalf("encoder: %v", err)
+	}
+	conv1 := NewSpikingConv(randn(8*2*9, 0.35), randn(8, 0.05), g1, hidden)
+	if !conv1.UseDenseMode() {
+		t.Fatal("a stride-1 conv with finite weights refused dense mode")
+	}
+	conv2 := NewSpikingConv(randn(16*8*9, 0.25), randn(16, 0.05), g2, hidden)
+	return &Network{
+		Encoder: enc,
+		Layers: []Layer{
+			conv1, NewSpikingAvgPool(8, 12, 12, 2, hidden),
+			conv2, NewSpikingAvgPool(16, 6, 6, 2, hidden),
+			NewSpikingDense(randn(144*24, 0.3), randn(24, 0.05), 144, 24, hidden),
+		},
+		Output: NewOutputLayer(randn(24*4, 0.5), randn(4, 0.05), 24, 4),
 	}
 }
 
@@ -94,15 +128,26 @@ func equivImage(seed uint64, n int) []float64 {
 // 12 (avx2's counted loop on both packed tiers: not a multiple of 8), 10
 // (generic everywhere), 8 (the unrolled body) and 24 (the counted loop
 // of both). serve.TestOutcomesMatchParentGolden's OutC 3/4/8/16 nets
-// drive the conv bodies against the pre-ladder engine's outcomes.
+// drive the conv bodies against the pre-ladder engine's outcomes. lenet/…
+// is the served model's shape: a dense-mode gather first, then a
+// base-major scatter whose events are reordered into channel runs.
 func TestFastPathMatchesReference(t *testing.T) {
-	testFastPathMatchesReference(t, equivGeom, equivDense) // subtests named by hybrid alone
-	for _, eg := range moreEquivGeoms {
-		t.Run(eg.name, func(t *testing.T) { testFastPathMatchesReference(t, eg.geom, eg.dense) })
+	geomNet := func(g ConvGeom, denseOut int) equivBuilder {
+		return func(t *testing.T, input, hidden coding.Config, seed uint64) *Network {
+			return buildEquivNetworkGeom(t, g, denseOut, input, hidden, seed)
+		}
 	}
+	testFastPathMatchesReference(t, geomNet(equivGeom, equivDense)) // subtests named by hybrid alone
+	for _, eg := range moreEquivGeoms {
+		t.Run(eg.name, func(t *testing.T) { testFastPathMatchesReference(t, geomNet(eg.geom, eg.dense)) })
+	}
+	t.Run("lenet", func(t *testing.T) { testFastPathMatchesReference(t, buildLeNetEquiv) })
 }
 
-func testFastPathMatchesReference(t *testing.T, geom ConvGeom, denseOut int) {
+// equivBuilder builds one seeded equivalence network under a hybrid.
+type equivBuilder func(t *testing.T, input, hidden coding.Config, seed uint64) *Network
+
+func testFastPathMatchesReference(t *testing.T, build equivBuilder) {
 	inputs := []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS}
 	leaky := func(s coding.Scheme) coding.Config {
 		cfg := coding.DefaultConfig(s)
@@ -128,7 +173,7 @@ func testFastPathMatchesReference(t *testing.T, geom ConvGeom, denseOut int) {
 			name := in.String() + "-" + hid.name
 			t.Run(name, func(t *testing.T) {
 				inCfg, hidCfg := coding.DefaultConfig(in), hid.cfg
-				fast := buildEquivNetworkGeom(t, geom, denseOut, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
+				fast := build(t, inCfg, hidCfg, 0xABC0+uint64(in)*16+uint64(hi))
 				ref, err := fast.Clone()
 				if err != nil {
 					t.Fatalf("clone: %v", err)

@@ -21,11 +21,12 @@ import (
 )
 
 // population holds the integrate-and-fire state for one layer's neurons:
-// membrane potentials, burst state, and the fired bitmap the firing pass
-// hands to emission.
+// membrane potentials, burst state, and the buffer the firing pass writes
+// the step's events into.
 //
 // State is kept in storage order, one cell per neuron. Most layers store
-// neuron i in cell i; a conv layer stores its population base-major
+// neuron i in cell i (the identity layout: dense, avg-pool, a dense-mode
+// conv); a hidden conv layer stores its population base-major
 // (setChannels, see SpikingConv) so that one scatter tap is one
 // contiguous update. Events always leave in ascending neuron order
 // whatever the storage order — every downstream accumulation depends on
@@ -40,25 +41,29 @@ import (
 // bit-identical. fireSlow and the leaky path keep Eq. 8 as written:
 // g[c] is g(t−1) and firedPrev[c] says whether it is multiplied. Both
 // readings reset to the same state (g = 1, firedPrev = false).
+//
+// No membrane is ever −0. It starts at +0; a sum is −0 only when both
+// operands are; reset by subtraction lands on +0 (x − x = +0, and a
+// silent cell subtracts +0); and a decay by a factor above 1/2 cannot
+// round a negative membrane to zero. Dense-mode convs rely on it
+// (SpikingConv.UseDenseMode), and TestMembraneNeverNegativeZero pins it.
 type population struct {
 	cfg       coding.Config
 	vmem      []float64
 	g         []float64
 	firedPrev []bool
-	// pay[c] is cell c's threshold at the current step — the payload of
-	// its spike if it fired. Burst populations only: every other scheme's
-	// threshold is one value per step.
-	pay []float64
-	// mask is the current step's fired bitmap in storage order.
-	mask []uint64
+	// buf has one event slot per cell; the firing pass writes the step's
+	// events into it in storage order.
+	buf []coding.Event
 	// A base-major conv population stores neuron oc·hw + base in cell
 	// base·outC + oc; outC is 0 for the identity layout. recip is
-	// ⌈2^64/outC⌉, which turns a cell into its base with one multiply,
-	// and runEnd[oc] is channel oc's write cursor in buf during emission.
+	// ⌈2^64/outC⌉, which turns a cell into its base with one multiply;
+	// runs receives the step's events in neuron order, and runEnd[oc] is
+	// channel oc's write cursor in it.
 	outC, hw int
 	recip    uint64
 	runEnd   []int
-	buf      []coding.Event
+	runs     []coding.Event
 }
 
 func newPopulation(n int, cfg coding.Config) *population {
@@ -67,14 +72,10 @@ func newPopulation(n int, cfg coding.Config) *population {
 		vmem:      make([]float64, n),
 		g:         make([]float64, n),
 		firedPrev: make([]bool, n),
-		mask:      make([]uint64, (n+63)/64),
 		// A neuron fires at most once per step, so n is the event-buffer
 		// high-watermark; pre-sizing keeps the steady-state hot path
 		// allocation-free (see internal/README.md).
 		buf: make([]coding.Event, 0, n),
-	}
-	if cfg.UsesBurstState() {
-		p.pay = make([]float64, n)
 	}
 	p.resetState()
 	return p
@@ -89,150 +90,134 @@ func (p *population) setChannels(outC, hw int) {
 	p.outC, p.hw = outC, hw
 	p.recip = ^uint64(0)/uint64(outC) + 1
 	p.runEnd = make([]int, outC)
+	p.runs = make([]coding.Event, len(p.vmem))
 }
 
+// resetState is three vector passes: the membranes and fired flags
+// cleared, and g filled with 1 by doubling copies.
 func (p *population) resetState() {
-	for i := range p.vmem {
-		p.vmem[i] = 0
-		p.g[i] = 1
-		p.firedPrev[i] = false
+	clear(p.vmem)
+	clear(p.firedPrev)
+	if len(p.g) > 0 {
+		p.g[0] = 1
+		for i := 1; i < len(p.g); i *= 2 {
+			copy(p.g[i:], p.g[:i])
+		}
 	}
 }
 
 // fire runs the threshold test for every neuron at time t after the
-// layer's synaptic events have been scattered into vmem, and returns the
-// emitted events in ascending neuron order. A neuron fires at most once
-// per time step.
+// layer's synaptic events have been scattered (or gathered) into vmem,
+// and returns the emitted events in ascending neuron order. A neuron
+// fires at most once per time step.
 //
 // This is the fused hot path: the layer's constant bias current, the
-// leaky-IF decay, the burst update, and the reset-by-subtraction
-// threshold test all happen in one sweep over the cells, in storage
-// order. bias is the per-channel current in storage order with period
-// len(bias) — cell c receives bias[c mod len(bias)]·biasScale — so a
-// base-major conv passes its OutC channel biases and a dense layer its
-// per-neuron ones; nil for bias-free layers. The pure-IF sweeps are the
-// kernels.FireCells64 pair (packed on the avx2 tier, today's scalar loop
-// elsewhere; bit-identical either way). For non-burst schemes the
-// threshold does not depend on per-neuron state, so it is computed once
-// per step — this hoists the math.Pow inside the phase oscillation Π(t)
-// out of the per-neuron loop.
+// leaky-IF decay, the burst update, the reset-by-subtraction threshold
+// test and the emission all happen in one sweep over the cells, in
+// storage order, which writes each fired cell's event as it goes. bias
+// is the per-channel current in storage order with period len(bias) —
+// cell c receives bias[c mod len(bias)]·biasScale — so a base-major conv
+// passes its OutC channel biases, a dense-mode conv and a dense layer
+// their per-neuron ones; nil for bias-free layers. The pure-IF sweeps
+// are the kernels.FireCells64 pair (packed on the avx2 and avx512 tiers,
+// the scalar loop elsewhere; bit-identical either way). For non-burst
+// schemes the threshold does not depend on per-neuron state, so it is
+// computed once per step — this hoists the math.Pow inside the phase
+// oscillation Π(t) out of the per-neuron loop.
+//
+// Storage order is neuron order for the identity layout, so its events
+// are returned as the sweep wrote them; a base-major population reorders
+// them by channel run (emitRuns).
 func (p *population) fire(t int, bias []float64, biasScale float64) []coding.Event {
+	ev := p.buf[:cap(p.buf)]
+	var k int
+	switch {
+	case p.cfg.Leak != 0:
+		k = p.fireLeaky(ev, t, bias, biasScale)
+	case p.cfg.UsesBurstState():
+		k = kernels.FireCellsBurst64(p.vmem, p.g, ev, bias, biasScale, p.cfg.Beta, p.cfg.VTh)
+	default:
+		k = kernels.FireCells64(p.vmem, ev, bias, biasScale, p.cfg.Threshold(t, 1))
+	}
+	if p.runEnd != nil {
+		return p.emitRuns(ev[:k])
+	}
+	return ev[:k]
+}
+
+// fireLeaky is fire's general loop, which leaky-IF configurations take:
+// Eq. 8 as written, the decay after the bias, and the kernels' emission —
+// every cell writes its event at the cursor and only a fired one
+// advances it.
+func (p *population) fireLeaky(ev []coding.Event, t int, bias []float64, biasScale float64) int {
 	useBurst := p.cfg.UsesBurstState()
 	leak := p.cfg.Leak
-	vmem := p.vmem
+	keep := 1 - leak
 	var th float64 // the step's threshold and payload (non-burst schemes)
 	if !useBurst {
 		th = p.cfg.Threshold(t, 1)
 	}
-	switch {
-	case leak != 0:
-		keep := 1 - leak
-		var w uint64
-		bi := 0
-		for c, v := range vmem {
-			if bias != nil {
-				v += bias[bi] * biasScale
-				if bi++; bi == len(bias) {
-					bi = 0
-				}
-			}
-			if leak > 0 {
-				// Leaky-IF extension: V(t) = (1-ℓ)(V(t-1)+z(t)).
-				v *= keep
-			}
-			cth := th
-			if useBurst {
-				// Eq. 8: g(t) depends on whether the neuron fired at t-1;
-				// Eq. 9: V_th(t) = g(t)·v_th.
-				g := coding.NextG(p.g[c], p.firedPrev[c], p.cfg.Beta)
-				p.g[c] = g
-				cth = g * p.cfg.VTh
-				p.pay[c] = cth
-			}
-			if v >= cth {
-				// Eq. 4 (reset-by-subtraction): the membrane keeps the
-				// residual, and the spike carries exactly the subtracted
-				// amount (Eq. 5 payload).
-				v -= cth
-				p.firedPrev[c] = true
-				w |= 1 << (uint(c) & 63)
-			} else {
-				p.firedPrev[c] = false
-			}
-			vmem[c] = v
-			if c&63 == 63 {
-				p.mask[c>>6] = w
-				w = 0
+	k, bi := 0, 0
+	for c, v := range p.vmem {
+		if bias != nil {
+			v += bias[bi] * biasScale
+			if bi++; bi == len(bias) {
+				bi = 0
 			}
 		}
-		if len(vmem)&63 != 0 {
-			p.mask[len(vmem)>>6] = w
+		if leak > 0 {
+			// Leaky-IF extension: V(t) = (1-ℓ)(V(t-1)+z(t)).
+			v *= keep
 		}
-	case useBurst:
-		kernels.FireCellsBurst64(vmem, p.g, p.pay, p.mask, bias, biasScale, p.cfg.Beta, p.cfg.VTh)
-	default:
-		kernels.FireCells64(vmem, p.mask, bias, biasScale, th)
-	}
-	return p.emit(th)
-}
-
-// emit turns the storage-order fired bitmap into the step's events, in
-// ascending neuron order, at a cost proportional to the spikes (plus one
-// word per 64 cells): one walk over the bitmap's set bits.
-//
-// In a base-major population storage order is not neuron order, but
-// within one channel it is, so the walk drops each spike at the end of
-// its channel's run — channel oc's run starts at oc·hw in buf, room for
-// every neuron it has — and closing the gaps between the runs (at most
-// outC−1 copies) leaves the events in ascending neuron order.
-func (p *population) emit(th float64) []coding.Event {
-	if p.runEnd != nil {
-		return p.emitRuns(th)
-	}
-	buf, pays := p.buf[:cap(p.buf)], p.pay
-	k := 0
-	for wi, w := range p.mask {
-		for ; w != 0; w &= w - 1 {
-			c := wi<<6 | bits.TrailingZeros64(w)
-			pay := th
-			if pays != nil {
-				pay = pays[c]
-			}
-			buf[k] = coding.Event{Index: c, Payload: pay}
+		cth := th
+		if useBurst {
+			// Eq. 8: g(t) depends on whether the neuron fired at t-1;
+			// Eq. 9: V_th(t) = g(t)·v_th.
+			g := coding.NextG(p.g[c], p.firedPrev[c], p.cfg.Beta)
+			p.g[c] = g
+			cth = g * p.cfg.VTh
+		}
+		// Eq. 4 (reset-by-subtraction): the membrane keeps the residual,
+		// and the spike carries exactly the subtracted amount (Eq. 5
+		// payload).
+		fired := v >= cth
+		if fired {
+			v -= cth
+		}
+		p.firedPrev[c] = fired
+		p.vmem[c] = v
+		ev[k] = coding.Event{Index: c, Payload: cth}
+		if fired {
 			k++
 		}
 	}
-	p.buf = buf[:k]
-	return p.buf
+	return k
 }
 
-// emitRuns is emit's channel-run walk for a base-major population.
-func (p *population) emitRuns(th float64) []coding.Event {
-	buf, pays := p.buf[:cap(p.buf)], p.pay
-	outC, hw, recip, end := p.outC, p.hw, p.recip, p.runEnd
+// emitRuns puts a base-major population's storage-order events into
+// ascending neuron order. Within one channel storage order is neuron
+// order, so each event is dropped at the end of its channel's run —
+// channel oc's run starts at oc·hw in runs, room for every neuron it has
+// — and closing the gaps between the runs (at most outC−1 copies) leaves
+// the events in ascending neuron order.
+func (p *population) emitRuns(ev []coding.Event) []coding.Event {
+	runs, end := p.runs, p.runEnd
+	outC, hw, recip := p.outC, p.hw, p.recip
 	for oc := range end {
 		end[oc] = oc * hw
 	}
-	for wi, w := range p.mask {
-		for ; w != 0; w &= w - 1 {
-			c := wi<<6 | bits.TrailingZeros64(w)
-			pay := th
-			if pays != nil {
-				pay = pays[c]
-			}
-			base, _ := bits.Mul64(recip, uint64(c)) // c / outC
-			oc := c - int(base)*outC
-			i := end[oc]
-			buf[i] = coding.Event{Index: oc*hw + int(base), Payload: pay}
-			end[oc] = i + 1
-		}
+	for _, e := range ev {
+		base, _ := bits.Mul64(recip, uint64(e.Index)) // cell / outC
+		oc := e.Index - int(base)*outC
+		i := end[oc]
+		runs[i] = coding.Event{Index: oc*hw + int(base), Payload: e.Payload}
+		end[oc] = i + 1
 	}
 	k := end[0]
 	for oc := 1; oc < outC; oc++ {
-		k += copy(buf[k:], buf[oc*hw:end[oc]])
+		k += copy(runs[k:], runs[oc*hw:end[oc]])
 	}
-	p.buf = buf[:k]
-	return p.buf
+	return runs[:k]
 }
 
 // fireSlow is the pre-optimization reference implementation of fire: the

@@ -1,11 +1,13 @@
 package snn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"burstsnn/internal/coding"
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 )
 
@@ -457,5 +459,125 @@ func TestLeakSilencesWeakDrive(t *testing.T) {
 	events, _ := drive(cfg, 0.3, 200)
 	if len(events) != 0 {
 		t.Fatalf("weak drive fired %d spikes under strong leak", len(events))
+	}
+}
+
+// TestMembraneNeverNegativeZero pins the invariant dense mode rests on:
+// no membrane cell is ever −0, so a silent input's w·0 = ±0 cannot change
+// one. It drives a conv in both layouts, an avg-pool and a dense layer
+// through scatter, gather and fire under burst, phase and rate coding,
+// with and without leak, with exact-zero weights, biases and payloads of
+// both signs and a zero bias scale every third step, at every kernel
+// tier — and checks on the way that the two conv layouts agree bit for
+// bit.
+func TestMembraneNeverNegativeZero(t *testing.T) {
+	defer kernels.ForceLevel("")
+	for _, lv := range kernels.Available() {
+		if err := kernels.ForceLevel(lv); err != nil {
+			t.Fatal(err)
+		}
+		for si, scheme := range []coding.Scheme{coding.Burst, coding.Phase, coding.Rate} {
+			for _, leak := range []float64{0, 0.05, 0.4} {
+				t.Run(fmt.Sprintf("level=%s/%s/leak=%v", lv, scheme, leak), func(t *testing.T) {
+					cfg := coding.DefaultConfig(scheme)
+					cfg.Leak = leak
+					r := mathx.NewRNG(0x2E50 + uint64(si))
+					// A quarter of the values exactly +0, a quarter −0.
+					signed := func(n int, std float64) []float64 {
+						v := make([]float64, n)
+						for i := range v {
+							switch r.Intn(4) {
+							case 0:
+							case 1:
+								v[i] = math.Copysign(0, -1)
+							default:
+								v[i] = r.Norm(0, std)
+							}
+						}
+						return v
+					}
+					events := func(n int) []coding.Event {
+						var ev []coding.Event
+						for i, p := range signed(n, 0.6) {
+							if r.Bernoulli(0.5) {
+								ev = append(ev, coding.Event{Index: i, Payload: p})
+							}
+						}
+						return ev
+					}
+					g := ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 8, K: 3, Stride: 1, Pad: 1}
+					scatter := NewSpikingConv(signed(8*2*9, 0.4), signed(8, 0.1), g, cfg)
+					gather := scatter.CloneLayer().(*SpikingConv)
+					if !gather.UseDenseMode() {
+						t.Fatal("dense mode refused")
+					}
+					pool := NewSpikingAvgPool(8, 8, 8, 2, cfg)
+					dense := NewSpikingDense(signed(128*16, 0.4), signed(16, 0.1), 128, 16, cfg)
+					pops := map[string]*population{"conv": scatter.pop, "conv/dense": gather.pop, "avgpool": pool.pop, "dense": dense.pop}
+					for step := 0; step < 64; step++ {
+						bsc := [3]float64{0, 1, r.Float64()}[step%3]
+						in := events(128)
+						a := append([]coding.Event(nil), scatter.Step(step, bsc, in)...)
+						b := gather.Step(step, bsc, in)
+						if len(a) != len(b) {
+							t.Fatalf("step %d: scatter emitted %d events, gather %d", step, len(a), len(b))
+						}
+						for i := range a {
+							if a[i] != b[i] {
+								t.Fatalf("step %d event %d: scatter %+v, gather %+v", step, i, a[i], b[i])
+							}
+						}
+						for i := 0; i < scatter.NumNeurons(); i++ {
+							if x, y := scatter.Potential(i), gather.Potential(i); math.Float64bits(x) != math.Float64bits(y) {
+								t.Fatalf("step %d neuron %d: scatter %v, gather %v", step, i, x, y)
+							}
+						}
+						pool.Step(step, bsc, events(512))
+						dense.Step(step, bsc, events(128))
+						for name, p := range pops {
+							for c, x := range p.vmem {
+								if x == 0 && math.Signbit(x) {
+									t.Fatalf("step %d: %s cell %d holds −0", step, name, c)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDenseModeEligibility: dense mode takes only layers the gather is
+// exact for — stride 1, finite weights, a leak below 1/2 — and the leak
+// bound is real: a decay by 1/2 rounds the smallest negative membrane to
+// −0.
+func TestDenseModeEligibility(t *testing.T) {
+	g := ConvGeom{InC: 1, InH: 4, InW: 4, OutC: 2, K: 3, Stride: 1, Pad: 1}
+	w := make([]float64, 2*9)
+	cfg := coding.DefaultConfig(coding.Rate)
+	if l := NewSpikingConv(w, []float64{0, 0}, g, cfg); !l.UseDenseMode() || !l.DenseMode() {
+		t.Fatal("a stride-1 conv with finite weights refused dense mode")
+	}
+	s2 := g
+	s2.Stride = 2
+	if NewSpikingConv(w, []float64{0, 0}, s2, cfg).UseDenseMode() {
+		t.Error("dense mode took a stride-2 conv")
+	}
+	inf := append([]float64(nil), w...)
+	inf[4] = math.Inf(-1)
+	if NewSpikingConv(inf, []float64{0, 0}, g, cfg).UseDenseMode() {
+		t.Error("dense mode took an infinite weight")
+	}
+	half := cfg
+	half.Leak = 0.5
+	if NewSpikingConv(w, []float64{0, 0}, g, half).UseDenseMode() {
+		t.Error("dense mode took a leak of 1/2")
+	}
+	p := newPopulation(1, half)
+	p.vmem[0] = -math.SmallestNonzeroFloat64
+	p.fire(0, nil, 0)
+	if x := p.vmem[0]; x != 0 || !math.Signbit(x) {
+		t.Errorf("leak 1/2 left %v; the bound it motivates assumes −0", x)
 	}
 }
