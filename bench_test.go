@@ -286,46 +286,61 @@ func BenchmarkHotpathConvStep(b *testing.B) {
 	run("ref", layer.StepSlow)
 }
 
-// BenchmarkHotpathEncoderConvStep times the conv an input encoder feeds —
-// the served model's first layer, 3×16×16 → 8 channels, 3×3, pad 1 — on
-// the encoders' own event streams over texture images, in both layouts:
-// base-major scatter and dense mode's CHW gather. The input density
-// decides which wins (phase sends about half the pixels per step, TTFS
-// one in eight), which is what the converter's layout rule rests on.
+// BenchmarkHotpathEncoderConvStep times the conv an input encoder feeds,
+// on the encoders' own event streams, in both layouts: base-major scatter
+// and dense mode's CHW gather. It runs both served LeNetMini shapes — the
+// benchmark's textures (3×16×16) and snnserve's digits (1×28×28, ink on a
+// dark noisy background) — and reports each stream's input density
+// (events per pixel per step), the quantity the converter's layout rule
+// compares against convert.DenseInputDensity.
 func BenchmarkHotpathEncoderConvStep(b *testing.B) {
-	_, set := microModel(b)
-	g := snn.ConvGeom{InC: 3, InH: 16, InW: 16, OutC: 8, K: 3, Stride: 1, Pad: 1}
-	w := benchkit.Randn(g.OutC*g.InC*g.K*g.K, 0.3, 11)
-	bias := benchkit.Randn(g.OutC, 0.05, 12)
-	for _, input := range []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS} {
-		enc, err := coding.NewInputEncoder(coding.DefaultConfig(input), g.InC*g.InH*g.InW, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// 8 images × 24 steps of the encoder's events, copied out of its
-		// reused buffer.
-		var steps [][]coding.Event
-		for _, s := range set.Test[:8] {
-			enc.Reset(s.Image)
-			for t := 0; t < 24; t++ {
-				steps = append(steps, append([]coding.Event(nil), enc.Step(t)...))
+	_, textures := microModel(b)
+	digits := burstsnn.SynthDigits(burstsnn.DigitsConfig{TrainPerClass: 1, TestPerClass: 1, Noise: 0.04, Seed: 1009})
+	for _, m := range []struct {
+		name string
+		g    snn.ConvGeom
+		set  *burstsnn.Set
+	}{
+		{"textures", snn.ConvGeom{InC: 3, InH: 16, InW: 16, OutC: 8, K: 3, Stride: 1, Pad: 1}, textures},
+		{"digits", snn.ConvGeom{InC: 1, InH: 28, InW: 28, OutC: 8, K: 3, Stride: 1, Pad: 1}, digits},
+	} {
+		g := m.g
+		w := benchkit.Randn(g.OutC*g.InC*g.K*g.K, 0.3, 11)
+		bias := benchkit.Randn(g.OutC, 0.05, 12)
+		for _, input := range []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS} {
+			enc, err := coding.NewInputEncoder(coding.DefaultConfig(input), g.InC*g.InH*g.InW, 0)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		for _, dense := range []bool{false, true} {
-			layer := snn.NewSpikingConv(w, bias, g, coding.DefaultConfig(coding.Burst))
-			name := input.String() + "/scatter"
-			if dense {
-				layer.UseDenseMode()
-				name = input.String() + "/gather"
-			}
-			b.Run(name, func(b *testing.B) {
-				layer.Reset()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					layer.Step(i, 1, steps[i%len(steps)])
+			// 8 images × 24 steps of the encoder's events, copied out of
+			// its reused buffer.
+			var steps [][]coding.Event
+			events := 0
+			for _, s := range m.set.Test[:8] {
+				enc.Reset(s.Image)
+				for t := 0; t < 24; t++ {
+					steps = append(steps, append([]coding.Event(nil), enc.Step(t)...))
+					events += len(steps[len(steps)-1])
 				}
-			})
+			}
+			density := float64(events) / float64(len(steps)*enc.Size())
+			for _, dense := range []bool{false, true} {
+				layer := snn.NewSpikingConv(w, bias, g, coding.DefaultConfig(coding.Burst))
+				name := m.name + "/" + input.String() + "/scatter"
+				if dense {
+					layer.UseDenseMode()
+					name = m.name + "/" + input.String() + "/gather"
+				}
+				b.Run(name, func(b *testing.B) {
+					layer.Reset()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						layer.Step(i, 1, steps[i%len(steps)])
+					}
+					b.ReportMetric(density, "density")
+				})
+			}
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"burstsnn/internal/coding"
 	"burstsnn/internal/dataset"
 	"burstsnn/internal/dnn"
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 	"burstsnn/internal/snn"
 	"burstsnn/internal/tensor"
@@ -160,13 +161,18 @@ func Convert(net *dnn.Network, samples []dataset.Sample, opts Options) (*Result,
 				OutC: l.Spec.OutC, K: l.Spec.KH, Stride: l.Spec.Stride, Pad: l.Spec.Pad,
 			}
 			conv := snn.NewSpikingConv(w, b, geom, opts.Hidden)
-			if len(out.Layers) == 0 && opts.Input.Scheme != coding.TTFS {
-				// Real, rate and phase encoders feed this conv half its
-				// pixels or more per step, dense enough for the gather to
-				// beat the scatter (UseDenseMode; a layer that does not
-				// qualify stays base-major). TTFS sends each pixel once
-				// per period, an eighth per step, where the scatter wins.
-				conv.UseDenseMode()
+			if len(out.Layers) == 0 && kernels.ConvGatherPacked(geom.OutC) {
+				// The encoder feeds this conv: it gathers (UseDenseMode;
+				// a layer that does not qualify stays base-major) when
+				// the encoder fires enough of its inputs per step on the
+				// calibration images.
+				d, err := inputDensity(opts, inSize, samples)
+				if err != nil {
+					return nil, err
+				}
+				if d >= DenseInputDensity {
+					conv.UseDenseMode()
+				}
 			}
 			out.Layers = append(out.Layers, conv)
 			prevScale = scale
@@ -215,6 +221,40 @@ func Convert(net *dnn.Network, samples []dataset.Sample, opts Options) (*Result,
 		return nil, fmt.Errorf("convert: network has no readout layer (final dense without ReLU)")
 	}
 	return &Result{Net: out, Scales: scales}, nil
+}
+
+// DenseInputDensity is the input density — the share of its inputs an
+// encoder fires per step — from which the conv that encoder feeds runs in
+// dense mode. A gather multiplies every tap whatever the input, so its
+// cost is flat; the scatter's grows with the events. Pinned on one core
+// of a 2-vCPU avx512 host (BenchmarkHotpathEncoderConvStep, µs per step
+// including the fire pass), the two cross at about 0.3 of the inputs on
+// the 3×16×16 textures LeNetMini at avx512 and on the 1×28×28 digits one
+// at avx2, and at about 0.2 on digits at avx512: there digits phase
+// input (0.19) gathers 5 % faster, at avx2 10 % slower; textures rate
+// input (0.47) gathers a fifth faster at both, TTFS input (0.07–0.12)
+// 6–50 % slower. At tiers without a packed gather
+// (kernels.ConvGatherPacked) the scatter wins at every density.
+const DenseInputDensity = 0.3
+
+// inputDensity is the mean share of the encoder's inputs it fires per
+// step over the calibration images (the first NormSamples), each
+// presented for one coding period (at least 8 steps).
+func inputDensity(opts Options, size int, samples []dataset.Sample) (float64, error) {
+	enc, err := coding.NewInputEncoder(opts.Input, size, opts.Seed)
+	if err != nil {
+		return 0, err
+	}
+	n := min(opts.NormSamples, len(samples))
+	steps := max(opts.Input.Period, 8)
+	events := 0
+	for _, s := range samples[:n] {
+		enc.Reset(s.Image)
+		for t := 0; t < steps; t++ {
+			events += len(enc.Step(t))
+		}
+	}
+	return float64(events) / float64(n*steps*size), nil
 }
 
 // followedByReLU reports whether a ReLU consumes layer i's output,

@@ -7,6 +7,7 @@ import (
 	"burstsnn/internal/coding"
 	"burstsnn/internal/dataset"
 	"burstsnn/internal/dnn"
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 	"burstsnn/internal/snn"
 	"burstsnn/internal/tensor"
@@ -167,20 +168,72 @@ func TestConvertConvNetwork(t *testing.T) {
 	if len(res.Net.Layers) != 3 {
 		t.Fatalf("expected 3 spiking layers, got %d", len(res.Net.Layers))
 	}
-	// The encoder-fed conv gathers, except under TTFS input.
-	for _, in := range []coding.Scheme{coding.Phase, coding.TTFS} {
-		r, err := Convert(net, samples, DefaultOptions(in, coding.Burst))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := r.Net.Layers[0].(*snn.SpikingConv).DenseMode(), in != coding.TTFS; got != want {
-			t.Errorf("%v input: first conv dense mode = %v, want %v", in, got, want)
-		}
-	}
 	// The conversion must be runnable.
 	out := res.Net.Run(samples[0].Image, 32)
 	if out.Steps != 32 {
 		t.Fatal("run did not complete")
+	}
+}
+
+// TestDenseModeFollowsInputDensity: the encoder-fed conv gathers exactly
+// when the encoder fires at least DenseInputDensity of its inputs per
+// step on the calibration images and the active tier packs the gather;
+// the conv behind it never does.
+func TestDenseModeFollowsInputDensity(t *testing.T) {
+	spec := dnn.Spec{
+		Name:    "conv-density",
+		InShape: []int{1, 6, 6},
+		Layers: []dnn.LayerSpec{
+			{Kind: dnn.KindConv, OutC: 4, K: 3, Stride: 1, Pad: 1},
+			{Kind: dnn.KindReLU},
+			{Kind: dnn.KindConv, OutC: 4, K: 3, Stride: 1, Pad: 1},
+			{Kind: dnn.KindReLU},
+			{Kind: dnn.KindFlatten},
+			{Kind: dnn.KindDense, Units: 2},
+		},
+	}
+	net, err := dnn.Build(spec, mathx.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// lit(k): every image has its first k of 36 pixels at full intensity.
+	lit := func(k int) []dataset.Sample {
+		img := make([]float64, 36)
+		for j := range img[:k] {
+			img[j] = 1
+		}
+		return []dataset.Sample{{Image: img}, {Image: img}}
+	}
+	packed := kernels.ConvGatherPacked(4)
+	for _, c := range []struct {
+		in      coding.Scheme
+		k       int
+		density float64
+	}{
+		{coding.Real, 36, 1},
+		{coding.Real, 18, 0.5},
+		{coding.Real, 9, 0.25},
+		{coding.Phase, 36, 1}, // a full-intensity pixel sets every phase bit
+		{coding.Phase, 9, 0.25},
+		{coding.TTFS, 36, 1.0 / 8},
+	} {
+		samples := lit(c.k)
+		opts := DefaultOptions(c.in, coding.Burst)
+		opts.NormSamples = len(samples)
+		if d, err := inputDensity(opts, 36, samples); err != nil || d != c.density {
+			t.Errorf("%v, %d lit: density %v (%v), want %v", c.in, c.k, d, err, c.density)
+		}
+		r, err := Convert(net, samples, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := packed && c.density >= DenseInputDensity
+		if got := r.Net.Layers[0].(*snn.SpikingConv).DenseMode(); got != want {
+			t.Errorf("%v, %d lit: first conv dense mode = %v, want %v", c.in, c.k, got, want)
+		}
+		if r.Net.Layers[1].(*snn.SpikingConv).DenseMode() {
+			t.Errorf("%v, %d lit: second conv in dense mode", c.in, c.k)
+		}
 	}
 }
 

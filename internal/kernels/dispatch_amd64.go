@@ -437,27 +437,31 @@ func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	convScatterEvents64(vmem, wsc, taps, span[:], ev[:], outC)
 }
 
+func convGatherPacked(outC int) bool { return outC&3 == 0 && activeLevel() >= levelAVX2 }
+
 // convGather64 runs the packed gather over whole cell groups of every
-// row — 8 columns on avx512, 4 on avx2, channels four at a time — and the
-// generic loop over the columns past them.
+// row, channels four at a time: on avx512 the leading 8-column groups,
+// then a 4-column group by the avx2 form if one is left (a 28-wide row is
+// 24 + 4); on avx2 the 4-column groups. The generic loop takes the
+// columns past them.
 func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
 	outW := pw - k + 1
-	lv, cols := activeLevel(), 0
-	if outC&3 == 0 && lv >= levelAVX2 {
-		if lv >= levelAVX512 && outW >= 8 {
-			cols = outW &^ 7
-		} else {
-			lv, cols = levelAVX2, outW&^3
+	wide, cols := 0, 0
+	if convGatherPacked(outC) {
+		cols = outW &^ 3
+		if activeLevel() >= levelAVX512 {
+			wide = outW &^ 7
 		}
 	}
-	if cols > 0 {
-		hw := (ph - k + 1) * outW
-		for oc := 0; oc < outC; oc += 4 {
-			if lv == levelAVX512 {
-				convGather64AVX512(&v[oc*hw], &plane[0], &wsc[oc], outC, inC, k, ph, pw, cols)
-			} else {
-				convGather64AVX2(&v[oc*hw], &plane[0], &wsc[oc], outC, inC, k, ph, pw, cols)
-			}
+	hw := (ph - k + 1) * outW
+	for oc := 0; oc < outC && cols > 0; oc += 4 {
+		if wide > 0 {
+			convGather64AVX512(&v[oc*hw], &plane[0], &wsc[oc], outC, inC, k, ph, pw, wide)
+		}
+		if cols > wide {
+			// The kernel's row strides come from pw, so starting both
+			// pointers at column wide runs it on columns [wide, cols).
+			convGather64AVX2(&v[oc*hw+wide], &plane[wide], &wsc[oc], outC, inC, k, ph, pw, cols-wide)
 		}
 	}
 	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, cols)

@@ -82,6 +82,8 @@ func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
 	convScatter64Generic(vmem, wsc, taps, outC, p)
 }
 
+func convGatherPacked(outC int) bool { return false }
+
 func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
 	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, 0)
 }

@@ -25,7 +25,8 @@ import "math"
 //     cells per op; a sweep writes each group's 4 events at the cursor
 //     and advances it by the fired bits;
 //   - avx512: the same four, 8 cells per ZMM op. The scatter has unrolled
-//     bodies for OutC 8 and 16. A fire sweep compresses the fired cells'
+//     bodies for OutC 8 and 16; the gather hands a row's 4-column
+//     remainder to the avx2 form. A fire sweep compresses the fired cells'
 //     indices and thresholds out of the compare mask (VPCOMPRESSQ,
 //     VCOMPRESSPD) and interleaves them into events with two VPERMI2Q, so
 //     a group of 8 cells costs two 64-byte stores and a popcount however
@@ -121,6 +122,14 @@ func ConvGather64(v, plane, wsc []float64, inC, k, ph, pw int) {
 		convGather64(v, plane, wsc, outC, inC, k, ph, pw)
 	}
 }
+
+// ConvGatherPacked reports whether ConvGather64 runs a packed form for
+// outC output channels at the active tier: avx2 or avx512, outC a
+// multiple of 4. Otherwise every column goes through the generic loop,
+// which is slower than the event scatter even when every input fires
+// (BenchmarkHotpathEncoderConvStep at purego), so a layer gathers only
+// where this holds.
+func ConvGatherPacked(outC int) bool { return convGatherPacked(outC) }
 
 // FireCells64 is the scheme-constant-threshold fire sweep (rate, phase,
 // TTFS hidden layers) over a population in storage order. Per cell c,

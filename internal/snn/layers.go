@@ -278,9 +278,9 @@ func (l *SpikingConv) Reset() { l.pop.resetState() }
 // input plane and gathers every output cell's receptive field from it
 // (kernels.ConvGather64) instead of scattering each event. The gather
 // multiplies every tap, fired or silent, so it pays only where input is
-// dense: real, rate and phase encoders feed the first conv half its
-// pixels or more per step and the gather wins there; at TTFS's eighth it
-// loses (BenchmarkHotpathEncoderConvStep).
+// dense and the tier packs it; convert decides from the encoder's
+// measured input density (convert.DenseInputDensity,
+// BenchmarkHotpathEncoderConvStep).
 //
 // Dense mode is exact: cell by cell the gather adds the scatter's
 // products in the scatter's order (ascending input index), plus w·0 = ±0
