@@ -33,10 +33,10 @@ type BatchEncoder interface {
 }
 
 // BatchableEncoder is an InputEncoder that can stamp out a batched
-// variant of itself with the same configuration (size, period, seed,
-// quantization cache). All encoders built by NewInputEncoder implement
-// it; stream-stateful encoders like PoissonEncoder do not, because their
-// lanes could not reproduce the sequential trains.
+// variant of itself with the same configuration (size, period, seed).
+// All encoders built by NewInputEncoder implement it; stream-stateful
+// encoders like PoissonEncoder do not, because their lanes could not
+// reproduce the sequential trains.
 type BatchableEncoder interface {
 	InputEncoder
 	// NewBatch returns a batched encoder with b lane slots.
@@ -128,16 +128,14 @@ func (e *batchRateEncoder) Retire(dst, src int) {
 type batchPhaseEncoder struct {
 	size, b, period int
 	bits            []uint64 // bits[i*b+lane]
-	scratch         []uint64 // quantization staging (cache-miss path)
-	quant           *QuantCache
+	scratch         []uint64 // one lane's quantization, before striping
 }
 
-func newBatchPhaseEncoder(size, b, period int, quant *QuantCache) *batchPhaseEncoder {
+func newBatchPhaseEncoder(size, b, period int) *batchPhaseEncoder {
 	return &batchPhaseEncoder{
 		size: size, b: b, period: period,
 		bits:    make([]uint64, size*b),
 		scratch: make([]uint64, size),
-		quant:   quant,
 	}
 }
 
@@ -147,12 +145,11 @@ func (e *batchPhaseEncoder) CountsAsSpikes() bool { return true }
 func (e *batchPhaseEncoder) BiasScale(t int) float64 {
 	return phaseBiasScale(t, e.period)
 }
-func (e *batchPhaseEncoder) SetQuantCache(c *QuantCache) { e.quant = c }
 
 func (e *batchPhaseEncoder) SetLane(lane int, image []float64) {
 	checkLaneImage(e.size, e.b, lane, image)
-	q := quantizedBits(image, e.period, e.quant, e.scratch)
-	for i, b := range q {
+	quantizeBits(e.scratch, image, e.period)
+	for i, b := range e.scratch {
 		e.bits[i*e.b+lane] = b
 	}
 }
@@ -165,20 +162,18 @@ func (e *batchPhaseEncoder) Retire(dst, src int) {
 
 // batchTTFSEncoder is the batched time-to-first-spike encoder: per-lane
 // firing phases are lane-striped; a pixel's lane entry is phase+1 with 0
-// meaning silent (the same packing the quantization cache stores).
+// meaning silent (the sequential encoder's packing, see quantizePhases).
 type batchTTFSEncoder struct {
 	size, b, period int
 	phase           []uint64 // phase[i*b+lane]; value = firing phase + 1, 0 = silent
 	scratch         []uint64
-	quant           *QuantCache
 }
 
-func newBatchTTFSEncoder(size, b, period int, quant *QuantCache) *batchTTFSEncoder {
+func newBatchTTFSEncoder(size, b, period int) *batchTTFSEncoder {
 	return &batchTTFSEncoder{
 		size: size, b: b, period: period,
 		phase:   make([]uint64, size*b),
 		scratch: make([]uint64, size),
-		quant:   quant,
 	}
 }
 
@@ -188,12 +183,11 @@ func (e *batchTTFSEncoder) CountsAsSpikes() bool { return true }
 func (e *batchTTFSEncoder) BiasScale(t int) float64 {
 	return phaseBiasScale(t, e.period)
 }
-func (e *batchTTFSEncoder) SetQuantCache(c *QuantCache) { e.quant = c }
 
 func (e *batchTTFSEncoder) SetLane(lane int, image []float64) {
 	checkLaneImage(e.size, e.b, lane, image)
-	q := quantizedPhases(image, e.period, e.quant, e.scratch)
-	for i, p := range q {
+	quantizePhases(e.scratch, image, e.period)
+	for i, p := range e.scratch {
 		e.phase[i*e.b+lane] = p
 	}
 }

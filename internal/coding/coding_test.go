@@ -342,15 +342,60 @@ func TestEncoderResetSizeMismatchPanics(t *testing.T) {
 	enc.Reset([]float64{1})
 }
 
+func randomImage(seed uint64, n int) []float64 {
+	r := mathx.NewRNG(seed)
+	img := make([]float64, n)
+	for i := range img {
+		img[i] = r.Float64()
+	}
+	return img
+}
+
+// TestQuantizeMatchesRound pins quantizeBits against the formula it
+// replaced, round(clamp(v)·2^k) through math.Round: bit-identical codes
+// on every tie (2n+1)/2^(k+1) of the period and the floats either side of
+// it, on random values, and on the edges — out of range, ±Inf, ±0 and
+// NaN, which saturates to the top code.
+func TestQuantizeMatchesRound(t *testing.T) {
+	ref := func(v float64, period int) uint64 {
+		levels := math.Pow(2, float64(period))
+		if math.IsNaN(v) {
+			return uint64(levels) - 1
+		}
+		q := uint64(math.Round(mathx.Clamp(v, 0, 1) * levels))
+		if q >= uint64(levels) {
+			q = uint64(levels) - 1
+		}
+		return q
+	}
+	for _, period := range []int{1, 4, 8, 12} {
+		vals := []float64{0, math.Copysign(0, -1), 1, -1, 2, -0.5, 1.5, math.Inf(1), math.Inf(-1), math.NaN(),
+			math.Float64frombits(math.Float64bits(math.NaN()) ^ 1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0), math.Nextafter(1, 2)}
+		for n := 0; n < 1<<period; n++ {
+			tie := float64(2*n+1) / math.Pow(2, float64(period+1))
+			vals = append(vals, tie, math.Nextafter(tie, 0), math.Nextafter(tie, 1))
+		}
+		vals = append(vals, randomImage(uint64(period), 1<<16-len(vals))...)
+		got := make([]uint64, len(vals))
+		quantizeBits(got, vals, period)
+		for i, v := range vals {
+			if want := ref(v, period); got[i] != want {
+				t.Fatalf("period %d: quantizeBits(%v) = %d, want %d", period, v, got[i], want)
+			}
+		}
+	}
+}
+
 // TestPhaseTTFSStepMatchesReference pins the branch-free input sweep
 // against the append loop it replaced: same events — index, payload
-// bits, order — for every step of two periods. The all-ones image drives
-// the write cursor to the end of the buffer (every pixel spikes at every
-// phase under phase coding; all at phase 0 under TTFS), the all-zero
-// image keeps it at zero, and a cached encoder sweeps a shared
-// quantization it must not write.
+// bits, order — for every step of two periods, from the sequential
+// encoder and from one lane of its batched twin (phase payloads are
+// powers of two, exact in float32). The all-ones image drives the write
+// cursor to the end of the buffer (every pixel spikes at every phase
+// under phase coding; all at phase 0 under TTFS) and the all-zero image
+// keeps it at zero.
 func TestPhaseTTFSStepMatchesReference(t *testing.T) {
-	const size = 97
+	const size, lanes, lane = 97, 3, 1
 	ones, zeros := make([]float64, size), make([]float64, size)
 	for i := range ones {
 		ones[i] = 1
@@ -364,8 +409,17 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, _ := NewInputEncoder(cfg, size, 1)
-			cached.(QuantCached).SetQuantCache(NewQuantCache(0, NewInterner(8)))
+			batch := plain.(BatchableEncoder).NewBatch(lanes)
+			// The neighbouring lanes hold images the checked lane must
+			// not see.
+			batch.SetLane(0, ones)
+			batch.SetLane(2, randomImage(5, size))
+			var cols BatchEvents32
+			cols.Grow(size, size*lanes)
+			reset := func(img []float64) {
+				plain.Reset(img)
+				batch.SetLane(lane, img)
+			}
 			q := make([]uint64, size)
 			// check steps both encoders at each of steps and compares with
 			// a fresh append-loop sweep of q.
@@ -383,8 +437,8 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 							want = append(want, Event{Index: i, Payload: Pi(step, period)})
 						}
 					}
-					for name, enc := range map[string]InputEncoder{"plain": plain, "cached": cached} {
-						got := enc.Step(step)
+					batch.Step32(step, lanes, &cols)
+					for name, got := range map[string][]Event{"sequential": plain.Step(step), "batch lane": cols.AppendLane(lane, nil)} {
 						if len(got) != len(want) {
 							t.Fatalf("%v period %d image %d step %d (%s): %d events, want %d",
 								scheme, period, n, step, name, len(got), len(want))
@@ -400,8 +454,7 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			}
 			for n, img := range images {
 				quantizeBits(q, img, period)
-				plain.Reset(img)
-				cached.Reset(img) // the repeated image ends as a cache hit
+				reset(img)
 				for step := 0; step < 2*period; step++ {
 					check(n, step)
 				}
@@ -411,8 +464,7 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			// (t = 9 before t = 1) must still each see their own phase.
 			for n, img := range images {
 				quantizeBits(q, img, period)
-				plain.Reset(img)
-				cached.Reset(img)
+				reset(img)
 				check(n, 9, 1, 2*period+1, 0, period, 3*period-1, period-1)
 			}
 			// A Reset to a new image whose first call lands past the first
@@ -420,12 +472,10 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			// list for that phase.
 			for n := 1; n < len(images); n++ {
 				quantizeBits(q, images[n-1], period)
-				plain.Reset(images[n-1])
-				cached.Reset(images[n-1])
+				reset(images[n-1])
 				check(n-1, 0, 1, 2, 3)
 				quantizeBits(q, images[n], period)
-				plain.Reset(images[n])
-				cached.Reset(images[n])
+				reset(images[n])
 				check(n, period+2, 2, 3, 2*period+1)
 			}
 			plain.Reset(ones)

@@ -164,15 +164,15 @@ func fnv1aImage(image []float64) uint64 {
 	return h
 }
 
-// HashImage is the content key of an image: the quantization-cache and
-// interner key, the serving batcher's duplicate-request and
-// response-cache key, and the fleet's routing key. It reads each pixel's
-// bit pattern as one word into four independent xor-rotate-multiply
-// lanes, folds the lanes and the length, and finalizes through
-// mathx.SplitMix64. Every step is a bijection of the changed word, so
-// images differing in one pixel never collide. It is fast, not
-// collision-resistant — callers that act on a match must verify pixel
-// equality with SameImage (as Memo and the batcher dedupe do).
+// HashImage is the content key of an image: the serving batcher's
+// duplicate-request and response-cache key, and the fleet's routing
+// key. It reads each pixel's bit pattern as one word into four
+// independent xor-rotate-multiply lanes, folds the lanes and the
+// length, and finalizes through mathx.SplitMix64. Every step is a
+// bijection of the changed word, so images differing in one pixel never
+// collide. It is fast, not collision-resistant — callers that act on a
+// match must verify pixel equality with SameImage (as Memo and the
+// batcher dedupe do).
 func HashImage(image []float64) uint64 {
 	h := uint64(len(image))
 	// The lanes start at the first hexadecimal digits of π.
@@ -242,40 +242,38 @@ func (e *rateEncoder) Clone() InputEncoder   { return newRateEncoder(e.size, e.s
 // NewBatch implements BatchableEncoder.
 func (e *rateEncoder) NewBatch(b int) BatchEncoder { return newBatchRateEncoder(e.size, b, e.seed) }
 
-// quantizeBits fills dst with each pixel's period-bit quantization
-// (round(clamp(v)·2^k), saturating at all-ones for v = 1.0).
+// quantizeBits fills dst with each pixel's period-bit quantization:
+// round(clamp(v)·2^k), ties away from zero, saturating at all-ones for
+// v = 1.0 and for NaN. RoundToEven is one instruction where Round is a
+// bit-twiddling call; x-r is exact, so the only ties it gets wrong, the
+// ones it rounds down to even, are exactly those with x-r = 0.5.
 func quantizeBits(dst []uint64, image []float64, period int) {
 	levels := math.Pow(2, float64(period))
 	for i, v := range image {
-		q := uint64(math.Round(mathx.Clamp(v, 0, 1) * levels))
-		if q >= uint64(levels) {
-			q = uint64(levels) - 1 // value 1.0 saturates to all-ones
+		x := mathx.Clamp(v, 0, 1) * levels
+		r := math.RoundToEven(x)
+		if x-r == 0.5 {
+			r++
 		}
-		dst[i] = q
+		if !(r < levels) {
+			r = levels - 1 // 1.0 and NaN saturate to all-ones
+		}
+		dst[i] = uint64(r)
 	}
 }
 
-// quantizedBits returns the image's quantized bit patterns, through
-// cache when non-nil (see QuantCache.quantized for the aliasing contract).
-func quantizedBits(image []float64, period int, cache *QuantCache, scratch []uint64) []uint64 {
-	return cache.quantized(Phase, image, period, scratch, func() { quantizeBits(scratch, image, period) })
-}
-
-// quantizedPhases returns the image's TTFS firing phases packed as
-// phase+1 (0 = silent), with the same cache/scratch contract as
-// quantizedBits.
-func quantizedPhases(image []float64, period int, cache *QuantCache, scratch []uint64) []uint64 {
-	return cache.quantized(TTFS, image, period, scratch, func() {
-		quantizeBits(scratch, image, period)
-		for i, q := range scratch {
-			if q == 0 {
-				continue
-			}
-			// Most significant set bit determines the firing phase.
-			msb := bits.Len64(q) - 1
-			scratch[i] = uint64(period-1-msb) + 1
+// quantizePhases fills dst with each pixel's TTFS firing phase packed as
+// phase+1 (0 = silent).
+func quantizePhases(dst []uint64, image []float64, period int) {
+	quantizeBits(dst, image, period)
+	for i, q := range dst {
+		if q == 0 {
+			continue
 		}
-	})
+		// Most significant set bit determines the firing phase.
+		msb := bits.Len64(q) - 1
+		dst[i] = uint64(period-1-msb) + 1
+	}
 }
 
 // phaseBiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k)
@@ -292,12 +290,9 @@ func phaseBiasScale(t, period int) float64 {
 type phaseEncoder struct {
 	size   int
 	period int
-	// bits holds the quantized bit pattern per pixel (MSB = phase 0). It
-	// aliases either the owned scratch buffer or an immutable QuantCache
-	// entry and is never written outside Reset.
-	bits    []uint64
-	scratch []uint64
-	quant   *QuantCache
+	// bits holds the quantized bit pattern per pixel (MSB = phase 0),
+	// written only by Reset.
+	bits []uint64
 	// Both Π(t) and the bit a step sends repeat with the period, so step
 	// t emits exactly step t−k's events. replay[j·size:] holds phase j's
 	// list, built by the first Step at that phase since Reset, and
@@ -307,11 +302,9 @@ type phaseEncoder struct {
 }
 
 func newPhaseEncoder(size, period int) *phaseEncoder {
-	scratch := make([]uint64, size)
 	e := &phaseEncoder{
 		size: size, period: period,
-		bits:      scratch,
-		scratch:   scratch,
+		bits:      make([]uint64, size),
 		replay:    make([]Event, period*size),
 		replayLen: make([]int, period),
 	}
@@ -319,14 +312,11 @@ func newPhaseEncoder(size, period int) *phaseEncoder {
 	return e
 }
 
-// SetQuantCache implements QuantCached.
-func (e *phaseEncoder) SetQuantCache(c *QuantCache) { e.quant = c }
-
 func (e *phaseEncoder) Reset(image []float64) {
 	if len(image) != e.size {
 		panic(fmt.Sprintf("coding: phase encoder got %d pixels, want %d", len(image), e.size))
 	}
-	e.bits = quantizedBits(image, e.period, e.quant, e.scratch)
+	quantizeBits(e.bits, image, e.period)
 	e.forget()
 }
 
@@ -366,15 +356,11 @@ func (e *phaseEncoder) Step(t int) []Event {
 
 func (e *phaseEncoder) CountsAsSpikes() bool { return true }
 func (e *phaseEncoder) Size() int            { return e.size }
-func (e *phaseEncoder) Clone() InputEncoder {
-	c := newPhaseEncoder(e.size, e.period)
-	c.quant = e.quant
-	return c
-}
+func (e *phaseEncoder) Clone() InputEncoder  { return newPhaseEncoder(e.size, e.period) }
 
 // NewBatch implements BatchableEncoder.
 func (e *phaseEncoder) NewBatch(b int) BatchEncoder {
-	return newBatchPhaseEncoder(e.size, b, e.period, e.quant)
+	return newBatchPhaseEncoder(e.size, b, e.period)
 }
 
 // BiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k) sums to
@@ -392,32 +378,24 @@ type ttfsEncoder struct {
 	size   int
 	period int
 	// phase holds each pixel's firing phase packed as phase+1, 0 for
-	// silent (the QuantCache representation); it aliases the scratch
-	// buffer or an immutable cache entry, like phaseEncoder.bits.
-	phase   []uint64
-	scratch []uint64
-	quant   *QuantCache
-	buf     []Event
+	// silent (see quantizePhases).
+	phase []uint64
+	buf   []Event
 }
 
 func newTTFSEncoder(size, period int) *ttfsEncoder {
-	scratch := make([]uint64, size)
 	return &ttfsEncoder{
 		size: size, period: period,
-		phase:   scratch,
-		scratch: scratch,
-		buf:     make([]Event, size),
+		phase: make([]uint64, size),
+		buf:   make([]Event, size),
 	}
 }
-
-// SetQuantCache implements QuantCached.
-func (e *ttfsEncoder) SetQuantCache(c *QuantCache) { e.quant = c }
 
 func (e *ttfsEncoder) Reset(image []float64) {
 	if len(image) != e.size {
 		panic(fmt.Sprintf("coding: ttfs encoder got %d pixels, want %d", len(image), e.size))
 	}
-	e.phase = quantizedPhases(image, e.period, e.quant, e.scratch)
+	quantizePhases(e.phase, image, e.period)
 }
 
 // Step is branch-free on the pixel's phase, like phaseEncoder.Step.
@@ -437,15 +415,11 @@ func (e *ttfsEncoder) Step(t int) []Event {
 
 func (e *ttfsEncoder) CountsAsSpikes() bool { return true }
 func (e *ttfsEncoder) Size() int            { return e.size }
-func (e *ttfsEncoder) Clone() InputEncoder {
-	c := newTTFSEncoder(e.size, e.period)
-	c.quant = e.quant
-	return c
-}
+func (e *ttfsEncoder) Clone() InputEncoder  { return newTTFSEncoder(e.size, e.period) }
 
 // NewBatch implements BatchableEncoder.
 func (e *ttfsEncoder) NewBatch(b int) BatchEncoder {
-	return newBatchTTFSEncoder(e.size, b, e.period, e.quant)
+	return newBatchTTFSEncoder(e.size, b, e.period)
 }
 
 // BiasScale matches the phase encoder: one value per period.

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the one place the system remembers an image to avoid
-// work. Two typed views share it — QuantCache (image → quantization) and
-// serve.ResponseCache (image, policy → Outcome) — under one discipline:
+// work. Its view is serve.ResponseCache (image, policy → Outcome), and
+// the discipline below is the view's:
 //
 //   - keys carry HashImage, a word-at-a-time content hash (four
 //     xor-rotate-multiply lanes finalized by SplitMix64, ≈0.4 µs for a
@@ -22,8 +22,8 @@ import (
 //   - entries and pending sightings are bounded, and a full map drops an
 //     arbitrary key per insert: a small hot set dominates the workloads
 //     this serves, so approximate eviction is enough;
-//   - the pixels are copied once per model, by the Interner, whichever
-//     view promotes the image first.
+//   - an entry holds its own copy of the pixels, made when the image is
+//     promoted.
 
 // HitMiss is the pair of read counters a Memo counts into. It belongs
 // to whoever must outlive the view: serve.Metrics owns one per view and
@@ -41,41 +41,6 @@ func (c *HitMiss) add(hit bool) {
 	}
 }
 
-// Interner hands every view of one model the same immutable pixel copy
-// per image. It is a bounded map, not an owner: the GC is the reference
-// count, so a copy evicted here lives exactly as long as some view still
-// verifies against it, and an interner miss costs a copy, never
-// correctness. Safe for concurrent use.
-type Interner struct {
-	mu  sync.Mutex
-	max int
-	px  map[uint64][]float64
-}
-
-// NewInterner returns an interner bounded to max images.
-func NewInterner(max int) *Interner {
-	return &Interner{max: max, px: map[uint64][]float64{}}
-}
-
-// intern returns the shared copy of image, making it on first sight —
-// the only pixel copy the memo plane makes. A colliding image takes the
-// slot over; views verifying against the displaced copy keep it alive.
-func (in *Interner) intern(image []float64) []float64 {
-	hash := HashImage(image)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	p, ok := in.px[hash]
-	if ok && SameImage(p, image) {
-		return p
-	}
-	if !ok {
-		evictOne(in.px, in.max)
-	}
-	p = append([]float64(nil), image...)
-	in.px[hash] = p
-	return p
-}
-
 // evictOne makes room for one insert into a map bounded to max entries.
 func evictOne[K comparable, V any](m map[K]V, max int) {
 	if len(m) >= max {
@@ -86,16 +51,14 @@ func evictOne[K comparable, V any](m map[K]V, max int) {
 	}
 }
 
-// Memo is the generic pixel-verified memo behind the views: K is the
-// view's key (the image hash plus whatever else the value depends on —
-// scheme and period, or the exit policy), V its immutable value. Safe
-// for concurrent use.
+// Memo is the generic pixel-verified memo: K is the view's key (the
+// image hash plus whatever else the value depends on, such as the exit
+// policy), V its immutable value. Safe for concurrent use.
 type Memo[K comparable, V any] struct {
 	// Now is the clock TTL views read (time.Now; tests inject a fake one
 	// before first use). A zero-TTL view never calls it.
 	Now func() time.Time
 
-	px    *Interner
 	count *HitMiss
 	ttl   time.Duration
 	max   int
@@ -108,18 +71,18 @@ type Memo[K comparable, V any] struct {
 }
 
 type memoEntry[V any] struct {
-	image   []float64 // interned; never written
+	image   []float64 // the memo's own copy; never written
 	val     V
 	expires time.Time // zero when the view has no TTL
 }
 
 // NewMemo returns a memo of at most max entries (and max pending
-// sightings) verifying against px's copies. With ttl > 0 an entry
-// expires ttl after it was last recorded and a sighting must recur
-// inside one ttl to promote; ttl 0 keeps entries until evicted.
-func NewMemo[K comparable, V any](max int, ttl time.Duration, px *Interner) *Memo[K, V] {
+// sightings). With ttl > 0 an entry expires ttl after it was last
+// recorded and a sighting must recur inside one ttl to promote; ttl 0
+// keeps entries until evicted.
+func NewMemo[K comparable, V any](max int, ttl time.Duration) *Memo[K, V] {
 	return &Memo[K, V]{
-		Now: time.Now, px: px, count: new(HitMiss), ttl: ttl, max: max,
+		Now: time.Now, count: new(HitMiss), ttl: ttl, max: max,
 		entries: map[K]memoEntry[V]{}, seen: map[K]time.Time{},
 	}
 }
@@ -136,9 +99,9 @@ func (m *Memo[K, V]) Len() int {
 }
 
 // read is the one verified read. An expired entry is dropped. With
-// sight set a key that has no entry is also put through the promotion
-// gate; promote then reports that the caller should Store the key's
-// value now — it was sighted before (inside the TTL), or its entry
+// sight set (Record) a key that has no entry is also put through the
+// promotion gate; promote then reports that the caller should Store the
+// key's value now — it was sighted before (inside the TTL), or its entry
 // holds other pixels (a collision, re-stored over).
 func (m *Memo[K, V]) read(k K, image []float64, sight bool) (e memoEntry[V], ok, promote bool) {
 	var now time.Time
@@ -176,19 +139,11 @@ func (m *Memo[K, V]) Get(k K, image []float64) (V, bool) {
 	return e.val, ok
 }
 
-// Sight is Get for views whose value is costly to build: a miss also
-// counts as a sighting, and promote tells the caller to build the value
-// and Store it.
-func (m *Memo[K, V]) Sight(k K, image []float64) (v V, ok, promote bool) {
-	e, ok, promote := m.read(k, image, true)
-	m.count.add(ok)
-	return e.val, ok, promote
-}
-
-// Store inserts v for (k, image), replacing in place whatever k held;
-// only a new key at capacity evicts. v must not be mutated afterwards.
+// Store inserts v for (k, a copy of image), replacing in place whatever
+// k held; only a new key at capacity evicts. v must not be mutated
+// afterwards.
 func (m *Memo[K, V]) Store(k K, image []float64, v V) {
-	m.put(k, m.px.intern(image), v)
+	m.put(k, append([]float64(nil), image...), v)
 }
 
 // Record is the write side for views handed a value with every
@@ -203,8 +158,9 @@ func (m *Memo[K, V]) Record(k K, image []float64, v V) {
 	}
 }
 
-func (m *Memo[K, V]) put(k K, interned []float64, v V) {
-	e := memoEntry[V]{image: interned, val: v}
+// put inserts v for k over pixels the memo already owns.
+func (m *Memo[K, V]) put(k K, owned []float64, v V) {
+	e := memoEntry[V]{image: owned, val: v}
 	if m.ttl > 0 {
 		e.expires = m.Now().Add(m.ttl)
 	}

@@ -2,7 +2,6 @@ package coding
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -47,9 +46,9 @@ func memoImage(seed int) []float64 {
 	return img
 }
 
-// TestMemoDiscipline is the one suite for the discipline every view
-// inherits, over both kinds of view: without a TTL (quant cache, exit
-// history — the clock must never be read) and with one (response cache).
+// TestMemoDiscipline is the one suite for the memo's discipline, with
+// and without a TTL (without one the clock must never be read; the
+// response cache has one).
 func TestMemoDiscipline(t *testing.T) {
 	const ttl = time.Minute
 	for _, mode := range []struct {
@@ -59,7 +58,7 @@ func TestMemoDiscipline(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			newMemo := func(max int) (*Memo[memoKey, int], *memoClock) {
 				clk := &memoClock{t: time.Unix(1_700_000_000, 0)}
-				m := NewMemo[memoKey, int](max, mode.ttl, NewInterner(max))
+				m := NewMemo[memoKey, int](max, mode.ttl)
 				m.Now = clk.now
 				if mode.ttl == 0 {
 					m.Now = func() time.Time { panic("a zero-TTL memo read the clock") }
@@ -93,19 +92,6 @@ func TestMemoDiscipline(t *testing.T) {
 				if hits, misses := m.count.Load(); hits != 2 || misses != 3 {
 					t.Errorf("counted %d hits / %d misses, want 2/3 (Record never counts)", hits, misses)
 				}
-				// Sight is Get plus the sighting, for values built on demand.
-				img2 := memoImage(2)
-				k2 := keyOf(img2)
-				if _, ok, promote := m.Sight(k2, img2); ok || promote {
-					t.Fatalf("first Sight = ok %v promote %v, want a plain miss", ok, promote)
-				}
-				if _, ok, promote := m.Sight(k2, img2); ok || !promote {
-					t.Fatalf("second Sight = ok %v promote %v, want promote", ok, promote)
-				}
-				m.Store(k2, img2, 5)
-				if v, ok, _ := m.Sight(k2, img2); !ok || v != 5 {
-					t.Fatalf("Sight after Store = %d,%v, want 5,true", v, ok)
-				}
 			})
 
 			t.Run("hit is pixel-verified", func(t *testing.T) {
@@ -117,15 +103,27 @@ func TestMemoDiscipline(t *testing.T) {
 				if v, ok := m.Get(k, forged); ok || v != 0 {
 					t.Fatalf("collision served %d,%v — another image's value", v, ok)
 				}
-				if v, ok, promote := m.Sight(k, forged); ok || v != 0 || !promote {
-					t.Fatalf("colliding Sight = %d,%v promote %v, want a miss that re-stores", v, ok, promote)
-				}
 				m.Record(k, forged, 41) // replaces the entry outright
 				if _, ok := m.Get(k, img); ok {
 					t.Fatal("original image still served after the colliding re-store")
 				}
 				if v, ok := m.Get(k, forged); !ok || v != 41 || m.Len() != 1 {
 					t.Fatalf("colliding image after re-store: %d,%v (Len %d), want 41,true (1)", v, ok, m.Len())
+				}
+			})
+
+			t.Run("stores its own pixel copy", func(t *testing.T) {
+				m, _ := newMemo(8)
+				img := memoImage(1)
+				k := keyOf(img)
+				m.Store(k, img, 40)
+				if unsafe.SliceData(m.entries[k].image) == unsafe.SliceData(img) {
+					t.Fatal("the memo aliases the caller's image instead of copying it")
+				}
+				orig := append([]float64(nil), img...)
+				img[0] = 0.5 // the caller reuses its buffer
+				if v, ok := m.Get(k, orig); !ok || v != 40 {
+					t.Fatalf("after the caller rewrote its buffer Get = %d,%v, want 40,true", v, ok)
 				}
 			})
 
@@ -159,8 +157,8 @@ func TestMemoDiscipline(t *testing.T) {
 					img := memoImage(100 + i)
 					m.Record(keyOf(img), img, i)
 					m.Record(keyOf(img), img, i)
-					if m.Len() > max || len(m.seen) > max || len(m.px.px) > max {
-						t.Fatalf("grew past the bound %d: %d entries, %d pending, %d interned", max, m.Len(), len(m.seen), len(m.px.px))
+					if m.Len() > max || len(m.seen) > max {
+						t.Fatalf("grew past the bound %d: %d entries, %d pending", max, m.Len(), len(m.seen))
 					}
 				}
 			})
@@ -204,7 +202,7 @@ func TestMemoDiscipline(t *testing.T) {
 							m.Record(keyOf(hot), hot, 11)
 							cold := memoImage(1000 + g*200 + i%50)
 							m.Record(keyOf(cold), cold, g)
-							m.Sight(keyOf(cold), cold)
+							m.Get(keyOf(cold), cold)
 						}
 					}(g)
 				}
@@ -249,64 +247,13 @@ func TestMemoDiscipline(t *testing.T) {
 	}
 }
 
-// TestMemoViewsShareOnePixelCopy is the point of the interner: an image
-// promoted in all three of a model's views is copied once.
-func TestMemoViewsShareOnePixelCopy(t *testing.T) {
-	px := NewInterner(8)
-	quant := NewQuantCache(8, px)
-	exits := NewMemo[memoKey, int](8, 0, px)
-	resps := NewMemo[memoKey, [6]int](8, time.Minute, px)
-
-	img := randomImage(7, 8192) // 64 KB: far above any map or entry overhead
-	qk := quantKey{hash: HashImage(img), scheme: Phase, size: len(img), period: 8}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	quant.Store(qk, img, nil)
-	for i := 0; i < 2; i++ {
-		exits.Record(keyOf(img), img, 40)
-		resps.Record(keyOf(img), img, [6]int{3})
-	}
-	runtime.ReadMemStats(&after)
-
-	copies := []*float64{
-		unsafe.SliceData(quant.entries[qk].image),
-		unsafe.SliceData(exits.entries[keyOf(img)].image),
-		unsafe.SliceData(resps.entries[keyOf(img)].image),
-	}
-	if copies[0] == unsafe.SliceData(img) {
-		t.Fatal("the memo aliases the caller's image instead of copying it")
-	}
-	if copies[1] != copies[0] || copies[2] != copies[0] {
-		t.Fatalf("views verify against different pixel copies: %p %p %p", copies[0], copies[1], copies[2])
-	}
-	if got, one := after.TotalAlloc-before.TotalAlloc, uint64(8*len(img)); got >= 2*one {
-		t.Fatalf("promoting one image in three views allocated %d B, want one %d B copy", got, one)
-	}
-
-	// Evicted from the interner, the copy lives on in the views; a later
-	// promotion costs a fresh copy, never correctness.
-	for i := 0; px.px[qk.hash] != nil; i++ {
-		other := memoImage(i)
-		exits.Store(keyOf(other), other, i)
-	}
-	if _, ok, _ := quant.Sight(qk, img); !ok {
-		t.Fatal("view lost its entry when the interner evicted the image")
-	}
-}
-
 // TestMemoUniqueTrafficZeroAlloc pins the contract below the engine:
-// unique images (a read miss and a first sighting per view) never
-// allocate, whatever the view.
+// unique images (a read miss and a first sighting per memo) never
+// allocate, with or without a TTL.
 func TestMemoUniqueTrafficZeroAlloc(t *testing.T) {
 	const max = 4 // pending sets at their bound: every sighting evicts one
-	px := NewInterner(max)
-	enc, err := NewInputEncoder(DefaultConfig(Phase), 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.(QuantCached).SetQuantCache(NewQuantCache(max, px))
-	exits := NewMemo[memoKey, int](max, 0, px)
-	resps := NewMemo[memoKey, [6]int](max, time.Minute, px)
+	exits := NewMemo[memoKey, int](max, 0)
+	resps := NewMemo[memoKey, [6]int](max, time.Minute)
 	images := make([][]float64, 64)
 	for i := range images {
 		images[i] = memoImage(i)
@@ -318,7 +265,6 @@ func TestMemoUniqueTrafficZeroAlloc(t *testing.T) {
 		k := keyOf(img)
 		resps.Get(k, img)
 		exits.Get(k, img)
-		enc.Reset(img)
 		exits.Record(k, img, 40)
 		resps.Record(k, img, [6]int{3})
 	}
@@ -326,7 +272,7 @@ func TestMemoUniqueTrafficZeroAlloc(t *testing.T) {
 		pass()
 	}
 	if allocs := testing.AllocsPerRun(40, pass); allocs != 0 {
-		t.Errorf("a unique image through all three views allocates %.1f objects, want 0", allocs)
+		t.Errorf("a unique image through both memos allocates %.1f objects, want 0", allocs)
 	}
 	if exits.Len() != 0 || resps.Len() != 0 {
 		t.Fatalf("unique traffic stored entries: %d exit, %d response", exits.Len(), resps.Len())

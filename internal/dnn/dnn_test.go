@@ -3,6 +3,7 @@ package dnn
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +242,50 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if net2.NumParams() != net.NumParams() {
 		t.Fatal("parameter count changed across save/load")
+	}
+}
+
+// TestLoadModelRejectsNonFinite: a NaN or infinite weight or running
+// statistic fails the load, naming its blob — a network carrying one
+// would only surface downstream as a NaN output no JSON can hold.
+func TestLoadModelRejectsNonFinite(t *testing.T) {
+	spec := Spec{
+		Name:    "nonfinite",
+		InShape: []int{1, 4, 4},
+		Layers: []LayerSpec{
+			{Kind: KindConv, OutC: 2, K: 3, Stride: 1, Pad: 1},
+			{Kind: KindBatchNorm},
+			{Kind: KindReLU},
+			{Kind: KindFlatten},
+			{Kind: KindDense, Units: 2},
+		},
+	}
+	for _, tc := range []struct {
+		name, want string
+		spoil      func(net *Network)
+	}{
+		{"NaN output weight", "weight blob 4 (dense.w)", func(net *Network) {
+			net.Params()[4].W.Data[3] = math.NaN()
+		}},
+		{"infinite running variance", "running stats of batchnorm layer 0", func(net *Network) {
+			net.Layers[1].(*BatchNorm).RunVar[1] = math.Inf(1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := Build(spec, mathx.NewRNG(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(net)
+			path := t.TempDir() + "/model.gob"
+			if err := SaveModelFile(path, spec, net); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = LoadModelFile(path)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadModelFile = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"burstsnn/internal/mathx"
@@ -40,7 +41,10 @@ func SaveModel(w io.Writer, spec Spec, net *Network) error {
 	return gob.NewEncoder(w).Encode(mf)
 }
 
-// LoadModel reconstructs a network saved with SaveModel.
+// LoadModel reconstructs a network saved with SaveModel. A weight or
+// running statistic that is NaN or infinite is an error naming its blob:
+// such a network has no meaningful output, and downstream it would only
+// surface as a NaN margin no JSON encoder can write.
 func LoadModel(r io.Reader) (Spec, *Network, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
@@ -59,6 +63,9 @@ func LoadModel(r io.Reader) (Spec, *Network, error) {
 		if p.W.Len() != len(mf.Weights[i]) {
 			return Spec{}, nil, fmt.Errorf("dnn: weight blob %d has %d values, want %d", i, len(mf.Weights[i]), p.W.Len())
 		}
+		if err := checkFinite(mf.Weights[i], "weight blob %d (%s)", i, p.Name); err != nil {
+			return Spec{}, nil, err
+		}
 		copy(p.W.Data, mf.Weights[i])
 	}
 	si := 0
@@ -70,11 +77,25 @@ func LoadModel(r io.Reader) (Spec, *Network, error) {
 		if si >= len(mf.RunStats) || len(mf.RunStats[si]) != 2*bn.C {
 			return Spec{}, nil, fmt.Errorf("dnn: missing or malformed running stats for batchnorm layer %d", si)
 		}
+		if err := checkFinite(mf.RunStats[si], "running stats of batchnorm layer %d", si); err != nil {
+			return Spec{}, nil, err
+		}
 		copy(bn.RunMean, mf.RunStats[si][:bn.C])
 		copy(bn.RunVar, mf.RunStats[si][bn.C:])
 		si++
 	}
 	return mf.Spec, net, nil
+}
+
+// checkFinite reports the first NaN or infinite value of a blob, named
+// by format and args.
+func checkFinite(vals []float64, format string, args ...any) error {
+	for j, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dnn: %s: value %d is %v", fmt.Sprintf(format, args...), j, v)
+		}
+	}
+	return nil
 }
 
 // SaveModelFile writes the model to path, creating parent-relative files

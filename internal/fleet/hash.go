@@ -6,10 +6,10 @@
 // merges per-shard telemetry into fleet-wide /metrics and /metrics/prom.
 //
 // Routing keys on coding.HashImage — the same content hash a shard's
-// pixel-verified memo (coding.Memo: quant cache, response cache) keys
-// on, and which ends in the same SplitMix64 finalizer as the ring's
-// points — so a shard owns a stable slice of the image space and
-// every replay of an image lands where its entries live. When the owner
+// response cache (a pixel-verified coding.Memo) keys on, and which ends
+// in the same SplitMix64 finalizer as the ring's points — so a shard
+// owns a stable slice of the image space and every replay of an image
+// lands where its entries live. When the owner
 // sheds (429), a bounded-load fallback offers the request to the next
 // shards on the ring before giving up, trading one cold cache miss for
 // availability.

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"net"
@@ -76,19 +75,19 @@ func (fr *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded):
 			status = http.StatusGatewayTimeout
 		}
-		writeError(w, status, err)
+		serve.WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 func (fr *Front) handleModels(w http.ResponseWriter, _ *http.Request) {
 	models, err := fr.f.Models()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		serve.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": models})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"models": models})
 }
 
 // handleUnregister broadcasts DELETE /v1/models/{name} (mode=evict
@@ -104,14 +103,14 @@ func (fr *Front) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, serve.ErrUnknownModel) {
 			status = http.StatusNotFound
 		}
-		writeError(w, status, err)
+		serve.WriteError(w, status, err)
 		return
 	}
 	state := "unregistered"
 	if evict {
 		state = serve.StateEvicted
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"model": name, "state": state})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"model": name, "state": state})
 }
 
 func (fr *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -122,7 +121,7 @@ func (fr *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	} else if snap.LiveShards < snap.Shards {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     status,
 		"uptimeSec":  snap.UptimeSec,
 		"shards":     snap.Shards,
@@ -136,7 +135,7 @@ func (fr *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fr.handleMetricsProm(w, r)
 		return
 	}
-	writeJSON(w, http.StatusOK, fr.f.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, fr.f.Snapshot())
 }
 
 func (fr *Front) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
@@ -198,16 +197,4 @@ func (fr *Front) Shutdown(ctx context.Context) error {
 		err = cerr
 	}
 	return err
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

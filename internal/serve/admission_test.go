@@ -79,7 +79,7 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 			// pipeline (sighting, then promotion); the third is a cache hit and
 			// must still report the outcome the pipeline produced — with no
 			// pipeline spans, since it never queued or simulated.
-			cache := NewResponseCache(0, time.Hour, coding.NewInterner(internerEntries))
+			cache := NewResponseCache(0, time.Hour)
 			cache.CountInto(&metrics.responseCache)
 			b.cache = cache
 			for replay := 0; replay < 2; replay++ {
@@ -338,7 +338,7 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	}
 	want := runBatch(batch())
 
-	b.cache = NewResponseCache(0, time.Hour, coding.NewInterner(16))
+	b.cache = NewResponseCache(0, time.Hour)
 	for round := 0; round < 2; round++ {
 		reqs := batch()
 		ctx, cancel := context.WithCancel(context.Background())

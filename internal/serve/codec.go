@@ -64,7 +64,7 @@ func ReadClassify(w http.ResponseWriter, r *http.Request) *WireRequest {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, fmt.Errorf("invalid request body: %w", err))
+		WriteError(w, status, fmt.Errorf("invalid request body: %w", err))
 		return nil
 	}
 	return wr

@@ -101,10 +101,6 @@ var modelFamilies = []family{
 			{Value: "fruitless", Field: func(s *Snapshot) any { return &s.FormWaits.Fruitless }},
 			{Value: "skipped", Field: func(s *Snapshot) any { return &s.FormWaits.Skipped }},
 		}},
-	{Name: "encoder_cache_hits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EncoderCacheHits }, mergeSum),
-		Help: "Encoder quantization-cache hits."},
-	{Name: "encoder_cache_misses_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EncoderCacheMisses }, mergeSum),
-		Help: "Encoder quantization-cache misses."},
 	{Name: "response_cache_hits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.ResponseCacheHits }, mergeSum),
 		Help: "Cross-batch response-cache hits (replayed requests served without a queue slot or replica; in a fleet, shard affinity keeps the per-shard caches hot)."},
 	{Name: "response_cache_misses_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.ResponseCacheMisses }, mergeSum),

@@ -17,8 +17,8 @@
 // two registrations' state; every transition out of resident drains the
 // queue (graceful execute on evict/unregister, handoff re-submit on hot
 // swap), so lifecycle transitions cost clients latency, never errors;
-// eviction releases the replica pool and the image memory (interner and
-// memo views) but archives the conversion and metrics, so warming is a
+// eviction releases the replica pool and the image memory (the response
+// cache) but archives the conversion and metrics, so warming is a
 // pool rebuild (no re-convert) and every counter is continuous across
 // the cycle.
 package serve
@@ -198,10 +198,10 @@ func (s *Server) installModelAt(m *Model, epoch uint64, guard bool) (*entry, err
 		QueueDepth:    s.cfg.QueueDepth,
 		InjectLatency: s.cfg.InjectLatency,
 	}
-	// The other view over the model's interner, counting into the
-	// accumulator the model just adopted.
+	// A fresh response cache, counting into the accumulator the model
+	// just adopted.
 	if s.cfg.ResponseCacheSize >= 0 {
-		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, s.cfg.ResponseCacheTTL, m.px)
+		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, s.cfg.ResponseCacheTTL)
 		bc.Cache.CountInto(&met.responseCache)
 	}
 	if s.cfg.Degrade {
@@ -426,12 +426,12 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrUnknownModel) {
 			status = http.StatusNotFound
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	state := "unregistered"
 	if evict {
 		state = StateEvicted
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"model": name, "state": state})
+	WriteJSON(w, http.StatusOK, map[string]string{"model": name, "state": state})
 }

@@ -56,12 +56,12 @@ type Metrics struct {
 	// outcome instead of simulating (identical image and policy).
 	deduped atomic.Int64
 
-	// Read counters of the model's two pixel-verified views. Every
-	// install builds fresh views that count into these (Memo.CountInto),
-	// so the numbers are continuous across re-registration and evict/warm
-	// while the accumulator holds no view: an evicted model's images are
+	// Read counters of the model's response cache. Every install builds
+	// a fresh cache that counts into these (Memo.CountInto), so the
+	// numbers are continuous across re-registration and evict/warm while
+	// the accumulator holds no cache: an evicted model's images are
 	// garbage.
-	encoderCache, responseCache coding.HitMiss
+	responseCache coding.HitMiss
 }
 
 // NewMetrics returns an empty accumulator.
@@ -220,9 +220,8 @@ type Snapshot struct {
 	// DedupedRequests counts requests answered by fanning out an identical
 	// (image, policy) batchmate's outcome instead of simulating.
 	DedupedRequests int64 `json:"dedupedRequests"`
-	// EncoderCacheHits/Misses are the model's quantization-cache counters
-	// (phase/TTFS input encoders; zero when the scheme has no Reset-time
-	// quantization to cache).
+	// EncoderCacheHits/Misses are retired with the encoders' quantization
+	// cache and always read zero, like Batches above.
 	EncoderCacheHits   int64 `json:"encoderCacheHits"`
 	EncoderCacheMisses int64 `json:"encoderCacheMisses"`
 	// ResponseCacheHits/Misses are the cross-batch response cache's
@@ -308,7 +307,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Skipped:   m.formWaits[FormSkipped].Load(),
 	}
 	s.DedupedRequests = m.deduped.Load()
-	s.EncoderCacheHits, s.EncoderCacheMisses = m.encoderCache.Load()
 	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.Load()
 	s.Derive(m.Hists())
 	return s

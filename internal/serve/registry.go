@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"burstsnn/internal/coding"
 	"burstsnn/internal/convert"
 	"burstsnn/internal/core"
 	"burstsnn/internal/dataset"
@@ -84,10 +83,6 @@ func DefaultExitPolicy(steps int) ExitPolicy {
 type Model struct {
 	archived
 	pool *Pool
-	// px is the pixel interner under the model's two memo views: quant
-	// (in the pool's encoders) and the batcher's response cache.
-	px    *coding.Interner
-	quant *coding.QuantCache
 }
 
 // Config returns the registration config (defaults applied).
@@ -131,10 +126,10 @@ func (m *Model) Info() Info {
 // (so warming skips the expensive convert/normalize pass and rebuilds
 // only the replica pool), the config it was registered under, and the
 // metrics accumulator (so counters survive an evict/warm cycle exactly
-// like they survive a re-register). Nothing here reaches a memo view or
-// the interner: eviction releases the model's image memory with its
-// pool. A resident Model embeds it, so the archive is by construction
-// the model minus what eviction releases.
+// like they survive a re-register). Nothing here reaches the response
+// cache: eviction releases the model's image memory with its pool. A
+// resident Model embeds it, so the archive is by construction the model
+// minus what eviction releases.
 type archived struct {
 	cfg     ModelConfig
 	conv    *convert.Result
@@ -218,26 +213,11 @@ func (r *Registry) Prepare(cfg ModelConfig, net *dnn.Network, normSamples []data
 	return r.build(cfg, conv)
 }
 
-// build assembles a Model around a conversion result: interner, quant
-// cache wired into the pool's proto encoder, replica pool, fresh metrics.
-// Shared by Prepare (fresh conversion) and Restore (archived conversion).
+// build assembles a Model around a conversion result: replica pool,
+// fresh metrics. Shared by Prepare (fresh conversion) and Restore
+// (archived conversion).
 func (r *Registry) build(cfg ModelConfig, conv *convert.Result) (*Model, error) {
-	// One quantization cache per registered model, attached to the proto
-	// encoder before the pool clones it so every replica (sequential and
-	// batched) shares it. Schemes without Reset-time quantization (real,
-	// rate) simply don't implement QuantCached. The proto is the pool's
-	// own shallow copy with its own encoder: the conversion is what the
-	// archive retains, so it must never point at the cache.
-	px := coding.NewInterner(internerEntries)
-	quant := coding.NewQuantCache(0, px)
-	proto := *conv.Net
-	if enc, ok := proto.Encoder.(coding.CloneableEncoder); ok {
-		proto.Encoder = enc.Clone()
-	}
-	if qc, ok := proto.Encoder.(coding.QuantCached); ok {
-		qc.SetQuantCache(quant)
-	}
-	pool, err := NewPoolMax(&proto, cfg.Replicas, cfg.MaxReplicas)
+	pool, err := NewPoolMax(conv.Net, cfg.Replicas, cfg.MaxReplicas)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
 	}
@@ -250,15 +230,14 @@ func (r *Registry) build(cfg ModelConfig, conv *convert.Result) (*Model, error) 
 			classes: conv.Net.Output.NumNeurons(),
 			neurons: conv.Net.NumNeurons(),
 		},
-		pool: pool, px: px, quant: quant,
+		pool: pool,
 	}, nil
 }
 
 // Install makes a prepared model resident. If a model of the same name
 // is resident (or archived from an eviction), the new model adopts its
-// metrics accumulator — into which its quant cache then counts — so
-// history is continuous; any archive entry is consumed. Returns the
-// prior resident model (nil if none).
+// metrics accumulator, so history is continuous; any archive entry is
+// consumed. Returns the prior resident model (nil if none).
 func (r *Registry) Install(m *Model) *Model {
 	r.mu.Lock()
 	old := r.models[m.cfg.Name]
@@ -267,7 +246,6 @@ func (r *Registry) Install(m *Model) *Model {
 	} else if a, ok := r.archive[m.cfg.Name]; ok {
 		m.metrics = a.metrics
 	}
-	m.quant.CountInto(&m.metrics.encoderCache)
 	delete(r.archive, m.cfg.Name)
 	r.models[m.cfg.Name] = m
 	r.mu.Unlock()

@@ -6,8 +6,11 @@ import (
 	"burstsnn/internal/coding"
 )
 
-// DefaultResponseCacheEntries bounds a model's response cache (the
-// model's memory bound is stated once, on internerEntries).
+// DefaultResponseCacheEntries bounds a model's response cache, and with
+// it the model's image memory: an entry holds one pixel copy and ≈100 B
+// of Outcome, so at MNIST scale (784 pixels ≈ 6.3 KB a copy) a full
+// cache holds ≈26 MB of pixels, whatever the traffic. The pending
+// sightings hold keys only.
 const DefaultResponseCacheEntries = 4096
 
 // DefaultResponseCacheTTL bounds how long a cached Outcome may be
@@ -16,18 +19,6 @@ const DefaultResponseCacheEntries = 4096
 // could keep answering through a cache that outlives it, and keeps the
 // promotion set from accumulating cold keys.
 const DefaultResponseCacheTTL = time.Minute
-
-// internerEntries bounds a model's pixel interner to its larger view:
-// whatever one view can hold, the interner can hand to the other.
-// Per-model memory at MNIST scale (784 pixels ≈ 6.3 KB a copy): a
-// replayed image costs one pixel copy, its quantization (as much again,
-// up to DefaultQuantCacheEntries of them) and ≈100 B of Outcome, so a
-// hot set filling both views takes ≈26 MB of pixels + ≈13 MB of
-// quantizations. The worst case is adversarial — each view full of
-// images the other never promoted, the interner full of images no view
-// kept: (2048 + 4096 + 4096) copies ≈ 64 MB, plus the ≈13 MB of
-// quantizations.
-const internerEntries = max(coding.DefaultQuantCacheEntries, DefaultResponseCacheEntries)
 
 // ResponseCache is the cross-batch (image-hash, policy) → Outcome cache
 // in front of the batcher: replay-heavy traffic is answered without
@@ -52,16 +43,15 @@ type exitKey struct {
 
 // NewResponseCache returns a cache bounded to maxEntries (<= 0 uses
 // DefaultResponseCacheEntries) whose entries expire ttl after their
-// last Record (<= 0 uses DefaultResponseCacheTTL), verifying against
-// px's pixel copies.
-func NewResponseCache(maxEntries int, ttl time.Duration, px *coding.Interner) *ResponseCache {
+// last Record (<= 0 uses DefaultResponseCacheTTL).
+func NewResponseCache(maxEntries int, ttl time.Duration) *ResponseCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultResponseCacheEntries
 	}
 	if ttl <= 0 {
 		ttl = DefaultResponseCacheTTL
 	}
-	return &ResponseCache{coding.NewMemo[exitKey, Outcome](maxEntries, ttl, px)}
+	return &ResponseCache{coding.NewMemo[exitKey, Outcome](maxEntries, ttl)}
 }
 
 // Lookup returns the cached Outcome for (image, policy) if an unexpired,

@@ -539,10 +539,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // ClassifyStatus is the HTTP status of a failed Classify for model —
@@ -621,7 +621,7 @@ func (s *Server) retryAfterSeconds(model string) int {
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	// ListAll: evicted models stay listed (state "evicted", 0 replicas) —
 	// they are still servable, one warm away.
-	writeJSON(w, http.StatusOK, map[string]any{"models": s.reg.ListAll()})
+	WriteJSON(w, http.StatusOK, map[string]any{"models": s.reg.ListAll()})
 }
 
 // handleTrace serves the recent-trace ring: the newest traces (up to
@@ -629,19 +629,19 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 // slowest set, newest/slowest first.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.traces == nil {
-		writeError(w, http.StatusNotFound, errors.New("tracing disabled (TraceCapacity < 0)"))
+		WriteError(w, http.StatusNotFound, errors.New("tracing disabled (TraceCapacity < 0)"))
 		return
 	}
 	n := 32
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
 			return
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"recent":          s.traces.Recent(n),
 		"slow":            s.traces.Slow(),
 		"slowThresholdMs": float64(s.traces.SlowThreshold()) / float64(time.Millisecond),
@@ -677,7 +677,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	resident, evicted, warmingN := s.lifecycleCounts()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"uptimeSec":  time.Since(s.start).Seconds(),
 		"module":     path,
@@ -716,7 +716,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resident, evicted, warmingN := s.lifecycleCounts()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"uptimeSec": time.Since(s.start).Seconds(),
 		"lifecycle": map[string]int{
 			"resident": resident, "evicted": evicted, "warming": warmingN,
@@ -725,16 +725,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as indented JSON. It encodes v before
+// the header goes out, so a value JSON cannot carry (a NaN float)
+// answers 500 with an error body, never a status with no body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(map[string]string{"error": "encoding the response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError answers status with {"error": err}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // ListenAndServe starts the HTTP server on cfg.Addr and blocks until

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -425,5 +426,43 @@ func TestShutdown(t *testing.T) {
 	}
 	if err := s.Shutdown(ctx); err != nil {
 		t.Errorf("second shutdown: %v", err)
+	}
+}
+
+// TestRegisterFileRejectsNonFiniteWeights: a model file holding one NaN
+// output weight is refused at registration, naming the blob — served, it
+// answered every classify with a NaN margin.
+func TestRegisterFileRejectsNonFiniteWeights(t *testing.T) {
+	_, set := testModel(t)
+	spec := dnn.MLP(1, 28, 28, []int{8}, 10)
+	net, err := dnn.Build(spec, mathx.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := net.Params()
+	params[len(params)-2].W.Data[5] = math.NaN()
+	path := t.TempDir() + "/nan.gob"
+	if err := dnn.SaveModelFile(path, spec, net); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.RegisterFile(lifecycleModelConfig("nan"), path, set.Train); err == nil || !strings.Contains(err.Error(), "weight blob") {
+		t.Fatalf("RegisterFile = %v, want the NaN weight blob named", err)
+	}
+}
+
+// TestWriteJSONNonFiniteAnswers500: a value JSON cannot carry is caught
+// before the header goes out — a 500 with an error body, not a 200 with
+// none.
+func TestWriteJSONNonFiniteAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, ClassifyResult{Margin: math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Fatalf("status %d body %q (%v), want 500 with an error body", rec.Code, rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
 	}
 }

@@ -64,7 +64,7 @@ func (s *Server) ShardStats() ShardStats {
 }
 
 func (s *Server) handleShardStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ShardStats())
+	WriteJSON(w, http.StatusOK, s.ShardStats())
 }
 
 // poolResizeRequest is the POST /v1/pool body; the response echoes the
@@ -83,13 +83,13 @@ func (s *Server) handlePoolResize(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
 	n, err := s.ResizePool(req.Model, req.Replicas)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"model": req.Model, "replicas": n})
+	WriteJSON(w, http.StatusOK, map[string]any{"model": req.Model, "replicas": n})
 }

@@ -345,12 +345,12 @@ func NewStreamServer(b StreamBackend) *StreamServer {
 func (ss *StreamServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), streamProtocol) {
 		w.Header().Set("Upgrade", streamProtocol)
-		writeError(w, http.StatusUpgradeRequired, fmt.Errorf("GET %s upgrades to %s", StreamPath, streamProtocol))
+		WriteError(w, http.StatusUpgradeRequired, fmt.Errorf("GET %s upgrades to %s", StreamPath, streamProtocol))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("this connection cannot be upgraded"))
+		WriteError(w, http.StatusInternalServerError, errors.New("this connection cannot be upgraded"))
 		return
 	}
 	conn, brw, err := hj.Hijack()
