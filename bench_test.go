@@ -262,7 +262,7 @@ func BenchmarkSNNStep(b *testing.B) {
 // BenchmarkHotpathConvStep isolates SpikingConv.Step: table-driven
 // scatter + fused bias/fire versus per-event div/mod arithmetic with a
 // full-population bias sweep. The fast path runs once per available
-// kernel dispatch tier (fast/purego, fast/sse, fast/avx2 side by side);
+// kernel dispatch tier (fast/purego, fast/avx2, fast/avx512 side by side);
 // the reference path has no kernels and runs once.
 func BenchmarkHotpathConvStep(b *testing.B) {
 	layer, in := benchkit.HotpathConv()
@@ -431,61 +431,6 @@ func BenchmarkHotpathBatchStep(b *testing.B) {
 				c.layer.Step(i, 1, B, c.in)
 			}
 			b.ReportMetric(float64(c.in.LaneEvents()), "laneEvents/op")
-		})
-	}
-}
-
-// BenchmarkBatchedThroughput measures the lockstep batch simulator
-// against back-to-back sequential classification on the conv-bearing
-// micro model: the same 8 images, the same early-exit policy, one
-// replica. Per-lane results agree across all paths (the tolerance
-// contract the equivalence suites pin), so the images/sec ratio is pure
-// amortization: shared scatter-table walks, weight-row loads, and
-// threshold computation across the batch, plus SIMD lane packing.
-func BenchmarkBatchedThroughput(b *testing.B) {
-	net, set := microModel(b)
-	conv, err := burstsnn.Convert(net, set.Train, burstsnn.DefaultConvertOptions(burstsnn.Phase, burstsnn.Burst))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const B = 8
-	images := make([][]float64, B)
-	for i := range images {
-		images[i] = set.Test[i%len(set.Test)].Image
-	}
-	policies := make([]serve.ExitPolicy, B)
-	for i := range policies {
-		policies[i] = serve.DefaultExitPolicy(96)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, img := range images {
-				serve.Classify(conv.Net, img, policies[0])
-			}
-		}
-		b.ReportMetric(float64(B*b.N)/b.Elapsed().Seconds(), "images/sec")
-	})
-	// Once per available kernel dispatch tier (forced for the
-	// sub-benchmark's duration) — one process, so tier-vs-tier ratios are
-	// not polluted by run-to-run machine noise. Served batches run on the
-	// sequential engine; these sub-benchmarks keep the evidence for that
-	// choice current (internal/README.md "When lockstep pays").
-	defer kernels.ForceLevel("")
-	for _, lv := range kernels.Available() {
-		if err := kernels.ForceLevel(lv); err != nil {
-			b.Fatal(err)
-		}
-		bn32, err := snn.NewBatchNetwork32(conv.Net, B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("lockstep-"+bn32.Kernel(), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serve.ClassifyBatch(bn32, images, policies)
-			}
-			b.ReportMetric(float64(B*b.N)/b.Elapsed().Seconds(), "images/sec")
 		})
 	}
 }

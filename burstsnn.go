@@ -266,14 +266,6 @@ func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 // step budget.
 func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(steps) }
 
-// BatchSNN32 is the lockstep batch simulator: up to B images stepped
-// through one set of float32 weights and scatter tables at once over the
-// kernel dispatch ladder. Per lane it matches the sequential simulator
-// under the tolerance contract (identical predictions, spike counts, and
-// early-exit steps on the equivalence corpus; readout within float32
-// accumulation tolerance).
-type BatchSNN32 = snn.BatchNetwork32
-
 // ErrServerOverloaded is returned when the admission plane sheds a
 // request instead of queueing it (full queue, or projected queue wait
 // past the request deadline); the HTTP layer maps it to 429 with a
@@ -294,32 +286,15 @@ const (
 
 // Kernel dispatch-tier controls, re-exported from internal/kernels: the
 // simulators' block primitives are selected at runtime by CPUID
-// (purego → sse → avx2 → avx512; avx512 packs only the sequential
-// engine's float64 conv and dense scatter and runs every other kernel
-// in its avx2 form); KernelLevel reports the active tier,
+// (purego → avx2 → avx512; avx512 packs the sequential engine's float64
+// conv scatter, conv gather and fire sweeps and runs every float32
+// kernel in its avx2 form); KernelLevel reports the active tier,
 // ForceKernelLevel pins it ("" resets to the startup level), and
 // KernelLevels lists the tiers this machine can run. All tiers are
 // bit-identical; forcing is for benchmarking and conformance testing.
 func KernelLevel() string                 { return kernels.ActiveLevel() }
 func ForceKernelLevel(level string) error { return kernels.ForceLevel(level) }
 func KernelLevels() []string              { return kernels.Available() }
-
-// NewLockstepSNN builds a B-lane lockstep simulator over a converted
-// network (float32 weight copies and precomputed tables are shared,
-// state is fresh).
-func NewLockstepSNN(net *SNN, b int) (*BatchSNN32, error) { return snn.NewBatchNetwork32(net, b) }
-
-// ClassifyBatch runs a batch of images lockstep under per-lane exit
-// policies, returning per-image outcomes plus the batch's lockstep step
-// count. Outcomes match sequential classification under the tolerance
-// contract (identical predictions, spike counts, and early-exit steps on
-// the equivalence corpus).
-func ClassifyBatch(bn *BatchSNN32, images [][]float64, policies []ExitPolicy) ([]ServeOutcome, int) {
-	return serve.ClassifyBatch(bn, images, policies)
-}
-
-// ServeOutcome is the transport-independent result of one classification.
-type ServeOutcome = serve.Outcome
 
 // Analysis types.
 type (

@@ -7,12 +7,10 @@
 //	snnbench -run table1,fig4         # a subset
 //	snnbench -run table2 -steps 384   # scale the budget up
 //
-// Two ungated artifact modes skip the exhibits and write JSON instead:
-// -batch (lockstep vs sequential per batch width and dispatch tier) and
-// -fleet (the shard-count sweep).
-// Perf claims are made with `go run ./benchmark`, not with these.
+// One ungated artifact mode skips the exhibits and writes JSON instead:
+// -fleet (the shard-count sweep). Perf claims are made with
+// `go run ./benchmark`, not with it.
 //
-//	snnbench -batch BENCH_batch.json
 //	snnbench -fleet BENCH_fleet.json
 //	snnbench -probe-level avx2        # exit 0 iff the tier runs here
 package main
@@ -38,22 +36,14 @@ func main() {
 		tiny     = flag.Bool("tiny", false, "use the reduced test-scale recipes")
 		out      = flag.String("o", "", "also write the report to this file")
 		csvDir   = flag.String("csv", "", "also export per-exhibit CSV files into this directory")
-		batchOut = flag.String("batch", "", "run the batched-throughput sweep (every kernel dispatch tier this machine supports) and write the JSON artifact to this path (skips the exhibits)")
 		fleetOut = flag.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
-		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, sse, avx2, avx512) is available on this machine and build, else 1 (CI capability gating)")
+		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, avx2, avx512) is available on this machine and build, else 1 (CI capability gating)")
 	)
 	flag.Parse()
 
 	if *probe != "" {
 		if err := probeLevel(*probe); err != nil {
 			fmt.Fprintf(os.Stderr, "snnbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batchOut != "" {
-		if err := runBatchBench(*batchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: batch: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -57,23 +57,17 @@ func (fr *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// serve.WireRequest.Release); the 429 path below still reads it.
 	defer wr.Release(err == nil && res.Cached)
 	if err != nil {
-		status := http.StatusBadRequest
+		// One status table with serve.Server; what is the front's own is
+		// a worker that is down and where a 429's hint comes from.
+		status := serve.ClassifyErrorStatus(r.Context(), err)
 		switch {
-		case errors.Is(err, serve.ErrUnknownModel):
-			status = http.StatusNotFound
-		case errors.Is(err, serve.ErrOverloaded):
+		case errors.Is(err, ErrWorkerDown):
+			status = http.StatusServiceUnavailable
+		case status == http.StatusTooManyRequests:
 			// Every tried shard shed. The hint is the OWNING shard's
 			// drain projection: a retry re-hashes to the same owner.
-			status = http.StatusTooManyRequests
 			secs := int(math.Ceil(fr.f.RetryAfter(req.Model, req.Image).Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		case errors.Is(err, ErrWorkerDown), errors.Is(err, serve.ErrClosed):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
+			w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
 		}
 		serve.WriteError(w, status, err)
 		return

@@ -35,7 +35,8 @@ func stubProcWorker(t *testing.T, h http.Handler) *ProcWorker {
 // serve.Server and to a fleet front — over in-process shards and over
 // the classify stream to worker servers — and requires the three to
 // answer with the same status: a client cannot tell a fleet from a
-// single server by its error codes.
+// single server by its error codes. A request whose client has already
+// gone is a 503 everywhere, not a 400 at the front.
 func TestClassifyStatusParity(t *testing.T) {
 	single := newShardServer(t, serve.Config{})
 	t.Cleanup(func() { _ = single.Shutdown(context.Background()) })
@@ -69,22 +70,30 @@ func TestClassifyStatusParity(t *testing.T) {
 		return b
 	}
 	img := testImage(3)
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
 		name string
 		body []byte
+		ctx  context.Context
 		want int
 	}{
-		{"ok", marshal(serve.ClassifyRequest{Model: "digits", Image: img}), 200},
-		{"unknown model", marshal(serve.ClassifyRequest{Model: "nope", Image: img}), 404},
-		{"wrong pixel count", marshal(serve.ClassifyRequest{Model: "digits", Image: img[:10]}), 400},
-		{"maxSteps out of range", marshal(serve.ClassifyRequest{Model: "digits", Image: img, MaxSteps: testSteps + 1}), 400},
-		{"malformed JSON", []byte(`{"model":"digits","image":[0.5,`), 400},
-		{"oversize body", bytes.Repeat([]byte(" "), 8<<20+1), 413},
+		{"ok", marshal(serve.ClassifyRequest{Model: "digits", Image: img}), nil, 200},
+		{"unknown model", marshal(serve.ClassifyRequest{Model: "nope", Image: img}), nil, 404},
+		{"wrong pixel count", marshal(serve.ClassifyRequest{Model: "digits", Image: img[:10]}), nil, 400},
+		{"maxSteps out of range", marshal(serve.ClassifyRequest{Model: "digits", Image: img, MaxSteps: testSteps + 1}), nil, 400},
+		{"malformed JSON", []byte(`{"model":"digits","image":[0.5,`), nil, 400},
+		{"oversize body", bytes.Repeat([]byte(" "), 8<<20+1), nil, 413},
+		// A fresh image, so no response cache answers it.
+		{"client gone", marshal(serve.ClassifyRequest{Model: "digits", Image: testImage(4)}), gone, 503},
 	}
 	for _, c := range cases {
 		for _, target := range targets {
 			rec := httptest.NewRecorder()
 			req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(c.body))
+			if c.ctx != nil {
+				req = req.WithContext(c.ctx)
+			}
 			req.Header.Set("Content-Type", "application/json")
 			target.h.ServeHTTP(rec, req)
 			if rec.Code != c.want {

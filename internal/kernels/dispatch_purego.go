@@ -21,14 +21,12 @@ func forceLevel(name string) error {
 	switch name {
 	case "", LevelPurego:
 		return nil
-	case LevelSSE, LevelAVX2, LevelAVX512:
+	case LevelAVX2, LevelAVX512:
 		return fmt.Errorf("kernels: dispatch level %q is not supported on this build (pure Go only)", name)
 	}
 	return fmt.Errorf("kernels: unknown dispatch level %q (want one of %q)",
-		name, []string{LevelPurego, LevelSSE, LevelAVX2, LevelAVX512})
+		name, []string{LevelPurego, LevelAVX2, LevelAVX512})
 }
-
-func kindName() string { return "f32" }
 
 func axpyBlock(dst, row []float32, p float32, b, lanes int) {
 	axpyBlockGeneric(dst, row, p, b, lanes)

@@ -8,28 +8,18 @@ import (
 )
 
 // Dispatch-selection contract: ForceLevel round-trips through
-// ActiveLevel and Kind, rejects garbage, and the detected ladder is
-// monotone — a machine that can run a tier can run every narrower one.
+// ActiveLevel, rejects garbage, and the detected ladder is monotone — a
+// machine that can run a tier can run every narrower one.
 
 func TestForceLevelRoundTrip(t *testing.T) {
 	start := ActiveLevel() // startup level: detected, or the env override
 	defer ForceLevel("")
-	// The float32 plane has no avx512 forms: that tier runs the avx2 ones.
-	kinds := map[string]string{
-		LevelPurego: "f32",
-		LevelSSE:    "f32-sse",
-		LevelAVX2:   "f32-avx2",
-		LevelAVX512: "f32-avx2",
-	}
 	for _, lv := range Available() {
 		if err := ForceLevel(lv); err != nil {
 			t.Fatalf("ForceLevel(%q): %v", lv, err)
 		}
 		if got := ActiveLevel(); got != lv {
 			t.Fatalf("ActiveLevel() = %q after ForceLevel(%q)", got, lv)
-		}
-		if got, want := Kind(), kinds[lv]; got != want {
-			t.Fatalf("Kind() = %q at level %q, want %q", got, lv, want)
 		}
 	}
 	if err := ForceLevel(""); err != nil {
@@ -42,7 +32,8 @@ func TestForceLevelRoundTrip(t *testing.T) {
 
 func TestForceLevelInvalid(t *testing.T) {
 	before := ActiveLevel()
-	for _, bad := range []string{"sse3", "AVX2", "f32", "avx512f", "AVX512", "f32-sse"} {
+	// "sse" was a tier once: a stale KERNELS_LEVEL=sse must fail loudly.
+	for _, bad := range []string{"sse", "sse3", "AVX2", "f32", "avx512f", "AVX512", "f32-avx2"} {
 		if err := ForceLevel(bad); err == nil {
 			t.Fatalf("ForceLevel(%q) accepted", bad)
 		}
@@ -53,13 +44,13 @@ func TestForceLevelInvalid(t *testing.T) {
 }
 
 func TestLevelLadderMonotone(t *testing.T) {
-	ladder := []string{LevelPurego, LevelSSE, LevelAVX2, LevelAVX512}
+	ladder := []string{LevelPurego, LevelAVX2, LevelAVX512}
 	avail := Available()
 	if len(avail) == 0 || len(avail) > len(ladder) {
 		t.Fatalf("Available() = %v", avail)
 	}
 	// Available must be a prefix of the ladder ending at DetectedLevel:
-	// avx512 implies avx2 implies sse implies purego.
+	// avx512 implies avx2 implies purego.
 	for i, lv := range avail {
 		if lv != ladder[i] {
 			t.Fatalf("Available()[%d] = %q, want ladder prefix %v", i, lv, ladder[:len(avail)])

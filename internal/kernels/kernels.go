@@ -10,18 +10,16 @@
 // contract — bit-identity with the scalar engine they replaced, not
 // only with each other.
 //
-// Four dispatch tiers share one contract (see level.go for the
+// Three dispatch tiers share one contract (see level.go for the
 // runtime-selection machinery):
 //
 //   - purego: unrolled scalar float32 loops the compiler schedules well
-//     (the whole story on the `purego` build and every non-amd64
-//     platform);
-//   - sse: 4-lane packed single precision using only baseline SSE
-//     instructions, so it runs on every amd64 CPU;
+//     (the whole story on the `purego` build, every non-amd64 platform
+//     and any amd64 CPU without AVX2);
 //   - avx2: 8-lane VEX-encoded packed single precision — one full B=8
 //     lane stripe per instruction — selected by CPUID at startup; and
-//   - avx512: the float64 conv scatter on ZMM registers, every other
-//     kernel in its avx2 form.
+//   - avx512: the float64 conv scatter, conv gather and fire sweeps on
+//     ZMM registers, every float32 kernel in its avx2 form.
 //
 // The tiers are semantically identical, not merely close: every
 // primitive performs the same float32 operations on the same elements —
@@ -32,21 +30,9 @@
 // executes it. CI runs the suite once per tier via KERNELS_LEVEL (see
 // .github/workflows/ci.yml); the fuzz tests in this package pin each
 // primitive to a naive scalar reference at random shapes under every
-// available tier.
-//
-// Kind reports which float32 kernels the lockstep plane runs ("f32" pure
-// Go, "f32-sse", "f32-avx2"), the name a lockstep model's batchKernel
-// records. The tier itself — the one the default sequential engine runs
-// on, and the one /metrics reports — is ActiveLevel.
+// available tier. The tier — the one the sequential engine runs on, and
+// the one /metrics reports — is ActiveLevel.
 package kernels
-
-// Kind identifies the kernel implementation behind the float32 plane
-// right now: "f32" for the pure-Go loops (the purego build, or the
-// purego tier forced on the assembly build), "f32-sse" or "f32-avx2"
-// for the amd64 assembly tiers (the avx512 tier runs the avx2 forms). It
-// tracks ActiveLevel, so a ForceLevel or KERNELS_LEVEL override is
-// reflected here.
-func Kind() string { return kindName() }
 
 // AxpyBlock scatters one weighted tap into a lane-striped block:
 //
@@ -91,7 +77,7 @@ func AxpyBlockVec(dst, row, pv []float32, b, lanes int) {
 // AxpyLane scatters one weighted tap into a single lane of a striped
 // block: dst[lane+i*b] += row[i] * p. The strided single-lane form of
 // AxpyBlock, used for partial event columns; it stays scalar on every
-// build (a stride-B walk has no profitable SSE form at these widths).
+// build (a stride-B walk has no profitable packed form at these widths).
 func AxpyLane(dst, row []float32, p float32, b, lane int) {
 	vb := lane
 	for _, w := range row {

@@ -31,9 +31,7 @@ import "math"
 //     VCOMPRESSPD) and interleaves them into events with two VPERMI2Q, so
 //     a group of 8 cells costs two 64-byte stores and a popcount however
 //     many fire;
-//   - sse: nothing. A 2-cell form would serve only a tier no benchmark
-//     host runs, so it would be unmeasured code; sse runs the generic
-//     loops.
+//   - purego: the generic loops below.
 //
 // The packed forms need cell groups that never straddle a bias period or
 // a channel, so they take populations whose channel count (the bias

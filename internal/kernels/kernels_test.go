@@ -12,8 +12,8 @@ import (
 // the contract requires: the multiply is rounded once, then added). The
 // fuzz tests drive the exported kernels against them at random shapes,
 // requiring bit-exact float32 agreement, and forEachLevel repeats every
-// fuzz under every dispatch tier this machine can run (purego, sse,
-// avx2, avx512), so each tier is pinned to the same scalar reference — and
+// fuzz under every dispatch tier this machine can run (purego, avx2,
+// avx512), so each tier is pinned to the same scalar reference — and
 // therefore to every other tier — on every commit. CI additionally runs
 // the package under the purego build and under forced KERNELS_LEVEL
 // tiers.
@@ -80,12 +80,6 @@ func randF32s(r *mathx.RNG, n int, scale float64) []float32 {
 		v[i] = float32(r.Norm(0, scale))
 	}
 	return v
-}
-
-func TestKindNames(t *testing.T) {
-	if k := Kind(); k != "f32" && k != "f32-sse" && k != "f32-avx2" {
-		t.Fatalf("Kind() = %q, want f32, f32-sse, or f32-avx2", k)
-	}
 }
 
 func TestAxpyBlockFuzz(t *testing.T) { forEachLevel(t, testAxpyBlockFuzz) }

@@ -9,8 +9,8 @@ import "os"
 // carries every tier and picks the widest one the CPU supports at
 // process start via CPUID:
 //
-//	purego  — the unrolled pure-Go float32 loops (always available)
-//	sse     — 4-lane baseline-SSE packed kernels (every amd64 CPU)
+//	purego  — the unrolled pure-Go loops (always available; an amd64
+//	          CPU without AVX2 runs them too)
 //	avx2    — 8-lane AVX2 packed kernels (one full B=8 stripe per
 //	          packed multiply-add; CPUID-gated: AVX2 + OS-enabled
 //	          YMM state)
@@ -30,11 +30,9 @@ import "os"
 //
 // The sequential float64 engine's primitives (kernels64.go) ride the
 // same ladder: avx2 packs the conv scatter, the conv gather and both fire
-// sweeps 4 cells wide, avx512 packs all four 8 cells wide, purego and sse
-// run the generic loops, and every tier is bit-identical to the scalar
-// engine. sse has no packed float64 form on purpose: two
-// cells per op would be written for a tier no benchmark host runs, so it
-// would be unmeasured code.
+// sweeps 4 cells wide, avx512 packs all four 8 cells wide, purego runs
+// the generic loops, and every tier is bit-identical to the scalar
+// engine.
 //
 // The active tier can be overridden — per process via the KERNELS_LEVEL
 // environment variable, or programmatically via ForceLevel — so any tier
@@ -46,13 +44,12 @@ import "os"
 // Dispatch tier names, ordered narrowest to widest.
 const (
 	LevelPurego = "purego"
-	LevelSSE    = "sse"
 	LevelAVX2   = "avx2"
 	LevelAVX512 = "avx512"
 )
 
 // ActiveLevel returns the dispatch tier kernel calls currently execute
-// on: LevelPurego, LevelSSE, LevelAVX2 or LevelAVX512.
+// on: LevelPurego, LevelAVX2 or LevelAVX512.
 func ActiveLevel() string { return activeLevelName() }
 
 // DetectedLevel returns the widest tier this machine supports (the tier
@@ -62,7 +59,7 @@ func DetectedLevel() string { return detectedLevelName() }
 
 // Available returns the runnable tiers on this machine and build,
 // narrowest first. It is always a prefix of the full ladder
-// {purego, sse, avx2, avx512} ending at DetectedLevel: a CPU that can run a
+// {purego, avx2, avx512} ending at DetectedLevel: a CPU that can run a
 // tier can run every narrower one.
 func Available() []string { return availableLevels() }
 

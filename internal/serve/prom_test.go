@@ -132,11 +132,12 @@ func TestPromExposition(t *testing.T) {
 
 // TestKernelDispatchReportsLevel pins the vocabulary of the dispatch
 // tier on the prom page and /healthz: active is a level name, like
-// detected beside it, so a forced tier reads back as itself ("sse", not
-// the float32 plane's "f32-sse").
+// detected beside it, so a forced tier reads back as itself ("purego",
+// not a kernel-implementation name such as "f32"). purego runs on every
+// build, so the test never skips.
 func TestKernelDispatchReportsLevel(t *testing.T) {
-	if err := kernels.ForceLevel(kernels.LevelSSE); err != nil {
-		t.Skipf("sse tier unavailable: %v", err)
+	if err := kernels.ForceLevel(kernels.LevelPurego); err != nil {
+		t.Fatal(err)
 	}
 	defer kernels.ForceLevel("")
 	s := New(Config{})
@@ -155,7 +156,7 @@ func TestKernelDispatchReportsLevel(t *testing.T) {
 		}
 		return raw
 	}
-	want := `burstsnn_kernel_dispatch_info{active="sse",detected="` + kernels.DetectedLevel() + `"} 1`
+	want := `burstsnn_kernel_dispatch_info{active="purego",detected="` + kernels.DetectedLevel() + `"} 1`
 	if prom := string(get("/metrics/prom")); !strings.Contains(prom, want) {
 		t.Errorf("/metrics/prom lacks %q", want)
 	}
@@ -165,8 +166,8 @@ func TestKernelDispatchReportsLevel(t *testing.T) {
 	if err := json.Unmarshal(get("/healthz"), &page); err != nil {
 		t.Fatal(err)
 	}
-	if got := page.Kernels["active"]; got != kernels.LevelSSE {
-		t.Errorf(`/healthz kernels.active = %q, want "sse"`, got)
+	if got := page.Kernels["active"]; got != kernels.LevelPurego {
+		t.Errorf(`/healthz kernels.active = %q, want "purego"`, got)
 	}
 	if got := page.Kernels["detected"]; got != kernels.DetectedLevel() {
 		t.Errorf("/healthz kernels.detected = %q, want %q", got, kernels.DetectedLevel())

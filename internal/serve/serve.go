@@ -545,23 +545,35 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, res)
 }
 
-// ClassifyStatus is the HTTP status of a failed Classify for model —
-// what POST /v1/classify answers and what a classify stream's reply
-// carries — and, for a 429, the Retry-After seconds. ctx is the
-// request's: once it is done the client has gone.
-func (s *Server) ClassifyStatus(ctx context.Context, model string, err error) (status, retryAfter int) {
-	status = http.StatusBadRequest
+// ClassifyErrorStatus is the HTTP status POST /v1/classify answers a
+// failed classify with, on a server and on a fleet front alike. ctx is
+// the request's: once it is done the client has gone. Anything the table
+// does not name is the request's own fault: 400.
+func ClassifyErrorStatus(ctx context.Context, err error) int {
 	switch {
+	case errors.Is(err, ErrUnknownModel):
+		return http.StatusNotFound
 	case errors.Is(err, ErrOverloaded):
-		// Shed at admission: tell the client when the queue should have
-		// drained enough to try again.
-		status, retryAfter = http.StatusTooManyRequests, s.retryAfterSeconds(model)
+		// Shed at admission: the caller adds a Retry-After.
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed), context.Cause(ctx) != nil:
-		status = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		// The server-side RequestTimeout expired (overload), not a
 		// malformed request.
-		status = http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadRequest
+}
+
+// ClassifyStatus is the HTTP status of a failed Classify for model —
+// what POST /v1/classify answers and what a classify stream's reply
+// carries — and, for a 429, the Retry-After seconds: when the model's
+// queue should have drained enough to try again.
+func (s *Server) ClassifyStatus(ctx context.Context, model string, err error) (status, retryAfter int) {
+	status = ClassifyErrorStatus(ctx, err)
+	if status == http.StatusTooManyRequests {
+		retryAfter = s.retryAfterSeconds(model)
 	}
 	if !s.reg.Known(model) {
 		status = http.StatusNotFound

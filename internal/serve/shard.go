@@ -25,8 +25,8 @@ type ModelShardStats struct {
 	// hits, live gauges) — everything additive across shards plus the
 	// per-shard gauges the fleet reports under a shard label.
 	Counters Snapshot `json:"counters"`
-	// ModelHists are the raw stage, occupancy and exit-prediction-error
-	// buckets behind the snapshot's digests.
+	// ModelHists are the raw stage buckets behind the snapshot's
+	// digests.
 	ModelHists
 	// Pressure is the shard's smoothed queue-fill signal (the autoscaler
 	// input); RetryAfterSec the shard's own drain-time projection, which

@@ -874,10 +874,6 @@ func (bn *BatchNetwork32) PotentialsInto(slot int, dst []float64) []float64 {
 	return bn.Output.PotentialsInto(slot, dst)
 }
 
-// Kernel names the kernel dispatch tier the simulator runs on, for
-// metrics and artifacts.
-func (bn *BatchNetwork32) Kernel() string { return kernels.Kind() }
-
 // AttachProbe registers a float32 batch-column observer for a layer
 // index; -1 observes the encoder.
 func (bn *BatchNetwork32) AttachProbe(layer int, p BatchProbe32) {

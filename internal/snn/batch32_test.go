@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"burstsnn/internal/coding"
-	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 )
 
@@ -60,9 +59,6 @@ func TestBatch32MatchesSequential(t *testing.T) {
 					batch, err := NewBatchNetwork32(proto, B)
 					if err != nil {
 						t.Fatalf("NewBatchNetwork32: %v", err)
-					}
-					if k := batch.Kernel(); k != kernels.Kind() {
-						t.Fatalf("Kernel() = %q, want %q", k, kernels.Kind())
 					}
 
 					nL := len(proto.Layers)

@@ -13,7 +13,7 @@ import (
 // the float32 plane to the float64 sequential simulator under whichever
 // dispatch tier is active, with a *tolerance* contract on the readout.
 // This suite pins the tiers to EACH OTHER, and the contract here is
-// strictly stronger: every available tier (purego, sse, avx2) must
+// strictly stronger: every available tier (purego, avx2, avx512) must
 // produce bit-identical trajectories — the same event columns (indices,
 // lane sets, payload bits), the same per-lane spike counts, the same
 // predictions, and bit-equal float32 readout potentials at every step of
