@@ -16,7 +16,7 @@
 //     produces accuracy curves, spike counts, and latency metrics,
 //   - spike-pattern analysis (ISI histograms, burst composition, firing
 //     rate/regularity) and neuromorphic energy estimation,
-//   - an online serving layer (NewServer): a model registry with cached
+//   - an online serving layer (NewServer): a model lifecycle table with cached
 //     conversions, pooled simulator replicas, a microbatching request
 //     queue, an early-exit engine that stops each request as soon as the
 //     readout settles, and an always-on telemetry plane (per-request
@@ -228,7 +228,7 @@ func NewSingleNeuron(cfg CodingConfig) *SingleNeuron { return snn.NewSingleNeuro
 // Serving types: the online inference layer (see internal/serve and
 // cmd/snnserve).
 type (
-	// Server is the inference-serving frontend: model registry, replica
+	// Server is the inference-serving frontend: model lifecycle table, replica
 	// pools, microbatching queues, and the HTTP JSON API.
 	Server = serve.Server
 	// ServeConfig tunes the server (address, batching, timeouts).
@@ -259,7 +259,7 @@ type (
 	TraceRing = obs.Ring
 )
 
-// NewServer builds an inference server with an empty model registry.
+// NewServer builds an inference server with no models.
 func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
 // DefaultExitPolicy returns the serving default early-exit policy for a

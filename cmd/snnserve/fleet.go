@@ -182,16 +182,10 @@ func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, shards int,
 	baseline := runtime.NumGoroutine()
 
 	fmt.Println("training MLP on synthetic digits...")
-	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
-		TrainPerClass: 30, TestPerClass: 5, Noise: 0.04, Seed: 1009,
-	})
-	dnnNet, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{32}, 10), burstsnn.NewRNG(7))
+	set, dnnNet, err := selftestDigits()
 	if err != nil {
 		return err
 	}
-	burstsnn.Train(dnnNet, set, burstsnn.NewAdam(0.01), burstsnn.TrainConfig{
-		Epochs: 6, BatchSize: 32, Seed: 5,
-	})
 
 	factory := func(shard int) (fleet.Worker, error) {
 		srv := burstsnn.NewServer(burstsnn.ServeConfig{
@@ -395,16 +389,8 @@ func runFleetSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, shards int,
 	failed = false
 	shutdown()
 	client.CloseIdleConnections()
-	leakDeadline := time.Now().Add(15 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			fmt.Printf("shutdown         : goroutines %d (baseline %d)\n", g, baseline)
-			break
-		}
-		if time.Now().After(leakDeadline) {
-			return fmt.Errorf("shutdown leaked goroutines: %d now, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := waitGoroutines(baseline, 15*time.Second); err != nil {
+		return err
 	}
 	fmt.Println("fleet selftest PASS")
 	return nil

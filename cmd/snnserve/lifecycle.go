@@ -41,16 +41,10 @@ func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger 
 	baseline := runtime.NumGoroutine()
 
 	fmt.Println("training v1/v2 MLPs on synthetic digits...")
-	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
-		TrainPerClass: 30, TestPerClass: 5, Noise: 0.04, Seed: 1009,
-	})
-	netV1, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{32}, 10), burstsnn.NewRNG(7))
+	set, netV1, err := selftestDigits()
 	if err != nil {
 		return err
 	}
-	burstsnn.Train(netV1, set, burstsnn.NewAdam(0.01), burstsnn.TrainConfig{
-		Epochs: 6, BatchSize: 32, Seed: 5,
-	})
 	// v2 is structurally different (wider hidden layer), so its neuron
 	// count discriminates which registration a scrape reflects.
 	netV2, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{48}, 10), burstsnn.NewRNG(11))
@@ -71,16 +65,8 @@ func runLifecycleSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger 
 		return fmt.Errorf("phase C (fairness): %w", err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			fmt.Printf("shutdown         : goroutines %d (baseline %d)\n", g, baseline)
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shutdown leaked goroutines: %d now, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := waitGoroutines(baseline, 10*time.Second); err != nil {
+		return err
 	}
 	fmt.Println("lifecycle selftest PASS")
 	return nil
@@ -204,7 +190,7 @@ func lifecyclePhaseSwap(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *s
 		return err
 	}
 	wantNeurons := 0
-	for _, info := range srv.Registry().List() {
+	for _, info := range srv.Models() {
 		wantNeurons = info.Neurons
 	}
 	v2Info, err := serveInfoFor(models.Models, "digits")

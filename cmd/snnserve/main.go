@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -56,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -425,7 +425,10 @@ func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.Ser
 			defer wg.Done()
 			for i := range next {
 				s := set.Test[i%len(set.Test)]
-				res, err := classifyHTTP(client, base, serve.ClassifyRequest{Model: "digits", Image: s.Image})
+				res, status, _, err := classifyHTTPStatus(client, base, serve.ClassifyRequest{Model: "digits", Image: s.Image})
+				if err == nil && status != http.StatusOK {
+					err = fmt.Errorf("status %d", status)
+				}
 				shots[i] = shot{res: res, err: err}
 			}
 		}()
@@ -625,20 +628,36 @@ func (m *modelWeights) Set(s string) error {
 
 func net0() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 
-func classifyHTTP(client *http.Client, base string, req serve.ClassifyRequest) (serve.ClassifyResult, error) {
-	var res serve.ClassifyResult
-	body, err := json.Marshal(req)
+// selftestDigits trains the digits MLP the overload, fleet and
+// lifecycle selftests share: the same synthetic set and the same weights
+// on every run.
+func selftestDigits() (*burstsnn.Set, *burstsnn.DNN, error) {
+	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
+		TrainPerClass: 30, TestPerClass: 5, Noise: 0.04, Seed: 1009,
+	})
+	mlp, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{32}, 10), burstsnn.NewRNG(7))
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	resp, err := client.Post(base+"/v1/classify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return res, err
+	burstsnn.Train(mlp, set, burstsnn.NewAdam(0.01), burstsnn.TrainConfig{
+		Epochs: 6, BatchSize: 32, Seed: 5,
+	})
+	return set, mlp, nil
+}
+
+// waitGoroutines waits up to within for the goroutine count to fall back
+// to baseline (plus two of the runtime's own) after a selftest's
+// shutdown, and reports it.
+func waitGoroutines(baseline int, within time.Duration) error {
+	deadline := time.Now().Add(within)
+	for {
+		if g := runtime.NumGoroutine(); g <= baseline+2 {
+			fmt.Printf("shutdown         : goroutines %d (baseline %d)\n", g, baseline)
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("shutdown leaked goroutines: %d now, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return res, fmt.Errorf("status %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return res, json.NewDecoder(resp.Body).Decode(&res)
 }

@@ -37,16 +37,10 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 	baseline := runtime.NumGoroutine()
 
 	fmt.Println("training MLP on synthetic digits...")
-	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
-		TrainPerClass: 30, TestPerClass: 5, Noise: 0.04, Seed: 1009,
-	})
-	net, err := burstsnn.BuildDNN(burstsnn.MLP(1, 28, 28, []int{32}, 10), burstsnn.NewRNG(7))
+	set, net, err := selftestDigits()
 	if err != nil {
 		return err
 	}
-	burstsnn.Train(net, set, burstsnn.NewAdam(0.01), burstsnn.TrainConfig{
-		Epochs: 6, BatchSize: 32, Seed: 5,
-	})
 
 	// Tiny capacity, so the burst below provably exceeds it: one replica,
 	// four-lane batches, an eight-slot queue, and 25ms of injected latency
@@ -218,16 +212,8 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 	failed = false
 	shutdown()
 	client.CloseIdleConnections()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			fmt.Printf("shutdown         : goroutines %d (baseline %d)\n", g, baseline)
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shutdown leaked goroutines: %d now, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := waitGoroutines(baseline, 10*time.Second); err != nil {
+		return err
 	}
 	fmt.Println("overload selftest PASS")
 	return nil

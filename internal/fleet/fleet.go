@@ -17,9 +17,6 @@ import (
 type Config struct {
 	// Shards is the worker count (required, >= 1).
 	Shards int
-	// VNodes is the consistent-hash ring's virtual-node count per shard
-	// (default DefaultVNodes).
-	VNodes int
 	// FallbackHops bounds how many additional shards a request may be
 	// offered after its owner sheds it (bounded-load fallback). Default
 	// 1; negative pins requests to their owner (shed = 429). Dead shards
@@ -31,19 +28,19 @@ type Config struct {
 	// Autoscale enables per-shard pool autoscaling from each shard's
 	// queue-pressure EWMA: pressure above GrowPressure widens the model's
 	// replica pool one step (up to its MaxReplicas), pressure below
-	// ShrinkPressure narrows it (down to 1).
+	// shrinkPressure narrows it (down to 1).
 	Autoscale         bool
 	AutoscaleInterval time.Duration // default 250ms
 	GrowPressure      float64       // default 0.5
-	ShrinkPressure    float64       // default 0.05
 }
+
+// shrinkPressure is the queue pressure below which the autoscaler
+// narrows a model's pool by one replica.
+const shrinkPressure = 0.05
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 1 {
 		return c, fmt.Errorf("fleet: need at least 1 shard, got %d", c.Shards)
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.FallbackHops == 0 {
 		c.FallbackHops = 1
@@ -59,9 +56,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.GrowPressure <= 0 {
 		c.GrowPressure = 0.5
-	}
-	if c.ShrinkPressure <= 0 {
-		c.ShrinkPressure = 0.05
 	}
 	return c, nil
 }
@@ -109,7 +103,7 @@ func New(cfg Config, factory WorkerFactory) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := NewRing(cfg.Shards, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +342,7 @@ func (f *Fleet) autoscale() {
 				switch {
 				case ms.Pressure > f.cfg.GrowPressure && ms.PoolSize < ms.PoolMax:
 					_, _ = w.Resize(model, ms.PoolSize+1)
-				case ms.Pressure < f.cfg.ShrinkPressure && ms.PoolSize > 1:
+				case ms.Pressure < shrinkPressure && ms.PoolSize > 1:
 					_, _ = w.Resize(model, ms.PoolSize-1)
 				}
 			}

@@ -93,7 +93,7 @@ func (w *InprocWorker) Models() ([]serve.Info, error) {
 	if w.killed.Load() {
 		return nil, ErrWorkerDown
 	}
-	return w.srv.Registry().ListAll(), nil
+	return w.srv.Models(), nil
 }
 
 func (w *InprocWorker) Unregister(model string, evict bool) error {

@@ -538,7 +538,7 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Registry().Get("digits")
+	m, err := s.Model("digits")
 	if err != nil {
 		t.Fatal(err)
 	}

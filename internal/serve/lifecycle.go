@@ -21,6 +21,11 @@
 // cache) but archives the conversion and metrics, so warming is a
 // pool rebuild (no re-convert) and every counter is continuous across
 // the cycle.
+//
+// The table: Server.entries holds resident models, Server.archive the
+// evicted ones, both under Server.mu — a name is in one map or neither,
+// never both, so every transition is one critical section and every
+// reader (resolve, /metrics, /v1/models) sees one consistent state.
 package serve
 
 import (
@@ -67,7 +72,7 @@ func (s *Server) isClosed() bool {
 // resolveEntry returns the live entry for name, transparently warming an
 // evicted model back in (the caller blocks behind the singleflight
 // restore, bounded by its ctx). Unknown names fail with the same error
-// Registry.Get reports.
+// Model reports.
 func (s *Server) resolveEntry(ctx context.Context, name string) (*entry, error) {
 	for {
 		s.mu.Lock()
@@ -79,7 +84,7 @@ func (s *Server) resolveEntry(ctx context.Context, name string) (*entry, error) 
 			s.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if !s.reg.Archived(name) {
+		if s.archive[name] == nil {
 			s.mu.Unlock()
 			return nil, errUnknownModel(name)
 		}
@@ -137,9 +142,17 @@ func (s *Server) runWarm(name string, op *warmOp, epoch uint64) {
 // name between the leader claiming the warm and the restore finishing
 // (e.g. an explicit Register with fresh weights), the restored model is
 // dropped instead of clobbering the newer state, and (nil, nil) sends
-// the resolve loop back to re-observe.
+// the resolve loop back to re-observe. So does an archive that is gone
+// by the time the warm reads it: a Register or Unregister got there
+// first, and the resolve loop serves from (or 404s on) what it left.
 func (s *Server) warm(name string, epoch uint64) (*entry, error) {
-	m, err := s.reg.Restore(name)
+	s.mu.Lock()
+	a := s.archive[name]
+	s.mu.Unlock()
+	if a == nil {
+		return nil, nil
+	}
+	m, err := build(a.cfg, a.conv)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +168,7 @@ func (s *Server) warm(name string, epoch uint64) (*entry, error) {
 }
 
 // installModel makes a prepared (or restored) model resident. The
-// registry install, counter binding, batcher creation, and entry swap
+// table install, counter binding, batcher creation, and entry swap
 // all happen under one critical section — the atomic (model, batcher)
 // swap that closes the stale-weights window. The displaced batcher, if
 // any, hands its queued requests to the new one outside the lock.
@@ -185,10 +198,15 @@ func (s *Server) installModelAt(m *Model, epoch uint64, guard bool) (*entry, err
 	}
 	s.epochs[name]++
 	old := s.entries[name]
-	// Install first: the new model adopts the prior registration's (or
-	// archive's) metrics here, so the batcher below observes into the
-	// accumulator the model will actually expose.
-	s.reg.Install(m)
+	// The new model adopts the prior registration's (or archive's)
+	// metrics first, so history is continuous and the batcher below
+	// observes into the accumulator the model will actually expose.
+	if old != nil {
+		m.metrics = old.model.metrics
+	} else if a := s.archive[name]; a != nil {
+		m.metrics = a.metrics
+	}
+	delete(s.archive, name)
 	met := m.Metrics()
 	bc := BatcherConfig{
 		Metrics:       met,
@@ -277,15 +295,22 @@ func (s *Server) remove(name string, evict bool) error {
 			<-op.done
 			continue
 		}
-		if _, err := s.reg.Unregister(name, evict); err != nil {
+		e := s.entries[name]
+		if e == nil && s.archive[name] == nil {
 			s.mu.Unlock()
-			return err
+			return errUnknownModel(name)
+		}
+		delete(s.entries, name)
+		switch {
+		case !evict:
+			delete(s.archive, name)
+		case e != nil:
+			a := e.model.archived
+			s.archive[name] = &a
 		}
 		// Advance the epoch so a warm claimed before this removal cannot
 		// install its now-superseded restore afterwards.
 		s.epochs[name]++
-		e := s.entries[name]
-		delete(s.entries, name)
 		s.mu.Unlock()
 		if e != nil {
 			// Graceful drain: queued work executes on the pool before the
@@ -340,11 +365,8 @@ func (s *Server) evictIdleLoop() {
 // counts (the /healthz and /metrics lifecycle gauges).
 func (s *Server) lifecycleCounts() (resident, evicted, warming int) {
 	s.mu.Lock()
-	resident = len(s.entries)
-	warming = len(s.warming)
-	s.mu.Unlock()
-	evicted = len(s.reg.ArchivedStats())
-	return resident, evicted, warming
+	defer s.mu.Unlock()
+	return len(s.entries), len(s.archive), len(s.warming)
 }
 
 // statRow is one exposition row: a known model's metrics plus whatever
@@ -358,26 +380,21 @@ type statRow struct {
 	batcher *Batcher // nil when evicted
 }
 
-// statRows lists every known model, resident entries first-hand and
-// evicted ones from the registry archive, sorted by name. A model caught
-// mid-eviction may appear with either state; it never appears twice.
+// statRows lists every known model, resident and evicted, sorted by
+// name.
 func (s *Server) statRows() []statRow {
 	s.mu.Lock()
-	rows := make([]statRow, 0, len(s.entries))
-	seen := make(map[string]bool, len(s.entries))
+	rows := make([]statRow, 0, len(s.entries)+len(s.archive))
 	for name, e := range s.entries {
 		rows = append(rows, statRow{
 			name: name, state: StateResident,
 			met: e.model.Metrics(), pool: e.model.Pool(), batcher: e.batcher,
 		})
-		seen[name] = true
+	}
+	for name, a := range s.archive {
+		rows = append(rows, statRow{name: name, state: StateEvicted, met: a.metrics})
 	}
 	s.mu.Unlock()
-	for name, met := range s.reg.ArchivedStats() {
-		if !seen[name] {
-			rows = append(rows, statRow{name: name, state: StateEvicted, met: met})
-		}
-	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -256,7 +257,7 @@ func TestUnregisterInFlight(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("post-unregister classify: %v, want unknown model", err)
 	}
-	if got := len(s.Registry().ListAll()); got != 0 {
+	if got := len(s.Models()); got != 0 {
 		t.Errorf("ListAll after unregister: %d models, want 0", got)
 	}
 	if err := s.Unregister("digits"); err == nil {
@@ -295,10 +296,10 @@ func TestEvictWarmRoundTrip(t *testing.T) {
 		if err := s.Evict("digits"); err != nil {
 			t.Fatalf("cycle %d Evict: %v", cycle, err)
 		}
-		if got := len(s.Registry().List()); got != 0 {
-			t.Fatalf("cycle %d: %d resident models after evict, want 0", cycle, got)
+		if _, err := s.Model("digits"); err == nil {
+			t.Fatalf("cycle %d: model resident after evict, want none", cycle)
 		}
-		all := s.Registry().ListAll()
+		all := s.Models()
 		if len(all) != 1 || all[0].State != StateEvicted {
 			t.Fatalf("cycle %d: ListAll = %+v, want one evicted entry", cycle, all)
 		}
@@ -483,7 +484,7 @@ func TestResidentBoundLRU(t *testing.T) {
 			}
 		}
 	}
-	if got := len(s.Registry().ListAll()); got != 3 {
+	if got := len(s.Models()); got != 3 {
 		t.Errorf("ListAll: %d models, want all 3 (resident + evicted)", got)
 	}
 	var evictions int64
@@ -672,10 +673,11 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 	// The warm leader's first half: sample the epoch and restore v1.
 	s.mu.Lock()
 	epoch := s.epochs["digits"]
+	a := s.archive["digits"]
 	s.mu.Unlock()
-	restored, err := s.reg.Restore("digits")
+	restored, err := build(a.cfg, a.conv)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 
 	// A concurrent Register of fresh v2 weights lands in between.
@@ -695,6 +697,92 @@ func TestWarmCannotClobberConcurrentRegister(t *testing.T) {
 		if res.Prediction != predsV2[i] {
 			t.Fatalf("image %d: prediction %d from the stale archived weights, want %d from the fresh registration",
 				i, res.Prediction, predsV2[i])
+		}
+	}
+}
+
+// TestWarmYieldsToRegisterBeforeRestore: a Register that lands after a
+// request claimed the warm but before the warm reads the archive leaves
+// nothing to restore. The warm must yield — no entry, no error — so the
+// resolve loop serves its waiters from the fresh registration instead
+// of failing them.
+func TestWarmYieldsToRegisterBeforeRestore(t *testing.T) {
+	net, set := testModel(t)
+	s := New(Config{ResponseCacheSize: -1})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := s.Evict("digits"); err != nil {
+		t.Fatalf("Evict: %v", err)
+	}
+	// The claim samples the epoch; the Register lands before the restore.
+	s.mu.Lock()
+	epoch := s.epochs["digits"]
+	s.mu.Unlock()
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register mid-warm: %v", err)
+	}
+	e, err := s.warm("digits", epoch)
+	if err != nil {
+		t.Fatalf("warm after a concurrent Register: %v, want it to yield", err)
+	}
+	if e != nil {
+		t.Fatal("warm installed over the concurrent Register")
+	}
+	if _, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: probeImages(1)[0]}); err != nil {
+		t.Fatalf("classify after the race: %v", err)
+	}
+}
+
+// TestScrapeCountsEachModelOnce: while one model cycles evict → warm,
+// every /metrics scrape counts it exactly once — resident + evicted = 1
+// and one models row — because both states are read under one lock.
+func TestScrapeCountsEachModelOnce(t *testing.T) {
+	net, set := testModel(t)
+	s := New(Config{ResponseCacheSize: -1})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.Register(lifecycleModelConfig("digits"), net, set.Train); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	img := probeImages(1)[0]
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 300; i++ {
+			if err := s.Evict("digits"); err != nil {
+				done <- fmt.Errorf("cycle %d: Evict: %w", i, err)
+				return
+			}
+			if _, err := s.Classify(context.Background(), ClassifyRequest{Model: "digits", Image: img}); err != nil {
+				done <- fmt.Errorf("cycle %d: classify (warm): %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	h := s.Handler()
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d scrapes", scrapes)
+			return
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var page struct {
+			Lifecycle map[string]int             `json:"lifecycle"`
+			Models    map[string]json.RawMessage `json:"models"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("scrape %d: %v", scrapes, err)
+		}
+		if n := page.Lifecycle["resident"] + page.Lifecycle["evicted"]; n != 1 || len(page.Models) != 1 {
+			t.Fatalf("scrape %d: lifecycle %v with %d models rows, want the one model counted once",
+				scrapes, page.Lifecycle, len(page.Models))
 		}
 	}
 }

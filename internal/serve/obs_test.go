@@ -144,7 +144,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 func TestErrorSplitCounters(t *testing.T) {
 	s := testServer(t, Config{})
-	m, err := s.Registry().Get("digits")
+	m, err := s.Model("digits")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 
 	"burstsnn/internal/convert"
 	"burstsnn/internal/core"
@@ -27,7 +25,7 @@ func errUnknownModel(name string) error {
 
 // Model lifecycle states reported by Info.State and Snapshot.State.
 const (
-	// StateResident: installed in the registry with a live pool.
+	// StateResident: installed on the server with a live pool.
 	StateResident = "resident"
 	// StateEvicted: unregistered with the conversion archived; the next
 	// request (or an explicit re-register) restores it.
@@ -37,7 +35,7 @@ const (
 // ModelConfig declares one servable model: a named DNN plus the coding
 // hybrid it is converted under and the serving knobs.
 type ModelConfig struct {
-	// Name is the registry key exposed by the API.
+	// Name is the key the API exposes the model under.
 	Name string
 	// Hybrid is the input-hidden coding assignment (e.g. phase-burst).
 	Hybrid core.Hybrid
@@ -153,30 +151,25 @@ func (a *archived) info() Info {
 	}
 }
 
-// Registry owns the servable models. Conversion runs once per registered
-// (model, hybrid) configuration; the ConvertResult is cached on the Model
-// and replicas are weight-sharing clones of it. Evicted models move to an
-// archive keyed by the same name: their pool is released but the
-// conversion and metrics are retained so Restore is cheap and counters
-// are continuous.
-type Registry struct {
-	mu      sync.RWMutex
-	models  map[string]*Model
-	archive map[string]*archived
+// Registry converts models outside any server: its Register builds a
+// converted, pooled Model and installs it nowhere. A Server keeps its
+// resident and evicted models in its own lifecycle table (lifecycle.go).
+type Registry struct{}
+
+// NewRegistry returns a Registry.
+func NewRegistry() *Registry { return &Registry{} }
+
+// Register converts net under cfg and returns the Model (pool, fresh
+// metrics) without installing it anywhere.
+func (r *Registry) Register(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
+	return prepare(cfg, net, normSamples)
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{models: map[string]*Model{}, archive: map[string]*archived{}}
-}
-
-// Prepare converts net under cfg and builds a Model (pool, fresh
-// metrics) WITHOUT installing it. The caller pairs it with Install so
-// the registry swap can be made atomic with whatever else must swap
-// alongside it (the server swaps the request queue in the same critical
-// section). normSamples feed the activation-recording pass of weight
-// normalization (typically the model's training split).
-func (r *Registry) Prepare(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
+// prepare converts net under cfg and builds a Model (pool, fresh
+// metrics) WITHOUT installing it. normSamples feed the
+// activation-recording pass of weight normalization (typically the
+// model's training split).
+func prepare(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: model name must not be empty")
 	}
@@ -210,13 +203,13 @@ func (r *Registry) Prepare(cfg ModelConfig, net *dnn.Network, normSamples []data
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
 	}
-	return r.build(cfg, conv)
+	return build(cfg, conv)
 }
 
 // build assembles a Model around a conversion result: replica pool,
-// fresh metrics. Shared by Prepare (fresh conversion) and Restore
-// (archived conversion).
-func (r *Registry) build(cfg ModelConfig, conv *convert.Result) (*Model, error) {
+// fresh metrics. Shared by prepare (fresh conversion) and the server's
+// warm (archived conversion).
+func build(cfg ModelConfig, conv *convert.Result) (*Model, error) {
 	pool, err := NewPoolMax(conv.Net, cfg.Replicas, cfg.MaxReplicas)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
@@ -232,152 +225,4 @@ func (r *Registry) build(cfg ModelConfig, conv *convert.Result) (*Model, error) 
 		},
 		pool: pool,
 	}, nil
-}
-
-// Install makes a prepared model resident. If a model of the same name
-// is resident (or archived from an eviction), the new model adopts its
-// metrics accumulator, so history is continuous; any archive entry is
-// consumed. Returns the prior resident model (nil if none).
-func (r *Registry) Install(m *Model) *Model {
-	r.mu.Lock()
-	old := r.models[m.cfg.Name]
-	if old != nil {
-		m.metrics = old.metrics
-	} else if a, ok := r.archive[m.cfg.Name]; ok {
-		m.metrics = a.metrics
-	}
-	delete(r.archive, m.cfg.Name)
-	r.models[m.cfg.Name] = m
-	r.mu.Unlock()
-	return old
-}
-
-// Register converts net under cfg and installs it. Registering an
-// existing name replaces the old model atomically but keeps its metrics
-// history. Direct registry users get the combined operation; the server
-// uses Prepare+Install so the install can share a critical section with
-// its own request-queue swap.
-func (r *Registry) Register(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
-	m, err := r.Prepare(cfg, net, normSamples)
-	if err != nil {
-		return nil, err
-	}
-	r.Install(m)
-	return m, nil
-}
-
-// RegisterFile loads a model written by dnn.SaveModelFile and registers
-// it under cfg.
-func (r *Registry) RegisterFile(cfg ModelConfig, path string, normSamples []dataset.Sample) (*Model, error) {
-	_, net, err := dnn.LoadModelFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
-	}
-	return r.Register(cfg, net, normSamples)
-}
-
-// Unregister removes the named model. With archive=true (eviction) the
-// conversion and metrics move to the archive so Restore can bring the
-// model back without re-converting; with archive=false the name is
-// forgotten entirely (any archive entry included). Returns the removed
-// resident model, nil if the name was only archived or unknown.
-func (r *Registry) Unregister(name string, archive bool) (*Model, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, resident := r.models[name]
-	if !resident && r.archive[name] == nil {
-		return nil, errUnknownModel(name)
-	}
-	delete(r.models, name)
-	if !archive {
-		delete(r.archive, name)
-		return m, nil
-	}
-	if resident {
-		a := m.archived
-		r.archive[name] = &a
-	}
-	return m, nil
-}
-
-// Restore builds a fresh Model for an evicted name from its archived
-// conversion (pool rebuilt, conversion and metrics reused). The result
-// is NOT installed — pair with Install, exactly like Prepare.
-func (r *Registry) Restore(name string) (*Model, error) {
-	r.mu.RLock()
-	a, ok := r.archive[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("serve: model %q is not archived", name)
-	}
-	return r.build(a.cfg, a.conv)
-}
-
-// Known reports whether name is resident or archived — i.e. whether a
-// Classify for it can possibly be served (directly or after warming).
-func (r *Registry) Known(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, resident := r.models[name]
-	_, evicted := r.archive[name]
-	return resident || evicted
-}
-
-// Archived reports whether name is evicted-but-restorable.
-func (r *Registry) Archived(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.archive[name]
-	return ok
-}
-
-// ArchivedStats returns each archived model's retained metrics, keyed by
-// name, so exposition can keep reporting evicted models' counters.
-func (r *Registry) ArchivedStats() map[string]*Metrics {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]*Metrics, len(r.archive))
-	for name, a := range r.archive {
-		out[name] = a.metrics
-	}
-	return out
-}
-
-// Get returns the named model.
-func (r *Registry) Get(name string) (*Model, error) {
-	r.mu.RLock()
-	m, ok := r.models[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, errUnknownModel(name)
-	}
-	return m, nil
-}
-
-// List returns every resident model's Info, sorted by name.
-func (r *Registry) List() []Info {
-	r.mu.RLock()
-	infos := make([]Info, 0, len(r.models))
-	for _, m := range r.models {
-		infos = append(infos, m.Info())
-	}
-	r.mu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
-}
-
-// ListAll returns resident and evicted models' Infos, sorted by name.
-// Evicted entries carry State "evicted" and zero replicas.
-func (r *Registry) ListAll() []Info {
-	r.mu.RLock()
-	infos := make([]Info, 0, len(r.models)+len(r.archive))
-	for _, m := range r.models {
-		infos = append(infos, m.Info())
-	}
-	for _, a := range r.archive {
-		infos = append(infos, a.info())
-	}
-	r.mu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
 }

@@ -4,8 +4,8 @@
 //
 // The pieces, composable on their own or behind the HTTP server:
 //
-//   - Registry: names a trained DNN, converts it once per (model, hybrid)
-//     configuration, and caches the conversion;
+//   - Model: a named DNN converted once per (model, hybrid)
+//     configuration, with the conversion cached across evict/warm;
 //   - Pool: a checkout pool of weight-sharing simulator replicas (the
 //     simulator is stateful, so a request holds a replica exclusively);
 //   - Classify / ExitPolicy: the early-exit engine — the simulator stops
@@ -37,6 +37,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -211,14 +212,14 @@ type ClassifyResult struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// Server is the inference-serving frontend: a Registry plus one
-// microbatching queue per model and the HTTP API. Each resident model is
-// one entry — an atomically-swapped (model, batcher) pair — so a request
-// can never pair one registration's weights with another's queue (see
-// lifecycle.go for the registration/eviction/warming state machine).
+// Server is the inference-serving frontend: a lifecycle table of models,
+// one microbatching queue per resident model, and the HTTP API. Each
+// resident model is one entry — an atomically-swapped (model, batcher)
+// pair — so a request can never pair one registration's weights with
+// another's queue (see lifecycle.go for the registration/eviction/warming
+// state machine).
 type Server struct {
 	cfg   Config
-	reg   *Registry
 	start time.Time
 	// traces retains recent + slowest request traces for GET /v1/trace
 	// (nil when tracing is disabled); reqID numbers requests.
@@ -230,8 +231,12 @@ type Server struct {
 	// stream serves GET /v1/stream, the fleet front's classify stream.
 	stream *StreamServer
 
+	// mu guards the lifecycle table: entries (resident models) and
+	// archive (evicted ones) — a name is in one or neither — plus the
+	// warms and epochs that move names between them.
 	mu      sync.Mutex
 	entries map[string]*entry
+	archive map[string]*archived
 	warming map[string]*warmOp
 	// epochs counts installs and removals per model name. A warm leader
 	// samples the epoch when it claims the singleflight and installs only
@@ -249,14 +254,14 @@ type Server struct {
 	evictDone chan struct{}
 }
 
-// New builds a Server with an empty registry.
+// New builds a Server with no models.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		reg:     NewRegistry(),
 		start:   time.Now(),
 		entries: map[string]*entry{},
+		archive: map[string]*archived{},
 		warming: map[string]*warmOp{},
 		epochs:  map[string]uint64{},
 	}
@@ -287,8 +292,40 @@ func New(cfg Config) *Server {
 // in-process consumers like the selftest.
 func (s *Server) Traces() *obs.Ring { return s.traces }
 
-// Registry exposes the model registry (for listing or direct pool use).
-func (s *Server) Registry() *Registry { return s.reg }
+// Model returns the named resident model.
+func (s *Server) Model(name string) (*Model, error) {
+	s.mu.Lock()
+	e := s.entries[name]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, errUnknownModel(name)
+	}
+	return e.model, nil
+}
+
+// Models returns resident and evicted models' Infos, sorted by name.
+// Evicted entries carry State "evicted" and zero replicas.
+func (s *Server) Models() []Info {
+	s.mu.Lock()
+	infos := make([]Info, 0, len(s.entries)+len(s.archive))
+	for _, e := range s.entries {
+		infos = append(infos, e.model.Info())
+	}
+	for _, a := range s.archive {
+		infos = append(infos, a.info())
+	}
+	s.mu.Unlock()
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
+	return infos
+}
+
+// known reports whether name is resident or evicted — whether a
+// Classify for it can be served, directly or after a warm.
+func (s *Server) known(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[name] != nil || s.archive[name] != nil
+}
 
 // Register converts a model and makes it resident with a live request
 // queue. Re-registering a name hot-swaps it: the (model, batcher) pair
@@ -299,7 +336,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Config.MaxResidentModels, the least-recently-used other model is
 // evicted.
 func (s *Server) Register(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*Model, error) {
-	m, err := s.reg.Prepare(cfg, net, normSamples)
+	m, err := prepare(cfg, net, normSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +612,7 @@ func (s *Server) ClassifyStatus(ctx context.Context, model string, err error) (s
 	if status == http.StatusTooManyRequests {
 		retryAfter = s.retryAfterSeconds(model)
 	}
-	if !s.reg.Known(model) {
+	if !s.known(model) {
 		status = http.StatusNotFound
 	}
 	return status, retryAfter
@@ -613,7 +650,7 @@ func (s *Server) Pressure(model string) float64 {
 // calls this — directly in process, or through POST /v1/pool on a worker
 // process.
 func (s *Server) ResizePool(model string, replicas int) (int, error) {
-	m, err := s.reg.Get(model)
+	m, err := s.Model(model)
 	if err != nil {
 		return 0, err
 	}
@@ -631,9 +668,9 @@ func (s *Server) retryAfterSeconds(model string) int {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	// ListAll: evicted models stay listed (state "evicted", 0 replicas) —
-	// they are still servable, one warm away.
-	WriteJSON(w, http.StatusOK, map[string]any{"models": s.reg.ListAll()})
+	// Evicted models stay listed (state "evicted", 0 replicas) — they
+	// are still servable, one warm away.
+	WriteJSON(w, http.StatusOK, map[string]any{"models": s.Models()})
 }
 
 // handleTrace serves the recent-trace ring: the newest traces (up to

@@ -67,7 +67,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 
 func TestRegistryInfo(t *testing.T) {
 	s := testServer(t, Config{})
-	infos := s.Registry().List()
+	infos := s.Models()
 	if len(infos) != 1 {
 		t.Fatalf("List: got %d models, want 1", len(infos))
 	}
@@ -84,7 +84,7 @@ func TestRegistryInfo(t *testing.T) {
 	if info.Exit.StableWindow == 0 {
 		t.Errorf("default exit policy should enable early exit, got %+v", info.Exit)
 	}
-	if _, err := s.Registry().Get("nope"); err == nil {
+	if _, err := s.Model("nope"); err == nil {
 		t.Error("Get(unknown) should fail")
 	}
 }
@@ -321,7 +321,7 @@ func TestResponseCacheServesReplays(t *testing.T) {
 			t.Errorf("third sighting not served from cache: %+v", res)
 		}
 	}
-	m, err := s.Registry().Get("digits")
+	m, err := s.Model("digits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestOverloadSheds429(t *testing.T) {
 
 func mustSnapshot(t *testing.T, s *Server) Snapshot {
 	t.Helper()
-	m, err := s.Registry().Get("digits")
+	m, err := s.Model("digits")
 	if err != nil {
 		t.Fatal(err)
 	}
