@@ -273,10 +273,10 @@ func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(st
 var ErrServerOverloaded = serve.ErrOverloaded
 
 // Overload-plane defaults (see ServeConfig.ResponseCacheSize /
-// ResponseCacheTTL / Degrade): the cross-batch response cache's bound
-// and TTL (one of two views over a model's pixel-verified memo, which
-// share one pixel copy per remembered image), and the degraded-mode
-// controller's queue-pressure hysteresis thresholds.
+// Degrade): the cross-batch response cache's bound and TTL (the one view
+// over a model's pixel-verified memo, which holds one pixel copy per
+// remembered image), and the degraded-mode controller's queue-pressure
+// hysteresis thresholds.
 const (
 	DefaultResponseCacheEntries = serve.DefaultResponseCacheEntries
 	DefaultResponseCacheTTL     = serve.DefaultResponseCacheTTL

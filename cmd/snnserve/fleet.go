@@ -61,54 +61,58 @@ func runFleetWorker(buildServer func(quiet bool) (*burstsnn.Server, error), work
 	}
 }
 
-type fleetOptions struct {
-	shards    int
-	backend   string // inproc | proc
-	hops      int
-	autoscale bool
-	addr      string
-}
-
 // fleetConfig maps the CLI surface onto fleet.Config (the CLI's
 // hops=0 means "pinned", which the config spells as negative).
-func (o fleetOptions) fleetConfig() fleet.Config {
-	hops := o.hops
+func (c *cli) fleetConfig() fleet.Config {
+	hops := c.fleetHops
 	if hops == 0 {
 		hops = -1
 	}
 	return fleet.Config{
-		Shards:       o.shards,
+		Shards:       c.fleetN,
 		FallbackHops: hops,
-		Autoscale:    o.autoscale,
+		Autoscale:    c.fleetScale,
 	}
 }
 
+// frontOnly names the flags a fleet front keeps to itself: the front's
+// own address and fleet shape, and the selftest modes. workerArgs
+// forwards every other flag.
+var frontOnly = map[string]bool{
+	"addr": true, "worker": true,
+	"fleet": true, "fleet-workers": true, "fleet-fallback-hops": true, "fleet-autoscale": true,
+	"selftest": true, "selftest-overload": true, "selftest-fleet": true, "selftest-lifecycle": true,
+	"trace-out": true,
+}
+
 // workerArgs rebuilds the command line for a `snnserve -worker` child:
-// every flag the operator set explicitly is forwarded verbatim, except
-// the fleet/front-only flags, so each shard serves the same models
-// under the same serving configuration.
-func workerArgs() []string {
-	skip := map[string]bool{
-		"fleet": true, "fleet-workers": true, "fleet-fallback-hops": true,
-		"fleet-autoscale": true, "worker": true, "addr": true,
-		"selftest": true, "selftest-overload": true, "selftest-fleet": true,
-		"requests": true, "workers": true, "trace-out": true,
-	}
+// every flag the operator set on fs is forwarded verbatim, except the
+// frontOnly ones, so each shard serves the same models under the same
+// serving configuration.
+func workerArgs(fs *flag.FlagSet) []string {
 	args := []string{"-worker"}
-	flag.Visit(func(f *flag.Flag) {
-		if !skip[f.Name] {
-			args = append(args, fmt.Sprintf("-%s=%s", f.Name, f.Value.String()))
+	fs.Visit(func(f *flag.Flag) {
+		if frontOnly[f.Name] {
+			return
 		}
+		if w, ok := f.Value.(*modelWeights); ok {
+			// Set takes one name=w, so each weight is its own flag.
+			for _, p := range w.pairs() {
+				args = append(args, "-"+f.Name+"="+p)
+			}
+			return
+		}
+		args = append(args, fmt.Sprintf("-%s=%s", f.Name, f.Value.String()))
 	})
 	return args
 }
 
 // runFleetFront is `snnserve -fleet N`: the consistent-hash front tier
 // over N shard workers — in-process pools or supervised child
-// processes — serving the fleet API on opts.addr.
-func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Server, error)) error {
+// processes — serving the fleet API on -addr.
+func runFleetFront(c *cli, buildServer func(quiet bool) (*burstsnn.Server, error)) error {
 	var factory fleet.WorkerFactory
-	switch opts.backend {
+	switch c.fleetBackend {
 	case "inproc":
 		factory = func(shard int) (fleet.Worker, error) {
 			srv, err := buildServer(shard != 0) // announce models once
@@ -122,17 +126,17 @@ func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Se
 		if err != nil {
 			return err
 		}
-		args := workerArgs()
+		args := workerArgs(c.fs)
 		factory = func(shard int) (fleet.Worker, error) {
 			// Generous timeout: the child trains or loads its models
 			// before it announces.
 			return fleet.SpawnProcWorker(bin, args, 10*time.Minute)
 		}
 	default:
-		return fmt.Errorf("unknown -fleet-workers backend %q (want inproc or proc)", opts.backend)
+		return fmt.Errorf("unknown -fleet-workers backend %q (want inproc or proc)", c.fleetBackend)
 	}
 
-	f, err := fleet.New(opts.fleetConfig(), factory)
+	f, err := fleet.New(c.fleetConfig(), factory)
 	if err != nil {
 		return err
 	}
@@ -140,8 +144,8 @@ func runFleetFront(opts fleetOptions, buildServer func(quiet bool) (*burstsnn.Se
 	done := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "fleet front: %d %s shards, listening on %s\n",
-			opts.shards, opts.backend, opts.addr)
-		done <- front.ListenAndServe(opts.addr)
+			c.fleetN, c.fleetBackend, c.addr)
+		done <- front.ListenAndServe(c.addr)
 	}()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -40,8 +40,8 @@
 // overload plane: response-cache hits for replayed images, 429 +
 // Retry-After shedding for a past-capacity burst, degraded mode
 // engaging and lifting, and a leak-free shutdown. Serving flags:
-// -request-timeout, -response-cache / -response-cache-ttl, and -degrade
-// control the same mechanisms on a real server.
+// -request-timeout, -response-cache, and -degrade control the same
+// mechanisms on a real server.
 package main
 
 import (
@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -70,55 +71,100 @@ import (
 	"burstsnn/internal/serve"
 )
 
+// cli is snnserve's command line: its flags, defined on their own
+// FlagSet, and the values they parse into.
+type cli struct {
+	fs *flag.FlagSet
+
+	addr, models, input, hidden, dir string
+	steps, replicas, window          int
+	maxDelay                         time.Duration
+	tiny                             bool
+
+	queueDepth, maxReplicas, respCache int
+	reqTimeout                         time.Duration
+	degrade                            bool
+
+	maxResident int
+	evictIdle   time.Duration
+	weights     modelWeights
+
+	logReqs, pprofOn bool
+	slowTrace        time.Duration
+
+	fleetN                 int
+	fleetBackend           string
+	fleetHops              int
+	fleetScale, workerMode bool
+
+	selftest, selftestOverload, selftestFleet, selftestLife bool
+	traceOut                                                string
+}
+
+// newCLI defines snnserve's flags on a fresh FlagSet.
+func newCLI(onError flag.ErrorHandling) *cli {
+	c := &cli{fs: flag.NewFlagSet("snnserve", onError), weights: modelWeights{}}
+	fs := c.fs
+	fs.StringVar(&c.addr, "addr", ":8344", "HTTP listen address")
+	fs.StringVar(&c.models, "models", "digits", "comma-separated baseline models to serve: digits, textures10, textures100")
+	fs.StringVar(&c.input, "input", "phase", "input coding: real, rate, phase, ttfs")
+	fs.StringVar(&c.hidden, "hidden", "burst", "hidden coding: rate, phase, burst")
+	fs.IntVar(&c.steps, "steps", 192, "per-request simulation budget")
+	fs.IntVar(&c.replicas, "replicas", 0, "simulator replicas per model (0 = GOMAXPROCS)")
+	fs.IntVar(&c.window, "window", serve.DefaultExitPolicy(math.MaxInt).StableWindow, "early-exit stability window in steps, clamped to -steps (0 disables early exit)")
+	fs.DurationVar(&c.maxDelay, "maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window, which decays to zero for traffic that waiting does not gather; negative dispatches on queue drain")
+	fs.StringVar(&c.dir, "dir", "", "model cache directory (default: system temp)")
+	fs.BoolVar(&c.tiny, "tiny", false, "use the reduced test-scale model recipes")
+
+	fs.IntVar(&c.queueDepth, "queue-depth", 0, "admission queue bound per model; requests beyond it shed with 429 (0 = default: four full batches per GOMAXPROCS)")
+	fs.IntVar(&c.maxReplicas, "max-replicas", 0, "replica pool growth ceiling per model for the fleet autoscaler (0 = fixed pool at -replicas)")
+	fs.DurationVar(&c.reqTimeout, "request-timeout", 0, "per-request end-to-end deadline; a request whose remaining deadline is below the projected queue wait is shed with 429 + Retry-After (0 = default 30s)")
+	fs.IntVar(&c.respCache, "response-cache", 0, "cross-batch response cache entries per model — replayed images are answered without a replica (0 = default 4096, negative disables)")
+	fs.BoolVar(&c.degrade, "degrade", false, "graceful degradation: while admission-queue pressure is high, serve under a tightened (halved-budget) early-exit policy instead of queueing toward timeout")
+
+	fs.IntVar(&c.maxResident, "max-resident-models", 0, "resident-model bound: keep at most this many models' replica pools live, LRU-evicting the rest to the conversion archive; evicted models warm back in transparently on the next request (0 = unbounded)")
+	fs.DurationVar(&c.evictIdle, "evict-idle", 0, "evict any model idle for this long to the conversion archive (0 disables)")
+	fs.Var(&c.weights, "model-weight", "fair-share weight as name=w (repeatable; unlisted models weigh 1); any weight enables cross-model weighted-fair batch scheduling over GOMAXPROCS execution slots, where a model's long-run share is w over the sum of contending weights")
+
+	fs.BoolVar(&c.logReqs, "log", false, "emit one structured log line per classification (slog, stderr)")
+	fs.BoolVar(&c.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving port")
+	fs.DurationVar(&c.slowTrace, "slow-trace", 0, "pin traces at or over this end-to-end latency past ring turnover (0 = default 250ms, negative disables)")
+
+	fs.IntVar(&c.fleetN, "fleet", 0, "serve through the sharded fleet tier with this many shard workers (0 = single server)")
+	fs.StringVar(&c.fleetBackend, "fleet-workers", "inproc", "fleet shard backend: inproc (goroutine pools in this process) or proc (one snnserve -worker child process per shard)")
+	fs.IntVar(&c.fleetHops, "fleet-fallback-hops", 1, "fleet: additional shards a request may be offered after its owner sheds it (0 pins requests to their owner)")
+	fs.BoolVar(&c.fleetScale, "fleet-autoscale", false, "fleet: widen/narrow each shard's replica pools (up to -max-replicas) from its queue-pressure EWMA")
+	fs.BoolVar(&c.workerMode, "worker", false, "run as a fleet shard worker: serve on an ephemeral port (unless -addr is explicit) and announce FLEET_WORKER_ADDR=<addr> on stdout")
+
+	fs.BoolVar(&c.selftest, "selftest", false, "run the deterministic load-generator selftest and exit")
+	fs.BoolVar(&c.selftestOverload, "selftest-overload", false, "run the overload-resilience selftest (replay-heavy phase, then a past-capacity burst) and exit")
+	fs.BoolVar(&c.selftestFleet, "selftest-fleet", false, "run the sharded fleet selftest (routing affinity, per-shard caches, merged telemetry, respawn) and exit")
+	fs.BoolVar(&c.selftestLife, "selftest-lifecycle", false, "run the model-lifecycle selftest (hot re-register under load, resident-bound eviction/warm, weighted-fair isolation) and exit")
+	fs.StringVar(&c.traceOut, "trace-out", "", "selftest: write the scraped /v1/trace page to this file")
+	return c
+}
+
+// set reports whether the command line set the named flag.
+func (c *cli) set(name string) bool {
+	found := false
+	c.fs.Visit(func(f *flag.Flag) { found = found || f.Name == name })
+	return found
+}
+
+// exitPolicy is serve's default early-exit policy for the -steps budget
+// with -window as its stability window; -window 0 disables early exit.
+func (c *cli) exitPolicy() serve.ExitPolicy {
+	exit := serve.DefaultExitPolicy(c.steps)
+	exit.StableWindow = min(c.window, exit.MaxSteps)
+	if c.window == 0 {
+		exit.MinSteps = 0
+	}
+	return exit
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", ":8344", "HTTP listen address")
-		models   = flag.String("models", "digits", "comma-separated baseline models to serve: digits, textures10, textures100")
-		input    = flag.String("input", "phase", "input coding: real, rate, phase, ttfs")
-		hidden   = flag.String("hidden", "burst", "hidden coding: rate, phase, burst")
-		vth      = flag.Float64("vth", 0, "hidden threshold constant v_th (0 = scheme default)")
-		beta     = flag.Float64("beta", 0, "burst constant β (0 = default 2)")
-		steps    = flag.Int("steps", 192, "per-request simulation budget")
-		replicas = flag.Int("replicas", 0, "simulator replicas per model (0 = GOMAXPROCS)")
-		window   = flag.Int("window", 12, "early-exit stability window in steps (0 disables early exit)")
-		minSteps = flag.Int("minsteps", 16, "earliest step at which early exit is allowed")
-		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
-		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
-		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "upper bound of the adaptive batch-forming window, which decays to zero for traffic that waiting does not gather; negative dispatches on queue drain")
-		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
-		tiny     = flag.Bool("tiny", false, "use the reduced test-scale model recipes")
-
-		queueDepth   = flag.Int("queue-depth", 0, "admission queue bound per model; requests beyond it shed with 429 (0 = default 4×maxbatch×GOMAXPROCS)")
-		maxReplicas  = flag.Int("max-replicas", 0, "replica pool growth ceiling per model for the fleet autoscaler (0 = fixed pool at -replicas)")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-request end-to-end deadline; a request whose remaining deadline is below the projected queue wait is shed with 429 + Retry-After (0 = default 30s)")
-		respCache    = flag.Int("response-cache", 0, "cross-batch response cache entries per model — replayed images are answered without a replica (0 = default 4096, negative disables)")
-		respCacheTTL = flag.Duration("response-cache-ttl", 0, "response cache entry lifetime (0 = default 1m)")
-		degrade      = flag.Bool("degrade", false, "graceful degradation: while admission-queue pressure is high, serve under a tightened (halved-budget) early-exit policy instead of queueing toward timeout")
-
-		maxResident = flag.Int("max-resident-models", 0, "resident-model bound: keep at most this many models' replica pools live, LRU-evicting the rest to the conversion archive; evicted models warm back in transparently on the next request (0 = unbounded)")
-		evictIdle   = flag.Duration("evict-idle", 0, "evict any model idle for this long to the conversion archive (0 disables)")
-		fairSlots   = flag.Int("fair-slots", 0, "cross-model weighted-fair batch scheduling with this many concurrent execution slots (0 = auto: GOMAXPROCS slots when any -model-weight is set, off otherwise; negative forces off)")
-		weights     = modelWeightsFlagVar("model-weight", "fair-share weight as name=w (repeatable; unlisted models weigh 1); a model's long-run share of the execution slots is w over the sum of contending weights")
-
-		logReqs   = flag.Bool("log", false, "emit one structured log line per classification (slog, stderr)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving port")
-		slowTrace = flag.Duration("slow-trace", 0, "pin traces at or over this end-to-end latency past ring turnover (0 = default 250ms, negative disables)")
-
-		fleetN       = flag.Int("fleet", 0, "serve through the sharded fleet tier with this many shard workers (0 = single server)")
-		fleetBackend = flag.String("fleet-workers", "inproc", "fleet shard backend: inproc (goroutine pools in this process) or proc (one snnserve -worker child process per shard)")
-		fleetHops    = flag.Int("fleet-fallback-hops", 1, "fleet: additional shards a request may be offered after its owner sheds it (0 pins requests to their owner)")
-		fleetScale   = flag.Bool("fleet-autoscale", false, "fleet: widen/narrow each shard's replica pools (up to -max-replicas) from its queue-pressure EWMA")
-		workerMode   = flag.Bool("worker", false, "run as a fleet shard worker: serve on an ephemeral port (unless -addr is explicit) and announce FLEET_WORKER_ADDR=<addr> on stdout")
-
-		selftest         = flag.Bool("selftest", false, "run the deterministic load-generator selftest and exit")
-		selftestOverload = flag.Bool("selftest-overload", false, "run the overload-resilience selftest (replay-heavy phase, then a past-capacity burst) and exit")
-		selftestFleet    = flag.Bool("selftest-fleet", false, "run the sharded fleet selftest (routing affinity, per-shard caches, merged telemetry, respawn) and exit")
-		selftestLife     = flag.Bool("selftest-lifecycle", false, "run the model-lifecycle selftest (hot re-register under load, resident-bound eviction/warm, weighted-fair isolation) and exit")
-		requests         = flag.Int("requests", 200, "selftest: total classification requests")
-		workers          = flag.Int("workers", 32, "selftest: concurrent load-generator workers")
-		traceOut         = flag.String("trace-out", "", "selftest: write the scraped /v1/trace page to this file")
-	)
-	flag.Parse()
+	c := newCLI(flag.ExitOnError)
+	_ = c.fs.Parse(os.Args[1:]) // ExitOnError: a bad command line exits here
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "snnserve: %v\n", err)
@@ -126,56 +172,59 @@ func main() {
 	}
 	// snnserve takes no positional arguments: a stray word ends flag
 	// parsing and would silently drop every flag after it.
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q (snnserve takes flags only)", flag.Arg(0)))
+	if c.fs.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q (snnserve takes flags only)", c.fs.Arg(0)))
 	}
 
-	inScheme, err := burstsnn.ParseScheme(*input)
+	inScheme, err := burstsnn.ParseScheme(c.input)
 	if err != nil {
 		fail(err)
 	}
-	hidScheme, err := burstsnn.ParseScheme(*hidden)
+	hidScheme, err := burstsnn.ParseScheme(c.hidden)
 	if err != nil {
 		fail(err)
 	}
 	hybrid := burstsnn.NewHybrid(inScheme, hidScheme)
-	if *vth > 0 {
-		hybrid = hybrid.WithVTh(*vth)
-	}
-	if *beta > 0 {
-		hybrid = hybrid.WithBeta(*beta)
-	}
-	exit := serve.ExitPolicy{
-		MaxSteps:     *steps,
-		MinSteps:     *minSteps,
-		StableWindow: *window,
-		Margin:       *margin,
-	}
-	if *window == 0 {
-		exit.MinSteps, exit.Margin = 0, 0
-	}
+	exit := c.exitPolicy()
 
 	var logger *slog.Logger
-	if *logReqs {
+	if c.logReqs {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
+	// The one server configuration the flags describe: the single
+	// server, each fleet shard, a -worker child and the load-generator
+	// selftest all start from it.
+	cfg := burstsnn.ServeConfig{
+		Addr:               c.addr,
+		MaxDelay:           c.maxDelay,
+		QueueDepth:         c.queueDepth,
+		RequestTimeout:     c.reqTimeout,
+		ResponseCacheSize:  c.respCache,
+		Degrade:            c.degrade,
+		SlowTraceThreshold: c.slowTrace,
+		MaxResidentModels:  c.maxResident,
+		EvictIdle:          c.evictIdle,
+		ModelWeights:       c.weights,
+		Logger:             logger,
+		EnablePprof:        c.pprofOn,
+	}
 
-	if *selftestLife {
+	if c.selftestLife {
 		if err := runLifecycleSelftest(hybrid, exit, logger); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	if *selftestOverload {
+	if c.selftestOverload {
 		if err := runOverloadSelftest(hybrid, exit, logger); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	if *selftestFleet {
-		shards := *fleetN
+	if c.selftestFleet {
+		shards := c.fleetN
 		if shards < 2 {
 			shards = 2
 		}
@@ -185,28 +234,16 @@ func main() {
 		return
 	}
 
-	if *selftest {
+	if c.selftest {
 		// The selftest asserts exact accuracy parity with full-budget
-		// inference, so it defaults to a more conservative stability
-		// window than interactive serving; explicit flags still win.
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if !explicit["window"] {
+		// inference, so it exits more conservatively than interactive
+		// serving: not before step 32, and on a 32-step window unless
+		// -window is explicit.
+		exit.MinSteps = 32
+		if !c.set("window") {
 			exit.StableWindow = 32
 		}
-		if !explicit["minsteps"] {
-			exit.MinSteps = 32
-		}
-		cfg := burstsnn.ServeConfig{
-			MaxBatch:          *maxBatch,
-			MaxDelay:          *maxDelay,
-			RequestTimeout:    *reqTimeout,
-			ResponseCacheSize: *respCache,
-			ResponseCacheTTL:  *respCacheTTL,
-			Degrade:           *degrade,
-			Logger:            logger,
-		}
-		if err := runSelftest(hybrid, exit, cfg, *steps, *replicas, *requests, *workers, *traceOut); err != nil {
+		if err := runSelftest(hybrid, exit, cfg, c.replicas, c.traceOut); err != nil {
 			fail(err)
 		}
 		return
@@ -214,9 +251,9 @@ func main() {
 
 	settings := experiments.DefaultSettings()
 	settings.Log = os.Stderr
-	settings.Tiny = *tiny
-	if *dir != "" {
-		settings.ModelDir = *dir
+	settings.Tiny = c.tiny
+	if c.dir != "" {
+		settings.ModelDir = c.dir
 	}
 	lab := experiments.NewLab(settings)
 
@@ -226,24 +263,8 @@ func main() {
 	// server below, a fleet shard's in-process worker, or the -worker
 	// child's backend all use the same recipe.
 	buildServer := func(quiet bool) (*burstsnn.Server, error) {
-		srv := burstsnn.NewServer(burstsnn.ServeConfig{
-			Addr:               *addr,
-			MaxBatch:           *maxBatch,
-			MaxDelay:           *maxDelay,
-			QueueDepth:         *queueDepth,
-			RequestTimeout:     *reqTimeout,
-			ResponseCacheSize:  *respCache,
-			ResponseCacheTTL:   *respCacheTTL,
-			Degrade:            *degrade,
-			SlowTraceThreshold: *slowTrace,
-			MaxResidentModels:  *maxResident,
-			EvictIdle:          *evictIdle,
-			FairSlots:          *fairSlots,
-			ModelWeights:       map[string]float64(*weights),
-			Logger:             logger,
-			EnablePprof:        *pprofOn,
-		})
-		for _, name := range strings.Split(*models, ",") {
+		srv := burstsnn.NewServer(cfg)
+		for _, name := range strings.Split(c.models, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
@@ -255,28 +276,25 @@ func main() {
 			info, err := srv.Register(serve.ModelConfig{
 				Name:        name,
 				Hybrid:      hybrid,
-				Steps:       *steps,
+				Steps:       c.steps,
 				Exit:        exit,
-				Replicas:    *replicas,
-				MaxReplicas: *maxReplicas,
+				Replicas:    c.replicas,
+				MaxReplicas: c.maxReplicas,
 			}, m.Net, m.Set.Train)
 			if err != nil {
 				return nil, err
 			}
 			if !quiet {
 				fmt.Fprintf(os.Stderr, "serving %s as %s: %d neurons, %d replicas, budget %d steps (DNN acc %.4f)\n",
-					name, hybrid.Notation(), info.Info().Neurons, info.Pool().Size(), *steps, m.DNNAcc)
+					name, hybrid.Notation(), info.Info().Neurons, info.Pool().Size(), c.steps, m.DNNAcc)
 			}
 		}
 		return srv, nil
 	}
 
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	if *workerMode {
-		workerAddr := *addr
-		if !explicit["addr"] {
+	if c.workerMode {
+		workerAddr := c.addr
+		if !c.set("addr") {
 			workerAddr = "127.0.0.1:0"
 		}
 		if err := runFleetWorker(buildServer, workerAddr); err != nil {
@@ -285,14 +303,8 @@ func main() {
 		return
 	}
 
-	if *fleetN > 0 {
-		if err := runFleetFront(fleetOptions{
-			shards:    *fleetN,
-			backend:   *fleetBackend,
-			hops:      *fleetHops,
-			autoscale: *fleetScale,
-			addr:      *addr,
-		}, buildServer); err != nil {
+	if c.fleetN > 0 {
+		if err := runFleetFront(c, buildServer); err != nil {
 			fail(err)
 		}
 		return
@@ -306,7 +318,7 @@ func main() {
 	// Graceful shutdown on SIGINT/SIGTERM.
 	done := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "listening on %s\n", *addr)
+		fmt.Fprintf(os.Stderr, "listening on %s\n", c.addr)
 		done <- srv.ListenAndServe()
 	}()
 	sig := make(chan os.Signal, 1)
@@ -332,13 +344,9 @@ func main() {
 // trained LeNetMini digits model and checks the paper's latency win
 // survives serving: mean steps-to-exit strictly below the budget at no
 // loss of accuracy versus full-budget inference.
-func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.ServeConfig, steps, replicas, requests, workers int, traceOut string) error {
-	if requests < 100 {
-		requests = 100
-	}
-	if workers < 1 {
-		workers = 16
-	}
+func runSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, cfg burstsnn.ServeConfig, replicas int, traceOut string) error {
+	const requests, workers = 200, 32
+	steps := exit.MaxSteps
 	if exit.StableWindow == 0 {
 		return fmt.Errorf("selftest requires early exit (set -window > 0)")
 	}
@@ -595,22 +603,22 @@ func getJSON(client *http.Client, url string, v any) error {
 // collected into the serve.Config.ModelWeights map.
 type modelWeights map[string]float64
 
-func modelWeightsFlagVar(name, usage string) *modelWeights {
-	m := modelWeights{}
-	flag.Var(&m, name, usage)
-	return &m
-}
-
-func (m *modelWeights) String() string {
-	if m == nil || len(*m) == 0 {
-		return ""
-	}
+// pairs returns the weights as sorted "name=w" strings, each one value
+// Set accepts.
+func (m *modelWeights) pairs() []string {
 	parts := make([]string, 0, len(*m))
 	for name, w := range *m {
 		parts = append(parts, fmt.Sprintf("%s=%g", name, w))
 	}
 	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return parts
+}
+
+func (m *modelWeights) String() string {
+	if m == nil {
+		return ""
+	}
+	return strings.Join(m.pairs(), ",")
 }
 
 func (m *modelWeights) Set(s string) error {

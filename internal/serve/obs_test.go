@@ -67,27 +67,6 @@ func TestRequestIDAndTraceRing(t *testing.T) {
 	}
 }
 
-func TestTracingDisabled(t *testing.T) {
-	s := testServer(t, Config{TraceCapacity: -1})
-	res := classifySome(t, s, 1)[0]
-	if res.RequestID != "" {
-		t.Errorf("RequestID %q with tracing disabled", res.RequestID)
-	}
-	if s.Traces() != nil {
-		t.Error("Traces() non-nil with tracing disabled")
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /v1/trace with tracing disabled = %s, want 404", resp.Status)
-	}
-}
-
 func TestSlowTracePinning(t *testing.T) {
 	// Any measurable request is "slow" at a 1ns threshold.
 	s := testServer(t, Config{SlowTraceThreshold: time.Nanosecond})

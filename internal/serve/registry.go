@@ -52,10 +52,8 @@ type ModelConfig struct {
 	// pool starts at Replicas and may be widened up to this bound by a
 	// fleet shard's autoscaler. Default Replicas — a fixed pool.
 	MaxReplicas int
-	// Norm, Percentile, and NormSamples configure weight normalization
-	// (defaults: percentile 99.9 over 64 samples, as in EvalConfig).
-	Norm        convert.NormMethod
-	Percentile  float64
+	// NormSamples sizes weight normalization's activation-recording pass
+	// (max norm; default 64 samples).
 	NormSamples int
 }
 
@@ -190,14 +188,10 @@ func prepare(cfg ModelConfig, net *dnn.Network, normSamples []dataset.Sample) (*
 	if err := cfg.Exit.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", cfg.Name, err)
 	}
-	if cfg.Percentile == 0 {
-		cfg.Percentile = 99.9
-	}
 	conv, err := convert.Convert(net, normSamples, convert.Options{
 		Input:       cfg.Hybrid.Input,
 		Hidden:      cfg.Hybrid.Hidden,
-		Norm:        cfg.Norm,
-		Percentile:  cfg.Percentile,
+		Norm:        convert.MaxNorm,
 		NormSamples: cfg.NormSamples,
 	})
 	if err != nil {

@@ -83,9 +83,6 @@ type Config struct {
 	// classification (the simulator is deterministic), so the cache is
 	// on by default.
 	ResponseCacheSize int
-	// ResponseCacheTTL bounds how long a cached outcome may be served
-	// (0 uses DefaultResponseCacheTTL).
-	ResponseCacheTTL time.Duration
 	// Degrade enables graceful degradation: a per-model controller
 	// EWMAs admission-queue pressure and, while it is high, serves every
 	// admitted request under a tightened exit policy (halved step
@@ -109,21 +106,17 @@ type Config struct {
 	// no request for this long (same archive/warm cycle as the resident
 	// bound). Zero disables idle eviction.
 	EvictIdle time.Duration
-	// FairSlots enables the cross-model weighted-fair dispatcher with
-	// this many execution slots: every batch acquires a slot before
-	// replica checkout, and slots are granted across models in weighted
-	// start-time-fair order, so one saturated model cannot starve the
-	// others' share of the machine. 0 auto-enables with GOMAXPROCS slots
-	// when ModelWeights is non-empty (off otherwise); negative forces it
-	// off.
+	// FairSlots is the weighted-fair dispatcher's execution-slot count
+	// (default GOMAXPROCS). The dispatcher runs iff ModelWeights is
+	// non-empty.
 	FairSlots int
 	// ModelWeights assigns fair-share weights by model name (unlisted
-	// models weigh 1; weights ≤ 0 are treated as 1). Non-empty weights
-	// auto-enable the fair dispatcher (see FairSlots).
+	// models weigh 1; weights ≤ 0 are treated as 1) and, when non-empty,
+	// enables the cross-model weighted-fair dispatcher: every batch
+	// acquires one of FairSlots slots before replica checkout, and slots
+	// are granted across models in weighted start-time-fair order, so one
+	// saturated model cannot starve the others' share of the machine.
 	ModelWeights map[string]float64
-	// TraceCapacity bounds the recent-trace ring behind GET /v1/trace
-	// (default 256 traces; negative disables tracing entirely).
-	TraceCapacity int
 	// SlowTraceThreshold pins any request at or over this end-to-end
 	// latency into the slowest-retained trace set, so tail spikes
 	// survive ring turnover until scraped (default 250ms; negative
@@ -154,8 +147,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.TraceCapacity == 0 {
-		c.TraceCapacity = 256
+	if c.FairSlots <= 0 {
+		c.FairSlots = runtime.GOMAXPROCS(0)
 	}
 	if c.SlowTraceThreshold == 0 {
 		c.SlowTraceThreshold = 250 * time.Millisecond
@@ -208,7 +201,7 @@ type ClassifyResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// RequestID identifies this request in the server's trace ring: the
 	// matching GET /v1/trace entry carries the same id with the
-	// per-stage breakdown. Empty for in-process calls without tracing.
+	// per-stage breakdown.
 	RequestID string `json:"requestId,omitempty"`
 }
 
@@ -221,12 +214,12 @@ type ClassifyResult struct {
 type Server struct {
 	cfg   Config
 	start time.Time
-	// traces retains recent + slowest request traces for GET /v1/trace
-	// (nil when tracing is disabled); reqID numbers requests.
+	// traces retains the last traceCapacity request traces plus the
+	// slowest for GET /v1/trace; reqID numbers requests.
 	traces *obs.Ring
 	reqID  atomic.Uint64
 	// fair is the cross-model weighted-fair slot dispatcher (nil unless
-	// enabled; see Config.FairSlots).
+	// Config.ModelWeights is set).
 	fair *FairDispatcher
 	// stream serves GET /v1/stream, the fleet front's classify stream.
 	stream *StreamServer
@@ -254,6 +247,9 @@ type Server struct {
 	evictDone chan struct{}
 }
 
+// traceCapacity bounds each server's recent-trace ring.
+const traceCapacity = 256
+
 // New builds a Server with no models.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -266,20 +262,14 @@ func New(cfg Config) *Server {
 		epochs:  map[string]uint64{},
 	}
 	s.stream = NewStreamServer(s)
-	if cfg.FairSlots > 0 || (cfg.FairSlots == 0 && len(cfg.ModelWeights) > 0) {
-		capacity := cfg.FairSlots
-		if capacity <= 0 {
-			capacity = runtime.GOMAXPROCS(0)
-		}
-		s.fair = NewFairDispatcher(capacity)
+	if len(cfg.ModelWeights) > 0 {
+		s.fair = NewFairDispatcher(cfg.FairSlots)
 	}
-	if cfg.TraceCapacity > 0 {
-		thr := cfg.SlowTraceThreshold
-		if thr < 0 {
-			thr = 0 // pinning disabled
-		}
-		s.traces = obs.NewRing(cfg.TraceCapacity, 32, thr)
+	thr := cfg.SlowTraceThreshold
+	if thr < 0 {
+		thr = 0 // pinning disabled
 	}
+	s.traces = obs.NewRing(traceCapacity, 32, thr)
 	if cfg.EvictIdle > 0 {
 		s.evictStop = make(chan struct{})
 		s.evictDone = make(chan struct{})
@@ -288,8 +278,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Traces exposes the server's trace ring (nil when disabled) for
-// in-process consumers like the selftest.
+// Traces exposes the server's trace ring for in-process consumers like
+// the selftest.
 func (s *Server) Traces() *obs.Ring { return s.traces }
 
 // Model returns the named resident model.
@@ -459,12 +449,9 @@ func (s *Server) Classify(ctx context.Context, req ClassifyRequest) (ClassifyRes
 	}, nil
 }
 
-// requestID returns the next request id ("" with tracing disabled — the
-// id exists to be looked up in the ring).
+// requestID returns the next request id, the key its trace is looked up
+// by in the ring.
 func (s *Server) requestID() string {
-	if s.traces == nil {
-		return ""
-	}
 	return strconv.FormatUint(s.reqID.Add(1), 16)
 }
 
@@ -487,12 +474,9 @@ func isAdmissionError(err error) bool {
 }
 
 // record adds the request's trace to the ring and emits the structured
-// request log line, when either is enabled.
+// request log line when a Logger is set.
 func (s *Server) record(rid, model string, began time.Time, latency time.Duration,
 	stages obs.StageTimes, out Outcome, flags SubmitFlags, err error) {
-	if s.traces == nil && s.cfg.Logger == nil {
-		return
-	}
 	tr := obs.Trace{
 		ID:         rid,
 		Model:      model,
@@ -508,9 +492,7 @@ func (s *Server) record(rid, model string, began time.Time, latency time.Duratio
 	if err != nil {
 		tr.Error = err.Error()
 	}
-	if s.traces != nil {
-		s.traces.Add(tr)
-	}
+	s.traces.Add(tr)
 	if l := s.cfg.Logger; l != nil {
 		attrs := []slog.Attr{
 			slog.String("id", rid),
@@ -677,10 +659,6 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 // ?n=, default 32, capped at the ring's capacity) plus the pinned
 // slowest set, newest/slowest first.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		WriteError(w, http.StatusNotFound, errors.New("tracing disabled (TraceCapacity < 0)"))
-		return
-	}
 	n := 32
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
