@@ -1,7 +1,7 @@
 // Benchmarks that regenerate every table and figure of the paper (one
-// Benchmark per exhibit; see DESIGN.md §4 for the index) plus
-// micro-benchmarks of the simulator hot paths and ablations of the design
-// choices DESIGN.md calls out (burst constant β, normalization method).
+// Benchmark per exhibit) plus micro-benchmarks of the simulator hot paths
+// and ablations of two design choices (burst constant β, normalization
+// method).
 //
 // The macro benchmarks print their reproduced table/figure once (via
 // b.Logf, visible with -v or on failure) and report the headline numbers
@@ -32,9 +32,10 @@ var (
 	benchLab     *experiments.Lab
 )
 
-// lab returns the shared benchmark Lab. Workloads follow DESIGN.md's
-// scaled-down defaults; raise them by editing Settings or via snnbench
-// flags for a longer-running reproduction.
+// lab returns the shared benchmark Lab. Workloads follow
+// experiments.DefaultSettings (the paper's budgets scaled down for run
+// time); raise them by editing Settings or via snnbench flags for a
+// longer-running reproduction.
 func lab() *experiments.Lab {
 	benchLabOnce.Do(func() {
 		s := experiments.DefaultSettings()
@@ -175,28 +176,6 @@ func BenchmarkFig5FiringPattern(b *testing.B) {
 		spread := res.HiddenSpread()
 		b.ReportMetric(spread["burst"], "burst-rate-spread")
 		b.ReportMetric(spread["phase"], "phase-rate-spread")
-		if i == 0 {
-			b.Logf("\n%s", res.Render())
-		}
-	}
-}
-
-// BenchmarkChipMapping regenerates the topology-grounded energy study:
-// Table 2's energy columns measured on placed TrueNorth/SpiNNaker meshes
-// (hop counts, congestion) plus the placement-quality comparison.
-func BenchmarkChipMapping(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ChipEnergy(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Chip == "TrueNorth" && row.Method == "real-burst (ours)" {
-				b.ReportMetric(row.NormLast, "burst-E(TN)-norm")
-				b.ReportMetric(row.OffCore, "burst-offcore")
-			}
-		}
 		if i == 0 {
 			b.Logf("\n%s", res.Render())
 		}
@@ -484,7 +463,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 	b.ReportMetric(snap.EarlyExitRate*100, "early-exit%")
 }
 
-// --- Ablations (design choices called out in DESIGN.md §5) ---
+// --- Ablations of the design choices (β, normalization) ---
 
 // BenchmarkAblationBeta sweeps the burst constant β: larger β drains
 // membranes in fewer spikes but with coarser payload granularity.

@@ -45,7 +45,6 @@ import (
 	"burstsnn/internal/energy"
 	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
-	"burstsnn/internal/neuromorphic"
 	"burstsnn/internal/obs"
 	"burstsnn/internal/serve"
 	"burstsnn/internal/snn"
@@ -341,59 +340,4 @@ func EstimateEnergy(p EnergyProfile, w Workload) float64 { return energy.Estimat
 // NormalizeEnergy expresses workloads' energies relative to a baseline.
 func NormalizeEnergy(p EnergyProfile, ws []Workload, base int) ([]float64, error) {
 	return energy.Normalize(p, ws, base)
-}
-
-// Neuromorphic-mapping types: ground the energy decomposition in a placed
-// core mesh instead of analytic ratios.
-type (
-	// ChipConfig is one neuromorphic architecture (mesh, capacities,
-	// per-event energies).
-	ChipConfig = neuromorphic.ChipConfig
-	// Topology is a converted network as a layered connectivity graph.
-	Topology = neuromorphic.Topology
-	// Placement assigns neurons to cores.
-	Placement = neuromorphic.Placement
-	// SpikeLoad is a recorded per-neuron spike workload.
-	SpikeLoad = neuromorphic.SpikeLoad
-	// TrafficReport is the replayed workload's traffic and energy.
-	TrafficReport = neuromorphic.TrafficReport
-	// AnnealOptions tunes placement refinement.
-	AnnealOptions = neuromorphic.AnnealOptions
-)
-
-// TrueNorthChip returns a TrueNorth-style mesh configuration.
-func TrueNorthChip(meshW, meshH int) ChipConfig { return neuromorphic.TrueNorthChip(meshW, meshH) }
-
-// SpiNNakerChip returns a SpiNNaker-style mesh configuration.
-func SpiNNakerChip(meshW, meshH int) ChipConfig { return neuromorphic.SpiNNakerChip(meshW, meshH) }
-
-// ExtractTopology derives a converted network's connectivity graph.
-func ExtractTopology(net *SNN) (*Topology, error) { return neuromorphic.ExtractTopology(net) }
-
-// PlaceSequential maps neurons to cores in locality-preserving order.
-func PlaceSequential(topo *Topology, chip ChipConfig) (*Placement, error) {
-	return neuromorphic.PlaceSequential(topo, chip)
-}
-
-// PlaceRandom scatters neurons uniformly across cores.
-func PlaceRandom(topo *Topology, chip ChipConfig, seed uint64) (*Placement, error) {
-	return neuromorphic.PlaceRandom(topo, chip, seed)
-}
-
-// RefinePlacement improves a placement by simulated annealing on the
-// spike-weighted hop cost.
-func RefinePlacement(p *Placement, spikeCounts []float64, opts AnnealOptions) *Placement {
-	return neuromorphic.RefinePlacement(p, spikeCounts, opts)
-}
-
-// RecordLoad runs the network over images and records per-neuron spike
-// counts aligned with the topology's global neuron ids.
-func RecordLoad(net *SNN, topo *Topology, images [][]float64, steps int) *SpikeLoad {
-	return neuromorphic.RecordLoad(net, topo, images, steps)
-}
-
-// Replay routes a recorded workload over a placement and integrates
-// traffic and energy.
-func Replay(p *Placement, load *SpikeLoad, chip ChipConfig) (*TrafficReport, error) {
-	return neuromorphic.Replay(p, load, chip)
 }

@@ -16,48 +16,70 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"burstsnn/internal/experiments"
 	"burstsnn/internal/kernels"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams; it returns the exit
+// status: 0 on success, 1 when an exhibit or an export fails, 2 on a bad
+// command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snnbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "all", "comma-separated list: fig1,fig2,table1,fig3,fig4,table2,fig5,chip,ablations or all")
-		steps    = flag.Int("steps", 192, "simulation time steps per image")
-		images   = flag.Int("images", 40, "test images per configuration")
-		psteps   = flag.Int("pattern-steps", 128, "steps per image for spike-pattern recordings")
-		pimgs    = flag.Int("pattern-images", 3, "images per spike-pattern recording")
-		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
-		tiny     = flag.Bool("tiny", false, "use the reduced test-scale recipes")
-		out      = flag.String("o", "", "also write the report to this file")
-		csvDir   = flag.String("csv", "", "also export per-exhibit CSV files into this directory")
-		fleetOut = flag.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
-		probe    = flag.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, avx2, avx512) is available on this machine and build, else 1 (CI capability gating)")
+		runList  = fs.String("run", "all", "comma-separated list: "+strings.Join(exhibitNames(), ",")+" or all")
+		steps    = fs.Int("steps", 192, "simulation time steps per image")
+		images   = fs.Int("images", 40, "test images per configuration")
+		psteps   = fs.Int("pattern-steps", 128, "steps per image for spike-pattern recordings")
+		pimgs    = fs.Int("pattern-images", 3, "images per spike-pattern recording")
+		dir      = fs.String("dir", "", "model cache directory (default: system temp)")
+		tiny     = fs.Bool("tiny", false, "use the reduced test-scale recipes")
+		out      = fs.String("o", "", "also write the report to this file")
+		csvDir   = fs.String("csv", "", "also export per-exhibit CSV files into this directory")
+		fleetOut = fs.String("fleet", "", "run the fleet saturation sweep (shard counts 1..NumCPU at fixed offered load) and write the JSON artifact to this path (skips the exhibits)")
+		probe    = fs.String("probe-level", "", "exit 0 iff the named kernel dispatch tier (purego, avx2, avx512) is available on this machine and build, else 1 (CI capability gating)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *probe != "" {
 		if err := probeLevel(*probe); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "snnbench: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *fleetOut != "" {
 		if err := runFleetBench(*fleetOut); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: fleet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "snnbench: fleet: %v\n", err)
+			return 1
 		}
-		return
+		return 0
+	}
+
+	want, err := parseRun(*runList, exhibitNames())
+	if err != nil {
+		fmt.Fprintf(stderr, "snnbench: %v\n", err)
+		return 2
 	}
 
 	settings := experiments.DefaultSettings()
-	settings.Log = os.Stderr
+	settings.Log = stderr
 	settings.Steps = *steps
 	settings.Images = *images
 	settings.PatternSteps = *psteps
@@ -68,43 +90,40 @@ func main() {
 	}
 	lab := experiments.NewLab(settings)
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-
 	var report strings.Builder
-	emit := func(s string) {
-		fmt.Print(s)
+	for _, e := range exhibits(lab, *csvDir) {
+		if !want[e.name] {
+			continue
+		}
+		s, err := e.run()
+		if err != nil {
+			fmt.Fprintf(stderr, "snnbench: %s: %v\n", e.name, err)
+			return 1
+		}
+		s = "## " + e.name + "\n\n" + s + "\n"
+		fmt.Fprint(stdout, s)
 		report.WriteString(s)
 	}
-
-	writeCSV := func(name string, export func(f *os.File) error) {
-		if *csvDir == "" {
-			return
+	if *out != "" {
+		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
+			fmt.Fprintf(stderr, "snnbench: writing %s: %v\n", *out, err)
+			return 1
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: %v\n", err)
-			return
-		}
-		path := *csvDir + "/" + name + ".csv"
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := export(f); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: writing %s: %v\n", path, err)
-		}
+		fmt.Fprintf(stderr, "report written to %s\n", *out)
 	}
+	return 0
+}
 
-	type experiment struct {
-		name string
-		run  func() (string, error)
-	}
-	exps := []experiment{
+// exhibit is one -run name and the func that renders it.
+type exhibit struct {
+	name string
+	run  func() (string, error)
+}
+
+// exhibits lists the paper's exhibits in report order. Each one that has
+// a CSV export writes it into csvDir (when set) and fails if it cannot.
+func exhibits(lab *experiments.Lab, csvDir string) []exhibit {
+	return []exhibit{
 		{"fig1", func() (string, error) {
 			return experiments.Fig1(0.7, 64).Render(), nil
 		}},
@@ -113,16 +132,14 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig2", func(f *os.File) error { return r.WriteCSV(f) })
-			return r.Render(), nil
+			return r.Render(), writeCSV(csvDir, "fig2", r.WriteCSV)
 		}},
 		{"table1", func() (string, error) {
 			r, err := experiments.Table1(lab)
 			if err != nil {
 				return "", err
 			}
-			writeCSV("table1", func(f *os.File) error { return r.WriteCSV(f) })
-			return r.Render(), nil
+			return r.Render(), writeCSV(csvDir, "table1", r.WriteCSV)
 		}},
 		{"fig3", func() (string, error) {
 			r, err := experiments.Fig3(lab)
@@ -136,31 +153,21 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig4", func(f *os.File) error { return r.WriteCSV(f) })
-			return r.Render(), nil
+			return r.Render(), writeCSV(csvDir, "fig4", r.WriteCSV)
 		}},
 		{"table2", func() (string, error) {
 			r, err := experiments.Table2(lab)
 			if err != nil {
 				return "", err
 			}
-			writeCSV("table2", func(f *os.File) error { return r.WriteCSV(f) })
-			return r.Render(), nil
+			return r.Render(), writeCSV(csvDir, "table2", r.WriteCSV)
 		}},
 		{"fig5", func() (string, error) {
 			r, err := experiments.Fig5(lab)
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig5", func(f *os.File) error { return r.WriteCSV(f) })
-			return r.Render(), nil
-		}},
-		{"chip", func() (string, error) {
-			r, err := experiments.ChipEnergy(lab)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return r.Render(), writeCSV(csvDir, "fig5", r.WriteCSV)
 		}},
 		{"ablations", func() (string, error) {
 			var sb strings.Builder
@@ -187,31 +194,63 @@ func main() {
 			return sb.String(), nil
 		}},
 	}
+}
 
-	ran := 0
-	for _, e := range exps {
-		if !all && !want[e.name] {
-			continue
-		}
-		s, err := e.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		emit("## " + e.name + "\n\n" + s + "\n")
-		ran++
+// exhibitNames returns the names -run accepts besides "all".
+func exhibitNames() []string {
+	var names []string
+	for _, e := range exhibits(nil, "") {
+		names = append(names, e.name)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "snnbench: nothing selected by -run=%q\n", *run)
-		os.Exit(2)
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snnbench: writing %s: %v\n", *out, err)
-			os.Exit(1)
+	return names
+}
+
+// parseRun reads -run's comma-separated list into the set of names to
+// run: every known name for "all", else each listed name. A name that is
+// not in known is an error naming it and the valid ones.
+func parseRun(list string, known []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "all":
+			for _, k := range known {
+				want[k] = true
+			}
+		case slices.Contains(known, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("unknown exhibit %q in -run=%q (valid: %s, all)",
+				name, list, strings.Join(known, ", "))
 		}
-		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
+	return want, nil
+}
+
+// writeCSV exports one exhibit's CSV as dir/name.csv; with dir empty it
+// does nothing. An error creating, writing or closing the file is
+// returned.
+func writeCSV(dir, name string, export func(io.Writer) error) (err error) {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("closing %s: %w", path, cerr)
+		}
+	}()
+	if err := export(f); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // probeLevel reports whether the named kernel dispatch tier runs on this

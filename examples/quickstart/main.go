@@ -14,8 +14,8 @@ import (
 )
 
 func main() {
-	// 1. Data: a deterministic MNIST stand-in (see DESIGN.md for why the
-	// datasets are synthetic).
+	// 1. Data: a deterministic MNIST stand-in (synthetic because no
+	// dataset ships in the repo).
 	set := burstsnn.SynthDigits(burstsnn.DigitsConfig{
 		TrainPerClass: 100, TestPerClass: 20, Noise: 0.05, Seed: 7,
 	})

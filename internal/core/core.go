@@ -67,7 +67,7 @@ func (h Hybrid) Notation() string {
 type EvalConfig struct {
 	Hybrid Hybrid
 	// Steps is the simulation budget per image (the paper's 1,500 scaled
-	// down; see DESIGN.md).
+	// down for run time).
 	Steps int
 	// MaxImages caps the number of test images (0 = all).
 	MaxImages int

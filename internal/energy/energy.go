@@ -76,8 +76,7 @@ func Estimate(p Profile, w Workload) float64 {
 // paper's procedure of splitting a chip's measured total energy
 // proportionally; only ratios between configurations survive
 // normalization, so the exact constants affect the scale of the mix, not
-// the ordering within a term. For topology-grounded routing costs use
-// internal/neuromorphic instead.
+// the ordering within a term.
 const (
 	refDensityScale = 2e5
 	refStaticScale  = 2e2

@@ -132,52 +132,6 @@ func TestCSVExports(t *testing.T) {
 	}
 }
 
-func TestChipEnergy(t *testing.T) {
-	l := testLab(t)
-	res, err := ChipEnergy(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 { // 3 methods × 2 chips
-		t.Fatalf("expected 6 rows, got %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Spikes <= 0 || row.SynOps < row.Spikes || row.Total <= 0 {
-			t.Fatalf("implausible row %+v", row)
-		}
-		if row.OffCore < 0 || row.OffCore > 1 {
-			t.Fatalf("off-core fraction %v", row.OffCore)
-		}
-	}
-	// Baselines (first method per chip) must normalize to 1.
-	seen := map[string]bool{}
-	for _, row := range res.Rows {
-		if !seen[row.Chip] {
-			seen[row.Chip] = true
-			if row.NormLast != 1 {
-				t.Fatalf("%s baseline norm = %v", row.Chip, row.NormLast)
-			}
-		}
-	}
-	if len(res.Placements) != 3 {
-		t.Fatalf("expected 3 placement rows, got %d", len(res.Placements))
-	}
-	// Locality placement must beat random on hops.
-	if res.Placements[0].Hops >= res.Placements[1].Hops {
-		t.Fatalf("sequential (%v) must beat random (%v) on hops",
-			res.Placements[0].Hops, res.Placements[1].Hops)
-	}
-	// Annealing must not be worse than the random start.
-	if res.Placements[2].Hops > res.Placements[1].Hops*1.02 {
-		t.Fatalf("annealing degraded hops: %v -> %v",
-			res.Placements[1].Hops, res.Placements[2].Hops)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "TrueNorth") || !strings.Contains(out, "placement study") {
-		t.Fatal("render incomplete")
-	}
-}
-
 func TestExtensionLeak(t *testing.T) {
 	l := testLab(t)
 	res, err := ExtensionLeak(l)

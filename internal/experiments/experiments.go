@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on the synthetic stand-in workloads (see DESIGN.md
-// for the substitution rationale and the per-experiment index).
+// evaluation section on synthetic stand-in workloads, because no dataset
+// ships in the repo.
 //
 // Each experiment is a function taking a *Lab and returning a typed
 // result with a Render method that prints the same rows/series the paper

@@ -26,17 +26,20 @@ type Config struct {
 	// negative disables supervision — dead shards stay dead).
 	HealthInterval time.Duration
 	// Autoscale enables per-shard pool autoscaling from each shard's
-	// queue-pressure EWMA: pressure above GrowPressure widens the model's
+	// queue-pressure EWMA: pressure above growPressure widens the model's
 	// replica pool one step (up to its MaxReplicas), pressure below
 	// shrinkPressure narrows it (down to 1).
 	Autoscale         bool
 	AutoscaleInterval time.Duration // default 250ms
-	GrowPressure      float64       // default 0.5
 }
 
-// shrinkPressure is the queue pressure below which the autoscaler
-// narrows a model's pool by one replica.
-const shrinkPressure = 0.05
+// growPressure and shrinkPressure are the queue pressures above which
+// the autoscaler widens a model's pool by one replica and below which it
+// narrows it by one.
+const (
+	growPressure   = 0.5
+	shrinkPressure = 0.05
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 1 {
@@ -53,9 +56,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.AutoscaleInterval <= 0 {
 		c.AutoscaleInterval = 250 * time.Millisecond
-	}
-	if c.GrowPressure <= 0 {
-		c.GrowPressure = 0.5
 	}
 	return c, nil
 }
@@ -340,7 +340,7 @@ func (f *Fleet) autoscale() {
 			}
 			for model, ms := range st.Models {
 				switch {
-				case ms.Pressure > f.cfg.GrowPressure && ms.PoolSize < ms.PoolMax:
+				case ms.Pressure > growPressure && ms.PoolSize < ms.PoolMax:
 					_, _ = w.Resize(model, ms.PoolSize+1)
 				case ms.Pressure < shrinkPressure && ms.PoolSize > 1:
 					_, _ = w.Resize(model, ms.PoolSize-1)

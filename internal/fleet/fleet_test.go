@@ -521,7 +521,6 @@ func TestFleetAutoscale(t *testing.T) {
 		HealthInterval:    -1,
 		Autoscale:         true,
 		AutoscaleInterval: 20 * time.Millisecond,
-		GrowPressure:      0.2,
 	}, inprocFactory(t, cfg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
