@@ -71,7 +71,6 @@ func (c *cli) fleetConfig() fleet.Config {
 	return fleet.Config{
 		Shards:       c.fleetN,
 		FallbackHops: hops,
-		Autoscale:    c.fleetScale,
 	}
 }
 
@@ -80,7 +79,7 @@ func (c *cli) fleetConfig() fleet.Config {
 // forwards every other flag.
 var frontOnly = map[string]bool{
 	"addr": true, "worker": true,
-	"fleet": true, "fleet-workers": true, "fleet-fallback-hops": true, "fleet-autoscale": true,
+	"fleet": true, "fleet-workers": true, "fleet-fallback-hops": true,
 	"selftest": true, "selftest-overload": true, "selftest-fleet": true, "selftest-lifecycle": true,
 	"trace-out": true,
 }

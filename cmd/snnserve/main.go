@@ -92,10 +92,10 @@ type cli struct {
 	logReqs, pprofOn bool
 	slowTrace        time.Duration
 
-	fleetN                 int
-	fleetBackend           string
-	fleetHops              int
-	fleetScale, workerMode bool
+	fleetN       int
+	fleetBackend string
+	fleetHops    int
+	workerMode   bool
 
 	selftest, selftestOverload, selftestFleet, selftestLife bool
 	traceOut                                                string
@@ -117,7 +117,7 @@ func newCLI(onError flag.ErrorHandling) *cli {
 	fs.BoolVar(&c.tiny, "tiny", false, "use the reduced test-scale model recipes")
 
 	fs.IntVar(&c.queueDepth, "queue-depth", 0, "admission queue bound per model; requests beyond it shed with 429 (0 = default: four full batches per GOMAXPROCS)")
-	fs.IntVar(&c.maxReplicas, "max-replicas", 0, "replica pool growth ceiling per model for the fleet autoscaler (0 = fixed pool at -replicas)")
+	fs.IntVar(&c.maxReplicas, "max-replicas", 0, "autoscale ceiling per model for any server, single or fleet shard: above -replicas, the server widens and narrows the pool within [1, ceiling] from its queue pressure (0 = fixed pool at -replicas)")
 	fs.DurationVar(&c.reqTimeout, "request-timeout", 0, "per-request end-to-end deadline; a request whose remaining deadline is below the projected queue wait is shed with 429 + Retry-After (0 = default 30s)")
 	fs.IntVar(&c.respCache, "response-cache", 0, "cross-batch response cache entries per model — replayed images are answered without a replica (0 = default 4096, negative disables)")
 	fs.BoolVar(&c.degrade, "degrade", false, "graceful degradation: while admission-queue pressure is high, serve under a tightened (halved-budget) early-exit policy instead of queueing toward timeout")
@@ -133,7 +133,6 @@ func newCLI(onError flag.ErrorHandling) *cli {
 	fs.IntVar(&c.fleetN, "fleet", 0, "serve through the sharded fleet tier with this many shard workers (0 = single server)")
 	fs.StringVar(&c.fleetBackend, "fleet-workers", "inproc", "fleet shard backend: inproc (goroutine pools in this process) or proc (one snnserve -worker child process per shard)")
 	fs.IntVar(&c.fleetHops, "fleet-fallback-hops", 1, "fleet: additional shards a request may be offered after its owner sheds it (0 pins requests to their owner)")
-	fs.BoolVar(&c.fleetScale, "fleet-autoscale", false, "fleet: widen/narrow each shard's replica pools (up to -max-replicas) from its queue-pressure EWMA")
 	fs.BoolVar(&c.workerMode, "worker", false, "run as a fleet shard worker: serve on an ephemeral port (unless -addr is explicit) and announce FLEET_WORKER_ADDR=<addr> on stdout")
 
 	fs.BoolVar(&c.selftest, "selftest", false, "run the deterministic load-generator selftest and exit")

@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"burstsnn/internal/dnn"
+	"burstsnn/internal/mathx"
 )
 
 func TestAblationBeta(t *testing.T) {
@@ -162,15 +167,60 @@ func TestModelDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var log bytes.Buffer
+	s.Log = &log
 	lab2 := NewLab(s)
 	m2, err := lab2.Model("digits")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "loaded cached digits model") {
+		t.Fatalf("second Lab did not load the cache:\n%s", log.String())
 	}
 	if m1.DNNAcc != m2.DNNAcc {
 		t.Fatalf("cached model accuracy differs: %v vs %v", m1.DNNAcc, m2.DNNAcc)
 	}
 	if m1.Net.NumParams() != m2.Net.NumParams() {
 		t.Fatal("cached model has different parameter count")
+	}
+}
+
+// TestModelCacheRejectsOtherSpec: a cached gob that clears the recipe's
+// accuracy floor but was built from another spec (as another scale's
+// recipe writes into a shared directory) is retrained and overwritten,
+// not served.
+func TestModelCacheRejectsOtherSpec(t *testing.T) {
+	s := QuickSettings()
+	s.ModelDir = t.TempDir()
+	recipe := recipesFor(s)["digits"]
+	set, spec := recipe.build()
+	other := dnn.MLP(1, 28, 28, []int{64}, 10)
+	net, err := dnn.Build(other, mathx.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnn.Train(net, set, dnn.NewAdam(recipe.lr), dnn.TrainConfig{Epochs: recipe.epochs, BatchSize: 32, Seed: 99})
+	if acc := dnn.Evaluate(net, set.Test); acc < recipe.minAcc {
+		t.Fatalf("the other-spec model trained to %.4f, below the %.2f floor it must clear", acc, recipe.minAcc)
+	}
+	path := filepath.Join(s.ModelDir, "digits.gob")
+	if err := dnn.SaveModelFile(path, other, net); err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	s.Log = &log
+	m, err := NewLab(s).Model("digits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(log.String(), "loaded cached") {
+		t.Fatalf("served a cached model built from another spec:\n%s", log.String())
+	}
+	if want, _ := dnn.Build(spec, mathx.NewRNG(1)); m.Net.NumParams() != want.NumParams() {
+		t.Fatalf("model has %d parameters, the recipe's spec %d", m.Net.NumParams(), want.NumParams())
+	}
+	if cached, _, err := dnn.LoadModelFile(path); err != nil || !reflect.DeepEqual(cached, spec) {
+		t.Fatalf("cache not rewritten with the recipe's spec: %+v, %v", cached, err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 
 	"burstsnn/internal/core"
@@ -196,7 +197,9 @@ func (l *Lab) Model(name string) (*Model, error) {
 	path := ""
 	if l.Settings.ModelDir != "" {
 		path = filepath.Join(l.Settings.ModelDir, name+".gob")
-		if _, netLoaded, err := dnn.LoadModelFile(path); err == nil {
+		// A file written under another recipe (another scale shares the
+		// directory) or gone stale is retrained below.
+		if specLoaded, netLoaded, err := dnn.LoadModelFile(path); err == nil && reflect.DeepEqual(specLoaded, spec) {
 			m.Net = netLoaded
 			m.DNNAcc = dnn.Evaluate(netLoaded, set.Test)
 			if m.DNNAcc >= recipe.minAcc {
@@ -204,7 +207,6 @@ func (l *Lab) Model(name string) (*Model, error) {
 				l.models[name] = m
 				return m, nil
 			}
-			// Stale or mismatched cache: retrain below.
 		}
 	}
 

@@ -25,21 +25,7 @@ type Config struct {
 	// HealthInterval is the supervisor's probe period (default 250ms;
 	// negative disables supervision — dead shards stay dead).
 	HealthInterval time.Duration
-	// Autoscale enables per-shard pool autoscaling from each shard's
-	// queue-pressure EWMA: pressure above growPressure widens the model's
-	// replica pool one step (up to its MaxReplicas), pressure below
-	// shrinkPressure narrows it (down to 1).
-	Autoscale         bool
-	AutoscaleInterval time.Duration // default 250ms
 }
-
-// growPressure and shrinkPressure are the queue pressures above which
-// the autoscaler widens a model's pool by one replica and below which it
-// narrows it by one.
-const (
-	growPressure   = 0.5
-	shrinkPressure = 0.05
-)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 1 {
@@ -53,9 +39,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.AutoscaleInterval <= 0 {
-		c.AutoscaleInterval = 250 * time.Millisecond
 	}
 	return c, nil
 }
@@ -96,8 +79,8 @@ type Fleet struct {
 }
 
 // New builds the ring, spawns one worker per shard via factory, and
-// starts the supervisor (and autoscaler, when enabled). On any spawn
-// error the already-spawned workers are closed and the error returned.
+// starts the supervisor. On any spawn error the already-spawned workers
+// are closed and the error returned.
 func New(cfg Config, factory WorkerFactory) (*Fleet, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -131,10 +114,6 @@ func New(cfg Config, factory WorkerFactory) (*Fleet, error) {
 		f.loops.Add(1)
 		go f.supervise()
 	}
-	if cfg.Autoscale {
-		f.loops.Add(1)
-		go f.autoscale()
-	}
 	return f, nil
 }
 
@@ -166,9 +145,10 @@ func (f *Fleet) markDead(shard int) {
 // shards clockwise on the ring. Dead shards are skipped without
 // consuming a hop (and a worker that dies mid-request is marked dead and
 // skipped the same way, so its in-flight requests finish on the next
-// live shard instead of dropping). If every tried shard shed, the
-// owner's shed error is returned — its Retry-After projection, not a
-// fleet average, is the honest hint (see RetryAfter).
+// live shard instead of dropping). If every tried shard shed, the first
+// one's shed error is returned: the owner's while it is live, the shard a
+// retry re-hashes to. Its Retry-After projection, not a fleet average, is
+// the honest hint.
 func (f *Fleet) Classify(ctx context.Context, req serve.ClassifyRequest) (serve.ClassifyResult, error) {
 	seq := f.ring.Sequence(coding.HashImage(req.Image), f.cfg.Shards)
 	tries, maxTries := 0, 1+f.cfg.FallbackHops
@@ -215,23 +195,6 @@ func (f *Fleet) Classify(ctx context.Context, req serve.ClassifyRequest) (serve.
 		return serve.ClassifyResult{}, firstShed
 	}
 	return serve.ClassifyResult{}, fmt.Errorf("%w: no live shard for request", ErrWorkerDown)
-}
-
-// RetryAfter is the Retry-After hint for a shed request: the OWNING
-// shard's drain-time projection. Under uneven load a fleet average would
-// understate a hot shard's backlog and overstate a cold one's; the
-// request will be re-hashed to the same owner on retry, so the owner's
-// projection is the only honest one. Falls back to the first live shard
-// in the request's ring sequence while the owner is down, and 1s when
-// everything is.
-func (f *Fleet) RetryAfter(model string, image []float64) time.Duration {
-	hash := coding.HashImage(image)
-	for _, shard := range f.ring.Sequence(hash, f.cfg.Shards) {
-		if w := f.Worker(shard); w != nil {
-			return w.RetryAfter(model)
-		}
-	}
-	return time.Second
 }
 
 // Models lists the registered models from the first live shard (every
@@ -314,44 +277,8 @@ func (f *Fleet) supervise() {
 	}
 }
 
-// autoscale widens/narrows each shard's per-model replica pool from the
-// shard's queue-pressure EWMA (serve.Batcher.Pressure, scraped via
-// ShardStats): one step per tick, bounded by [1, MaxReplicas]. One step
-// — not proportional jumps — keeps the controller stable against the
-// pressure filter's own lag.
-func (f *Fleet) autoscale() {
-	defer f.loops.Done()
-	ticker := time.NewTicker(f.cfg.AutoscaleInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case <-ticker.C:
-		}
-		for s := 0; s < f.cfg.Shards; s++ {
-			w := f.Worker(s)
-			if w == nil {
-				continue
-			}
-			st, err := w.Stats()
-			if err != nil {
-				continue
-			}
-			for model, ms := range st.Models {
-				switch {
-				case ms.Pressure > growPressure && ms.PoolSize < ms.PoolMax:
-					_, _ = w.Resize(model, ms.PoolSize+1)
-				case ms.Pressure < shrinkPressure && ms.PoolSize > 1:
-					_, _ = w.Resize(model, ms.PoolSize-1)
-				}
-			}
-		}
-	}
-}
-
-// Close stops the supervisor and autoscaler, then closes every worker
-// (draining their queues). Idempotent.
+// Close stops the supervisor, then closes every worker (draining their
+// queues). Idempotent.
 func (f *Fleet) Close() error {
 	var errs []error
 	f.stopOnce.Do(func() {

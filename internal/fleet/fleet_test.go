@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -106,9 +107,9 @@ func imageOwnedBy(ring *Ring, shard int) []float64 {
 // fakeWorker counts what lands on it and fails on demand.
 type fakeWorker struct {
 	shard int
-	shed  atomic.Bool // every Classify sheds (serve.ErrOverloaded)
-	down  atomic.Bool // every Classify fails dead (ErrWorkerDown)
-	retry time.Duration
+	shed  atomic.Bool   // every Classify sheds (a serve.ShedError)
+	down  atomic.Bool   // every Classify fails dead (ErrWorkerDown)
+	retry time.Duration // the sheds' Retry-After
 
 	mu     sync.Mutex
 	hashes []uint64 // image hashes answered, in arrival order
@@ -119,7 +120,7 @@ func (w *fakeWorker) Classify(_ context.Context, req serve.ClassifyRequest) (ser
 		return serve.ClassifyResult{}, ErrWorkerDown
 	}
 	if w.shed.Load() {
-		return serve.ClassifyResult{}, serve.ErrOverloaded
+		return serve.ClassifyResult{}, &serve.ShedError{RetryAfter: w.retry}
 	}
 	h := coding.HashImage(req.Image)
 	w.mu.Lock()
@@ -143,11 +144,9 @@ func (w *fakeWorker) Stats() (serve.ShardStats, error) {
 func (w *fakeWorker) Models() ([]serve.Info, error) {
 	return []serve.Info{{Name: "digits"}}, nil
 }
-func (w *fakeWorker) RetryAfter(string) time.Duration     { return w.retry }
-func (w *fakeWorker) Resize(_ string, n int) (int, error) { return n, nil }
-func (w *fakeWorker) Unregister(string, bool) error       { return nil }
-func (w *fakeWorker) Healthy() bool                       { return !w.down.Load() }
-func (w *fakeWorker) Close() error                        { return nil }
+func (w *fakeWorker) Unregister(string, bool) error { return nil }
+func (w *fakeWorker) Healthy() bool                 { return !w.down.Load() }
+func (w *fakeWorker) Close() error                  { return nil }
 
 // fakeFleet builds a fleet over fake workers with supervision disabled
 // (tests flip worker state directly and check routing, not repair).
@@ -293,33 +292,73 @@ func TestFleetDeadSkip(t *testing.T) {
 	}
 }
 
-// TestFleetRetryAfterOwner pins satellite (a): the Retry-After hint for
-// a shed request is the OWNING shard's projection (a retry re-hashes to
-// the same owner), not a fleet average — and only a dead owner defers to
-// the next shard in the request's ring sequence.
+// TestFleetRetryAfterOwner: a fleet 429's Retry-After is the OWNING
+// shard's projection, carried by its shed (a retry re-hashes to the same
+// owner), not a fleet average; only a dead owner defers to the next shard
+// in the request's ring sequence. Over a process worker the projection
+// arrives in the shed reply frame, with no further request to the worker.
 func TestFleetRetryAfterOwner(t *testing.T) {
 	f, fakes := fakeFleet(t, 4, Config{})
+	h := NewFront(f).Handler()
 	img := imageOwnedBy(f.ring, 2)
-	// Each fake reports (shard+1) seconds; the owner's voice must win.
-	if got := f.RetryAfter("digits", img); got != 3*time.Second {
-		t.Errorf("RetryAfter = %v, want 3s (owner shard 2)", got)
+	classify := func(h http.Handler, model string) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(serve.ClassifyRequest{Model: model, Image: img})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body)))
+		return rec
+	}
+	for _, w := range fakes {
+		w.shed.Store(true)
+	}
+	// Each fake's sheds carry (shard+1) seconds; the owner's voice must
+	// win over the fallback shard's.
+	if rec := classify(h, "digits"); rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "3" {
+		t.Errorf("front answered %d, Retry-After %q; want 429, \"3\" (owner shard 2)",
+			rec.Code, rec.Header().Get("Retry-After"))
 	}
 	// Dead owner (dead in the FLEET's view — the routing plane keys off
-	// its own eviction state, not the worker's internals): fall to the
-	// next shard in the ring sequence.
+	// its own eviction state, not the worker's internals): the next shard
+	// in the ring sequence answers.
 	fakes[2].down.Store(true)
 	f.markDead(2)
 	next := f.ring.Sequence(coding.HashImage(img), 4)[1]
-	if got, want := f.RetryAfter("digits", img), time.Duration(next+1)*time.Second; got != want {
-		t.Errorf("RetryAfter with dead owner = %v, want %v (shard %d)", got, want, next)
+	if rec, want := classify(h, "digits"), strconv.Itoa(next+1); rec.Code != http.StatusTooManyRequests ||
+		rec.Header().Get("Retry-After") != want {
+		t.Errorf("dead owner: front answered %d, Retry-After %q; want 429, %q (shard %d)",
+			rec.Code, rec.Header().Get("Retry-After"), want, next)
 	}
-	// Everything dead: a safe floor, not a panic.
+	// Everything dead: a 503, which carries no Retry-After.
 	for s, w := range fakes {
 		w.down.Store(true)
 		f.markDead(s)
 	}
-	if got := f.RetryAfter("digits", img); got != time.Second {
-		t.Errorf("RetryAfter all-dead = %v, want 1s", got)
+	if rec := classify(h, "digits"); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "" {
+		t.Errorf("all dead: front answered %d, Retry-After %q; want 503 and none",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+
+	// A process worker: its shed frame says 7 s, and the front asks the
+	// worker nothing else.
+	var admin atomic.Int64
+	mux := http.NewServeMux()
+	mux.Handle("GET "+serve.StreamPath, serve.NewStreamServer(newFakeClassifier()))
+	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
+		admin.Add(1)
+		http.NotFound(w, nil)
+	})
+	pw := stubProcWorker(t, mux)
+	pf, err := New(Config{Shards: 1, HealthInterval: -1}, func(int) (Worker, error) { return pw, nil })
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { _ = pf.Close() })
+	if rec := classify(NewFront(pf).Handler(), "shed"); rec.Code != http.StatusTooManyRequests ||
+		rec.Header().Get("Retry-After") != "7" {
+		t.Errorf("proc worker: front answered %d, Retry-After %q; want 429, \"7\"",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if n := admin.Load(); n != 0 {
+		t.Errorf("the front sent the worker %d requests besides the classify stream", n)
 	}
 }
 
@@ -506,79 +545,6 @@ func TestFleetSuperviseRespawn(t *testing.T) {
 	}
 }
 
-// TestFleetAutoscale drives one shard into sustained queue pressure and
-// watches the autoscaler widen its pool toward MaxReplicas, then drain
-// and watches it narrow back.
-func TestFleetAutoscale(t *testing.T) {
-	cfg := serve.Config{
-		ResponseCacheSize: -1,
-		MaxBatch:          2,
-		QueueDepth:        4,
-		InjectLatency:     10 * time.Millisecond,
-	}
-	f, err := New(Config{
-		Shards:            1,
-		HealthInterval:    -1,
-		Autoscale:         true,
-		AutoscaleInterval: 20 * time.Millisecond,
-	}, inprocFactory(t, cfg))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(func() { _ = f.Close() })
-
-	testModel(t)
-	ctx := context.Background()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Unique images (no dedupe collapse) from enough closed-loop clients
-	// to overflow what the dispatcher absorbs outside the queue (forming
-	// batch + slot-waiting batches), so submits actually observe fill.
-	var imgSeq atomic.Int64
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				img := testImage(int(imgSeq.Add(1)))
-				_, _ = f.Classify(ctx, serve.ClassifyRequest{Model: "digits", Image: img})
-			}
-		}()
-	}
-	grew := false
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		snap := f.Snapshot()
-		if ms, ok := snap.Models["digits"]; ok {
-			if g, ok := ms.PerShard["0"]; ok && g.PoolSize > 1 {
-				grew = true
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if !grew {
-		t.Fatal("autoscaler never widened the pool under sustained pressure")
-	}
-	// Idle: pressure decays, the pool narrows back to 1.
-	deadline = time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		snap := f.Snapshot()
-		if g, ok := snap.Models["digits"].PerShard["0"]; ok && g.PoolSize == 1 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatal("autoscaler never narrowed the pool after drain")
-}
-
 // TestFleetMetricsMergeAndProm sends mixed traffic through a real
 // 2-shard fleet and checks the merged snapshot adds up (per-shard
 // requests sum to the fleet total; merged histograms carry every
@@ -727,19 +693,18 @@ func TestFleetMetricsMergeAndProm(t *testing.T) {
 	})
 }
 
-// TestFleetShutdownGoroutineBaseline builds a full fleet (supervision +
-// autoscale on), serves traffic, shuts down, and requires the goroutine
-// count to return to its pre-fleet baseline — no leaked supervisor,
-// autoscaler, batcher, or worker goroutines. Meaningful under -race.
+// TestFleetShutdownGoroutineBaseline builds a full fleet (supervision
+// on, each shard's model registered with autoscale headroom), serves
+// traffic, shuts down, and requires the goroutine count to return to its
+// pre-fleet baseline — no leaked supervisor, server housekeeping,
+// batcher, or worker goroutines. Meaningful under -race.
 func TestFleetShutdownGoroutineBaseline(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
 	f, err := New(Config{
-		Shards:            2,
-		HealthInterval:    25 * time.Millisecond,
-		Autoscale:         true,
-		AutoscaleInterval: 25 * time.Millisecond,
+		Shards:         2,
+		HealthInterval: 25 * time.Millisecond,
 	}, inprocFactory(t, serve.Config{}))
 	if err != nil {
 		t.Fatalf("New: %v", err)

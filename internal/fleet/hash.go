@@ -2,8 +2,8 @@
 // a front tier that consistent-hashes requests over a set of worker
 // shards (in-process servers or snnserve -worker processes), keeps each
 // shard's caches hot for its slice of the image space, supervises worker
-// health, autoscales per-shard replica pools from queue pressure, and
-// merges per-shard telemetry into fleet-wide /metrics and /metrics/prom.
+// health, and merges per-shard telemetry into fleet-wide /metrics and
+// /metrics/prom. Each shard's server autoscales its own replica pools.
 //
 // Routing keys on coding.HashImage — the same content hash a shard's
 // response cache (a pixel-verified coding.Memo) keys on, and which ends

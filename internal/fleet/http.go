@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -54,20 +53,19 @@ func (fr *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
 	req := wr.ClassifyRequest
 	res, err := fr.f.Classify(r.Context(), req)
 	// A cached reply means no shard ever queued the image (see
-	// serve.WireRequest.Release); the 429 path below still reads it.
-	defer wr.Release(err == nil && res.Cached)
+	// serve.WireRequest.Release).
+	wr.Release(err == nil && res.Cached)
 	if err != nil {
 		// One status table with serve.Server; what is the front's own is
-		// a worker that is down and where a 429's hint comes from.
+		// a worker that is down.
 		status := serve.ClassifyErrorStatus(r.Context(), err)
 		switch {
 		case errors.Is(err, ErrWorkerDown):
 			status = http.StatusServiceUnavailable
 		case status == http.StatusTooManyRequests:
-			// Every tried shard shed. The hint is the OWNING shard's
-			// drain projection: a retry re-hashes to the same owner.
-			secs := int(math.Ceil(fr.f.RetryAfter(req.Model, req.Image).Seconds()))
-			w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+			// Every tried shard shed; err is the first one's, whose
+			// drain projection the shed carries (see Fleet.Classify).
+			w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(err)))
 		}
 		serve.WriteError(w, status, err)
 		return
@@ -172,8 +170,8 @@ func (fr *Front) Addr() string {
 	return fr.lnAddr
 }
 
-// Shutdown stops the HTTP front, then closes the fleet (supervisor,
-// autoscaler, every worker). Safe without a running listener.
+// Shutdown stops the HTTP front, then closes the fleet (supervisor and
+// every worker). Safe without a running listener.
 func (fr *Front) Shutdown(ctx context.Context) error {
 	fr.mu.Lock()
 	if fr.closed {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,7 +27,7 @@ const WorkerAddrPrefix = "FLEET_WORKER_ADDR="
 // ProcWorker runs a shard as a child process (`snnserve -worker`). Every
 // Classify travels on one classify stream to the child (serve.DialStream):
 // request envelopes out, reply frames back, matched by id. Everything
-// else — health, stats, models, pool, unregister — is the child's HTTP
+// else — health, stats, models, unregister — is the child's HTTP
 // API. The process owns its replicas, caches, and queue; this side only
 // translates the Worker interface onto the wire and maps transport
 // failures to ErrWorkerDown so the supervisor evicts and respawns crashed
@@ -197,18 +196,18 @@ func (w *ProcWorker) Classify(ctx context.Context, req serve.ClassifyRequest) (s
 }
 
 // replyResult maps a reply onto the Worker contract, so the routing plane
-// cannot tell a process worker from an in-process one: 429 is
-// serve.ErrOverloaded, 503 ErrWorkerDown, 404 serve.ErrUnknownModel and
-// 504 context.DeadlineExceeded; any other status is a request-level
-// failure the front answers 400.
+// cannot tell a process worker from an in-process one: 429 is a
+// serve.ShedError with the frame's Retry-After, 503 ErrWorkerDown, 404
+// serve.ErrUnknownModel and 504 context.DeadlineExceeded; any other
+// status is a request-level failure the front answers 400.
 func replyResult(rep serve.StreamReply) (serve.ClassifyResult, error) {
 	var sentinel error
 	switch rep.Status {
 	case http.StatusOK:
 		return rep.Result, nil
 	case http.StatusTooManyRequests:
-		return serve.ClassifyResult{}, fmt.Errorf("%w: shard shed (Retry-After %ds): %s",
-			serve.ErrOverloaded, rep.RetryAfter, rep.Err)
+		return serve.ClassifyResult{}, &serve.ShedError{
+			Reason: "shard shed: " + rep.Err, RetryAfter: time.Duration(rep.RetryAfter) * time.Second}
 	case http.StatusServiceUnavailable:
 		sentinel = ErrWorkerDown
 	case http.StatusNotFound:
@@ -283,36 +282,6 @@ func (w *ProcWorker) Models() ([]serve.Info, error) {
 	return out.Models, nil
 }
 
-func (w *ProcWorker) RetryAfter(model string) time.Duration {
-	st, err := w.Stats()
-	if err != nil {
-		return time.Second
-	}
-	if ms, ok := st.Models[model]; ok && ms.RetryAfterSec > 1 {
-		return time.Duration(ms.RetryAfterSec * float64(time.Second))
-	}
-	return time.Second
-}
-
-func (w *ProcWorker) Resize(model string, replicas int) (int, error) {
-	body, _ := json.Marshal(map[string]any{"model": model, "replicas": replicas})
-	resp, err := w.admin.Post(w.base+"/v1/pool", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrWorkerDown, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fleet: pool resize: %s: %s", resp.Status, readErr(resp.Body))
-	}
-	var out struct {
-		Replicas int `json:"replicas"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Replicas, nil
-}
-
 func (w *ProcWorker) Unregister(model string, evict bool) error {
 	url := w.base + "/v1/models/" + model
 	if evict {
@@ -367,9 +336,11 @@ func (w *ProcWorker) probe() bool {
 
 // Close terminates the child: SIGTERM for a graceful drain — it answers
 // every frame it has read, and those replies still reach their callers —
-// then SIGKILL after 10s. It then closes the stream, which fails anything
-// still pending and unblocks any write, and waits for the reader.
-// Idempotent-ish: a dead child just returns its wait status.
+// then SIGKILL after 10s. Once the child has exited, the reader gets up
+// to 5s to hand out the replies still unread. Close then closes the
+// stream, which fails anything still pending and unblocks any write, and
+// waits for the reader. Idempotent-ish: a dead child just returns its
+// wait status.
 func (w *ProcWorker) Close() error {
 	if w.cmd != nil && w.cmd.Process != nil {
 		_ = w.cmd.Process.Signal(syscall.SIGTERM)
@@ -380,6 +351,14 @@ func (w *ProcWorker) Close() error {
 		case <-time.After(10 * time.Second):
 			_ = w.cmd.Process.Kill()
 			<-done
+		}
+		if w.conn != nil {
+			// The child's exit ends the stream: the reader reaches EOF
+			// once it has read every reply the child wrote.
+			select {
+			case <-w.readerDone:
+			case <-time.After(5 * time.Second):
+			}
 		}
 	}
 	w.fail(errors.New("worker closed"))

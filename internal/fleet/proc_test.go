@@ -25,7 +25,7 @@ import (
 // FLEET_TEST_WORKER=1 the binary serves the worker's wire — the announce
 // line, the classify stream through serve.StreamServer (the code
 // `snnserve -worker` runs) over a fake classifier, /healthz,
-// /metrics/shard, /v1/models and /v1/pool — without the cost of a real
+// /metrics/shard and /v1/models — without the cost of a real
 // model, so these tests pin the transport, not the simulator.
 func TestMain(m *testing.M) {
 	if os.Getenv("FLEET_TEST_WORKER") == "1" {
@@ -89,7 +89,7 @@ func fakeWorkerHandler(fake *fakeClassifier, stream *serve.StreamServer) http.Ha
 		_ = json.NewEncoder(w).Encode(serve.ShardStats{
 			UptimeSec: 1,
 			Models: map[string]serve.ModelShardStats{
-				"digits": {RetryAfterSec: 7, PoolSize: 2, PoolMax: 4},
+				"digits": {RetryAfterSec: 7},
 			},
 		})
 	})
@@ -97,17 +97,6 @@ func fakeWorkerHandler(fake *fakeClassifier, stream *serve.StreamServer) http.Ha
 		_ = json.NewEncoder(w).Encode(map[string]any{
 			"models": []serve.Info{{Name: "digits", Classes: 10}},
 		})
-	})
-	mux.HandleFunc("POST /v1/pool", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Model    string `json:"model"`
-			Replicas int    `json:"replicas"`
-		}
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		if req.Replicas > 4 {
-			req.Replicas = 4
-		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"model": req.Model, "replicas": req.Replicas})
 	})
 	return mux
 }
@@ -201,8 +190,8 @@ func holdCalls(w *ProcWorker, n int) chan error {
 
 // TestProcWorkerWire pins the ProcWorker mapping against a real child
 // process: spawn + announce + health, a classify stream reply decoded
-// field for field, 429 → serve.ErrOverloaded, stats/models/resize
-// round-trips, and a graceful SIGTERM close.
+// field for field, 429 → a serve.ShedError with the frame's Retry-After,
+// stats/models round-trips, and a graceful SIGTERM close.
 func TestProcWorkerWire(t *testing.T) {
 	w := spawnFakeWorker(t)
 	closed := false
@@ -225,25 +214,21 @@ func TestProcWorkerWire(t *testing.T) {
 	if res != want {
 		t.Errorf("Classify result = %+v, want %+v", res, want)
 	}
-	if _, err := w.Classify(ctx, serve.ClassifyRequest{Model: "shed"}); !errors.Is(err, serve.ErrOverloaded) {
-		t.Errorf("429 mapped to %v, want serve.ErrOverloaded", err)
+	_, err = w.Classify(ctx, serve.ClassifyRequest{Model: "shed"})
+	var shed *serve.ShedError
+	if !errors.Is(err, serve.ErrOverloaded) || !errors.As(err, &shed) || shed.RetryAfter != 7*time.Second {
+		t.Errorf("429 mapped to %v, want a serve.ShedError carrying the frame's 7 s", err)
 	}
 	st, err := w.Stats()
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if ms := st.Models["digits"]; ms.PoolSize != 2 || ms.PoolMax != 4 {
+	if ms := st.Models["digits"]; ms.RetryAfterSec != 7 {
 		t.Errorf("Stats models = %+v", st.Models)
-	}
-	if got := w.RetryAfter("digits"); got != 7*time.Second {
-		t.Errorf("RetryAfter = %v, want 7s", got)
 	}
 	models, err := w.Models()
 	if err != nil || len(models) != 1 || models[0].Name != "digits" {
 		t.Errorf("Models = %v, %v", models, err)
-	}
-	if n, err := w.Resize("digits", 9); err != nil || n != 4 {
-		t.Errorf("Resize = %d, %v, want clamp to 4", n, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -295,6 +280,9 @@ func TestProcWorkerStatusTaxonomy(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body)))
 		if rec.Code != c.status {
 			t.Errorf("%s: front answered %d, want %d (%s)", c.model, rec.Code, c.status, rec.Body)
+		}
+		if ra := rec.Header().Get("Retry-After"); (ra == "7") != (c.status == http.StatusTooManyRequests) {
+			t.Errorf("%s: front answered Retry-After %q; a 429 carries the shed frame's \"7\", no other status one", c.model, ra)
 		}
 	}
 }

@@ -21,22 +21,18 @@ var ErrWorkerDown = errors.New("fleet: worker down")
 // Worker is one shard's serving backend. The two implementations —
 // InprocWorker (a serve.Server in this process) and ProcWorker (an
 // `snnserve -worker` child process spoken to over a classify stream and
-// HTTP) — satisfy the same contract, so the front tier, supervisor, and
-// autoscaler never care where a shard runs.
+// HTTP) — satisfy the same contract, so the front tier and supervisor
+// never care where a shard runs.
 type Worker interface {
-	// Classify serves one request. Overload sheds surface as
-	// serve.ErrOverloaded (the front tier may fall back to the next
-	// shard); a dead backend surfaces as ErrWorkerDown.
+	// Classify serves one request. Overload sheds surface as a
+	// *serve.ShedError carrying the shard's own Retry-After (the front
+	// tier may fall back to the next shard); a dead backend surfaces as
+	// ErrWorkerDown.
 	Classify(ctx context.Context, req serve.ClassifyRequest) (serve.ClassifyResult, error)
 	// Stats scrapes the shard's mergeable telemetry (see serve.ShardStats).
 	Stats() (serve.ShardStats, error)
 	// Models lists the shard's registered models.
 	Models() ([]serve.Info, error)
-	// RetryAfter is the shard's own drain-time projection for the model —
-	// what a 429 on this shard's behalf must carry.
-	RetryAfter(model string) time.Duration
-	// Resize retargets the model's replica pool (see serve.Pool.Resize).
-	Resize(model string, replicas int) (int, error)
 	// Unregister removes a model from the shard: with evict=true the
 	// shard archives the conversion and warms the model back in on the
 	// next request (see serve.Server.Evict); with evict=false the name is
@@ -104,17 +100,6 @@ func (w *InprocWorker) Unregister(model string, evict bool) error {
 		return w.srv.Evict(model)
 	}
 	return w.srv.Unregister(model)
-}
-
-func (w *InprocWorker) RetryAfter(model string) time.Duration {
-	return w.srv.RetryAfter(model)
-}
-
-func (w *InprocWorker) Resize(model string, replicas int) (int, error) {
-	if w.killed.Load() {
-		return 0, ErrWorkerDown
-	}
-	return w.srv.ResizePool(model, replicas)
 }
 
 func (w *InprocWorker) Healthy() bool { return !w.killed.Load() }

@@ -186,15 +186,22 @@ func TestSubmitShedsOnProjectedWait(t *testing.T) {
 	// through a 4s backlog: it must shed now, without a queue slot.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := b.Submit(ctx, img, p); !errors.Is(err, ErrOverloaded) {
+	_, err := b.Submit(ctx, img, p)
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Submit with doomed deadline returned %v, want ErrOverloaded", err)
 	}
 	if d := b.QueueDepth(); d != 4 {
 		t.Fatalf("QueueDepth = %d after projected-wait shed, want 4", d)
 	}
-	// Retry-After reflects the projected backlog (floored at 1s).
+	// Retry-After reflects the projected backlog (floored at 1s), and the
+	// shed carries it: a server's 429 header and a stream reply's
+	// RetryAfter both read it from the error (Server.ClassifyStatus).
 	if ra := b.RetryAfter(); ra < time.Second {
 		t.Fatalf("RetryAfter = %v, want >= 1s", ra)
+	}
+	var shed *ShedError
+	if !errors.As(err, &shed) || shed.RetryAfter != b.RetryAfter() || RetryAfterSeconds(err) != 4 {
+		t.Fatalf("shed %#v (Retry-After %d s), want the batcher's 4 s projection", err, RetryAfterSeconds(err))
 	}
 
 	for i := 0; i < 4; i++ {

@@ -16,11 +16,42 @@ import (
 // ErrClosed is returned by Submit after the batcher has been closed.
 var ErrClosed = errors.New("serve: batcher closed")
 
-// ErrOverloaded is returned by Submit when the admission plane sheds a
-// request instead of queueing it: the admission queue is full, or the
-// projected queue wait already exceeds the request's deadline. The
-// server maps it to HTTP 429 with a Retry-After hint.
+// ErrOverloaded is what Submit's sheds match when the admission plane
+// refuses a request instead of queueing it: the admission queue is full,
+// or the projected queue wait already exceeds the request's deadline.
+// Each shed is a *ShedError; the server maps it to HTTP 429 with its
+// Retry-After.
 var ErrOverloaded = errors.New("serve: overloaded")
+
+// ShedError is an overload shed: it matches ErrOverloaded and carries the
+// shedding queue's projected drain time, which its 429 answers with as
+// Retry-After.
+type ShedError struct {
+	// Reason says why the request was shed; empty for a full queue.
+	Reason     string
+	RetryAfter time.Duration
+}
+
+func (e *ShedError) Error() string {
+	if e.Reason == "" {
+		return ErrOverloaded.Error()
+	}
+	return ErrOverloaded.Error() + ": " + e.Reason
+}
+
+// Is makes every shed match errors.Is(err, ErrOverloaded).
+func (e *ShedError) Is(target error) bool { return target == ErrOverloaded }
+
+// RetryAfterSeconds is the Retry-After header value of a 429 for err: the
+// shed's own drain projection, rounded up to whole seconds and floored at
+// one.
+func RetryAfterSeconds(err error) int {
+	var shed *ShedError
+	if errors.As(err, &shed) {
+		return max(int(math.Ceil(shed.RetryAfter.Seconds())), 1)
+	}
+	return 1
+}
 
 // drainEWMAWeight smooths the measured per-request drain time that
 // backs projected-wait shedding and Retry-After hints, and the queue
@@ -73,7 +104,7 @@ type Batcher struct {
 
 	// pressure is an always-on EWMA of queue fill (len/cap in [0,1])
 	// sampled at every admission. The degrade controller's hysteresis runs
-	// on it, and the fleet tier's pool autoscaler reads it per shard.
+	// on it, and so does the server's pool autoscaler.
 	// pressureAt is the filter's last-fold time, driving idle decay (see
 	// decayPressureLocked).
 	pressureMu sync.Mutex
@@ -247,7 +278,7 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 		if wait := b.projectedWait(); wait > 0 && time.Until(deadline) < wait {
 			b.sending.Done()
 			return Outcome{}, obs.StageTimes{}, flags,
-				fmt.Errorf("%w: projected queue wait %v exceeds request deadline", ErrOverloaded, wait)
+				b.shed(fmt.Sprintf("projected queue wait %v exceeds request deadline", wait))
 		}
 	}
 
@@ -262,7 +293,7 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 		// Queue full: shed now. Blocking here would just convert the
 		// overload into client-side timeouts with no signal.
 		b.sending.Done()
-		return Outcome{}, obs.StageTimes{}, flags, ErrOverloaded
+		return Outcome{}, obs.StageTimes{}, flags, b.shed("")
 	}
 	select {
 	case res := <-req.done:
@@ -331,7 +362,7 @@ func (b *Batcher) decayPressureLocked(now time.Time) {
 }
 
 // Pressure reports the smoothed queue-fill fraction in [0,1]: the degrade
-// controller's input and the fleet autoscaler's per-shard control input.
+// controller's input and the server autoscaler's (Server.autoscale).
 func (b *Batcher) Pressure() float64 {
 	b.pressureMu.Lock()
 	defer b.pressureMu.Unlock()
@@ -365,6 +396,11 @@ func (b *Batcher) RetryAfter() time.Duration {
 		return wait
 	}
 	return time.Second
+}
+
+// shed is the error a request this batcher sheds fails with.
+func (b *Batcher) shed(reason string) error {
+	return &ShedError{Reason: reason, RetryAfter: b.RetryAfter()}
 }
 
 // observeDrain feeds one executed batch's wall time into the per-request
@@ -469,7 +505,7 @@ func (b *Batcher) accept(req *batchRequest) {
 	select {
 	case b.queue <- req:
 	default:
-		req.done <- batchResult{err: ErrOverloaded}
+		req.done <- batchResult{err: b.shed("")}
 	}
 	b.sending.Done()
 }

@@ -120,9 +120,9 @@ var modelFamilies = []family{
 	{Name: "pool_in_flight", Kind: gauge, Series: one(func(s *Snapshot) any { return &s.PoolInFlight }, mergeSum),
 		Help: "Replicas checked out right now."},
 	{Name: "pool_size", Kind: gauge, Series: one(func(s *Snapshot) any { return &s.PoolSize }, mergeSum),
-		Help: "Replica pool bound (moves under fleet autoscaling)."},
+		Help: "Replica pool bound (moves under autoscaling)."},
 	{Name: "queue_pressure", Kind: gauge, Series: one(func(s *Snapshot) any { return &s.QueuePressure }, mergeMax),
-		Help: "EWMA'd admission-queue fill fraction. A server reports the degrade controller's signal (0 with no controller); a fleet reports, per shard, the always-on signal its autoscaler steers by."},
+		Help: "EWMA'd admission-queue fill fraction: the signal the server's degrade controller and autoscaler steer by."},
 	{Name: "degraded_mode", Kind: gauge, Series: []series{{Field: func(s *Snapshot) any { return &s.DegradeMode }, Is: "degraded"}},
 		Help: "1 while the model serves under the degraded-mode tightened policy, else 0."},
 	{Name: "model_resident", Kind: gauge, Series: []series{{Field: func(s *Snapshot) any { return &s.State }, Is: StateResident}},

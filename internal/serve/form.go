@@ -86,8 +86,8 @@ func (b *Batcher) dispatch() {
 	// Slots are sized to the pool's ceiling, not its current width:
 	// replica checkout still serializes execution at the live Size, and
 	// sizing to Max lets an autoscaler grow the pool without restarting
-	// the dispatcher. With a fixed pool (Max == Size, the non-fleet
-	// default) this is the old bound exactly.
+	// the dispatcher. With a fixed pool (Max == Size, the default) this
+	// is the old bound exactly.
 	slotCap := 1
 	if b.pool != nil {
 		slotCap = b.pool.Max()

@@ -39,7 +39,7 @@ import (
 
 // entry pairs a resident model with its request queue. The pair is
 // installed and replaced as a unit under the server mutex; lastUse is
-// the LRU clock for the resident bound and idle evictor.
+// the LRU clock for the resident bound and idle eviction.
 type entry struct {
 	model   *Model
 	batcher *Batcher
@@ -330,33 +330,81 @@ func (s *Server) remove(name string, evict bool) error {
 	}
 }
 
-// evictIdleLoop is the idle evictor: every quarter of Config.EvictIdle
-// it evicts models whose last Classify is older than the window.
-func (s *Server) evictIdleLoop() {
-	defer close(s.evictDone)
-	tick := s.cfg.EvictIdle / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
+// autoscaleTick is how often housekeeping steps the autoscaled pools.
+const autoscaleTick = 250 * time.Millisecond
+
+// growPressure and shrinkPressure are the queue pressures above which
+// autoscale widens a model's pool by one replica and below which it
+// narrows it by one.
+const (
+	growPressure   = 0.5
+	shrinkPressure = 0.05
+)
+
+// housekeep is the server's one background loop, stopped by Shutdown:
+// it autoscales every autoscaleTick and, when Config.EvictIdle is set,
+// evicts idle models every quarter of that window.
+func (s *Server) housekeep() {
+	defer close(s.houseDone)
+	scale := time.NewTicker(autoscaleTick)
+	defer scale.Stop()
+	var evict <-chan time.Time
+	if s.cfg.EvictIdle > 0 {
+		t := time.NewTicker(max(s.cfg.EvictIdle/4, 10*time.Millisecond))
+		defer t.Stop()
+		evict = t.C
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
 	for {
 		select {
-		case <-s.evictStop:
+		case <-s.houseStop:
 			return
-		case <-t.C:
+		case <-scale.C:
+			s.autoscale()
+		case <-evict:
+			s.evictIdle()
 		}
-		cutoff := time.Now().Add(-s.cfg.EvictIdle).UnixNano()
-		var victims []string
-		s.mu.Lock()
-		for name, e := range s.entries {
-			if e.lastUse.Load() < cutoff {
-				victims = append(victims, name)
-			}
+	}
+}
+
+// evictIdle evicts the models whose last Classify is older than
+// Config.EvictIdle.
+func (s *Server) evictIdle() {
+	cutoff := time.Now().Add(-s.cfg.EvictIdle).UnixNano()
+	var victims []string
+	s.mu.Lock()
+	for name, e := range s.entries {
+		if e.lastUse.Load() < cutoff {
+			victims = append(victims, name)
 		}
-		s.mu.Unlock()
-		for _, name := range victims {
-			_ = s.Evict(name)
+	}
+	s.mu.Unlock()
+	for _, name := range victims {
+		_ = s.Evict(name)
+	}
+}
+
+// autoscale steps the pool of every resident model registered with
+// headroom (MaxReplicas above Replicas) one replica toward its queue
+// pressure (Batcher.Pressure): wider above growPressure, narrower below
+// shrinkPressure, within [1, MaxReplicas]. One step per tick, not a
+// proportional jump, keeps the controller stable against the pressure
+// filter's own lag.
+func (s *Server) autoscale() {
+	var scaled []*entry
+	s.mu.Lock()
+	for _, e := range s.entries {
+		if cfg := e.model.cfg; cfg.MaxReplicas > cfg.Replicas {
+			scaled = append(scaled, e)
+		}
+	}
+	s.mu.Unlock()
+	for _, e := range scaled {
+		pool := e.model.pool
+		switch p, n := e.batcher.Pressure(), pool.Size(); {
+		case p > growPressure && n < pool.Max():
+			_, _ = pool.Resize(n + 1)
+		case p < shrinkPressure && n > 1:
+			_, _ = pool.Resize(n - 1)
 		}
 	}
 }

@@ -48,9 +48,10 @@ type ModelConfig struct {
 	Exit ExitPolicy
 	// Replicas sizes the simulator pool (default GOMAXPROCS).
 	Replicas int
-	// MaxReplicas caps pool growth for autoscaling (Pool.Resize): the
-	// pool starts at Replicas and may be widened up to this bound by a
-	// fleet shard's autoscaler. Default Replicas — a fixed pool.
+	// MaxReplicas caps pool growth for autoscaling: above Replicas, the
+	// server widens and narrows the pool within [1, MaxReplicas] from its
+	// queue pressure (see Server.autoscale). Default Replicas — a fixed
+	// pool.
 	MaxReplicas int
 	// NormSamples sizes weight normalization's activation-recording pass
 	// (max norm; default 64 samples).

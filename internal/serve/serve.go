@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -241,10 +240,10 @@ type Server struct {
 	lnAddr  string
 	closed  bool
 
-	// evictStop/evictDone bracket the idle evictor goroutine (nil when
-	// Config.EvictIdle is zero).
-	evictStop chan struct{}
-	evictDone chan struct{}
+	// houseStop/houseDone bracket the housekeeping goroutine (idle
+	// eviction and autoscaling).
+	houseStop chan struct{}
+	houseDone chan struct{}
 }
 
 // traceCapacity bounds each server's recent-trace ring.
@@ -260,6 +259,9 @@ func New(cfg Config) *Server {
 		archive: map[string]*archived{},
 		warming: map[string]*warmOp{},
 		epochs:  map[string]uint64{},
+
+		houseStop: make(chan struct{}),
+		houseDone: make(chan struct{}),
 	}
 	s.stream = NewStreamServer(s)
 	if len(cfg.ModelWeights) > 0 {
@@ -270,11 +272,7 @@ func New(cfg Config) *Server {
 		thr = 0 // pinning disabled
 	}
 	s.traces = obs.NewRing(traceCapacity, 32, thr)
-	if cfg.EvictIdle > 0 {
-		s.evictStop = make(chan struct{})
-		s.evictDone = make(chan struct{})
-		go s.evictIdleLoop()
-	}
+	go s.housekeep()
 	return s
 }
 
@@ -533,7 +531,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /metrics/shard", s.handleShardStats)
-	mux.HandleFunc("POST /v1/pool", s.handlePoolResize)
 	mux.Handle("GET "+StreamPath, s.stream)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -592,61 +589,12 @@ func ClassifyErrorStatus(ctx context.Context, err error) int {
 func (s *Server) ClassifyStatus(ctx context.Context, model string, err error) (status, retryAfter int) {
 	status = ClassifyErrorStatus(ctx, err)
 	if status == http.StatusTooManyRequests {
-		retryAfter = s.retryAfterSeconds(model)
+		retryAfter = RetryAfterSeconds(err)
 	}
 	if !s.known(model) {
 		status = http.StatusNotFound
 	}
 	return status, retryAfter
-}
-
-// RetryAfter is the model queue's projected drain time (the Retry-After
-// hint on 429s), floored at one second. Exported so a fleet front tier
-// can surface the owning shard's projection — not a fleet average — when
-// it sheds on that shard's behalf.
-func (s *Server) RetryAfter(model string) time.Duration {
-	s.mu.Lock()
-	e := s.entries[model]
-	s.mu.Unlock()
-	if e == nil {
-		return time.Second
-	}
-	return e.batcher.RetryAfter()
-}
-
-// Pressure reports the model queue's smoothed fill fraction in [0,1]
-// (see Batcher.Pressure) — the fleet autoscaler's per-shard control
-// signal. Zero for unknown models.
-func (s *Server) Pressure(model string) float64 {
-	s.mu.Lock()
-	e := s.entries[model]
-	s.mu.Unlock()
-	if e == nil {
-		return 0
-	}
-	return e.batcher.Pressure()
-}
-
-// ResizePool retargets the model's replica pool within [1, MaxReplicas]
-// (see Pool.Resize), returning the clamped width. The fleet autoscaler
-// calls this — directly in process, or through POST /v1/pool on a worker
-// process.
-func (s *Server) ResizePool(model string, replicas int) (int, error) {
-	m, err := s.Model(model)
-	if err != nil {
-		return 0, err
-	}
-	return m.Pool().Resize(replicas)
-}
-
-// retryAfterSeconds rounds the model queue's projected drain time up to
-// whole seconds (the Retry-After unit), floored at 1.
-func (s *Server) retryAfterSeconds(model string) int {
-	secs := int(math.Ceil(s.RetryAfter(model).Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -809,7 +757,7 @@ func (s *Server) Addr() string {
 
 // Shutdown gracefully stops the server: the HTTP listener stops accepting,
 // in-flight requests finish (bounded by ctx), every classify stream
-// answers the frames it has read and closes, the idle evictor stops,
+// answers the frames it has read and closes, housekeeping stops,
 // then every model queue drains. Safe to call without a running HTTP
 // server.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -826,10 +774,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	if s.evictStop != nil {
-		close(s.evictStop)
-		<-s.evictDone
-	}
+	close(s.houseStop)
+	<-s.houseDone
 	var err error
 	if srv != nil {
 		err = srv.Shutdown(ctx)

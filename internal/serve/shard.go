@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -28,13 +25,9 @@ type ModelShardStats struct {
 	// ModelHists are the raw stage buckets behind the snapshot's
 	// digests.
 	ModelHists
-	// Pressure is the shard's smoothed queue-fill signal (the autoscaler
-	// input); RetryAfterSec the shard's own drain-time projection, which
-	// the front tier must surface verbatim on 429s for this shard.
-	Pressure      float64 `json:"pressure"`
+	// RetryAfterSec is the shard's own drain-time projection (the fleet
+	// page's per-shard retry_after_seconds gauge).
 	RetryAfterSec float64 `json:"retryAfterSec"`
-	PoolSize      int     `json:"poolSize"`
-	PoolMax       int     `json:"poolMax"`
 }
 
 // ShardStats collects the shard-facing stats for every known model —
@@ -49,14 +42,9 @@ func (s *Server) ShardStats() ShardStats {
 	for _, row := range s.statRows() {
 		ms := ModelShardStats{Counters: s.fillSnapshot(row), ModelHists: row.met.Hists()}
 		if row.batcher != nil {
-			ms.Pressure = row.batcher.Pressure()
 			ms.RetryAfterSec = row.batcher.RetryAfter().Seconds()
 		} else {
 			ms.RetryAfterSec = time.Second.Seconds()
-		}
-		if row.pool != nil {
-			ms.PoolSize = row.pool.Size()
-			ms.PoolMax = row.pool.Max()
 		}
 		out.Models[row.name] = ms
 	}
@@ -65,31 +53,4 @@ func (s *Server) ShardStats() ShardStats {
 
 func (s *Server) handleShardStats(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, s.ShardStats())
-}
-
-// poolResizeRequest is the POST /v1/pool body; the response echoes the
-// model with the clamped replica count actually in effect.
-type poolResizeRequest struct {
-	Model    string `json:"model"`
-	Replicas int    `json:"replicas"`
-}
-
-func (s *Server) handlePoolResize(w http.ResponseWriter, r *http.Request) {
-	// Unmarshal, not a Decoder: one JSON value and nothing after it but
-	// whitespace, as the classify decoder requires.
-	var req poolResizeRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	n, err := s.ResizePool(req.Model, req.Replicas)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"model": req.Model, "replicas": n})
 }

@@ -1,19 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"burstsnn/internal/coding"
-	"burstsnn/internal/core"
 )
 
 // testPoolMax builds a resizable pool over the shared test model.
@@ -201,62 +194,85 @@ func TestServerShardStats(t *testing.T) {
 	if !ok || total.Count == 0 {
 		t.Fatalf("total stage snapshot missing or empty: %+v", ms.Stages)
 	}
-	if ms.PoolSize != 4 || ms.PoolMax != 4 {
-		t.Fatalf("PoolSize/PoolMax = %d/%d, want 4/4", ms.PoolSize, ms.PoolMax)
+	if ms.Counters.PoolSize != 4 {
+		t.Fatalf("Counters.PoolSize = %d, want 4", ms.Counters.PoolSize)
 	}
 	if ms.RetryAfterSec < 1 {
 		t.Fatalf("RetryAfterSec = %v, want >= 1", ms.RetryAfterSec)
 	}
 }
 
-// FuzzPoolResize: POST /v1/pool, the one model-admin JSON body, never
-// panics and answers only 200, 400 or 404; a 200 echoes a replica count
-// the pool can actually hold, [1, Max], and answers a body that is one
-// JSON value — trailing bytes after the object are a 400.
-func FuzzPoolResize(f *testing.F) {
-	f.Add([]byte(`{"model":"digits","replicas":2}`))
-	f.Add([]byte(`{"model":"digits","replicas":-7}`))
-	f.Add([]byte(`{"model":"digits","replicas":9223372036854775807}`))
-	f.Add([]byte(`{"model":"nope","replicas":2}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"model":"digits","replicas":2} {"model":"digits"}`))
-	f.Add([]byte(`{"model":"digits","replicas":2,"pad":"` + strings.Repeat("x", 1<<16) + `"}`))
-	f.Add([]byte(`{"model":"digits","replicas":2}xyz`))
-
-	net, set := testModel(f)
-	s := New(Config{})
-	defer s.Shutdown(context.Background())
-	m, err := s.Register(ModelConfig{
-		Name:        "digits",
-		Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-		Steps:       testSteps,
-		Replicas:    1,
-		MaxReplicas: 3,
-		NormSamples: 16,
-	}, net, set.Train)
-	if err != nil {
-		f.Fatalf("Register: %v", err)
-	}
-	h, poolMax := s.Handler(), m.Pool().Max()
-
-	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/pool", bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK:
-			if !json.Valid(body) {
-				t.Fatalf("200 for %q, which is not one JSON value", body)
-			}
-			var reply struct{ Replicas int }
-			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-				t.Fatalf("200 with an unreadable reply %q: %v", rec.Body, err)
-			}
-			if reply.Replicas < 1 || reply.Replicas > poolMax {
-				t.Fatalf("200 echoes %d replicas, outside [1, %d]", reply.Replicas, poolMax)
-			}
-		case http.StatusBadRequest, http.StatusNotFound:
-		default:
-			t.Fatalf("status %d for body %q", rec.Code, body)
-		}
+// TestServerAutoscale: a model registered with headroom (Replicas 1,
+// MaxReplicas 3) under sustained queue pressure has its pool widened by
+// its own server, then narrowed back to 1 once idle; a model registered
+// without headroom, under the same load, is never resized.
+func TestServerAutoscale(t *testing.T) {
+	net, set := testModel(t)
+	s := New(Config{
+		ResponseCacheSize: -1,
+		MaxBatch:          2,
+		QueueDepth:        4,
+		InjectLatency:     10 * time.Millisecond,
 	})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	scaledCfg, fixedCfg := lifecycleModelConfig("scaled"), lifecycleModelConfig("fixed")
+	scaledCfg.Replicas, scaledCfg.MaxReplicas = 1, 3
+	scaled, err := s.Register(scaledCfg, net, set.Train)
+	if err != nil {
+		t.Fatalf("Register scaled: %v", err)
+	}
+	fixed, err := s.Register(fixedCfg, net, set.Train)
+	if err != nil {
+		t.Fatalf("Register fixed: %v", err)
+	}
+	fixedResized := func() bool { return fixed.Pool().Size() != fixedCfg.Replicas }
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Unique images from enough closed-loop clients to overflow what the
+	// dispatcher absorbs outside the queue, so submits observe fill.
+	var seq atomic.Int64
+	for g := 0; g < 32; g++ {
+		model := []string{"scaled", "fixed"}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				img := noiseImage(int(seq.Add(1)))
+				_, _ = s.Classify(context.Background(), ClassifyRequest{Model: model, Image: img})
+			}
+		}()
+	}
+	grew := false
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if fixedResized() {
+			break
+		}
+		if scaled.Pool().Size() > 1 {
+			grew = true
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !grew {
+		t.Fatal("the server never widened the pool under sustained pressure")
+	}
+	// Idle: pressure decays and the pool narrows back to 1.
+	for deadline := time.Now().Add(15 * time.Second); scaled.Pool().Size() != 1; time.Sleep(20 * time.Millisecond) {
+		if fixedResized() || time.Now().After(deadline) {
+			break
+		}
+	}
+	if n := scaled.Pool().Size(); n != 1 {
+		t.Fatalf("the server left the idle pool at %d replicas, want 1", n)
+	}
+	if fixedResized() {
+		t.Fatalf("a pool without headroom was resized to %d", fixed.Pool().Size())
+	}
 }
