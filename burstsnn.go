@@ -272,9 +272,8 @@ func DefaultExitPolicy(steps int) ExitPolicy { return serve.DefaultExitPolicy(st
 var ErrServerOverloaded = serve.ErrOverloaded
 
 // Overload-plane defaults (see ServeConfig.ResponseCacheSize /
-// Degrade): the cross-batch response cache's bound and TTL (the one view
-// over a model's pixel-verified memo, which holds one pixel copy per
-// remembered image), and the degraded-mode controller's queue-pressure
+// Degrade): the cross-batch response cache's bound and TTL (the cache
+// is pixel-verified and holds one pixel copy per remembered image), and the degraded-mode controller's queue-pressure
 // hysteresis thresholds.
 const (
 	DefaultResponseCacheEntries = serve.DefaultResponseCacheEntries

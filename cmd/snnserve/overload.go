@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"burstsnn"
@@ -45,8 +46,9 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 	// Tiny capacity, so the burst below provably exceeds it: one replica,
 	// four-lane batches, an eight-slot queue, and 25ms of injected latency
 	// per batch. Degrade on; response cache on (the default).
+	const maxBatch = 4
 	srv := burstsnn.NewServer(burstsnn.ServeConfig{
-		MaxBatch:       4,
+		MaxBatch:       maxBatch,
 		MaxDelay:       2 * time.Millisecond,
 		QueueDepth:     8,
 		RequestTimeout: 20 * time.Second,
@@ -118,23 +120,36 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 		snap.ResponseCacheHits, snap.ResponseCacheMisses, cachedTraces)
 
 	// --- Phase B: unique-image burst at well over capacity ---
+	// A 429 returns in well under a millisecond, so a fixed burst can be
+	// spent before the one replica finishes its first batches, and a
+	// request is served degraded only if it is admitted after pressure
+	// has entered degraded mode. The burst therefore runs on past
+	// burstRequests until two batches' worth of requests were served
+	// degraded, or burstBound passes.
 	const (
 		burstWorkers  = 64
 		burstRequests = 160
+		burstBound    = 10 * time.Second
 	)
-	fmt.Printf("phase B (burst)  : %d unique-image requests over %d workers...\n", burstRequests, burstWorkers)
+	fmt.Printf("phase B (burst)  : %d+ unique-image requests over %d workers...\n", burstRequests, burstWorkers)
 	type shot struct {
+		i          int
 		status     int
 		retryAfter int
 		err        error
 	}
-	shots := make([]shot, burstRequests)
+	var (
+		shotsMu      sync.Mutex
+		shots        []shot
+		degradedSeen atomic.Int64
+	)
 	next := make(chan int)
 	go func() {
-		for i := 0; i < burstRequests; i++ {
+		defer close(next)
+		deadline := time.Now().Add(burstBound)
+		for i := 0; i < burstRequests || degradedSeen.Load() < 2*maxBatch && time.Now().Before(deadline); i++ {
 			next <- i
 		}
-		close(next)
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < burstWorkers; w++ {
@@ -145,19 +160,24 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 				// Unique image per request: the cache and the batcher's
 				// dedupe can't absorb any of the burst.
 				img := append([]float64(nil), set.Test[i%len(set.Test)].Image...)
-				img[0] = float64(i+1) / float64(2*burstRequests)
-				_, status, retryAfter, err := classifyHTTPStatus(client, base, serve.ClassifyRequest{
+				img[0] = float64(i+1) / float64(1<<20)
+				res, status, retryAfter, err := classifyHTTPStatus(client, base, serve.ClassifyRequest{
 					Model: "digits", Image: img,
 				})
-				shots[i] = shot{status: status, retryAfter: retryAfter, err: err}
+				if status == http.StatusOK && res.Degraded {
+					degradedSeen.Add(1)
+				}
+				shotsMu.Lock()
+				shots = append(shots, shot{i: i, status: status, retryAfter: retryAfter, err: err})
+				shotsMu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 
 	completed, shed := 0, 0
-	for i, sh := range shots {
-		switch {
+	for _, sh := range shots {
+		switch i := sh.i; {
 		case sh.err != nil:
 			return fmt.Errorf("phase B request %d: %w", i, sh.err)
 		case sh.status == http.StatusOK:
@@ -171,8 +191,8 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 			return fmt.Errorf("phase B request %d: status %d — every request must complete (200) or shed (429)", i, sh.status)
 		}
 	}
-	if completed+shed != burstRequests {
-		return fmt.Errorf("phase B: %d completed + %d shed != %d sent", completed, shed, burstRequests)
+	if completed+shed != len(shots) {
+		return fmt.Errorf("phase B: %d completed + %d shed != %d sent", completed, shed, len(shots))
 	}
 	if completed == 0 || shed == 0 {
 		return fmt.Errorf("phase B: %d completed, %d shed — the burst must produce both", completed, shed)
@@ -187,8 +207,8 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 	if snap.DegradedRequests == 0 {
 		return fmt.Errorf("phase B: degradedRequests = 0 — the burst never drove degraded mode (pressure %.2f)", snap.QueuePressure)
 	}
-	fmt.Printf("phase B result   : %d completed, %d shed (429), %d served degraded, peak mode %q\n",
-		completed, shed, snap.DegradedRequests, snap.DegradeMode)
+	fmt.Printf("phase B result   : %d sent, %d completed, %d shed (429), %d served degraded, peak mode %q\n",
+		len(shots), completed, shed, snap.DegradedRequests, snap.DegradeMode)
 
 	// --- Drain: pressure decays, degraded mode must lift ---
 	for i := 0; i < 30; i++ {

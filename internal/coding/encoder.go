@@ -171,8 +171,8 @@ func fnv1aImage(image []float64) uint64 {
 // length, and finalizes through mathx.SplitMix64. Every step is a
 // bijection of the changed word, so images differing in one pixel never
 // collide. It is fast, not collision-resistant — callers that act on a
-// match must verify pixel equality with SameImage (as Memo and the
-// batcher dedupe do).
+// match must verify pixel equality with SameImage (as the response
+// cache and the batcher dedupe do).
 func HashImage(image []float64) uint64 {
 	h := uint64(len(image))
 	// The lanes start at the first hexadecimal digits of π.

@@ -6,7 +6,7 @@
 // /metrics/prom. Each shard's server autoscales its own replica pools.
 //
 // Routing keys on coding.HashImage — the same content hash a shard's
-// response cache (a pixel-verified coding.Memo) keys on, and which ends
+// response cache (pixel-verified on every read) keys on, and which ends
 // in the same SplitMix64 finalizer as the ring's points — so a shard
 // owns a stable slice of the image space and every replay of an image
 // lands where its entries live. When the owner

@@ -79,9 +79,7 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 			// pipeline (sighting, then promotion); the third is a cache hit and
 			// must still report the outcome the pipeline produced — with no
 			// pipeline spans, since it never queued or simulated.
-			cache := NewResponseCache(0, time.Hour)
-			cache.CountInto(&metrics.responseCache)
-			b.cache = cache
+			b.cache = NewResponseCache(0, time.Hour, &metrics.responseCache)
 			for replay := 0; replay < 2; replay++ {
 				out, err := b.Submit(context.Background(), images[0], policies[0])
 				if err != nil {
@@ -301,7 +299,7 @@ func sequentialBatch(t *testing.T, lanes int) (*Batcher, func() []*batchRequest)
 func TestSequentialBatchQueueSpanCoversBatchmates(t *testing.T) {
 	b, batch := sequentialBatch(t, 8)
 	reqs := batch()
-	b.run(reqs, 0, 1)
+	b.run(<-b.pool.ch, reqs, 0, 1)
 	returned := time.Now()
 	results := make([]batchResult, len(reqs))
 	for i, req := range reqs {
@@ -336,7 +334,7 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	const lanes, dead = 8, 5
 	b, batch := sequentialBatch(t, lanes)
 	runBatch := func(reqs []*batchRequest) []batchResult {
-		b.run(reqs, 0, 1)
+		b.run(<-b.pool.ch, reqs, 0, 1)
 		results := make([]batchResult, len(reqs))
 		for i, req := range reqs {
 			results[i] = <-req.done
@@ -345,7 +343,7 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	}
 	want := runBatch(batch())
 
-	b.cache = NewResponseCache(0, time.Hour)
+	b.cache = NewResponseCache(0, time.Hour, new(hitMiss))
 	for round := 0; round < 2; round++ {
 		reqs := batch()
 		ctx, cancel := context.WithCancel(context.Background())

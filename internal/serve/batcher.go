@@ -74,9 +74,10 @@ const drainEWMAWeight = 0.25
 // deadline; requests whose deadline expired while queued are shed at
 // dispatch time, before they join a batch; and an optional degrade
 // controller tightens the exit policy of every admitted request while
-// queue pressure is high. Concurrent batch execution is bounded to the
-// pool size, so the queue — not a pile of goroutines blocked on replica
-// checkout — is where backlog accumulates and gets measured.
+// queue pressure is high. The dispatcher checks out each batch's replica
+// before the batch leaves it, so concurrent batch execution is bounded
+// to the pool's live width and the queue — not a pile of goroutines
+// waiting for replicas — is where backlog accumulates and gets measured.
 type Batcher struct {
 	pool     *Pool
 	metrics  *Metrics           // forming/dedupe counters; may be nil
@@ -118,9 +119,9 @@ type Batcher struct {
 	formWindowNs atomic.Int64
 	replied      atomic.Uint64
 
-	// closeCtx is canceled by Close: replica checkouts for batches that
-	// have not started abort immediately (ErrClosed) while batches
-	// already holding a replica drain normally.
+	// closeCtx is canceled by Close: batches still waiting for a replica
+	// or a fair slot abort immediately (ErrClosed) while batches already
+	// running drain normally.
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
 
@@ -420,9 +421,9 @@ func (b *Batcher) observeDrain(wall time.Duration, requests int) {
 	b.drainMu.Unlock()
 }
 
-// Close stops accepting requests and shuts down: batches already holding
-// a replica drain to completion, while queued requests — and formed
-// batches still waiting for an execution slot — fail fast with ErrClosed
+// Close stops accepting requests and shuts down: batches already running
+// drain to completion, while queued requests — and formed batches still
+// waiting for a replica or a fair slot — fail fast with ErrClosed
 // instead of executing (under saturation the queue can hold many
 // multiples of a replica's drain rate; executing it all would stall
 // shutdown for seconds). It is idempotent and returns only after the
@@ -528,27 +529,28 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 	return false
 }
 
-// run executes one batch on a single checked-out replica. Checkout uses
-// closeCtx — never a request context, since a canceled request must not
-// fail its batchmates — so a batch that has not yet obtained a replica
-// when Close fires fails with ErrClosed instead of executing.
+// run executes one batch on rep, the replica the dispatcher checked out
+// for it, and returns the replica to the pool. With a FairSlot the batch
+// then waits for its cross-model turn, on closeCtx — never a request
+// context, since a canceled request must not fail its batchmates — so a
+// batch still waiting when Close fires follows the handoff chain instead
+// of executing.
 //
 // Identical requests — same pixel contents, same policy — are classified
 // once and fanned out: the simulator is deterministic, so a duplicate's
 // outcome is exactly its representative's. Matching goes through the
-// image content hash with a pixel-equality check on hit (like
-// coding.Memo), so a hash collision degrades to a non-duplicate,
+// image content hash with a pixel-equality check on hit (like the
+// ResponseCache), so a hash collision degrades to a non-duplicate,
 // never to another image's result. Retry/replay-heavy traffic thus pays
 // for one simulation per distinct image per microbatch; the deduped
 // count is surfaced as dedupedRequests in /metrics.
 //
 // The surviving unique requests run back to back on the replica's
 // sequential engine, in arrival order.
-func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
+func (b *Batcher) run(rep *Replica, reqs []*batchRequest, form time.Duration, seq uint64) {
+	defer b.pool.Put(rep)
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
-			// Closed before a slot was granted: same disposition as a
-			// failed checkout — follow the handoff chain or fail closed.
 			for _, req := range reqs {
 				b.forward(req)
 			}
@@ -556,21 +558,6 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration, seq uint64) {
 		}
 		defer b.fair.Release()
 	}
-	rep, err := b.pool.Get(b.closeCtx)
-	if err != nil {
-		if b.closeCtx.Err() != nil {
-			for _, req := range reqs {
-				b.forward(req)
-			}
-			return
-		}
-		resErr := fmt.Errorf("serve: replica checkout: %w", err)
-		for _, req := range reqs {
-			req.done <- batchResult{err: resErr}
-		}
-		return
-	}
-	defer b.pool.Put(rep)
 	// The batch holds a replica and starts executing. Each lane's queue
 	// span runs on from here to its own simulation start, behind its
 	// batchmates.

@@ -209,6 +209,65 @@ func TestBatcherCloseUnderLoad(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline+2 })
 }
 
+// TestBatcherBacklogStaysInQueue pins where backlog waits while every
+// replica is busy: in the admission queue, where the projected-wait
+// shed, Retry-After and the autoscaler read it — also when the pool has
+// headroom to grow. The one live replica of a 1..3 pool is held by a
+// running batch and the dispatcher holds the next formed batch; every
+// later request must still be queued.
+func TestBatcherBacklogStaysInQueue(t *testing.T) {
+	pool, image := testPoolMax(t, 1, 3)
+	hold, entered := make(chan struct{}), make(chan struct{}, 1)
+	b := NewBatcher(pool, BatcherConfig{
+		// One request a batch, drain-only: a batch waiting for a replica
+		// collects nothing, so the count below is exact.
+		MaxBatch: 1, QueueDepth: 16,
+		InjectFault: func() error { // holds the replica until released
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-hold
+			return nil
+		},
+	})
+	defer b.Close()
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	const n = 10
+	errs := make(chan error, n)
+	submit := func(i int) {
+		img := append([]float64(nil), image...)
+		img[0] = float64(i+1) / (n + 1)
+		go func() {
+			_, err := b.Submit(context.Background(), img, ExitPolicy{MaxSteps: 8})
+			errs <- err
+		}()
+	}
+	submit(0)
+	<-entered
+	for i := 1; i < n; i++ {
+		submit(i)
+	}
+	// One request runs and one is formed and waiting: the rest are queued.
+	for deadline := time.Now().Add(5 * time.Second); b.QueueDepth() != n-2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a dispatcher that would pull more
+	if got := b.QueueDepth(); got != n-2 {
+		t.Fatalf("QueueDepth = %d with one replica busy, want %d: backlog left the queue", got, n-2)
+	}
+	if got := pool.InFlight(); got != 1 {
+		t.Fatalf("pool InFlight = %d, want 1", got)
+	}
+	release()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+}
+
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
 	var sorted []float64

@@ -12,7 +12,7 @@ import (
 // parks an idle P in epoll_wait with a whole-millisecond timeout, so the
 // 125 µs a sixteenth of the default MaxDelay asks for costs a lone request
 // about 1.1 ms — and a zero window needs no timer to come back: a near
-// miss restores it, and a batch blocked on an execution slot collects
+// miss restores it, and a batch blocked on a busy pool collects
 // without one (see internal/README.md "Batch forming").
 const formWindowFloor = 16
 
@@ -63,11 +63,12 @@ func (w *formWindow) waited(joined bool) {
 // restores the full window.
 func (w *formWindow) nearMiss() { w.cur = w.max }
 
-// dispatch collects batches until the queue is closed and drained. The
-// slots channel bounds concurrently executing batches to the pool size:
-// without it the dispatcher would eagerly drain the queue into a pile
-// of goroutines serialized on replica checkout, and the queue bound —
-// the overload signal — would never engage.
+// dispatch collects batches until the queue is closed and drained. It
+// checks out each batch's replica itself, so concurrently executing
+// batches are bounded by the pool's live width: without that the
+// dispatcher would eagerly drain the queue into a pile of goroutines
+// waiting for replicas, and the queue bound — the overload signal the
+// shed, Retry-After and the autoscaler read — would never engage.
 //
 // Forming adapts to what waiting earns. A batch takes whatever is queued, yields
 // once so callers that are already runnable can enqueue (the channel
@@ -75,28 +76,14 @@ func (w *formWindow) nearMiss() { w.cur = w.max }
 // brought. Still short of full, it waits for company only as long as the
 // formWindow says — not at all once waiting has stopped gathering
 // anything: a zero window arms no timer and the batch leaves at once. And
-// while every execution slot is busy it keeps collecting: waiting for a
-// replica is forming time that costs nothing.
+// while every replica is busy it keeps collecting: waiting for a replica
+// is forming time that costs nothing.
 func (b *Batcher) dispatch() {
 	var batches sync.WaitGroup
 	defer func() {
 		batches.Wait()
 		close(b.done)
 	}()
-	// Slots are sized to the pool's ceiling, not its current width:
-	// replica checkout still serializes execution at the live Size, and
-	// sizing to Max lets an autoscaler grow the pool without restarting
-	// the dispatcher. With a fixed pool (Max == Size, the default) this
-	// is the old bound exactly.
-	slotCap := 1
-	if b.pool != nil {
-		slotCap = b.pool.Max()
-	}
-	slots := make(chan struct{}, slotCap)
-	for i := 0; i < slotCap; i++ {
-		slots <- struct{}{}
-	}
-
 	win := newFormWindow(b.maxDelay)
 	adaptive := b.maxDelay > 0 // else drain-only: no yield, no wait, no collecting
 	var timer *time.Timer      // one timer for every timed wait
@@ -196,23 +183,21 @@ func (b *Batcher) dispatch() {
 			}
 		}
 
-		// Take an execution slot. A free one is taken at once; otherwise
-		// the batch goes on collecting until one frees or it is full.
-		gotSlot := false
+		// Check out a replica. A free one is taken at once; otherwise the
+		// batch goes on collecting until one frees or it is full.
+		var rep *Replica
 		select {
-		case <-slots:
-			gotSlot = true
+		case rep = <-b.pool.ch:
 		default:
 		}
 	blocked:
-		for !gotSlot {
+		for rep == nil {
 			more := queue
 			if !adaptive || len(batch) >= b.maxBatch {
 				more = nil
 			}
 			select {
-			case <-slots:
-				gotSlot = true
+			case rep = <-b.pool.ch:
 			case req, ok := <-more:
 				if !ok {
 					queue = nil
@@ -220,17 +205,16 @@ func (b *Batcher) dispatch() {
 					batch = admit(batch, req)
 				}
 			case <-b.closeCtx.Done():
-				// Closing while waiting to execute: take a free slot if one
-				// exists, otherwise this batch counts as queued and fails.
+				// Closing while waiting to execute: take a free replica if
+				// one exists, otherwise this batch counts as queued and fails.
 				select {
-				case <-slots:
-					gotSlot = true
+				case rep = <-b.pool.ch:
 				default:
 				}
 				break blocked
 			}
 		}
-		if !gotSlot {
+		if rep == nil {
 			for _, req := range batch {
 				b.forward(req)
 			}
@@ -243,10 +227,9 @@ func (b *Batcher) dispatch() {
 		go func(reqs []*batchRequest, form time.Duration, seq uint64) {
 			defer func() {
 				b.markReplied(seq) // a batch that failed before delivering
-				slots <- struct{}{}
 				batches.Done()
 			}()
-			b.run(reqs, form, seq)
+			b.run(rep, reqs, form, seq)
 		}(batch, now.Sub(formStart), prev.seq)
 	}
 }

@@ -219,8 +219,7 @@ func (s *Server) installModelAt(m *Model, epoch uint64, guard bool) (*entry, err
 	// A fresh response cache, counting into the accumulator the model
 	// just adopted.
 	if s.cfg.ResponseCacheSize >= 0 {
-		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, DefaultResponseCacheTTL)
-		bc.Cache.CountInto(&met.responseCache)
+		bc.Cache = NewResponseCache(s.cfg.ResponseCacheSize, DefaultResponseCacheTTL, &met.responseCache)
 	}
 	if s.cfg.Degrade {
 		bc.Degrade = NewDegradeController()

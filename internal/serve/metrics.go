@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"burstsnn/internal/coding"
 	"burstsnn/internal/obs"
 )
 
@@ -33,7 +32,7 @@ type Metrics struct {
 	// for non-overload reasons (validation, shutdown); errShed counts
 	// overload sheds (full queue, projected-wait refusal, deadline
 	// expiry, cancellation); errSim counts failures inside batch
-	// execution (replica checkout, simulator errors).
+	// execution (injected faults, simulator errors).
 	errAdmission atomic.Int64
 	errShed      atomic.Int64
 	errSim       atomic.Int64
@@ -57,12 +56,15 @@ type Metrics struct {
 	deduped atomic.Int64
 
 	// Read counters of the model's response cache. Every install builds
-	// a fresh cache that counts into these (Memo.CountInto), so the
-	// numbers are continuous across re-registration and evict/warm while
-	// the accumulator holds no cache: an evicted model's images are
+	// a fresh cache that counts into these (NewResponseCache's count), so
+	// the numbers are continuous across re-registration and evict/warm
+	// while the accumulator holds no cache: an evicted model's images are
 	// garbage.
-	responseCache coding.HitMiss
+	responseCache hitMiss
 }
+
+// hitMiss is the pair of read counters a ResponseCache counts into.
+type hitMiss struct{ hits, misses atomic.Int64 }
 
 // NewMetrics returns an empty accumulator.
 func NewMetrics() *Metrics {
@@ -77,8 +79,8 @@ func NewMetrics() *Metrics {
 // simulated (queue deadline, shutdown, validation rejection).
 func (m *Metrics) ObserveAdmissionError() { m.errAdmission.Add(1) }
 
-// ObserveSimError records a failure inside batch execution (replica
-// checkout, simulator error).
+// ObserveSimError records a failure inside batch execution (an injected
+// fault, a simulator error).
 func (m *Metrics) ObserveSimError() { m.errSim.Add(1) }
 
 // ObserveShed records a request shed by the overload plane: refused at
@@ -307,7 +309,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Skipped:   m.formWaits[FormSkipped].Load(),
 	}
 	s.DedupedRequests = m.deduped.Load()
-	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.Load()
+	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.hits.Load(), m.responseCache.misses.Load()
 	s.Derive(m.Hists())
 	return s
 }

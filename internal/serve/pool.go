@@ -62,7 +62,9 @@ func (r *Replica) Batch(b int, f32 bool) (*snn.BatchNetwork32, error) {
 // Clone against a live membrane update.
 type Pool struct {
 	proto *snn.Network
-	ch    chan *Replica // capacity = max; holds idle replicas
+	// ch holds the idle replicas (capacity = max). A batcher's dispatcher
+	// receives from it directly, so it can go on forming while it waits.
+	ch chan *Replica
 
 	mu     sync.Mutex
 	built  int // replicas in existence (idle + checked out)

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"burstsnn/internal/coding"
 )
@@ -29,9 +31,11 @@ func (f *fakeClock) advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
+// cacheWithClock returns a cache on a fake clock, counting into a pair
+// the test can read.
 func cacheWithClock(max int, ttl time.Duration) (*ResponseCache, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	c := NewResponseCache(max, ttl)
+	c := NewResponseCache(max, ttl, new(hitMiss))
 	c.Now = clk.now
 	return c, clk
 }
@@ -52,8 +56,6 @@ func respImage(seed int) []float64 {
 // only then does Lookup hit — with the exact recorded Outcome.
 func TestResponseCacheTwoSightingPromotion(t *testing.T) {
 	c, _ := cacheWithClock(8, time.Minute)
-	var count coding.HitMiss
-	c.CountInto(&count)
 	img := respImage(1)
 	h := coding.HashImage(img)
 	p := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
@@ -81,8 +83,35 @@ func TestResponseCacheTwoSightingPromotion(t *testing.T) {
 	if _, ok := c.Lookup(h, img, ExitPolicy{MaxSteps: 32}); ok {
 		t.Fatal("hit across a different exit policy")
 	}
-	if hits, misses := count.Load(); hits != 1 || misses != 3 {
+	if hits, misses := c.count.hits.Load(), c.count.misses.Load(); hits != 1 || misses != 3 {
 		t.Errorf("counted %d hits / %d misses, want 1/3", hits, misses)
+	}
+}
+
+// TestResponseCacheRefreshInPlace pins what happens after promotion:
+// later sightings of a key overwrite its outcome in place without adding
+// an entry, and only Lookup counts hits and misses — Record never does.
+func TestResponseCacheRefreshInPlace(t *testing.T) {
+	c, _ := cacheWithClock(8, time.Minute)
+	img := respImage(1)
+	h := coding.HashImage(img)
+	p := ExitPolicy{MaxSteps: 48}
+	c.Lookup(h, img, p) // miss
+	c.Record(h, img, p, Outcome{Prediction: 3})
+	c.Lookup(h, img, p) // miss: one sighting
+	c.Record(h, img, p, Outcome{Prediction: 3})
+	if got, ok := c.Lookup(h, img, p); !ok || got.Prediction != 3 {
+		t.Fatalf("after the second sighting Lookup = %+v,%v, want prediction 3", got, ok)
+	}
+	c.Lookup(h, img, ExitPolicy{MaxSteps: 32}) // miss: another policy
+	for i := 4; i < 7; i++ {
+		c.Record(h, img, p, Outcome{Prediction: i})
+	}
+	if got, _ := c.Lookup(h, img, p); got.Prediction != 6 || c.Len() != 1 {
+		t.Fatalf("refreshed outcome %+v (Len %d), want prediction 6 (1)", got, c.Len())
+	}
+	if hits, misses := c.count.hits.Load(), c.count.misses.Load(); hits != 2 || misses != 3 {
+		t.Errorf("counted %d hits / %d misses, want 2/3 (Record never counts)", hits, misses)
 	}
 }
 
@@ -111,6 +140,31 @@ func TestResponseCacheCollisionDegradesToMiss(t *testing.T) {
 	got, ok := c.Lookup(h, other, p)
 	if !ok || got != otherOut {
 		t.Fatalf("colliding image after re-store: ok=%v out=%+v, want %+v", ok, got, otherOut)
+	}
+}
+
+// TestResponseCacheHitIsPixelVerified pins that the verify reads every
+// pixel: an image that differs from the stored one only in its last
+// pixel misses with the zero Outcome, and recording it under the shared
+// key swaps the entry without adding one.
+func TestResponseCacheHitIsPixelVerified(t *testing.T) {
+	c, _ := cacheWithClock(8, time.Minute)
+	img := respImage(1)
+	forged := append([]float64(nil), img...)
+	forged[len(forged)-1] += 1.0 / 1024
+	h := coding.HashImage(img)
+	p := ExitPolicy{MaxSteps: 48}
+	c.Record(h, img, p, Outcome{Prediction: 4, Steps: 12})
+	c.Record(h, img, p, Outcome{Prediction: 4, Steps: 12})
+	if got, ok := c.Lookup(h, forged, p); ok || got != (Outcome{}) {
+		t.Fatalf("an image differing in its last pixel got %+v,%v — another image's outcome", got, ok)
+	}
+	c.Record(h, forged, p, Outcome{Prediction: 6})
+	if _, ok := c.Lookup(h, img, p); ok {
+		t.Fatal("original image still served after the forged image was recorded under its key")
+	}
+	if got, ok := c.Lookup(h, forged, p); !ok || got.Prediction != 6 || c.Len() != 1 {
+		t.Fatalf("forged image after its record: %+v,%v (Len %d), want prediction 6 (1)", got, ok, c.Len())
 	}
 }
 
@@ -160,9 +214,41 @@ func TestResponseCacheTTL(t *testing.T) {
 	}
 }
 
+// TestResponseCacheExpiredKeyReEarnsEntry pins that expiry forgets a key
+// outright: after its entry expires, one sighting only notes it again, a
+// sighting older than one TTL does not count, and two sightings inside
+// one TTL promote it anew.
+func TestResponseCacheExpiredKeyReEarnsEntry(t *testing.T) {
+	const ttl = time.Minute
+	c, clk := cacheWithClock(8, ttl)
+	img := respImage(3)
+	h := coding.HashImage(img)
+	p := ExitPolicy{MaxSteps: 48}
+	out := Outcome{Prediction: 1, Steps: 9}
+	c.Record(h, img, p, out)
+	c.Record(h, img, p, out)
+	clk.advance(ttl + time.Second)
+	if _, ok := c.Lookup(h, img, p); ok || c.Len() != 0 {
+		t.Fatalf("expired entry served or retained (Len %d)", c.Len())
+	}
+	c.Record(h, img, p, out)
+	if _, ok := c.Lookup(h, img, p); ok {
+		t.Fatal("an expired entry came back on a single sighting")
+	}
+	clk.advance(ttl + time.Second)
+	c.Record(h, img, p, out)
+	if _, ok := c.Lookup(h, img, p); ok {
+		t.Fatal("a sighting older than one TTL still counted toward promotion")
+	}
+	c.Record(h, img, p, out)
+	if got, ok := c.Lookup(h, img, p); !ok || got != out {
+		t.Fatalf("two sightings inside one TTL gave %+v,%v, want %+v", got, ok, out)
+	}
+}
+
 // TestResponseCacheBound caps the promoted entries at max and stores
 // nothing for single sightings (the pending set's own bound is pinned by
-// coding's TestMemoDiscipline), so the cache's footprint is bounded no
+// TestResponseCachePendingBound), so the cache's footprint is bounded no
 // matter the traffic.
 func TestResponseCacheBound(t *testing.T) {
 	const max = 4
@@ -187,13 +273,137 @@ func TestResponseCacheBound(t *testing.T) {
 	}
 }
 
+// TestResponseCachePendingBound caps the pending sightings at max as
+// well as the entries, under unique traffic and under replayed traffic.
+func TestResponseCachePendingBound(t *testing.T) {
+	const max = 4
+	p := ExitPolicy{MaxSteps: 48}
+	c, _ := cacheWithClock(max, time.Minute)
+	for i := 0; i < 3*max; i++ { // unique traffic: sightings only
+		img := respImage(100 + i)
+		c.Record(coding.HashImage(img), img, p, Outcome{})
+		if len(c.seen) > max || c.Len() != 0 {
+			t.Fatalf("after %d single sightings: %d pending, %d entries (max %d, want 0 entries)", i+1, len(c.seen), c.Len(), max)
+		}
+	}
+	for i := 0; i < 3*max; i++ { // replayed traffic: every key promotes
+		img := respImage(i)
+		h := coding.HashImage(img)
+		c.Record(h, img, p, Outcome{Prediction: i % 10})
+		c.Record(h, img, p, Outcome{Prediction: i % 10})
+		if c.Len() > max || len(c.seen) > max {
+			t.Fatalf("grew past the bound %d: %d entries, %d pending", max, c.Len(), len(c.seen))
+		}
+	}
+}
+
+// TestResponseCacheRecordReplacesInPlace pins that recording under a key
+// the full cache already holds — same pixels, or a colliding image —
+// replaces that entry and evicts nothing else.
+func TestResponseCacheRecordReplacesInPlace(t *testing.T) {
+	const max = 4
+	c, _ := cacheWithClock(max, time.Minute)
+	p := ExitPolicy{MaxSteps: 48}
+	imgs := make([][]float64, max)
+	for i := range imgs {
+		imgs[i] = respImage(i)
+		c.Record(coding.HashImage(imgs[i]), imgs[i], p, Outcome{Prediction: i})
+		c.Record(coding.HashImage(imgs[i]), imgs[i], p, Outcome{Prediction: i})
+	}
+	c.Record(coding.HashImage(imgs[0]), imgs[0], p, Outcome{Prediction: 9})       // same pixels
+	c.Record(coding.HashImage(imgs[1]), respImage(50), p, Outcome{Prediction: 8}) // other pixels under the key
+	if c.Len() != max {
+		t.Fatalf("Len = %d after two re-records at capacity, want %d", c.Len(), max)
+	}
+	for i := 2; i < max; i++ {
+		if out, ok := c.Lookup(coding.HashImage(imgs[i]), imgs[i], p); !ok || out.Prediction != i {
+			t.Fatalf("re-recording a present key evicted unrelated entry %d", i)
+		}
+	}
+	if out, _ := c.Lookup(coding.HashImage(imgs[0]), imgs[0], p); out.Prediction != 9 {
+		t.Fatalf("re-recorded prediction %d, want 9", out.Prediction)
+	}
+	if out, ok := c.Lookup(coding.HashImage(imgs[1]), respImage(50), p); !ok || out.Prediction != 8 {
+		t.Fatalf("colliding re-record: %+v,%v, want prediction 8", out, ok)
+	}
+}
+
+// TestResponseCacheOwnsPixelCopy pins that a promoted entry verifies
+// against the cache's own copy of the pixels: the caller may reuse its
+// buffer.
+func TestResponseCacheOwnsPixelCopy(t *testing.T) {
+	c, _ := cacheWithClock(8, time.Minute)
+	img := respImage(1)
+	h := coding.HashImage(img)
+	p := ExitPolicy{MaxSteps: 48}
+	c.Record(h, img, p, Outcome{Prediction: 4})
+	c.Record(h, img, p, Outcome{Prediction: 4})
+	if unsafe.SliceData(c.entries[exitKey{hash: h, policy: p}].image) == unsafe.SliceData(img) {
+		t.Fatal("the cache aliases the caller's image instead of copying it")
+	}
+	orig := append([]float64(nil), img...)
+	img[0] = 0.5 // the caller reuses its buffer
+	if out, ok := c.Lookup(h, orig, p); !ok || out.Prediction != 4 {
+		t.Fatalf("after the caller rewrote its buffer Lookup = %+v,%v, want prediction 4", out, ok)
+	}
+}
+
+// TestResponseCacheNaNPayloads pins that the pixel verify compares bit
+// patterns: an image holding NaN hits itself, and a NaN with another
+// payload is another image.
+func TestResponseCacheNaNPayloads(t *testing.T) {
+	c, _ := cacheWithClock(8, time.Minute)
+	img := respImage(1)
+	img[3] = math.NaN()
+	h := coding.HashImage(img)
+	p := ExitPolicy{MaxSteps: 48}
+	c.Record(h, img, p, Outcome{Prediction: 7})
+	c.Record(h, img, p, Outcome{Prediction: 7})
+	if _, ok := c.Lookup(h, append([]float64(nil), img...), p); !ok {
+		t.Fatal("an image holding NaN never hits itself (== compare instead of bit patterns)")
+	}
+	other := append([]float64(nil), img...)
+	other[3] = math.Float64frombits(math.Float64bits(math.NaN()) ^ 1) // NaN, other payload
+	if _, ok := c.Lookup(h, other, p); ok {
+		t.Fatal("a different NaN payload verified as the same image")
+	}
+}
+
+// TestResponseCacheUniqueTrafficZeroAlloc pins the contract for the
+// common serving case: a unique image (a Lookup miss and a first
+// sighting) never allocates, even with the sighting set at its bound.
+func TestResponseCacheUniqueTrafficZeroAlloc(t *testing.T) {
+	const max = 4 // pending set at its bound: every sighting evicts one
+	c, _ := cacheWithClock(max, time.Minute)
+	p := ExitPolicy{MaxSteps: 48}
+	images := make([][]float64, 64)
+	for i := range images {
+		images[i] = respImage(i)
+	}
+	next := 0
+	pass := func() {
+		img := images[next%len(images)]
+		next++
+		h := coding.HashImage(img)
+		c.Lookup(h, img, p)
+		c.Record(h, img, p, Outcome{Prediction: 3})
+	}
+	for i := 0; i < 2*max; i++ {
+		pass()
+	}
+	if allocs := testing.AllocsPerRun(40, pass); allocs != 0 {
+		t.Errorf("a unique image through the cache allocates %.1f objects, want 0", allocs)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("unique traffic stored %d entries", c.Len())
+	}
+}
+
 // TestResponseCacheConcurrent hammers one hot key and a stream of cold
 // keys from many goroutines — the race detector is the assertion, plus
 // a final consistency check on the hot entry.
 func TestResponseCacheConcurrent(t *testing.T) {
 	c, _ := cacheWithClock(64, time.Minute)
-	var count coding.HitMiss
-	c.CountInto(&count)
 	hot := respImage(1)
 	hotHash := coding.HashImage(hot)
 	p := ExitPolicy{MaxSteps: 48}
@@ -218,8 +428,49 @@ func TestResponseCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if hits, _ := count.Load(); hits == 0 {
+	if c.count.hits.Load() == 0 {
 		t.Error("no hits recorded under concurrency")
+	}
+}
+
+// TestResponseCacheConcurrentReplays races refreshes of a hot key with
+// replayed cold keys that promote and evict one another, so Record's
+// promotion and eviction paths run against concurrent Lookups. The race
+// detector is the main assertion; the hot entry must stay consistent and
+// both sets within their bound.
+func TestResponseCacheConcurrentReplays(t *testing.T) {
+	const max = 64
+	c, _ := cacheWithClock(max, time.Minute)
+	hot := respImage(1)
+	hotHash := coding.HashImage(hot)
+	p := ExitPolicy{MaxSteps: 48}
+	hotOut := Outcome{Prediction: 2, Steps: 11}
+	c.Record(hotHash, hot, p, hotOut)
+	c.Record(hotHash, hot, p, hotOut)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if out, ok := c.Lookup(hotHash, hot, p); ok && out != hotOut {
+					t.Errorf("hot lookup returned %+v, want %+v", out, hotOut)
+				}
+				c.Record(hotHash, hot, p, hotOut)
+				cold := respImage(1000 + g*200 + i%50)
+				ch := coding.HashImage(cold)
+				c.Record(ch, cold, p, Outcome{Prediction: g})
+				c.Lookup(ch, cold, p)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c.count.hits.Load() == 0 {
+		t.Error("no hits recorded under concurrency")
+	}
+	if c.Len() > max || len(c.seen) > max {
+		t.Fatalf("grew past the bound %d under concurrency: %d entries, %d pending", max, c.Len(), len(c.seen))
 	}
 }
 

@@ -111,8 +111,9 @@ type Config struct {
 	FairSlots int
 	// ModelWeights assigns fair-share weights by model name (unlisted
 	// models weigh 1; weights ≤ 0 are treated as 1) and, when non-empty,
-	// enables the cross-model weighted-fair dispatcher: every batch
-	// acquires one of FairSlots slots before replica checkout, and slots
+	// enables the cross-model weighted-fair dispatcher: every batch,
+	// holding its replica, acquires one of FairSlots slots before it
+	// runs, and slots
 	// are granted across models in weighted start-time-fair order, so one
 	// saturated model cannot starve the others' share of the machine.
 	ModelWeights map[string]float64
