@@ -283,12 +283,11 @@ const (
 )
 
 // Kernel dispatch-tier controls, re-exported from internal/kernels: the
-// simulators' block primitives are selected at runtime by CPUID
-// (purego → avx2 → avx512; avx512 packs the sequential engine's float64
-// conv scatter, conv gather and fire sweeps and runs every float32
-// kernel in its avx2 form); KernelLevel reports the active tier,
-// ForceKernelLevel pins it ("" resets to the startup level), and
-// KernelLevels lists the tiers this machine can run. All tiers are
+// sequential engine's float64 conv scatter, conv gather and fire sweeps
+// are selected at runtime by CPUID (purego → avx2 → avx512; the float32
+// kernels are one Go body on every tier); KernelLevel reports the
+// active tier, ForceKernelLevel pins it ("" resets to the startup
+// level), and KernelLevels lists the tiers this machine can run. All tiers are
 // bit-identical; forcing is for benchmarking and conformance testing.
 func KernelLevel() string                 { return kernels.ActiveLevel() }
 func ForceKernelLevel(level string) error { return kernels.ForceLevel(level) }

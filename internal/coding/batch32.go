@@ -135,10 +135,9 @@ func (e *BatchEvents32) AppendLane(lane int32, dst []Event) []Event {
 // float32. Phase/TTFS round the per-step Π(t) once; the real encoder
 // rounds each pixel value at emission.
 //
-// The phase and TTFS sweeps are vectorized: their per-step payload is
+// The phase and TTFS sweeps are row-at-a-time: their per-step payload is
 // uniform across lanes, so a pixel row reduces to one lane bitmask
-// (kernels.LaneMaskBit / LaneMaskEq — packed 4-wide on the avx2 tier)
-// fed straight into AddMask, which emits the same ascending-lane column
+// (kernels.LaneMaskBit / LaneMaskEq) fed straight into AddMask, which emits the same ascending-lane column
 // the scalar loop would. Rate (per-lane RNG draws) and real (per-pixel
 // payloads) sweeps stay scalar.
 

@@ -75,7 +75,7 @@ type Fleet struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-	loops    sync.WaitGroup
+	loops    sync.WaitGroup // the supervisor and its drains of replaced workers
 }
 
 // New builds the ring, spawns one worker per shard via factory, and
@@ -270,15 +270,21 @@ func (f *Fleet) supervise() {
 			if old != nil {
 				// Drain the evicted worker off the probe loop; its
 				// in-flight requests (if the process is merely wedged, not
-				// gone) get their graceful window.
-				go func() { _ = old.Close() }()
+				// gone) get their graceful window. Close waits for the
+				// drain, so no replaced worker outlives the fleet.
+				f.loops.Add(1)
+				go func() {
+					defer f.loops.Done()
+					_ = old.Close()
+				}()
 			}
 		}
 	}
 }
 
-// Close stops the supervisor, then closes every worker (draining their
-// queues). Idempotent.
+// Close stops the supervisor and waits for the workers it replaced to
+// finish closing, then closes every live worker (draining their queues).
+// Idempotent.
 func (f *Fleet) Close() error {
 	var errs []error
 	f.stopOnce.Do(func() {

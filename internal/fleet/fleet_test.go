@@ -545,6 +545,51 @@ func TestFleetSuperviseRespawn(t *testing.T) {
 	}
 }
 
+// slowCloseWorker is a fake worker whose Close takes a while, like a
+// process worker draining its child's last replies.
+type slowCloseWorker struct {
+	*fakeWorker
+	closed atomic.Bool
+}
+
+func (w *slowCloseWorker) Close() error {
+	time.Sleep(100 * time.Millisecond)
+	w.closed.Store(true)
+	return nil
+}
+
+// TestFleetCloseWaitsForReplacedWorkers pins that a worker the
+// supervisor replaced has finished closing by the time Fleet.Close
+// returns: for a process worker, no child outlives the fleet.
+func TestFleetCloseWaitsForReplacedWorkers(t *testing.T) {
+	first := &slowCloseWorker{fakeWorker: &fakeWorker{}}
+	spawned := 0
+	f, err := New(Config{Shards: 1, HealthInterval: 5 * time.Millisecond}, func(int) (Worker, error) {
+		if spawned++; spawned == 1 {
+			return first, nil
+		}
+		return &fakeWorker{}, nil
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	first.down.Store(true)
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Snapshot().PerShard[0].Respawns < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("shard 0 never respawned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !first.closed.Load() {
+		t.Fatal("Fleet.Close returned while the replaced worker was still closing")
+	}
+}
+
 // TestFleetMetricsMergeAndProm sends mixed traffic through a real
 // 2-shard fleet and checks the merged snapshot adds up (per-shard
 // requests sum to the fleet total; merged histograms carry every

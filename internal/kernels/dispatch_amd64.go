@@ -7,23 +7,23 @@ import (
 	"sync/atomic"
 )
 
-// The amd64 build carries three dispatch tiers (see level.go):
+// The amd64 build carries three dispatch tiers (see level.go). They
+// select only the float64 primitives' bodies; the float32 primitives are
+// the same Go loops on every tier and build (generic.go):
 //
 //   - purego: the generic Go loops, shared with the purego build, and
 //     what a CPU without AVX2 runs;
-//   - avx2: AVX2 assembly (kernels_avx2_amd64.s, kernels64_amd64.s) —
-//     VEX-encoded 8-lane packed single precision and 4-cell float64,
+//   - avx2: AVX2 assembly (kernels64_amd64.s), 4 float64 cells per op,
 //     gated on CPUID (AVX2 + OSXSAVE with YMM state enabled in XCR0);
 //   - avx512: the float64 conv scatter, conv gather and fire sweeps on
 //     ZMM registers (kernels64_amd64.s), gated on AVX512F with opmask and
-//     ZMM state enabled in XCR0. Every float32 kernel runs its avx2 form
-//     there, so the avx2 checks below read "at least avx2".
+//     ZMM state enabled in XCR0.
 //
 // The tier is detected once at startup (hand-rolled CPUID — no
 // dependencies) and stored in an atomic so ForceLevel is safe against
 // concurrent kernel calls; the per-call load is an ordinary x86 read.
 // The assembly kernels take raw pointers; the exported wrappers in
-// kernels.go have already validated lengths.
+// kernels64.go have already validated lengths.
 
 type level int32
 
@@ -116,41 +116,6 @@ func forceLevel(name string) error {
 	return nil
 }
 
-// AVX2 kernels (kernels_avx2_amd64.s).
-
-//go:noescape
-func axpyBlockAVX2(dst, row *float32, n int, p float32, b, lanes int)
-
-//go:noescape
-func axpyBlockVecAVX2(dst, row, pv *float32, n, b, lanes int)
-
-//go:noescape
-func scaleAddAVX2(dst *float32, n int, x float32)
-
-//go:noescape
-func fireRowAVX2(v *float32, n int, th float32) uint64
-
-//go:noescape
-func fireRowBiasAVX2(v *float32, n int, bias, th float32) uint64
-
-//go:noescape
-func fireRowBurstAVX2(v, gs, pay *float32, fired *uint32, n int, bias, beta, vth float32) uint64
-
-//go:noescape
-func selectMaxRowAVX2(best, row *float32, idx *int32, n int, o int32)
-
-//go:noescape
-func laneMaskBitAVX2(row *uint64, n int, shiftLeft uint64) uint64
-
-//go:noescape
-func laneMaskEqAVX2(row *uint64, n int, want uint64) uint64
-
-//go:noescape
-func convScatterVecAVX2(vmem, wsc *float32, taps *ConvTap, ntaps, outC int, pv *float32)
-
-//go:noescape
-func fireRowsBurstAVX2(v, gs, pay *float32, fired *uint32, masks, occ *uint64, n int, bias *float32, bsc, beta, vth float32)
-
 // AVX2 and AVX512 float64 kernels (kernels64_amd64.s).
 
 //go:noescape
@@ -176,137 +141,6 @@ func fireCells64AVX512(v *float64, ev *Event, n int, bias *float64, period int, 
 
 //go:noescape
 func fireCellsBurst64AVX512(v, h *float64, ev *Event, n int, bias *float64, period int, bsc, beta, vth float64) int
-
-// The float32 plane has one packed form, avx2; the avx512 tier runs it
-// too, so its kernels dispatch on "at least avx2".
-func packed32() bool { return activeLevel() >= levelAVX2 }
-
-func axpyBlock(dst, row []float32, p float32, b, lanes int) {
-	if packed32() {
-		axpyBlockAVX2(&dst[0], &row[0], len(row), p, b, lanes)
-		return
-	}
-	axpyBlockGeneric(dst, row, p, b, lanes)
-}
-
-func axpyBlockVec(dst, row, pv []float32, b, lanes int) {
-	if packed32() {
-		axpyBlockVecAVX2(&dst[0], &row[0], &pv[0], len(row), b, lanes)
-		return
-	}
-	axpyBlockVecGeneric(dst, row, pv, b, lanes)
-}
-
-func scaleAdd(dst []float32, x float32) {
-	if packed32() {
-		scaleAddAVX2(&dst[0], len(dst), x)
-		return
-	}
-	scaleAddGeneric(dst, x)
-}
-
-func fireRow(v []float32, th float32) uint64 {
-	if packed32() {
-		return fireRowAVX2(&v[0], len(v), th)
-	}
-	return fireRowGeneric(v, th)
-}
-
-func fireRowBias(v []float32, bias, th float32) uint64 {
-	if packed32() {
-		return fireRowBiasAVX2(&v[0], len(v), bias, th)
-	}
-	return fireRowBiasGeneric(v, bias, th)
-}
-
-func fireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
-	if !packed32() {
-		return fireRowBurstGeneric(v, g, pay, fired, bias, beta, vth)
-	}
-	// Packed 8-lane groups, then the scalar tail.
-	n := len(v) &^ 7
-	var m uint64
-	if n > 0 {
-		m = fireRowBurstAVX2(&v[0], &g[0], &pay[0], &fired[0], n, bias, beta, vth)
-	}
-	return fireRowBurstScalar(v, g, pay, fired, n, m, bias, beta, vth)
-}
-
-func convScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float32) {
-	switch {
-	case !packed32():
-		convScatterVecGeneric(vmem, wsc, taps, outC, b, pv)
-	case b == 8:
-		// The fused form is specialized to the serving stripe width: one
-		// YMM per stripe, payloads pinned in registers across the whole
-		// tap walk.
-		convScatterVecAVX2(&vmem[0], &wsc[0], &taps[0], len(taps), outC, &pv[0])
-	default:
-		// Other stripe widths: per-tap packed scatters (identical
-		// operations — the fusion is specialized to the serving width,
-		// the arithmetic is not).
-		outCb := outC * b
-		for _, tp := range taps {
-			axpyBlockVec(vmem[int(tp.Base)*outCb:int(tp.Base)*outCb+outCb],
-				wsc[tp.WOff:int(tp.WOff)+outC], pv, b, b)
-		}
-	}
-}
-
-func fireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc, beta, vth float32) {
-	switch {
-	case !packed32():
-		fireRowsBurstGeneric(v, g, pay, fired, masks, occ, n, b, bias, bsc, beta, vth)
-	case b == 8:
-		var bp *float32
-		if bias != nil {
-			bp = &bias[0]
-		}
-		fireRowsBurstAVX2(&v[0], &g[0], &pay[0], &fired[0], &masks[0], &occ[0], n, bp, bsc, beta, vth)
-	default:
-		// Other stripe widths: per-row packed fire passes through the
-		// shared row sweep (identical bookkeeping to the generic form).
-		fireRowsBurstLoop(v, g, pay, fired, masks, occ, n, b, bias, bsc,
-			func(v, g, pay []float32, fired []uint32, bv float32) uint64 {
-				return fireRowBurst(v, g, pay, fired, bv, beta, vth)
-			})
-	}
-}
-
-func selectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
-	n := 0
-	if packed32() {
-		n = lanes &^ 3
-		if n > 0 {
-			selectMaxRowAVX2(&best[0], &row[0], &idx[0], n, o)
-		}
-	}
-	selectMaxRowScalar(best, row, idx, o, n, lanes)
-}
-
-func laneMaskBit(row []uint64, shift uint) uint64 {
-	if packed32() {
-		n := len(row) &^ 3
-		var m uint64
-		if n > 0 {
-			m = laneMaskBitAVX2(&row[0], n, uint64(63-shift))
-		}
-		return m | laneMaskBitScalar(row, shift, n)
-	}
-	return laneMaskBitScalar(row, shift, 0)
-}
-
-func laneMaskEq(row []uint64, want uint64) uint64 {
-	if packed32() {
-		n := len(row) &^ 3
-		var m uint64
-		if n > 0 {
-			m = laneMaskEqAVX2(&row[0], n, want)
-		}
-		return m | laneMaskEqScalar(row, want, n)
-	}
-	return laneMaskEqScalar(row, want, 0)
-}
 
 // The float64 primitives' packed forms: avx2 packs all four 4 cells per
 // op, avx512 packs them 8 cells per op. A packed scatter needs the channel count to be a multiple of its

@@ -28,50 +28,6 @@ func forceLevel(name string) error {
 		name, []string{LevelPurego, LevelAVX2, LevelAVX512})
 }
 
-func axpyBlock(dst, row []float32, p float32, b, lanes int) {
-	axpyBlockGeneric(dst, row, p, b, lanes)
-}
-
-func axpyBlockVec(dst, row, pv []float32, b, lanes int) {
-	axpyBlockVecGeneric(dst, row, pv, b, lanes)
-}
-
-func scaleAdd(dst []float32, x float32) {
-	scaleAddGeneric(dst, x)
-}
-
-func fireRow(v []float32, th float32) uint64 {
-	return fireRowGeneric(v, th)
-}
-
-func fireRowBias(v []float32, bias, th float32) uint64 {
-	return fireRowBiasGeneric(v, bias, th)
-}
-
-func fireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
-	return fireRowBurstGeneric(v, g, pay, fired, bias, beta, vth)
-}
-
-func convScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float32) {
-	convScatterVecGeneric(vmem, wsc, taps, outC, b, pv)
-}
-
-func fireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc, beta, vth float32) {
-	fireRowsBurstGeneric(v, g, pay, fired, masks, occ, n, b, bias, bsc, beta, vth)
-}
-
-func selectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
-	selectMaxRowScalar(best, row, idx, o, 0, lanes)
-}
-
-func laneMaskBit(row []uint64, shift uint) uint64 {
-	return laneMaskBitScalar(row, shift, 0)
-}
-
-func laneMaskEq(row []uint64, want uint64) uint64 {
-	return laneMaskEqScalar(row, want, 0)
-}
-
 func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
 	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }

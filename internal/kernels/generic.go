@@ -1,13 +1,11 @@
 package kernels
 
-// Pure-Go float32 implementations: modestly unrolled scalar loops. These
-// are the `purego` (and non-amd64) kernels and the semantic model the
-// assembly must match bit for bit — every element receives the same
-// sequence of float32 operations. The multiply is always materialized
-// (`wp := w * p`) before the add so no build can contract it into an FMA
-// and round differently.
+// The float32 primitives' bodies: modestly unrolled scalar loops, the
+// one implementation on every build and dispatch tier. The multiply is
+// always materialized (`wp := w * p`) before the add so no build can
+// contract it into an FMA and round differently.
 
-func axpyBlockGeneric(dst, row []float32, p float32, b, lanes int) {
+func axpyBlock(dst, row []float32, p float32, b, lanes int) {
 	off := 0
 	for _, w := range row {
 		wp := w * p
@@ -26,7 +24,7 @@ func axpyBlockGeneric(dst, row []float32, p float32, b, lanes int) {
 	}
 }
 
-func axpyBlockVecGeneric(dst, row, pv []float32, b, lanes int) {
+func axpyBlockVec(dst, row, pv []float32, b, lanes int) {
 	pv = pv[:lanes]
 	off := 0
 	for _, w := range row {
@@ -39,7 +37,7 @@ func axpyBlockVecGeneric(dst, row, pv []float32, b, lanes int) {
 	}
 }
 
-func scaleAddGeneric(dst []float32, x float32) {
+func scaleAdd(dst []float32, x float32) {
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		dst[i] += x
@@ -52,7 +50,7 @@ func scaleAddGeneric(dst []float32, x float32) {
 	}
 }
 
-func fireRowGeneric(v []float32, th float32) uint64 {
+func fireRow(v []float32, th float32) uint64 {
 	var m uint64
 	for s, x := range v {
 		if x >= th {
@@ -63,12 +61,9 @@ func fireRowGeneric(v []float32, th float32) uint64 {
 	return m
 }
 
-// fireRowBurstScalar runs the burst fire pass over lanes [from, len(v)),
-// or-ing new fire bits into m. It is both the pure-Go kernel body and
-// the tail the packed amd64 implementation falls back to past the last
-// full 4-lane group.
-func fireRowBurstScalar(v, g, pay []float32, fired []uint32, from int, m uint64, bias, beta, vth float32) uint64 {
-	for s := from; s < len(v); s++ {
+func fireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
+	var m uint64
+	for s := range v {
 		x := v[s] + bias
 		gv := float32(1)
 		if fired[s] != 0 {
@@ -89,11 +84,7 @@ func fireRowBurstScalar(v, g, pay []float32, fired []uint32, from int, m uint64,
 	return m
 }
 
-func fireRowBurstGeneric(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
-	return fireRowBurstScalar(v, g, pay, fired, 0, 0, bias, beta, vth)
-}
-
-func fireRowBiasGeneric(v []float32, bias, th float32) uint64 {
+func fireRowBias(v []float32, bias, th float32) uint64 {
 	var m uint64
 	for s, x := range v {
 		x += bias
@@ -106,7 +97,7 @@ func fireRowBiasGeneric(v []float32, bias, th float32) uint64 {
 	return m
 }
 
-func convScatterVecGeneric(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float32) {
+func convScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float32) {
 	outCb := outC * b
 	pv = pv[:b]
 	for _, tp := range taps {
@@ -124,13 +115,7 @@ func convScatterVecGeneric(vmem, wsc []float32, taps []ConvTap, outC, b int, pv 
 	}
 }
 
-// fireRowsBurstLoop is the shared row sweep of the non-fused
-// FireRowsBurst forms: it applies rowFn to each b-wide row and keeps the
-// masks/occ bookkeeping (including the partial-word flush) in exactly
-// one place, so the generic and per-row-packed fallbacks cannot diverge
-// on the subtle part.
-func fireRowsBurstLoop(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc float32,
-	rowFn func(v, g, pay []float32, fired []uint32, bv float32) uint64) {
+func fireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc, beta, vth float32) {
 	var w uint64
 	for c := 0; c < n; c++ {
 		var bv float32
@@ -138,7 +123,7 @@ func fireRowsBurstLoop(v, g, pay []float32, fired []uint32, masks, occ []uint64,
 			bv = bias[c] * bsc
 		}
 		o := c * b
-		m := rowFn(v[o:o+b], g[o:o+b], pay[o:o+b], fired[o:o+b], bv)
+		m := fireRowBurst(v[o:o+b], g[o:o+b], pay[o:o+b], fired[o:o+b], bv, beta, vth)
 		masks[c] = m
 		if m != 0 {
 			w |= 1 << (uint(c) & 63)
@@ -153,18 +138,8 @@ func fireRowsBurstLoop(v, g, pay []float32, fired []uint32, masks, occ []uint64,
 	}
 }
 
-func fireRowsBurstGeneric(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc, beta, vth float32) {
-	fireRowsBurstLoop(v, g, pay, fired, masks, occ, n, b, bias, bsc,
-		func(v, g, pay []float32, fired []uint32, bv float32) uint64 {
-			return fireRowBurstScalar(v, g, pay, fired, 0, 0, bv, beta, vth)
-		})
-}
-
-// selectMaxRowScalar merges row into the running argmax over lanes
-// [from, lanes) — both the pure-Go kernel body and the tail the packed
-// implementations fall back to past the last full 4-lane group.
-func selectMaxRowScalar(best, row []float32, idx []int32, o int32, from, lanes int) {
-	for s := from; s < lanes; s++ {
+func selectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
+	for s := 0; s < lanes; s++ {
 		if row[s] > best[s] {
 			best[s] = row[s]
 			idx[s] = o
@@ -172,23 +147,20 @@ func selectMaxRowScalar(best, row []float32, idx []int32, o int32, from, lanes i
 	}
 }
 
-// laneMaskBitScalar gathers bit `shift` of each row element into a lane
-// bitmask, over lanes [from, len(row)). Branch-free: the compiler turns
-// the masked shift into straight-line code.
-func laneMaskBitScalar(row []uint64, shift uint, from int) uint64 {
+// laneMaskBit is branch-free: the compiler turns the masked shift into
+// straight-line code.
+func laneMaskBit(row []uint64, shift uint) uint64 {
 	var m uint64
-	for s := from; s < len(row); s++ {
-		m |= (row[s] >> shift & 1) << uint(s)
+	for s, x := range row {
+		m |= (x >> shift & 1) << uint(s)
 	}
 	return m
 }
 
-// laneMaskEqScalar sets mask bit s where row[s] == want, over lanes
-// [from, len(row)).
-func laneMaskEqScalar(row []uint64, want uint64, from int) uint64 {
+func laneMaskEq(row []uint64, want uint64) uint64 {
 	var m uint64
-	for s := from; s < len(row); s++ {
-		if row[s] == want {
+	for s, x := range row {
+		if x == want {
 			m |= 1 << uint(s)
 		}
 	}

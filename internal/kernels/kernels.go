@@ -1,37 +1,31 @@
 // Package kernels is the simulators' block-primitive layer: the handful
-// of inner loops they spend their time in, shaped for SIMD. Most of it
-// serves the float32 compute plane: the batched lockstep simulator
-// stores neuron state B-striped (lane-major) and the conv population
+// of inner loops they spend their time in. The float32 primitives serve
+// the float32 compute plane: the batched lockstep simulator stores
+// neuron state B-striped (lane-major) and the conv population
 // base-major, so one scatter tap — one weight row applied to one event
 // column — updates a contiguous OutC×B float32 block, and the float32
-// primitives consume exactly that shape. The sequential float64
-// simulator's conv scatter and fire sweeps live here too (kernels64.go):
-// the same base-major layout at B = 1, the same ladder, and a stronger
-// contract — bit-identity with the scalar engine they replaced, not
-// only with each other.
+// primitives consume exactly that shape. They are plain Go loops
+// (generic.go), the same on every build and every dispatch tier: each
+// destination element receives exactly one rounded multiply and one add
+// per call (never an FMA), and the threshold test subtracts the same
+// float32 value. The fuzz tests in this package pin each one to a naive
+// scalar reference at random shapes.
 //
-// Three dispatch tiers share one contract (see level.go for the
-// runtime-selection machinery):
+// The sequential float64 simulator's conv scatter, conv gather and fire
+// sweeps live here too (kernels64.go): the same base-major layout at
+// B = 1, under a stronger contract — bit-identity with the scalar engine
+// they replaced. They are the only primitives with more than one body,
+// picked at runtime by three dispatch tiers (see level.go):
 //
-//   - purego: unrolled scalar float32 loops the compiler schedules well
-//     (the whole story on the `purego` build, every non-amd64 platform
-//     and any amd64 CPU without AVX2);
-//   - avx2: 8-lane VEX-encoded packed single precision — one full B=8
-//     lane stripe per instruction — selected by CPUID at startup; and
-//   - avx512: the float64 conv scatter, conv gather and fire sweeps on
-//     ZMM registers, every float32 kernel in its avx2 form.
+//   - purego: the generic Go loops (the whole story on the `purego`
+//     build, every non-amd64 platform and any amd64 CPU without AVX2);
+//   - avx2: 4 float64 cells per VEX-encoded op, selected by CPUID at
+//     startup; and
+//   - avx512: 8 cells per ZMM op.
 //
-// The tiers are semantically identical, not merely close: every
-// primitive performs the same float32 operations on the same elements —
-// each destination element receives exactly one rounded multiply and one
-// add per call (the AVX2 kernels use separate multiply and add, never
-// FMA), and the threshold test subtracts the same float32 value — so a
-// simulation produces bit-identical float32 trajectories whichever tier
-// executes it. CI runs the suite once per tier via KERNELS_LEVEL (see
-// .github/workflows/ci.yml); the fuzz tests in this package pin each
-// primitive to a naive scalar reference at random shapes under every
-// available tier. The tier — the one the sequential engine runs on, and
-// the one /metrics reports — is ActiveLevel.
+// CI runs the suite once per tier via KERNELS_LEVEL (see
+// .github/workflows/ci.yml). The tier — the one the sequential engine
+// runs on, and the one /metrics reports — is ActiveLevel.
 package kernels
 
 // AxpyBlock scatters one weighted tap into a lane-striped block:
@@ -59,7 +53,7 @@ func AxpyBlock(dst, row []float32, p float32, b, lanes int) {
 // This is the partial-column scatter: a column that spiked in only some
 // lanes (or with per-lane burst payloads) is densified into pv — payload
 // at each spiking lane's slot, zero elsewhere — and every tap then runs
-// as one packed multiply-add over the contiguous stripe instead of a
+// as one multiply-add sweep over the contiguous stripe instead of a
 // strided per-lane walk. Lanes absent from the column accumulate
 // row[i]*0, which is exact for finite weights (a ±0 add leaves every
 // membrane value unchanged, except that it may normalize a -0 to +0 —
@@ -76,8 +70,7 @@ func AxpyBlockVec(dst, row, pv []float32, b, lanes int) {
 
 // AxpyLane scatters one weighted tap into a single lane of a striped
 // block: dst[lane+i*b] += row[i] * p. The strided single-lane form of
-// AxpyBlock, used for partial event columns; it stays scalar on every
-// build (a stride-B walk has no profitable packed form at these widths).
+// AxpyBlock, used for single-lane event columns.
 func AxpyLane(dst, row []float32, p float32, b, lane int) {
 	vb := lane
 	for _, w := range row {
@@ -126,8 +119,7 @@ func FireRowBias(v []float32, bias, th float32) uint64 {
 //	if v[s] >= th { v[s] -= th; fired[s] = ^0; bit s set } else { fired[s] = 0 }
 //
 // fired is the previous step's fired-lane state as full words (zero /
-// all-ones — the blend-mask representation the packed implementation
-// needs), updated in place. pay receives the per-lane threshold
+// all-ones), updated in place. pay receives the per-lane threshold
 // unconditionally; consumers read it only at set mask bits. bias is
 // added on every call (pass 0 for bias-free layers — exact except that
 // a -0 membrane normalizes to +0, which no threshold or payload can
@@ -164,12 +156,11 @@ type ConvTap struct {
 //
 // pv is the lane-dense payload vector padded with zeros to the full
 // stripe width b (absent or retired lanes accumulate row[i]*0, exact for
-// finite weights — see AxpyBlockVec). Fusing the tap walk matters
-// because conv taps are short (OutC stripes): per-tap kernel calls spend
-// comparable time in call overhead as in arithmetic, which caps what a
-// wider vector tier can win. Each element receives exactly one rounded
-// multiply and one add, identical on every tier. vmem and wsc must cover
-// every tap's block and row; pv must hold at least b elements.
+// finite weights — see AxpyBlockVec). Conv taps are short (OutC
+// stripes), so one call per column rather than per tap keeps call
+// overhead off the arithmetic. Each element receives exactly one rounded
+// multiply and one add. vmem and wsc must cover every tap's block and
+// row; pv must hold at least b elements.
 func ConvScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float32) {
 	if len(taps) == 0 || outC <= 0 || b <= 0 {
 		return
@@ -194,11 +185,10 @@ func ConvScatterVec(vmem, wsc []float32, taps []ConvTap, outC, b int, pv []float
 //
 // The full b-wide stripe is processed including retired lanes (their
 // state is never read again — callers strip retired lanes from masks at
-// emission), which keeps every row one packed pass and lets independent
-// rows pipeline instead of paying a call and a serial dependency chain
-// per neuron. v, g, pay must hold n·b floats, fired n·b words, masks n
-// words, occ ⌈n/64⌉ words, and bias (when non-nil) n values; b may be at
-// most 64.
+// emission), which keeps every row one uniform pass and the whole
+// population one call. v, g, pay must hold n·b floats, fired n·b words,
+// masks n words, occ ⌈n/64⌉ words, and bias (when non-nil) n values; b
+// may be at most 64.
 func FireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, b int, bias []float32, bsc, beta, vth float32) {
 	if n <= 0 || b <= 0 {
 		return
@@ -223,9 +213,8 @@ func FireRowsBurst(v, g, pay []float32, fired []uint32, masks, occ []uint64, n, 
 // Sweeping a readout's class rows in ascending o order through
 // SelectMaxRow yields, per lane, the argmax with the first-wins tie rule
 // (strictly-greater replacement) — the batched form of the per-slot
-// strided argmax, turned into contiguous row passes the packed tiers
-// blend in one compare + select. All slices must hold at least lanes
-// elements; lanes may be at most 64.
+// strided argmax, turned into contiguous row passes. All slices must
+// hold at least lanes elements; lanes may be at most 64.
 func SelectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
 	if lanes <= 0 {
 		return

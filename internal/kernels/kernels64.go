@@ -4,15 +4,14 @@ import "math"
 
 // The float64 primitives: the sequential simulator's inner loops — the
 // conv event scatter, the dense-input conv gather and the population fire
-// sweep — on the same dispatch ladder as the float32 plane. A hidden conv
+// sweep — on the dispatch ladder (level.go). A hidden conv
 // population is stored base-major (cell = base·OutC + oc, the float32
 // plane's layout at B = 1), so one scatter tap is one contiguous
 // OutC-wide update; the conv the input encoder feeds is stored CHW and
 // gathered (ConvGather64); a fire sweep walks cells in storage order and
 // writes the step's events itself.
 //
-// Their contract is stronger than the float32 plane's cross-tier one:
-// every tier performs, per element, exactly the rounded float64
+// Their contract: every tier performs, per element, exactly the rounded float64
 // operations of the pure-Go loops below — which are the pre-ladder
 // engine's arithmetic verbatim (one rounded multiply, one add; compare;
 // subtract) — so a simulation is bit-identical not only across tiers but

@@ -2,37 +2,25 @@ package kernels
 
 import "os"
 
-// The dispatch ladder: which implementation executes a kernel call is a
-// *runtime* property now, not only a build-time one. The `purego` build
-// tag still selects the pure-Go-only binary (and every non-amd64
-// platform gets it implicitly); the amd64 assembly build additionally
-// carries every tier and picks the widest one the CPU supports at
-// process start via CPUID:
+// The dispatch ladder: which implementation executes a float64 kernel
+// call (kernels64.go) is a *runtime* property, not only a build-time one.
+// The `purego` build tag still selects the pure-Go-only binary (and every
+// non-amd64 platform gets it implicitly); the amd64 assembly build
+// additionally carries every tier and picks the widest one the CPU
+// supports at process start via CPUID:
 //
-//	purego  — the unrolled pure-Go loops (always available; an amd64
+//	purego  — the generic pure-Go loops (always available; an amd64
 //	          CPU without AVX2 runs them too)
-//	avx2    — 8-lane AVX2 packed kernels (one full B=8 stripe per
-//	          packed multiply-add; CPUID-gated: AVX2 + OS-enabled
+//	avx2    — the float64 conv scatter, conv gather and both fire
+//	          sweeps 4 cells per op (CPUID-gated: AVX2 + OS-enabled
 //	          YMM state)
-//	avx512  — the float64 conv scatter, conv gather and fire sweeps on
-//	          8-cell ZMM registers; every float32 kernel runs its avx2
-//	          form here (CPUID-gated: AVX512F + OS-enabled opmask and
-//	          ZMM state)
+//	avx512  — the same four on 8-cell ZMM registers (CPUID-gated:
+//	          AVX512F + OS-enabled opmask and ZMM state)
 //
-// All tiers are semantically identical, not merely close: every element
-// receives exactly the same rounded float32 operations whichever tier
-// runs (the AVX2 kernels deliberately use separate packed multiply and
-// add — never FMA, which would contract the two roundings into one), so
-// simulations are bit-identical across tiers. The cross-tier conformance
-// suites (internal/kernels fuzz tests under every tier,
-// snn.TestBatch32CrossTierConformance over the full hybrid corpus) pin
-// that contract on every commit.
-//
-// The sequential float64 engine's primitives (kernels64.go) ride the
-// same ladder: avx2 packs the conv scatter, the conv gather and both fire
-// sweeps 4 cells wide, avx512 packs all four 8 cells wide, purego runs
-// the generic loops, and every tier is bit-identical to the scalar
-// engine.
+// Every tier is bit-identical to the scalar engine: the packed forms use
+// separate multiply and add — never FMA, which would contract the two
+// roundings into one. The float32 primitives (generic.go) have one Go
+// body and ignore the tier.
 //
 // The active tier can be overridden — per process via the KERNELS_LEVEL
 // environment variable, or programmatically via ForceLevel — so any tier

@@ -9,7 +9,7 @@ package snn
 //
 // The payoff is amortization, not parallelism: a layer consuming a column
 // resolves the scatter-table taps and loads each weight row once, then
-// applies it to every lane in the column as one packed float32 stripe.
+// applies it to every lane in the column as one contiguous float32 stripe.
 //
 // Correctness is defined per lane against a sequential Network presented
 // with the same image: identical predictions, spike counts and early-exit

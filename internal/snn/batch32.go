@@ -12,8 +12,8 @@ import (
 // float32 state over the internal/kernels block primitives.
 //
 // Numerics contract (see internal/README.md "The float32 compute
-// plane"): weights and biases are rounded to float32 once at conversion
-// (the layers' WT32/WScatter32/Bias32 copies); per-step scheme scalars
+// plane"): weights and biases are rounded to float32 once, when a
+// layer's NewBatch32 builds its own copy (f32s); per-step scheme scalars
 // (thresholds, Π(t), bias scale) are computed in float64 and rounded per
 // step; all membrane/readout accumulation is float32. The plane does NOT
 // promise bit-identity to the float64 simulators — it promises identical
@@ -44,12 +44,22 @@ type BatchLayer32 interface {
 }
 
 // BatchableLayer32 is a Layer that can stamp out a float32 B-lane batched
-// variant sharing its float32 weight copies. Every layer the converter
-// builds implements it.
+// variant. Every layer the converter builds implements it.
 type BatchableLayer32 interface {
 	Layer
 	// NewBatch32 returns a float32 batched variant with b lanes.
 	NewBatch32(b int) BatchLayer32
+}
+
+// f32s rounds a weight or bias array to the plane's float32 copy (IEEE
+// round-to-nearest). Each NewBatch32 calls it once for its own copy; the
+// sequential layers keep only the float64 arrays.
+func f32s(v []float64) []float32 {
+	w := make([]float32, len(v))
+	for i, x := range v {
+		w[i] = float32(x)
+	}
+	return w
 }
 
 // batchPopulation32 is the B-striped integrate-and-fire state of one
@@ -60,7 +70,7 @@ type BatchableLayer32 interface {
 // kernels.FireRow* primitives. Per-lane state is disjoint, so a lane's
 // trajectory never depends on which other lanes are present. The
 // previous-step fired flags are stored as full mask words (zero /
-// all-ones) — the blend representation the packed burst kernel consumes.
+// all-ones), the form kernels.FireRowsBurst takes.
 //
 // A layer may install a storage permutation (perm) mapping neuron order
 // to cell order — BatchConv32 stores its population base-major so that
@@ -395,7 +405,7 @@ func densify(pv []float32, colLanes []int32, pays []float32) {
 // readout layers' layout). A full uniform column is a single AxpyBlock; any
 // other multi-lane column is densified into the pv scratch (len ≥ lanes)
 // and runs as one AxpyBlockVec, so even per-lane burst payloads scatter
-// as packed stripes. A spiking lane receives the same rounded
+// as contiguous stripes. A spiking lane receives the same rounded
 // multiply-add whatever the column shape, so its trajectory never
 // depends on its batchmates (absent lanes accumulate only exact ±0s —
 // see AxpyBlockVec).
@@ -411,18 +421,21 @@ func scatterRowColumn32(dst, row []float32, b, lanes int, colLanes []int32, pays
 	}
 }
 
-// BatchDense32 is the float32 B-lane variant of SpikingDense, sharing its
-// WT32 copy.
+// BatchDense32 is the float32 B-lane variant of SpikingDense.
 type BatchDense32 struct {
-	src *SpikingDense
-	pop *batchPopulation32
-	pv  []float32 // densified-column scratch
-	out coding.BatchEvents32
+	src      *SpikingDense
+	wt, bias []float32 // float32 copies of src.WT and src.Bias
+	pop      *batchPopulation32
+	pv       []float32 // densified-column scratch
+	out      coding.BatchEvents32
 }
 
 // NewBatch32 implements BatchableLayer32.
 func (l *SpikingDense) NewBatch32(b int) BatchLayer32 {
-	d := &BatchDense32{src: l, pop: newBatchPopulation32(l.Out, b, l.pop.cfg), pv: make([]float32, b)}
+	d := &BatchDense32{
+		src: l, wt: f32s(l.WT), bias: f32s(l.Bias),
+		pop: newBatchPopulation32(l.Out, b, l.pop.cfg), pv: make([]float32, b),
+	}
 	d.out.Grow(l.Out, l.Out*b)
 	return d
 }
@@ -446,15 +459,15 @@ func (l *BatchDense32) Step(t int, biasScale float64, lanes int, in *coding.Batc
 	outN := l.src.Out
 	for c := range in.Index {
 		s, e := in.Start[c], in.Start[c+1]
-		row := l.src.WT32[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
+		row := l.wt[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
 		scatterRowColumn32(vmem, row, b, lanes, in.Lane[s:e], in.Payload[s:e], l.pv)
 	}
-	l.pop.fire(t, lanes, l.src.Bias32, biasScale, &l.out)
+	l.pop.fire(t, lanes, l.bias, biasScale, &l.out)
 	return &l.out
 }
 
 // BatchConv32 is the float32 B-lane variant of SpikingConv, sharing its
-// scatter table and WScatter32 kernel copy.
+// scatter table.
 //
 // Unlike the sequential layer (CHW membrane order, so one tap's OutC
 // destinations are OutH·OutW apart), the batched population is stored
@@ -466,6 +479,7 @@ func (l *BatchDense32) Step(t int, biasScale float64, lanes int, in *coding.Batc
 // neuron order.
 type BatchConv32 struct {
 	src *SpikingConv
+	wsc []float32 // float32 copy of src.WScatter
 	pop *batchPopulation32
 	pv  []float32 // densified-column scratch
 	out coding.BatchEvents32
@@ -474,13 +488,16 @@ type BatchConv32 struct {
 // NewBatch32 implements BatchableLayer32.
 func (l *SpikingConv) NewBatch32(b int) BatchLayer32 {
 	n := len(l.pop.vmem)
-	c := &BatchConv32{src: l, pop: newBatchPopulation32(n, b, l.pop.cfg), pv: make([]float32, b)}
+	c := &BatchConv32{
+		src: l, wsc: f32s(l.WScatter),
+		pop: newBatchPopulation32(n, b, l.pop.cfg), pv: make([]float32, b),
+	}
 	outC, outHW := l.Geom.OutC, l.outHW
 	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i%outHW*outC + i/outHW)
 	}
-	c.pop.setPerm(perm, l.bias32)
+	c.pop.setPerm(perm, f32s(l.bias))
 	c.out.Grow(n, n*b)
 	return c
 }
@@ -521,14 +538,14 @@ func (l *BatchConv32) Step(t int, biasScale float64, lanes int, in *coding.Batch
 			p, lane := pays[0], int(colLanes[0])
 			for _, tp := range taps {
 				kernels.AxpyLane(vmem[int(tp.Base)*outCb:int(tp.Base+1)*outCb],
-					l.src.WScatter32[tp.WOff:int(tp.WOff)+outC], p, b, lane)
+					l.wsc[tp.WOff:int(tp.WOff)+outC], p, b, lane)
 			}
 			continue
 		}
 		densify(l.pv, colLanes, pays)
-		kernels.ConvScatterVec(vmem, l.src.WScatter32, taps, outC, b, l.pv)
+		kernels.ConvScatterVec(vmem, l.wsc, taps, outC, b, l.pv)
 	}
-	l.pop.fire(t, lanes, l.src.bias32, biasScale, &l.out)
+	l.pop.fire(t, lanes, nil, biasScale, &l.out) // the bias went to setPerm
 	return &l.out
 }
 
@@ -691,6 +708,8 @@ func (l *BatchMaxPool32) Step(t int, _ float64, lanes int, in *coding.BatchEvent
 type BatchOutput32 struct {
 	src  *OutputLayer
 	b    int
+	wt   []float32 // float32 copy of src.WT
+	bias []float32 // float32 copy of src.Bias
 	pot  []float32 // pot[o*b+lane]
 	pv   []float32 // densified-column scratch
 	amax []float32 // PredictedAll running-max scratch
@@ -700,7 +719,7 @@ type BatchOutput32 struct {
 // NewBatch32 returns the float32 batched readout.
 func (l *OutputLayer) NewBatch32(b int) *BatchOutput32 {
 	return &BatchOutput32{
-		src: l, b: b,
+		src: l, b: b, wt: f32s(l.WT), bias: f32s(l.Bias),
 		pot:  make([]float32, l.Out*b),
 		pv:   make([]float32, b),
 		amax: make([]float32, b),
@@ -730,11 +749,11 @@ func (l *BatchOutput32) Step(biasScale float64, lanes int, in *coding.BatchEvent
 	outN := l.src.Out
 	for c := range in.Index {
 		s, e := in.Start[c], in.Start[c+1]
-		row := l.src.WT32[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
+		row := l.wt[int(in.Index[c])*outN : int(in.Index[c]+1)*outN]
 		scatterRowColumn32(pot, row, b, lanes, in.Lane[s:e], in.Payload[s:e], l.pv)
 	}
 	bsc := float32(biasScale)
-	for o, bv := range l.src.Bias32 {
+	for o, bv := range l.bias {
 		kernels.ScaleAdd(pot[o*b:o*b+lanes], bv*bsc)
 	}
 }
@@ -756,9 +775,8 @@ func (l *BatchOutput32) Predicted(s int) int {
 
 // PredictedAll fills dst[:lanes] with every active slot's argmax in one
 // lane-major sweep: class row o is merged into a running per-lane
-// maximum by kernels.SelectMaxRow (one packed compare+blend per 8
-// lanes), so the whole batch's argmax costs Out contiguous row passes
-// instead of lanes strided walks. Replacement is strictly-greater, so
+// maximum by kernels.SelectMaxRow, so the whole batch's argmax costs
+// Out contiguous row passes instead of lanes strided walks. Replacement is strictly-greater, so
 // the first-wins tie rule matches Predicted exactly.
 func (l *BatchOutput32) PredictedAll(lanes int, dst []int) []int {
 	dst = dst[:lanes]

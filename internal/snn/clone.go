@@ -32,7 +32,6 @@ func (p *population) clone() *population {
 func (l *SpikingDense) CloneLayer() Layer {
 	return &SpikingDense{
 		In: l.In, Out: l.Out, WT: l.WT, Bias: l.Bias,
-		WT32: l.WT32, Bias32: l.Bias32,
 		taps: l.taps, tapStart: l.tapStart,
 		pop: l.pop.clone(),
 		z:   make([]float64, l.Out),
@@ -45,10 +44,9 @@ func (l *SpikingDense) CloneLayer() Layer {
 func (l *SpikingConv) CloneLayer() Layer {
 	c := &SpikingConv{
 		Geom: l.Geom, WScatter: l.WScatter, Bias: l.Bias,
-		WScatter32: l.WScatter32,
-		taps:       l.taps, tapStart: l.tapStart, outHW: l.outHW,
-		pop:  l.pop.clone(),
-		bias: l.bias, bias32: l.bias32,
+		taps: l.taps, tapStart: l.tapStart, outHW: l.outHW,
+		pop:     l.pop.clone(),
+		bias:    l.bias,
 		planeAt: l.planeAt,
 	}
 	if l.plane != nil {
@@ -89,7 +87,6 @@ func (l *SpikingMaxPool) CloneLayer() Layer {
 func (l *OutputLayer) Clone() *OutputLayer {
 	return &OutputLayer{
 		In: l.In, Out: l.Out, WT: l.WT, Bias: l.Bias,
-		WT32: l.WT32, Bias32: l.Bias32,
 		pot: make([]float64, l.Out),
 	}
 }

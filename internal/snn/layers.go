@@ -8,19 +8,6 @@ import (
 	"burstsnn/internal/kernels"
 )
 
-// f32s materializes the float32 copy of a weight or bias array: the
-// float32 compute plane's view of the model, rounded once at conversion
-// time (IEEE round-to-nearest) and shared read-only by every clone and
-// batched simulator. Constructors call it eagerly so a served model pays
-// the rounding exactly once, not per replica.
-func f32s(v []float64) []float32 {
-	w := make([]float32, len(v))
-	for i, x := range v {
-		w[i] = float32(x)
-	}
-	return w
-}
-
 // SpikingDense is a fully connected spiking layer: in events scatter
 // through the weight matrix into membrane potentials, then the population
 // fires under its coding dynamics.
@@ -30,9 +17,6 @@ type SpikingDense struct {
 	// touches a contiguous row — the event-driven hot path.
 	WT   []float64
 	Bias []float64
-	// WT32/Bias32 are the float32 compute plane's copies (same layout).
-	WT32   []float32
-	Bias32 []float32
 
 	// taps[i] = {WOff: i·Out, Base: 0} is input i's one scatter tap (its
 	// WT row into the whole population) and tapStart[i] = i, so a step's
@@ -58,7 +42,6 @@ func NewSpikingDense(w []float64, bias []float64, in, out int, cfg coding.Config
 	}
 	l := &SpikingDense{
 		In: in, Out: out, WT: wt, Bias: append([]float64(nil), bias...),
-		WT32: f32s(wt), Bias32: f32s(bias),
 		taps:     make([]convTap, in),
 		tapStart: make([]int32, in+1),
 		pop:      newPopulation(out, cfg),
@@ -165,8 +148,6 @@ type SpikingConv struct {
 	// WScatter is the re-laid-out kernel: index ((ic*K+kh)*K+kw)*OutC+oc.
 	WScatter []float64
 	Bias     []float64 // per output channel
-	// WScatter32 is the float32 compute plane's kernel copy (same layout).
-	WScatter32 []float32
 
 	// taps[tapStart[i]:tapStart[i+1]] are input neuron i's scatter
 	// destinations, in (kh,kw) order.
@@ -174,9 +155,8 @@ type SpikingConv struct {
 	tapStart []int32
 	outHW    int
 
-	pop    *population
-	bias   []float64 // pre-expanded per-neuron (CHW) bias: StepSlow's and dense mode's
-	bias32 []float32 // float32 copy of bias
+	pop  *population
+	bias []float64 // pre-expanded per-neuron (CHW) bias: StepSlow's and dense mode's
 
 	// Dense mode (UseDenseMode): planeAt maps input neuron i to its cell
 	// in the zero-padded input plane [InC][InH+2·Pad][InW+2·Pad]
@@ -219,8 +199,6 @@ func NewSpikingConv(w []float64, bias []float64, geom ConvGeom, cfg coding.Confi
 		}
 	}
 	l.pop.setChannels(outC, l.outHW)
-	l.WScatter32 = f32s(ws)
-	l.bias32 = f32s(l.bias)
 	// Precompute the scatter table: for every input pixel, the (weight
 	// row, output base) pairs its events touch under the stride/pad
 	// geometry. Same arithmetic as the reference StepSlow, run once.
@@ -660,9 +638,6 @@ type OutputLayer struct {
 	In, Out int
 	WT      []float64
 	Bias    []float64
-	// WT32/Bias32 are the float32 compute plane's copies (same layout).
-	WT32   []float32
-	Bias32 []float32
 
 	pot []float64
 }
@@ -680,7 +655,6 @@ func NewOutputLayer(w []float64, bias []float64, in, out int) *OutputLayer {
 	}
 	return &OutputLayer{
 		In: in, Out: out, WT: wt, Bias: append([]float64(nil), bias...),
-		WT32: f32s(wt), Bias32: f32s(bias),
 		pot: make([]float64, out),
 	}
 }
