@@ -21,10 +21,12 @@ import (
 	"burstsnn"
 	"burstsnn/internal/benchkit"
 	"burstsnn/internal/coding"
+	"burstsnn/internal/dnn"
 	"burstsnn/internal/experiments"
 	"burstsnn/internal/kernels"
 	"burstsnn/internal/serve"
 	"burstsnn/internal/snn"
+	"burstsnn/internal/tensor"
 )
 
 var (
@@ -422,6 +424,26 @@ func BenchmarkDNNForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burstsnn.EvaluateDNN(net, []burstsnn.Sample{{Image: img, Label: 0}})
+	}
+}
+
+// BenchmarkDNNTrainSample measures the trainer's per-sample work on
+// LeNetMini and one textures image: the forward pass with training
+// behaviour on, the loss gradient and the backward pass (parameter
+// gradients accumulate; the weights do not move). Beside
+// BenchmarkDNNForward it shows what the backward pass costs.
+func BenchmarkDNNTrainSample(b *testing.B) {
+	net, set := microModel(b)
+	s := set.Train[0]
+	x := tensor.FromSlice(s.Image, net.InShape...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		y := x
+		for _, l := range net.Layers {
+			y = l.Forward(y, true)
+		}
+		_, g := dnn.CrossEntropyLoss(y, s.Label)
+		net.Backward(g)
 	}
 }
 

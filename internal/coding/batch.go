@@ -127,15 +127,17 @@ func (e *batchRateEncoder) Retire(dst, src int) {
 // value, with the per-step payload Π(t) shared by every lane in a column.
 type batchPhaseEncoder struct {
 	size, b, period int
-	bits            []uint64 // bits[i*b+lane]
-	scratch         []uint64 // one lane's quantization, before striping
+	bits            []uint64  // bits[i*b+lane]
+	scratch         []uint64  // one lane's quantization, before striping
+	biasScale       []float64 // BiasScale per phase (phaseBiasScales)
 }
 
 func newBatchPhaseEncoder(size, b, period int) *batchPhaseEncoder {
 	return &batchPhaseEncoder{
 		size: size, b: b, period: period,
-		bits:    make([]uint64, size*b),
-		scratch: make([]uint64, size),
+		bits:      make([]uint64, size*b),
+		scratch:   make([]uint64, size),
+		biasScale: phaseBiasScales(period),
 	}
 }
 
@@ -143,7 +145,7 @@ func (e *batchPhaseEncoder) Size() int            { return e.size }
 func (e *batchPhaseEncoder) Lanes() int           { return e.b }
 func (e *batchPhaseEncoder) CountsAsSpikes() bool { return true }
 func (e *batchPhaseEncoder) BiasScale(t int) float64 {
-	return phaseBiasScale(t, e.period)
+	return e.biasScale[t%e.period]
 }
 
 func (e *batchPhaseEncoder) SetLane(lane int, image []float64) {
@@ -167,13 +169,15 @@ type batchTTFSEncoder struct {
 	size, b, period int
 	phase           []uint64 // phase[i*b+lane]; value = firing phase + 1, 0 = silent
 	scratch         []uint64
+	biasScale       []float64 // BiasScale per phase (phaseBiasScales)
 }
 
 func newBatchTTFSEncoder(size, b, period int) *batchTTFSEncoder {
 	return &batchTTFSEncoder{
 		size: size, b: b, period: period,
-		phase:   make([]uint64, size*b),
-		scratch: make([]uint64, size),
+		phase:     make([]uint64, size*b),
+		scratch:   make([]uint64, size),
+		biasScale: phaseBiasScales(period),
 	}
 }
 
@@ -181,7 +185,7 @@ func (e *batchTTFSEncoder) Size() int            { return e.size }
 func (e *batchTTFSEncoder) Lanes() int           { return e.b }
 func (e *batchTTFSEncoder) CountsAsSpikes() bool { return true }
 func (e *batchTTFSEncoder) BiasScale(t int) float64 {
-	return phaseBiasScale(t, e.period)
+	return e.biasScale[t%e.period]
 }
 
 func (e *batchTTFSEncoder) SetLane(lane int, image []float64) {

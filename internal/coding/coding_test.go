@@ -485,3 +485,29 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestBiasScaleTableMatchesExpression pins the phase and TTFS encoders'
+// tabulated BiasScale, sequential and batched, to phaseBiasScale's bits
+// at every step of three periods, for every valid period.
+func TestBiasScaleTableMatchesExpression(t *testing.T) {
+	for period := 1; period <= 62; period++ {
+		for _, s := range []Scheme{Phase, TTFS} {
+			cfg := DefaultConfig(s)
+			cfg.Period = period
+			enc, err := NewInputEncoder(cfg, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := enc.(BatchableEncoder).NewBatch(2)
+			for step := 0; step < 3*period; step++ {
+				want := math.Float64bits(phaseBiasScale(step, period))
+				if got := math.Float64bits(enc.BiasScale(step)); got != want {
+					t.Fatalf("%v period %d step %d: BiasScale %#016x, want %#016x", s, period, step, got, want)
+				}
+				if got := math.Float64bits(batch.BiasScale(step)); got != want {
+					t.Fatalf("%v period %d step %d: batched BiasScale %#016x, want %#016x", s, period, step, got, want)
+				}
+			}
+		}
+	}
+}

@@ -283,6 +283,18 @@ func phaseBiasScale(t, period int) float64 {
 	return Pi(t, period) / (1 - math.Pow(2, -float64(period)))
 }
 
+// phaseBiasScales tabulates phaseBiasScale over one period: it depends on
+// t only through t mod period, so scales[t%period] is
+// phaseBiasScale(t, period) bit for bit, without its two math.Pow calls
+// per step.
+func phaseBiasScales(period int) []float64 {
+	scales := make([]float64, period)
+	for j := range scales {
+		scales[j] = phaseBiasScale(j, period)
+	}
+	return scales
+}
+
 // phaseEncoder implements the weighted-spike input of Kim et al. 2018:
 // the pixel value is quantized to k bits and bit j (MSB first) is
 // transmitted at phase j with payload Π(t) = 2^-(1+j). One period carries
@@ -299,6 +311,8 @@ type phaseEncoder struct {
 	// replayLen[j] its length (-1 until built).
 	replay    []Event
 	replayLen []int
+	// biasScale holds BiasScale per phase (phaseBiasScales).
+	biasScale []float64
 }
 
 func newPhaseEncoder(size, period int) *phaseEncoder {
@@ -307,6 +321,7 @@ func newPhaseEncoder(size, period int) *phaseEncoder {
 		bits:      make([]uint64, size),
 		replay:    make([]Event, period*size),
 		replayLen: make([]int, period),
+		biasScale: phaseBiasScales(period),
 	}
 	e.forget()
 	return e
@@ -366,7 +381,7 @@ func (e *phaseEncoder) NewBatch(b int) BatchEncoder {
 // BiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k) sums to
 // exactly 1 over one period, matching the one-value-per-period input rate.
 func (e *phaseEncoder) BiasScale(t int) float64 {
-	return phaseBiasScale(t, e.period)
+	return e.biasScale[t%e.period]
 }
 
 // ttfsEncoder is the time-to-first-spike extension: each pixel emits a
@@ -379,15 +394,17 @@ type ttfsEncoder struct {
 	period int
 	// phase holds each pixel's firing phase packed as phase+1, 0 for
 	// silent (see quantizePhases).
-	phase []uint64
-	buf   []Event
+	phase     []uint64
+	buf       []Event
+	biasScale []float64 // BiasScale per phase (phaseBiasScales)
 }
 
 func newTTFSEncoder(size, period int) *ttfsEncoder {
 	return &ttfsEncoder{
 		size: size, period: period,
-		phase: make([]uint64, size),
-		buf:   make([]Event, size),
+		phase:     make([]uint64, size),
+		buf:       make([]Event, size),
+		biasScale: phaseBiasScales(period),
 	}
 }
 
@@ -424,7 +441,7 @@ func (e *ttfsEncoder) NewBatch(b int) BatchEncoder {
 
 // BiasScale matches the phase encoder: one value per period.
 func (e *ttfsEncoder) BiasScale(t int) float64 {
-	return phaseBiasScale(t, e.period)
+	return e.biasScale[t%e.period]
 }
 
 // PoissonEncoder is a stream-stateful rate encoder: unlike the default

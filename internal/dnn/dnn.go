@@ -74,10 +74,31 @@ func (n *Network) ForwardCollect(x *tensor.Tensor) []*tensor.Tensor {
 	return outs
 }
 
-// Backward propagates the loss gradient through all layers in reverse.
+// paramGrader is a layer that can accumulate its parameter gradients
+// without forming its input gradient.
+type paramGrader interface {
+	backwardParams(grad *tensor.Tensor)
+}
+
+// Backward propagates the loss gradient through the layers in reverse,
+// down to the lowest layer with parameters. Nothing reads the gradient
+// below that layer, so it only accumulates its parameter gradients (when
+// it is a paramGrader) and the layers under it are not visited.
 func (n *Network) Backward(grad *tensor.Tensor) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	low := 0
+	for low < len(n.Layers) && len(n.Layers[low].Params()) == 0 {
+		low++
+	}
+	for i := len(n.Layers) - 1; i > low; i-- {
 		grad = n.Layers[i].Backward(grad)
+	}
+	if low == len(n.Layers) {
+		return
+	}
+	if pg, ok := n.Layers[low].(paramGrader); ok {
+		pg.backwardParams(grad)
+	} else {
+		n.Layers[low].Backward(grad)
 	}
 }
 

@@ -351,3 +351,52 @@ func TestNetworkSummary(t *testing.T) {
 		t.Fatal("empty summary")
 	}
 }
+
+// spyLayer counts the backward calls it receives; withParams gives it a
+// parameter, so Network.Backward treats it as a weighted layer.
+type spyLayer struct {
+	withParams            bool
+	backwards, paramGrads int
+}
+
+func (s *spyLayer) Name() string                                    { return "spy" }
+func (s *spyLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (s *spyLayer) OutShape() []int                                 { return nil }
+func (s *spyLayer) Backward(g *tensor.Tensor) *tensor.Tensor        { s.backwards++; return g }
+func (s *spyLayer) backwardParams(*tensor.Tensor)                   { s.paramGrads++ }
+func (s *spyLayer) Params() []*Param {
+	if s.withParams {
+		return []*Param{newParam("spy", 1)}
+	}
+	return nil
+}
+
+// TestBackwardStopsAtLowestParamLayer checks that Network.Backward asks
+// the lowest layer with parameters for its parameter gradients only and
+// never visits the layers below it, and that a network without
+// parameters visits nothing.
+func TestBackwardStopsAtLowestParamLayer(t *testing.T) {
+	below, lowest, middle, top := &spyLayer{}, &spyLayer{withParams: true}, &spyLayer{withParams: true}, &spyLayer{}
+	net := &Network{Layers: []Layer{below, lowest, middle, top}}
+	net.Backward(tensor.New(1))
+	for name, c := range map[string]struct {
+		l                     *spyLayer
+		backwards, paramGrads int
+	}{
+		"below":  {below, 0, 0},
+		"lowest": {lowest, 0, 1},
+		"middle": {middle, 1, 0},
+		"top":    {top, 1, 0},
+	} {
+		if c.l.backwards != c.backwards || c.l.paramGrads != c.paramGrads {
+			t.Errorf("%s layer: %d Backward and %d backwardParams calls, want %d and %d",
+				name, c.l.backwards, c.l.paramGrads, c.backwards, c.paramGrads)
+		}
+	}
+
+	free := &spyLayer{}
+	(&Network{Layers: []Layer{free, &spyLayer{}}}).Backward(tensor.New(1))
+	if free.backwards != 0 {
+		t.Errorf("a network without parameters ran Backward %d times", free.backwards)
+	}
+}

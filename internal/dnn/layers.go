@@ -44,30 +44,22 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dW += g xᵀ, db += g, dx = Wᵀ g.
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		row := d.Weight.Grad.Data[o*d.In : (o+1)*d.In]
-		for i, xv := range d.lastIn.Data {
-			row[i] += g * xv
-		}
-		d.Bias.Grad.Data[o] += g
-	}
+	d.backwardParams(grad)
+	// dx = Wᵀ g: the rows of W scaled by the non-zero g, in ascending o.
 	dx := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		row := d.Weight.W.Data[o*d.In : (o+1)*d.In]
-		for i, w := range row {
-			dx[i] += w * g
+	tensor.MatMulAdd(dx, grad.Data, d.Weight.W.Data, 1, d.Out, d.In)
+	return tensor.FromSlice(dx, d.In)
+}
+
+// backwardParams accumulates dW += g xᵀ (row o += g[o]·x for the non-zero
+// g[o]) and db += g.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
+	tensor.MatMulAdd(d.Weight.Grad.Data, grad.Data, d.lastIn.Data, d.Out, 1, d.In)
+	for o, g := range grad.Data {
+		if g != 0 {
+			d.Bias.Grad.Data[o] += g
 		}
 	}
-	return tensor.FromSlice(dx, d.In)
 }
 
 // Conv2D is a 2-D convolution layer over CHW tensors.
@@ -116,12 +108,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	outH, outW := c.Spec.OutH(), c.Spec.OutW()
-	n := outH * outW
+	c.backwardParams(grad)
+	// dx = col2im(Wᵀ · g).
+	g2d := grad.Reshape(c.Spec.OutC, c.Spec.OutH()*c.Spec.OutW())
+	dcols := tensor.MatMulTransA(c.Weight.W, g2d)
+	return tensor.Col2Im(dcols, c.Spec)
+}
+
+// backwardParams accumulates dW += g · colsᵀ and db += the row sums of g.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
+	n := c.Spec.OutH() * c.Spec.OutW()
 	g2d := grad.Reshape(c.Spec.OutC, n)
-	// dW += g · colsᵀ.
 	c.Weight.Grad.AddInPlace(tensor.MatMulTransB(g2d, c.lastCols))
-	// db += row sums of g.
 	for oc := 0; oc < c.Spec.OutC; oc++ {
 		s := 0.0
 		for _, v := range g2d.Data[oc*n : (oc+1)*n] {
@@ -129,9 +127,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		c.Bias.Grad.Data[oc] += s
 	}
-	// dx = col2im(Wᵀ · g).
-	dcols := tensor.MatMulTransA(c.Weight.W, g2d)
-	return tensor.Col2Im(dcols, c.Spec)
 }
 
 // ReLU is the rectified-linear activation. Conversion-friendly networks

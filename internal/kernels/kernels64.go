@@ -39,7 +39,11 @@ import "math"
 // the avx2 form. Everything else — OutC 3, a 10-wide dense layer — runs
 // the generic loop, with identical results. A dense layer scatters
 // through the same kernel with a table of one tap per input (its weight
-// row, base 0), so OutC is its width.
+// row, base 0), so OutC is its width. The DNN trainer's matrix products
+// (internal/tensor) are the same scatter: a row of C = A·B is the
+// accumulator, A's entries are the events and B's rows the taps, so
+// training inherits the contract — bit-identical to its scalar loops at
+// every tier.
 
 // ConvScatter64 applies one input event of payload p to a base-major
 // conv accumulator, walking the event's whole tap list — the one-event

@@ -114,7 +114,7 @@ func TestMatMulIdentity(t *testing.T) {
 }
 
 // TestMatMulParallelMatchesSerial drives a product large enough to take the
-// parallel path and checks it against the serial kernel.
+// parallel path and checks it bit for bit against the serial one.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	r := mathx.NewRNG(2)
 	m, k, n := 64, 64, 64
@@ -124,9 +124,9 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b.RandNorm(r, 0, 1)
 	got := MatMul(a, b)
 	want := New(m, n)
-	matmulRows(a.Data, b.Data, want.Data, 0, m, k, n)
+	MatMulAdd(want.Data, a.Data, b.Data, m, k, n)
 	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("parallel MatMul diverges at %d", i)
 		}
 	}
