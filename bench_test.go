@@ -387,31 +387,36 @@ func BenchmarkHotpathClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathBatchStep isolates the batched per-layer scatter+fire
-// on the canonical benchkit column streams (B = 8 lanes per step): the
-// per-layer counterpart of the Hotpath*Step benchmarks, with lane-events
-// per op reported so the per-spike cost is comparable across B.
+// BenchmarkHotpathBatchStep steps B = 8 independent lanes of each
+// canonical layer, one after another on the sequential simulator, each
+// on its own benchkit stream: what the ladder's snn.*_batch8_step_ns
+// rungs time, with lane-events per op reported so the per-spike cost is
+// comparable with the single-lane Hotpath*Step benchmarks.
 func BenchmarkHotpathBatchStep(b *testing.B) {
 	const B = benchkit.HotpathBatchB
 	conv, convIn := benchkit.HotpathConvBatch(B)
 	dense, denseIn := benchkit.HotpathDenseBatch(B)
 	cases := []struct {
 		name  string
-		layer snn.BatchLayer32
-		in    *coding.BatchEvents32
+		lanes benchkit.Lanes
+		in    [][]coding.Event
 	}{
 		{"conv", conv, convIn},
 		{"dense", dense, denseIn},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			c.layer.Reset()
+			events := 0
+			for i, layer := range c.lanes {
+				layer.Reset()
+				events += len(c.in[i])
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.layer.Step(i, 1, B, c.in)
+				c.lanes.Step(i, 1, B, c.in)
 			}
-			b.ReportMetric(float64(c.in.LaneEvents()), "laneEvents/op")
+			b.ReportMetric(float64(events), "laneEvents/op")
 		})
 	}
 }

@@ -284,11 +284,11 @@ const (
 
 // Kernel dispatch-tier controls, re-exported from internal/kernels: the
 // sequential engine's float64 conv scatter, conv gather and fire sweeps
-// are selected at runtime by CPUID (purego → avx2 → avx512; the float32
-// kernels are one Go body on every tier); KernelLevel reports the
-// active tier, ForceKernelLevel pins it ("" resets to the startup
-// level), and KernelLevels lists the tiers this machine can run. All tiers are
-// bit-identical; forcing is for benchmarking and conformance testing.
+// are selected at runtime by CPUID (purego → avx2 → avx512);
+// KernelLevel reports the active tier, ForceKernelLevel pins it (""
+// resets to the startup level), and KernelLevels lists the tiers this
+// machine can run. All tiers are bit-identical; forcing is for
+// benchmarking and cross-tier testing.
 func KernelLevel() string                 { return kernels.ActiveLevel() }
 func ForceKernelLevel(level string) error { return kernels.ForceLevel(level) }
 func KernelLevels() []string              { return kernels.Available() }

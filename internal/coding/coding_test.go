@@ -388,14 +388,12 @@ func TestQuantizeMatchesRound(t *testing.T) {
 
 // TestPhaseTTFSStepMatchesReference pins the branch-free input sweep
 // against the append loop it replaced: same events — index, payload
-// bits, order — for every step of two periods, from the sequential
-// encoder and from one lane of its batched twin (phase payloads are
-// powers of two, exact in float32). The all-ones image drives the write
-// cursor to the end of the buffer (every pixel spikes at every phase
-// under phase coding; all at phase 0 under TTFS) and the all-zero image
-// keeps it at zero.
+// bits, order — for every step of two periods. The all-ones image
+// drives the write cursor to the end of the buffer (every pixel spikes at
+// every phase under phase coding; all at phase 0 under TTFS) and the
+// all-zero image keeps it at zero.
 func TestPhaseTTFSStepMatchesReference(t *testing.T) {
-	const size, lanes, lane = 97, 3, 1
+	const size = 97
 	ones, zeros := make([]float64, size), make([]float64, size)
 	for i := range ones {
 		ones[i] = 1
@@ -409,19 +407,8 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := plain.(BatchableEncoder).NewBatch(lanes)
-			// The neighbouring lanes hold images the checked lane must
-			// not see.
-			batch.SetLane(0, ones)
-			batch.SetLane(2, randomImage(5, size))
-			var cols BatchEvents32
-			cols.Grow(size, size*lanes)
-			reset := func(img []float64) {
-				plain.Reset(img)
-				batch.SetLane(lane, img)
-			}
 			q := make([]uint64, size)
-			// check steps both encoders at each of steps and compares with
+			// check steps the encoder at each of steps and compares with
 			// a fresh append-loop sweep of q.
 			check := func(n int, steps ...int) {
 				t.Helper()
@@ -437,24 +424,22 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 							want = append(want, Event{Index: i, Payload: Pi(step, period)})
 						}
 					}
-					batch.Step32(step, lanes, &cols)
-					for name, got := range map[string][]Event{"sequential": plain.Step(step), "batch lane": cols.AppendLane(lane, nil)} {
-						if len(got) != len(want) {
-							t.Fatalf("%v period %d image %d step %d (%s): %d events, want %d",
-								scheme, period, n, step, name, len(got), len(want))
-						}
-						for i := range want {
-							if got[i].Index != want[i].Index || math.Float64bits(got[i].Payload) != math.Float64bits(want[i].Payload) {
-								t.Fatalf("%v period %d image %d step %d (%s): event %d = %+v, want %+v",
-									scheme, period, n, step, name, i, got[i], want[i])
-							}
+					got := plain.Step(step)
+					if len(got) != len(want) {
+						t.Fatalf("%v period %d image %d step %d: %d events, want %d",
+							scheme, period, n, step, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Index != want[i].Index || math.Float64bits(got[i].Payload) != math.Float64bits(want[i].Payload) {
+							t.Fatalf("%v period %d image %d step %d: event %d = %+v, want %+v",
+								scheme, period, n, step, i, got[i], want[i])
 						}
 					}
 				}
 			}
 			for n, img := range images {
 				quantizeBits(q, img, period)
-				reset(img)
+				plain.Reset(img)
 				for step := 0; step < 2*period; step++ {
 					check(n, step)
 				}
@@ -464,7 +449,7 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			// (t = 9 before t = 1) must still each see their own phase.
 			for n, img := range images {
 				quantizeBits(q, img, period)
-				reset(img)
+				plain.Reset(img)
 				check(n, 9, 1, 2*period+1, 0, period, 3*period-1, period-1)
 			}
 			// A Reset to a new image whose first call lands past the first
@@ -472,10 +457,10 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 			// list for that phase.
 			for n := 1; n < len(images); n++ {
 				quantizeBits(q, images[n-1], period)
-				reset(images[n-1])
+				plain.Reset(images[n-1])
 				check(n-1, 0, 1, 2, 3)
 				quantizeBits(q, images[n], period)
-				reset(images[n])
+				plain.Reset(images[n])
 				check(n, period+2, 2, 3, 2*period+1)
 			}
 			plain.Reset(ones)
@@ -487,8 +472,8 @@ func TestPhaseTTFSStepMatchesReference(t *testing.T) {
 }
 
 // TestBiasScaleTableMatchesExpression pins the phase and TTFS encoders'
-// tabulated BiasScale, sequential and batched, to phaseBiasScale's bits
-// at every step of three periods, for every valid period.
+// tabulated BiasScale to phaseBiasScale's bits at every step of three
+// periods, for every valid period.
 func TestBiasScaleTableMatchesExpression(t *testing.T) {
 	for period := 1; period <= 62; period++ {
 		for _, s := range []Scheme{Phase, TTFS} {
@@ -498,14 +483,10 @@ func TestBiasScaleTableMatchesExpression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := enc.(BatchableEncoder).NewBatch(2)
 			for step := 0; step < 3*period; step++ {
 				want := math.Float64bits(phaseBiasScale(step, period))
 				if got := math.Float64bits(enc.BiasScale(step)); got != want {
 					t.Fatalf("%v period %d step %d: BiasScale %#016x, want %#016x", s, period, step, got, want)
-				}
-				if got := math.Float64bits(batch.BiasScale(step)); got != want {
-					t.Fatalf("%v period %d step %d: batched BiasScale %#016x, want %#016x", s, period, step, got, want)
 				}
 			}
 		}

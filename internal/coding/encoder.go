@@ -113,9 +113,6 @@ func (e *realEncoder) Size() int             { return e.size }
 func (e *realEncoder) BiasScale(int) float64 { return 1 }
 func (e *realEncoder) Clone() InputEncoder   { return newRealEncoder(e.size) }
 
-// NewBatch implements BatchableEncoder.
-func (e *realEncoder) NewBatch(b int) BatchEncoder { return newBatchRealEncoder(e.size, b) }
-
 // rateEncoder emits unit-payload spikes whose frequency equals the pixel
 // value: each pixel fires with Bernoulli probability v per step, the
 // Poisson-like input of the rate-coding conversion literature (Diehl et
@@ -238,9 +235,6 @@ func (e *rateEncoder) CountsAsSpikes() bool  { return true }
 func (e *rateEncoder) Size() int             { return e.size }
 func (e *rateEncoder) BiasScale(int) float64 { return 1 }
 func (e *rateEncoder) Clone() InputEncoder   { return newRateEncoder(e.size, e.seed) }
-
-// NewBatch implements BatchableEncoder.
-func (e *rateEncoder) NewBatch(b int) BatchEncoder { return newBatchRateEncoder(e.size, b, e.seed) }
 
 // quantizeBits fills dst with each pixel's period-bit quantization:
 // round(clamp(v)·2^k), ties away from zero, saturating at all-ones for
@@ -373,11 +367,6 @@ func (e *phaseEncoder) CountsAsSpikes() bool { return true }
 func (e *phaseEncoder) Size() int            { return e.size }
 func (e *phaseEncoder) Clone() InputEncoder  { return newPhaseEncoder(e.size, e.period) }
 
-// NewBatch implements BatchableEncoder.
-func (e *phaseEncoder) NewBatch(b int) BatchEncoder {
-	return newBatchPhaseEncoder(e.size, b, e.period)
-}
-
 // BiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k) sums to
 // exactly 1 over one period, matching the one-value-per-period input rate.
 func (e *phaseEncoder) BiasScale(t int) float64 {
@@ -433,11 +422,6 @@ func (e *ttfsEncoder) Step(t int) []Event {
 func (e *ttfsEncoder) CountsAsSpikes() bool { return true }
 func (e *ttfsEncoder) Size() int            { return e.size }
 func (e *ttfsEncoder) Clone() InputEncoder  { return newTTFSEncoder(e.size, e.period) }
-
-// NewBatch implements BatchableEncoder.
-func (e *ttfsEncoder) NewBatch(b int) BatchEncoder {
-	return newBatchTTFSEncoder(e.size, b, e.period)
-}
 
 // BiasScale matches the phase encoder: one value per period.
 func (e *ttfsEncoder) BiasScale(t int) float64 {

@@ -9,7 +9,7 @@ import (
 
 // The amd64 build carries three dispatch tiers (see level.go). They
 // select only the float64 primitives' bodies; the float32 primitives are
-// the same Go loops on every tier and build (generic.go):
+// the same Go loops on every tier and build (kernels.go):
 //
 //   - purego: the generic Go loops, shared with the purego build, and
 //     what a CPU without AVX2 runs;

@@ -5,9 +5,9 @@ import "math"
 // The float64 primitives: the sequential simulator's inner loops — the
 // conv event scatter, the dense-input conv gather and the population fire
 // sweep — on the dispatch ladder (level.go). A hidden conv
-// population is stored base-major (cell = base·OutC + oc, the float32
-// plane's layout at B = 1), so one scatter tap is one contiguous
-// OutC-wide update; the conv the input encoder feeds is stored CHW and
+// population is stored base-major (cell = base·OutC + oc), so one
+// scatter tap is one contiguous OutC-wide update; the conv the input
+// encoder feeds is stored CHW and
 // gathered (ConvGather64); a fire sweep walks cells in storage order and
 // writes the step's events itself.
 //

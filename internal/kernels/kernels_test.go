@@ -45,35 +45,6 @@ func refAxpyBlock(dst, row []float32, p float32, b, lanes int) {
 	}
 }
 
-func refScaleAdd(dst []float32, x float32) {
-	for i := range dst {
-		dst[i] += x
-	}
-}
-
-func refFireRow(v []float32, th float32) uint64 {
-	var m uint64
-	for s := range v {
-		if v[s] >= th {
-			v[s] -= th
-			m |= 1 << uint(s)
-		}
-	}
-	return m
-}
-
-func refFireRowBias(v []float32, bias, th float32) uint64 {
-	var m uint64
-	for s := range v {
-		v[s] += bias
-		if v[s] >= th {
-			v[s] -= th
-			m |= 1 << uint(s)
-		}
-	}
-	return m
-}
-
 func randF32s(r *mathx.RNG, n int, scale float64) []float32 {
 	v := make([]float32, n)
 	for i := range v {
@@ -110,139 +81,6 @@ func testAxpyBlockFuzz(t *testing.T) {
 	}
 }
 
-func refAxpyBlockVec(dst, row, pv []float32, b, lanes int) {
-	for i, w := range row {
-		for j := 0; j < lanes; j++ {
-			wp := w * pv[j]
-			dst[i*b+j] += wp
-		}
-	}
-}
-
-func TestAxpyBlockVecFuzz(t *testing.T) { forEachLevel(t, testAxpyBlockVecFuzz) }
-
-func testAxpyBlockVecFuzz(t *testing.T) {
-	r := mathx.NewRNG(0xA1B2)
-	for round := 0; round < 500; round++ {
-		b := 1 + r.Intn(70)
-		lanes := 1 + r.Intn(b)
-		n := r.Intn(33)
-		row := randF32s(r, n, 0.5)
-		pv := randF32s(r, b, 1)
-		for i := range pv {
-			if r.Intn(3) == 0 {
-				pv[i] = 0 // absent lanes are zero-filled in real use
-			}
-		}
-		size := 1
-		if n > 0 {
-			size = (n-1)*b + lanes
-		}
-		dst := randF32s(r, size, 1)
-		want := append([]float32(nil), dst...)
-
-		AxpyBlockVec(dst, row, pv, b, lanes)
-		refAxpyBlockVec(want, row, pv, b, lanes)
-		for i := range want {
-			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("round %d (b=%d lanes=%d n=%d): dst[%d] = %v, want %v",
-					round, b, lanes, n, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAxpyLaneFuzz(t *testing.T) { forEachLevel(t, testAxpyLaneFuzz) }
-
-func testAxpyLaneFuzz(t *testing.T) {
-	r := mathx.NewRNG(0xA1B1)
-	for round := 0; round < 200; round++ {
-		b := 1 + r.Intn(32)
-		lane := r.Intn(b)
-		n := 1 + r.Intn(40)
-		row := randF32s(r, n, 0.5)
-		dst := randF32s(r, n*b, 1)
-		want := append([]float32(nil), dst...)
-		p := float32(r.Norm(0, 1))
-
-		AxpyLane(dst, row, p, b, lane)
-		for i, w := range row {
-			wp := w * p
-			want[lane+i*b] += wp
-		}
-		for i := range want {
-			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("round %d: dst[%d] = %v, want %v", round, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-func TestScaleAddFuzz(t *testing.T) { forEachLevel(t, testScaleAddFuzz) }
-
-func testScaleAddFuzz(t *testing.T) {
-	r := mathx.NewRNG(0x5CA1)
-	for round := 0; round < 300; round++ {
-		dst := randF32s(r, r.Intn(130), 1)
-		want := append([]float32(nil), dst...)
-		x := float32(r.Norm(0, 1))
-		ScaleAdd(dst, x)
-		refScaleAdd(want, x)
-		for i := range want {
-			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("round %d: dst[%d] = %v, want %v", round, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-// fireCase fuzzes one fire kernel against its reference, including
-// exact-threshold lanes (v == th must fire and reset to exactly 0).
-func fireCase(t *testing.T, round int, r *mathx.RNG, bias bool) {
-	t.Helper()
-	n := 1 + r.Intn(64)
-	th := float32(0.125 * math.Pow(2, float64(r.Intn(6))))
-	v := make([]float32, n)
-	for i := range v {
-		switch r.Intn(5) {
-		case 0:
-			v[i] = th // exact threshold: must fire
-		case 1:
-			v[i] = th * float32(r.Norm(1, 1e-6)) // near-threshold
-		default:
-			v[i] = float32(r.Norm(0, float64(th)*2))
-		}
-	}
-	want := append([]float32(nil), v...)
-	var got, ref uint64
-	if bias {
-		bv := float32(r.Norm(0, 0.1))
-		got = FireRowBias(v, bv, th)
-		ref = refFireRowBias(want, bv, th)
-	} else {
-		got = FireRow(v, th)
-		ref = refFireRow(want, th)
-	}
-	if got != ref {
-		t.Fatalf("round %d (bias=%v n=%d th=%v): mask %064b, want %064b", round, bias, n, th, got, ref)
-	}
-	for i := range want {
-		if math.Float32bits(v[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("round %d (bias=%v): v[%d] = %v, want %v", round, bias, i, v[i], want[i])
-		}
-	}
-}
-
-func TestFireRowFuzz(t *testing.T) { forEachLevel(t, testFireRowFuzz) }
-
-func testFireRowFuzz(t *testing.T) {
-	r := mathx.NewRNG(0xF12E)
-	for round := 0; round < 500; round++ {
-		fireCase(t, round, r, false)
-		fireCase(t, round, r, true)
-	}
-}
-
 func refFireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float32) uint64 {
 	var m uint64
 	for s := range v {
@@ -263,58 +101,6 @@ func refFireRowBurst(v, g, pay []float32, fired []uint32, bias, beta, vth float3
 		}
 	}
 	return m
-}
-
-func TestFireRowBurstFuzz(t *testing.T) { forEachLevel(t, testFireRowBurstFuzz) }
-
-func testFireRowBurstFuzz(t *testing.T) {
-	r := mathx.NewRNG(0xB125)
-	for round := 0; round < 600; round++ {
-		n := 1 + r.Intn(64)
-		beta := float32(2)
-		vth := float32(0.125)
-		bias := float32(r.Norm(0, 0.05))
-		v := make([]float32, n)
-		g := make([]float32, n)
-		fired := make([]uint32, n)
-		for i := range v {
-			v[i] = float32(r.Norm(0, 0.5))
-			g[i] = float32(math.Pow(2, float64(r.Intn(6)))) // burst ladder states
-			if r.Bernoulli(0.5) {
-				fired[i] = ^uint32(0)
-			}
-			if r.Intn(5) == 0 {
-				// Exact threshold: must fire and reset to exactly 0.
-				gv := g[i]
-				if fired[i] == 0 {
-					gv = 1
-				} else {
-					gv = beta * g[i]
-				}
-				v[i] = gv*vth - bias
-			}
-		}
-		pay := make([]float32, n)
-		wantV := append([]float32(nil), v...)
-		wantG := append([]float32(nil), g...)
-		wantF := append([]uint32(nil), fired...)
-		wantP := make([]float32, n)
-
-		got := FireRowBurst(v, g, pay, fired, bias, beta, vth)
-		want := refFireRowBurst(wantV, wantG, wantP, wantF, bias, beta, vth)
-		if got != want {
-			t.Fatalf("round %d (n=%d): mask %064b, want %064b", round, n, got, want)
-		}
-		for i := range wantV {
-			if math.Float32bits(v[i]) != math.Float32bits(wantV[i]) ||
-				math.Float32bits(g[i]) != math.Float32bits(wantG[i]) ||
-				math.Float32bits(pay[i]) != math.Float32bits(wantP[i]) ||
-				fired[i] != wantF[i] {
-				t.Fatalf("round %d lane %d: v %v/%v g %v/%v pay %v/%v fired %x/%x",
-					round, i, v[i], wantV[i], g[i], wantG[i], pay[i], wantP[i], fired[i], wantF[i])
-			}
-		}
-	}
 }
 
 func TestConvScatterVecFuzz(t *testing.T) { forEachLevel(t, testConvScatterVecFuzz) }
@@ -345,7 +131,7 @@ func testConvScatterVecFuzz(t *testing.T) {
 			}
 		}
 		want := append([]float32(nil), vmem...)
-		// Reference: the per-tap AxpyBlockVec contract, naive scalar form.
+		// Reference: one rounded product and one add per element, naive scalar form.
 		for _, tp := range taps {
 			for i := 0; i < outC; i++ {
 				w := wsc[int(tp.WOff)+i]
@@ -436,94 +222,11 @@ func testFireRowsBurstFuzz(t *testing.T) {
 	}
 }
 
-func refSelectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
-	for s := 0; s < lanes; s++ {
-		if row[s] > best[s] {
-			best[s] = row[s]
-			idx[s] = o
-		}
-	}
-}
-
-func TestSelectMaxRowFuzz(t *testing.T) { forEachLevel(t, testSelectMaxRowFuzz) }
-
-func testSelectMaxRowFuzz(t *testing.T) {
-	r := mathx.NewRNG(0xA26A)
-	for round := 0; round < 400; round++ {
-		lanes := 1 + r.Intn(64)
-		best := randF32s(r, lanes, 1)
-		row := randF32s(r, lanes, 1)
-		for i := range row {
-			if r.Intn(4) == 0 {
-				row[i] = best[i] // exact ties must NOT replace (first wins)
-			}
-		}
-		idx := make([]int32, lanes)
-		for i := range idx {
-			idx[i] = int32(r.Intn(10))
-		}
-		o := int32(r.Intn(100))
-		wantBest := append([]float32(nil), best...)
-		wantIdx := append([]int32(nil), idx...)
-
-		SelectMaxRow(best, row, idx, o, lanes)
-		refSelectMaxRow(wantBest, row, wantIdx, o, lanes)
-		for s := 0; s < lanes; s++ {
-			if math.Float32bits(best[s]) != math.Float32bits(wantBest[s]) || idx[s] != wantIdx[s] {
-				t.Fatalf("round %d lane %d (lanes=%d o=%d): best %v/%v idx %d/%d",
-					round, s, lanes, o, best[s], wantBest[s], idx[s], wantIdx[s])
-			}
-		}
-	}
-}
-
-func TestLaneMaskFuzz(t *testing.T) { forEachLevel(t, testLaneMaskFuzz) }
-
-func testLaneMaskFuzz(t *testing.T) {
-	r := mathx.NewRNG(0x1A5E)
-	for round := 0; round < 400; round++ {
-		n := 1 + r.Intn(64)
-		row := make([]uint64, n)
-		for i := range row {
-			row[i] = uint64(r.Intn(1 << 16))
-			if r.Bernoulli(0.3) {
-				row[i] = uint64(r.Intn(8)) // dense small values for the eq sweep
-			}
-		}
-		shift := uint(r.Intn(64))
-		want := uint64(r.Intn(8))
-
-		var refBit, refEq uint64
-		for s, bv := range row {
-			if bv>>shift&1 == 1 {
-				refBit |= 1 << uint(s)
-			}
-			if bv == want {
-				refEq |= 1 << uint(s)
-			}
-		}
-		if got := LaneMaskBit(row, shift); got != refBit {
-			t.Fatalf("round %d (n=%d shift=%d): LaneMaskBit %064b, want %064b", round, n, shift, got, refBit)
-		}
-		if got := LaneMaskEq(row, want); got != refEq {
-			t.Fatalf("round %d (n=%d want=%d): LaneMaskEq %064b, want %064b", round, n, want, got, refEq)
-		}
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	AxpyBlock(nil, nil, 1, 4, 2)
 	AxpyBlock([]float32{1}, []float32{1}, 1, 4, 0)
-	AxpyBlockVec(nil, nil, nil, 4, 2)
-	AxpyBlockVec([]float32{1}, []float32{1}, []float32{1}, 4, 0)
-	ScaleAdd(nil, 1)
-	if FireRow(nil, 1) != 0 || FireRowBias(nil, 1, 1) != 0 {
-		t.Fatal("empty fire rows must return empty masks")
-	}
-	SelectMaxRow(nil, nil, nil, 3, 0)
-	if LaneMaskBit(nil, 5) != 0 || LaneMaskEq(nil, 1) != 0 {
-		t.Fatal("empty lane sweeps must return empty masks")
-	}
+	ConvScatterVec(nil, nil, nil, 4, 2, nil)
+	FireRowsBurst(nil, nil, nil, nil, nil, nil, 0, 8, nil, 1, 2, 1)
 	ConvScatter64(nil, nil, nil, 4, 1)
 	ConvScatter64([]float64{1}, []float64{1}, []ConvTap{{}}, 0, 1)
 	ConvScatterEvents64(nil, nil, nil, nil, nil, 4)
@@ -544,17 +247,6 @@ func BenchmarkAxpyBlock(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		AxpyBlock(dst, row, 0.5, lanes, lanes)
-	}
-}
-
-func BenchmarkFireRow(b *testing.B) {
-	v := make([]float32, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := range v {
-			v[j] = float32(j) * 0.3
-		}
-		FireRow(v, 1)
 	}
 }
 

@@ -19,7 +19,7 @@ import "os"
 //
 // Every tier is bit-identical to the scalar engine: the packed forms use
 // separate multiply and add — never FMA, which would contract the two
-// roundings into one. The float32 primitives (generic.go) have one Go
+// roundings into one. The float32 primitives (kernels.go) have one Go
 // body and ignore the tier.
 //
 // The active tier can be overridden — per process via the KERNELS_LEVEL

@@ -316,3 +316,67 @@ func TestExitPolicyValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestBatcherDedupesIdenticalRequests checks the duplicate fan-out: a
+// microbatch carrying several identical (image, policy) requests — plus
+// distinct ones and a same-image/different-policy pair — simulates each
+// unique request once, answers every duplicate with its representative's
+// outcome, and counts the fan-outs in dedupedRequests.
+func TestBatcherDedupesIdenticalRequests(t *testing.T) {
+	// The batcher runs every microbatch on the sequential route.
+	t.Run("sequential", func(t *testing.T) {
+		pool, image := testPool(t, 1)
+		metrics := NewMetrics()
+		distinct := append([]float64(nil), image...)
+		distinct[3] = 0.5
+		policyA := ExitPolicy{MaxSteps: 48, MinSteps: 8, StableWindow: 6}
+		policyB := ExitPolicy{MaxSteps: 32, MinSteps: 8, StableWindow: 6}
+		var wantSame, wantDistinct, wantB Outcome
+		func() {
+			rep, err := pool.Get(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Put(rep)
+			wantSame = Classify(rep.Net, image, policyA)
+			wantDistinct = Classify(rep.Net, distinct, policyA)
+			wantB = Classify(rep.Net, image, policyB)
+		}()
+
+		b := NewBatcher(pool, BatcherConfig{
+			Metrics: metrics, MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
+		})
+		defer b.Close()
+		type sub struct {
+			image  []float64
+			policy ExitPolicy
+			want   Outcome
+		}
+		subs := []sub{
+			{image, policyA, wantSame},
+			{image, policyA, wantSame},                            // duplicate
+			{append([]float64(nil), image...), policyA, wantSame}, // duplicate (distinct backing array)
+			{distinct, policyA, wantDistinct},
+			{image, policyB, wantB}, // same image, different policy: NOT a duplicate
+		}
+		var wg sync.WaitGroup
+		for i, s := range subs {
+			wg.Add(1)
+			go func(i int, s sub) {
+				defer wg.Done()
+				out, err := b.Submit(context.Background(), s.image, s.policy)
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				if out != s.want {
+					t.Errorf("request %d: got %+v, want %+v", i, out, s.want)
+				}
+			}(i, s)
+		}
+		wg.Wait()
+		if s := metrics.Snapshot(); s.DedupedRequests != 2 {
+			t.Errorf("dedupedRequests = %d, want 2: %+v", s.DedupedRequests, s)
+		}
+	})
+}

@@ -121,102 +121,23 @@ func ClassifyStaged(net *snn.Network, image []float64, p ExitPolicy) (Outcome, o
 	return o, times
 }
 
-// ClassifyBatch presents a batch of images lockstep through the float32
-// batch simulator under per-lane exit policies and returns one Outcome
-// per image, plus the number of lockstep steps the batch ran (the
-// slowest lane's step count). No served request runs it: the plane is a
-// library for the benchmark ladder and its conformance suites.
-//
-// Every outcome matches Classify(net, images[i], policies[i]) on the
-// sequential simulator the batch network was built from under the
-// float32 tolerance contract: the lockstep state is per-lane disjoint,
-// the early-exit test below mirrors Classify's step for step, and a lane
-// that exits is retired from the batch immediately (physical
-// compaction), exactly as the sequential engine stops simulating — so
-// predictions, spike counts, and early-exit steps are identical on the
-// equivalence corpus, margins within float32 accumulation tolerance (see
-// internal/README.md). The caller owns bn for the duration of the call,
+// ClassifyBatch classifies images[i] under policies[i] with Classify,
+// one image after another on net, and returns the outcomes plus the
+// largest step count among them (the slowest image's). It panics when
+// the counts of images and policies differ. It stays because the frozen
+// benchmark names it; the caller owns net for the duration of the call,
 // like Classify.
-//
-// Unlike Classify (zero-alloc in steady state), ClassifyBatch allocates
-// its per-batch bookkeeping (outcomes, trackers, score scratch) — a
-// handful of allocations per dispatched batch, not per request, which is
-// in line with the batcher's own per-request queueing allocations.
-func ClassifyBatch(bn *snn.BatchNetwork32, images [][]float64, policies []ExitPolicy) ([]Outcome, int) {
-	n := len(images)
-	if n == 0 {
-		return nil, 0
+func ClassifyBatch(net *snn.Network, images [][]float64, policies []ExitPolicy) ([]Outcome, int) {
+	if len(policies) != len(images) {
+		panic(fmt.Sprintf("serve: %d policies for %d images", len(policies), len(images)))
 	}
-	if len(policies) != n {
-		panic(fmt.Sprintf("serve: %d policies for %d images", len(policies), n))
+	outs := make([]Outcome, len(images))
+	steps := 0
+	for i, img := range images {
+		outs[i] = Classify(net, img, policies[i])
+		steps = max(steps, outs[i].Steps)
 	}
-	bn.Reset(images)
-	countInput := bn.CountsInputSpikes()
-	outs := make([]Outcome, n)
-	type tracker struct{ stable, last int }
-	tracks := make([]tracker, n)
-	for lane := range tracks {
-		tracks[lane].last = -1
-	}
-	scores := make([]float64, bn.Classes())
-	preds := make([]int, n)
-	var retire []int
-	// Lanes with a non-positive budget never step, exactly like
-	// Classify's zero-iteration loop: retire them (descending) before the
-	// first lockstep step, leaving their zero-value Outcomes.
-	for slot := bn.NumActive() - 1; slot >= 0; slot-- {
-		if policies[bn.LaneID(slot)].MaxSteps <= 0 {
-			bn.Retire(slot)
-		}
-	}
-	batchSteps := 0
-	for t := 0; bn.NumActive() > 0; t++ {
-		st := bn.Step(t)
-		batchSteps = t + 1
-		retire = retire[:0]
-		// One lane-major sweep for the whole batch's argmax (identical
-		// per slot to bn.Predicted) instead of a strided walk per slot.
-		stepPreds := bn.PredictedAll(preds)
-		for slot := 0; slot < bn.NumActive(); slot++ {
-			lane := bn.LaneID(slot)
-			o, p, tr := &outs[lane], &policies[lane], &tracks[lane]
-			if countInput {
-				o.InputSpikes += st.InputEvents[slot]
-			}
-			o.HiddenSpikes += st.HiddenSpikes[slot]
-			o.Steps = t + 1
-			pred := stepPreds[slot]
-			o.Prediction = pred
-			if pred == tr.last {
-				tr.stable++
-			} else {
-				tr.stable, tr.last = 1, pred
-			}
-			exit := false
-			if p.StableWindow > 0 && o.Steps >= p.MinSteps && tr.stable >= p.StableWindow {
-				m := stepMargin(bn.PotentialsInto(slot, scores), o.Steps)
-				if p.Margin <= 0 || m >= p.Margin {
-					o.Margin = m
-					o.EarlyExit = o.Steps < p.MaxSteps
-					exit = true
-				}
-			}
-			if !exit && o.Steps >= p.MaxSteps {
-				o.Margin = stepMargin(bn.PotentialsInto(slot, scores), o.Steps)
-				exit = true
-			}
-			if exit {
-				retire = append(retire, slot)
-			}
-		}
-		// Retire in descending slot order: compaction moves the current
-		// last slot into the freed one, and every slot above the one being
-		// retired has already been handled (or retired) this step.
-		for i := len(retire) - 1; i >= 0; i-- {
-			bn.Retire(retire[i])
-		}
-	}
-	return outs, batchSteps
+	return outs, steps
 }
 
 // stepMargin returns (top1 − top2) / steps of the readout potentials:

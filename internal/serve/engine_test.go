@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,23 +51,22 @@ func TestClassifyZeroAlloc(t *testing.T) {
 	}
 }
 
-// sameOutcome reports whether a lockstep outcome matches the sequential
-// engine's under the float32 tolerance contract: every discrete field
-// equal, Margin within float32 accumulation tolerance.
+// sameOutcome reports whether a batch outcome matches the sequential
+// engine's: every discrete field equal, Margin within 1e-3 relative.
 func sameOutcome(got, want Outcome) bool {
 	d := math.Abs(got.Margin - want.Margin)
 	got.Margin = want.Margin
 	return got == want && d <= 1e-3*math.Max(1, math.Abs(want.Margin))
 }
 
-// TestClassifyBatchMatchesSequential pins the batched engine to the
-// sequential one: for every input encoder, a full 8-lane batch with
-// per-lane policies (different budgets, stable windows, margins,
-// disabled early exit, and a zero budget) must produce the same Outcomes
-// — prediction, steps, early-exit flag, spike counts, margin within
-// tolerance — as Classify run lane by lane, the reported batch step
-// count must be the slowest lane's, and a reused simulator must carry no
-// state into its next batch.
+// TestClassifyBatchMatchesSequential pins ClassifyBatch, on the simulator
+// a pool replica's Batch hands out, to Classify: for every input encoder,
+// a full 8-lane batch with per-lane policies (different budgets, stable
+// windows, margins, disabled early exit, and a zero budget) must produce
+// the same Outcomes — prediction, steps, early-exit flag, spike counts,
+// margin within tolerance — as Classify run lane by lane, the reported
+// batch step count must be the slowest lane's, and a reused simulator
+// must carry no state into its next batch.
 func TestClassifyBatchMatchesSequential(t *testing.T) {
 	for _, scheme := range []coding.Scheme{coding.Real, coding.Rate, coding.Phase, coding.TTFS} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -75,9 +75,18 @@ func TestClassifyBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clone: %v", err)
 			}
-			bn, err := snn.NewBatchNetwork32(net, 8)
+			pool, err := NewPool(net, 1)
 			if err != nil {
-				t.Fatalf("NewBatchNetwork32: %v", err)
+				t.Fatalf("NewPool: %v", err)
+			}
+			rep, err := pool.Get(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Put(rep)
+			bn, err := rep.Batch(8, true)
+			if err != nil {
+				t.Fatalf("Batch: %v", err)
 			}
 			policies := []ExitPolicy{
 				{MaxSteps: 64, MinSteps: 8, StableWindow: 6},

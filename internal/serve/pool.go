@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,51 +9,25 @@ import (
 )
 
 // Replica is one checkout unit of a Pool: a weight-sharing sequential
-// simulator plus, built lazily on first use, its batched lockstep variant
-// (which shares the float32 copies of the same weights, and the scatter
-// tables; no served request runs it). A request — or a whole microbatch —
-// holds the Replica exclusively, so neither simulator needs internal
-// locking.
+// simulator. A request — or a whole microbatch, run one request after
+// another — holds the Replica exclusively, so the simulator needs no
+// internal locking.
 type Replica struct {
-	// Net is the sequential simulator (single-image path).
 	Net *snn.Network
-
-	batch    *snn.BatchNetwork32
-	batchErr error
 }
 
-// Batch returns the replica's lockstep simulator with at least b lanes,
-// constructing — or widening — it on first use. The error is sticky: a
-// network whose encoder cannot batch (e.g. a stream-stateful Poisson
-// encoder) fails once and is not re-probed.
-//
-// f32 is vestigial: it selected between the float32 and float64 lockstep
-// planes until the float64 one was removed, and stays only because the
-// repository benchmark calls Batch(b, true). false is an error.
-func (r *Replica) Batch(b int, f32 bool) (*snn.BatchNetwork32, error) {
-	if !f32 {
-		return nil, errors.New("serve: the float64 lockstep plane was removed; Batch takes f32 = true")
-	}
-	if r.batch != nil && r.batch.B() >= b {
-		return r.batch, nil
-	}
-	if r.batchErr != nil {
-		return nil, r.batchErr
-	}
-	bn, err := snn.NewBatchNetwork32(r.Net, b)
-	if err != nil {
-		r.batchErr = err
-		return nil, err
-	}
-	r.batch = bn
-	return bn, nil
-}
+// Batch returns the replica's simulator; b and the second argument are
+// ignored, and the error is always nil. It stays because the frozen
+// benchmark names it: its ladder times ClassifyBatch on Batch(b, true),
+// which runs the images one after another on this simulator.
+func (r *Replica) Batch(b int, _ bool) (*snn.Network, error) { return r.Net, nil }
 
 // Pool is a resizable checkout pool of simulator replicas. The spiking
 // simulator is stateful (Reset/Step mutate membrane potentials), so a
-// request must hold a replica exclusively for its whole run; the pool
+// request — or a microbatch, whose requests run one after another on
+// the one replica — must hold it exclusively for its whole run; the pool
 // bounds simulator memory to at most Max networks while letting Size
-// requests (or microbatches) simulate concurrently.
+// of them simulate concurrently.
 //
 // The prototype network stays out of the serving rotation as a pure
 // clone template: every replica is a weight-sharing clone, so Resize can

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -171,5 +172,28 @@ func TestKernelDispatchReportsLevel(t *testing.T) {
 	}
 	if got := page.Kernels["detected"]; got != kernels.DetectedLevel() {
 		t.Errorf("/healthz kernels.detected = %q, want %q", got, kernels.DetectedLevel())
+	}
+}
+
+// TestMetricsReportsDispatchTier pins the observability half of the
+// dispatch ladder: the Prometheus page must name the tier the kernels
+// actually run on — for every forceable tier, kernel_dispatch_info's
+// active label is that tier, next to the CPUID probe's result.
+func TestMetricsReportsDispatchTier(t *testing.T) {
+	defer kernels.ForceLevel("")
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	for _, lv := range kernels.Available() {
+		if err := kernels.ForceLevel(lv); err != nil {
+			t.Fatal(err)
+		}
+		var page strings.Builder
+		if err := s.writeProm(&page); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`burstsnn_kernel_dispatch_info{active=%q,detected=%q} 1`, lv, kernels.DetectedLevel())
+		if !strings.Contains(page.String(), want) {
+			t.Fatalf("tier %s: prom page lacks %s", lv, want)
+		}
 	}
 }

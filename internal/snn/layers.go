@@ -121,7 +121,7 @@ func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.K)/g.Stride + 1 }
 // channel oc's neuron index stays oc*OutH*OutW+base. Two int32s keep the
 // table at 8 bytes per tap; it is immutable after construction and shared
 // by every clone. The type lives in internal/kernels (kernels.ConvTap)
-// so both planes' fused scatters walk the table directly.
+// so the fused scatter kernels walk the table directly.
 type convTap = kernels.ConvTap
 
 // SpikingConv is a 2-D convolution spiking layer. An input event at
@@ -135,9 +135,9 @@ type convTap = kernels.ConvTap
 // branches per event, which dominated the hot path's cost.
 //
 // The population is stored base-major — neuron oc*OutH*OutW+base lives in
-// cell base*OutC+oc, the float32 plane's layout — so the OutC
-// destinations of one tap are one contiguous run that lines up with the
-// tap's weight row, and a whole step's events are one
+// cell base*OutC+oc — so the OutC destinations of one tap are one
+// contiguous run that lines up with the tap's weight row, and a whole
+// step's events are one
 // kernels.ConvScatterEvents64 call. A conv fed dense input runs in dense
 // mode instead (UseDenseMode): CHW storage and a gather. Neuron indices,
 // and the order events are emitted in, are CHW either way
@@ -448,11 +448,8 @@ func (l *SpikingAvgPool) StepSlow(t int, _ float64, in []coding.Event) []coding.
 // silent for the step and the pooled signal is lost.
 //
 // Emission order: forwarded events are emitted in ascending window index
-// order (not input-event order). Every other layer already emits in
-// ascending neuron order, and the batched lockstep simulator relies on
-// that invariant — a lane projected out of a batch column stream must see
-// events in exactly the sequential order, or downstream float
-// accumulation diverges (see internal/README.md).
+// order (not input-event order), like every other layer, so a
+// downstream layer's float accumulation sees one fixed event order.
 type SpikingMaxPool struct {
 	C, H, W, Window int
 
