@@ -222,6 +222,332 @@ func testFireRowsBurstFuzz(t *testing.T) {
 	}
 }
 
+// The seven fuzzers below keep the names of the fuzzers of float32
+// kernels that were deleted with the lockstep plane (AxpyBlockVec,
+// AxpyLane, ScaleAdd, FireRow/FireRowBias, the single-row FireRowBurst,
+// SelectMaxRow, LaneMaskBit/LaneMaskEq). Each pins the same contract
+// where it now lives: a special case of a kept kernel, or, for
+// SelectMaxRow, the readout's argmax.
+
+func refAxpyBlockVec(dst, row, pv []float32, b, lanes int) {
+	for i, w := range row {
+		for j := 0; j < lanes; j++ {
+			wp := w * pv[j]
+			dst[i*b+j] += wp
+		}
+	}
+}
+
+// TestAxpyBlockVecFuzz: a per-lane payload vector scattered through one
+// row is ConvScatterVec with a single tap at base 0 (over all b lanes).
+func TestAxpyBlockVecFuzz(t *testing.T) { forEachLevel(t, testAxpyBlockVecFuzz) }
+
+func testAxpyBlockVecFuzz(t *testing.T) {
+	r := mathx.NewRNG(0xA1B2)
+	for round := 0; round < 500; round++ {
+		b := 1 + r.Intn(70)
+		n := 1 + r.Intn(33)
+		row := randF32s(r, n, 0.5)
+		pv := randF32s(r, b, 1)
+		for i := range pv {
+			if r.Intn(3) == 0 {
+				pv[i] = 0 // absent lanes are zero-filled in real use
+			}
+		}
+		dst := randF32s(r, n*b, 1)
+		want := append([]float32(nil), dst...)
+
+		ConvScatterVec(dst, row, []ConvTap{{}}, n, b, pv)
+		refAxpyBlockVec(want, row, pv, b, b)
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("round %d (b=%d n=%d): dst[%d] = %v, want %v",
+					round, b, n, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAxpyLaneFuzz: one lane's scatter, dst[lane+i·b] += row[i]·p, is
+// AxpyBlock with one active lane on the block starting at that lane.
+func TestAxpyLaneFuzz(t *testing.T) { forEachLevel(t, testAxpyLaneFuzz) }
+
+func testAxpyLaneFuzz(t *testing.T) {
+	r := mathx.NewRNG(0xA1B1)
+	for round := 0; round < 200; round++ {
+		b := 1 + r.Intn(32)
+		lane := r.Intn(b)
+		n := 1 + r.Intn(40)
+		row := randF32s(r, n, 0.5)
+		dst := randF32s(r, n*b, 1)
+		want := append([]float32(nil), dst...)
+		p := float32(r.Norm(0, 1))
+
+		AxpyBlock(dst[lane:], row, p, b, 1)
+		for i, w := range row {
+			wp := w * p
+			want[lane+i*b] += wp
+		}
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("round %d: dst[%d] = %v, want %v", round, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScaleAddFuzz: adding x to every element is AxpyBlock's one-row
+// case with a unit weight over a stripe of len(dst) lanes, which walks
+// the unrolled stripe loop and its tail at every length up to 129.
+func TestScaleAddFuzz(t *testing.T) { forEachLevel(t, testScaleAddFuzz) }
+
+func testScaleAddFuzz(t *testing.T) {
+	r := mathx.NewRNG(0x5CA1)
+	for round := 0; round < 300; round++ {
+		dst := randF32s(r, r.Intn(130), 1)
+		want := append([]float32(nil), dst...)
+		x := float32(r.Norm(0, 1))
+		AxpyBlock(dst, []float32{1}, x, len(dst), len(dst))
+		for i := range want {
+			want[i] += x
+		}
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("round %d: dst[%d] = %v, want %v", round, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+func refFireRow(v []float32, bias, th float32) uint64 {
+	var m uint64
+	for s := range v {
+		v[s] += bias
+		if v[s] >= th {
+			v[s] -= th
+			m |= 1 << uint(s)
+		}
+	}
+	return m
+}
+
+// fireCase fuzzes the plain (rate-coding) fire rule on one row — reset
+// by subtracting a fixed threshold — including exact-threshold lanes
+// (v == th must fire and reset to exactly 0). FireRowsBurst with β = 1
+// and every g at 1 is that rule: the threshold never grows, and the
+// payload is the threshold.
+func fireCase(t *testing.T, round int, r *mathx.RNG, withBias bool) {
+	t.Helper()
+	n := 1 + r.Intn(64)
+	th := float32(0.125 * math.Pow(2, float64(r.Intn(6))))
+	v := make([]float32, n)
+	g := make([]float32, n)
+	fired := make([]uint32, n)
+	for i := range v {
+		switch r.Intn(5) {
+		case 0:
+			v[i] = th // exact threshold: must fire
+		case 1:
+			v[i] = th * float32(r.Norm(1, 1e-6)) // near-threshold
+		default:
+			v[i] = float32(r.Norm(0, float64(th)*2))
+		}
+		g[i] = 1
+		if r.Bernoulli(0.5) {
+			fired[i] = ^uint32(0)
+		}
+	}
+	want := append([]float32(nil), v...)
+	var bias []float32
+	var bv float32
+	if withBias {
+		bv = float32(r.Norm(0, 0.1))
+		bias = []float32{bv}
+	}
+	pay := make([]float32, n)
+	masks := make([]uint64, 1)
+	occ := make([]uint64, 1)
+	FireRowsBurst(v, g, pay, fired, masks, occ, 1, n, bias, 1, 1, th)
+	ref := refFireRow(want, bv, th)
+	if masks[0] != ref {
+		t.Fatalf("round %d (bias=%v n=%d th=%v): mask %064b, want %064b", round, withBias, n, th, masks[0], ref)
+	}
+	for i := range want {
+		if math.Float32bits(v[i]) != math.Float32bits(want[i]) || g[i] != 1 || pay[i] != th {
+			t.Fatalf("round %d (bias=%v): lane %d v %v/%v g %v pay %v (th %v)",
+				round, withBias, i, v[i], want[i], g[i], pay[i], th)
+		}
+	}
+}
+
+func TestFireRowFuzz(t *testing.T) { forEachLevel(t, testFireRowFuzz) }
+
+func testFireRowFuzz(t *testing.T) {
+	r := mathx.NewRNG(0xF12E)
+	for round := 0; round < 500; round++ {
+		fireCase(t, round, r, false)
+		fireCase(t, round, r, true)
+	}
+}
+
+// TestFireRowBurstFuzz pins the burst fire rule on a single row, with
+// exact-threshold lanes at every burst-ladder state: FireRowsBurst with
+// n = 1 and a unit bias scale.
+func TestFireRowBurstFuzz(t *testing.T) { forEachLevel(t, testFireRowBurstFuzz) }
+
+func testFireRowBurstFuzz(t *testing.T) {
+	r := mathx.NewRNG(0xB125)
+	for round := 0; round < 600; round++ {
+		n := 1 + r.Intn(64)
+		beta := float32(2)
+		vth := float32(0.125)
+		bias := float32(r.Norm(0, 0.05))
+		v := make([]float32, n)
+		g := make([]float32, n)
+		fired := make([]uint32, n)
+		for i := range v {
+			v[i] = float32(r.Norm(0, 0.5))
+			g[i] = float32(math.Pow(2, float64(r.Intn(6)))) // burst ladder states
+			if r.Bernoulli(0.5) {
+				fired[i] = ^uint32(0)
+			}
+			if r.Intn(5) == 0 {
+				// Exact threshold: must fire and reset to exactly 0.
+				gv := g[i]
+				if fired[i] == 0 {
+					gv = 1
+				} else {
+					gv = beta * g[i]
+				}
+				v[i] = gv*vth - bias
+			}
+		}
+		pay := make([]float32, n)
+		masks := make([]uint64, 1)
+		occ := make([]uint64, 1)
+		wantV := append([]float32(nil), v...)
+		wantG := append([]float32(nil), g...)
+		wantF := append([]uint32(nil), fired...)
+		wantP := make([]float32, n)
+
+		FireRowsBurst(v, g, pay, fired, masks, occ, 1, n, []float32{bias}, 1, beta, vth)
+		want := refFireRowBurst(wantV, wantG, wantP, wantF, bias, beta, vth)
+		if masks[0] != want {
+			t.Fatalf("round %d (n=%d): mask %064b, want %064b", round, n, masks[0], want)
+		}
+		for i := range wantV {
+			if math.Float32bits(v[i]) != math.Float32bits(wantV[i]) ||
+				math.Float32bits(g[i]) != math.Float32bits(wantG[i]) ||
+				math.Float32bits(pay[i]) != math.Float32bits(wantP[i]) ||
+				fired[i] != wantF[i] {
+				t.Fatalf("round %d lane %d: v %v/%v g %v/%v pay %v/%v fired %x/%x",
+					round, i, v[i], wantV[i], g[i], wantG[i], pay[i], wantP[i], fired[i], wantF[i])
+			}
+		}
+	}
+}
+
+func refSelectMaxRow(best, row []float32, idx []int32, o int32, lanes int) {
+	for s := 0; s < lanes; s++ {
+		if row[s] > best[s] {
+			best[s] = row[s]
+			idx[s] = o
+		}
+	}
+}
+
+// TestSelectMaxRowFuzz pins the readout's prediction rule, which the
+// sequential engine applies through mathx.ArgMax: per lane, a running
+// maximum over the class rows in order, replaced only by a strictly
+// larger value, so exact ties keep the earliest class.
+func TestSelectMaxRowFuzz(t *testing.T) { forEachLevel(t, testSelectMaxRowFuzz) }
+
+func testSelectMaxRowFuzz(t *testing.T) {
+	r := mathx.NewRNG(0xA26A)
+	for round := 0; round < 400; round++ {
+		lanes := 1 + r.Intn(64)
+		classes := 1 + r.Intn(12)
+		rows := make([][]float32, classes)
+		for o := range rows {
+			rows[o] = randF32s(r, lanes, 1)
+			for s := range rows[o] {
+				if o > 0 && r.Intn(4) == 0 {
+					rows[o][s] = rows[r.Intn(o)][s] // exact ties must NOT replace (first wins)
+				}
+			}
+		}
+		best := append([]float32(nil), rows[0]...)
+		idx := make([]int32, lanes)
+		for o := 1; o < classes; o++ {
+			refSelectMaxRow(best, rows[o], idx, int32(o), lanes)
+		}
+		col := make([]float64, classes)
+		for s := 0; s < lanes; s++ {
+			for o := range rows {
+				col[o] = float64(rows[o][s])
+			}
+			if got := mathx.ArgMax(col); got != int(idx[s]) {
+				t.Fatalf("round %d lane %d (classes=%d): ArgMax %d, running max %d over %v",
+					round, s, classes, got, idx[s], col)
+			}
+		}
+	}
+}
+
+// TestLaneMaskFuzz pins the lane masks FireRowsBurst emits against the
+// two lane sweeps over the fired words it writes: bit s of masks[c] is
+// set iff lane s's word equals all-ones (the equality sweep) and iff
+// any one of its bits is set (the single-bit sweep, at a random shift),
+// and occ summarizes exactly the non-zero masks.
+func TestLaneMaskFuzz(t *testing.T) { forEachLevel(t, testLaneMaskFuzz) }
+
+func testLaneMaskFuzz(t *testing.T) {
+	r := mathx.NewRNG(0x1A5E)
+	for round := 0; round < 400; round++ {
+		b := 1 + r.Intn(64)
+		n := 1 + r.Intn(70)
+		v := randF32s(r, n*b, 0.25)
+		g := make([]float32, n*b)
+		fired := make([]uint32, n*b)
+		for i := range g {
+			g[i] = float32(math.Pow(2, float64(r.Intn(4))))
+			if r.Bernoulli(0.5) {
+				fired[i] = ^uint32(0)
+			}
+		}
+		pay := make([]float32, n*b)
+		masks := make([]uint64, n)
+		occ := make([]uint64, (n+63)/64)
+		FireRowsBurst(v, g, pay, fired, masks, occ, n, b, nil, 1, 2, 0.125)
+
+		shift := uint(r.Intn(32))
+		wantOcc := make([]uint64, len(occ))
+		for c := 0; c < n; c++ {
+			var refBit, refEq uint64
+			for s, w := range fired[c*b : c*b+b] {
+				if w>>shift&1 == 1 {
+					refBit |= 1 << uint(s)
+				}
+				if w == ^uint32(0) {
+					refEq |= 1 << uint(s)
+				}
+			}
+			if masks[c] != refBit || masks[c] != refEq {
+				t.Fatalf("round %d (n=%d b=%d) row %d: mask %064b, bit sweep (shift %d) %064b, eq sweep %064b",
+					round, n, b, c, masks[c], shift, refBit, refEq)
+			}
+			if refEq != 0 {
+				wantOcc[c>>6] |= 1 << (uint(c) & 63)
+			}
+		}
+		for w := range occ {
+			if occ[w] != wantOcc[w] {
+				t.Fatalf("round %d (n=%d b=%d): occ[%d] %064b, want %064b", round, n, b, w, occ[w], wantOcc[w])
+			}
+		}
+	}
+}
+
 func TestEmptyInputs(t *testing.T) {
 	AxpyBlock(nil, nil, 1, 4, 2)
 	AxpyBlock([]float32{1}, []float32{1}, 1, 4, 0)
