@@ -92,8 +92,8 @@ func runFleetBench(outPath string) error {
 		Epochs: 8, BatchSize: 32, Seed: 5,
 	})
 
-	// 512 distinct images cycled by every point: unique enough that the
-	// batcher's in-window dedupe cannot collapse the load.
+	// 512 distinct images cycled by every point; the shards run with the
+	// response cache off, so every request simulates.
 	images := make([][]float64, 512)
 	for i := range images {
 		rng := mathx.NewRNG(uint64(i)*2654435761 + 99)

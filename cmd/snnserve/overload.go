@@ -157,8 +157,8 @@ func runOverloadSelftest(hybrid burstsnn.Hybrid, exit serve.ExitPolicy, logger *
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// Unique image per request: the cache and the batcher's
-				// dedupe can't absorb any of the burst.
+				// Unique image per request: the response cache can't
+				// absorb any of the burst.
 				img := append([]float64(nil), set.Test[i%len(set.Test)].Image...)
 				img[0] = float64(i+1) / float64(1<<20)
 				res, status, retryAfter, err := classifyHTTPStatus(client, base, serve.ClassifyRequest{

@@ -169,7 +169,7 @@ func fnv1aImage(image []float64) uint64 {
 // bijection of the changed word, so images differing in one pixel never
 // collide. It is fast, not collision-resistant — callers that act on a
 // match must verify pixel equality with SameImage (as the response
-// cache and the batcher dedupe do).
+// cache does).
 func HashImage(image []float64) uint64 {
 	h := uint64(len(image))
 	// The lanes start at the first hexadecimal digits of π.

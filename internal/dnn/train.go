@@ -85,9 +85,3 @@ func Evaluate(net *Network, samples []dataset.Sample) float64 {
 	}
 	return float64(correct) / float64(len(samples))
 }
-
-// Predict returns the argmax class for one image.
-func Predict(net *Network, image []float64) int {
-	x := tensor.FromSlice(image, net.InShape...)
-	return mathx.ArgMax(net.Forward(x).Data)
-}

@@ -163,14 +163,6 @@ func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, 
 	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }
 
-// convScatter64 is the per-step kernel's one-event case: the tap list is
-// the whole of a one-row table.
-func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
-	span := [2]int32{0, int32(len(taps))}
-	ev := [1]Event{{Payload: p}}
-	convScatterEvents64(vmem, wsc, taps, span[:], ev[:], outC)
-}
-
 func convGatherPacked(outC int) bool { return outC&3 == 0 && activeLevel() >= levelAVX2 }
 
 // convGather64 runs the packed gather over whole cell groups of every

@@ -32,10 +32,6 @@ func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, 
 	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }
 
-func convScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
-	convScatter64Generic(vmem, wsc, taps, outC, p)
-}
-
 func convGatherPacked(outC int) bool { return false }
 
 func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {

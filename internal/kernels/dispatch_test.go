@@ -124,14 +124,21 @@ func TestCrossTierTailAlignmentFuzz(t *testing.T) {
 			name string
 			run  func() result
 		}{
-			{"convscatter64", func() result {
+			{"convscatterevents64 one event", func() result {
 				outC := fuzzOutCs[lanes%len(fuzzOutCs)]
 				taps := make([]ConvTap, n%4)
 				for i := range taps {
 					taps[i] = ConvTap{WOff: int32(i%2) * int32(outC), Base: int32(i)}
 				}
 				vm := f64Like(buf, off+3*outC)
-				ConvScatter64(vm[off:], f64Like(pv, off+2*outC)[off:], taps, outC, float64(p))
+				wsc := f64Like(pv, off+2*outC)[off:]
+				want := append([]float64(nil), vm...)
+				refConvScatter64(want[off:], wsc, taps, outC, float64(p))
+				ConvScatterEvents64(vm[off:], wsc, taps, []int32{0, int32(len(taps))}, []Event{{Payload: float64(p)}}, outC)
+				if i := sameBits64(vm, want); i >= 0 {
+					t.Fatalf("round %d one-event scatter (off=%d outC=%d taps=%d): vmem[%d] = %v, reference %v",
+						round, off, outC, len(taps), i, vm[i], want[i])
+				}
 				return result{f64: vm}
 			}},
 			{"convscatterevents64", func() result {

@@ -45,24 +45,6 @@ import "math"
 // training inherits the contract — bit-identical to its scalar loops at
 // every tier.
 
-// ConvScatter64 applies one input event of payload p to a base-major
-// conv accumulator, walking the event's whole tap list — the one-event
-// case of ConvScatterEvents64, which the simulator calls once per step:
-//
-//	for each tap t:
-//	  vmem[t.Base·outC + i] += wsc[t.WOff+i] * p   for i in [0,outC)
-//
-// Each destination receives exactly one rounded product and one add. An
-// event touches a neuron at most once (its taps address distinct
-// bases), so the order taps are applied in cannot change a bit. vmem and
-// wsc must cover every tap's block and row.
-func ConvScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
-	if len(taps) == 0 || outC <= 0 {
-		return
-	}
-	convScatter64(vmem, wsc, taps, outC, p)
-}
-
 // Event is one spike: the flat index of the neuron that fired and the
 // payload it transmits. It is defined here, below every package that
 // produces or consumes spikes, so a kernel can walk a step's event list
@@ -73,13 +55,20 @@ type Event struct {
 }
 
 // ConvScatterEvents64 applies one step's whole event list to a
-// base-major conv accumulator in one call — ConvScatter64 over
-// taps[tapStart[ev.Index]:tapStart[ev.Index+1]] with payload ev.Payload
-// for each event in order, so every destination receives the same
-// rounded products in the same order as the per-event loop. tapStart is
-// the layer's scatter-table index (one entry per input neuron plus the
-// end); an event whose Index lies outside it panics before anything is
-// written. vmem and wsc must cover every tap's block and row.
+// base-major conv accumulator in one call. Each event, in order, walks
+// its tap list taps[tapStart[ev.Index]:tapStart[ev.Index+1]] with
+// payload p = ev.Payload:
+//
+//	for each tap t:
+//	  vmem[t.Base·outC + i] += wsc[t.WOff+i] * p   for i in [0,outC)
+//
+// An event adds exactly one rounded product to each destination it
+// touches, and touches a neuron at most once (its taps address distinct
+// bases), so the order its taps are applied in cannot change a bit;
+// events apply in list order. tapStart is the layer's scatter-table
+// index (one entry per input neuron plus the end); an event whose Index
+// lies outside it panics before anything is written. vmem and wsc must
+// cover every tap's block and row.
 func ConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
 	if len(events) == 0 || outC <= 0 {
 		return

@@ -553,9 +553,8 @@ func TestEmptyInputs(t *testing.T) {
 	AxpyBlock([]float32{1}, []float32{1}, 1, 4, 0)
 	ConvScatterVec(nil, nil, nil, 4, 2, nil)
 	FireRowsBurst(nil, nil, nil, nil, nil, nil, 0, 8, nil, 1, 2, 1)
-	ConvScatter64(nil, nil, nil, 4, 1)
-	ConvScatter64([]float64{1}, []float64{1}, []ConvTap{{}}, 0, 1)
 	ConvScatterEvents64(nil, nil, nil, nil, nil, 4)
+	ConvScatterEvents64(nil, nil, nil, []int32{0, 0}, []Event{{Payload: 1}}, 4) // one event, no taps, no buffers
 	ConvScatterEvents64([]float64{1}, []float64{1}, []ConvTap{{}}, []int32{0, 1}, []Event{{}}, 0)
 	ConvScatterEvents64([]float64{1}, []float64{1}, nil, []int32{0, 0}, []Event{{}}, 4) // an event with no taps
 	if FireCells64(nil, nil, nil, 1, 1) != 0 || FireCellsBurst64(nil, nil, nil, nil, 1, 2, 1) != 0 {
@@ -611,6 +610,9 @@ func refConvScatter64(vmem, wsc []float64, taps []ConvTap, outC int, p float64) 
 	}
 }
 
+// TestConvScatter64Fuzz checks ConvScatterEvents64's one-event case —
+// a one-row table holding the whole tap list — against the scalar
+// reference.
 func TestConvScatter64Fuzz(t *testing.T) { forEachLevel(t, testConvScatter64Fuzz) }
 
 func testConvScatter64Fuzz(t *testing.T) {
@@ -639,7 +641,7 @@ func testConvScatter64Fuzz(t *testing.T) {
 		vmem := randF64s(r, nBases*outC, 1)
 		want := append([]float64(nil), vmem...)
 		refConvScatter64(want, wsc, taps, outC, p)
-		ConvScatter64(vmem, wsc, taps, outC, p)
+		ConvScatterEvents64(vmem, wsc, taps, []int32{0, int32(len(taps))}, []Event{{Payload: p}}, outC)
 		if i := sameBits64(vmem, want); i >= 0 {
 			t.Fatalf("round %d (outC=%d taps=%d p=%v): vmem[%d] = %v, want %v",
 				round, outC, len(taps), p, i, vmem[i], want[i])
@@ -714,7 +716,8 @@ func testConvScatterEvents64Fuzz(t *testing.T) {
 		refConvScatterEvents64(want, wsc, taps, tapStart, events, outC)
 		perEvent := append([]float64(nil), vmem...)
 		for _, ev := range events {
-			ConvScatter64(perEvent, wsc, taps[tapStart[ev.Index]:tapStart[ev.Index+1]], outC, ev.Payload)
+			evTaps := taps[tapStart[ev.Index]:tapStart[ev.Index+1]]
+			ConvScatterEvents64(perEvent, wsc, evTaps, []int32{0, int32(len(evTaps))}, []Event{{Payload: ev.Payload}}, outC)
 		}
 		ConvScatterEvents64(vmem, wsc, taps, tapStart, events, outC)
 		if i := sameBits64(vmem, want); i >= 0 {
@@ -722,7 +725,7 @@ func testConvScatterEvents64Fuzz(t *testing.T) {
 				round, outC, len(events), i, vmem[i], want[i])
 		}
 		if i := sameBits64(vmem, perEvent); i >= 0 {
-			t.Fatalf("round %d (outC=%d events=%d): vmem[%d] = %v, per-event ConvScatter64 %v",
+			t.Fatalf("round %d (outC=%d events=%d): vmem[%d] = %v, one event at a time %v",
 				round, outC, len(events), i, vmem[i], perEvent[i])
 		}
 

@@ -71,9 +71,7 @@ func (s Stage) String() string {
 // includes the formation window, the replica-checkout wait and, for a
 // request run back to back with its batchmates, the simulations ahead of
 // its own, so Form ⊂ Queue and the spans are not disjoint — they answer
-// "where did the time go" per stage, not "sum to total". Duplicate-fan
-// requests (batcher dedupe) ride their representative's spans with their
-// own Queue.
+// "where did the time go" per stage, not "sum to total".
 type StageTimes struct {
 	Queue    time.Duration
 	Form     time.Duration

@@ -28,9 +28,6 @@ type Trace struct {
 	Steps      int  `json:"steps"`
 	EarlyExit  bool `json:"earlyExit"`
 	Prediction int  `json:"prediction"`
-	// Deduped marks a request served by duplicate fan-out: it rode a
-	// batchmate's simulation rather than its own.
-	Deduped bool `json:"deduped,omitempty"`
 	// Cached marks a request answered by the cross-batch response cache:
 	// it never queued, held a replica, or simulated (all stage spans but
 	// the total are zero).

@@ -328,8 +328,8 @@ func TestSequentialBatchQueueSpanCoversBatchmates(t *testing.T) {
 // simulation, and the rest of the batch is unaffected. The response
 // cache is the witness that nothing was simulated: it learns an image on
 // its second recorded outcome, so after two identical batches it answers
-// every lane but the cancelled one. A cancelled lane that duplicates
-// ride still simulates — they need the outcome.
+// every lane but the cancelled one. The cancelled lane's twin in the
+// same batch simulates itself and gets the outcome.
 func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	const lanes, dead = 8, 5
 	b, batch := sequentialBatch(t, lanes)
@@ -364,8 +364,8 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 		}
 	}
 
-	// The cancelled lane's twin arrives in the same batch: the
-	// representative is dead, the rider is not, and it gets the outcome.
+	// The cancelled lane's twin arrives in the same batch: the lane is
+	// dead, the twin is not, and it simulates and gets the outcome.
 	reqs := batch()
 	ctx, cancel := context.WithCancel(context.Background())
 	reqs[dead].ctx = ctx
@@ -373,8 +373,31 @@ func TestSequentialBatchSkipsCanceledLane(t *testing.T) {
 	twin := *reqs[dead]
 	twin.ctx, twin.done = context.Background(), make(chan batchResult, 1)
 	results := runBatch(append(reqs, &twin))
-	if res := results[lanes]; res.err != nil || !res.deduped || res.out != want[dead].out {
-		t.Fatalf("duplicate of a cancelled lane: %+v deduped=%v, %v; want %+v", res.out, res.deduped, res.err, want[dead].out)
+	if res := results[lanes]; res.err != nil || res.out != want[dead].out {
+		t.Fatalf("twin of a cancelled lane: %+v, %v; want %+v", res.out, res.err, want[dead].out)
+	}
+}
+
+// TestSequentialBatchAllocatesNothing: with the response cache off, a
+// batch of distinct lanes costs the batcher no heap allocation — run
+// checks each lane, simulates it on the replica and replies, and keeps
+// no per-batch bookkeeping of its own.
+func TestSequentialBatchAllocatesNothing(t *testing.T) {
+	const lanes = 8
+	b, batch := sequentialBatch(t, lanes)
+	reqs := batch()
+	batchReqs := make([]*batchRequest, lanes)
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(batchReqs, reqs)
+		b.run(<-b.pool.ch, batchReqs, 0, 1)
+		for i, req := range reqs {
+			if res := <-req.done; res.err != nil {
+				t.Fatalf("lane %d: %v", i, res.err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("run over %d distinct lanes allocates %v times per batch, want 0", lanes, allocs)
 	}
 }
 

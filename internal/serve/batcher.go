@@ -62,10 +62,9 @@ const drainEWMAWeight = 0.25
 // Requests are grouped into batches of up to MaxBatch. A partial batch
 // waits for company inside an adaptive forming window: MaxDelay is its
 // upper bound, and it decays to zero for traffic that waiting does not
-// gather (see form.go). Each batch checks out one replica, collapses
-// identical requests, and runs the rest back to back on the sequential
-// engine in arrival order, so a request's outcome never depends on its
-// batchmates.
+// gather (see form.go). Each batch checks out one replica and runs its
+// requests back to back on the sequential engine in arrival order, so a
+// request's outcome never depends on its batchmates.
 //
 // In front of the queue sits the overload plane: an optional cross-batch
 // response cache answers replayed (image, policy) pairs without a queue
@@ -80,7 +79,7 @@ const drainEWMAWeight = 0.25
 // waiting for replicas — is where backlog accumulates and gets measured.
 type Batcher struct {
 	pool     *Pool
-	metrics  *Metrics           // forming/dedupe counters; may be nil
+	metrics  *Metrics           // forming counters; may be nil
 	cache    *ResponseCache     // cross-batch response cache; nil disables
 	degrade  *DegradeController // degraded-mode state machine; nil disables
 	fair     *FairSlot          // cross-model fair execution slots; nil disables
@@ -131,7 +130,7 @@ type Batcher struct {
 // BatcherConfig carries NewBatcher's optional collaborators and tuning;
 // the zero value is a plain 1-request-at-a-time batcher.
 type BatcherConfig struct {
-	Metrics  *Metrics           // forming/dedupe counters; nil disables
+	Metrics  *Metrics           // forming counters; nil disables
 	Cache    *ResponseCache     // cross-batch response cache; nil disables
 	Degrade  *DegradeController // degraded-mode controller; nil disables
 	Fair     *FairSlot          // cross-model fair slots (see FairDispatcher); nil disables
@@ -144,11 +143,9 @@ type BatcherConfig struct {
 	// Submits beyond it shed with ErrOverloaded.
 	QueueDepth int
 
-	// InjectLatency and InjectFault are overload-test hooks: every batch
-	// holds its replica InjectLatency longer, and a non-nil InjectFault
-	// error fails the batch's live requests before execution.
+	// InjectLatency is an overload-test hook: every batch holds its
+	// replica this much longer.
 	InjectLatency time.Duration
-	InjectFault   func() error
 }
 
 type batchRequest struct {
@@ -165,14 +162,12 @@ type batchResult struct {
 	// stages carries the request's measured stage spans back to the
 	// server (queue/form from the batcher, engine spans from the
 	// classify call that served it).
-	stages  obs.StageTimes
-	deduped bool
-	err     error
+	stages obs.StageTimes
+	err    error
 }
 
 // SubmitFlags reports how a request was served, alongside its outcome.
 type SubmitFlags struct {
-	Deduped  bool // answered by in-window duplicate fan-out
 	Cached   bool // answered by the response cache; never queued or simulated
 	Degraded bool // ran under the degraded-mode tightened policy
 }
@@ -199,7 +194,6 @@ func NewBatcher(pool *Pool, cfg BatcherConfig) *Batcher {
 		maxBatch:      maxBatch,
 		maxDelay:      cfg.MaxDelay,
 		injectLatency: cfg.InjectLatency,
-		injectFault:   cfg.InjectFault,
 		queue:         make(chan *batchRequest, queueDepth),
 		closeCtx:      closeCtx,
 		closeCancel:   closeCancel,
@@ -258,10 +252,10 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 		}
 	}
 
-	// Hash once per request: the cache lookup and record and dedupe all
-	// key on this, so no later stage rehashes the pixels. The lookup
-	// uses the (possibly tightened) effective policy — a degraded request
-	// can only be answered by a degraded-policy entry.
+	// Hash once per request: the cache lookup and record both key on
+	// this, so no later stage rehashes the pixels. The lookup uses the
+	// (possibly tightened) effective policy — a degraded request can only
+	// be answered by a degraded-policy entry.
 	hash := coding.HashImage(image)
 	if b.cache != nil {
 		if out, ok := b.cache.Lookup(hash, image, p); ok {
@@ -298,7 +292,6 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 	}
 	select {
 	case res := <-req.done:
-		flags.Deduped = res.deduped
 		return res.out, res.stages, flags, res.err
 	case <-ctx.Done():
 		// The batch may still execute the request; done is buffered so
@@ -536,17 +529,9 @@ func (b *Batcher) shedAtDispatch(req *batchRequest) bool {
 // batch still waiting when Close fires follows the handoff chain instead
 // of executing.
 //
-// Identical requests — same pixel contents, same policy — are classified
-// once and fanned out: the simulator is deterministic, so a duplicate's
-// outcome is exactly its representative's. Matching goes through the
-// image content hash with a pixel-equality check on hit (like the
-// ResponseCache), so a hash collision degrades to a non-duplicate,
-// never to another image's result. Retry/replay-heavy traffic thus pays
-// for one simulation per distinct image per microbatch; the deduped
-// count is surfaced as dedupedRequests in /metrics.
-//
-// The surviving unique requests run back to back on the replica's
-// sequential engine, in arrival order.
+// The live requests run back to back on the replica's sequential
+// engine, in arrival order. Each one's outcome goes to the response
+// cache, which answers repeats of it at admission.
 func (b *Batcher) run(rep *Replica, reqs []*batchRequest, form time.Duration, seq uint64) {
 	defer b.pool.Put(rep)
 	if b.fair != nil {
@@ -582,17 +567,13 @@ func (b *Batcher) run(rep *Replica, reqs []*batchRequest, form time.Duration, se
 			return
 		}
 	}
-	var dups map[*batchRequest][]*batchRequest
-	if len(live) > 1 {
-		live, dups = b.dedupe(live)
-	}
 	// Lane i waits out i simulations, so its queue span ends at its own
 	// start, and a lane whose caller gave up during that wait is answered
-	// as the batch-start check answers it, without a simulation — unless
-	// duplicates ride it, which still need the outcome. The first lane
-	// starts where that check left it.
+	// as the batch-start check answers it, without a simulation. The
+	// first lane starts where that check left it. Batch seq counts as
+	// replied from its first delivery on (see markReplied).
 	for i, req := range live {
-		if i > 0 && len(dups[req]) == 0 {
+		if i > 0 {
 			if err := req.ctx.Err(); err != nil {
 				req.done <- batchResult{err: err}
 				continue
@@ -601,56 +582,11 @@ func (b *Batcher) run(rep *Replica, reqs []*batchRequest, form time.Duration, se
 		start := time.Now()
 		out, times := ClassifyStaged(rep.Net, req.image, req.policy)
 		times.Form = form
+		times.Queue = start.Sub(req.enqueued)
 		if b.cache != nil {
-			// The response cache learns the outcome, so replays are
-			// answered at admission.
 			b.cache.Record(req.hash, req.image, req.policy, out)
 		}
-		b.deliver(seq, req, batchResult{out: out, stages: times}, dups, start)
-	}
-}
-
-// dedupe partitions live requests into unique representatives and their
-// duplicate fans. Requests count as duplicates only when the policies
-// are equal and the images match pixel for pixel (bit patterns, so a
-// HashImage collision — or NaN pixels — can never alias two requests).
-func (b *Batcher) dedupe(live []*batchRequest) ([]*batchRequest, map[*batchRequest][]*batchRequest) {
-	var dups map[*batchRequest][]*batchRequest
-	byHash := make(map[uint64][]*batchRequest, len(live))
-	uniq := live[:0]
-next:
-	for _, req := range live {
-		for _, cand := range byHash[req.hash] {
-			if cand.policy == req.policy && coding.SameImage(cand.image, req.image) {
-				if dups == nil {
-					dups = map[*batchRequest][]*batchRequest{}
-				}
-				dups[cand] = append(dups[cand], req)
-				continue next
-			}
-		}
-		byHash[req.hash] = append(byHash[req.hash], req)
-		uniq = append(uniq, req)
-	}
-	if deduped := len(live) - len(uniq); deduped > 0 && b.metrics != nil {
-		b.metrics.ObserveDeduped(deduped)
-	}
-	return uniq, dups
-}
-
-// deliver sends one result to its request and every duplicate riding it.
-// Each recipient's queue span is its own (enqueue → simStart, when the
-// simulation that answers it began); duplicates share the
-// representative's engine spans and are marked deduped. Batch seq counts
-// as replied from its first delivery on (see markReplied).
-func (b *Batcher) deliver(seq uint64, req *batchRequest, res batchResult, dups map[*batchRequest][]*batchRequest, simStart time.Time) {
-	b.markReplied(seq)
-	res.stages.Queue = simStart.Sub(req.enqueued)
-	req.done <- res
-	for _, d := range dups[req] {
-		r := res
-		r.stages.Queue = simStart.Sub(d.enqueued)
-		r.deduped = true
-		d.done <- r
+		b.markReplied(seq)
+		req.done <- batchResult{out: out, stages: times}
 	}
 }

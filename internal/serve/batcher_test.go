@@ -222,15 +222,15 @@ func TestBatcherBacklogStaysInQueue(t *testing.T) {
 		// One request a batch, drain-only: a batch waiting for a replica
 		// collects nothing, so the count below is exact.
 		MaxBatch: 1, QueueDepth: 16,
-		InjectFault: func() error { // holds the replica until released
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-hold
-			return nil
-		},
 	})
+	b.injectFault = func() error { // holds the replica until released
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-hold
+		return nil
+	}
 	defer b.Close()
 	release := sync.OnceFunc(func() { close(hold) })
 	defer release()
@@ -317,11 +317,12 @@ func TestExitPolicyValidate(t *testing.T) {
 	}
 }
 
-// TestBatcherDedupesIdenticalRequests checks the duplicate fan-out: a
-// microbatch carrying several identical (image, policy) requests — plus
-// distinct ones and a same-image/different-policy pair — simulates each
-// unique request once, answers every duplicate with its representative's
-// outcome, and counts the fan-outs in dedupedRequests.
+// TestBatcherDedupesIdenticalRequests checks identical requests in one
+// microbatch: several concurrent identical (image, policy) requests —
+// plus a distinct image and the same image under another policy — each
+// simulate on their own and get exactly the outcome a lone Classify
+// gives, the twin under the other policy and the distinct image are not
+// confused with them, and the retired dedupedRequests stays zero.
 func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 	// The batcher runs every microbatch on the sequential route.
 	t.Run("sequential", func(t *testing.T) {
@@ -354,10 +355,10 @@ func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 		}
 		subs := []sub{
 			{image, policyA, wantSame},
-			{image, policyA, wantSame},                            // duplicate
-			{append([]float64(nil), image...), policyA, wantSame}, // duplicate (distinct backing array)
+			{image, policyA, wantSame},                            // identical
+			{append([]float64(nil), image...), policyA, wantSame}, // identical pixels, distinct backing array
 			{distinct, policyA, wantDistinct},
-			{image, policyB, wantB}, // same image, different policy: NOT a duplicate
+			{image, policyB, wantB}, // same image, different policy
 		}
 		var wg sync.WaitGroup
 		for i, s := range subs {
@@ -375,8 +376,8 @@ func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 			}(i, s)
 		}
 		wg.Wait()
-		if s := metrics.Snapshot(); s.DedupedRequests != 2 {
-			t.Errorf("dedupedRequests = %d, want 2: %+v", s.DedupedRequests, s)
+		if s := metrics.Snapshot(); s.DedupedRequests != 0 {
+			t.Errorf("dedupedRequests = %d, want 0 (retired): %+v", s.DedupedRequests, s)
 		}
 	})
 }

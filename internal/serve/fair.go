@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // FairDispatcher allocates a fixed number of execution slots (replica
@@ -35,7 +34,6 @@ type fairModel struct {
 
 type fairWaiter struct {
 	ready   chan struct{}
-	since   time.Time
 	granted bool
 }
 
@@ -54,13 +52,6 @@ func NewFairDispatcher(capacity int) *FairDispatcher {
 		capacity = 1
 	}
 	return &FairDispatcher{capacity: capacity, models: map[string]*fairModel{}}
-}
-
-// Capacity returns the total slot count.
-func (d *FairDispatcher) Capacity() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.capacity
 }
 
 // Slot registers (or re-weights) a model and returns its handle. Weights
@@ -106,7 +97,7 @@ func (d *FairDispatcher) Remove(name string) {
 // downstream, and Release keeps the books straight).
 func (s *FairSlot) Acquire(ctx context.Context) error {
 	d := s.d
-	w := &fairWaiter{ready: make(chan struct{}), since: time.Now()}
+	w := &fairWaiter{ready: make(chan struct{})}
 	d.mu.Lock()
 	s.fm.waiters = append(s.fm.waiters, w)
 	d.pump()
@@ -199,8 +190,6 @@ type FairStats struct {
 	// persistently high waiting with low grants means the model is being
 	// outweighed.
 	Waiting int
-	// OldestWaitSec is how long the head waiter has been queued.
-	OldestWaitSec float64
 }
 
 // Stats returns the named model's fair-share snapshot.
@@ -223,9 +212,6 @@ func (d *FairDispatcher) Stats(name string) (FairStats, bool) {
 	}
 	if sum > 0 {
 		st.Share = fm.weight / sum
-	}
-	if len(fm.waiters) > 0 {
-		st.OldestWaitSec = time.Since(fm.waiters[0].since).Seconds()
 	}
 	return st, true
 }

@@ -92,8 +92,6 @@ var modelFamilies = []family{
 		}},
 	{Name: "early_exits_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.EarlyExits }, mergeSum),
 		Help: "Requests that exited before their full step budget."},
-	{Name: "deduped_requests_total", Kind: counter, Series: one(func(s *Snapshot) any { return &s.DedupedRequests }, mergeSum),
-		Help: "Requests answered by duplicate fan-out instead of simulating."},
 	{Name: "form_waits_total", Kind: counter, Label: "outcome",
 		Help: "Partial batches by how their wait for company ended: joined (the timed wait gained a request), fruitless (it gained nobody), skipped (the window was zero and no timer was armed).",
 		Series: []series{

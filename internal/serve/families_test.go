@@ -28,6 +28,7 @@ var tableExempt = map[string]string{
 	"MeanBatchOccupancy": "retired with the lockstep route: always zero, kept for the benchmark's reader",
 	"ExitHistoryHits":    "retired with the exit-step history: always zero, kept for the benchmark's reader",
 	"ExitHistoryMisses":  "retired with the exit-step history: always zero, kept for the benchmark's reader",
+	"DedupedRequests":    "retired with the batcher's in-batch dedupe: always zero, kept for the benchmark's reader",
 	"EncoderCacheHits":   "retired with the quantization cache: always zero, kept for the benchmark's reader",
 	"EncoderCacheMisses": "retired with the quantization cache: always zero, kept for the benchmark's reader",
 }

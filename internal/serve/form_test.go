@@ -134,7 +134,7 @@ func TestBatcherFormConverges(t *testing.T) {
 			images := make([][]float64, k)
 			for i := range images {
 				images[i] = append([]float64(nil), image...)
-				images[i][0] = float64(i+1) / 8 // distinct, so nothing dedupes
+				images[i][0] = float64(i+1) / 8 // distinct images
 			}
 			const wantRun, maxRounds = 8, 2000
 			run := 0
@@ -179,7 +179,8 @@ func zeroWindowBatcher(t *testing.T, cfg BatcherConfig) (*Batcher, chan<- chan s
 	t.Helper()
 	pool, image := testPool(t, 1)
 	arm := make(chan chan struct{}, 1)
-	cfg.InjectFault = func() error {
+	b := NewBatcher(pool, cfg)
+	b.injectFault = func() error {
 		select {
 		case gate := <-arm:
 			<-gate
@@ -187,7 +188,6 @@ func zeroWindowBatcher(t *testing.T, cfg BatcherConfig) (*Batcher, chan<- chan s
 		}
 		return nil
 	}
-	b := NewBatcher(pool, cfg)
 	for i := 0; b.FormWindow() > 0; i++ {
 		if i > formHalvings {
 			t.Fatalf("window still %v after %d lone requests", b.FormWindow(), i)
@@ -251,7 +251,7 @@ func TestBatcherFormRecoversFromZero(t *testing.T) {
 	b, arm, image := zeroWindowBatcher(t, BatcherConfig{Metrics: metrics, MaxBatch: 8, MaxDelay: delay})
 	defer b.Close()
 	other := append([]float64(nil), image...)
-	other[0] = 0.5 // distinct, so the pair never dedupes
+	other[0] = 0.5 // a distinct image
 
 	// Out of step: the second caller arrives while the first one's lone
 	// batch is held on its replica.
@@ -330,10 +330,8 @@ func TestBatcherFormRecoversFromZero(t *testing.T) {
 func TestBatcherGracefulCloseSkipsWindow(t *testing.T) {
 	pool, image := testPool(t, 1)
 	gate := make(chan struct{})
-	b := NewBatcher(pool, BatcherConfig{
-		MaxBatch: 2, MaxDelay: time.Hour,
-		InjectFault: func() error { <-gate; return nil },
-	})
+	b := NewBatcher(pool, BatcherConfig{MaxBatch: 2, MaxDelay: time.Hour})
+	b.injectFault = func() error { <-gate; return nil }
 	policy := ExitPolicy{MaxSteps: 8}
 	var wg sync.WaitGroup
 	submit := func(n int) {

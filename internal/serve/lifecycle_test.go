@@ -77,8 +77,8 @@ func probeImages(n int) [][]float64 {
 	return images
 }
 
-// noiseImage returns a unique valid image (the batcher's dedupe and any
-// response cache cannot absorb it).
+// noiseImage returns a unique valid image (no response cache can absorb
+// it).
 func noiseImage(i int) []float64 {
 	img := append([]float64(nil), testSet.Test[i%len(testSet.Test)].Image...)
 	img[0] = float64(i%1000+1) / 2000

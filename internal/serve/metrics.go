@@ -51,9 +51,6 @@ type Metrics struct {
 	// Forming-window accounting (see form.go): partial batches by
 	// FormOutcome.
 	formWaits [formOutcomes]atomic.Int64
-	// deduped counts requests answered by fanning out a batchmate's
-	// outcome instead of simulating (identical image and policy).
-	deduped atomic.Int64
 
 	// Read counters of the model's response cache. Every install builds
 	// a fresh cache that counts into these (NewResponseCache's count), so
@@ -141,11 +138,6 @@ func (m *Metrics) ObserveFormWait(outcome FormOutcome) {
 	m.formWaits[outcome].Add(1)
 }
 
-// ObserveDeduped records n requests served by duplicate fan-out.
-func (m *Metrics) ObserveDeduped(n int) {
-	m.deduped.Add(int64(n))
-}
-
 // StageStats is the JSON summary of one stage histogram: observation
 // count plus mean and percentile estimates in milliseconds over the
 // model's lifetime. The estimates interpolate inside the √2-wide bucket
@@ -219,11 +211,10 @@ type Snapshot struct {
 	// scrape time.
 	FormWaits    FormWaits `json:"formWaits"`
 	FormWindowMs float64   `json:"formWindowMs"`
-	// DedupedRequests counts requests answered by fanning out an identical
-	// (image, policy) batchmate's outcome instead of simulating.
-	DedupedRequests int64 `json:"dedupedRequests"`
-	// EncoderCacheHits/Misses are retired with the encoders' quantization
-	// cache and always read zero, like Batches above.
+	// DedupedRequests is retired with the batcher's in-batch dedupe, and
+	// EncoderCacheHits/Misses with the encoders' quantization cache; all
+	// three always read zero, like Batches above.
+	DedupedRequests    int64 `json:"dedupedRequests"`
 	EncoderCacheHits   int64 `json:"encoderCacheHits"`
 	EncoderCacheMisses int64 `json:"encoderCacheMisses"`
 	// ResponseCacheHits/Misses are the cross-batch response cache's
@@ -308,7 +299,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Fruitless: m.formWaits[FormFruitless].Load(),
 		Skipped:   m.formWaits[FormSkipped].Load(),
 	}
-	s.DedupedRequests = m.deduped.Load()
 	s.ResponseCacheHits, s.ResponseCacheMisses = m.responseCache.hits.Load(), m.responseCache.misses.Load()
 	s.Derive(m.Hists())
 	return s

@@ -96,27 +96,22 @@ func TestSnapshotDoesNotBlockObserve(t *testing.T) {
 	assertInBucketOf(t, 99, s.P99Ms, 1.979)
 }
 
-// TestMetricsBatchGauges pins the batch gauges a microbatch moves — the
-// dedupe fan-out and the forming outcomes — and the encoder-cache
-// passthrough. The retired lockstep fields stay zero whatever is
-// observed: readers that still difference them see nothing move.
+// TestMetricsBatchGauges pins the batch gauge a microbatch moves — the
+// forming outcomes. The retired lockstep, dedupe and encoder-cache
+// fields stay zero whatever is observed: readers that still difference
+// them see nothing move.
 func TestMetricsBatchGauges(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveDeduped(2)
-	m.ObserveDeduped(3)
 	m.ObserveFormWait(FormJoined)
 	m.ObserveFormWait(FormSkipped)
 	m.ObserveFormWait(FormSkipped)
 	m.Observe(Outcome{Steps: 9}, time.Millisecond)
 	s := m.Snapshot()
-	if s.DedupedRequests != 5 {
-		t.Errorf("deduped = %d, want 5", s.DedupedRequests)
-	}
 	if want := (FormWaits{Joined: 1, Skipped: 2}); s.FormWaits != want {
 		t.Errorf("form waits = %+v, want %+v", s.FormWaits, want)
 	}
 	if s.Batches != 0 || s.MeanBatchOccupancy != 0 || s.ExitHistoryHits != 0 || s.ExitHistoryMisses != 0 ||
-		s.EncoderCacheHits != 0 || s.EncoderCacheMisses != 0 {
+		s.DedupedRequests != 0 || s.EncoderCacheHits != 0 || s.EncoderCacheMisses != 0 {
 		t.Errorf("retired fields moved: %+v", s)
 	}
 }

@@ -23,11 +23,9 @@ const DefaultResponseCacheTTL = time.Minute
 
 // ResponseCache is the cross-batch (image-hash, policy) → Outcome cache
 // in front of the batcher: replay-heavy traffic is answered without
-// holding a queue slot or checking out a replica. It generalizes the
-// batcher's in-window dedupe (which only collapses duplicates landing
-// in the same dispatch window) across dispatch windows, bounded by a
-// TTL. It is the one place the system remembers an image to avoid work,
-// and its discipline is:
+// holding a queue slot or checking out a replica, across dispatch
+// windows and bounded by a TTL. It is the one place the system remembers
+// an image to avoid work, and its discipline is:
 //
 //   - keys carry coding.HashImage, which is fast, not collision-resistant,
 //     and fed arbitrary client pixels: every read verifies SameImage
@@ -99,7 +97,7 @@ func (c *ResponseCache) Len() int {
 // Lookup returns the cached Outcome for (image, policy) if an unexpired,
 // pixel-verified entry exists, counting a hit or miss. hash must be
 // coding.HashImage(image) — the batcher hashes each request once at
-// submit and reuses it here, in dedupe, and in Record.
+// submit and reuses it here and in Record.
 func (c *ResponseCache) Lookup(hash uint64, image []float64, p ExitPolicy) (Outcome, bool) {
 	e, ok, _ := c.read(exitKey{hash: hash, policy: p}, image, c.Now(), false)
 	if ok {

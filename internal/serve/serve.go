@@ -483,7 +483,6 @@ func (s *Server) record(rid, model string, began time.Time, latency time.Duratio
 		Steps:      out.Steps,
 		EarlyExit:  out.EarlyExit,
 		Prediction: out.Prediction,
-		Deduped:    flags.Deduped,
 		Cached:     flags.Cached,
 		Degraded:   flags.Degraded,
 	}
@@ -501,9 +500,6 @@ func (s *Server) record(rid, model string, began time.Time, latency time.Duratio
 			slog.Float64("simulateMs", tr.SimulateMs),
 			slog.Int("steps", out.Steps),
 			slog.Bool("earlyExit", out.EarlyExit),
-		}
-		if flags.Deduped {
-			attrs = append(attrs, slog.Bool("deduped", true))
 		}
 		if flags.Cached {
 			attrs = append(attrs, slog.Bool("cached", true))

@@ -366,7 +366,7 @@ func TestOverloadSheds429(t *testing.T) {
 	replies := make(chan reply, n)
 	for i := 0; i < n; i++ {
 		img := append([]float64(nil), set.Test[0].Image...)
-		img[0] = float64(i+1) / 16 // distinct images: dedupe can't collapse the burst
+		img[0] = float64(i+1) / 16 // distinct images: the response cache can't absorb the burst
 		go func(img []float64) {
 			body, _ := json.Marshal(ClassifyRequest{Model: "digits", Image: img})
 			resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(string(body)))

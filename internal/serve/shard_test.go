@@ -123,11 +123,8 @@ func TestPoolResizeUnderLoad(t *testing.T) {
 func TestBatcherPressure(t *testing.T) {
 	pool, image := testPool(t, 1)
 	gate := make(chan struct{})
-	b := NewBatcher(pool, BatcherConfig{
-		MaxBatch:    1,
-		QueueDepth:  4,
-		InjectFault: func() error { <-gate; return nil },
-	})
+	b := NewBatcher(pool, BatcherConfig{MaxBatch: 1, QueueDepth: 4})
+	b.injectFault = func() error { <-gate; return nil }
 	defer b.Close()
 	if got := b.Pressure(); got != 0 {
 		t.Fatalf("idle Pressure = %v, want 0", got)

@@ -27,9 +27,6 @@ func (n *SingleNeuron) Step(current float64) (fired bool, payload float64) {
 	return true, events[0].Payload
 }
 
-// Membrane returns the current membrane potential.
-func (n *SingleNeuron) Membrane() float64 { return n.pop.vmem[0] }
-
 // Reset restores the neuron to its initial state.
 func (n *SingleNeuron) Reset() {
 	n.pop.resetState()
