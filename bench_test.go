@@ -21,7 +21,6 @@ import (
 	"burstsnn"
 	"burstsnn/internal/benchkit"
 	"burstsnn/internal/coding"
-	"burstsnn/internal/dnn"
 	"burstsnn/internal/experiments"
 	"burstsnn/internal/kernels"
 	"burstsnn/internal/serve"
@@ -426,6 +425,7 @@ func BenchmarkHotpathBatchStep(b *testing.B) {
 func BenchmarkDNNForward(b *testing.B) {
 	net, set := microModel(b)
 	img := set.Test[0].Image
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burstsnn.EvaluateDNN(net, []burstsnn.Sample{{Image: img, Label: 0}})
@@ -433,22 +433,21 @@ func BenchmarkDNNForward(b *testing.B) {
 }
 
 // BenchmarkDNNTrainSample measures the trainer's per-sample work on
-// LeNetMini and one textures image: the forward pass with training
-// behaviour on, the loss gradient and the backward pass (parameter
-// gradients accumulate; the weights do not move). Beside
-// BenchmarkDNNForward it shows what the backward pass costs.
+// LeNetMini and one textures image, on one reused workspace as Train
+// runs it: the forward pass with training behaviour on, the loss
+// gradient and the backward pass (parameter gradients accumulate; the
+// weights do not move). Beside BenchmarkDNNForward it shows what the
+// backward pass costs.
 func BenchmarkDNNTrainSample(b *testing.B) {
 	net, set := microModel(b)
 	s := set.Train[0]
 	x := tensor.FromSlice(s.Image, net.InShape...)
+	ws := net.NewWorkspace()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y := x
-		for _, l := range net.Layers {
-			y = l.Forward(y, true)
-		}
-		_, g := dnn.CrossEntropyLoss(y, s.Label)
-		net.Backward(g)
+		_, g := ws.Loss(ws.Forward(x, true), s.Label)
+		ws.Backward(g)
 	}
 }
 

@@ -26,11 +26,6 @@ type BatchNorm struct {
 	// Running statistics used at inference.
 	RunMean []float64
 	RunVar  []float64
-
-	// Forward state for Backward.
-	lastXHat  []float64
-	lastStd   []float64 // per channel, sqrt(var+eps)
-	lastTrain bool
 }
 
 // NewBatchNorm creates the layer with γ=1, β=0, running stats at (0,1).
@@ -59,20 +54,34 @@ func (l *BatchNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 // OutShape implements Layer.
 func (l *BatchNorm) OutShape() []int { return []int{l.C, l.H, l.W} }
 
-// Forward implements Layer.
-func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// NewState implements Layer.
+func (l *BatchNorm) NewState() State {
+	return &batchNormState{l: l,
+		out:  tensor.New(l.C, l.H, l.W),
+		xHat: make([]float64, l.C*l.H*l.W),
+		std:  make([]float64, l.C),
+	}
+}
+
+// batchNormState is a batch norm's share of a workspace: its output and
+// what Backward reads of the forward pass.
+type batchNormState struct {
+	l       *BatchNorm
+	out, dx *tensor.Tensor
+	xHat    []float64
+	std     []float64 // per channel, sqrt(var+eps)
+	train   bool
+}
+
+// Forward normalizes x. In training mode it also moves the layer's
+// running statistics.
+func (s *batchNormState) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l := s.l
 	hw := l.H * l.W
 	if x.Len() != l.C*hw {
 		panic(fmt.Sprintf("dnn: batchnorm expects %d values, got %d", l.C*hw, x.Len()))
 	}
-	out := tensor.New(l.C, l.H, l.W)
-	if cap(l.lastXHat) < x.Len() {
-		l.lastXHat = make([]float64, x.Len())
-		l.lastStd = make([]float64, l.C)
-	}
-	l.lastXHat = l.lastXHat[:x.Len()]
-	l.lastStd = l.lastStd[:l.C]
-
+	out := s.out.Data
 	for c := 0; c < l.C; c++ {
 		ch := x.Data[c*hw : (c+1)*hw]
 		var mean, variance float64
@@ -93,33 +102,37 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			mean, variance = l.RunMean[c], l.RunVar[c]
 		}
 		std := math.Sqrt(variance + l.Eps)
-		l.lastStd[c] = std
+		s.std[c] = std
 		g, b := l.Gamma.W.Data[c], l.Beta.W.Data[c]
 		for i, v := range ch {
 			xh := (v - mean) / std
-			l.lastXHat[c*hw+i] = xh
-			out.Data[c*hw+i] = g*xh + b
+			s.xHat[c*hw+i] = xh
+			out[c*hw+i] = g*xh + b
 		}
 	}
-	l.lastTrain = train
-	return out
+	s.train = train
+	return s.out
 }
 
-// Backward implements Layer. In training mode the statistics depend on
-// the input, giving the instance-norm gradient per channel with N
-// spatial positions:
+// Backward returns the input gradient. In training mode the statistics
+// depend on the input, giving the instance-norm gradient per channel
+// with N spatial positions:
 //
 //	dx = γ/std · (dy − mean(dy) − x̂·mean(dy·x̂))
 //
 // In inference mode the running statistics are constants, so the layer is
 // a plain per-channel affine: dx = γ/std · dy.
-func (l *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (s *batchNormState) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l := s.l
 	hw := l.H * l.W
-	dx := tensor.New(l.C, l.H, l.W)
+	if s.dx == nil {
+		s.dx = tensor.New(l.C, l.H, l.W)
+	}
+	dx := s.dx.Data
 	n := float64(hw)
 	for c := 0; c < l.C; c++ {
 		gy := grad.Data[c*hw : (c+1)*hw]
-		xh := l.lastXHat[c*hw : (c+1)*hw]
+		xh := s.xHat[c*hw : (c+1)*hw]
 		var sumGy, sumGyXh float64
 		for i, g := range gy {
 			sumGy += g
@@ -127,19 +140,19 @@ func (l *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			l.Beta.Grad.Data[c] += g
 			l.Gamma.Grad.Data[c] += g * xh[i]
 		}
-		scale := l.Gamma.W.Data[c] / l.lastStd[c]
-		if !l.lastTrain {
+		scale := l.Gamma.W.Data[c] / s.std[c]
+		if !s.train {
 			for i, g := range gy {
-				dx.Data[c*hw+i] = scale * g
+				dx[c*hw+i] = scale * g
 			}
 			continue
 		}
 		meanGy, meanGyXh := sumGy/n, sumGyXh/n
 		for i, g := range gy {
-			dx.Data[c*hw+i] = scale * (g - meanGy - xh[i]*meanGyXh)
+			dx[c*hw+i] = scale * (g - meanGy - xh[i]*meanGyXh)
 		}
 	}
-	return dx
+	return s.dx
 }
 
 // FoldedAffine returns the inference-time per-channel affine (scale,

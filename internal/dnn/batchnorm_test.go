@@ -14,7 +14,7 @@ func TestBatchNormIdentityAtInit(t *testing.T) {
 	bn := NewBatchNorm(2, 3, 3)
 	x := tensor.New(2, 3, 3)
 	x.RandNorm(mathx.NewRNG(1), 0, 1)
-	y := bn.Forward(x, false)
+	y := bn.NewState().Forward(x, false)
 	for i := range x.Data {
 		if math.Abs(y.Data[i]-x.Data[i]) > 1e-3 {
 			t.Fatalf("initial inference BN is not identity at %d: %v vs %v", i, y.Data[i], x.Data[i])
@@ -29,7 +29,7 @@ func TestBatchNormTrainNormalizes(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = r.Norm(5, 3) // deliberately off-center
 	}
-	y := bn.Forward(x, true)
+	y := bn.NewState().Forward(x, true)
 	mean, meanSq := 0.0, 0.0
 	for _, v := range y.Data {
 		mean += v
@@ -46,11 +46,12 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	bn := NewBatchNorm(1, 8, 8)
 	r := mathx.NewRNG(3)
 	x := tensor.New(1, 8, 8)
+	st := bn.NewState()
 	for step := 0; step < 300; step++ {
 		for i := range x.Data {
 			x.Data[i] = r.Norm(2, 0.5)
 		}
-		bn.Forward(x, true)
+		st.Forward(x, true)
 	}
 	if math.Abs(bn.RunMean[0]-2) > 0.2 {
 		t.Fatalf("running mean %v, want ~2", bn.RunMean[0])
@@ -83,14 +84,15 @@ func TestBatchNormGradTrainMode(t *testing.T) {
 	x.RandNorm(r, 0.3, 0.5)
 	label := 1
 
+	ws := net.NewWorkspace()
 	lossAt := func() float64 {
-		loss, _ := CrossEntropyLoss(net.forward(x, true), label)
+		loss, _ := CrossEntropyLoss(ws.Forward(x, true), label)
 		return loss
 	}
 	net.ZeroGrads()
-	logits := net.forward(x, true)
+	logits := ws.Forward(x, true)
 	_, g := CrossEntropyLoss(logits, label)
-	net.Backward(g)
+	ws.Backward(g)
 
 	const eps = 1e-5
 	for _, p := range net.Params() {
@@ -137,7 +139,7 @@ func TestBatchNormFoldedAffine(t *testing.T) {
 	scale, shift := bn.FoldedAffine()
 	x := tensor.New(2, 2, 2)
 	x.RandNorm(mathx.NewRNG(5), 0, 2)
-	y := bn.Forward(x, false)
+	y := bn.NewState().Forward(x, false)
 	hw := 4
 	for c := 0; c < 2; c++ {
 		for i := 0; i < hw; i++ {
@@ -179,9 +181,10 @@ func TestSaveLoadPreservesRunningStats(t *testing.T) {
 	// Drive the running stats away from the defaults.
 	x := tensor.New(1, 4, 4)
 	r := mathx.NewRNG(7)
+	ws := net.NewWorkspace()
 	for i := 0; i < 50; i++ {
 		x.RandNorm(r, 1, 2)
-		net.forward(x, true)
+		ws.Forward(x, true)
 	}
 
 	var buf bytes.Buffer

@@ -8,11 +8,25 @@
 // gradients across samples); at the model sizes this repository uses that
 // is simpler and fast enough, and it keeps every layer's backward pass
 // easy to verify with numerical gradient checks.
+//
+// A Layer holds only its configuration and parameters. Everything a
+// sample writes — layer outputs, the inputs and masks Backward reads,
+// padded input planes, gradients and scratch — lives in a Workspace the
+// caller owns (Network.NewWorkspace), so a warmed training sample
+// allocates nothing. Train makes one workspace for the whole run;
+// Evaluate, Forward and ForwardCollect make one per call and drop it when
+// they return, so the network references none of it afterwards. That is
+// also the concurrency contract: any number of goroutines may run
+// inference on one Network at once, each through its own workspace.
+// Training writes the parameters (and batch norm's running statistics and
+// dropout's random stream), so it needs the network to itself.
 package dnn
 
 import (
 	"fmt"
 
+	"burstsnn/internal/dataset"
+	"burstsnn/internal/mathx"
 	"burstsnn/internal/tensor"
 )
 
@@ -27,22 +41,31 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
 
-// Layer is one differentiable stage of a network. Forward stores whatever
-// state Backward needs, so a Layer instance is not safe for concurrent
-// samples; Network runs samples sequentially.
+// Layer is one differentiable stage of a network: its configuration
+// and parameters. What a sample writes on its way through lives in the
+// layer's State, so one Layer serves any number of workspaces.
 type Layer interface {
 	// Name identifies the layer kind for logging and serialization.
 	Name() string
+	// Params returns the trainable parameters, or nil.
+	Params() []*Param
+	// OutShape returns the output shape for the configured input shape.
+	OutShape() []int
+	// NewState allocates the layer's share of a workspace.
+	NewState() State
+}
+
+// State is one layer's share of a Workspace: its output, what Backward
+// needs from the forward pass, and its gradient buffers. It serves one
+// sample at a time: Forward stores what Backward reads, and the tensors
+// either returns are the state's own, valid until its next call.
+type State interface {
 	// Forward computes the layer output. train enables behaviour such as
 	// dropout that differs between training and inference.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes dL/d(output) and returns dL/d(input),
 	// accumulating parameter gradients along the way.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
-	// Params returns the trainable parameters, or nil.
-	Params() []*Param
-	// OutShape returns the output shape for the configured input shape.
-	OutShape() []int
 }
 
 // Network is an ordered stack of layers.
@@ -51,54 +74,124 @@ type Network struct {
 	InShape []int
 }
 
-// Forward runs inference (train=false) through all layers.
+// Forward runs inference (train=false) through all layers on a workspace
+// of its own.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return n.forward(x, false)
-}
-
-func (n *Network) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
+	return n.NewWorkspace().Forward(x, false)
 }
 
 // ForwardCollect runs inference and returns the output of every layer, in
-// order. The conversion code uses this to record activation statistics.
+// order, on a workspace of its own. The conversion code uses this to
+// record activation statistics.
 func (n *Network) ForwardCollect(x *tensor.Tensor) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, 0, len(n.Layers))
-	for _, l := range n.Layers {
-		x = l.Forward(x, false)
+	w := n.NewWorkspace()
+	outs := make([]*tensor.Tensor, 0, len(w.states))
+	for _, s := range w.states {
+		x = s.Forward(x, false)
 		outs = append(outs, x)
 	}
 	return outs
 }
 
-// paramGrader is a layer that can accumulate its parameter gradients
-// without forming its input gradient.
+// Workspace is everything one sample writes as it passes through a
+// network: one State per layer, the loss gradient and the input header.
+// It serves one sample at a time; give each goroutine its own.
+type Workspace struct {
+	states []State
+	// low is the lowest layer with parameters: nothing reads the
+	// gradient below it, so Backward stops there.
+	low  int
+	in   tensor.Tensor
+	grad *tensor.Tensor
+}
+
+// NewWorkspace allocates a workspace for n. Buffers only Backward uses
+// are allocated on its first call.
+func (n *Network) NewWorkspace() *Workspace {
+	w := &Workspace{
+		states: make([]State, len(n.Layers)),
+		in:     tensor.Tensor{Shape: append([]int(nil), n.InShape...)},
+		grad:   tensor.New(n.OutShape()...),
+	}
+	for i, l := range n.Layers {
+		w.states[i] = l.NewState()
+	}
+	for w.low < len(n.Layers) && len(n.Layers[w.low].Params()) == 0 {
+		w.low++
+	}
+	return w
+}
+
+// input wraps img in the workspace's input header.
+func (w *Workspace) input(img []float64) *tensor.Tensor {
+	if len(img) != volume(w.in.Shape) {
+		panic(fmt.Sprintf("dnn: image of %d values does not match input shape %v", len(img), w.in.Shape))
+	}
+	w.in.Data = img
+	return &w.in
+}
+
+func volume(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
+}
+
+// Forward runs x through every layer. train enables training behaviour
+// (dropout, batch statistics). The result is the workspace's own buffer.
+func (w *Workspace) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	for _, s := range w.states {
+		x = s.Forward(x, train)
+	}
+	return x
+}
+
+// Loss returns the softmax cross-entropy of logits against label and the
+// gradient with respect to the logits (CrossEntropyLoss), written into
+// the workspace's own buffer.
+func (w *Workspace) Loss(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
+	return crossEntropy(w.grad.Data, logits.Data, label), w.grad
+}
+
+// evaluate returns the classification accuracy over samples.
+func (w *Workspace) evaluate(samples []dataset.Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	correct := 0
+	for _, s := range samples {
+		logits := w.Forward(w.input(s.Image), false)
+		if mathx.ArgMax(logits.Data) == s.Label {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples))
+}
+
+// paramGrader is a layer state that can accumulate its parameter
+// gradients without forming its input gradient.
 type paramGrader interface {
 	backwardParams(grad *tensor.Tensor)
 }
 
-// Backward propagates the loss gradient through the layers in reverse,
-// down to the lowest layer with parameters. Nothing reads the gradient
-// below that layer, so it only accumulates its parameter gradients (when
-// it is a paramGrader) and the layers under it are not visited.
-func (n *Network) Backward(grad *tensor.Tensor) {
-	low := 0
-	for low < len(n.Layers) && len(n.Layers[low].Params()) == 0 {
-		low++
+// Backward propagates the loss gradient of the last Forward through the
+// layers in reverse, down to the lowest layer with parameters. Nothing
+// reads the gradient below that layer, so it only accumulates its
+// parameter gradients (when its state is a paramGrader) and the layers
+// under it are not visited.
+func (w *Workspace) Backward(grad *tensor.Tensor) {
+	for i := len(w.states) - 1; i > w.low; i-- {
+		grad = w.states[i].Backward(grad)
 	}
-	for i := len(n.Layers) - 1; i > low; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	if low == len(n.Layers) {
+	if w.low == len(w.states) {
 		return
 	}
-	if pg, ok := n.Layers[low].(paramGrader); ok {
+	if pg, ok := w.states[w.low].(paramGrader); ok {
 		pg.backwardParams(grad)
 	} else {
-		n.Layers[low].Backward(grad)
+		w.states[w.low].Backward(grad)
 	}
 }
 

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	l := NewReLU([]int{4})
+	l := NewReLU([]int{4}).NewState()
 	x := tensor.FromSlice([]float64{-1, 0, 2, -3}, 4)
 	y := l.Forward(x, false)
 	want := []float64{0, 0, 2, 0}
@@ -116,7 +117,7 @@ func TestReLUForwardBackward(t *testing.T) {
 }
 
 func TestDropoutTrainVsEval(t *testing.T) {
-	l := &Dropout{Rate: 0.5, Shape: []int{100}, RNG: mathx.NewRNG(1)}
+	l := (&Dropout{Rate: 0.5, Shape: []int{100}, RNG: mathx.NewRNG(1)}).NewState()
 	x := tensor.New(100)
 	x.Fill(1)
 	yEval := l.Forward(x, false)
@@ -146,7 +147,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	d := NewDense(mathx.NewRNG(1), 2, 2)
 	copy(d.Weight.W.Data, []float64{1, 2, 3, 4})
 	copy(d.Bias.W.Data, []float64{10, 20})
-	y := d.Forward(tensor.FromSlice([]float64{1, 1}, 2), false)
+	y := d.NewState().Forward(tensor.FromSlice([]float64{1, 1}, 2), false)
 	if y.Data[0] != 13 || y.Data[1] != 27 {
 		t.Fatalf("dense forward = %v", y.Data)
 	}
@@ -353,7 +354,8 @@ func TestNetworkSummary(t *testing.T) {
 }
 
 // spyLayer counts the backward calls it receives; withParams gives it a
-// parameter, so Network.Backward treats it as a weighted layer.
+// parameter, so Workspace.Backward treats it as a weighted layer. It is
+// its own state.
 type spyLayer struct {
 	withParams            bool
 	backwards, paramGrads int
@@ -362,6 +364,7 @@ type spyLayer struct {
 func (s *spyLayer) Name() string                                    { return "spy" }
 func (s *spyLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
 func (s *spyLayer) OutShape() []int                                 { return nil }
+func (s *spyLayer) NewState() State                                 { return s }
 func (s *spyLayer) Backward(g *tensor.Tensor) *tensor.Tensor        { s.backwards++; return g }
 func (s *spyLayer) backwardParams(*tensor.Tensor)                   { s.paramGrads++ }
 func (s *spyLayer) Params() []*Param {
@@ -371,14 +374,14 @@ func (s *spyLayer) Params() []*Param {
 	return nil
 }
 
-// TestBackwardStopsAtLowestParamLayer checks that Network.Backward asks
+// TestBackwardStopsAtLowestParamLayer checks that Workspace.Backward asks
 // the lowest layer with parameters for its parameter gradients only and
 // never visits the layers below it, and that a network without
 // parameters visits nothing.
 func TestBackwardStopsAtLowestParamLayer(t *testing.T) {
 	below, lowest, middle, top := &spyLayer{}, &spyLayer{withParams: true}, &spyLayer{withParams: true}, &spyLayer{}
 	net := &Network{Layers: []Layer{below, lowest, middle, top}}
-	net.Backward(tensor.New(1))
+	net.NewWorkspace().Backward(tensor.New(1))
 	for name, c := range map[string]struct {
 		l                     *spyLayer
 		backwards, paramGrads int
@@ -395,8 +398,76 @@ func TestBackwardStopsAtLowestParamLayer(t *testing.T) {
 	}
 
 	free := &spyLayer{}
-	(&Network{Layers: []Layer{free, &spyLayer{}}}).Backward(tensor.New(1))
+	(&Network{Layers: []Layer{free, &spyLayer{}}}).NewWorkspace().Backward(tensor.New(1))
 	if free.backwards != 0 {
 		t.Errorf("a network without parameters ran Backward %d times", free.backwards)
+	}
+}
+
+// TestForwardCollectConcurrent runs ForwardCollect on one LeNetMini from
+// several goroutines at once — as two model registrations sharing a net
+// do — and checks every layer output of every call against a serial
+// run. Each call has a workspace of its own, so under -race nothing is
+// shared but the parameters, which inference only reads.
+func TestForwardCollectConcurrent(t *testing.T) {
+	net, err := Build(LeNetMini(3, 16, 16, 10), mathx.NewRNG(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mathx.NewRNG(22)
+	images := make([]*tensor.Tensor, 8)
+	want := make([][]*tensor.Tensor, len(images))
+	for i := range images {
+		images[i] = tensor.New(3, 16, 16)
+		images[i].RandNorm(r, 0.5, 0.3)
+		want[i] = net.ForwardCollect(images[i])
+	}
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	for gr := 0; gr < goroutines; gr++ {
+		go func(gr int) {
+			for rep := 0; rep < 3; rep++ {
+				for k := range images {
+					i := (k + gr) % len(images)
+					got := net.ForwardCollect(images[i])
+					for l := range got {
+						for e, v := range got[l].Data {
+							if math.Float64bits(v) != math.Float64bits(want[i][l].Data[e]) {
+								errs <- fmt.Errorf("goroutine %d, image %d, layer %d, element %d: %v, want %v",
+									gr, i, l, e, v, want[i][l].Data[e])
+								return
+							}
+						}
+					}
+				}
+			}
+			errs <- nil
+		}(gr)
+	}
+	for gr := 0; gr < goroutines; gr++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestTrainSampleAllocations pins the trainer's per-sample cost: on a
+// warmed workspace, one LeNetMini 3×16×16 training sample — forward with
+// training behaviour, loss and backward — allocates (almost) nothing.
+func TestTrainSampleAllocations(t *testing.T) {
+	net, err := Build(LeNetMini(3, 16, 16, 10), mathx.NewRNG(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(3, 16, 16)
+	x.RandNorm(mathx.NewRNG(24), 0.5, 0.3)
+	ws := net.NewWorkspace()
+	sample := func() {
+		_, g := ws.Loss(ws.Forward(x, true), 3)
+		ws.Backward(g)
+	}
+	sample()
+	if allocs := testing.AllocsPerRun(20, sample); allocs > 4 {
+		t.Fatalf("a training sample makes %v allocations, want at most 4", allocs)
 	}
 }

@@ -39,9 +39,10 @@ func checkGradients(t *testing.T, spec Spec, seed uint64) {
 	label := 1
 
 	net.ZeroGrads()
-	logits := net.forward(x, false)
+	ws := net.NewWorkspace()
+	logits := ws.Forward(x, false)
 	_, lossGrad := CrossEntropyLoss(logits, label)
-	net.Backward(lossGrad)
+	ws.Backward(lossGrad)
 
 	for _, p := range net.Params() {
 		num := numericalGrad(t, net, x, label, p, 1e-5)

@@ -10,8 +10,14 @@ import (
 // trick for numerical stability.
 func Softmax(logits []float64) []float64 {
 	out := make([]float64, len(logits))
+	softmax(out, logits)
+	return out
+}
+
+// softmax writes the softmax of logits into out.
+func softmax(out, logits []float64) {
 	if len(logits) == 0 {
-		return out
+		return
 	}
 	max := logits[0]
 	for _, v := range logits[1:] {
@@ -27,16 +33,21 @@ func Softmax(logits []float64) []float64 {
 	for i := range out {
 		out[i] /= sum
 	}
-	return out
 }
 
 // CrossEntropyLoss computes softmax cross-entropy against an integer label
 // and returns both the scalar loss and the gradient with respect to the
 // logits (softmax(x) - onehot(label)).
 func CrossEntropyLoss(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
-	p := Softmax(logits.Data)
-	grad := tensor.FromSlice(p, logits.Shape...)
-	loss := -math.Log(math.Max(p[label], 1e-12))
-	grad.Data[label] -= 1
-	return loss, grad
+	grad := tensor.New(logits.Shape...)
+	return crossEntropy(grad.Data, logits.Data, label), grad
+}
+
+// crossEntropy returns CrossEntropyLoss's loss and writes its gradient
+// into grad.
+func crossEntropy(grad, logits []float64, label int) float64 {
+	softmax(grad, logits)
+	loss := -math.Log(math.Max(grad[label], 1e-12))
+	grad[label] -= 1
+	return loss
 }

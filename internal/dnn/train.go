@@ -6,7 +6,6 @@ import (
 
 	"burstsnn/internal/dataset"
 	"burstsnn/internal/mathx"
-	"burstsnn/internal/tensor"
 )
 
 // TrainConfig controls the training loop.
@@ -28,6 +27,7 @@ type EpochStats struct {
 
 // Train fits net on set.Train with the given optimizer and reports per-
 // epoch statistics. Gradients are accumulated per mini-batch and averaged.
+// One workspace serves the whole run, the per-epoch test scoring too.
 func Train(net *Network, set *dataset.Set, opt Optimizer, cfg TrainConfig) []EpochStats {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
@@ -35,7 +35,7 @@ func Train(net *Network, set *dataset.Set, opt Optimizer, cfg TrainConfig) []Epo
 	r := mathx.NewRNG(cfg.Seed)
 	train := make([]dataset.Sample, len(set.Train))
 	copy(train, set.Train)
-	inShape := net.InShape
+	ws := net.NewWorkspace()
 
 	var stats []EpochStats
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
@@ -44,14 +44,13 @@ func Train(net *Network, set *dataset.Set, opt Optimizer, cfg TrainConfig) []Epo
 		for _, batch := range dataset.Batches(train, cfg.BatchSize) {
 			net.ZeroGrads()
 			for bi, img := range batch.Images {
-				x := tensor.FromSlice(img, inShape...)
-				logits := net.forward(x, true)
-				loss, grad := CrossEntropyLoss(logits, batch.Labels[bi])
+				logits := ws.Forward(ws.input(img), true)
+				loss, grad := ws.Loss(logits, batch.Labels[bi])
 				totalLoss += loss
 				if mathx.ArgMax(logits.Data) == batch.Labels[bi] {
 					correct++
 				}
-				net.Backward(grad)
+				ws.Backward(grad)
 			}
 			opt.Step(net.Params(), 1/float64(len(batch.Images)))
 		}
@@ -59,7 +58,7 @@ func Train(net *Network, set *dataset.Set, opt Optimizer, cfg TrainConfig) []Epo
 			Epoch:    epoch,
 			Loss:     totalLoss / float64(len(train)),
 			TrainAcc: float64(correct) / float64(len(train)),
-			TestAcc:  Evaluate(net, set.Test),
+			TestAcc:  ws.evaluate(set.Test),
 		}
 		stats = append(stats, st)
 		if cfg.Log != nil {
@@ -70,18 +69,8 @@ func Train(net *Network, set *dataset.Set, opt Optimizer, cfg TrainConfig) []Epo
 	return stats
 }
 
-// Evaluate returns classification accuracy of net over samples.
+// Evaluate returns classification accuracy of net over samples, on one
+// workspace for all of them.
 func Evaluate(net *Network, samples []dataset.Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		x := tensor.FromSlice(s.Image, net.InShape...)
-		logits := net.Forward(x)
-		if mathx.ArgMax(logits.Data) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
+	return net.NewWorkspace().evaluate(samples)
 }

@@ -216,11 +216,12 @@ func (l *Lab) Model(name string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	dnn.Train(net, set, dnn.NewAdam(recipe.lr), dnn.TrainConfig{
+	stats := dnn.Train(net, set, dnn.NewAdam(recipe.lr), dnn.TrainConfig{
 		Epochs: recipe.epochs, BatchSize: 32, Seed: 99, Log: l.Settings.Log,
 	})
 	m.Net = net
-	m.DNNAcc = dnn.Evaluate(net, set.Test)
+	// The last epoch scored the finished net on the test set already.
+	m.DNNAcc = stats[len(stats)-1].TestAcc
 	if m.DNNAcc < recipe.minAcc {
 		return nil, fmt.Errorf("experiments: %s baseline trained to %.4f, below the %.2f floor", name, m.DNNAcc, recipe.minAcc)
 	}

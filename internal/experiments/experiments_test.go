@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"burstsnn/internal/coding"
 	"burstsnn/internal/core"
+	"burstsnn/internal/dnn"
 )
 
 var (
@@ -43,6 +45,44 @@ func TestModelTrainingAndCache(t *testing.T) {
 	}
 	if _, err := l.Model("nope"); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+}
+
+// TestModelAccuracyIsFreshEvaluate checks that the accuracy a freshly
+// trained model reports — its last epoch's test score, not a second pass
+// over the test set — equals what dnn.Evaluate reads on the finished net.
+func TestModelAccuracyIsFreshEvaluate(t *testing.T) {
+	l := testLab(t)
+	for _, name := range []string{"digits", "textures10"} {
+		m, err := l.Model(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dnn.Evaluate(m.Net, m.Set.Test); got != m.DNNAcc {
+			t.Errorf("%s: DNNAcc %v, a fresh dnn.Evaluate reads %v", name, m.DNNAcc, got)
+		}
+	}
+}
+
+// TestEvalLogCountsEvaluatedImages checks the progress line: asked for
+// more images than the test split holds, it reports the split's size,
+// the number core.Evaluate actually runs.
+func TestEvalLogCountsEvaluatedImages(t *testing.T) {
+	s := QuickSettings()
+	s.Images = 1000
+	var log strings.Builder
+	s.Log = &log
+	l := NewLab(s)
+	m, err := l.Model("digits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Eval("digits", core.NewHybrid(coding.Phase, coding.Burst)); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("(%d steps, %d images)", s.Steps, len(m.Set.Test))
+	if len(m.Set.Test) >= s.Images || !strings.Contains(log.String(), want) {
+		t.Fatalf("log does not report %q for a %d-image split:\n%s", want, len(m.Set.Test), log.String())
 	}
 }
 

@@ -68,8 +68,14 @@ func (l *Lab) Eval(modelName string, hybrid core.Hybrid) (*core.EvalResult, erro
 	}
 	l.mu.Unlock()
 
+	// core.Evaluate caps the test split at Images (0 = all of it), so
+	// that is how many images the line reports.
+	images := len(m.Set.Test)
+	if l.Settings.Images > 0 {
+		images = min(images, l.Settings.Images)
+	}
 	l.logf("evaluating %s on %s (%d steps, %d images)...\n",
-		hybrid.Notation(), modelName, l.Settings.Steps, l.Settings.Images)
+		hybrid.Notation(), modelName, l.Settings.Steps, images)
 	res, err := core.Evaluate(m.Net, m.Set, core.EvalConfig{
 		Hybrid:    hybrid,
 		Steps:     l.Settings.Steps,

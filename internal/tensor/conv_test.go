@@ -92,14 +92,18 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 		}
 		x := New(s.InC, s.InH, s.InW)
 		x.RandNorm(r, 0, 1)
-		cx := Im2Col(x, s)
+		cx := New(s.InC*s.KH*s.KW, s.OutH()*s.OutW())
+		cx.Fill(math.NaN()) // Im2Col must write every entry
+		Im2Col(cx.Data, x.Data, s)
 		y := New(cx.Shape[0], cx.Shape[1])
 		y.RandNorm(r, 0, 1)
 		dot1 := 0.0
 		for i := range cx.Data {
 			dot1 += cx.Data[i] * y.Data[i]
 		}
-		back := Col2Im(y, s)
+		back := New(s.InC, s.InH, s.InW)
+		back.Fill(math.NaN()) // and Col2Im overwrite its plane
+		Col2Im(back.Data, y.Data, s)
 		dot2 := 0.0
 		for i := range x.Data {
 			dot2 += x.Data[i] * back.Data[i]
@@ -118,7 +122,8 @@ func TestAvgPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4)
-	out := AvgPool2D(in, 1, 4, 4, 2)
+	out := New(1, 2, 2)
+	AvgPool2D(out.Data, in.Data, 1, 4, 4, 2)
 	want := []float64{3.5, 5.5, 11.5, 13.5}
 	for i, v := range want {
 		if math.Abs(out.Data[i]-v) > 1e-12 {
@@ -131,7 +136,8 @@ func TestAvgPoolConservesMean(t *testing.T) {
 	r := mathx.NewRNG(20)
 	in := New(2, 6, 6)
 	in.RandNorm(r, 0, 1)
-	out := AvgPool2D(in, 2, 6, 6, 2)
+	out := New(2, 3, 3)
+	AvgPool2D(out.Data, in.Data, 2, 6, 6, 2)
 	inMean := in.Sum() / float64(in.Len())
 	outMean := out.Sum() / float64(out.Len())
 	if math.Abs(inMean-outMean) > 1e-12 {
@@ -146,7 +152,8 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4)
-	out, arg := MaxPool2D(in, 1, 4, 4, 2)
+	out, arg := New(1, 2, 2), make([]int, 4)
+	MaxPool2D(out.Data, arg, in.Data, 1, 4, 4, 2)
 	want := []float64{6, 8, 14, 16}
 	wantArg := []int{5, 7, 13, 15}
 	for i := range want {
@@ -161,8 +168,9 @@ func TestMaxPoolDominatesAvgPoolProperty(t *testing.T) {
 		r := mathx.NewRNG(seed)
 		in := New(1, 4, 4)
 		in.RandNorm(r, 0, 1)
-		mx, _ := MaxPool2D(in, 1, 4, 4, 2)
-		av := AvgPool2D(in, 1, 4, 4, 2)
+		mx, av := New(1, 2, 2), New(1, 2, 2)
+		MaxPool2D(mx.Data, make([]int, 4), in.Data, 1, 4, 4, 2)
+		AvgPool2D(av.Data, in.Data, 1, 4, 4, 2)
 		for i := range mx.Data {
 			if mx.Data[i] < av.Data[i]-1e-12 {
 				return false

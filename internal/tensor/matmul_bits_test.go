@@ -115,13 +115,17 @@ func assertBits(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
-// TestMatMulBitIdentical checks MatMul, MatMulTransA and MatMulTransB
-// against the scalar loops they replaced, bit for bit, at every kernel
-// dispatch level: row widths n that run the packed kernel bodies (64,
-// 72, 256) and the generic loop (1, 3, 10, 27, which MatMulTransB pads
-// to a packed width), zeros of both signs, subnormals, and NaN and Inf
-// operands each multiplied by a zero — a dot product propagates them,
-// the zero-skipping ikj loops do not.
+// TestMatMulBitIdentical checks the kernel-backed products against the
+// scalar loops they replaced, bit for bit, at every kernel dispatch
+// level. MatMulAdd forms A·B, and Aᵀ·B over a row-major copy of Aᵀ (the
+// conv input gradient Wᵀ·g): row widths n that run the packed kernel
+// bodies (64, 72, 256) and the generic loop (1, 3, 10, 27), zeros of both
+// signs, subnormals, and NaN and Inf operands each multiplied by a zero,
+// which the zero-skipping ikj loops do not propagate. FilterGrad forms
+// the conv filter gradient g·colsᵀ, checked against the dot products over
+// Im2Col's matrix on stride-1 and stride-2 geometries, with channel
+// counts on and off the packed widths and NaN, Inf and ±0 inputs — a dot
+// product propagates the NaN and Inf ones, and so does the event scatter.
 func TestMatMulBitIdentical(t *testing.T) {
 	defer kernels.ForceLevel("")
 	for _, lv := range kernels.Available() {
@@ -140,13 +144,23 @@ func TestMatMulBitIdentical(t *testing.T) {
 					}
 				}
 			}
+			for _, s := range []ConvSpec{
+				{InC: 3, InH: 16, InW: 16, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
+				{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1},
+				{InC: 2, InH: 7, InW: 9, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 0},
+				{InC: 1, InH: 7, InW: 7, OutC: 2, KH: 3, KW: 3, Stride: 2, Pad: 1},
+				{InC: 2, InH: 9, InW: 6, OutC: 12, KH: 2, KW: 3, Stride: 2, Pad: 0},
+			} {
+				for _, special := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+					checkFilterGrad(t, r, s, special)
+				}
+			}
 		})
 	}
 }
 
-// checkProducts compares the three products on fresh operands. A
-// non-zero special is planted in the right operand of MatMul and
-// MatMulTransA, and in either operand of MatMulTransB.
+// checkProducts compares the two products on fresh operands, with a
+// non-zero special planted in the right operand.
 func checkProducts(t *testing.T, r *mathx.RNG, name string, m, k, n int, special float64) {
 	t.Helper()
 	// C = A·B, A m×k, B k×n: B[p][j] meets A[i][p].
@@ -156,28 +170,47 @@ func checkProducts(t *testing.T, r *mathx.RNG, name string, m, k, n int, special
 	}
 	want := New(m, n)
 	refMatmulRows(a.Data, b.Data, want.Data, 0, m, k, n)
-	assertBits(t, name+" MatMul", MatMul(a, b), want)
+	got := New(m, n)
+	MatMulAdd(got.Data, a.Data, b.Data, m, k, n)
+	assertBits(t, name+" MatMulAdd", got, want)
 
 	// C = Aᵀ·B, A k×m, B k×n: B[p][j] meets A[p][i].
 	a, b = bitsOperand(r, k, m), bitsOperand(r, k, n)
 	if special != 0 {
 		plant(r, b, a, special, func(idx int) int { return idx/n*m + r.Intn(m) })
 	}
-	assertBits(t, name+" MatMulTransA", MatMulTransA(a, b), refMatMulTransA(a, b))
+	got = New(m, n)
+	MatMulAdd(got.Data, transposed(a).Data, b.Data, m, k, n)
+	assertBits(t, name+" Aᵀ·B", got, refMatMulTransA(a, b))
+}
 
-	// C = A·Bᵀ, A m×k, B n×k: A[i][p] meets B[j][p].
-	for _, left := range []bool{true, false} {
-		a, b = bitsOperand(r, m, k), bitsOperand(r, n, k)
-		if special != 0 {
-			if left {
-				plant(r, a, b, special, func(idx int) int { return r.Intn(n)*k + idx%k })
-			} else {
-				plant(r, b, a, special, func(idx int) int { return r.Intn(m)*k + idx%k })
-			}
+// checkFilterGrad compares FilterGrad with the dot products g·colsᵀ on a
+// fresh input holding a planted special and a finite gradient. Its
+// buffers start as NaN: FilterGrad must write every entry.
+func checkFilterGrad(t *testing.T, r *mathx.RNG, s ConvSpec, special float64) {
+	t.Helper()
+	cells := s.OutH() * s.OutW()
+	fanIn := s.InC * s.KH * s.KW
+	in := bitsOperand(r, s.InC, s.InH*s.InW)
+	if special != 0 {
+		for c := 0; c < 1+in.Len()/16; c++ {
+			in.Data[r.Intn(in.Len())] = special
 		}
-		assertBits(t, fmt.Sprintf("%s MatMulTransB (special on the left: %v)", name, left),
-			MatMulTransB(a, b), refMatMulTransB(a, b))
 	}
+	g := bitsOperand(r, s.OutC, cells)
+	cols := New(fanIn, cells)
+	Im2Col(cols.Data, in.Data, s)
+	want := refMatMulTransB(g, cols)
+
+	acc := New(fanIn, s.OutC)
+	gT := make([]float64, g.Len())
+	for _, buf := range [][]float64{acc.Data, gT} {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	NewConvGradTable(s).FilterGrad(acc.Data, g.Data, in.Data, gT, make([]kernels.Event, in.Len()))
+	assertBits(t, fmt.Sprintf("FilterGrad %+v special=%v", s, special), transposed(acc), want)
 }
 
 // TestMatMulEmptyDims multiplies through zero-sized dimensions: an empty
@@ -186,9 +219,8 @@ func checkProducts(t *testing.T, r *mathx.RNG, name string, m, k, n int, special
 func TestMatMulEmptyDims(t *testing.T) {
 	for _, d := range [][3]int{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}} {
 		m, k, n := d[0], d[1], d[2]
-		want := New(m, n)
-		assertBits(t, fmt.Sprint("MatMul ", d), MatMul(New(m, k), New(k, n)), want)
-		assertBits(t, fmt.Sprint("MatMulTransA ", d), MatMulTransA(New(k, m), New(k, n)), want)
-		assertBits(t, fmt.Sprint("MatMulTransB ", d), MatMulTransB(New(m, k), New(n, k)), want)
+		got := New(m, n)
+		MatMulAdd(got.Data, New(m, k).Data, New(k, n).Data, m, k, n)
+		assertBits(t, fmt.Sprint("MatMulAdd ", d), got, New(m, n))
 	}
 }

@@ -2,9 +2,12 @@
 // DNN trainer and the spiking simulator: an n-dimensional float64 tensor
 // with the matrix and convolution kernels the repository needs.
 //
-// The package deliberately stays small and allocation-conscious rather than
-// general: row-major storage, explicit shapes, and a handful of fused
-// kernels (im2col convolution, pooling) that dominate runtime.
+// The package deliberately stays small rather than general: row-major
+// storage, explicit shapes, and a handful of fused kernels (im2col, the
+// conv filter gradient, matrix products, pooling) that dominate training
+// time. Each kernel writes into buffers its caller owns, so a trainer
+// runs sample after sample on one set of buffers; only Conv2D and
+// Conv2DNaive, references that tests compare against, return new tensors.
 package tensor
 
 import (

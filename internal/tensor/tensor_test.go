@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"burstsnn/internal/kernels"
 	"burstsnn/internal/mathx"
 )
 
@@ -85,14 +86,33 @@ func TestMaxAbs(t *testing.T) {
 	}
 }
 
+// product returns A·B for 2-D A and B, through MatMulAdd.
+func product(a, b *Tensor) *Tensor {
+	c := New(a.Shape[0], b.Shape[1])
+	MatMulAdd(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1])
+	return c
+}
+
+// transposed returns the transpose of a 2-D tensor.
+func transposed(a *Tensor) *Tensor {
+	rows, cols := a.Shape[0], a.Shape[1]
+	t := New(cols, rows)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			t.Set(a.At(i, j), j, i)
+		}
+	}
+	return t
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := product(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulAdd = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -105,7 +125,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(1, i, i)
 	}
-	c := MatMul(a, id)
+	c := product(a, id)
 	for i := range a.Data {
 		if math.Abs(c.Data[i]-a.Data[i]) > 1e-12 {
 			t.Fatal("A·I != A")
@@ -113,71 +133,46 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelMatchesSerial drives a product large enough to take the
-// parallel path and checks it bit for bit against the serial one.
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	r := mathx.NewRNG(2)
-	m, k, n := 64, 64, 64
-	a := New(m, k)
-	b := New(k, n)
-	a.RandNorm(r, 0, 1)
-	b.RandNorm(r, 0, 1)
-	got := MatMul(a, b)
-	want := New(m, n)
-	MatMulAdd(want.Data, a.Data, b.Data, m, k, n)
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("parallel MatMul diverges at %d", i)
-		}
-	}
-}
-
+// TestMatMulTransA checks Aᵀ·B formed the way the conv backward pass
+// forms Wᵀ·g — MatMulAdd over a row-major copy of Aᵀ — against the
+// scalar loop that walks A's columns.
 func TestMatMulTransA(t *testing.T) {
 	r := mathx.NewRNG(3)
 	a := New(5, 3) // k×m
 	b := New(5, 4) // k×n
 	a.RandNorm(r, 0, 1)
 	b.RandNorm(r, 0, 1)
-	got := MatMulTransA(a, b)
-	// Reference: transpose a then multiply.
-	at := New(3, 5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			at.Set(a.At(i, j), j, i)
-		}
-	}
-	want := MatMul(at, b)
-	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
-			t.Fatal("MatMulTransA mismatch")
-		}
-	}
+	assertBits(t, "Aᵀ·B", product(transposed(a), b), refMatMulTransA(a, b))
 }
 
+// TestMatMulTransB checks the conv filter gradient g·colsᵀ on a small
+// case: FilterGrad's tap-major result, transposed, against the dot
+// products over Im2Col's matrix.
 func TestMatMulTransB(t *testing.T) {
 	r := mathx.NewRNG(4)
-	a := New(3, 5)
-	b := New(4, 5)
-	a.RandNorm(r, 0, 1)
-	b.RandNorm(r, 0, 1)
-	got := MatMulTransB(a, b)
-	bt := New(5, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			bt.Set(b.At(i, j), j, i)
-		}
-	}
-	want := MatMul(a, bt)
+	s := ConvSpec{InC: 2, InH: 4, InW: 5, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	in := New(s.InC, s.InH, s.InW)
+	in.RandNorm(r, 0, 1)
+	cells := s.OutH() * s.OutW()
+	g := New(s.OutC, cells)
+	g.RandNorm(r, 0, 1)
+	fanIn := s.InC * s.KH * s.KW
+	cols := New(fanIn, cells)
+	Im2Col(cols.Data, in.Data, s)
+	want := product(g, transposed(cols))
+	acc := New(fanIn, s.OutC)
+	NewConvGradTable(s).FilterGrad(acc.Data, g.Data, in.Data, make([]float64, g.Len()), make([]kernels.Event, in.Len()))
+	got := transposed(acc)
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
-			t.Fatal("MatMulTransB mismatch")
+			t.Fatalf("filter gradient %v, want %v", got.Data, want.Data)
 		}
 	}
 }
 
 func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	y := MatVec(a, []float64{1, 1})
+	y := make([]float64, 2)
+	MatVec(y, []float64{1, 2, 3, 4}, []float64{1, 1})
 	if y[0] != 3 || y[1] != 7 {
 		t.Fatalf("MatVec = %v", y)
 	}
@@ -196,9 +191,9 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		c.RandNorm(r, 0, 1)
 		ab := a.Clone()
 		ab.AddInPlace(b)
-		left := MatMul(ab, c)
-		right := MatMul(a, c)
-		right.AddInPlace(MatMul(b, c))
+		left := product(ab, c)
+		right := product(a, c)
+		right.AddInPlace(product(b, c))
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-9 {
 				return false
