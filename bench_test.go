@@ -13,6 +13,7 @@ package burstsnn_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -268,9 +269,15 @@ func BenchmarkHotpathConvStep(b *testing.B) {
 
 // BenchmarkHotpathEncoderConvStep times the conv an input encoder feeds,
 // on the encoders' own event streams, in both layouts: base-major scatter
-// and dense mode's CHW gather. It runs both served LeNetMini shapes — the
-// benchmark's textures (3×16×16) and snnserve's digits (1×28×28, ink on a
-// dark noisy background) — and reports each stream's input density
+// and dense mode's CHW gather. Dense mode has two rows where every step's
+// events share one payload (rate, phase, TTFS): masked, the stream as it
+// is, which takes the masked gather where the tier packs it and builds
+// the step's bit plane every step (a standalone layer has no input
+// period to keep it over); and gather, the plane gather, forced by two
+// silent inputs added to every step (withSilentZeros), so both rows
+// follow one trajectory. It runs both served LeNetMini shapes — the
+// benchmark's textures (3×16×16) and snnserve's digits (1×28×28, ink on
+// a dark noisy background) — and reports each stream's input density
 // (events per pixel per step), the quantity the converter's layout rule
 // compares against convert.DenseInputDensity.
 func BenchmarkHotpathEncoderConvStep(b *testing.B) {
@@ -304,25 +311,63 @@ func BenchmarkHotpathEncoderConvStep(b *testing.B) {
 				}
 			}
 			density := float64(events) / float64(len(steps)*enc.Size())
-			for _, dense := range []bool{false, true} {
-				layer := snn.NewSpikingConv(w, bias, g, coding.DefaultConfig(coding.Burst))
-				name := m.name + "/" + input.String() + "/scatter"
-				if dense {
-					layer.UseDenseMode()
-					name = m.name + "/" + input.String() + "/gather"
+			// The same steps with two silent inputs added, payloads +0
+			// and −0: the plane gather adds w·0 = ±0 for them, which
+			// changes no membrane, but two payloads differ, so dense mode
+			// takes the plane gather (real input's payloads differ
+			// already).
+			uniform := input != coding.Real
+			plane := steps
+			if uniform {
+				plane = make([][]coding.Event, len(steps))
+				for i, st := range steps {
+					plane[i] = withSilentZeros(st, enc.Size())
 				}
-				b.Run(name, func(b *testing.B) {
+			}
+			for _, layout := range []string{"scatter", "gather", "masked"} {
+				if layout == "masked" && !uniform {
+					continue
+				}
+				layer := snn.NewSpikingConv(w, bias, g, coding.DefaultConfig(coding.Burst))
+				in := steps
+				if layout != "scatter" {
+					layer.UseDenseMode()
+				}
+				if layout == "gather" {
+					in = plane
+				}
+				b.Run(m.name+"/"+input.String()+"/"+layout, func(b *testing.B) {
 					layer.Reset()
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						layer.Step(i, 1, steps[i%len(steps)])
+						layer.Step(i, 1, in[i%len(in)])
 					}
 					b.ReportMetric(density, "density")
 				})
 			}
 		}
 	}
+}
+
+// withSilentZeros returns a copy of a step's ascending events over size
+// inputs with two more, at the first two inputs that do not fire,
+// carrying payloads +0 and −0 (fewer when fewer inputs are silent).
+func withSilentZeros(st []coding.Event, size int) []coding.Event {
+	out := make([]coding.Event, 0, len(st)+2)
+	zeros := []float64{0, math.Copysign(0, -1)}
+	next := 0
+	for _, ev := range append(st, coding.Event{Index: size}) {
+		for len(zeros) > 0 && next < ev.Index {
+			out = append(out, coding.Event{Index: next, Payload: zeros[0]})
+			zeros, next = zeros[1:], next+1
+		}
+		if ev.Index < size {
+			out = append(out, ev)
+			next = ev.Index + 1
+		}
+	}
+	return out
 }
 
 // BenchmarkHotpathDenseStep isolates SpikingDense.Step: direct membrane

@@ -492,3 +492,63 @@ func TestBiasScaleTableMatchesExpression(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderPeriodProperty pins InputEncoder.Period for all four input
+// codings: phase and TTFS repeat with their oscillation period, real input
+// every step, rate coding promises nothing (0). Wherever the period is k >
+// 0, Step(t) returns Step(t mod k)'s events for every t over several
+// periods, stepped in order and out of it, on a clone too, across Resets.
+func TestEncoderPeriodProperty(t *testing.T) {
+	r := mathx.NewRNG(0x9E71)
+	const size = 96
+	for _, c := range []struct {
+		scheme Scheme
+		period int // Config.Period
+		want   int
+	}{
+		{Real, 8, 1}, {Rate, 8, 0}, {Phase, 8, 8}, {Phase, 5, 5}, {TTFS, 8, 8}, {TTFS, 3, 3},
+	} {
+		cfg := DefaultConfig(c.scheme)
+		cfg.Period = c.period
+		enc, err := NewInputEncoder(cfg, size, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []InputEncoder{enc, enc.(CloneableEncoder).Clone()} {
+			if got := e.Period(); got != c.want {
+				t.Fatalf("%v (period %d): Period() = %d, want %d", c.scheme, c.period, got, c.want)
+			}
+			k := e.Period()
+			if k == 0 {
+				continue
+			}
+			for img := 0; img < 3; img++ {
+				image := make([]float64, size)
+				for i := range image {
+					image[i] = r.Float64()
+				}
+				e.Reset(image)
+				first := make([][]Event, k)
+				for t := 0; t < k; t++ {
+					first[t] = append([]Event(nil), e.Step(t)...)
+				}
+				for _, step := range append(r.Perm(4*k), 4*k, 9*k+1) {
+					got := e.Step(step)
+					want := first[step%k]
+					if len(got) != len(want) {
+						t.Fatalf("%v image %d: step %d emitted %d events, step %d %d", c.scheme, img, step, len(got), step%k, len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%v image %d: step %d event %d = %+v, step %d's %+v", c.scheme, img, step, i, got[i], step%k, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	p := &PoissonEncoder{SizeN: size, RNG: mathx.NewRNG(1)}
+	if p.Period() != 0 {
+		t.Fatalf("PoissonEncoder.Period() = %d, want 0", p.Period())
+	}
+}

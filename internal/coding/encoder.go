@@ -37,6 +37,14 @@ type InputEncoder interface {
 	// oscillation envelope (Σ over a period = 1). Without this, biases
 	// are over-weighted k-fold under phase input and the readout drifts.
 	BiasScale(t int) float64
+	// Period is how the event stream repeats within one presentation:
+	// for a period k > 0, Step(t) and Step(t') return the same events —
+	// the same indices with the same payloads — whenever t ≡ t' (mod k),
+	// between two Resets, so a consumer may keep the work it does on a
+	// step's events for the steps congruent to it. Phase and TTFS
+	// repeat with their oscillation period, real input every step (1);
+	// 0 promises nothing (rate coding draws every step afresh).
+	Period() int
 }
 
 // CloneableEncoder is an InputEncoder that can stamp out an independent
@@ -111,6 +119,7 @@ func (e *realEncoder) Step(int) []Event      { return e.buf }
 func (e *realEncoder) CountsAsSpikes() bool  { return false }
 func (e *realEncoder) Size() int             { return e.size }
 func (e *realEncoder) BiasScale(int) float64 { return 1 }
+func (e *realEncoder) Period() int           { return 1 }
 func (e *realEncoder) Clone() InputEncoder   { return newRealEncoder(e.size) }
 
 // rateEncoder emits unit-payload spikes whose frequency equals the pixel
@@ -234,6 +243,7 @@ func (e *rateEncoder) Step(int) []Event {
 func (e *rateEncoder) CountsAsSpikes() bool  { return true }
 func (e *rateEncoder) Size() int             { return e.size }
 func (e *rateEncoder) BiasScale(int) float64 { return 1 }
+func (e *rateEncoder) Period() int           { return 0 }
 func (e *rateEncoder) Clone() InputEncoder   { return newRateEncoder(e.size, e.seed) }
 
 // quantizeBits fills dst with each pixel's period-bit quantization:
@@ -366,6 +376,7 @@ func (e *phaseEncoder) Step(t int) []Event {
 func (e *phaseEncoder) CountsAsSpikes() bool { return true }
 func (e *phaseEncoder) Size() int            { return e.size }
 func (e *phaseEncoder) Clone() InputEncoder  { return newPhaseEncoder(e.size, e.period) }
+func (e *phaseEncoder) Period() int          { return e.period }
 
 // BiasScale spreads the bias over the oscillation: Π(t)/(1-2^-k) sums to
 // exactly 1 over one period, matching the one-value-per-period input rate.
@@ -422,6 +433,7 @@ func (e *ttfsEncoder) Step(t int) []Event {
 func (e *ttfsEncoder) CountsAsSpikes() bool { return true }
 func (e *ttfsEncoder) Size() int            { return e.size }
 func (e *ttfsEncoder) Clone() InputEncoder  { return newTTFSEncoder(e.size, e.period) }
+func (e *ttfsEncoder) Period() int          { return e.period }
 
 // BiasScale matches the phase encoder: one value per period.
 func (e *ttfsEncoder) BiasScale(t int) float64 {
@@ -462,6 +474,9 @@ func (e *PoissonEncoder) Step(int) []Event {
 
 // CountsAsSpikes implements InputEncoder.
 func (e *PoissonEncoder) CountsAsSpikes() bool { return true }
+
+// Period implements InputEncoder: every step is a fresh draw.
+func (e *PoissonEncoder) Period() int { return 0 }
 
 // Size implements InputEncoder.
 func (e *PoissonEncoder) Size() int { return e.SizeN }

@@ -335,11 +335,14 @@ func activationScales(net *dnn.Network, samples []dataset.Sample, opts Options) 
 	if n == 0 {
 		return nil, fmt.Errorf("convert: no samples provided for activation recording")
 	}
-	// Gather activation values of the ReLU following each weighted layer.
+	// Gather activation values of the ReLU following each weighted layer,
+	// every image on one workspace.
 	values := map[int][]float64{}
+	w := net.NewWorkspace()
+	var outs []*tensor.Tensor
 	for s := 0; s < n; s++ {
 		x := tensor.FromSlice(samples[s].Image, net.InShape...)
-		outs := net.ForwardCollect(x)
+		outs = w.ForwardCollect(x, outs)
 		for i := range net.Layers {
 			switch net.Layers[i].(type) {
 			case *dnn.Conv2D, *dnn.Dense:

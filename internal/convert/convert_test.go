@@ -475,3 +475,28 @@ func TestRandomArchitectureEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestActivationScalesOneWorkspace pins activation recording to one
+// forward workspace for all calibration images: each image past the
+// first costs a tensor header and the growth of the value lists, a few
+// allocations, where a workspace per image costs about sixty.
+func TestActivationScalesOneWorkspace(t *testing.T) {
+	net, err := dnn.Build(dnn.LeNetMini(3, 16, 16, 10), mathx.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := dataset.SynthTextures(dataset.TexturesConfig{Classes: 10, Size: 16, TrainPerClass: 7, TestPerClass: 1, Noise: 0.05, Seed: 3})
+	opts := DefaultOptions(coding.Phase, coding.Burst)
+	allocs := func(n int) float64 {
+		opts.NormSamples = n
+		return testing.AllocsPerRun(2, func() {
+			if _, err := activationScales(net, set.Train, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(8), allocs(64)
+	if perImage := (many - few) / 56; perImage > 4 {
+		t.Errorf("activation recording allocates %.1f times per extra image (%v for 8 images, %v for 64); want at most 4", perImage, few, many)
+	}
+}

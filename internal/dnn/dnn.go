@@ -81,16 +81,9 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardCollect runs inference and returns the output of every layer, in
-// order, on a workspace of its own. The conversion code uses this to
-// record activation statistics.
+// order, on a workspace of its own.
 func (n *Network) ForwardCollect(x *tensor.Tensor) []*tensor.Tensor {
-	w := n.NewWorkspace()
-	outs := make([]*tensor.Tensor, 0, len(w.states))
-	for _, s := range w.states {
-		x = s.Forward(x, false)
-		outs = append(outs, x)
-	}
-	return outs
+	return n.NewWorkspace().ForwardCollect(x, nil)
 }
 
 // Workspace is everything one sample writes as it passes through a
@@ -146,6 +139,20 @@ func (w *Workspace) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		x = s.Forward(x, train)
 	}
 	return x
+}
+
+// ForwardCollect runs inference on the workspace and returns the output
+// of every layer, in order, appended to outs[:0]. The outputs are the
+// workspace's own buffers, overwritten by its next pass, so a loop over
+// many inputs (the conversion's activation recording) builds one
+// workspace and copies what it keeps.
+func (w *Workspace) ForwardCollect(x *tensor.Tensor, outs []*tensor.Tensor) []*tensor.Tensor {
+	outs = outs[:0]
+	for _, s := range w.states {
+		x = s.Forward(x, false)
+		outs = append(outs, x)
+	}
+	return outs
 }
 
 // Loss returns the softmax cross-entropy of logits against label and the

@@ -15,9 +15,9 @@ import (
 //     what a CPU without AVX2 runs;
 //   - avx2: AVX2 assembly (kernels64_amd64.s), 4 float64 cells per op,
 //     gated on CPUID (AVX2 + OSXSAVE with YMM state enabled in XCR0);
-//   - avx512: the float64 conv scatter, conv gather and fire sweeps on
-//     ZMM registers (kernels64_amd64.s), gated on AVX512F with opmask and
-//     ZMM state enabled in XCR0.
+//   - avx512: the float64 conv scatter, conv gathers and fire sweeps on
+//     ZMM registers (kernels64_amd64.s), gated on AVX512F and BMI2 with
+//     opmask and ZMM state enabled in XCR0.
 //
 // The tier is detected once at startup (hand-rolled CPUID — no
 // dependencies) and stored in an atomic so ForceLevel is safe against
@@ -59,7 +59,9 @@ func xgetbv0() (eax, edx uint32)
 // without the XCR0 check a kernel or VM that masks YMM state would
 // fault on the first VMOVUPS. AVX512 additionally requires AVX512F
 // (leaf 7 EBX[16]) and XCR0 bits 5–7 (opmask, upper halves of ZMM0–15,
-// ZMM16–31). A CPU short of AVX2 runs the purego tier.
+// ZMM16–31), and BMI2 (leaf 7 EBX[8]: the masked gather's SHRX and
+// BZHI), which every AVX512F core has. A CPU short of AVX2 runs the
+// purego tier.
 func detectLevel() level {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -75,11 +77,11 @@ func detectLevel() level {
 		return levelPurego
 	}
 	_, b7, _, _ := cpuid(7, 0)
-	const avx2, avx512f = 1 << 5, 1 << 16
+	const avx2, bmi2, avx512f = 1 << 5, 1 << 8, 1 << 16
 	if b7&avx2 == 0 {
 		return levelPurego
 	}
-	if b7&avx512f == 0 || xcr0&0xe6 != 0xe6 {
+	if b7&avx512f == 0 || b7&bmi2 == 0 || xcr0&0xe6 != 0xe6 {
 		return levelAVX2
 	}
 	return levelAVX512
@@ -119,16 +121,19 @@ func forceLevel(name string) error {
 // AVX2 and AVX512 float64 kernels (kernels64_amd64.s).
 
 //go:noescape
-func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC, inputs int) bool
 
 //go:noescape
-func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC, inputs int) bool
 
 //go:noescape
 func convGather64AVX2(v, plane, wsc *float64, outC, inC, k, ph, pw, cols int)
 
 //go:noescape
 func convGather64AVX512(v, plane, wsc *float64, outC, inC, k, ph, pw, cols int)
+
+//go:noescape
+func convMaskGather64AVX512(v *float64, rows *uint64, wp, bias *float64, bsc float64, outC, inC, k, ph, pw int)
 
 //go:noescape
 func fireCells64AVX2(v *float64, ev *Event, n int, bias *float64, period int, bsc, th float64) int
@@ -149,18 +154,17 @@ func fireCellsBurst64AVX512(v, h *float64, ev *Event, n int, bias *float64, peri
 // channels in fours; odd channel counts stay generic, and a population's
 // sub-group tail or a map's last columns finish in the scalar loop.
 
-func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) bool {
 	if len(taps) > 0 {
+		inputs := len(tapStart) - 1
 		switch lv := activeLevel(); {
 		case lv >= levelAVX512 && outC&7 == 0:
-			convScatterEvents64AVX512(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
-			return
+			return convScatterEvents64AVX512(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC, inputs)
 		case lv >= levelAVX2 && outC&3 == 0:
-			convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC)
-			return
+			return convScatterEvents64AVX2(&vmem[0], &wsc[0], &taps[0], &tapStart[0], &events[0], len(events), outC, inputs)
 		}
 	}
-	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
+	return convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }
 
 func convGatherPacked(outC int) bool { return outC&3 == 0 && activeLevel() >= levelAVX2 }
@@ -191,6 +195,27 @@ func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
 		}
 	}
 	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, cols)
+}
+
+func convMaskGatherPacked(outC int) bool { return outC&7 == 0 && activeLevel() >= levelAVX512 }
+
+// convMaskGather64 runs the avx512 masked gather over whole 8-channel
+// groups, every column of the map (a row's last partial group under a
+// lane mask); the generic loop takes the channels past them.
+func convMaskGather64(v []float64, rows []uint64, wp, bias []float64, bsc float64, outC, inC, k, ph, pw int) {
+	packed := 0
+	if activeLevel() >= levelAVX512 {
+		packed = outC &^ 7
+	}
+	hw := (ph - k + 1) * (pw - k + 1)
+	for oc := 0; oc < packed; oc += 8 {
+		var bp *float64
+		if bias != nil {
+			bp = &bias[oc]
+		}
+		convMaskGather64AVX512(&v[oc*hw], &rows[0], &wp[oc], bp, bsc, outC, inC, k, ph, pw)
+	}
+	convMaskGather64Chans(v, rows, wp, bias, bsc, outC, inC, k, ph, pw, packed)
 }
 
 // packed64 returns the tier whose packed form takes the leading cells of

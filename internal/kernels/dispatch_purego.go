@@ -28,14 +28,20 @@ func forceLevel(name string) error {
 		name, []string{LevelPurego, LevelAVX2, LevelAVX512})
 }
 
-func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
-	convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
+func convScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) bool {
+	return convScatterEvents64Generic(vmem, wsc, taps, tapStart, events, outC)
 }
 
 func convGatherPacked(outC int) bool { return false }
 
 func convGather64(v, plane, wsc []float64, outC, inC, k, ph, pw int) {
 	convGather64Cols(v, plane, wsc, outC, inC, k, ph, pw, 0)
+}
+
+func convMaskGatherPacked(outC int) bool { return false }
+
+func convMaskGather64(v []float64, rows []uint64, wp, bias []float64, bsc float64, outC, inC, k, ph, pw int) {
+	convMaskGather64Chans(v, rows, wp, bias, bsc, outC, inC, k, ph, pw, 0)
 }
 
 func fireCells64(v []float64, ev []Event, bias []float64, bsc, th float64) int {

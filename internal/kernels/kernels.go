@@ -1,6 +1,6 @@
 // Package kernels is the sequential simulator's block-primitive layer:
 // the handful of inner loops it spends its time in (kernels64.go) — the
-// conv event scatter, the dense-input conv gather and the population
+// conv event scatter, the dense-input conv gathers and the population
 // fire sweeps — under one contract: bit-identity with the scalar engine
 // they replaced. Each has more than one body, picked at runtime by three
 // dispatch tiers (see level.go):

@@ -1,15 +1,20 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The float64 primitives: the sequential simulator's inner loops — the
-// conv event scatter, the dense-input conv gather and the population fire
-// sweep — on the dispatch ladder (level.go). A hidden conv
+// conv event scatter, the dense-input conv gathers and the population
+// fire sweep — on the dispatch ladder (level.go). A hidden conv
 // population is stored base-major (cell = base·OutC + oc), so one
 // scatter tap is one contiguous OutC-wide update; the conv the input
-// encoder feeds is stored CHW and
-// gathered (ConvGather64); a fire sweep walks cells in storage order and
-// writes the step's events itself.
+// encoder feeds is stored CHW and gathered — from a bit plane with
+// pre-scaled weights when all the step's events carry one payload
+// (ConvMaskGather64), else from a plane of payloads (ConvGather64); a
+// fire sweep walks cells in storage order and writes the step's events
+// itself.
 //
 // Their contract: every tier performs, per element, exactly the rounded float64
 // operations of the pure-Go loops below — which are the pre-ladder
@@ -20,30 +25,36 @@ import "math"
 //
 // What each tier packs:
 //
-//   - avx2: the conv scatter, the conv gather and both fire sweeps, 4
+//   - avx2: the conv scatter, the plane gather and both fire sweeps, 4
 //     cells per op; a sweep writes each group's 4 events at the cursor
 //     and advances it by the fired bits;
-//   - avx512: the same four, 8 cells per ZMM op. The scatter has unrolled
-//     bodies for OutC 8 and 16; the gather hands a row's 4-column
-//     remainder to the avx2 form. A fire sweep compresses the fired cells'
-//     indices and thresholds out of the compare mask (VPCOMPRESSQ,
-//     VCOMPRESSPD) and interleaves them into events with two VPERMI2Q, so
-//     a group of 8 cells costs two 64-byte stores and a popcount however
-//     many fire;
+//   - avx512: the same four, 8 cells per ZMM op, and the masked gather.
+//     The scatter has unrolled bodies for OutC 8 and 16 and checks its
+//     events' indices 4 per compare; the plane gather hands a row's
+//     4-column remainder to the avx2 form. A fire sweep compresses the
+//     fired cells' indices and thresholds out of the compare mask
+//     (VPCOMPRESSQ, VCOMPRESSPD) and interleaves them into events with two
+//     VPERMI2Q, so a group of 8 cells costs two 64-byte stores and a
+//     popcount however many fire. The masked gather holds 8 channels of
+//     an 8-column chunk in Z0–Z7 and per tap shifts the row word to the
+//     chunk (SHRX), moves it into a k-mask and makes 8 merge-masked adds
+//     of broadcast weights — no multiply, and nothing for a silent input;
+//     a row's last chunk runs under a lane mask. It takes channels in
+//     eights (OutC 4 and 12 leave their last 4 to the generic loop);
 //   - purego: the generic loops below.
 //
 // The packed forms need cell groups that never straddle a bias period or
 // a channel, so they take populations whose channel count (the bias
 // period; the gather's OutC) is a multiple of the group: 4 on avx2, 8 for
 // the avx512 scatter and fire sweeps, which hand a period of 4 or 12 to
-// the avx2 form. Everything else — OutC 3, a 10-wide dense layer — runs
-// the generic loop, with identical results. A dense layer scatters
-// through the same kernel with a table of one tap per input (its weight
-// row, base 0), so OutC is its width. The DNN trainer's matrix products
-// (internal/tensor) are the same scatter: a row of C = A·B is the
-// accumulator, A's entries are the events and B's rows the taps, so
-// training inherits the contract — bit-identical to its scalar loops at
-// every tier.
+// the avx2 form, and for the masked gather. Everything else — OutC 3, a
+// 10-wide dense layer — runs the generic loop, with identical results. A
+// dense layer scatters through the same kernel with a table of one tap
+// per input (its weight row, base 0), so OutC is its width. The DNN
+// trainer's matrix products (internal/tensor) are the same scatter: a row
+// of C = A·B is the accumulator, A's entries are the events and B's rows
+// the taps, so training inherits the contract — bit-identical to its
+// scalar loops at every tier.
 
 // Event is one spike: the flat index of the neuron that fired and the
 // payload it transmits. It is defined here, below every package that
@@ -67,19 +78,16 @@ type Event struct {
 // bases), so the order its taps are applied in cannot change a bit;
 // events apply in list order. tapStart is the layer's scatter-table
 // index (one entry per input neuron plus the end); an event whose Index
-// lies outside it panics before anything is written. vmem and wsc must
-// cover every tap's block and row.
+// lies outside it panics before anything is written — each body checks
+// the whole list first, the avx512 one 4 events per compare. vmem and
+// wsc must cover every tap's block and row.
 func ConvScatterEvents64(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
 	if len(events) == 0 || outC <= 0 {
 		return
 	}
-	inputs := uint(max(len(tapStart)-1, 0))
-	for i := range events {
-		if uint(events[i].Index) >= inputs {
-			panic("kernels: ConvScatterEvents64: event index outside the scatter table")
-		}
+	if len(tapStart) == 0 || !convScatterEvents64(vmem, wsc, taps, tapStart, events, outC) {
+		panic("kernels: ConvScatterEvents64: event index outside the scatter table")
 	}
-	convScatterEvents64(vmem, wsc, taps, tapStart, events, outC)
 }
 
 // ConvGather64 is a stride-1 convolution run output-stationary: every
@@ -112,6 +120,47 @@ func ConvGather64(v, plane, wsc []float64, inC, k, ph, pw int) {
 		convGather64(v, plane, wsc, outC, inC, k, ph, pw)
 	}
 }
+
+// ConvMaskGather64 is ConvGather64 for a step whose firing inputs all
+// carry one payload p: instead of a plane of payloads it reads a bit
+// plane, and instead of multiplying every tap it adds the pre-scaled
+// weight of each firing one —
+//
+//	for oc, oy, ox; for ic, kh, kw ascending:
+//	  if rows[ic·ph+oy+kh] bit ox+kw is set:
+//	    v[(oc·outH+oy)·outW+ox] += wp[((ic·k+kh)·k+kw)·outC+oc]
+//	then, unless bias is nil:
+//	  v[(oc·outH+oy)·outW+ox] += bias[oc] * bsc
+//
+// rows holds inC·ph 64-bit words, one per row of the zero-padded input
+// plane, with bit x set where that plane cell fires (so pw ≤ 64); wp is
+// ConvGather64's wsc scaled by p, fl(w·p) per weight — the very product
+// the plane gather forms for a firing input. A silent input, which the
+// plane gather multiplies into w·0 = ±0, is skipped, which leaves every
+// membrane but −0 unchanged, so under ConvGather64's own preconditions
+// the two agree bit for bit. The bias current, the product and the add
+// the fire sweep would make, comes last, after every tap, so the layer
+// fires bias-free. The geometry must match the slices (bias nil or one
+// per channel); a mismatch panics before anything is written.
+func ConvMaskGather64(v []float64, rows []uint64, wp, bias []float64, bsc float64, inC, k, ph, pw int) {
+	outH, outW := ph-k+1, pw-k+1
+	if inC <= 0 || k <= 0 || outH <= 0 || outW <= 0 || pw > 64 || len(v)%(outH*outW) != 0 {
+		panic("kernels: ConvMaskGather64: bad geometry")
+	}
+	outC := len(v) / (outH * outW)
+	if len(wp) != inC*k*k*outC || len(rows) < inC*ph || bias != nil && len(bias) != outC {
+		panic("kernels: ConvMaskGather64: weights, rows or bias do not match the geometry")
+	}
+	if outC > 0 {
+		convMaskGather64(v, rows, wp, bias, bsc, outC, inC, k, ph, pw)
+	}
+}
+
+// ConvMaskGatherPacked reports whether ConvMaskGather64 runs a packed
+// form for outC output channels at the active tier: avx512, outC a
+// multiple of 8. Elsewhere it runs the generic loop, which loses to the
+// packed plane gather, so a layer masks only where this holds.
+func ConvMaskGatherPacked(outC int) bool { return convMaskGatherPacked(outC) }
 
 // ConvGatherPacked reports whether ConvGather64 runs a packed form for
 // outC output channels at the active tier: avx2 or avx512, outC a
@@ -164,10 +213,19 @@ func FireCellsBurst64(v, h []float64, ev []Event, bias []float64, bsc, beta, vth
 	return fireCellsBurst64(v, h, ev, bias, bsc, beta, vth)
 }
 
-func convScatterEvents64Generic(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) {
+// convScatterEvents64Generic is the pure-Go scatter body: it reports
+// false, having written nothing, when an event lies outside the table.
+func convScatterEvents64Generic(vmem, wsc []float64, taps []ConvTap, tapStart []int32, events []Event, outC int) bool {
+	inputs := uint(len(tapStart) - 1)
+	for i := range events {
+		if uint(events[i].Index) >= inputs {
+			return false
+		}
+	}
 	for _, ev := range events {
 		convScatter64Generic(vmem, wsc, taps[tapStart[ev.Index]:tapStart[ev.Index+1]], outC, ev.Payload)
 	}
+	return true
 }
 
 func convScatter64Generic(vmem, wsc []float64, taps []ConvTap, outC int, p float64) {
@@ -217,6 +275,40 @@ func convGather64Cols(v, plane, wsc []float64, outC, inC, k, ph, pw, from int) {
 						}
 						w += outC
 					}
+				}
+			}
+		}
+	}
+}
+
+// convMaskGather64Chans runs ConvMaskGather64 over output channels
+// [from, outC) — the pure-Go kernel body (from == 0) and the channels past
+// a packed form's last whole group. Like convGather64Cols it applies
+// each tap to a whole row segment, here to the segment's firing cells
+// only, so every cell adds its taps in ascending order.
+func convMaskGather64Chans(v []float64, rows []uint64, wp, bias []float64, bsc float64, outC, inC, k, ph, pw, from int) {
+	outH, outW := ph-k+1, pw-k+1
+	cols := ^uint64(0) >> (64 - outW)
+	for oc := from; oc < outC; oc++ {
+		for oy := 0; oy < outH; oy++ {
+			row := v[(oc*outH+oy)*outW : (oc*outH+oy+1)*outW]
+			w := oc
+			for ic := 0; ic < inC; ic++ {
+				for kh := 0; kh < k; kh++ {
+					word := rows[ic*ph+oy+kh]
+					for kw := 0; kw < k; kw++ {
+						wt := wp[w]
+						for m := word >> kw & cols; m != 0; m &= m - 1 {
+							row[bits.TrailingZeros64(m)] += wt
+						}
+						w += outC
+					}
+				}
+			}
+			if bias != nil {
+				b := bias[oc] * bsc
+				for i := range row {
+					row[i] += b
 				}
 			}
 		}

@@ -10,8 +10,9 @@
 // generic Go loops in kernels64.go — one rounded multiply and one add
 // (VMULPD + VADDPD, never FMA), an ordered compare, a masked subtract —
 // so the float64 trajectory is bit-identical on every tier. The avx512
-// bodies use AVX512F only (KMOVW, not KMOVB; no DQ forms), plus POPCNT,
-// which every AVX512F CPU has.
+// bodies use AVX512F only (KMOVW, not KMOVB; no DQ forms), plus POPCNT
+// and BMI2's SHRX and BZHI, which every AVX512F CPU has (the tier's
+// CPUID gate checks BMI2 too).
 
 // EVENT_TAPS loads the event at R12: Payload broadcast into pay (Y5 or
 // Z5), the cursor over taps[tapStart[Index]:tapStart[Index+1]] in R11 and
@@ -50,12 +51,36 @@
 	DECQ CX      \
 	JNZ  tap
 
-// NEXT_EVENT advances to the next event, looping to ev, and returns after
-// the last.
+// NEXT_EVENT advances to the next event, looping to ev, and returns true
+// after the last.
 #define NEXT_EVENT(ev) \
-	ADDQ       $16, R12 \
-	DECQ       R13      \
-	JNZ        ev       \
+	ADDQ       $16, R12         \
+	DECQ       R13              \
+	JNZ        ev               \
+	MOVB       $1, ret+64(FP)   \
+	VZEROUPPER                  \
+	RET
+
+// CHECK_TAIL(one, bad, done) checks the CX events at R11 one at a time
+// against the input count in BX, jumping to bad at the first whose
+// Index is outside [0, inputs) (unsigned compare) and to done after the
+// last.
+#define CHECK_TAIL(one, bad, done) \
+	TESTQ CX, CX         \
+	JZ    done           \
+one:                         \
+	MOVQ  0(R11), AX     \
+	CMPQ  AX, BX         \
+	JCC   bad            \
+	ADDQ  $16, R11       \
+	DECQ  CX             \
+	JNZ   one            \
+	JMP   done
+
+// SCATTER_BAD returns false: an event lies outside the table, and
+// nothing has been written.
+#define SCATTER_BAD \
+	MOVB $0, ret+64(FP) \
 	VZEROUPPER          \
 	RET
 
@@ -106,14 +131,25 @@
 	DECQ rows-8(SP)       \
 	JNZ  row
 
-// func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+// func convScatterEvents64AVX2(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC, inputs int) bool
 // for each event, for each tap of taps[tapStart[Index]:tapStart[Index+1]]:
 // vmem[Base*outC + i] += wsc[WOff+i] * Payload, i in [0,outC); nev >= 1
 // and outC a positive multiple of 4. outC 8 and 16 run unrolled bodies
 // (2 and 4 independent multiply/add/store chains per tap); any other
-// width runs the counted loop. Same operations per cell either way.
-TEXT ·convScatterEvents64AVX2(SB), NOSPLIT, $0-56
+// width runs the counted loop. Same operations per cell either way. A
+// first pass checks every Index against inputs, the table's input count,
+// and returns false before writing anything if one is outside it.
+TEXT ·convScatterEvents64AVX2(SB), NOSPLIT, $0-65
 	SCATTER_ARGS
+	MOVQ R12, R11
+	MOVQ R13, CX
+	MOVQ inputs+56(FP), BX
+	CHECK_TAIL(chk1, chkbad, checked)
+
+chkbad:
+	SCATTER_BAD
+
+checked:
 	CMPQ R9, $8
 	JEQ  ev8
 	CMPQ R9, $16
@@ -181,13 +217,38 @@ tap16:
 next16:
 	NEXT_EVENT(ev16)
 
-// func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC int)
+// func convScatterEvents64AVX512(vmem, wsc *float64, taps *ConvTap, tapStart *int32, events *Event, nev, outC, inputs int) bool
 // convScatterEvents64AVX2 on 8-cell ZMM registers: nev >= 1 and outC a
 // positive multiple of 8. outC 8 is one multiply/add/store per tap and
 // outC 16 two independent chains; any other width runs the counted loop.
-// Separate VMULPD and VADDPD, as on avx2: never FMA.
-TEXT ·convScatterEvents64AVX512(SB), NOSPLIT, $0-56
+// Separate VMULPD and VADDPD, as on avx2: never FMA. The index check
+// compares 4 events per op, the Index lanes of one 64-byte load.
+TEXT ·convScatterEvents64AVX512(SB), NOSPLIT, $0-65
 	SCATTER_ARGS
+	MOVQ         R12, R11
+	MOVQ         R13, CX
+	MOVQ         inputs+56(FP), BX
+	VPBROADCASTQ BX, Z30
+	MOVW         $0x55, AX
+	KMOVW        AX, K2            // the index lanes of 4 events
+
+zchk4:
+	CMPQ     CX, $4
+	JLT      zchktail
+	VPCMPUQ  $2, (R11), Z30, K2, K1 // inputs <= Index, unsigned
+	KORTESTW K1, K1
+	JNZ      zchkbad
+	ADDQ     $64, R11
+	SUBQ     $4, CX
+	JMP      zchk4
+
+zchktail:
+	CHECK_TAIL(zchk1, zchkbad, zchecked)
+
+zchkbad:
+	SCATTER_BAD
+
+zchecked:
 	CMPQ R9, $8
 	JEQ  zev8
 	CMPQ R9, $16
@@ -366,6 +427,143 @@ zgkw:
 	DECQ        CX
 	JNZ         zgchunk
 	GATHER_NEXT_ROW(zgrow)
+	VZEROUPPER
+	RET
+
+// func convMaskGather64AVX512(v *float64, rows *uint64, wp, bias *float64, bsc float64, outC, inC, k, ph, pw int)
+// ConvMaskGather64 over every column of the 8 channels starting at v, wp
+// and bias. Each chunk of up to 8 cells of a row keeps the 8 channels'
+// accumulators in Z0–Z7 across the whole receptive field; a tap is its
+// row word shifted to the chunk's first column (SHRX), moved into K1
+// (only the low 8 bits select lanes), and per channel one merge-masked
+// add of the broadcast pre-scaled weight, in (ic, kh, kw) order. Then,
+// when bias is non-nil, the channels' bias·bsc (Z16–Z23, formed once per
+// call) is added. A row's last chunk may be short: K2 holds its lanes,
+// and only they are loaded and stored.
+TEXT ·convMaskGather64AVX512(SB), NOSPLIT, $32-80
+	MOVQ         v+0(FP), DI
+	MOVQ         rows+8(FP), SI
+	MOVQ         wp+16(FP), R8
+	MOVQ         bias+24(FP), AX
+	TESTQ        AX, AX
+	JZ           zmsetup
+	VBROADCASTSD bsc+32(FP), Z24
+	VMULPD.BCST  0(AX), Z24, Z16   // bias * bsc, rounded once
+	VMULPD.BCST  8(AX), Z24, Z17
+	VMULPD.BCST  16(AX), Z24, Z18
+	VMULPD.BCST  24(AX), Z24, Z19
+	VMULPD.BCST  32(AX), Z24, Z20
+	VMULPD.BCST  40(AX), Z24, Z21
+	VMULPD.BCST  48(AX), Z24, Z22
+	VMULPD.BCST  56(AX), Z24, Z23
+
+zmsetup:
+	MOVQ  outC+40(FP), R9
+	SHLQ  $3, R9                   // weight stride per tap
+	MOVQ  k+56(FP), AX
+	MOVQ  ph+64(FP), BX
+	MOVQ  pw+72(FP), CX
+	SUBQ  AX, CX
+	INCQ  CX
+	MOVQ  CX, outw-8(SP)           // outW
+	MOVQ  BX, R15
+	SUBQ  AX, R15
+	SHLQ  $3, R15                  // past a channel's k row words to the next channel's first
+	SUBQ  AX, BX
+	INCQ  BX
+	MOVQ  BX, left-24(SP)          // output rows left
+	IMULQ CX, BX
+	SHLQ  $3, BX
+	MOVQ  BX, chs-16(SP)           // one channel of v in bytes
+
+zmrow:
+	XORQ R10, R10                  // the chunk's first column
+
+zmchunk:
+	MOVQ    outw-8(SP), AX
+	SUBQ    R10, AX
+	MOVQ    $8, BX
+	CMPQ    AX, BX
+	CMOVQGT BX, AX                 // lanes = min(8, outW - column)
+	MOVQ    AX, lanes-32(SP)
+	MOVL    $0xFF, BX
+	BZHIQ   AX, BX, BX
+	KMOVW   BX, K2
+	MOVQ    chs-16(SP), AX
+	LEAQ    (AX)(AX*2), BX
+	LEAQ    (DI)(AX*4), CX
+	VMOVUPD.Z (DI), K2, Z0
+	VMOVUPD.Z (DI)(AX*1), K2, Z1
+	VMOVUPD.Z (DI)(AX*2), K2, Z2
+	VMOVUPD.Z (DI)(BX*1), K2, Z3
+	VMOVUPD.Z (CX), K2, Z4
+	VMOVUPD.Z (CX)(AX*1), K2, Z5
+	VMOVUPD.Z (CX)(AX*2), K2, Z6
+	VMOVUPD.Z (CX)(BX*1), K2, Z7
+	MOVQ    SI, R12                // row word (ic, kh) of the chunk
+	MOVQ    R8, DX                 // the tap's weights
+	MOVQ    inC+48(FP), R14
+
+zmic:
+	MOVQ k+56(FP), R13
+
+zmkh:
+	MOVQ (R12), BX
+	MOVQ R10, CX
+	MOVQ k+56(FP), R11
+
+zmkw:
+	SHRXQ       CX, BX, AX         // the chunk's 8 inputs of this tap
+	KMOVW       AX, K1
+	VADDPD.BCST 0(DX), Z0, K1, Z0
+	VADDPD.BCST 8(DX), Z1, K1, Z1
+	VADDPD.BCST 16(DX), Z2, K1, Z2
+	VADDPD.BCST 24(DX), Z3, K1, Z3
+	VADDPD.BCST 32(DX), Z4, K1, Z4
+	VADDPD.BCST 40(DX), Z5, K1, Z5
+	VADDPD.BCST 48(DX), Z6, K1, Z6
+	VADDPD.BCST 56(DX), Z7, K1, Z7
+	INCQ        CX
+	ADDQ        R9, DX
+	DECQ        R11
+	JNZ         zmkw
+	ADDQ        $8, R12
+	DECQ        R13
+	JNZ         zmkh
+	ADDQ        R15, R12
+	DECQ        R14
+	JNZ         zmic
+	CMPQ        bias+24(FP), $0
+	JEQ         zmstore
+	VADDPD      Z16, Z0, Z0
+	VADDPD      Z17, Z1, Z1
+	VADDPD      Z18, Z2, Z2
+	VADDPD      Z19, Z3, Z3
+	VADDPD      Z20, Z4, Z4
+	VADDPD      Z21, Z5, Z5
+	VADDPD      Z22, Z6, Z6
+	VADDPD      Z23, Z7, Z7
+
+zmstore:
+	MOVQ    chs-16(SP), AX
+	LEAQ    (AX)(AX*2), BX
+	LEAQ    (DI)(AX*4), CX
+	VMOVUPD Z0, K2, (DI)
+	VMOVUPD Z1, K2, (DI)(AX*1)
+	VMOVUPD Z2, K2, (DI)(AX*2)
+	VMOVUPD Z3, K2, (DI)(BX*1)
+	VMOVUPD Z4, K2, (CX)
+	VMOVUPD Z5, K2, (CX)(AX*1)
+	VMOVUPD Z6, K2, (CX)(AX*2)
+	VMOVUPD Z7, K2, (CX)(BX*1)
+	MOVQ    lanes-32(SP), AX
+	LEAQ    (DI)(AX*8), DI         // a channel's rows are contiguous
+	ADDQ    $8, R10
+	CMPQ    R10, outw-8(SP)
+	JLT     zmchunk
+	ADDQ    $8, SI
+	DECQ    left-24(SP)
+	JNZ     zmrow
 	VZEROUPPER
 	RET
 

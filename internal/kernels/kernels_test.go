@@ -730,15 +730,17 @@ func testConvScatterEvents64Fuzz(t *testing.T) {
 		}
 
 		// An event outside the table panics and leaves vmem as it was,
-		// however many good events precede it.
+		// however many good events precede it and wherever it sits in a
+		// packed check's group of 4.
 		if len(events) > 0 {
 			bad := append([]Event(nil), events...)
-			bad[len(bad)-1].Index = []int{nIn, -1, nIn + 7}[round%3]
+			at := len(bad) - 1 - round/3%min(len(bad), 5)
+			bad[at].Index = []int{nIn, -1, nIn + 7}[round%3]
 			before := append([]float64(nil), vmem...)
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("round %d: event index %d outside %d inputs did not panic", round, bad[len(bad)-1].Index, nIn)
+						t.Fatalf("round %d: event index %d outside %d inputs did not panic", round, bad[at].Index, nIn)
 					}
 				}()
 				ConvScatterEvents64(vmem, wsc, taps, tapStart, bad, outC)
@@ -978,4 +980,129 @@ func testConvGather64Fuzz(t *testing.T) {
 				round, k, pad, inC, outC, inH, inW, i, v[i], want[i])
 		}
 	}
+}
+
+// TestConvMaskGather64Fuzz pins the masked gather to the plane gather it
+// replaces — ConvGather64 over a plane holding the step's one payload at
+// every firing input, then the fire sweep's bias·bsc — at kernel sizes
+// 1, 3 and 5, every padding up to K/2, the packed channel counts and
+// their neighbours, row widths on both sides of every 8-column chunk up
+// to the 64-column limit, ±0 weights, and payloads of 0, subnormal and
+// huge (overflowing) size; membranes start at +0 or a nonzero value,
+// never −0.
+func TestConvMaskGather64Fuzz(t *testing.T) { forEachLevel(t, testConvMaskGather64Fuzz) }
+
+func testConvMaskGather64Fuzz(t *testing.T) {
+	r := mathx.NewRNG(0x3A5C)
+	for round := 0; round < 400; round++ {
+		k := []int{1, 3, 5}[r.Intn(3)]
+		pad := r.Intn(k/2 + 1)
+		inC, outC := 1+r.Intn(3), []int{1, 4, 8, 12, 16}[r.Intn(5)]
+		inH := max(1, k-2*pad) + r.Intn(5)
+		inW := max(1, k-2*pad) + r.Intn(24)
+		if r.Bernoulli(0.2) {
+			inW = 64 - 2*pad - r.Intn(3) // the widest rows a word holds
+		}
+		ph, pw := inH+2*pad, inW+2*pad
+		wsc := randF64s(r, inC*k*k*outC, 0.5)
+		for i := range wsc {
+			switch r.Intn(10) {
+			case 0:
+				wsc[i] = 0
+			case 1:
+				wsc[i] = math.Copysign(0, -1)
+			}
+		}
+		p := r.Norm(0, 1)
+		switch r.Intn(6) {
+		case 0:
+			p = 0
+		case 1:
+			p = 5e-324 * float64(1+r.Intn(1000)) // subnormal
+		case 2:
+			p = 1e308 // w·p overflows for |w| > 1.8
+		case 3:
+			p = 0.5 / float64(uint64(1)<<r.Intn(8)) // a phase payload
+		}
+		plane := make([]float64, inC*ph*pw)
+		rows := make([]uint64, inC*ph)
+		density := r.Float64()
+		for ic := 0; ic < inC; ic++ {
+			for iy := 0; iy < inH; iy++ {
+				for ix := 0; ix < inW; ix++ {
+					if r.Bernoulli(density) {
+						plane[(ic*ph+iy+pad)*pw+ix+pad] = p
+						rows[ic*ph+iy+pad] |= 1 << (ix + pad)
+					}
+				}
+			}
+		}
+		wp := make([]float64, len(wsc))
+		for i, w := range wsc {
+			wp[i] = w * p
+		}
+		var bias []float64
+		bsc := r.Float64()
+		if r.Bernoulli(0.7) {
+			bias = randF64s(r, outC, 0.1)
+		}
+		hw := (ph - k + 1) * (pw - k + 1)
+		v := randF64s(r, outC*hw, 1)
+		for i := range v {
+			if r.Intn(4) == 0 {
+				v[i] = 0
+			}
+		}
+		want := append([]float64(nil), v...)
+		ConvGather64(want, plane, wsc, inC, k, ph, pw)
+		if bias != nil {
+			for i := range want {
+				want[i] += bias[i/hw] * bsc
+			}
+		}
+		ConvMaskGather64(v, rows, wp, bias, bsc, inC, k, ph, pw)
+		if i := sameBits64(v, want); i >= 0 {
+			t.Fatalf("round %d (k=%d pad=%d inC=%d outC=%d %dx%d p=%v bias=%t): v[%d] = %v, plane gather %v",
+				round, k, pad, inC, outC, inH, inW, p, bias != nil, i, v[i], want[i])
+		}
+	}
+}
+
+// BenchmarkConvGathers times one step of the served textures model's
+// conv1 (3×16×16 input, pad 1, 3×3 kernel, 8 channels) under both dense
+// gathers, half the inputs firing with one payload: the plane gather
+// (multiply every tap) and the masked gather (add the pre-scaled weight
+// of the firing ones, then the bias).
+func BenchmarkConvGathers(b *testing.B) {
+	const inC, k, ph, pw, outC = 3, 3, 18, 18, 8
+	r := mathx.NewRNG(0xB6A7)
+	wsc := randF64s(r, inC*k*k*outC, 0.3)
+	bias := randF64s(r, outC, 0.05)
+	plane := make([]float64, inC*ph*pw)
+	rows := make([]uint64, inC*ph)
+	for ic := 0; ic < inC; ic++ {
+		for y := 1; y < ph-1; y++ {
+			for x := 1; x < pw-1; x++ {
+				if r.Bernoulli(0.5) {
+					plane[(ic*ph+y)*pw+x] = 0.125
+					rows[ic*ph+y] |= 1 << x
+				}
+			}
+		}
+	}
+	wp := make([]float64, len(wsc))
+	for i, w := range wsc {
+		wp[i] = w * 0.125
+	}
+	v := make([]float64, outC*(ph-k+1)*(pw-k+1))
+	b.Run("plane", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ConvGather64(v, plane, wsc, inC, k, ph, pw)
+		}
+	})
+	b.Run("masked", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ConvMaskGather64(v, rows, wp, bias, 0.5, inC, k, ph, pw)
+		}
+	})
 }

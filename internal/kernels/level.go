@@ -14,8 +14,9 @@ import "os"
 //	avx2    — the float64 conv scatter, conv gather and both fire
 //	          sweeps 4 cells per op (CPUID-gated: AVX2 + OS-enabled
 //	          YMM state)
-//	avx512  — the same four on 8-cell ZMM registers (CPUID-gated:
-//	          AVX512F + OS-enabled opmask and ZMM state)
+//	avx512  — the same four on 8-cell ZMM registers, plus the masked
+//	          conv gather (CPUID-gated: AVX512F + BMI2 + OS-enabled
+//	          opmask and ZMM state)
 //
 // Every tier is bit-identical to the scalar engine: the packed forms use
 // separate multiply and add — never FMA, which would contract the two

@@ -39,8 +39,9 @@ func (l *SpikingDense) CloneLayer() Layer {
 }
 
 // CloneLayer implements CloneableLayer. The scatter table (taps/tapStart)
-// and dense mode's plane index are immutable after construction, so
-// clones share them like the weights; the plane is per clone.
+// and dense mode's plane and bit indexes are immutable after
+// construction, so clones share them like the weights; the planes and
+// the scaled weights are per clone.
 func (l *SpikingConv) CloneLayer() Layer {
 	c := &SpikingConv{
 		Geom: l.Geom, WScatter: l.WScatter, Bias: l.Bias,
@@ -48,9 +49,15 @@ func (l *SpikingConv) CloneLayer() Layer {
 		pop:     l.pop.clone(),
 		bias:    l.bias,
 		planeAt: l.planeAt,
+		bitAt:   l.bitAt,
+		period:  l.period,
 	}
 	if l.plane != nil {
 		c.plane = make([]float64, len(l.plane))
+	}
+	if l.rows != nil {
+		c.rows = make([]uint64, len(l.rows))
+		c.slots = make([]maskSlot, len(l.slots))
 	}
 	return c
 }

@@ -164,7 +164,47 @@ type SpikingConv struct {
 	// Both nil in base-major mode.
 	planeAt []int32
 	plane   []float64
+	// Masked steps (dense mode on rows of at most 64 padded columns):
+	// bitAt maps input neuron i to its bit in a bit plane, word·64 +
+	// column (immutable, shared by clones). Under an input period k
+	// (setInputPeriod) this replica keeps k bit planes in rows, step t's
+	// in slot t mod k, each built by the first step at its slot since
+	// Reset; with none, one plane rebuilt every step. scaled holds the
+	// weights pre-scaled by the payloads seen (maskedWeights). All nil
+	// outside masked dense mode.
+	bitAt  []int32
+	period int
+	rows   []uint64
+	slots  []maskSlot
+	scaled []scaledWeights
+	next   int // the scaled entry a full cache overwrites next
 }
+
+// maskSlot describes one bit plane: unbuilt since Reset, built from
+// events of one payload (whose bits it keeps; +0 for no events), or not
+// buildable because two payloads differ.
+type maskSlot struct {
+	state uint8
+	bits  uint64
+}
+
+const (
+	slotUnbuilt = iota
+	slotMasked
+	slotMixed
+)
+
+// scaledWeights is WScatter scaled by one payload, fl(w·p) per weight,
+// keyed by the payload's bits.
+type scaledWeights struct {
+	bits uint64
+	w    []float64
+}
+
+// maxScaled bounds a layer's scaled-weight copies: one per payload of a
+// phase or TTFS period (at most 62), one for rate input. A payload past
+// it overwrites the oldest copy.
+const maxScaled = 64
 
 // NewSpikingConv builds the layer from a row-major OutC×(InC*K*K) weight
 // matrix (the dnn.Conv2D layout).
@@ -247,7 +287,25 @@ func (l *SpikingConv) Name() string { return "sconv" }
 func (l *SpikingConv) NumNeurons() int { return len(l.pop.vmem) }
 
 // Reset implements Layer.
-func (l *SpikingConv) Reset() { l.pop.resetState() }
+func (l *SpikingConv) Reset() {
+	l.pop.resetState()
+	clear(l.slots)
+}
+
+// setInputPeriod tells a masked dense-mode conv that its input repeats
+// with period k (coding.InputEncoder.Period, 0 for none), so each step's
+// bit plane is built once per presentation; Network.Reset calls it on
+// the layer the encoder feeds, after the layers' Reset. A standalone
+// layer has no period.
+func (l *SpikingConv) setInputPeriod(k int) {
+	if l.rows == nil || k == l.period {
+		return
+	}
+	n := len(l.rows) / len(l.slots)
+	l.period = k
+	l.rows = make([]uint64, max(k, 1)*n)
+	l.slots = make([]maskSlot, max(k, 1))
+}
 
 // UseDenseMode switches the layer to dense mode and reports whether it
 // did; call it before the layer's first Step. The population is then
@@ -288,6 +346,14 @@ func (l *SpikingConv) UseDenseMode() bool {
 		}
 	}
 	l.plane = make([]float64, g.InC*ph*pw)
+	if pw <= 64 {
+		l.bitAt = make([]int32, len(l.planeAt))
+		for i, c := range l.planeAt {
+			l.bitAt[i] = int32(int(c)/pw*64 + int(c)%pw)
+		}
+		l.rows = make([]uint64, g.InC*ph)
+		l.slots = make([]maskSlot, 1)
+	}
 	l.pop = newPopulation(len(l.pop.vmem), l.pop.cfg)
 	return true
 }
@@ -297,23 +363,103 @@ func (l *SpikingConv) DenseMode() bool { return l.planeAt != nil }
 
 // Step implements Layer. In base-major mode it is a table-driven event
 // scatter (no div/mod or stride/pad branching per event), one fused
-// kernel call for the step's whole event list; in dense mode the
-// payloads go into the padded plane and one gather call adds every
-// cell's receptive field. Either way the bias is folded into the firing
-// pass.
+// kernel call for the step's whole event list, and the bias is folded
+// into the firing pass. In dense mode, when every event carries one
+// payload p (phase, TTFS and rate input) and the tier packs it, the
+// events go into a bit plane and one masked gather adds the weights
+// pre-scaled by p over the firing inputs, then the bias current, so the
+// firing pass runs bias-free (kernels.ConvMaskGather64); any other step
+// (real input, mixed payloads) writes its payloads into the padded
+// plane, gathers every cell's receptive field, and fires with the bias.
 func (l *SpikingConv) Step(t int, biasScale float64, in []coding.Event) []coding.Event {
 	g := l.Geom
 	if l.planeAt == nil {
 		kernels.ConvScatterEvents64(l.pop.vmem, l.WScatter, l.taps, l.tapStart, in, g.OutC)
 		return l.pop.fire(t, l.Bias, biasScale)
 	}
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	if l.rows != nil && kernels.ConvMaskGatherPacked(g.OutC) {
+		if rows, wp := l.maskInput(t, in); wp != nil {
+			kernels.ConvMaskGather64(l.pop.vmem, rows, wp, l.Bias, biasScale, g.InC, g.K, ph, pw)
+			return l.pop.fire(t, nil, 0)
+		}
+	}
 	plane, at := l.plane, l.planeAt
 	clear(plane)
 	for _, ev := range in {
 		plane[at[ev.Index]] = ev.Payload
 	}
-	kernels.ConvGather64(l.pop.vmem, plane, l.WScatter, g.InC, g.K, g.InH+2*g.Pad, g.InW+2*g.Pad)
+	kernels.ConvGather64(l.pop.vmem, plane, l.WScatter, g.InC, g.K, ph, pw)
 	return l.pop.fire(t, l.bias, biasScale)
+}
+
+// maskInput returns step t's bit plane and the weights scaled by its
+// events' one payload, or nil weights when two payloads differ. The
+// plane is slot t mod period's, built on the slot's first step since
+// Reset; without a period slot 0 is rebuilt every step.
+func (l *SpikingConv) maskInput(t int, in []coding.Event) ([]uint64, []float64) {
+	j := 0
+	if l.period > 0 {
+		j = t % l.period
+	}
+	n := len(l.rows) / len(l.slots)
+	rows, slot := l.rows[j*n:(j+1)*n], &l.slots[j]
+	if l.period == 0 || slot.state == slotUnbuilt {
+		*slot = buildRows(rows, l.bitAt, in)
+	}
+	if slot.state == slotMixed {
+		return nil, nil
+	}
+	return rows, l.maskedWeights(slot.bits)
+}
+
+// buildRows writes the events into the cleared bit plane rows and
+// describes it. Events are ascending, so a row word's events are
+// consecutive: each word is collected in a register and written once.
+func buildRows(rows []uint64, bitAt []int32, in []coding.Event) maskSlot {
+	clear(rows)
+	if len(in) == 0 {
+		return maskSlot{state: slotMasked} // no bit set: no weight is read
+	}
+	pb := math.Float64bits(in[0].Payload)
+	w, acc := bitAt[in[0].Index]>>6, uint64(0)
+	for _, ev := range in {
+		if math.Float64bits(ev.Payload) != pb {
+			return maskSlot{state: slotMixed}
+		}
+		b := bitAt[ev.Index]
+		if b>>6 != w {
+			rows[w] |= acc
+			w, acc = b>>6, 0
+		}
+		acc |= 1 << (b & 63)
+	}
+	rows[w] |= acc
+	return maskSlot{state: slotMasked, bits: pb}
+}
+
+// maskedWeights returns WScatter scaled by the payload whose bits are pb,
+// from the replica's cache, scaling and caching it on a miss.
+func (l *SpikingConv) maskedWeights(pb uint64) []float64 {
+	for _, s := range l.scaled {
+		if s.bits == pb {
+			return s.w
+		}
+	}
+	var w []float64
+	if len(l.scaled) < maxScaled {
+		w = make([]float64, len(l.WScatter))
+		l.scaled = append(l.scaled, scaledWeights{bits: pb, w: w})
+	} else {
+		l.scaled[l.next] = scaledWeights{bits: pb, w: l.scaled[l.next].w}
+		w = l.scaled[l.next].w
+		l.next = (l.next + 1) % maxScaled
+	}
+	p := math.Float64frombits(pb)
+	for i, x := range l.WScatter {
+		w[i] = x * p
+	}
+	return w
 }
 
 // Potential returns neuron i's (CHW index) membrane potential on the
@@ -413,10 +559,13 @@ func (l *SpikingAvgPool) NumNeurons() int { return len(l.pop.vmem) }
 func (l *SpikingAvgPool) Reset() { l.pop.resetState() }
 
 // Step implements Layer using the precomputed input→output index table.
+// The table and the scale are read into locals once: read through l, the
+// compiler reloads both after every membrane store (the store might
+// alias l's fields), three more loads per event.
 func (l *SpikingAvgPool) Step(t int, _ float64, in []coding.Event) []coding.Event {
-	vmem := l.pop.vmem
+	vmem, at, inv := l.pop.vmem, l.outIdx, l.inv
 	for _, ev := range in {
-		vmem[l.outIdx[ev.Index]] += ev.Payload * l.inv
+		vmem[at[ev.Index]] += ev.Payload * inv
 	}
 	return l.pop.fire(t, nil, 0)
 }

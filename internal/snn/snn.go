@@ -59,7 +59,7 @@ type population struct {
 	// base·outC + oc; outC is 0 for the identity layout. recip is
 	// ⌈2^64/outC⌉, which turns a cell into its base with one multiply;
 	// runs receives the step's events in neuron order, and runEnd[oc] is
-	// channel oc's write cursor in it.
+	// channel oc's write cursor in it (emitRuns).
 	outC, hw int
 	recip    uint64
 	runEnd   []int
@@ -196,26 +196,28 @@ func (p *population) fireLeaky(ev []coding.Event, t int, bias []float64, biasSca
 
 // emitRuns puts a base-major population's storage-order events into
 // ascending neuron order. Within one channel storage order is neuron
-// order, so each event is dropped at the end of its channel's run —
-// channel oc's run starts at oc·hw in runs, room for every neuron it has
-// — and closing the gaps between the runs (at most outC−1 copies) leaves
-// the events in ascending neuron order.
+// order, so a counting pass sizes each channel's run and a second pass
+// drops each event at the end of its channel's run, the runs laid out
+// back to back in runs (next[oc] is channel oc's write cursor).
 func (p *population) emitRuns(ev []coding.Event) []coding.Event {
-	runs, end := p.runs, p.runEnd
+	runs, next := p.runs, p.runEnd
 	outC, hw, recip := p.outC, p.hw, p.recip
-	for oc := range end {
-		end[oc] = oc * hw
-	}
+	clear(next)
 	for _, e := range ev {
 		base, _ := bits.Mul64(recip, uint64(e.Index)) // cell / outC
-		oc := e.Index - int(base)*outC
-		i := end[oc]
-		runs[i] = coding.Event{Index: oc*hw + int(base), Payload: e.Payload}
-		end[oc] = i + 1
+		next[e.Index-int(base)*outC]++
 	}
-	k := end[0]
-	for oc := 1; oc < outC; oc++ {
-		k += copy(runs[k:], runs[oc*hw:end[oc]])
+	k := 0
+	for oc, n := range next {
+		next[oc] = k
+		k += n
+	}
+	for _, e := range ev {
+		base, _ := bits.Mul64(recip, uint64(e.Index))
+		oc := e.Index - int(base)*outC
+		i := next[oc]
+		runs[i] = coding.Event{Index: oc*hw + int(base), Payload: e.Payload}
+		next[oc] = i + 1
 	}
 	return runs[:k]
 }
@@ -326,11 +328,18 @@ func (n *Network) NumNeurons() int {
 	return total
 }
 
-// Reset prepares the network for a new input image.
+// Reset prepares the network for a new input image. A dense-mode conv
+// fed by the encoder learns the encoder's period, over which it keeps its
+// per-step input work (SpikingConv.setInputPeriod).
 func (n *Network) Reset(image []float64) {
 	n.Encoder.Reset(image)
 	for _, l := range n.Layers {
 		l.Reset()
+	}
+	if len(n.Layers) > 0 {
+		if c, ok := n.Layers[0].(*SpikingConv); ok {
+			c.setInputPeriod(n.Encoder.Period())
+		}
 	}
 	n.Output.Reset()
 }

@@ -464,12 +464,14 @@ func TestLeakSilencesWeakDrive(t *testing.T) {
 
 // TestMembraneNeverNegativeZero pins the invariant dense mode rests on:
 // no membrane cell is ever −0, so a silent input's w·0 = ±0 cannot change
-// one. It drives a conv in both layouts, an avg-pool and a dense layer
-// through scatter, gather and fire under burst, phase and rate coding,
-// with and without leak, with exact-zero weights, biases and payloads of
-// both signs and a zero bias scale every third step, at every kernel
-// tier — and checks on the way that the two conv layouts agree bit for
-// bit.
+// one, nor can skipping it. It drives a conv in both layouts, an avg-pool
+// and a dense layer through scatter, gather and fire under burst, phase
+// and rate coding, with and without leak, with exact-zero weights,
+// biases and payloads of both signs and a zero bias scale every third
+// step, at every kernel tier — every other conv step with one payload
+// for all its events, which the dense layout runs on the masked gather
+// where the tier packs it — and checks on the way that the two conv
+// layouts agree bit for bit.
 func TestMembraneNeverNegativeZero(t *testing.T) {
 	defer kernels.ForceLevel("")
 	for _, lv := range kernels.Available() {
@@ -517,6 +519,12 @@ func TestMembraneNeverNegativeZero(t *testing.T) {
 					for step := 0; step < 64; step++ {
 						bsc := [3]float64{0, 1, r.Float64()}[step%3]
 						in := events(128)
+						if step%2 == 1 {
+							p := signed(1, 0.6)[0]
+							for i := range in {
+								in[i].Payload = p
+							}
+						}
 						a := append([]coding.Event(nil), scatter.Step(step, bsc, in)...)
 						b := gather.Step(step, bsc, in)
 						if len(a) != len(b) {
@@ -544,6 +552,88 @@ func TestMembraneNeverNegativeZero(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestDenseModeMaskFallback: a dense-mode conv runs the masked gather
+// only on a step whose events all carry one payload; one odd payload
+// sends the step to the plane gather. Both give the base-major scatter's
+// bits, at every tier, on fresh events every step and on a stream that
+// repeats with an input period (its planes kept per slot, the odd slot
+// falling back on every visit).
+func TestDenseModeMaskFallback(t *testing.T) {
+	defer kernels.ForceLevel("")
+	for _, lv := range kernels.Available() {
+		if err := kernels.ForceLevel(lv); err != nil {
+			t.Fatal(err)
+		}
+		for _, period := range []int{0, 3} {
+			t.Run(fmt.Sprintf("level=%s/period=%d", lv, period), func(t *testing.T) {
+				g := ConvGeom{InC: 2, InH: 8, InW: 12, OutC: 8, K: 3, Stride: 1, Pad: 1}
+				r := mathx.NewRNG(0xFA11 + uint64(period))
+				randn := gaussians(r)
+				scatter := NewSpikingConv(randn(8*2*9, 0.4), randn(8, 0.1), g, coding.DefaultConfig(coding.Burst))
+				gather := scatter.CloneLayer().(*SpikingConv)
+				if !gather.UseDenseMode() {
+					t.Fatal("dense mode refused")
+				}
+				gather.setInputPeriod(period)
+				// Step t's events, phase-coded; every third step has one odd
+				// payload. With a period, step t replays step t mod period.
+				draw := func(t int) []coding.Event {
+					p := coding.Pi(t, 8)
+					var in []coding.Event
+					for i := 0; i < 2*8*12; i++ {
+						if r.Bernoulli(0.5) {
+							in = append(in, coding.Event{Index: i, Payload: p})
+						}
+					}
+					if t%3 == 2 {
+						in[r.Intn(len(in))].Payload = 3 * p
+					}
+					return in
+				}
+				var replay [][]coding.Event
+				for step := 0; step < 24; step++ {
+					in := draw(step)
+					if period > 0 {
+						if step < period {
+							replay = append(replay, in)
+						}
+						in = replay[step%period]
+					}
+					a := append([]coding.Event(nil), scatter.Step(step, 0.5, in)...)
+					b := gather.Step(step, 0.5, in)
+					if len(a) != len(b) {
+						t.Fatalf("step %d: scatter emitted %d events, dense mode %d", step, len(a), len(b))
+					}
+					for i := range a {
+						if a[i] != b[i] {
+							t.Fatalf("step %d event %d: scatter %+v, dense mode %+v", step, i, a[i], b[i])
+						}
+					}
+					for i := 0; i < scatter.NumNeurons(); i++ {
+						if x, y := scatter.Potential(i), gather.Potential(i); math.Float64bits(x) != math.Float64bits(y) {
+							t.Fatalf("step %d neuron %d: scatter %v, dense mode %v", step, i, x, y)
+						}
+					}
+					if !kernels.ConvMaskGatherPacked(g.OutC) {
+						continue
+					}
+					slot := gather.slots[0]
+					if period > 0 {
+						slot = gather.slots[step%period]
+					}
+					want := uint8(slotMasked)
+					if step%3 == 2 {
+						want = slotMixed
+					}
+					if slot.state != want {
+						t.Fatalf("step %d: bit plane state %d, want %d", step, slot.state, want)
+					}
+				}
+			})
 		}
 	}
 }
